@@ -240,7 +240,8 @@ impl StreamingHistogram {
         }
         let rank = (q * self.total as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (bucket, &count) in self.counts.iter().enumerate() {
+        let first = self.first_bucket();
+        for (bucket, &count) in self.counts.iter().enumerate().skip(first) {
             seen += count;
             if seen >= rank {
                 return SimDuration::from_nanos(Self::bucket_upper(bucket).min(self.max_ns));
@@ -274,12 +275,21 @@ impl StreamingHistogram {
         }
     }
 
+    /// The lowest bucket that can hold a sample: every bucket below the
+    /// smallest recorded value is empty, and latency histograms leave
+    /// most of their low buckets so. Folds and scans start here.
+    fn first_bucket(&self) -> usize {
+        Self::bucket_of(self.min_ns).min(self.counts.len())
+    }
+
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &StreamingHistogram) {
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), 0);
         }
-        for (slot, &count) in self.counts.iter_mut().zip(&other.counts) {
+        let first = other.first_bucket();
+        let theirs = &other.counts[first..];
+        for (slot, &count) in self.counts[first..].iter_mut().zip(theirs) {
             *slot += count;
         }
         self.total += other.total;
@@ -437,6 +447,27 @@ mod tests {
         assert_eq!(a.percentile(0.5), whole.percentile(0.5));
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
+        assert_eq!(a, whole);
+
+        // Folds start at the other side's lowest sample: disjoint ranges
+        // and empty sides merge exactly in either order.
+        let (mut low, mut high) = (StreamingHistogram::new(), StreamingHistogram::new());
+        for v in 1..=300u64 {
+            low.record(SimDuration::from_nanos(v * 7));
+            high.record(SimDuration::from_millis(v));
+        }
+        let mut up = low.clone();
+        up.merge(&high);
+        let mut down = high.clone();
+        down.merge(&low);
+        assert_eq!(up, down);
+        assert_eq!(up.len(), 600);
+        assert_eq!(up.percentile(0.5), low.max());
+        down.merge(&empty);
+        assert_eq!(up, down);
+        let mut from_empty = StreamingHistogram::new();
+        from_empty.merge(&up);
+        assert_eq!(from_empty, up);
     }
 
     #[test]

@@ -336,7 +336,6 @@ pub fn serve_trace(trace: &Trace) -> String {
             TraceEventKind::DesSpan {
                 function,
                 stage,
-                dispatched_ns,
                 complete_rel_ns,
                 ..
             } => {
@@ -344,7 +343,7 @@ pub fn serve_trace(trace: &Trace) -> String {
                     format!(
                         "{{\"ph\":\"X\",\"pid\":{DES_PID},\"tid\":{function},\"ts\":{:.3},\
                          \"dur\":{:.3},\"name\":\"fn{function} stage{stage}\"}}",
-                        us(dispatched_ns),
+                        us(e.time_ns),
                         us(u64::from(complete_rel_ns)),
                     ),
                     &mut out,

@@ -127,15 +127,14 @@ pub enum TraceEventKind {
     /// Heartbeat monitoring detected the crash and wrote the node off.
     NodeDeath { node: u32 },
     /// One function's DES execution window inside `platform::run_wrap`
-    /// (the warm-path engine). `exec_rel_ns`/`complete_rel_ns` are
-    /// relative to `dispatched_ns` (saturating u32 — DES windows are
-    /// millisecond-scale).
+    /// (the warm-path engine). The event is stamped at the function's
+    /// dispatch; `exec_rel_ns`/`complete_rel_ns` are relative to that
+    /// stamp (saturating u32 — DES windows are millisecond-scale).
     DesSpan {
         function: u16,
         sandbox: u16,
         stage: u16,
         spans: u16,
-        dispatched_ns: u64,
         exec_rel_ns: u32,
         complete_rel_ns: u32,
     },
@@ -202,9 +201,11 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-// The whole point of the compact payloads: growing an event past 40 bytes
-// is a hot-path regression, caught at compile time.
-const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 40);
+// The whole point of the compact payloads: a traced fleet run writes
+// hundreds of thousands of events, and their cost is the bytes written.
+// Growing an event past 32 bytes is a hot-path regression, caught at
+// compile time.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 32);
 
 /// A finished capture, normalised to time order (stable, so simultaneous
 /// events keep their emit/concatenation order).
@@ -282,6 +283,25 @@ impl Trace {
                         e.time_ns,
                         resolve(workflow),
                         plan,
+                    );
+                }
+                // The span's dispatch instant is the event's stamp; it is
+                // rendered as the field it once was, so trace bytes (and
+                // digests) stay comparable across versions.
+                TraceEventKind::DesSpan {
+                    function,
+                    sandbox,
+                    stage,
+                    spans,
+                    exec_rel_ns,
+                    complete_rel_ns,
+                } => {
+                    let _ = writeln!(
+                        out,
+                        "{:>15} DesSpan {{ function: {function}, sandbox: {sandbox}, \
+                         stage: {stage}, spans: {spans}, dispatched_ns: {}, \
+                         exec_rel_ns: {exec_rel_ns}, complete_rel_ns: {complete_rel_ns} }}",
+                        e.time_ns, e.time_ns,
                     );
                 }
                 kind => {

@@ -606,7 +606,6 @@ impl VirtualPlatform {
                         sandbox: wrap.sandbox.0 as u16,
                         stage: stage as u16,
                         spans: spans.len().min(u16::MAX as usize) as u16,
-                        dispatched_ns,
                         exec_rel_ns: rel(result.exec_start),
                         complete_rel_ns: rel(completed),
                     },

@@ -16,6 +16,37 @@ use std::time::{Duration, Instant};
 #[allow(unsafe_code)]
 pub mod ring;
 
+/// Spin briefly, then yield: on a multi-core host the partner usually
+/// lands within the spin budget; on a single-core host (or under heavy
+/// oversubscription) pure spinning would burn the waiter's entire
+/// scheduler timeslice (~milliseconds) before the partner could run at
+/// all, turning a sub-microsecond handoff into a multi-millisecond one.
+/// Shared by the shm ring's blocking push/pop and the fleet's barrier
+/// workers.
+#[derive(Debug, Default)]
+pub struct Backoff(u32);
+
+impl Backoff {
+    const SPIN_BUDGET: u32 = 64;
+
+    pub fn new() -> Self {
+        Backoff(0)
+    }
+
+    /// Waits a little; returns whether this step yielded to the scheduler
+    /// (every step past the spin budget does).
+    pub fn snooze(&mut self) -> bool {
+        let spinning = self.0 < Self::SPIN_BUDGET;
+        if spinning {
+            self.0 += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+        !spinning
+    }
+}
+
 /// One function to execute on a real thread.
 #[derive(Debug, Clone)]
 pub struct RtTask {

@@ -30,6 +30,7 @@
 //! ([`measure_fit`], plus the Criterion bench `bench/benches/ring.rs`)
 //! calibrates the `shm_ring` tier in `chiron-store::transfer`.
 
+use super::Backoff;
 use chiron_model::SimDuration;
 use chiron_obs::{StaticCounter, StaticHistogram};
 use std::cell::UnsafeCell;
@@ -169,30 +170,11 @@ pub fn crc32_pair(a: &[u8], b: &[u8]) -> u32 {
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
-/// Spin briefly, then yield: on a multi-core host the partner usually
-/// lands within the spin budget; on a single-core host (or under heavy
-/// oversubscription) pure spinning would burn the waiter's entire
-/// scheduler timeslice (~milliseconds) before the partner could run at
-/// all, turning a sub-microsecond handoff into a multi-millisecond one.
-struct Backoff(u32);
-
-impl Backoff {
-    const SPIN_BUDGET: u32 = 64;
-
-    fn new() -> Self {
-        Backoff(0)
-    }
-
-    fn snooze(&mut self) {
-        if self.0 < Self::SPIN_BUDGET {
-            self.0 += 1;
-            std::hint::spin_loop();
-        } else {
-            if chiron_obs::tracing_enabled() {
-                RING_BACKOFF_YIELDS.incr();
-            }
-            std::thread::yield_now();
-        }
+/// [`Backoff::snooze`] that counts every scheduler yield into the ring
+/// telemetry.
+fn snooze(backoff: &mut Backoff) {
+    if backoff.snooze() && chiron_obs::tracing_enabled() {
+        RING_BACKOFF_YIELDS.incr();
     }
 }
 
@@ -345,7 +327,7 @@ impl Producer {
         let mut backoff = Backoff::new();
         loop {
             match self.try_push(payload) {
-                Err(RingError::Full) => backoff.snooze(),
+                Err(RingError::Full) => snooze(&mut backoff),
                 other => return other,
             }
         }
@@ -456,7 +438,7 @@ impl Consumer {
     ) -> Result<R, RingError> {
         let mut backoff = Backoff::new();
         while self.is_empty() {
-            backoff.snooze();
+            snooze(&mut backoff);
         }
         match self.pop_with(read)? {
             Some(r) => Ok(r),

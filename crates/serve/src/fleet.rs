@@ -27,6 +27,13 @@
 //! for every `(shards, workers)` choice — the proptest in
 //! `chiron-bench/tests/fleet_determinism.rs` pins this.
 //!
+//! The worker threads are spawned once per run, not per barrier (the
+//! crate's `barrier` module): a long run crosses thousands of barriers, each
+//! with only tens of requests per cluster, and spawning threads at every
+//! barrier would cost more than the work each one hands out. After the
+//! last barrier the workers also drain their clusters and build the
+//! per-cluster reports and digests.
+//!
 //! Spillover moves *counts*, not identities: every request of a workflow
 //! is identical, so a saturated cluster pops its newest queued requests
 //! (LIFO — the oldest keep their position and their latency), marks them
@@ -34,6 +41,7 @@
 //! arrivals after the forwarding latency. No accepted request is ever
 //! dropped: `fleet.lost == 0` unless a cluster deadlocks.
 
+use crate::barrier;
 use crate::config::{ServeConfig, TrafficPhase, Workload};
 use crate::faults::FaultPlan;
 use crate::report::{FleetReport, ServeReport};
@@ -42,8 +50,10 @@ use chiron_metrics::ArrivalProcess;
 use chiron_model::{DeploymentPlan, SimDuration, SimTime, Workflow};
 use chiron_obs::Trace;
 use chiron_runtime::VirtualPlatform;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+/// Largest fleet: replica trace ids carry the cluster in their top 10
+/// bits (`cluster << 22`).
+const MAX_CLUSTERS: u32 = 1 << 10;
 
 /// SplitMix64 finaliser: decorrelated per-cluster seeds from the fleet
 /// seed (the same construction the arrival substreams use).
@@ -186,13 +196,18 @@ impl FleetSimulation {
         plan: DeploymentPlan,
         config: FleetConfig,
     ) -> Result<Self, ServeError> {
-        assert!(config.clusters > 0, "a fleet needs at least one cluster");
-        assert!(config.epoch > SimDuration::ZERO, "epoch must be positive");
-        assert_eq!(
-            config.locality.len(),
-            config.clusters as usize,
-            "one locality weight per cluster"
-        );
+        if config.clusters == 0 || config.clusters > MAX_CLUSTERS {
+            return Err(ServeError::Fleet("a fleet needs 1 to 1024 clusters"));
+        }
+        if config.epoch == SimDuration::ZERO {
+            return Err(ServeError::Fleet("the epoch must be positive"));
+        }
+        if config.locality.len() != config.clusters as usize {
+            return Err(ServeError::Fleet("one locality weight per cluster"));
+        }
+        if !config.locality.iter().all(|w| w.is_finite() && *w > 0.0) {
+            return Err(ServeError::Fleet("locality weights must be positive"));
+        }
         // Profile the plan once; all clusters serve the same deployment.
         let platform =
             VirtualPlatform::new(config.cluster.platform.clone()).with_cold_starts(false);
@@ -270,11 +285,16 @@ impl FleetSimulation {
         shards: usize,
         workers: usize,
     ) -> Result<(FleetReport, Vec<Trace>), ServeError> {
-        assert!(!workload.phases.is_empty(), "fleet workload has no phases");
-        assert!(
-            workload.phases.iter().all(|p| p.rps > 0.0),
-            "fleet phase rates must be positive"
-        );
+        if workload.phases.is_empty() {
+            return Err(ServeError::Fleet("the fleet workload has no phases"));
+        }
+        if !workload
+            .phases
+            .iter()
+            .all(|p| p.rps.is_finite() && p.rps > 0.0)
+        {
+            return Err(ServeError::Fleet("fleet phase rates must be positive"));
+        }
         let clusters = self.config.clusters as usize;
         let locality_sum: f64 = self.config.locality.iter().sum();
         let shares: Vec<f64> = self
@@ -303,14 +323,6 @@ impl FleetSimulation {
             })
             .collect();
 
-        let mut phase_ends = Vec::with_capacity(workload.phases.len());
-        let mut end = SimTime::ZERO;
-        for p in &workload.phases {
-            end += p.duration;
-            phase_ends.push(end);
-        }
-        let total_end = end;
-
         let mut runs: Vec<Run<'_>> = Vec::with_capacity(clusters);
         for c in 0..clusters {
             let mut run = self.sims[c].fleet_cluster(
@@ -331,6 +343,36 @@ impl FleetSimulation {
             runs.push(run);
         }
 
+        let mut phase_ends = Vec::with_capacity(workload.phases.len());
+        let mut end = SimTime::ZERO;
+        for p in &workload.phases {
+            end += p.duration;
+            phase_ends.push(end);
+        }
+        let total_end = end;
+        let epoch = self.config.epoch;
+        let next_barrier = |now: SimTime, phase: usize| {
+            (now.as_nanos() < total_end.as_nanos()).then(|| (now + epoch).min(phase_ends[phase]))
+        };
+
+        // Each shard is a contiguous block of clusters; the persistent
+        // workers advance the blocks between barriers.
+        let mut until = next_barrier(SimTime::ZERO, 0);
+        if until.is_none() {
+            for run in runs.iter_mut() {
+                run.stop_accepting();
+            }
+        }
+        let group = clusters.div_ceil(shards.clamp(1, clusters));
+        let mut runs = runs.into_iter();
+        let mut blocks: Vec<Block<'_>> = (0..clusters.div_ceil(group))
+            .map(|_| Block {
+                runs: runs.by_ref().take(group).collect(),
+                until,
+                finished: Vec::new(),
+            })
+            .collect();
+
         let threshold = self.config.spill_threshold as usize;
         let hop_ns = u32::try_from(self.config.forward_latency.as_nanos()).unwrap_or(u32::MAX);
         let mut receivers: Vec<usize> = Vec::with_capacity(clusters);
@@ -343,11 +385,14 @@ impl FleetSimulation {
         let mut shed_scratch: Vec<u64> = Vec::new();
         let mut pending: Vec<(usize, u64)> = Vec::new();
         let mut hop_batch: Vec<(u32, u16)> = Vec::new();
-        let mut now = SimTime::ZERO;
         let mut phase = 0usize;
-        while now.as_nanos() < total_end.as_nanos() {
-            let barrier = (now + self.config.epoch).min(phase_ends[phase]);
-            advance_shards(&mut runs, barrier, shards, workers);
+        barrier::drive(&mut blocks, workers, Block::step, |blocks| {
+            // The step after the last barrier drained and reported.
+            let Some(barrier) = until else {
+                return false;
+            };
+            let mut runs: Vec<&mut Run<'_>> =
+                blocks.iter_mut().flat_map(|b| b.runs.iter_mut()).collect();
 
             // ---- coordinator: the only cross-cluster code, sequential
             // and in cluster order, so it is oblivious to sharding.
@@ -396,7 +441,7 @@ impl FleetSimulation {
                 }
             }
 
-            now = barrier;
+            let now = barrier;
             if now.as_nanos() >= phase_ends[phase].as_nanos() {
                 phase += 1;
                 if phase < workload.phases.len() {
@@ -421,58 +466,61 @@ impl FleetSimulation {
                     runs[c].set_rate(rps * weights[c] / sum, now);
                 }
             }
-        }
 
-        // Workload over: stop admitting, drain every backlog (spilled
-        // requests still in flight land during the drain), merge.
-        for run in runs.iter_mut() {
-            run.stop_accepting();
-        }
-        advance_shards(&mut runs, SimTime::FAR_FUTURE, shards, workers);
+            // Workload over: stop admitting; the next step drains every
+            // backlog (spilled requests still in flight land during the
+            // drain) and reports.
+            until = next_barrier(now, phase);
+            if until.is_none() {
+                for run in runs.iter_mut() {
+                    run.stop_accepting();
+                }
+            }
+            for block in blocks.iter_mut() {
+                block.until = until;
+            }
+            true
+        });
+
         let mut reports: Vec<ServeReport> = Vec::with_capacity(clusters);
+        let mut digests: Vec<u64> = Vec::with_capacity(clusters);
         let mut parts: Vec<Trace> = Vec::with_capacity(clusters);
-        for run in runs {
-            let (report, trace) = run.finish();
+        for (report, digest, trace) in blocks.into_iter().flat_map(|b| b.finished) {
             reports.push(report);
+            digests.push(digest);
             parts.push(trace);
         }
-        Ok((FleetReport::merge(&reports), parts))
+        Ok((FleetReport::merge_digested(&reports, digests), parts))
     }
 }
 
-/// Advances every cluster to the barrier: clusters are grouped into
-/// `shards` contiguous blocks, and up to `workers` threads pull blocks
-/// off a shared cursor (work stealing). Each block is touched by exactly
-/// one thread per barrier, and blocks exchange nothing, so the execution
-/// is deterministic for any `(shards, workers)`.
-fn advance_shards(runs: &mut [Run<'_>], until: SimTime, shards: usize, workers: usize) {
-    let shards = shards.clamp(1, runs.len().max(1));
-    let group = runs.len().div_ceil(shards);
-    if workers <= 1 || shards == 1 {
-        for run in runs.iter_mut() {
-            run.advance_until(until);
-        }
-        return;
-    }
-    let tasks: Vec<Mutex<&mut [Run<'_>]>> = runs.chunks_mut(group).map(Mutex::new).collect();
-    let cursor = AtomicUsize::new(0);
-    let threads = workers.min(tasks.len());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks.len() {
-                    break;
-                }
-                // Uncontended by construction: the cursor hands each
-                // block to exactly one thread.
-                let mut block = tasks[i].lock().expect("block lock");
-                for run in block.iter_mut() {
+/// A shard: a contiguous block of clusters.
+struct Block<'a> {
+    runs: Vec<Run<'a>>,
+    /// The barrier to advance to; `None` once the workload is over.
+    until: Option<SimTime>,
+    /// Each cluster's report, its digest and its trace, once drained.
+    finished: Vec<(ServeReport, u64, Trace)>,
+}
+
+impl Block<'_> {
+    fn step(&mut self) {
+        match self.until {
+            Some(until) => {
+                for run in &mut self.runs {
                     run.advance_until(until);
                 }
-            });
+            }
+            // Drain and report here, so the per-cluster report work
+            // (billing, histogram folds, the record digest) runs on the
+            // workers too.
+            None => self.finished.extend(self.runs.drain(..).map(|run| {
+                let (report, trace) = run.finish();
+                let digest = report.digest();
+                (report, digest, trace)
+            })),
         }
-    });
+    }
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 //! experiments are reproducible byte for byte.
 
 pub mod autoscaler;
+mod barrier;
 pub mod config;
 pub mod events;
 pub mod faults;

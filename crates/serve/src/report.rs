@@ -93,10 +93,20 @@ impl PhaseSummary {
     /// the union of the underlying samples; offered rates add because
     /// each cluster served a disjoint slice of the fleet stream.
     pub fn absorb(&mut self, other: &PhaseSummary) {
+        self.add(other);
+        self.refresh();
+    }
+
+    /// [`PhaseSummary::absorb`] without re-deriving the scalars.
+    fn add(&mut self, other: &PhaseSummary) {
         self.offered_rps += other.offered_rps;
         self.completed += other.completed;
         self.cold_starts += other.cold_starts;
         self.sojourns.merge(&other.sojourns);
+    }
+
+    /// Re-derives the scalars from the histogram.
+    fn refresh(&mut self) {
         self.mean_sojourn = self.sojourns.mean();
         self.p50_sojourn = self.sojourns.percentile(0.50);
         self.p99_sojourn = self.sojourns.percentile(0.99);
@@ -171,11 +181,27 @@ impl ServeReport {
     /// Order-sensitive FNV-1a digest over every per-request outcome —
     /// byte-for-byte reproducibility check for seeded runs.
     pub fn digest(&self) -> u64 {
-        fn eat(hash: &mut u64, v: u64) {
-            for byte in v.to_le_bytes() {
-                *hash ^= u64::from(byte);
-                *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        /// `PRIME^k`: FNV-1a over `k` zero bytes is one multiply by it.
+        const PRIME_POW: [u64; 9] = {
+            let mut pow = [1u64; 9];
+            let mut k = 1;
+            while k < 9 {
+                pow[k] = pow[k - 1].wrapping_mul(PRIME);
+                k += 1;
             }
+            pow
+        };
+        // Byte-at-a-time FNV-1a over `v`'s little-endian bytes, with the
+        // high zero bytes (most of a small id or flag word) folded into
+        // one multiply — the same hash in fewer serial steps.
+        fn eat(hash: &mut u64, v: u64) {
+            let significant = (8 - v.leading_zeros() / 8) as usize;
+            for &byte in &v.to_le_bytes()[..significant] {
+                *hash ^= u64::from(byte);
+                *hash = hash.wrapping_mul(PRIME);
+            }
+            *hash = hash.wrapping_mul(PRIME_POW[8 - significant]);
         }
         // Optional fields eat a presence tag before the value so
         // `Some(0)` and `None` digest differently.
@@ -311,7 +337,21 @@ pub struct FleetReport {
 impl FleetReport {
     /// Folds per-cluster reports (in cluster order) into the fleet view.
     pub fn merge(reports: &[ServeReport]) -> FleetReport {
+        Self::merge_digested(reports, reports.iter().map(ServeReport::digest).collect())
+    }
+
+    /// [`FleetReport::merge`] given each report's [`ServeReport::digest`]
+    /// (the fleet driver computes them on its workers).
+    pub(crate) fn merge_digested(
+        reports: &[ServeReport],
+        cluster_digests: Vec<u64>,
+    ) -> FleetReport {
         assert!(!reports.is_empty(), "a fleet has at least one cluster");
+        assert_eq!(
+            reports.len(),
+            cluster_digests.len(),
+            "one digest per report"
+        );
         let mut sojourns = StreamingHistogram::new();
         let mut phases: Vec<PhaseSummary> = Vec::new();
         let mut out = FleetReport {
@@ -342,7 +382,7 @@ impl FleetReport {
             slo_alerts_fired: 0,
             slo: None,
             regime_changes: 0,
-            cluster_digests: Vec::with_capacity(reports.len()),
+            cluster_digests,
         };
         for r in reports {
             out.accepted += r.accepted;
@@ -362,7 +402,7 @@ impl FleetReport {
                     "clusters of one fleet run share the workload's phases"
                 );
                 for (merged, p) in phases.iter_mut().zip(&r.phases) {
-                    merged.absorb(p);
+                    merged.add(p);
                 }
             }
             out.peak_replicas += r.peak_replicas;
@@ -386,7 +426,10 @@ impl FleetReport {
                 out.slo.get_or_insert_with(SloSummary::empty).absorb(slo);
             }
             out.regime_changes += r.regime_changes;
-            out.cluster_digests.push(r.digest());
+        }
+        // The scalars depend only on the final histograms.
+        for phase in &mut phases {
+            phase.refresh();
         }
         out.sojourns = sojourns;
         out.phases = phases;
@@ -501,6 +544,61 @@ mod tests {
         tiered.tier = 2;
         let e = report(vec![tiered, record(2, 20, 0)]);
         assert_ne!(a.digest(), e.digest());
+    }
+
+    /// The digest is plain byte-at-a-time FNV-1a over the record fields:
+    /// committed digests pin its exact values.
+    #[test]
+    fn digest_is_bytewise_fnv1a() {
+        fn fnv(words: &[u64]) -> u64 {
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            hash
+        }
+        let mut rng = chiron_metrics::FastRng::seed_from_u64(9);
+        let mut records = Vec::new();
+        let mut words = Vec::new();
+        for i in 0..200u64 {
+            // Magnitudes from 0 up to the full 64 bits, so every count of
+            // high zero bytes occurs.
+            let wide = |rng: &mut chiron_metrics::FastRng| {
+                let shift = (rng.next_u64() % 65) as u32;
+                rng.next_u64().checked_shr(shift).unwrap_or(0)
+            };
+            let r = RequestRecord {
+                arrival_ns: wide(&mut rng),
+                dispatched_ns: (i % 3 != 0).then(|| wide(&mut rng)),
+                completed_ns: (i % 5 != 0).then(|| wide(&mut rng)),
+                replica: wide(&mut rng) as u32,
+                phase: (i % 4) as u16,
+                cold_start: i % 7 == 0,
+                tier: (i % 4) as u8,
+                requeues: (i % 3) as u16,
+                forwarded: i % 11 == 0,
+            };
+            words.push(r.arrival_ns);
+            for field in [r.dispatched_ns, r.completed_ns] {
+                match field {
+                    Some(v) => words.extend([1, v]),
+                    None => words.push(0),
+                }
+            }
+            words.push(u64::from(r.replica));
+            words.push(
+                u64::from(r.phase) << 32
+                    | u64::from(r.tier) << 24
+                    | u64::from(r.forwarded) << 17
+                    | u64::from(r.cold_start) << 16
+                    | u64::from(r.requeues),
+            );
+            records.push(r);
+        }
+        let rep = report(records);
+        words.extend([rep.accepted, rep.completed]);
+        assert_eq!(rep.digest(), fnv(&words));
     }
 
     #[test]

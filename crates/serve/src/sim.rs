@@ -114,6 +114,8 @@ pub enum ServeError {
     Plan(PlanError),
     /// The baseline `min_replicas` do not fit the cluster.
     Placement(PlacementError),
+    /// The fleet configuration or workload is unusable.
+    Fleet(&'static str),
 }
 
 impl std::fmt::Display for ServeError {
@@ -121,6 +123,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Plan(e) => write!(f, "invalid plan: {e}"),
             ServeError::Placement(e) => write!(f, "baseline placement failed: {e}"),
+            ServeError::Fleet(why) => write!(f, "invalid fleet: {why}"),
         }
     }
 }
