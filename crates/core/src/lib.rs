@@ -40,7 +40,7 @@ pub use chiron_ml as ml;
 pub use chiron_model as model;
 pub use chiron_obs as obs;
 pub use chiron_obs::{AttributionReport, SloPolicy, SloSummary, WhatIfReport};
-pub use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler, ScheduleOutcome, PARALLEL_WORK_THRESHOLD};
+pub use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler, ScheduleOutcome};
 pub use chiron_predict as predict;
 pub use chiron_profiler as profiler;
 pub use chiron_runtime as runtime;

@@ -41,8 +41,6 @@ pub struct Chiron {
     /// across workflows that share function profiles (dynamic-workflow
     /// variants overlap heavily).
     prediction_cache: PredictionCache,
-    /// Worker threads for PGP's parallel candidate search. 1 = sequential.
-    scheduler_workers: usize,
 }
 
 impl Chiron {
@@ -53,19 +51,12 @@ impl Chiron {
             profiler: Profiler::default(),
             scheduler,
             prediction_cache: PredictionCache::new(),
-            scheduler_workers: 1,
         }
     }
 
     /// Replaces the Profiler (e.g. to add measurement noise).
     pub fn with_profiler(mut self, profiler: Profiler) -> Self {
         self.profiler = profiler;
-        self
-    }
-
-    /// Enables PGP's cache-sharing parallel search with `workers` threads.
-    pub fn with_scheduler_workers(mut self, workers: usize) -> Self {
-        self.scheduler_workers = workers.max(1);
         self
     }
 
@@ -84,18 +75,8 @@ impl Chiron {
         profile: &WorkflowProfile,
         config: &PgpConfig,
     ) -> ScheduleOutcome {
-        if self.scheduler_workers > 1 {
-            self.scheduler.schedule_parallel_with_cache(
-                workflow,
-                profile,
-                config,
-                self.scheduler_workers,
-                &self.prediction_cache,
-            )
-        } else {
-            self.scheduler
-                .schedule_with_cache(workflow, profile, config, &self.prediction_cache)
-        }
+        self.scheduler
+            .schedule_with_cache(workflow, profile, config, &self.prediction_cache)
     }
 
     /// Steps ➋–➎: profile, schedule, generate.
@@ -552,17 +533,6 @@ mod tests {
         let after_second = chiron.cache_stats();
         assert_eq!(after_first.misses, after_second.misses);
         assert!(after_second.hits > after_first.hits);
-    }
-
-    #[test]
-    fn parallel_scheduler_workers_keep_plans_stable() {
-        let wf = apps::finra(20);
-        let seq = Chiron::default().deploy(&wf, None, PgpMode::NativeThread);
-        let par =
-            Chiron::default()
-                .with_scheduler_workers(4)
-                .deploy(&wf, None, PgpMode::NativeThread);
-        assert_eq!(seq.plan(), par.plan());
     }
 
     #[test]

@@ -57,8 +57,7 @@ impl<F: FnMut(&[FunctionId]) -> f64> KlObjective for F {
 }
 
 /// Search-effort counters of one or more Kernighan–Lin passes, summed
-/// into the PGP decision audit. Plain `u64` sums commute, so parallel
-/// search workers can accumulate locally and add up deterministically.
+/// into the PGP decision audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KlStats {
     /// Non-trivial passes run (both sets non-empty).
@@ -71,16 +70,6 @@ pub struct KlStats {
     pub pruned: u64,
     /// Swaps actually applied (the chosen prefix length, summed).
     pub applied: u64,
-}
-
-impl KlStats {
-    pub fn merge(&mut self, other: KlStats) {
-        self.passes += other.passes;
-        self.rounds += other.rounds;
-        self.candidates += other.candidates;
-        self.pruned += other.pruned;
-        self.applied += other.applied;
-    }
 }
 
 /// Runs one Kernighan–Lin pass over function sets `a` and `b`.

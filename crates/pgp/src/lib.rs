@@ -15,6 +15,4 @@ pub mod scheduler;
 
 pub use chiron_lifecycle::PrewarmBudget;
 pub use kl::{kernighan_lin, kernighan_lin_with_stats, KlObjective, KlStats};
-pub use scheduler::{
-    PgpAudit, PgpConfig, PgpMode, PgpScheduler, ScheduleOutcome, PARALLEL_WORK_THRESHOLD,
-};
+pub use scheduler::{PgpAudit, PgpConfig, PgpMode, PgpScheduler, ScheduleOutcome};

@@ -31,7 +31,14 @@
 //! once per schedule — and runs those simulations allocation-free against
 //! a [`SegmentCatalog`]. The pre-optimisation path is preserved verbatim
 //! as [`PgpScheduler::schedule_reference`]; both produce byte-identical
-//! plans (enforced by the `identical_plans` property test).
+//! plans (enforced by the `identical_plans` property test and the root
+//! `plan_identity` test).
+//!
+//! The search runs on one thread. §5 also explores partitions in
+//! parallel; a cache-sharing parallel variant was removed because its
+//! work gate (distinct behaviours × candidate `n` < 2000) sent every
+//! workflow here — the paper apps, FINRA-200 and the benchmark
+//! synthetics — back to this sequential rule.
 
 use crate::kl::{kernighan_lin_with_stats, KlObjective, KlStats};
 use chiron_lifecycle::{penalty_for_plan, LifecycleCosts, PrewarmBudget};
@@ -42,8 +49,8 @@ use chiron_model::plan::{
 use chiron_model::{BillingModel, CostModel, FunctionId, SimDuration, Workflow};
 use chiron_obs::StaticCounter;
 use chiron_predict::{
-    distinct_profile_classes, predict_threads, PredictScratch, PredictionCache, Predictor,
-    SegmentCatalog, SimThread, StaggeredSet,
+    predict_threads, PredictScratch, PredictionCache, Predictor, SegmentCatalog, SimThread,
+    StaggeredSet,
 };
 use chiron_profiler::WorkflowProfile;
 
@@ -55,22 +62,6 @@ static KL_ROUNDS: StaticCounter = StaticCounter::new("pgp.kl.rounds");
 static KL_CANDIDATES: StaticCounter = StaticCounter::new("pgp.kl.candidates");
 static KL_PRUNED: StaticCounter = StaticCounter::new("pgp.kl.pruned");
 static KL_APPLIED: StaticCounter = StaticCounter::new("pgp.kl.applied");
-
-/// Work-size threshold — *distinct* function behaviours
-/// ([`chiron_predict::distinct_profile_classes`]) × candidate process
-/// counts — below which [`PgpScheduler::schedule_parallel`] delegates to
-/// the sequential memoised rule instead of fanning out worker threads:
-/// small searches finish in microseconds per cell, so thread spawn/join —
-/// and the parallel contract's full-range `n` sweep — cost more than they
-/// save. Distinct behaviours, not raw function count, because the shared
-/// prediction cache interns each behaviour once and serves every repeat
-/// as a lookup: a 5-class 83-function workflow carries ~5 functions'
-/// worth of work, and sizing the gate on 83 made the parallel search 5×
-/// slower than memoised-sequential (BENCH_PGP `synthetic-32-c5`).
-/// [`PgpScheduler::schedule_parallel_reference`] applies the same
-/// threshold, so the parallel search stays byte-identical to its oracle
-/// at every work size.
-pub const PARALLEL_WORK_THRESHOLD: usize = 2000;
 
 /// Which execution mechanism the generated wraps use (§4's variants).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,9 +190,9 @@ pub struct ScheduleOutcome {
 
 /// The decision audit of one schedule: how much search Algorithm 2
 /// performed and what came out, beyond the plan itself. Describes the
-/// search actually run — the sequential and parallel paths may legally
-/// differ here (different candidate ranges) even though their plans are
-/// byte-identical.
+/// search actually run — the cached and reference evaluators may legally
+/// differ here (the reference search neither prunes nor memoises) even
+/// though their plans are byte-identical.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PgpAudit {
     /// Process counts `n` evaluated end-to-end (partition + pack + trim).
@@ -598,248 +589,6 @@ impl PgpScheduler {
         plan
     }
 
-    /// Parallelised Algorithm 2 (§5: the Scheduler "can use multiple
-    /// processes to explore wrap partition under various number of
-    /// processes in parallel to improve scheduling efficiency"). Work is
-    /// fanned out at `(n, stage)` granularity for the KL partitioning phase
-    /// and at `n` granularity for packing/trimming, over `workers` scoped
-    /// threads sharing one [`PredictionCache`]: a process content first
-    /// simulated by any worker is a lock-protected lookup for every other.
-    /// The selection rule of [`PgpScheduler::schedule`] is then applied to
-    /// the gathered results. Unlike the sequential search it evaluates the
-    /// full candidate range (no stale-round early stop), so in
-    /// latency-first mode it returns an equal-or-better plan.
-    ///
-    /// Only the native-thread mode has an `n` search to parallelise; the
-    /// MPK/pool modes fall back to the sequential path, as do workflows
-    /// whose search space is below [`PARALLEL_WORK_THRESHOLD`] — there the
-    /// fan-out (and the full-range contract itself) costs more than it
-    /// saves, so small workflows take the sequential memoised rule.
-    pub fn schedule_parallel(
-        &self,
-        workflow: &Workflow,
-        profile: &WorkflowProfile,
-        config: &PgpConfig,
-        workers: usize,
-    ) -> ScheduleOutcome {
-        self.schedule_parallel_with_cache(
-            workflow,
-            profile,
-            config,
-            workers,
-            &PredictionCache::new(),
-        )
-    }
-
-    /// [`PgpScheduler::schedule_parallel`] against a caller-owned cache.
-    pub fn schedule_parallel_with_cache(
-        &self,
-        workflow: &Workflow,
-        profile: &WorkflowProfile,
-        config: &PgpConfig,
-        workers: usize,
-        cache: &PredictionCache,
-    ) -> ScheduleOutcome {
-        if config.mode != PgpMode::NativeThread || workers <= 1 {
-            return self.schedule_with_cache(workflow, profile, config, cache);
-        }
-        let max_n = workflow
-            .max_parallelism()
-            .min(config.max_process_search)
-            .max(1);
-        let stage_count = workflow.stages.len();
-
-        // Small searches lose more to thread spawning than they gain from
-        // extra cores (BENCH_PGP showed a 32-function search 3× slower
-        // parallel than memoised-sequential), and covering the full `n`
-        // range sequentially still costs ~3× the early-stopped search.
-        // Work is sized on distinct behaviours — the population the
-        // shared cache actually evaluates — so function families that
-        // repeat a few profiles don't fan out threads over cache hits.
-        // Below the threshold the whole parallel contract is a bad trade:
-        // delegate to the sequential memoised rule, exactly as a
-        // single-worker call does. The reference oracle applies the same
-        // threshold, so the byte-identity guarantee is unchanged.
-        if distinct_profile_classes(profile) * max_n < PARALLEL_WORK_THRESHOLD {
-            return self.schedule_with_cache(workflow, profile, config, cache);
-        }
-        let check = self.predictor.conservative(config.conservative_margin);
-        let catalog = SegmentCatalog::new(profile);
-
-        // Phase 1: KL partitioning, fanned out over (n, stage) pairs —
-        // stages are independent given n, so large workflows parallelise
-        // even when max_n is small. Static striping keeps the work
-        // deterministic; cached outcomes are pure, so sharing the cache
-        // across workers cannot change any result.
-        let items: Vec<(usize, usize)> = (1..=max_n)
-            .flat_map(|n| (0..stage_count).map(move |s| (n, s)))
-            .collect();
-        let p1_workers = workers.min(items.len()).max(1);
-        // An `(n, stage)` cell's KL partition, as computed by a worker.
-        type StagePartition = ((usize, usize), Vec<Vec<FunctionId>>);
-        let mut audit = PgpAudit {
-            candidates_examined: max_n as u64,
-            ..PgpAudit::default()
-        };
-        let before = cache.stats();
-        let partition_results: Vec<StagePartition> = std::thread::scope(|scope| {
-            let check = &check;
-            let catalog = &catalog;
-            let items = &items;
-            let handles: Vec<_> = (0..p1_workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut eval = CachedEval {
-                            predictor: &self.predictor,
-                            check,
-                            workflow,
-                            catalog,
-                            cache,
-                            scratch: PredictScratch::new(),
-                        };
-                        // KL effort accumulates locally; the per-worker sums
-                        // are added after the join. Plain u64 additions
-                        // commute, so the audit totals are independent of
-                        // worker count and interleaving.
-                        let mut stats = KlStats::default();
-                        let mut out = Vec::new();
-                        for idx in (w..items.len()).step_by(p1_workers) {
-                            let (n, s) = items[idx];
-                            let sets = partition_one_stage(
-                                &workflow.stages[s].functions,
-                                n,
-                                &mut eval,
-                                &mut stats,
-                            );
-                            out.push(((n, s), sets));
-                        }
-                        (out, stats)
-                    })
-                })
-                .collect();
-            let mut merged = Vec::new();
-            for handle in handles {
-                let (out, stats) = handle.join().expect("pgp partition worker panicked");
-                audit.kl.merge(stats);
-                merged.extend(out);
-            }
-            merged
-        });
-        let mut all_partitions: Vec<Vec<Vec<Vec<FunctionId>>>> =
-            vec![vec![Vec::new(); stage_count]; max_n];
-        for ((n, s), sets) in partition_results {
-            all_partitions[n - 1][s] = sets;
-        }
-
-        // Phase 2: pack + trim + predict per n, over the same shared cache
-        // (now warm with every KL set, which the wrap evaluator re-keys).
-        let ns: Vec<usize> = (1..=max_n).collect();
-        let p2_workers = workers.min(ns.len()).max(1);
-        type Candidate = (usize, DeploymentPlan, SimDuration, SimDuration);
-        let mut results: Vec<Candidate> = std::thread::scope(|scope| {
-            let check = &check;
-            let catalog = &catalog;
-            let ns = &ns;
-            let all_partitions = &all_partitions;
-            let handles: Vec<_> = (0..p2_workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut eval = CachedEval {
-                            predictor: &self.predictor,
-                            check,
-                            workflow,
-                            catalog,
-                            cache,
-                            scratch: PredictScratch::new(),
-                        };
-                        let mut out = Vec::new();
-                        for idx in (w..ns.len()).step_by(p2_workers) {
-                            let n = ns[idx];
-                            let plan = self.pack_and_allocate(
-                                workflow,
-                                &all_partitions[n - 1],
-                                config,
-                                IsolationKind::None,
-                                &mut eval,
-                            );
-                            let predicted = eval.plan_latency(&plan);
-                            let objective = predicted
-                                + prewarm_penalty(workflow, &plan, &self.predictor.costs, config);
-                            out.push((n, plan, predicted, objective));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("pgp worker panicked"))
-                .collect()
-        });
-        results.sort_by_key(|(n, _, _, _)| *n);
-        let after = cache.stats();
-        audit.cache_hits = after.hits - before.hits;
-        audit.cache_misses = after.misses - before.misses;
-        let mut outcome = select_candidate(results, config, audit);
-        outcome.audit.function_modes = function_modes(workflow, &outcome.plan);
-        publish_audit(&outcome.audit);
-        outcome
-    }
-
-    /// Single-threaded oracle for [`PgpScheduler::schedule_parallel`]: the
-    /// pre-optimisation evaluator over the full candidate range with the
-    /// parallel path's selection rule. The parallel search must reproduce
-    /// this byte-for-byte regardless of worker count or interleaving.
-    /// Mirrors the [`PARALLEL_WORK_THRESHOLD`] delegation: below it both
-    /// paths take their sequential rule, whose plans are already
-    /// byte-identical to each other.
-    pub fn schedule_parallel_reference(
-        &self,
-        workflow: &Workflow,
-        profile: &WorkflowProfile,
-        config: &PgpConfig,
-    ) -> ScheduleOutcome {
-        if config.mode != PgpMode::NativeThread {
-            return self.schedule_reference(workflow, profile, config);
-        }
-        let max_n = workflow
-            .max_parallelism()
-            .min(config.max_process_search)
-            .max(1);
-        if distinct_profile_classes(profile) * max_n < PARALLEL_WORK_THRESHOLD {
-            return self.schedule_reference(workflow, profile, config);
-        }
-        let check = self.predictor.conservative(config.conservative_margin);
-        let mut eval = ReferenceEval {
-            predictor: &self.predictor,
-            check: &check,
-            workflow,
-            profile,
-        };
-        let mut audit = PgpAudit {
-            candidates_examined: max_n as u64,
-            ..PgpAudit::default()
-        };
-        let mut results = Vec::with_capacity(max_n);
-        for n in 1..=max_n {
-            let partitions = self.partition_stages(workflow, n, &mut eval, &mut audit.kl);
-            let plan = self.pack_and_allocate(
-                workflow,
-                &partitions,
-                config,
-                IsolationKind::None,
-                &mut eval,
-            );
-            let predicted = eval.plan_latency(&plan);
-            let objective =
-                predicted + prewarm_penalty(workflow, &plan, &self.predictor.costs, config);
-            results.push((n, plan, predicted, objective));
-        }
-        let mut outcome = select_candidate(results, config, audit);
-        outcome.audit.function_modes = function_modes(workflow, &outcome.plan);
-        outcome
-    }
-
     /// Public access to the plan materialiser, used by the evaluation
     /// harness to enumerate candidate wrap designs (Fig. 12 explores "all
     /// possible wraps").
@@ -1151,55 +900,6 @@ fn partition_one_stage(
     sets
 }
 
-/// The sequential selection rule applied to a full, `n`-ordered candidate
-/// list of `(n, plan, predicted, objective)` tuples (shared by the
-/// parallel search and its reference oracle): with an SLO, the best plan
-/// seen up to and including the first SLO-satisfying `n`; without one,
-/// the global objective minimum (first `n` wins ties). The objective is
-/// the predicted latency plus the prewarm-budget startup penalty —
-/// identical to the latency when no budget is configured — while the SLO
-/// gate always reads the raw latency.
-fn select_candidate(
-    results: Vec<(usize, DeploymentPlan, SimDuration, SimDuration)>,
-    config: &PgpConfig,
-    audit: PgpAudit,
-) -> ScheduleOutcome {
-    let mut best: Option<(DeploymentPlan, SimDuration, SimDuration, usize)> = None;
-    let mut met = false;
-    for (n, plan, predicted, objective) in results {
-        if let Some(slo) = config.slo {
-            if predicted <= slo {
-                let better = best
-                    .as_ref()
-                    .map(|(_, _, o, _)| objective < *o)
-                    .unwrap_or(true);
-                if better {
-                    best = Some((plan, predicted, objective, n));
-                }
-                met = true;
-                break; // first SLO-satisfying n ends the scan
-            }
-        }
-        let better = best
-            .as_ref()
-            .map(|(_, _, o, _)| objective < *o)
-            .unwrap_or(true);
-        if better {
-            best = Some((plan, predicted, objective, n));
-        }
-    }
-    let (plan, predicted, objective, n) = best.expect("n = 1 always evaluated");
-    let met_slo = config.slo.map(|_| met).unwrap_or(true);
-    ScheduleOutcome {
-        plan,
-        predicted,
-        startup_penalty: objective - predicted,
-        met_slo,
-        processes: n,
-        audit,
-    }
-}
-
 /// §3.4's sharing constraints: conflicting language runtimes or overlapping
 /// written files forbid sandbox sharing.
 fn conflicting(workflow: &Workflow, a: FunctionId, b: FunctionId) -> bool {
@@ -1211,7 +911,6 @@ fn conflicting(workflow: &Workflow, a: FunctionId, b: FunctionId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chiron_model::synthetic::{synthetic, SyntheticSpec};
     use chiron_model::{apps, FunctionSpec, LanguageRuntime, Segment};
     use chiron_profiler::Profiler;
 
@@ -1293,9 +992,6 @@ mod tests {
         assert_eq!(tiered.plan, reference.plan);
         assert_eq!(tiered.predicted, reference.predicted);
         assert_eq!(tiered.startup_penalty, reference.startup_penalty);
-        let parallel = sched.schedule_parallel(&wf, &prof, &cfg, 4);
-        assert_eq!(tiered.plan, parallel.plan);
-        assert_eq!(tiered.startup_penalty, parallel.startup_penalty);
     }
 
     #[test]
@@ -1386,97 +1082,6 @@ mod tests {
         let stage_sets: Vec<Vec<FunctionId>> =
             wf.stages.iter().map(|s| s.functions.clone()).collect();
         out.plan.validate(&stage_sets).unwrap();
-    }
-
-    #[test]
-    fn cached_schedule_matches_reference() {
-        let sched = PgpScheduler::paper_calibrated();
-        for wf in [apps::finra(20), apps::slapp(), apps::social_network()] {
-            let prof = profile(&wf);
-            for mode in [PgpMode::NativeThread, PgpMode::Mpk, PgpMode::Pool] {
-                for config in [
-                    PgpConfig::performance_first().with_mode(mode),
-                    PgpConfig::with_slo(SimDuration::from_millis(200)).with_mode(mode),
-                ] {
-                    let fast = sched.schedule(&wf, &prof, &config);
-                    let slow = sched.schedule_reference(&wf, &prof, &config);
-                    assert_eq!(fast.plan, slow.plan, "{} {mode:?}", wf.name);
-                    assert_eq!(fast.predicted, slow.predicted, "{} {mode:?}", wf.name);
-                    assert_eq!(fast.processes, slow.processes, "{} {mode:?}", wf.name);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_search_matches_sequential() {
-        let sched = PgpScheduler::paper_calibrated();
-        for wf in [apps::finra(20), apps::slapp(), apps::slapp_v()] {
-            let prof = profile(&wf);
-            for config in [
-                PgpConfig::performance_first(),
-                PgpConfig::with_slo(SimDuration::from_millis(200)),
-            ] {
-                let seq = sched.schedule(&wf, &prof, &config);
-                let par = sched.schedule_parallel(&wf, &prof, &config, 4);
-                assert_eq!(seq.processes, par.processes, "{}", wf.name);
-                assert_eq!(seq.predicted, par.predicted, "{}", wf.name);
-                assert_eq!(seq.plan, par.plan, "{}", wf.name);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_search_matches_its_reference() {
-        let sched = PgpScheduler::paper_calibrated();
-        // The work gate counts distinct behaviours, so repetitive app
-        // families (every finra size) now delegate; exercising the
-        // fanned-out path needs a workflow of genuinely distinct
-        // functions. The all-distinct synthetic below clears the
-        // threshold (asserted, so a generator change can't silently turn
-        // this into a fallback-only test); the smaller workflows exercise
-        // the below-threshold delegation.
-        let big = synthetic(SyntheticSpec {
-            seed: 11,
-            stages: 8,
-            max_parallelism: 32,
-            profile_classes: 0,
-            ..SyntheticSpec::default()
-        });
-        {
-            let prof = profile(&big);
-            let max_n = big
-                .max_parallelism()
-                .min(PgpConfig::performance_first().max_process_search)
-                .max(1);
-            assert!(
-                chiron_predict::distinct_profile_classes(&prof) * max_n >= PARALLEL_WORK_THRESHOLD,
-                "synthetic workflow no longer exercises the parallel path"
-            );
-        }
-        for wf in [apps::finra(20), apps::slapp(), big] {
-            let prof = profile(&wf);
-            for config in [
-                PgpConfig::performance_first(),
-                PgpConfig::with_slo(SimDuration::from_millis(200)),
-            ] {
-                let par = sched.schedule_parallel(&wf, &prof, &config, 4);
-                let oracle = sched.schedule_parallel_reference(&wf, &prof, &config);
-                assert_eq!(par.plan, oracle.plan, "{}", wf.name);
-                assert_eq!(par.predicted, oracle.predicted, "{}", wf.name);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_search_single_worker_falls_back() {
-        let wf = apps::finra(5);
-        let prof = profile(&wf);
-        let sched = PgpScheduler::paper_calibrated();
-        let config = PgpConfig::performance_first();
-        let a = sched.schedule(&wf, &prof, &config);
-        let b = sched.schedule_parallel(&wf, &prof, &config, 1);
-        assert_eq!(a.plan, b.plan);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! [`predict_threads_src`] is a pure function of the thread *contents*
 //! (creation times + segment lists + switch interval), its outcome can be
 //! keyed by a content hash and shared across KL rounds, candidate swaps,
-//! process counts, and search workers.
+//! process counts, and successive schedules.
 //!
 //! Keys hash actual content, not function ids: two functions with identical
 //! profiles (e.g. FINRA's repeated rule checks) collapse to one entry. The
@@ -15,10 +15,10 @@
 //! ordered contents are required for a hit, which is exactly the guarantee
 //! needed for byte-identical plans.
 //!
-//! [`PredictionCache`] is sharded behind `parking_lot` mutexes so
-//! `schedule_parallel`'s scoped workers share one cache with negligible
-//! contention; values are deterministic, so racing duplicate computations
-//! of the same key is harmless.
+//! [`PredictionCache`] is sharded behind `parking_lot` mutexes, so a
+//! shared `&PredictionCache` (e.g. the deployment manager's) stays `Sync`;
+//! values are deterministic, so racing duplicate computations of the same
+//! key is harmless.
 
 use crate::threadsim::{predict_threads_src, SimArena, SimOutcome, ThreadSource};
 use chiron_model::{FunctionId, Segment, SimDuration};
@@ -162,32 +162,6 @@ impl SegmentCatalog {
     pub fn span(&self, f: FunctionId) -> SimDuration {
         self.totals[f.index()].1
     }
-}
-
-/// Number of distinct function behaviours in a profile: unique
-/// segment-content hashes, the exact population [`PredictionCache`]
-/// dedupes on. Real fleets deploy families of near-identical functions
-/// (FINRA's rule checks repeat with period 5), so this is often far
-/// below `function_count` — and once the cache interns a behaviour,
-/// every repeat is a lookup, so search *work* scales with this count,
-/// not with raw function count. The parallel scheduler's work-size gate
-/// uses it to avoid fanning out threads over work that is mostly cache
-/// hits.
-pub fn distinct_profile_classes(profile: &WorkflowProfile) -> usize {
-    let mut hashes: Vec<u64> = profile
-        .functions
-        .iter()
-        .map(|f| {
-            let mut h = Fnv1a::new();
-            for seg in f.segments() {
-                hash_segment(&mut h, &seg);
-            }
-            h.finish()
-        })
-        .collect();
-    hashes.sort_unstable();
-    hashes.dedup();
-    hashes.len()
 }
 
 /// [`ThreadSource`] for the scheduler's canonical process shape: the set's
@@ -344,8 +318,7 @@ impl CacheStats {
 
 /// Sharded content-addressed store of Algorithm 1 outcomes. One instance
 /// serves a whole schedule (or the manager's lifetime — keys are pure
-/// content, so entries never go stale) and is shared by reference across
-/// `schedule_parallel`'s scoped workers.
+/// content, so entries never go stale) and is shared by reference.
 pub struct PredictionCache {
     shards: Vec<Shard>,
     hits: AtomicU64,

@@ -11,7 +11,7 @@
 //! profiled segments, [`SimArena`] reuses simulation state, and
 //! [`PredictionCache`] shares content-addressed Algorithm 1 outcomes across
 //! the PGP scheduler's KL rounds, candidate swaps, process counts, and
-//! parallel search workers.
+//! successive schedules.
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
@@ -21,8 +21,7 @@ pub mod latency;
 pub mod threadsim;
 
 pub use cache::{
-    content_key, distinct_profile_classes, CacheStats, FlatThreads, PredictionCache,
-    SegmentCatalog, StaggeredSet,
+    content_key, CacheStats, FlatThreads, PredictionCache, SegmentCatalog, StaggeredSet,
 };
 pub use latency::{PredictScratch, Predictor};
 pub use threadsim::{
