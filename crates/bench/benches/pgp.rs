@@ -1,6 +1,6 @@
 //! Before/after microbenchmarks of PGP scheduling: the pre-optimisation
-//! reference path vs the memoised evaluator vs the cache-sharing 4-worker
-//! parallel search, on a large real benchmark (FINRA-200) and a large
+//! reference path vs the memoised evaluator, on a large real benchmark
+//! (FINRA-200) and a large
 //! synthetic workflow. A warm-cache variant shows the re-schedule cost
 //! once the content-addressed memo is populated (the online re-planning
 //! case).
@@ -37,9 +37,6 @@ fn bench_pgp_paths(c: &mut Criterion) {
         });
         group.bench_function(format!("{label}/memoised"), |b| {
             b.iter(|| black_box(sched.schedule(&wf, &profile, &config)))
-        });
-        group.bench_function(format!("{label}/parallel4"), |b| {
-            b.iter(|| black_box(sched.schedule_parallel(&wf, &profile, &config, 4)))
         });
         let warm = PredictionCache::new();
         sched.schedule_with_cache(&wf, &profile, &config, &warm);

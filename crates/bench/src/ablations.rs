@@ -229,8 +229,7 @@ pub fn ablation_realtime_crosscheck() -> String {
 }
 
 /// PGP scheduling time vs workflow size: the pre-optimisation reference
-/// path vs the memoised evaluator vs the 4-worker cache-sharing parallel
-/// search (§7's scalability discussion and §5's multi-process Scheduler).
+/// path vs the memoised evaluator (§7's scalability discussion).
 pub fn ablation_pgp_scalability() -> String {
     use chiron::model::synthetic::{synthetic, SyntheticSpec};
     use chiron_predict::PredictionCache;
@@ -243,7 +242,6 @@ pub fn ablation_pgp_scalability() -> String {
         "reference (ms)",
         "memoised (ms)",
         "warm (ms)",
-        "4 workers (ms)",
         "cold speedup",
         "warm speedup",
         "hit rate",
@@ -285,9 +283,6 @@ pub fn ablation_pgp_scalability() -> String {
         let t2 = Instant::now();
         let warm = sched.schedule_with_cache(&wf, &profile, &config, &cache);
         let warm_ms = t2.elapsed().as_secs_f64() * 1e3;
-        let t3 = Instant::now();
-        let par = sched.schedule_parallel(&wf, &profile, &config, 4);
-        let par_ms = t3.elapsed().as_secs_f64() * 1e3;
         table.row(vec![
             wf.function_count().to_string(),
             wf.max_parallelism().to_string(),
@@ -295,23 +290,16 @@ pub fn ablation_pgp_scalability() -> String {
             ms(ref_ms),
             ms(memo_ms),
             ms(warm_ms),
-            ms(par_ms),
             ratio(ref_ms / memo_ms),
             ratio(ref_ms / warm_ms),
             pct(hit_rate),
-            (memo.plan == reference.plan
-                && warm.plan == reference.plan
-                && par.predicted <= reference.predicted)
-                .to_string(),
+            (memo.plan == reference.plan && warm.plan == reference.plan).to_string(),
         ]);
     }
     format!(
         "Ablation — PGP scheduling time on synthetic workflows: reference \
-         (pre-memoisation) vs memoised (cold and warm cache) vs 4-worker \
-         parallel search (§7: offline, parallelisable; memoisation \
-         preserves the plan exactly; above the work-size threshold the \
-         parallel search covers the full n range, so its plan is equal or \
-         better; below it, it takes the sequential memoised rule)\n{}",
+         (pre-memoisation) vs memoised (cold and warm cache) (§7: offline; \
+         memoisation preserves the plan exactly)\n{}",
         table.render()
     )
 }

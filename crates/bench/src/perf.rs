@@ -4,8 +4,7 @@
 //! Three measurements, all wall-clock on the current machine:
 //!
 //! * PGP scheduling time — pre-optimisation reference vs the memoised
-//!   evaluator vs the 4-worker cache-sharing parallel search, with the
-//!   cache hit rate and an identical-plan cross-check;
+//!   evaluator, with the cache hit rate and an identical-plan cross-check;
 //! * warm-cache re-schedule time (the online re-planning case);
 //! * the serving-simulator macrobench: a large steady open-loop run,
 //!   reported as simulated requests per wall-clock second.
@@ -17,7 +16,7 @@ use chiron::model::synthetic::{synthetic, SyntheticSpec};
 use chiron::model::{apps, Workflow};
 use chiron::serving::{ServeConfig, ServeSimulation, Workload};
 use chiron::{Chiron, PgpConfig, PgpMode, PgpScheduler};
-use chiron_predict::{distinct_profile_classes, PredictionCache};
+use chiron_predict::PredictionCache;
 use chiron_profiler::Profiler;
 use std::time::Instant;
 
@@ -46,44 +45,23 @@ fn scheduler_entry(label: &str, wf: &Workflow) -> String {
         timed(|| sched.schedule_with_cache(wf, &profile, &config, &cache));
     let stats = cache.stats();
     let (_, warm_ms) = timed(|| sched.schedule_with_cache(wf, &profile, &config, &cache));
-    let (_, parallel_ms) = timed(|| sched.schedule_parallel(wf, &profile, &config, 4));
-
-    // Mirror the scheduler's work-size heuristic so the row records
-    // which path the 4-worker run actually took: the gate sizes work on
-    // distinct behaviours (the population the prediction cache evaluates
-    // once each), not raw function count.
-    let max_n = wf.max_parallelism().min(config.max_process_search).max(1);
-    let classes = distinct_profile_classes(&profile);
-    let chosen_path = if classes * max_n < chiron::PARALLEL_WORK_THRESHOLD {
-        "sequential-memoised"
-    } else {
-        "parallel"
-    };
 
     format!(
         concat!(
             "{{\"workflow\": \"{}\", \"functions\": {}, ",
-            "\"profile_classes\": {}, ",
             "\"reference_ms\": {}, \"memoised_ms\": {}, ",
-            "\"memoised_warm_ms\": {}, \"parallel4_ms\": {}, ",
-            "\"speedup_memoised\": {}, \"speedup_parallel4\": {}, ",
+            "\"memoised_warm_ms\": {}, \"speedup_memoised\": {}, ",
             "\"cache_hit_rate\": {}, \"cache_entries\": {}, ",
-            "\"parallel_threshold\": {}, \"chosen_path\": \"{}\", ",
             "\"plans_identical\": {}}}"
         ),
         label,
         wf.function_count(),
-        classes,
         num(reference_ms),
         num(memoised_ms),
         num(warm_ms),
-        num(parallel_ms),
         num(reference_ms / memoised_ms),
-        num(reference_ms / parallel_ms),
         num(stats.hit_rate()),
         stats.entries,
-        chiron::PARALLEL_WORK_THRESHOLD,
-        chosen_path,
         memoised.plan == reference.plan,
     )
 }

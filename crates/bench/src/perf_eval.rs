@@ -4,14 +4,14 @@
 //! Every parallelised figure is regenerated under two configurations
 //! (each timed twice, interleaved, minimum reported):
 //!
-//! * **sequential** — one worker, cross-figure memoisation off, the cache
-//!   dropped first, and requests executed by the retained pre-optimisation
-//!   [reference engine](chiron_runtime::set_reference_engine): the seed
-//!   harness, re-deriving every plan, profile and SLO from scratch and
-//!   allocating every simulation buffer per call;
-//! * **parallel** — `N` sweep workers, memoisation on, the incremental
-//!   scratch-backed engine, i.e. what `figures -- all --workers N`
-//!   actually runs.
+//! * **sequential** — one worker, cross-figure memoisation off and the
+//!   cache dropped first, so every plan, profile and SLO is re-derived
+//!   from scratch;
+//! * **parallel** — `N` sweep workers, memoisation on, i.e. what
+//!   `figures -- all --workers N` actually runs.
+//!
+//! Both passes execute requests on the same engine; the speed-up measures
+//! the sweep workers and the cross-figure memo only.
 //!
 //! Both passes must produce byte-identical figure text
 //! (`rows_identical`) — the sweep's determinism contract — and the
@@ -58,13 +58,11 @@ fn plans_identical() -> bool {
     identical
 }
 
-/// Sequential baseline: the seed harness (reference engine, no
-/// memoisation, one worker).
+/// Sequential baseline: one worker, eval memo off.
 fn sequential_pass(f: FigureFn) -> (String, f64) {
     sweep::set_workers(1);
     set_eval_caching(false);
     reset_eval_cache();
-    chiron_runtime::set_reference_engine(true);
     let t0 = Instant::now();
     let out = f();
     let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -77,7 +75,6 @@ fn sequential_pass(f: FigureFn) -> (String, f64) {
 /// pass — `BENCH_EVAL.json`'s reuse fractions are per-run, not
 /// since-process-start.
 fn parallel_pass(f: FigureFn, workers: usize) -> (String, f64, AllocStats) {
-    chiron_runtime::set_reference_engine(false);
     sweep::set_workers(workers);
     set_eval_caching(true);
     reset_eval_cache();
@@ -99,7 +96,7 @@ fn figure_entry(name: &str, workers: usize, f: FigureFn) -> (String, f64, f64, A
     // Each configuration is timed twice, interleaved so both see the same
     // heap and scheduler history, and the minimum is reported — the usual
     // guard against one-off interference on a shared box. Every pass must
-    // emit the same bytes regardless of engine, memoisation or workers.
+    // emit the same bytes regardless of memoisation or workers.
     let (seq_a, seq_ms_a) = sequential_pass(f);
     let (par_a, par_ms_a, stats_a) = parallel_pass(f, workers);
     let (seq_b, seq_ms_b) = sequential_pass(f);

@@ -346,6 +346,8 @@ pub enum PlanError {
     StageMismatch { stage: usize },
     /// A pooled process was placed in a sandbox with no pool workers.
     PoolMissing { stage: usize, wrap: usize },
+    /// Two entries of `sandboxes` share one id.
+    DuplicateSandbox(SandboxId),
 }
 
 impl fmt::Display for PlanError {
@@ -366,6 +368,7 @@ impl fmt::Display for PlanError {
                     "stage {stage} wrap {wrap} uses Pool spawn in a pool-less sandbox"
                 )
             }
+            PlanError::DuplicateSandbox(id) => write!(f, "{id} is declared twice"),
         }
     }
 }
@@ -382,8 +385,17 @@ impl DeploymentPlan {
         self.sandboxes.len()
     }
 
+    /// The sandbox declared under `id`. The planners number sandboxes
+    /// densely (`sandboxes[i].id == i`), so the slot `id` names is tried
+    /// first and the list is searched only when that slot holds another
+    /// id. Ids are unique in every plan that passes
+    /// [`validate`](Self::validate), so either way this is the one
+    /// declaration of `id`.
     pub fn sandbox(&self, id: SandboxId) -> Option<&SandboxPlan> {
-        self.sandboxes.iter().find(|s| s.id == id)
+        match self.sandboxes.get(id.index()) {
+            Some(sb) if sb.id == id => Some(sb),
+            _ => self.sandboxes.iter().find(|s| s.id == id),
+        }
     }
 
     /// The stage-level wrap count `n` of the m-to-n model, maximised over
@@ -397,6 +409,16 @@ impl DeploymentPlan {
     /// `stage_functions[i]` must list exactly the functions of workflow
     /// stage `i` (any order).
     pub fn validate(&self, stage_functions: &[Vec<FunctionId>]) -> Result<(), PlanError> {
+        // Strictly ascending ids (dense ones included) cannot repeat; any
+        // other order is checked pairwise.
+        let ascending = self.sandboxes.windows(2).all(|w| w[0].id < w[1].id);
+        if !ascending {
+            for (i, sb) in self.sandboxes.iter().enumerate() {
+                if self.sandboxes[..i].iter().any(|s| s.id == sb.id) {
+                    return Err(PlanError::DuplicateSandbox(sb.id));
+                }
+            }
+        }
         for (si, stage) in self.stages.iter().enumerate() {
             if stage.wraps.is_empty() {
                 return Err(PlanError::EmptyStage(si));
@@ -560,6 +582,54 @@ mod tests {
             plan.validate(&[vec![fid(0)]]).unwrap_err(),
             PlanError::ZeroCpus(SandboxId(0))
         );
+    }
+
+    #[test]
+    fn detects_duplicate_sandbox() {
+        let sb = |id, cpus| SandboxPlan {
+            id: SandboxId(id),
+            cpus,
+            pool_size: 0,
+        };
+        let plan = plan_one_stage(
+            vec![WrapPlan {
+                sandbox: SandboxId(1),
+                processes: vec![ProcessPlan::forked(vec![fid(0)])],
+            }],
+            vec![sb(1, 2), sb(0, 1), sb(1, 1)],
+        );
+        assert_eq!(
+            plan.validate(&[vec![fid(0)]]).unwrap_err(),
+            PlanError::DuplicateSandbox(SandboxId(1))
+        );
+    }
+
+    #[test]
+    fn sandbox_lookup_matches_a_linear_search() {
+        let sb = |id| SandboxPlan {
+            id: SandboxId(id),
+            cpus: id + 1,
+            pool_size: 0,
+        };
+        // Dense, sparse, permuted and partly dense declarations.
+        for ids in [
+            vec![0, 1, 2, 3],
+            vec![0, 2, 5, 9],
+            vec![3, 1, 0, 2],
+            vec![0, 1, 7, 3],
+            vec![4],
+            vec![],
+        ] {
+            let plan = plan_one_stage(Vec::new(), ids.iter().map(|&i| sb(i)).collect());
+            for id in 0..12 {
+                let id = SandboxId(id);
+                assert_eq!(
+                    plan.sandbox(id),
+                    plan.sandboxes.iter().find(|s| s.id == id),
+                    "{ids:?} {id}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -493,7 +493,6 @@ mod tests {
                         sandbox: 0,
                         stage: 1,
                         spans: 4,
-                        dispatched_ns: 10,
                         exec_rel_ns: 10,
                         complete_rel_ns: 80,
                     },

@@ -19,28 +19,30 @@
 //! * the second side is skipped when the first side's score already
 //!   matches or exceeds the best;
 //! * either side's *evaluation* is skipped entirely when a cheap lower
-//!   bound ([`KlObjective::lower_bound`]) already matches or exceeds the
-//!   best — for the scheduler this turns most candidate simulations into
-//!   an O(set) arithmetic check.
+//!   bound ([`KlObjective::swapped_lower_bound`]) already matches or
+//!   exceeds the best — for the scheduler this turns most candidate
+//!   simulations into an arithmetic check.
+//!
+//! Within one selection round every candidate differs from the round's
+//! working sets in one position per side. A pruning pass announces each
+//! round ([`KlObjective::begin_round`]) and then scores a candidate side
+//! through [`KlObjective::swapped_lower_bound`] and
+//! [`KlObjective::swapped_eval`], naming the changed position, so an
+//! objective that summarises the round's sets scores the side in O(1)
+//! (the scheduler's does).
 
 use chiron_model::FunctionId;
 
 /// The latency objective driving a Kernighan–Lin pass, plus the optional
 /// machinery the exact prunes need. Any `FnMut(&[FunctionId]) -> f64`
 /// closure is an objective (with no usable bound); the scheduler's cached
-/// evaluator supplies a real [`lower_bound`](KlObjective::lower_bound),
-/// and its reference evaluator opts out of pruning altogether so the
+/// evaluator supplies a real
+/// [`swapped_lower_bound`](KlObjective::swapped_lower_bound), and its
+/// reference evaluator opts out of pruning altogether so the
 /// pre-optimisation cost model stays faithful.
 pub trait KlObjective {
     /// Predicted latency (lower = better) of running `set` as one process.
     fn eval(&mut self, set: &[FunctionId]) -> f64;
-
-    /// A cheap lower bound on [`eval`](KlObjective::eval). Must never
-    /// exceed the true score; `NEG_INFINITY` (the default) disables the
-    /// bound prune.
-    fn lower_bound(&mut self, _set: &[FunctionId]) -> f64 {
-        f64::NEG_INFINITY
-    }
 
     /// Whether the pass may prune candidates that provably cannot win.
     /// `false` reproduces the original exhaustive pass: both sides of
@@ -48,6 +50,33 @@ pub trait KlObjective {
     fn prunes(&self) -> bool {
         true
     }
+
+    /// Start of a selection round of a pruning pass. Every candidate of
+    /// the round is `a` and `b` with one position of each replaced by the
+    /// other side's element; an objective may summarise them here to
+    /// score those candidates incrementally.
+    fn begin_round(&mut self, _a: &[FunctionId], _b: &[FunctionId]) {}
+
+    /// A cheap lower bound on [`eval`](KlObjective::eval) of `set`:
+    /// `side`'s round-start set with only position `pos` replaced. Must
+    /// never exceed the true score; `NEG_INFINITY` (the default) disables
+    /// the bound prune.
+    fn swapped_lower_bound(&mut self, _side: Side, _set: &[FunctionId], _pos: usize) -> f64 {
+        f64::NEG_INFINITY
+    }
+
+    /// [`eval`](KlObjective::eval) of `set`: `side`'s round-start set
+    /// with only position `pos` replaced.
+    fn swapped_eval(&mut self, _side: Side, set: &[FunctionId], _pos: usize) -> f64 {
+        self.eval(set)
+    }
+}
+
+/// Which of the pass's two sets a candidate side belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    A,
+    B,
 }
 
 impl<F: FnMut(&[FunctionId]) -> f64> KlObjective for F {
@@ -81,17 +110,18 @@ pub struct KlStats {
 pub fn kernighan_lin(
     a: &mut [FunctionId],
     b: &mut [FunctionId],
-    objective: impl KlObjective,
+    mut objective: impl KlObjective,
 ) -> f64 {
-    kernighan_lin_with_stats(a, b, objective, &mut KlStats::default())
+    kernighan_lin_with_stats(a, b, &mut objective, &mut KlStats::default())
 }
 
-/// [`kernighan_lin`], additionally accumulating search-effort counters
-/// into `stats` (identical swaps, scores and side effects).
-pub fn kernighan_lin_with_stats(
+/// [`kernighan_lin`] with a borrowed (possibly `dyn`) objective,
+/// additionally accumulating search-effort counters into `stats`
+/// (identical swaps, scores and side effects).
+pub fn kernighan_lin_with_stats<O: KlObjective + ?Sized>(
     a: &mut [FunctionId],
     b: &mut [FunctionId],
-    mut objective: impl KlObjective,
+    objective: &mut O,
     stats: &mut KlStats,
 ) -> f64 {
     if a.is_empty() || b.is_empty() {
@@ -114,6 +144,9 @@ pub fn kernighan_lin_with_stats(
     // Line 20: until one working set is exhausted.
     while !free_a.is_empty() && !free_b.is_empty() {
         stats.rounds += 1;
+        if prunes {
+            objective.begin_round(&wa, &wb);
+        }
         // Line 21: the swap that minimises the predicted latency.
         let mut best: Option<(usize, usize, f64)> = None;
         for &ia in &free_a {
@@ -129,13 +162,19 @@ pub fn kernighan_lin_with_stats(
                     objective.eval(&wa).max(objective.eval(&wb))
                 } else {
                     match best {
-                        Some((_, _, s)) if objective.lower_bound(&wa) >= s => f64::INFINITY,
+                        Some((_, _, s)) if objective.swapped_lower_bound(Side::A, &wa, ia) >= s => {
+                            f64::INFINITY
+                        }
                         _ => {
-                            let score_a = objective.eval(&wa);
+                            let score_a = objective.swapped_eval(Side::A, &wa, ia);
                             match best {
                                 Some((_, _, s)) if score_a >= s => f64::INFINITY,
-                                Some((_, _, s)) if objective.lower_bound(&wb) >= s => f64::INFINITY,
-                                _ => score_a.max(objective.eval(&wb)),
+                                Some((_, _, s))
+                                    if objective.swapped_lower_bound(Side::B, &wb, ib) >= s =>
+                                {
+                                    f64::INFINITY
+                                }
+                                _ => score_a.max(objective.swapped_eval(Side::B, &wb, ib)),
                             }
                         }
                     }
@@ -346,7 +385,7 @@ mod tests {
             self.evals.set(self.evals.get() + 1);
             set.iter().map(|f| self.weights[f.index()]).sum()
         }
-        fn lower_bound(&mut self, set: &[FunctionId]) -> f64 {
+        fn swapped_lower_bound(&mut self, _side: Side, set: &[FunctionId], _pos: usize) -> f64 {
             set.iter().map(|f| self.weights[f.index()]).sum::<f64>() * self.tightness
         }
     }
@@ -390,6 +429,64 @@ mod tests {
             // A perfectly tight bound must never evaluate more than no
             // bound at all.
             assert!(run(1.0).3 <= run(0.0).3, "{weights:?}");
+        }
+    }
+
+    /// Objective scoring candidate sides as deltas of the round's sets,
+    /// checking the round contract on every call: the scored set is its
+    /// side's round-start set with exactly position `pos` replaced.
+    struct IncrementalWeight<'w> {
+        weights: &'w [f64],
+        rounds: [Vec<FunctionId>; 2],
+    }
+
+    impl IncrementalWeight<'_> {
+        fn delta(&self, side: Side, set: &[FunctionId], pos: usize) -> f64 {
+            let start = &self.rounds[side as usize];
+            assert_eq!(start.len(), set.len());
+            for (i, (x, y)) in start.iter().zip(set).enumerate() {
+                assert_eq!(x == y, i != pos, "only position {pos} may change");
+            }
+            let sum: f64 = start.iter().map(|f| self.weights[f.index()]).sum();
+            sum - self.weights[start[pos].index()] + self.weights[set[pos].index()]
+        }
+    }
+
+    impl KlObjective for IncrementalWeight<'_> {
+        fn eval(&mut self, set: &[FunctionId]) -> f64 {
+            set.iter().map(|f| self.weights[f.index()]).sum()
+        }
+        fn begin_round(&mut self, a: &[FunctionId], b: &[FunctionId]) {
+            self.rounds = [a.to_vec(), b.to_vec()];
+        }
+        fn swapped_lower_bound(&mut self, side: Side, set: &[FunctionId], pos: usize) -> f64 {
+            self.delta(side, set, pos)
+        }
+        fn swapped_eval(&mut self, side: Side, set: &[FunctionId], pos: usize) -> f64 {
+            self.delta(side, set, pos)
+        }
+    }
+
+    #[test]
+    fn incremental_scoring_sees_one_changed_position_per_side() {
+        let cases: [&[f64]; 3] = [
+            &[12.0, 3.0, 7.0, 1.0, 9.0, 4.0, 2.0],
+            &[10.0, 10.0, 0.5, 0.5, 5.0, 5.0, 1.0],
+            &[2.0, 11.0, 6.0, 6.0, 3.0, 8.0, 4.0],
+        ];
+        for weights in cases {
+            let mut a1 = vec![fid(0), fid(1), fid(2), fid(6)];
+            let mut b1 = vec![fid(3), fid(4), fid(5)];
+            let mut a2 = a1.clone();
+            let mut b2 = b1.clone();
+            let objective = IncrementalWeight {
+                weights,
+                rounds: Default::default(),
+            };
+            let g1 = kernighan_lin(&mut a1, &mut b1, objective);
+            let g2 = kl_exhaustive(&mut a2, &mut b2, weight(weights));
+            assert_eq!(g1, g2, "{weights:?}");
+            assert_eq!((a1, b1), (a2, b2), "{weights:?}");
         }
     }
 }

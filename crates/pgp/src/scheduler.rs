@@ -40,19 +40,20 @@
 //! workflow here — the paper apps, FINRA-200 and the benchmark
 //! synthetics — back to this sequential rule.
 
-use crate::kl::{kernighan_lin_with_stats, KlObjective, KlStats};
+use crate::kl::{kernighan_lin_with_stats, KlObjective, KlStats, Side};
 use chiron_lifecycle::{penalty_for_plan, LifecycleCosts, PrewarmBudget};
 use chiron_model::plan::{
     DeploymentPlan, IsolationKind, ProcessPlan, ProcessSpawn, RuntimeKind, SandboxId, SandboxPlan,
     SchedulingKind, StagePlan, SystemKind, TransferKind, WrapPlan,
 };
-use chiron_model::{BillingModel, CostModel, FunctionId, SimDuration, Workflow};
+use chiron_model::{BillingModel, CostModel, FunctionId, LanguageRuntime, SimDuration, Workflow};
 use chiron_obs::StaticCounter;
 use chiron_predict::{
     predict_threads, PredictScratch, PredictionCache, Predictor, SegmentCatalog, SimThread,
-    StaggeredSet,
+    StaggeredSet, StaggeredSummary,
 };
 use chiron_profiler::WorkflowProfile;
+use std::collections::HashMap;
 
 // Process-wide mirrors of the per-schedule audit counters, registered in
 // the chiron-obs metrics registry so `figures -- obs` reports aggregate
@@ -239,41 +240,22 @@ fn publish_audit(audit: &PgpAudit) {
 }
 
 /// The two predictions the Algorithm 2 search needs: the makespan of one
-/// candidate process (the KL objective) and the end-to-end latency of a
-/// candidate plan (packing, trimming, selection). Routing both through one
-/// trait lets the cached and reference implementations swap cleanly while
-/// the search logic stays shared — and byte-identical.
-trait PgpEval {
-    /// Makespan (ms) of `set` run as one process of clone-staggered
-    /// threads, unstretched — Algorithm 2's KL objective.
-    fn set_makespan_ms(&mut self, set: &[FunctionId]) -> f64;
-    /// A cheap lower bound on [`set_makespan_ms`](PgpEval::set_makespan_ms)
-    /// (`NEG_INFINITY` when none is available). Lets the KL pass discard
-    /// candidates without simulating them.
-    fn set_makespan_lower_bound_ms(&mut self, set: &[FunctionId]) -> f64;
-    /// Whether the KL pass may use its exact prunes. The reference
-    /// evaluator says no, preserving the pre-optimisation cost model.
-    fn kl_prunes(&self) -> bool;
+/// candidate process (the KL objective, in ms, of a set run as one
+/// process of clone-staggered, unstretched threads) and the end-to-end
+/// latency of a candidate plan (packing, trimming, selection). Routing
+/// both through one trait lets the cached and reference implementations
+/// swap cleanly while the search logic stays shared — and byte-identical.
+trait PgpEval: KlObjective {
     /// Conservative end-to-end latency of `plan`.
     fn plan_latency(&mut self, plan: &DeploymentPlan) -> SimDuration;
 }
 
-/// Adapts a [`PgpEval`] to the KL pass's objective interface.
-struct SetObjective<'e>(&'e mut dyn PgpEval);
-
-impl KlObjective for SetObjective<'_> {
-    fn eval(&mut self, set: &[FunctionId]) -> f64 {
-        self.0.set_makespan_ms(set)
-    }
-    fn lower_bound(&mut self, set: &[FunctionId]) -> f64 {
-        self.0.set_makespan_lower_bound_ms(set)
-    }
-    fn prunes(&self) -> bool {
-        self.0.kl_prunes()
-    }
-}
-
 /// Memoised, allocation-free evaluator (the default).
+///
+/// KL candidates are scored against per-side [`StaggeredSummary`]s,
+/// rebuilt once per round into buffers that live as long as the
+/// evaluator: a candidate's lower bound and cache key are O(1) deltas of
+/// its round's sets instead of O(set) recomputations.
 struct CachedEval<'a> {
     predictor: &'a Predictor,
     check: &'a Predictor,
@@ -281,38 +263,62 @@ struct CachedEval<'a> {
     catalog: &'a SegmentCatalog,
     cache: &'a PredictionCache,
     scratch: PredictScratch,
+    sides: [StaggeredSummary; 2],
 }
 
-impl PgpEval for CachedEval<'_> {
-    fn set_makespan_ms(&mut self, set: &[FunctionId]) -> f64 {
-        let interval = self.predictor.costs.gil_switch_interval;
-        let src = StaggeredSet {
-            set,
-            catalog: self.catalog,
-            spacing: self.predictor.costs.thread_clone,
-            base: SimDuration::ZERO,
-        };
-        self.cache
-            .get_or_simulate(src.key(interval), &src, interval, &mut self.scratch.arena)
-            .makespan
-            .as_millis_f64()
-    }
-
-    fn set_makespan_lower_bound_ms(&mut self, set: &[FunctionId]) -> f64 {
+impl<'a> CachedEval<'a> {
+    /// The KL objective's process shape for `set`.
+    fn staggered<'s>(&self, set: &'s [FunctionId]) -> StaggeredSet<'s>
+    where
+        'a: 's,
+    {
         StaggeredSet {
             set,
             catalog: self.catalog,
             spacing: self.predictor.costs.thread_clone,
             base: SimDuration::ZERO,
         }
-        .makespan_lower_bound()
-        .as_millis_f64()
     }
 
-    fn kl_prunes(&self) -> bool {
-        true
+    /// The makespan of `set`, memoised under its precomputed `key`.
+    fn makespan_ms(&mut self, set: &[FunctionId], key: u64) -> f64 {
+        let src = self.staggered(set);
+        let interval = self.predictor.costs.gil_switch_interval;
+        self.cache
+            .get_or_simulate(key, &src, interval, &mut self.scratch.arena)
+            .makespan
+            .as_millis_f64()
+    }
+}
+
+impl KlObjective for CachedEval<'_> {
+    fn eval(&mut self, set: &[FunctionId]) -> f64 {
+        let key = self
+            .staggered(set)
+            .key(self.predictor.costs.gil_switch_interval);
+        self.makespan_ms(set, key)
     }
 
+    fn begin_round(&mut self, a: &[FunctionId], b: &[FunctionId]) {
+        let interval = self.predictor.costs.gil_switch_interval;
+        let (src_a, src_b) = (self.staggered(a), self.staggered(b));
+        self.sides[0].rebuild(&src_a, interval);
+        self.sides[1].rebuild(&src_b, interval);
+    }
+
+    fn swapped_lower_bound(&mut self, side: Side, set: &[FunctionId], pos: usize) -> f64 {
+        self.sides[side as usize]
+            .lower_bound_with(self.catalog, pos, set[pos])
+            .as_millis_f64()
+    }
+
+    fn swapped_eval(&mut self, side: Side, set: &[FunctionId], pos: usize) -> f64 {
+        let key = self.sides[side as usize].key_with(self.catalog, pos, set[pos]);
+        self.makespan_ms(set, key)
+    }
+}
+
+impl PgpEval for CachedEval<'_> {
     fn plan_latency(&mut self, plan: &DeploymentPlan) -> SimDuration {
         self.check.predict_cached(
             self.workflow,
@@ -334,8 +340,8 @@ struct ReferenceEval<'a> {
     profile: &'a WorkflowProfile,
 }
 
-impl PgpEval for ReferenceEval<'_> {
-    fn set_makespan_ms(&mut self, set: &[FunctionId]) -> f64 {
+impl KlObjective for ReferenceEval<'_> {
+    fn eval(&mut self, set: &[FunctionId]) -> f64 {
         let clone_cost = self.predictor.costs.thread_clone;
         let threads: Vec<SimThread> = set
             .iter()
@@ -350,16 +356,14 @@ impl PgpEval for ReferenceEval<'_> {
             .as_millis_f64()
     }
 
-    fn set_makespan_lower_bound_ms(&mut self, _set: &[FunctionId]) -> f64 {
-        f64::NEG_INFINITY
-    }
-
     // The pre-optimisation pass evaluated both sides of every candidate
     // swap; disabling the prunes reproduces that cost model exactly.
-    fn kl_prunes(&self) -> bool {
+    fn prunes(&self) -> bool {
         false
     }
+}
 
+impl PgpEval for ReferenceEval<'_> {
     fn plan_latency(&mut self, plan: &DeploymentPlan) -> SimDuration {
         self.check.predict(self.workflow, self.profile, plan)
     }
@@ -410,6 +414,7 @@ impl PgpScheduler {
             catalog: &catalog,
             cache,
             scratch: PredictScratch::new(),
+            sides: Default::default(),
         };
         let before = cache.stats();
         let mut outcome = self.dispatch(workflow, config, &mut eval);
@@ -651,16 +656,13 @@ impl PgpScheduler {
         let mut next_pinned = partitions.iter().map(Vec::len).max().unwrap_or(1) as u32;
         for sets in partitions {
             // §3.4: pin conflicting functions into singleton wraps.
+            let conflicts = StageConflicts::new(workflow, sets);
             let mut pinned: Vec<FunctionId> = Vec::new();
             let mut normal: Vec<Vec<FunctionId>> = Vec::new();
             for set in sets {
                 let mut keep = Vec::new();
                 for &f in set {
-                    let conflicts = sets
-                        .iter()
-                        .flatten()
-                        .any(|&g| g != f && conflicting(workflow, f, g));
-                    if conflicts {
+                    if conflicts.pinned(f) {
                         pinned.push(f);
                     } else {
                         keep.push(f);
@@ -892,7 +894,7 @@ fn partition_one_stage(
             }
             let mut a = std::mem::take(&mut left[i]);
             let mut b = std::mem::take(&mut right[0]);
-            kernighan_lin_with_stats(&mut a, &mut b, SetObjective(&mut *eval), stats);
+            kernighan_lin_with_stats(&mut a, &mut b, eval, stats);
             left[i] = a;
             right[0] = b;
         }
@@ -900,12 +902,70 @@ fn partition_one_stage(
     sets
 }
 
-/// §3.4's sharing constraints: conflicting language runtimes or overlapping
-/// written files forbid sandbox sharing.
-fn conflicting(workflow: &Workflow, a: FunctionId, b: FunctionId) -> bool {
-    let fa = workflow.function(a);
-    let fb = workflow.function(b);
-    !fa.runtime.compatible(fb.runtime) || fa.file_conflict(fb)
+/// §3.4's sharing constraints over one stage: a function must be pinned
+/// when another function of the stage (by id) runs an incompatible
+/// language runtime or writes a file it writes. The runtimes and written
+/// files are counted once over the stage, so each check is O(1) in the
+/// stage size instead of a scan of every other function.
+struct StageConflicts<'w> {
+    workflow: &'w Workflow,
+    /// Functions of the stage (with multiplicity) per language runtime.
+    runtimes: Vec<(LanguageRuntime, usize)>,
+    functions: usize,
+    /// Functions of the stage (with multiplicity) writing each file.
+    writers: HashMap<&'w str, usize>,
+    /// How often each file-writing function occurs in the stage; its own
+    /// copies never conflict with it.
+    copies: HashMap<FunctionId, usize>,
+}
+
+impl<'w> StageConflicts<'w> {
+    fn new(workflow: &'w Workflow, sets: &[Vec<FunctionId>]) -> Self {
+        let mut conflicts = StageConflicts {
+            workflow,
+            runtimes: Vec::new(),
+            functions: 0,
+            writers: HashMap::new(),
+            copies: HashMap::new(),
+        };
+        for &f in sets.iter().flatten() {
+            let spec = workflow.function(f);
+            conflicts.functions += 1;
+            match conflicts
+                .runtimes
+                .iter_mut()
+                .find(|(r, _)| r.compatible(spec.runtime))
+            {
+                Some((_, n)) => *n += 1,
+                None => conflicts.runtimes.push((spec.runtime, 1)),
+            }
+            if spec.writes_files.is_empty() {
+                continue;
+            }
+            *conflicts.copies.entry(f).or_default() += 1;
+            for (k, file) in spec.writes_files.iter().enumerate() {
+                if !spec.writes_files[..k].contains(file) {
+                    *conflicts.writers.entry(file.as_str()).or_default() += 1;
+                }
+            }
+        }
+        conflicts
+    }
+
+    fn pinned(&self, f: FunctionId) -> bool {
+        let spec = self.workflow.function(f);
+        let same_runtime = self
+            .runtimes
+            .iter()
+            .find(|(r, _)| r.compatible(spec.runtime))
+            .map_or(0, |&(_, n)| n);
+        if same_runtime < self.functions {
+            return true;
+        }
+        spec.writes_files
+            .iter()
+            .any(|file| self.writers[file.as_str()] > self.copies[&f])
+    }
 }
 
 #[cfg(test)]
@@ -1082,6 +1142,49 @@ mod tests {
         let stage_sets: Vec<Vec<FunctionId>> =
             wf.stages.iter().map(|s| s.functions.clone()).collect();
         out.plan.validate(&stage_sets).unwrap();
+    }
+
+    #[test]
+    fn stage_conflicts_match_the_pairwise_rule() {
+        let spec = |name: &str, runtime, files: &[&str]| {
+            files.iter().fold(
+                FunctionSpec::new(name, vec![Segment::cpu_ms(1)]).with_runtime(runtime),
+                |f, file| f.with_writes_file(*file),
+            )
+        };
+        let fns = vec![
+            spec("a", LanguageRuntime::Python3, &[]),
+            spec("b", LanguageRuntime::Python3, &["/x", "/x"]),
+            spec("c", LanguageRuntime::Python3, &["/x", "/y"]),
+            spec("d", LanguageRuntime::Python3, &["/z"]),
+            spec("e", LanguageRuntime::Python2, &[]),
+            spec("f", LanguageRuntime::Python3, &["/w"]),
+        ];
+        let wf = Workflow::new("conflicts", fns, vec![vec![0, 1, 2, 3, 4, 5]]).unwrap();
+        // The §3.4 rule as stated: another function of the stage, by id,
+        // with an incompatible runtime or a shared written file.
+        let pairwise = |sets: &[Vec<FunctionId>], f: FunctionId| {
+            let fa = wf.function(f);
+            sets.iter().flatten().any(|&g| {
+                let fb = wf.function(g);
+                g != f && (!fa.runtime.compatible(fb.runtime) || fa.file_conflict(fb))
+            })
+        };
+        let ids = |v: &[u32]| v.iter().map(|&i| FunctionId(i)).collect::<Vec<_>>();
+        // Partitions as `materialize` may receive them, repeats included.
+        for sets in [
+            vec![ids(&[0, 1, 2, 3, 4, 5])],
+            vec![ids(&[0, 1]), ids(&[3, 5])],
+            vec![ids(&[1, 1]), ids(&[5, 5, 3])],
+            vec![ids(&[1]), ids(&[2, 0])],
+            vec![ids(&[4, 4])],
+            vec![ids(&[4, 0])],
+        ] {
+            let conflicts = StageConflicts::new(&wf, &sets);
+            for &f in sets.iter().flatten() {
+                assert_eq!(conflicts.pinned(f), pairwise(&sets, f), "{f:?} in {sets:?}");
+            }
+        }
     }
 
     #[test]

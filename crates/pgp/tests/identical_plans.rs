@@ -1,10 +1,10 @@
 //! The identical-output guarantee of the scheduler fast paths.
 //!
-//! The memoised evaluator ([`PgpScheduler::schedule`]) and the
-//! cache-sharing parallel search ([`PgpScheduler::schedule_parallel`])
-//! are pure optimisations: for every workflow, execution mode and SLO
-//! setting they must emit plans byte-identical to their pre-optimisation
-//! reference implementations, while actually exercising the memo cache.
+//! The memoised evaluator ([`PgpScheduler::schedule`]) is a pure
+//! optimisation: for every workflow, execution mode and SLO setting it
+//! must emit plans byte-identical to the pre-optimisation reference
+//! ([`PgpScheduler::schedule_reference`]), while actually exercising the
+//! memo cache.
 
 use chiron_model::{FunctionSpec, Segment, SimDuration, SyscallKind, TransferKind, Workflow};
 use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler};
@@ -63,12 +63,6 @@ proptest! {
                 prop_assert_eq!(fast.processes, slow.processes);
                 prop_assert_eq!(fast.met_slo, slow.met_slo);
                 total_hits += cache.stats().hits;
-
-                let par = sched.schedule_parallel(&wf, &prof, &config, 4);
-                let oracle = sched.schedule_parallel_reference(&wf, &prof, &config);
-                prop_assert_eq!(&par.plan, &oracle.plan);
-                prop_assert_eq!(par.predicted, oracle.predicted);
-                prop_assert_eq!(par.processes, oracle.processes);
             }
         }
         // The fast paths must actually run memoised: identical process
@@ -78,7 +72,7 @@ proptest! {
 
     /// The shm-ring tier changes the objective (co-located wraps price
     /// their handoffs at the ring), so the search may pick different
-    /// packings — but fast, reference, and parallel searches must still
+    /// packings — but the fast and reference searches must still
     /// agree byte for byte, and every emitted plan must carry the tier.
     #[test]
     fn shm_tier_searches_stay_identical(wf in arb_workflow(), slo_ms in 5u64..250) {
@@ -97,12 +91,6 @@ proptest! {
             prop_assert_eq!(fast.processes, slow.processes);
             prop_assert_eq!(fast.met_slo, slow.met_slo);
             prop_assert_eq!(fast.plan.transfer, TransferKind::ShmRing);
-
-            let par = sched.schedule_parallel(&wf, &prof, &config, 4);
-            let oracle = sched.schedule_parallel_reference(&wf, &prof, &config);
-            prop_assert_eq!(&par.plan, &oracle.plan);
-            prop_assert_eq!(par.predicted, oracle.predicted);
-            prop_assert_eq!(par.processes, oracle.processes);
         }
     }
 }

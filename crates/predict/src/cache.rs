@@ -193,22 +193,27 @@ impl StaggeredSet<'_> {
     /// position's function-content hash. Shared between the KL objective
     /// and the pack/trim plan evaluator, so a set first simulated during
     /// partitioning is a cache hit when the packed plan is priced.
+    ///
+    /// The positions are XOR-folded, so replacing the function at one
+    /// position changes the key by exactly two [`staggered_term`]s — the
+    /// delta [`StaggeredSummary::key_with`] applies.
     pub fn key(&self, interval: SimDuration) -> u64 {
+        let mut key = self.salt(interval);
+        for (i, &f) in self.set.iter().enumerate() {
+            key ^= staggered_term(self.catalog.content_hash(f), i);
+        }
+        key
+    }
+
+    /// The key's salt: everything but the per-position terms.
+    pub fn salt(&self, interval: SimDuration) -> u64 {
         let mut salt = Fnv1a::new();
         salt.write_u64(SALT_STAGGERED);
         salt.write_u64(interval.as_nanos());
         salt.write_u64(self.spacing.as_nanos());
         salt.write_u64(self.base.as_nanos());
         salt.write_u64(self.set.len() as u64);
-        let mut key = salt.finish();
-        for (i, &f) in self.set.iter().enumerate() {
-            key ^= splitmix64(
-                self.catalog
-                    .content_hash(f)
-                    .wrapping_add((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            );
-        }
-        key
+        salt.finish()
     }
 
     /// A cheap, exact lower bound on the simulated makespan, from the
@@ -230,6 +235,84 @@ impl StaggeredSet<'_> {
             let end = self.spacing * i as u64 + self.catalog.span(f);
             tail = tail.max(end);
         }
+        self.base + cpu_sum.max(tail)
+    }
+}
+
+/// The contribution of a function with content hash `hash` at position
+/// `pos` to a [`StaggeredSet::key`].
+pub fn staggered_term(hash: u64, pos: usize) -> u64 {
+    splitmix64(hash.wrapping_add((pos as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+}
+
+/// A [`StaggeredSet`] summarised so that the key and the makespan lower
+/// bound of any one-position replacement cost O(1) instead of O(set):
+/// the CPU sum, the XOR-folded key, and per position the key term, the
+/// CPU total and the largest `spacing·j + span` over the *other*
+/// positions (the max of a prefix and a suffix maximum).
+///
+/// The Kernighan–Lin pass rebuilds one summary per side per round and
+/// then scores every candidate swap against it; the buffers are reused
+/// across rebuilds.
+#[derive(Debug, Clone, Default)]
+pub struct StaggeredSummary {
+    base: SimDuration,
+    spacing: SimDuration,
+    cpu_sum: SimDuration,
+    key: u64,
+    terms: Vec<u64>,
+    cpus: Vec<SimDuration>,
+    /// `others_tail[i]` = max over `j != i` of `spacing·j + span(set[j])`.
+    others_tail: Vec<SimDuration>,
+}
+
+impl StaggeredSummary {
+    /// Re-summarises the buffers for `src` (keyed under `interval`).
+    pub fn rebuild(&mut self, src: &StaggeredSet<'_>, interval: SimDuration) {
+        let n = src.set.len();
+        self.base = src.base;
+        self.spacing = src.spacing;
+        self.cpu_sum = SimDuration::ZERO;
+        self.key = src.salt(interval);
+        self.terms.clear();
+        self.cpus.clear();
+        self.others_tail.clear();
+        // Prefix pass: the max over the positions before each one.
+        let mut prefix = SimDuration::ZERO;
+        for (i, &f) in src.set.iter().enumerate() {
+            let term = staggered_term(src.catalog.content_hash(f), i);
+            let cpu = src.catalog.cpu_total(f);
+            self.key ^= term;
+            self.cpu_sum += cpu;
+            self.terms.push(term);
+            self.cpus.push(cpu);
+            self.others_tail.push(prefix);
+            prefix = prefix.max(src.spacing * i as u64 + src.catalog.span(f));
+        }
+        // Suffix pass folds in the max over the positions after each one.
+        let mut suffix = SimDuration::ZERO;
+        for i in (0..n).rev() {
+            self.others_tail[i] = self.others_tail[i].max(suffix);
+            suffix = suffix.max(src.spacing * i as u64 + src.catalog.span(src.set[i]));
+        }
+    }
+
+    /// [`StaggeredSet::key`] of the summarised set with position `pos`
+    /// holding `incoming` instead.
+    pub fn key_with(&self, catalog: &SegmentCatalog, pos: usize, incoming: FunctionId) -> u64 {
+        self.key ^ self.terms[pos] ^ staggered_term(catalog.content_hash(incoming), pos)
+    }
+
+    /// [`StaggeredSet::makespan_lower_bound`] of the summarised set with
+    /// position `pos` holding `incoming` instead.
+    pub fn lower_bound_with(
+        &self,
+        catalog: &SegmentCatalog,
+        pos: usize,
+        incoming: FunctionId,
+    ) -> SimDuration {
+        let cpu_sum = self.cpu_sum - self.cpus[pos] + catalog.cpu_total(incoming);
+        let tail = self.others_tail[pos].max(self.spacing * pos as u64 + catalog.span(incoming));
         self.base + cpu_sum.max(tail)
     }
 }

@@ -21,7 +21,8 @@ pub mod latency;
 pub mod threadsim;
 
 pub use cache::{
-    content_key, CacheStats, FlatThreads, PredictionCache, SegmentCatalog, StaggeredSet,
+    content_key, staggered_term, CacheStats, FlatThreads, PredictionCache, SegmentCatalog,
+    StaggeredSet, StaggeredSummary,
 };
 pub use latency::{PredictScratch, Predictor};
 pub use threadsim::{

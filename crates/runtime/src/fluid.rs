@@ -98,9 +98,12 @@ struct ThreadState {
 /// * `running` + `run_pos` — the running set as a swap-remove list, so
 ///   the fluid rate is `cpus / running.len()` with no O(threads) count
 ///   and steps 5/6 only touch running threads.
-/// * `ready_total` — total ready entries; when zero (e.g. 200 forked
-///   single-thread processes) the preemption/grant/quantum scans are
-///   skipped outright.
+/// * `waiting` — the processes whose ready heap is non-empty, ascending.
+///   The preemption, grant and quantum-expiry steps visit only these, in
+///   the order a `0..n_procs` scan would, so a plan of 200 single-thread
+///   processes with a few waiters pays for the waiters, not for 200
+///   processes. A process joins when its heap goes from empty to
+///   non-empty and leaves after the grant step empties it.
 #[derive(Debug, Default)]
 pub(crate) struct FluidScratch {
     threads: Vec<ThreadState>,
@@ -108,6 +111,7 @@ pub(crate) struct FluidScratch {
     quantum_end: Vec<SimTime>,
     ready: Vec<BinaryHeap<Reverse<(u64, usize)>>>,
     ready_fifo: Vec<usize>,
+    waiting: Vec<usize>,
     wake: BinaryHeap<Reverse<(SimTime, usize)>>,
     running: Vec<usize>,
     run_pos: Vec<usize>,
@@ -171,6 +175,7 @@ pub fn execute_sandbox_scratch<'a>(
         quantum_end,
         ready,
         ready_fifo,
+        waiting,
         wake,
         running,
         run_pos,
@@ -211,11 +216,11 @@ pub fn execute_sandbox_scratch<'a>(
         ready.resize_with(n_procs, BinaryHeap::new);
     }
     ready_fifo.clear();
+    waiting.clear();
     wake.clear();
     running.clear();
     run_pos.clear();
     run_pos.resize(tasks.len(), NOT_RUNNING);
-    let mut ready_total: usize = 0;
     let mut events: u64 = 0;
 
     for (i, t) in tasks.iter().enumerate() {
@@ -253,29 +258,27 @@ pub fn execute_sandbox_scratch<'a>(
                 runtime,
                 ready,
                 ready_fifo,
-                &mut ready_total,
+                waiting,
                 wake,
             );
         }
 
         // -- 2. Preempt expired GIL quanta (pseudo-parallel only). --------
-        // `ready_total == 0` (e.g. every process single-threaded) means no
-        // waiter anywhere: nothing to preempt, grant or time out.
-        if runtime == RuntimeKind::PseudoParallel && ready_total > 0 {
-            for p in 0..n_procs {
-                if let Some(h) = holder[p] {
-                    if quantum_end[p] <= now && !ready[p].is_empty() {
-                        // The holder is asked to drop the GIL (Fig. 2) and
-                        // re-queues behind the CFS rule.
-                        let t = &mut threads[h];
-                        t.close_span(now);
-                        t.phase = Phase::Ready;
-                        t.open_span(SpanKind::GilWait, now);
-                        ready[p].push(Reverse((t.cpu_used.to_bits(), h)));
-                        ready_total += 1;
-                        holder[p] = None;
-                        remove_running(running, run_pos, h);
-                    }
+        // Only processes with a waiter can be preempted, granted or timed
+        // out; with none waiting (e.g. every process single-threaded, or
+        // true parallelism) steps 2, 3 and 5 visit nothing.
+        for &p in waiting.iter() {
+            if let Some(h) = holder[p] {
+                if quantum_end[p] <= now {
+                    // The holder is asked to drop the GIL (Fig. 2) and
+                    // re-queues behind the CFS rule.
+                    let t = &mut threads[h];
+                    t.close_span(now);
+                    t.phase = Phase::Ready;
+                    t.open_span(SpanKind::GilWait, now);
+                    ready[p].push(Reverse((t.cpu_used.to_bits(), h)));
+                    holder[p] = None;
+                    remove_running(running, run_pos, h);
                 }
             }
         }
@@ -283,26 +286,24 @@ pub fn execute_sandbox_scratch<'a>(
         // -- 3. Grant the GIL / run slots. ---------------------------------
         match runtime {
             RuntimeKind::PseudoParallel => {
-                if ready_total > 0 {
-                    for p in 0..n_procs {
-                        if holder[p].is_none() {
-                            // CFS rule: the heap minimum is the ready thread
-                            // with the least CPU time (ties to lowest index).
-                            if let Some(Reverse((_, i))) = ready[p].pop() {
-                                ready_total -= 1;
-                                let t = &mut threads[i];
-                                t.close_span(now);
-                                t.phase = Phase::Running;
-                                t.exec_start.get_or_insert(now);
-                                t.open_span(SpanKind::Exec, now);
-                                holder[p] = Some(i);
-                                quantum_end[p] = now + gil_interval;
-                                run_pos[i] = running.len();
-                                running.push(i);
-                            }
+                for &p in waiting.iter() {
+                    if holder[p].is_none() {
+                        // CFS rule: the heap minimum is the ready thread
+                        // with the least CPU time (ties to lowest index).
+                        if let Some(Reverse((_, i))) = ready[p].pop() {
+                            let t = &mut threads[i];
+                            t.close_span(now);
+                            t.phase = Phase::Running;
+                            t.exec_start.get_or_insert(now);
+                            t.open_span(SpanKind::Exec, now);
+                            holder[p] = Some(i);
+                            quantum_end[p] = now + gil_interval;
+                            run_pos[i] = running.len();
+                            running.push(i);
                         }
                     }
                 }
+                waiting.retain(|&p| !ready[p].is_empty());
             }
             RuntimeKind::TrueParallel => {
                 for &i in ready_fifo.iter() {
@@ -334,11 +335,9 @@ pub fn execute_sandbox_scratch<'a>(
             let ns = (threads[i].remaining / rate).ceil() as u64;
             next = next.min(now + SimDuration::from_nanos(ns));
         }
-        if runtime == RuntimeKind::PseudoParallel && ready_total > 0 {
-            for p in 0..n_procs {
-                if holder[p].is_some() && !ready[p].is_empty() {
-                    next = next.min(quantum_end[p]);
-                }
+        for &p in waiting.iter() {
+            if holder[p].is_some() {
+                next = next.min(quantum_end[p]);
             }
         }
         if next == SimTime::FAR_FUTURE {
@@ -389,7 +388,7 @@ pub fn execute_sandbox_scratch<'a>(
                 runtime,
                 ready,
                 ready_fifo,
-                &mut ready_total,
+                waiting,
                 wake,
             );
         }
@@ -431,7 +430,7 @@ fn enter_segment(
     runtime: RuntimeKind,
     ready: &mut [BinaryHeap<Reverse<(u64, usize)>>],
     ready_fifo: &mut Vec<usize>,
-    ready_total: &mut usize,
+    waiting: &mut Vec<usize>,
     wake: &mut BinaryHeap<Reverse<(SimTime, usize)>>,
 ) {
     loop {
@@ -451,8 +450,13 @@ fn enter_segment(
                 t.open_span(SpanKind::GilWait, now);
                 match runtime {
                     RuntimeKind::PseudoParallel => {
-                        ready[t.process].push(Reverse((t.cpu_used.to_bits(), i)));
-                        *ready_total += 1;
+                        let p = t.process;
+                        if ready[p].is_empty() {
+                            // Joins the waiting list, kept ascending.
+                            let at = waiting.partition_point(|&q| q < p);
+                            waiting.insert(at, p);
+                        }
+                        ready[p].push(Reverse((t.cpu_used.to_bits(), i)));
                     }
                     RuntimeKind::TrueParallel => ready_fifo.push(i),
                 }

@@ -35,23 +35,6 @@ use chiron_store::TransferModel;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static REFERENCE_ENGINE: AtomicBool = AtomicBool::new(false);
-
-/// Routes [`VirtualPlatform::execute`] through the retained
-/// pre-optimisation engine ([`VirtualPlatform::execute_reference`]).
-/// `figures -- perf-eval` uses this for its sequential baseline; results
-/// are byte-identical either way, only wall-clock changes.
-pub fn set_reference_engine(enabled: bool) {
-    REFERENCE_ENGINE.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether [`execute`](VirtualPlatform::execute) currently routes through
-/// the reference engine.
-pub fn reference_engine() -> bool {
-    REFERENCE_ENGINE.load(Ordering::SeqCst)
-}
 
 /// Size of the initial request payload entering stage 1.
 const REQUEST_PAYLOAD_BYTES: u64 = 1 << 10;
@@ -155,9 +138,6 @@ impl VirtualPlatform {
         plan: &DeploymentPlan,
         seed: u64,
     ) -> Result<RequestOutcome, PlanError> {
-        if reference_engine() {
-            return self.execute_reference(workflow, plan, seed);
-        }
         SCRATCH.with(|s| self.execute_with_scratch(workflow, plan, seed, &mut s.borrow_mut()))
     }
 

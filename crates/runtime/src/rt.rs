@@ -295,6 +295,25 @@ mod tests {
         results.iter().map(|r| r.finished).max().unwrap()
     }
 
+    /// Makespan under which two 40 ms tasks must have overlapped: run
+    /// one after the other, they take at least 80 ms.
+    const OVERLAP_BOUND: Duration = Duration::from_millis(70);
+
+    /// The fastest makespan of up to three runs of `tasks`, stopping at
+    /// the first under [`OVERLAP_BOUND`]. One wall-clock sample on a
+    /// shared host can be stretched by a descheduled thread; serial
+    /// execution cannot get faster than 80 ms however often it is run.
+    fn overlapped_makespan(tasks: &[RtTask], runtime: RuntimeKind) -> Duration {
+        let mut best = Duration::MAX;
+        for _ in 0..3 {
+            best = best.min(makespan(&run_realtime(tasks, runtime, SWITCH)));
+            if best < OVERLAP_BOUND {
+                break;
+            }
+        }
+        best
+    }
+
     fn cores() -> usize {
         std::thread::available_parallelism()
             .map(|p| p.get())
@@ -335,9 +354,8 @@ mod tests {
                 segments: vec![cpu(40)],
             },
         ];
-        let results = run_realtime(&tasks, RuntimeKind::TrueParallel, SWITCH);
-        let total = makespan(&results);
-        assert!(total < Duration::from_millis(70), "makespan {total:?}");
+        let total = overlapped_makespan(&tasks, RuntimeKind::TrueParallel);
+        assert!(total < OVERLAP_BOUND, "makespan {total:?}");
     }
 
     #[test]
@@ -354,9 +372,8 @@ mod tests {
                 segments: vec![cpu(40)],
             },
         ];
-        let results = run_realtime(&tasks, RuntimeKind::PseudoParallel, SWITCH);
-        let total = makespan(&results);
-        assert!(total < Duration::from_millis(70), "makespan {total:?}");
+        let total = overlapped_makespan(&tasks, RuntimeKind::PseudoParallel);
+        assert!(total < OVERLAP_BOUND, "makespan {total:?}");
     }
 
     #[test]
@@ -374,9 +391,8 @@ mod tests {
                 segments: vec![cpu(40)],
             },
         ];
-        let results = run_realtime(&tasks, RuntimeKind::PseudoParallel, SWITCH);
-        let total = makespan(&results);
-        assert!(total < Duration::from_millis(70), "makespan {total:?}");
+        let total = overlapped_makespan(&tasks, RuntimeKind::PseudoParallel);
+        assert!(total < OVERLAP_BOUND, "makespan {total:?}");
     }
 
     #[test]
