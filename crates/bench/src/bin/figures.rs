@@ -5,32 +5,75 @@
 //! cargo run -p chiron-bench --release --bin figures -- --workers 4 fig6 fig13
 //! cargo run -p chiron-bench --release --bin figures -- perf-eval --workers 4
 //! ```
+//!
+//! The BENCH targets (`perf`, `perf-eval`, `obs`, `lifecycle`, `fleet`,
+//! `fleet-obs`, `transfer`) write their `BENCH_*.json` and artifacts into
+//! the working directory. The process exits with status 1 if any of their
+//! gates is false or any write failed, each problem printed to stderr;
+//! an unknown target exits with status 2.
 
 use chiron_bench as bench;
+use std::path::Path;
+
+/// The targets that return a gated [`bench::Report`].
+fn bench_report(target: &str, workers: usize) -> Option<bench::Report> {
+    Some(match target {
+        "perf" => bench::perf(),
+        "perf-eval" => bench::perf_eval(workers),
+        "obs" => bench::obs_eval(workers),
+        "lifecycle" => bench::lifecycle_figure(workers),
+        "fleet" => bench::fleet_figure(workers),
+        "fleet-obs" => bench::fleet_obs_figure(),
+        "transfer" => bench::transfer_figure(workers),
+        _ => return None,
+    })
+}
+
+type FigureFn = fn() -> String;
+
+/// The text figures, in `all` order.
+const FIGURES: [(&str, FigureFn); 17] = [
+    ("fig3", bench::fig3),
+    ("fig4", bench::fig4),
+    ("fig5", bench::fig5),
+    ("fig6", bench::fig6),
+    ("fig7", bench::fig7),
+    ("fig8", bench::fig8),
+    ("table1", bench::table1),
+    ("fig12", bench::fig12),
+    ("fig13", bench::fig13),
+    ("fig14", bench::fig14),
+    ("fig15", bench::fig15),
+    ("fig16", bench::fig16),
+    ("fig17", bench::fig17),
+    ("fig18", bench::fig18),
+    ("fig19", bench::fig19),
+    ("ablations", bench::ablations),
+    ("serve", bench::serve_figure),
+];
+
+/// The BENCH targets `all` runs after the figures.
+const ALL_REPORTS: [&str; 4] = ["lifecycle", "perf", "fleet", "transfer"];
+
+fn parse_workers(value: Option<&str>) -> usize {
+    match value.and_then(|v| v.parse().ok()) {
+        Some(n) if n >= 1 => n,
+        _ => {
+            eprintln!("--workers expects a positive integer");
+            std::process::exit(2);
+        }
+    }
+}
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut args: Vec<String> = Vec::new();
     let mut workers: Option<usize> = None;
-    let mut iter = raw.into_iter();
+    let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         if arg == "--workers" {
-            let value = iter.next().and_then(|v| v.parse().ok());
-            match value {
-                Some(n) if n >= 1 => workers = Some(n),
-                _ => {
-                    eprintln!("--workers expects a positive integer");
-                    std::process::exit(2);
-                }
-            }
+            workers = Some(parse_workers(iter.next().as_deref()));
         } else if let Some(v) = arg.strip_prefix("--workers=") {
-            match v.parse() {
-                Ok(n) if n >= 1 => workers = Some(n),
-                _ => {
-                    eprintln!("--workers expects a positive integer");
-                    std::process::exit(2);
-                }
-            }
+            workers = Some(parse_workers(Some(v)));
         } else {
             args.push(arg);
         }
@@ -40,135 +83,33 @@ fn main() {
     });
     bench::sweep::set_workers(workers);
     let targets: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "table1",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17",
-            "fig18",
-            "fig19",
-            "ablations",
-            "serve",
-            "lifecycle",
-            "perf",
-            "fleet",
-            "transfer",
-        ]
+        FIGURES
+            .iter()
+            .map(|&(name, _)| name)
+            .chain(ALL_REPORTS)
+            .collect()
     } else {
         args.iter().map(String::as_str).collect()
     };
+    let mut problems: Vec<String> = Vec::new();
     for target in targets {
-        let report = match target {
-            "fig3" => bench::fig3(),
-            "fig4" => bench::fig4(),
-            "fig5" => bench::fig5(),
-            "fig6" => bench::fig6(),
-            "fig7" => bench::fig7(),
-            "fig8" => bench::fig8(),
-            "table1" => bench::table1(),
-            "fig12" => bench::fig12(),
-            "fig13" => bench::fig13(),
-            "fig14" => bench::fig14(),
-            "fig15" => bench::fig15(),
-            "fig16" => bench::fig16(),
-            "fig17" => bench::fig17(),
-            "fig18" => bench::fig18(),
-            "fig19" => bench::fig19(),
-            "ablations" => bench::ablations(),
-            "serve" => bench::serve_figure(),
-            "perf" => {
-                let json = bench::perf();
-                match std::fs::write("BENCH_PGP.json", &json) {
-                    Ok(()) => eprintln!("wrote BENCH_PGP.json"),
-                    Err(e) => eprintln!("could not write BENCH_PGP.json: {e}"),
-                }
-                json
-            }
-            "fleet" => {
-                let json = bench::fleet_figure(workers);
-                match std::fs::write("BENCH_FLEET.json", &json) {
-                    Ok(()) => eprintln!("wrote BENCH_FLEET.json"),
-                    Err(e) => eprintln!("could not write BENCH_FLEET.json: {e}"),
-                }
-                json
-            }
-            "transfer" => {
-                let json = bench::transfer_figure(workers);
-                match std::fs::write("BENCH_TRANSFER.json", &json) {
-                    Ok(()) => eprintln!("wrote BENCH_TRANSFER.json"),
-                    Err(e) => eprintln!("could not write BENCH_TRANSFER.json: {e}"),
-                }
-                json
-            }
-            "perf-eval" => {
-                let json = bench::perf_eval(workers);
-                match std::fs::write("BENCH_EVAL.json", &json) {
-                    Ok(()) => eprintln!("wrote BENCH_EVAL.json"),
-                    Err(e) => eprintln!("could not write BENCH_EVAL.json: {e}"),
-                }
-                json
-            }
-            "lifecycle" => {
-                let report = bench::lifecycle_figure(workers);
-                match std::fs::write("BENCH_LIFECYCLE.json", &report.json) {
-                    Ok(()) => eprintln!("wrote BENCH_LIFECYCLE.json"),
-                    Err(e) => eprintln!("could not write BENCH_LIFECYCLE.json: {e}"),
-                }
-                format!("{}\n{}", report.text, report.json)
-            }
-            "fleet-obs" => {
-                let report = bench::fleet_obs_figure();
-                match std::fs::write("BENCH_FLEETOBS.json", &report.json) {
-                    Ok(()) => eprintln!("wrote BENCH_FLEETOBS.json"),
-                    Err(e) => eprintln!("could not write BENCH_FLEETOBS.json: {e}"),
-                }
-                match std::fs::write("fleet_trace.json", &report.perfetto) {
-                    Ok(()) => eprintln!("wrote fleet_trace.json (open at ui.perfetto.dev)"),
-                    Err(e) => eprintln!("could not write fleet_trace.json: {e}"),
-                }
-                match std::fs::write("fleet_incident.txt", &report.incident) {
-                    Ok(()) => eprintln!("wrote fleet_incident.txt (flight-recorder window)"),
-                    Err(e) => eprintln!("could not write fleet_incident.txt: {e}"),
-                }
-                format!("{}\n{}", report.text, report.json)
-            }
-            "obs" => {
-                let report = bench::obs_eval(workers);
-                match std::fs::write("BENCH_OBS.json", &report.json) {
-                    Ok(()) => eprintln!("wrote BENCH_OBS.json"),
-                    Err(e) => eprintln!("could not write BENCH_OBS.json: {e}"),
-                }
-                match std::fs::write("serve_trace.json", &report.perfetto) {
-                    Ok(()) => eprintln!("wrote serve_trace.json (open at ui.perfetto.dev)"),
-                    Err(e) => eprintln!("could not write serve_trace.json: {e}"),
-                }
-                match std::fs::write("blame_counters.json", &report.counters) {
-                    Ok(()) => {
-                        eprintln!("wrote blame_counters.json (component-blame counter track)")
-                    }
-                    Err(e) => eprintln!("could not write blame_counters.json: {e}"),
-                }
-                match std::fs::write("attrib_flame.folded", &report.flame) {
-                    Ok(()) => eprintln!("wrote attrib_flame.folded (folded-stack flame profile)"),
-                    Err(e) => eprintln!("could not write attrib_flame.folded: {e}"),
-                }
-                format!("{}\n{}", report.text, report.json)
-            }
-            other => {
-                eprintln!("unknown target: {other}");
-                std::process::exit(2);
-            }
+        let output = if let Some(report) = bench_report(target, workers) {
+            problems.extend(report.publish(Path::new(".")));
+            report.to_string()
+        } else if let Some(&(_, figure)) = FIGURES.iter().find(|&&(name, _)| name == target) {
+            figure()
+        } else {
+            eprintln!("unknown target: {target}");
+            std::process::exit(2);
         };
-        println!("{report}");
+        println!("{output}");
         println!("{}", "=".repeat(78));
+    }
+    if !problems.is_empty() {
+        eprintln!("{} failed gate(s) or write(s):", problems.len());
+        for problem in &problems {
+            eprintln!("  {problem}");
+        }
+        std::process::exit(1);
     }
 }

@@ -3,29 +3,23 @@
 //! scale the paper's testbed cannot reach — 16 federated clusters
 //! (128 nodes) absorbing a ten-million-request steady workload.
 //!
-//! Three contracts are gated (CI greps the booleans):
+//! Four contracts are gates (`figures` exits non-zero if one fails):
 //!
 //! * `reports_identical_shards` — the merged `FleetReport` is
 //!   byte-identical whether the clusters run on 1, 4 or 16 shards;
 //! * `reports_identical_w1_w4` — likewise across worker counts;
 //! * `zero_loss` — no run (including a deliberately saturated
-//!   spillover run) loses an admitted request.
+//!   spillover run) loses an admitted request;
+//! * `spill_exercised` — the saturated run really forwards work.
 //!
 //! Throughput is recorded per run and as a best-of headline, but is
 //! informational: wall-clock depends on the host, the contracts do not.
 
+use crate::report::{Obj, Report};
 use chiron::model::apps;
 use chiron::{Chiron, FleetConfig, FleetSimulation, FleetWorkload, PgpMode};
 use chiron_model::SimDuration;
 use std::time::Instant;
-
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
-    }
-}
 
 struct RunRow {
     shards: usize,
@@ -37,25 +31,24 @@ struct RunRow {
 }
 
 impl RunRow {
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"shards\": {}, \"workers\": {}, \"digest\": {}, ",
-                "\"wall_ms\": {}, \"throughput_per_sec\": {}}}"
-            ),
-            self.shards,
-            self.workers,
-            self.digest,
-            num(self.wall_ms),
-            num(self.completed as f64 / (self.wall_ms / 1e3)),
-        )
+    fn json(&self) -> Obj {
+        Obj::new()
+            .field("shards", self.shards)
+            .field("workers", self.workers)
+            .field("digest", self.digest)
+            .field("wall_ms", self.wall_ms)
+            .field("throughput_per_sec", self.throughput())
+    }
+
+    fn throughput(&self) -> f64 {
+        self.completed as f64 / (self.wall_ms / 1e3)
     }
 }
 
 /// The report with custom fleet and workload sizes (tests use small
 /// ones). `multi_workers` is the worker count compared against 1 for
 /// the `reports_identical_w1_w4` gate.
-pub fn fleet_report(clusters: u32, rps: f64, duration_ms: u64, multi_workers: usize) -> String {
+pub fn fleet_report(clusters: u32, rps: f64, duration_ms: u64, multi_workers: usize) -> Report {
     let wf = apps::finra(12);
     let plan = Chiron::default()
         .deploy(&wf, None, PgpMode::NativeThread)
@@ -101,50 +94,37 @@ pub fn fleet_report(clusters: u32, rps: f64, duration_ms: u64, multi_workers: us
     let spill_workload = FleetWorkload::steady(300.0, SimDuration::from_millis(10_000));
     let spill = spill_sim.run(&spill_workload, 7).expect("spill run");
 
-    let zero_loss = runs.iter().all(|r| r.lost == 0) && spill.lost == 0;
-    let best = runs
-        .iter()
-        .map(|r| r.completed as f64 / (r.wall_ms / 1e3))
-        .fold(0.0f64, f64::max);
-    let rows: Vec<String> = runs.iter().map(|r| format!("    {}", r.json())).collect();
-
-    format!(
-        concat!(
-            "{{\n",
-            "  \"clusters\": {clusters},\n",
-            "  \"nodes\": {nodes},\n",
-            "  \"offered_rps\": {rps},\n",
-            "  \"requests\": {requests},\n",
-            "  \"completed\": {completed},\n",
-            "  \"runs\": [\n{rows}\n  ],\n",
-            "  \"spillover_run\": {{\"clusters\": 2, \"forwarded\": {sp_fwd}, ",
-            "\"lost\": {sp_lost}, \"spill_exercised\": {sp_hit}}},\n",
-            "  \"reports_identical_shards\": {id_shards},\n",
-            "  \"reports_identical_w1_w4\": {id_workers},\n",
-            "  \"zero_loss\": {zero_loss},\n",
-            "  \"throughput_per_sec\": {best}\n",
-            "}}"
-        ),
-        clusters = clusters,
-        nodes = nodes,
-        rps = num(rps),
-        requests = (rps * duration_ms as f64 / 1e3).round() as u64,
-        completed = reference.completed,
-        rows = rows.join(",\n"),
-        sp_fwd = spill.forwarded,
-        sp_lost = spill.lost,
-        sp_hit = spill.forwarded > 0,
-        id_shards = identical_shards,
-        id_workers = identical_workers,
-        zero_loss = zero_loss,
-        best = num(best),
-    )
+    let mut report = Report::new("BENCH_FLEET.json");
+    report.gate("reports_identical_shards", identical_shards);
+    report.gate("reports_identical_w1_w4", identical_workers);
+    report.gate(
+        "zero_loss",
+        runs.iter().all(|r| r.lost == 0) && spill.lost == 0,
+    );
+    report.gate("spill_exercised", spill.forwarded > 0);
+    let best = runs.iter().map(RunRow::throughput).fold(0.0f64, f64::max);
+    report.json = Obj::new()
+        .field("clusters", clusters)
+        .field("nodes", nodes)
+        .field("offered_rps", rps)
+        .field("requests", (rps * duration_ms as f64 / 1e3).round() as u64)
+        .field("completed", reference.completed)
+        .field("runs", runs.iter().map(RunRow::json).collect::<Vec<_>>())
+        .field(
+            "spillover_run",
+            Obj::new()
+                .field("clusters", 2u32)
+                .field("forwarded", spill.forwarded)
+                .field("lost", spill.lost),
+        )
+        .field("throughput_per_sec", best);
+    report
 }
 
 /// The full report: 16 clusters / 128 nodes, a 4 200-second fleet-wide
 /// 2 400 req/s steady phase (10.08 M requests per run), four
 /// (shards, workers) combinations plus the saturated spillover run.
-pub fn fleet_figure(workers: usize) -> String {
+pub fn fleet_figure(workers: usize) -> Report {
     let multi = if workers > 1 { workers } else { 4 };
     fleet_report(16, 2_400.0, 4_200_000, multi)
 }
@@ -154,16 +134,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fleet_report_is_wellformed_and_gates_hold() {
+    fn fleet_report_holds_its_gates() {
         let report = fleet_report(4, 200.0, 3_000, 2);
-        assert!(report.contains("\"reports_identical_shards\": true"));
-        assert!(report.contains("\"reports_identical_w1_w4\": true"));
-        assert!(report.contains("\"zero_loss\": true"));
-        assert!(report.contains("\"spill_exercised\": true"));
-        let opens = report.matches('{').count();
-        let closes = report.matches('}').count();
-        assert_eq!(opens, closes);
-        assert!(!report.contains(",}"));
-        assert!(!report.contains(",\n}"));
+        crate::report::assert_gates(&report, 4, &[]);
     }
 }

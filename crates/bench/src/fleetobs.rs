@@ -18,7 +18,8 @@
 //!   merged report must be byte-identical for every execution policy
 //!   (`fleet_traces_identical`): each cluster records its events into
 //!   its own banked buffer no matter which worker ran it, and the
-//!   cluster-major stitch concatenates them in cluster order.
+//!   cluster-major stitch concatenates them in cluster order. Tracing
+//!   must leave the report itself unchanged (`reports_identical_traced`).
 //!
 //! On top of the captured trace the report runs the analysis plane:
 //! **latency attribution** with the cross-cluster `forwarding` component
@@ -27,8 +28,10 @@
 //! (`forwarding_blame_exact`); the **online regime sensor** must fire
 //! within 5 s of the injected shift (`regime_detected`); and the
 //! **flight recorder** reconstructs the incident window leading up to
-//! the first regime change or SLO alert.
+//! the first regime change or SLO alert (`incident_captured`). Every
+//! named contract is a gate: `figures` exits non-zero if one fails.
 
+use crate::report::{hex, Json, Obj, Report};
 use chiron::serving::{FaultPlan, ServeConfig};
 use chiron::{Chiron, FleetConfig, FleetPhase, FleetSimulation, FleetWorkload, PgpMode};
 use chiron_deploy::NodeId;
@@ -46,18 +49,10 @@ const DETECT_WINDOW_NS: u64 = 5_000_000_000;
 /// Interleaved timing rounds (per-mode minimum reported); unoptimised
 /// builds use fewer — their wall clock is not asserted anywhere.
 const TIMING_ROUNDS: usize = if cfg!(debug_assertions) { 2 } else { 24 };
-/// Enabled-tracing overhead ceiling gated by CI.
+/// Enabled-tracing overhead ceiling (`fleet_tracing_overhead_le_15pct`).
 const OVERHEAD_CEILING: f64 = 0.15;
 /// Flight-recorder window size (events preceding the incident).
 const INCIDENT_WINDOW: usize = 64;
-
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
-    }
-}
 
 /// Per-mode minimum wall clock over the timing rounds. Scheduler
 /// contention on a shared host only ever *adds* time, so the minimum of
@@ -116,25 +111,10 @@ fn workload(rps: f64, phase1_ms: u64, phase2_ms: u64) -> FleetWorkload {
     }
 }
 
-/// Everything `figures -- fleet-obs` produces.
-#[derive(Debug, Clone)]
-pub struct FleetObsReport {
-    /// The `BENCH_FLEETOBS.json` payload.
-    pub json: String,
-    /// Chrome Trace Event Format JSON of the merged fleet trace
-    /// (`fleet_trace.json`): replica tracks grouped by cluster, flow
-    /// arrows for every forwarded request.
-    pub perfetto: String,
-    /// Flight-recorder incident dump (`fleet_incident.txt`).
-    pub incident: String,
-    /// Human-readable summary.
-    pub text: String,
-}
-
 /// The report with custom fleet and workload sizes (tests use small
 /// ones). `combos` beyond the (1, 1) reference are clamped to the
 /// cluster count.
-pub fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64) -> FleetObsReport {
+pub fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64) -> Report {
     // Reports cover this run, not the process's cumulative history.
     chiron_obs::reset_observability();
     chiron_obs::set_tracing(false);
@@ -196,11 +176,14 @@ pub fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64)
     // reference report *and* the reference trace byte for byte.
     let combos: [(usize, usize); 2] = [((clusters as usize).min(4), 2), (clusters as usize, 4)];
     chiron_obs::set_tracing(true);
-    let mut combo_rows: Vec<String> = vec![format!(
-        "{{\"shards\": 1, \"workers\": 1, \"trace_digest\": \"{:016x}\", \"report_digest\": {}}}",
-        ref_trace.digest(),
-        ref_report.digest(),
-    )];
+    let combo_row = |shards: usize, workers: usize, trace: &Trace, report: &chiron::FleetReport| {
+        Obj::new()
+            .field("shards", shards)
+            .field("workers", workers)
+            .field("trace_digest", hex(trace.digest()))
+            .field("report_digest", report.digest())
+    };
+    let mut combo_rows = vec![combo_row(1, 1, &ref_trace, &ref_report)];
     let mut fleet_traces_identical = !ref_trace.is_empty();
     for (shards, workers) in combos {
         let (report, trace) = sim
@@ -208,13 +191,7 @@ pub fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64)
             .expect("identity run");
         fleet_traces_identical &=
             trace.digest() == ref_trace.digest() && report.digest() == ref_report.digest();
-        combo_rows.push(format!(
-            "{{\"shards\": {}, \"workers\": {}, \"trace_digest\": \"{:016x}\", \"report_digest\": {}}}",
-            shards,
-            workers,
-            trace.digest(),
-            report.digest(),
-        ));
+        combo_rows.push(combo_row(shards, workers, &trace, &report));
         chiron_obs::recycle(trace);
     }
     chiron_obs::set_tracing(false);
@@ -262,77 +239,59 @@ pub fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64)
     let perfetto = chiron_obs::serve_trace(&ref_trace);
     let snapshot = chiron_obs::snapshot();
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scenario\": \"FINRA-12 fleet: {} clusters / {} nodes, {} rps, ",
-            "locality 6x on cluster 0, spill threshold 16, cluster 1 node 0 killed at t={} s, ",
-            "x{} service shift at t={} s, SLO 1200 ms @ 99%, seed {}\",\n",
-            "  \"fleet_traces_identical\": {},\n",
-            "  \"reports_identical_traced\": {},\n",
-            "  \"disabled_zero_cost\": {},\n",
-            "  \"forwarding_blame_exact\": {},\n",
-            "  \"regime_detected\": {},\n",
-            "  \"completed\": {},\n",
-            "  \"forwarded\": {},\n",
-            "  \"lost\": {},\n",
-            "  \"attributed_requests\": {},\n",
-            "  \"forwarding_blame_ms\": {},\n",
-            "  \"regime_changes\": {},\n",
-            "  \"first_up_after_shift_s\": {},\n",
-            "  \"detect_latency_s\": {},\n",
-            "  \"slo_alerts_fired\": {},\n",
-            "  \"slo_compliance\": {},\n",
-            "  \"trace_events\": {},\n",
-            "  \"trace_digest\": \"{:016x}\",\n",
-            "  \"incident_captured\": {},\n",
-            "  \"runs\": [\n    {}\n  ],\n",
-            "  \"fleet_disabled_ms\": {},\n",
-            "  \"fleet_enabled_ms\": {},\n",
-            "  \"fleet_tracing_overhead_fraction\": {},\n",
-            "  \"fleet_tracing_overhead_le_15pct\": {},\n",
-            "  \"metrics\": {}\n}}"
-        ),
-        clusters,
-        nodes,
-        rps,
-        num(phase1_ms as f64 / 2e3),
-        SHIFT_MULT,
-        num(phase1_ms as f64 / 1e3),
-        SEED,
-        fleet_traces_identical,
-        reports_identical_traced,
-        disabled_zero_cost,
-        forwarding_blame_exact,
-        regime_detected,
-        ref_report.completed,
-        ref_report.forwarded,
-        ref_report.lost,
-        attrib.requests.len(),
-        num(forwarding_ns as f64 / 1e6),
-        ref_report.regime_changes,
-        first_up_after_shift.map_or_else(|| "null".into(), |at| num(at as f64 / 1e9)),
-        first_up_after_shift.map_or_else(|| "null".into(), |at| num((at - shift_ns) as f64 / 1e9)),
-        slo.alerts_fired,
-        num(slo.compliance),
-        ref_trace.len(),
-        ref_trace.digest(),
-        !incident.is_empty(),
-        combo_rows.join(",\n    "),
-        num(disabled_ms),
-        num(enabled_ms),
-        num(overhead),
+    let mut report = Report::new("BENCH_FLEETOBS.json");
+    report.gate("fleet_traces_identical", fleet_traces_identical);
+    report.gate("reports_identical_traced", reports_identical_traced);
+    report.gate("disabled_zero_cost", disabled_zero_cost);
+    report.gate("forwarding_blame_exact", forwarding_blame_exact);
+    report.gate("regime_detected", regime_detected);
+    report.gate("incident_captured", !incident.is_empty());
+    report.gate(
+        "fleet_tracing_overhead_le_15pct",
         overhead <= OVERHEAD_CEILING,
-        snapshot.to_json(),
     );
+    report.json = Obj::new()
+        .field(
+            "scenario",
+            format!(
+                "FINRA-12 fleet: {clusters} clusters / {nodes} nodes, {rps} rps, \
+                 locality 6x on cluster 0, spill threshold 16, \
+                 cluster 1 node 0 killed at t={:.3} s, \
+                 x{SHIFT_MULT} service shift at t={:.3} s, SLO 1200 ms @ 99%, seed {SEED}",
+                phase1_ms as f64 / 2e3,
+                phase1_ms as f64 / 1e3,
+            ),
+        )
+        .field("completed", ref_report.completed)
+        .field("forwarded", ref_report.forwarded)
+        .field("lost", ref_report.lost)
+        .field("attributed_requests", attrib.requests.len())
+        .field("forwarding_blame_ms", forwarding_ns as f64 / 1e6)
+        .field("regime_changes", ref_report.regime_changes)
+        .field(
+            "first_up_after_shift_s",
+            first_up_after_shift.map(|at| at as f64 / 1e9),
+        )
+        .field(
+            "detect_latency_s",
+            first_up_after_shift.map(|at| (at - shift_ns) as f64 / 1e9),
+        )
+        .field("slo_alerts_fired", slo.alerts_fired)
+        .field("slo_compliance", slo.compliance)
+        .field("trace_events", ref_trace.len())
+        .field("trace_digest", hex(ref_trace.digest()))
+        .field("runs", combo_rows)
+        .field("fleet_disabled_ms", disabled_ms)
+        .field("fleet_enabled_ms", enabled_ms)
+        .field("fleet_tracing_overhead_fraction", overhead)
+        .field("metrics", Json::Raw(snapshot.to_json()));
 
     let text = format!(
         concat!(
             "Fleet observability — {} clusters / {} nodes, {} rps, x{} shift at t={} s\n",
-            "traces identical across (shards, workers): {}   disabled zero-cost: {}   ",
             "events: {}   digest: {:016x}\n",
-            "forwarding blame exact: {} ({} forwarded, {:.3} ms total hop blame)\n",
-            "regime detected: {} ({} changes, first up {} after the shift)\n",
+            "forwarding: {} forwarded, {:.3} ms total hop blame\n",
+            "regime: {} changes, first up {} after the shift\n",
             "fleet SLO: {} alerts, compliance {:.5}\n",
             "fleet wall clock: disabled {:.1} ms, enabled {:.1} ms ",
             "(overhead {:+.1}%, min of {} interleaved rounds, ceiling {:.0}%)\n",
@@ -342,14 +301,10 @@ pub fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64)
         rps,
         SHIFT_MULT,
         phase1_ms as f64 / 1e3,
-        fleet_traces_identical,
-        disabled_zero_cost,
         ref_trace.len(),
         ref_trace.digest(),
-        forwarding_blame_exact,
         ref_report.forwarded,
         forwarding_ns as f64 / 1e6,
-        regime_detected,
         ref_report.regime_changes,
         first_up_after_shift.map_or_else(
             || "never".into(),
@@ -364,17 +319,17 @@ pub fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64)
         OVERHEAD_CEILING * 100.0,
     );
 
-    FleetObsReport {
-        json,
-        perfetto,
-        incident,
-        text,
-    }
+    report.text = text;
+    report.artifacts = vec![
+        ("fleet_trace.json", perfetto),
+        ("fleet_incident.txt", incident),
+    ];
+    report
 }
 
 /// The full report: 16 clusters / 128 nodes at 2 400 req/s fleet-wide,
 /// a 12 s calibrated phase then a 6 s ×1.6 shifted phase.
-pub fn fleet_obs_figure() -> FleetObsReport {
+pub fn fleet_obs_figure() -> Report {
     fleet_obs_report(16, 2_400.0, 12_000, 6_000)
 }
 
@@ -385,36 +340,18 @@ mod tests {
     #[test]
     fn fleet_obs_report_holds_its_deterministic_contracts() {
         let report = fleet_obs_report(4, 400.0, 8_000, 4_000);
-        // The CI-gated booleans (wall-clock overhead excepted: this test
-        // runs unoptimised).
-        for gate in [
-            "\"fleet_traces_identical\": true",
-            "\"reports_identical_traced\": true",
-            "\"disabled_zero_cost\": true",
-            "\"forwarding_blame_exact\": true",
-            "\"regime_detected\": true",
-        ] {
-            assert!(
-                report.json.contains(gate),
-                "{gate} not met:\n{}",
-                report.json
-            );
-        }
-        assert!(report.json.contains("\"lost\": 0"));
-        assert!(!report.json.contains("\"forwarded\": 0,"));
+        // Wall-clock overhead excepted: this test runs unoptimised.
+        crate::report::assert_gates(&report, 7, &["fleet_tracing_overhead_le_15pct"]);
+        assert_eq!(report.json.get("lost"), Some(&Json::Int(0)));
+        assert_ne!(report.json.get("forwarded"), Some(&Json::Int(0)));
         // The flight recorder reconstructed an incident window and the
         // Perfetto export carries cluster grouping and flow arrows.
-        assert!(report.json.contains("\"incident_captured\": true"));
-        assert!(report.incident.contains("incident at"));
-        assert!(report.perfetto.contains("cluster 0 node 0"));
-        assert!(report.perfetto.contains("\"ph\":\"s\",\"cat\":\"forward\""));
-        assert!(report.perfetto.contains("\"ph\":\"f\",\"bp\":\"e\""));
-        assert_eq!(
-            report.perfetto.matches('{').count(),
-            report.perfetto.matches('}').count()
-        );
-        assert!(report.text.contains("regime detected: true"));
-        let opens = report.json.matches('{').count();
-        assert_eq!(opens, report.json.matches('}').count());
+        let incident = report.artifact("fleet_incident.txt").expect("incident");
+        assert!(incident.contains("incident at"));
+        let perfetto = report.artifact("fleet_trace.json").expect("trace");
+        assert!(perfetto.contains("cluster 0 node 0"));
+        assert!(perfetto.contains("\"ph\":\"s\",\"cat\":\"forward\""));
+        assert!(perfetto.contains("\"ph\":\"f\",\"bp\":\"e\""));
+        assert_eq!(perfetto.matches('{').count(), perfetto.matches('}').count());
     }
 }

@@ -18,6 +18,7 @@ pub mod lifecycle;
 pub mod obs;
 pub mod perf;
 pub mod perf_eval;
+pub mod report;
 pub mod sweep;
 pub mod transfer;
 
@@ -27,9 +28,10 @@ pub use figs_eval::{fig13, fig14, fig15, fig16, fig17, fig18, fig19};
 pub use figs_motivation::{fig3, fig4, fig5, fig6, fig7, fig8, table1};
 pub use figs_serve::serve_figure;
 pub use fleet::fleet_figure;
-pub use fleetobs::{fleet_obs_figure, fleet_obs_report, FleetObsReport};
-pub use lifecycle::{lifecycle_figure, LifecycleReport};
-pub use obs::{obs_eval, ObsReport};
+pub use fleetobs::{fleet_obs_figure, fleet_obs_report};
+pub use lifecycle::lifecycle_figure;
+pub use obs::obs_eval;
 pub use perf::perf;
 pub use perf_eval::perf_eval;
+pub use report::Report;
 pub use transfer::{transfer_figure, transfer_report};

@@ -20,12 +20,14 @@
 //! boot, holding idle replicas around "just in case" stops paying, and
 //! retiring them sooner is exactly the cost dividend the tier ladder
 //! buys (the held slots' rent is repaid several times over by the
-//! shorter idle tail). The CI-gated claims: the tiered pools cut the
+//! shorter idle tail). The gated claims: the tiered pools cut the
 //! serving p99 versus cold-boot-only at equal or lower total cost
-//! (`tiered_p99_le_coldboot_p99`,
-//! `tiered_cost_le_coldboot_cost`), and the whole report is
-//! byte-identical for any `--workers N` (`reports_identical_w1_w4` — the
-//! same invariance contract the sweep engine keeps everywhere else).
+//! (`tiered_p99_le_coldboot_p99`, `tiered_cost_le_coldboot_cost`), the
+//! tiered cell really starts replicas from a pool
+//! (`tiered_pool_starts_gt_0`), the per-tier start split sums exactly
+//! (`tier_splits_exact`), and the whole report is byte-identical for any
+//! `--workers N` (`reports_identical_w1_w4` — the same invariance
+//! contract the sweep engine keeps everywhere else).
 //!
 //! On top of the serving cells the report sweeps the **prewarm budget**
 //! through the PGP co-optimisation (`PgpConfig::with_prewarm`): for each
@@ -35,6 +37,7 @@
 //! exposure, expected start latency) — the ablation axis showing richer
 //! budgets buying the expected start latency down.
 
+use crate::report::{hex, usd, Json, Obj, Report};
 use crate::sweep;
 use chiron::eval::profile_for;
 use chiron::serving::{FaultPlan, ServeConfig, ServeReport, ServeSimulation, Workload};
@@ -70,24 +73,6 @@ const DIURNAL_PERIOD_MS: u64 = 60_000;
 const DIURNAL_AMPLITUDE_PCT: u8 = 60;
 /// The prewarm-budget ablation axis, USD/hour of standing rent.
 const BUDGETS_USD_PER_HOUR: [f64; 4] = [0.0, 1e-4, 1e-3, 1e-2];
-
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
-    }
-}
-
-/// Money fields: pool rents are ~1e-4 USD over a 240 s run, which a
-/// 3-decimal render would collapse to zero.
-fn usd(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".into()
-    }
-}
 
 fn slo_policy() -> SloPolicy {
     SloPolicy {
@@ -175,54 +160,32 @@ fn run_cells(wf: &Workflow, plan: &DeploymentPlan, workers: usize) -> Vec<ServeR
     })
 }
 
-/// The byte string the workers-invariance gate compares: every field the
-/// JSON reports, rendered per cell in cell-index order.
-fn render_cells(reports: &[ServeReport]) -> String {
-    reports
-        .iter()
-        .zip(CELLS.iter())
-        .map(|(r, cell)| cell_json(cell, r))
-        .collect::<Vec<_>>()
-        .join(",\n    ")
+/// The per-cell JSON rows, in cell-index order; the workers-invariance
+/// gate compares their rendered bytes.
+fn cell_rows(reports: &[ServeReport]) -> Vec<Obj> {
+    reports.iter().zip(CELLS.iter()).map(cell_json).collect()
 }
 
-fn cell_json(cell: &Cell, r: &ServeReport) -> String {
-    let f = r.tier_start_fractions();
-    format!(
-        concat!(
-            "{{\"cell\": \"{}\", \"completed\": {}, \"lost\": {}, ",
-            "\"p50_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}, ",
-            "\"cold_starts\": {}, \"starts_by_tier\": [{}, {}, {}, {}], ",
-            "\"tier_start_fractions\": [{}, {}, {}, {}], ",
-            "\"peak_replicas\": {}, \"replica_seconds\": {}, ",
-            "\"cost_usd\": {}, \"pool_gb_seconds\": {}, \"pool_rent_usd\": {}, ",
-            "\"total_cost_usd\": {}, \"keepalive_tail_seconds\": {}, ",
-            "\"digest\": \"{:016x}\"}}"
-        ),
-        cell.name,
-        r.completed,
-        r.lost,
-        num(r.sojourns.percentile(0.50).as_millis_f64()),
-        num(r.sojourns.percentile(0.99).as_millis_f64()),
-        num(r.sojourns.max().as_millis_f64()),
-        r.cold_starts,
-        r.starts_by_tier[0],
-        r.starts_by_tier[1],
-        r.starts_by_tier[2],
-        r.starts_by_tier[3],
-        num(f[0]),
-        num(f[1]),
-        num(f[2]),
-        num(f[3]),
-        r.peak_replicas,
-        num(r.replica_seconds),
-        usd(r.cost_usd),
-        num(r.pool_gb_seconds),
-        usd(r.pool_rent_usd),
-        usd(r.total_cost_usd()),
-        num(r.keepalive_tail_seconds),
-        r.digest(),
-    )
+fn cell_json((r, cell): (&ServeReport, &Cell)) -> Obj {
+    let ms = |q: f64| r.sojourns.percentile(q).as_millis_f64();
+    Obj::new()
+        .field("cell", cell.name)
+        .field("completed", r.completed)
+        .field("lost", r.lost)
+        .field("p50_ms", ms(0.50))
+        .field("p99_ms", ms(0.99))
+        .field("max_ms", r.sojourns.max().as_millis_f64())
+        .field("cold_starts", r.cold_starts)
+        .field("starts_by_tier", r.starts_by_tier)
+        .field("tier_start_fractions", r.tier_start_fractions())
+        .field("peak_replicas", r.peak_replicas)
+        .field("replica_seconds", r.replica_seconds)
+        .field("cost_usd", usd(r.cost_usd))
+        .field("pool_gb_seconds", r.pool_gb_seconds)
+        .field("pool_rent_usd", usd(r.pool_rent_usd))
+        .field("total_cost_usd", usd(r.total_cost_usd()))
+        .field("keepalive_tail_seconds", r.keepalive_tail_seconds)
+        .field("digest", hex(r.digest()))
 }
 
 /// One row of the prewarm-budget ablation: the PGP schedule under that
@@ -265,43 +228,24 @@ fn sweep_row(wf: &Workflow, usd_per_hour: f64) -> SweepRow {
     }
 }
 
-fn sweep_row_json(row: &SweepRow) -> String {
-    let f = mix_fractions(&row.mix);
-    format!(
-        concat!(
-            "{{\"usd_per_hour\": {}, \"processes\": {}, \"predicted_ms\": {}, ",
-            "\"startup_penalty_ms\": {}, \"snapshot_slots\": {}, \"zygote_slots\": {}, ",
-            "\"uncovered\": {}, \"expected_start_ms\": {}, \"rent_usd_per_hour\": {}, ",
-            "\"mix_fractions\": [{}, {}, {}]}}"
-        ),
-        usd(row.usd_per_hour),
-        row.processes,
-        num(row.predicted.as_millis_f64()),
-        num(row.penalty.as_millis_f64()),
-        row.mix.snapshot_slots,
-        row.mix.zygote_slots,
-        row.mix.uncovered,
-        num(row.mix.expected_start.as_millis_f64()),
-        usd(row.mix.rent_usd_per_hour),
-        num(f[0]),
-        num(f[1]),
-        num(f[2]),
-    )
-}
-
-/// Everything `figures -- lifecycle` produces.
-#[derive(Debug, Clone)]
-pub struct LifecycleReport {
-    /// The `BENCH_LIFECYCLE.json` payload.
-    pub json: String,
-    /// Human-readable summary.
-    pub text: String,
+fn sweep_row_json(row: &SweepRow) -> Obj {
+    Obj::new()
+        .field("usd_per_hour", usd(row.usd_per_hour))
+        .field("processes", row.processes)
+        .field("predicted_ms", row.predicted.as_millis_f64())
+        .field("startup_penalty_ms", row.penalty.as_millis_f64())
+        .field("snapshot_slots", row.mix.snapshot_slots)
+        .field("zygote_slots", row.mix.zygote_slots)
+        .field("uncovered", row.mix.uncovered)
+        .field("expected_start_ms", row.mix.expected_start.as_millis_f64())
+        .field("rent_usd_per_hour", usd(row.mix.rent_usd_per_hour))
+        .field("mix_fractions", mix_fractions(&row.mix))
 }
 
 /// The tiered sandbox-start figure (see module docs). `workers` runs the
 /// reported cells; the invariance gate re-runs them pinned to 1 and 4
 /// workers and compares the rendered bytes.
-pub fn lifecycle_figure(workers: usize) -> LifecycleReport {
+pub fn lifecycle_figure(workers: usize) -> Report {
     let chiron = Chiron::default();
     let wf = apps::finra(12);
     let deployment = chiron.deploy(&wf, None, PgpMode::NativeThread);
@@ -311,74 +255,66 @@ pub fn lifecycle_figure(workers: usize) -> LifecycleReport {
     let w1 = run_cells(&wf, &plan, 1);
     let w4 = run_cells(&wf, &plan, 4);
     let digests: Vec<u64> = reports.iter().map(ServeReport::digest).collect();
-    let reports_identical = render_cells(&w1) == render_cells(&w4)
+    let render = |rows: &[ServeReport]| Json::from(cell_rows(rows)).to_string();
+    let reports_identical = render(&w1) == render(&w4)
         && w1.iter().map(ServeReport::digest).collect::<Vec<_>>() == digests
         && w4.iter().map(ServeReport::digest).collect::<Vec<_>>() == digests;
 
     let coldboot = &reports[0];
     let tiered = &reports[1];
-    let p99_gate = tiered.sojourns.percentile(0.99) <= coldboot.sojourns.percentile(0.99);
-    let cost_gate = tiered.total_cost_usd() <= coldboot.total_cost_usd();
-    // The tiered cell must actually exercise the pools, and the blame
-    // split must account for every replica start exactly.
+    let mut report = Report::new("BENCH_LIFECYCLE.json");
+    report.gate(
+        "tiered_p99_le_coldboot_p99",
+        tiered.sojourns.percentile(0.99) <= coldboot.sojourns.percentile(0.99),
+    );
+    report.gate(
+        "tiered_cost_le_coldboot_cost",
+        tiered.total_cost_usd() <= coldboot.total_cost_usd(),
+    );
+    report.gate("reports_identical_w1_w4", reports_identical);
+    // The blame split must account for every replica start exactly, and
+    // the tiered cell must actually exercise the pools.
+    report.gate(
+        "tier_splits_exact",
+        reports.iter().all(|r| {
+            let f = r.tier_start_fractions();
+            let total: u32 = r.starts_by_tier.iter().sum();
+            total == 0 || (f.iter().sum::<f64>() - 1.0).abs() < 1e-9
+        }),
+    );
     let tier_starts: u32 = tiered.starts_by_tier[1] + tiered.starts_by_tier[2];
-    let splits_exact = reports.iter().all(|r| {
-        let f = r.tier_start_fractions();
-        let total: u32 = r.starts_by_tier.iter().sum();
-        total == 0 || (f.iter().sum::<f64>() - 1.0).abs() < 1e-9
-    });
+    report.gate("tiered_pool_starts_gt_0", tier_starts > 0);
 
     let sweep_rows: Vec<SweepRow> = BUDGETS_USD_PER_HOUR
         .iter()
         .map(|&b| sweep_row(&wf, b))
         .collect();
-    let sweep_json: Vec<String> = sweep_rows.iter().map(sweep_row_json).collect();
-
-    let json = format!(
-        concat!(
-            "{{\n  \"workers\": {},\n",
-            "  \"scenario\": \"FINRA-12, 50 rps x {} requests, nodes 0-{} killed at ",
-            "t=60 s, keepalive {} s coldboot / {} s tiered, SLO 1200 ms @ 99.9%, ",
-            "seed {}\",\n",
-            "  \"tiered_p99_le_coldboot_p99\": {},\n",
-            "  \"tiered_cost_le_coldboot_cost\": {},\n",
-            "  \"reports_identical_w1_w4\": {},\n",
-            "  \"tier_splits_exact\": {},\n",
-            "  \"tiered_pool_starts\": {},\n",
-            "  \"cells\": [\n    {}\n  ],\n",
-            "  \"prewarm_sweep\": [\n    {}\n  ]\n}}"
-        ),
-        workers,
-        REQUESTS,
-        KILLED_NODES - 1,
-        KEEPALIVE_COLD_SECS,
-        KEEPALIVE_TIERED_SECS,
-        SEED,
-        p99_gate,
-        cost_gate,
-        reports_identical,
-        splits_exact,
-        tier_starts,
-        render_cells(&reports),
-        sweep_json.join(",\n    "),
-    );
+    report.json = Obj::new()
+        .field("workers", workers)
+        .field(
+            "scenario",
+            format!(
+                "FINRA-12, 50 rps x {REQUESTS} requests, nodes 0-{} killed at t=60 s, \
+                 keepalive {KEEPALIVE_COLD_SECS} s coldboot / {KEEPALIVE_TIERED_SECS} s tiered, \
+                 SLO 1200 ms @ 99.9%, seed {SEED}",
+                KILLED_NODES - 1
+            ),
+        )
+        .field("tiered_pool_starts", tier_starts)
+        .field("cells", cell_rows(&reports))
+        .field(
+            "prewarm_sweep",
+            sweep_rows.iter().map(sweep_row_json).collect::<Vec<_>>(),
+        );
 
     let mut text = format!(
         concat!(
             "Tiered sandbox start — FINRA-12 serving run ({} requests, {} nodes ",
-            "killed at t=60 s, keepalive {} s coldboot / {} s tiered)\n",
-            "tiered p99 <= coldboot p99: {}   tiered cost <= coldboot cost: {}   ",
-            "identical workers 1 vs 4: {}\n\n",
+            "killed at t=60 s, keepalive {} s coldboot / {} s tiered)\n\n",
             "cell             p50_ms   p99_ms  coldboots  snapshot  zygote  ",
             "pool_rent_usd  total_usd\n"
         ),
-        REQUESTS,
-        KILLED_NODES,
-        KEEPALIVE_COLD_SECS,
-        KEEPALIVE_TIERED_SECS,
-        p99_gate,
-        cost_gate,
-        reports_identical,
+        REQUESTS, KILLED_NODES, KEEPALIVE_COLD_SECS, KEEPALIVE_TIERED_SECS,
     );
     for (cell, r) in CELLS.iter().zip(reports.iter()) {
         text.push_str(&format!(
@@ -411,7 +347,8 @@ pub fn lifecycle_figure(workers: usize) -> LifecycleReport {
         ));
     }
 
-    LifecycleReport { json, text }
+    report.text = text;
+    report
 }
 
 #[cfg(test)]
@@ -421,23 +358,12 @@ mod tests {
     #[test]
     fn lifecycle_figure_holds_its_gates() {
         let report = lifecycle_figure(2);
-        for gate in [
-            "\"tiered_p99_le_coldboot_p99\": true",
-            "\"tiered_cost_le_coldboot_cost\": true",
-            "\"reports_identical_w1_w4\": true",
-            "\"tier_splits_exact\": true",
-        ] {
-            assert!(
-                report.json.contains(gate),
-                "{gate} not met:\n{}",
-                report.json
-            );
-        }
-        // The tiered cells actually served scale-ups from the pools.
-        assert!(!report.json.contains("\"tiered_pool_starts\": 0,"));
-        // All four budget rows are present and the richest budget buys the
-        // expected start latency below the poorest.
-        assert_eq!(report.json.matches("\"usd_per_hour\"").count(), 4);
+        crate::report::assert_gates(&report, 5, &[]);
+        // All four budget rows are present.
+        assert!(matches!(
+            report.json.get("prewarm_sweep"),
+            Some(Json::Arr(rows)) if rows.len() == 4
+        ));
         assert!(report.text.contains("Prewarm-budget sweep"));
     }
 }

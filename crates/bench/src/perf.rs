@@ -9,9 +9,10 @@
 //! * the serving-simulator macrobench: a large steady open-loop run,
 //!   reported as simulated requests per wall-clock second.
 //!
-//! The output is JSON (hand-rolled — the report is flat) so CI and
-//! notebooks can diff runs without parsing the human tables.
+//! The output is a [`Report`] whose `plans_identical` gate ANDs the
+//! per-workflow cross-checks.
 
+use crate::report::{Json, Obj, Report};
 use chiron::model::synthetic::{synthetic, SyntheticSpec};
 use chiron::model::{apps, Workflow};
 use chiron::serving::{ServeConfig, ServeSimulation, Workload};
@@ -26,15 +27,7 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64() * 1e3)
 }
 
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
-    }
-}
-
-fn scheduler_entry(label: &str, wf: &Workflow) -> String {
+fn scheduler_entry(label: &str, wf: &Workflow) -> Obj {
     let profile = Profiler::default().profile_workflow(wf);
     let sched = PgpScheduler::paper_calibrated();
     let config = PgpConfig::performance_first();
@@ -46,27 +39,19 @@ fn scheduler_entry(label: &str, wf: &Workflow) -> String {
     let stats = cache.stats();
     let (_, warm_ms) = timed(|| sched.schedule_with_cache(wf, &profile, &config, &cache));
 
-    format!(
-        concat!(
-            "{{\"workflow\": \"{}\", \"functions\": {}, ",
-            "\"reference_ms\": {}, \"memoised_ms\": {}, ",
-            "\"memoised_warm_ms\": {}, \"speedup_memoised\": {}, ",
-            "\"cache_hit_rate\": {}, \"cache_entries\": {}, ",
-            "\"plans_identical\": {}}}"
-        ),
-        label,
-        wf.function_count(),
-        num(reference_ms),
-        num(memoised_ms),
-        num(warm_ms),
-        num(reference_ms / memoised_ms),
-        num(stats.hit_rate()),
-        stats.entries,
-        memoised.plan == reference.plan,
-    )
+    Obj::new()
+        .field("workflow", label)
+        .field("functions", wf.function_count())
+        .field("reference_ms", reference_ms)
+        .field("memoised_ms", memoised_ms)
+        .field("memoised_warm_ms", warm_ms)
+        .field("speedup_memoised", reference_ms / memoised_ms)
+        .field("cache_hit_rate", stats.hit_rate())
+        .field("cache_entries", stats.entries)
+        .field("plans_identical", memoised.plan == reference.plan)
 }
 
-fn serve_entry(requests: u64) -> String {
+fn serve_entry(requests: u64) -> Obj {
     let chiron = Chiron::default();
     let wf = apps::finra(12);
     let deployment = chiron.deploy(&wf, None, PgpMode::NativeThread);
@@ -77,22 +62,20 @@ fn serve_entry(requests: u64) -> String {
     );
     let workload = Workload::steady(500.0, requests);
     let (report, wall_ms) = timed(|| sim.run(&workload, 2023).expect("serving run"));
-    format!(
-        concat!(
-            "{{\"workflow\": \"{}\", \"requests\": {}, \"completed\": {}, ",
-            "\"lost\": {}, \"wall_ms\": {}, \"throughput_per_sec\": {}}}"
-        ),
-        wf.name,
-        requests,
-        report.completed,
-        report.lost,
-        num(wall_ms),
-        num(report.completed as f64 / (wall_ms / 1e3)),
-    )
+    Obj::new()
+        .field("workflow", wf.name.as_str())
+        .field("requests", requests)
+        .field("completed", report.completed)
+        .field("lost", report.lost)
+        .field("wall_ms", wall_ms)
+        .field(
+            "throughput_per_sec",
+            report.completed as f64 / (wall_ms / 1e3),
+        )
 }
 
 /// The summary with a custom macrobench size (tests use a small one).
-pub fn perf_report(macro_requests: u64) -> String {
+pub fn perf_report(macro_requests: u64) -> Report {
     let synthetic_wf = synthetic(SyntheticSpec {
         seed: 42,
         stages: 6,
@@ -109,18 +92,27 @@ pub fn perf_report(macro_requests: u64) -> String {
         profile_classes: 5,
         ..SyntheticSpec::default()
     });
-    format!(
-        "{{\n  \"schedulers\": [\n    {},\n    {},\n    {}\n  ],\n  \"serve_macrobench\": {}\n}}",
+    let schedulers = vec![
         scheduler_entry("finra-200", &apps::finra(200)),
         scheduler_entry("synthetic-32", &synthetic_wf),
         scheduler_entry("synthetic-32-c5", &classes_wf),
-        serve_entry(macro_requests)
-    )
+    ];
+    let mut report = Report::new("BENCH_PGP.json");
+    report.gate(
+        "plans_identical",
+        schedulers
+            .iter()
+            .all(|s| s.get("plans_identical") == Some(&Json::Bool(true))),
+    );
+    report.json = Obj::new()
+        .field("schedulers", schedulers)
+        .field("serve_macrobench", serve_entry(macro_requests));
+    report
 }
 
 /// The full summary: both scheduler workloads plus a 1M-request serving
 /// macrobench.
-pub fn perf() -> String {
+pub fn perf() -> Report {
     perf_report(1_000_000)
 }
 
@@ -129,16 +121,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn perf_report_is_wellformed_and_plans_match() {
+    fn perf_report_plans_match() {
         let report = perf_report(2_000);
-        assert!(report.contains("\"plans_identical\": true"));
-        assert!(report.contains("\"serve_macrobench\""));
-        assert!(!report.contains("plans_identical\": false"));
-        // Crude JSON sanity: balanced braces, no trailing commas.
-        let opens = report.matches('{').count();
-        let closes = report.matches('}').count();
-        assert_eq!(opens, closes);
-        assert!(!report.contains(",}"));
-        assert!(!report.contains(",\n}"));
+        crate::report::assert_gates(&report, 1, &[]);
+        assert!(report.json.get("serve_macrobench").is_some());
     }
 }

@@ -16,12 +16,14 @@
 //! Both passes must produce byte-identical figure text
 //! (`rows_identical`) — the sweep's determinism contract — and the
 //! memoised planner must return plans structurally identical to the
-//! uncached ones (`plans_identical`). CI fails if either field is ever
-//! false. The report also carries the DES hot-loop counters: buffer pool
-//! traffic and fluid event-loop iterations, reset at the start of each
-//! parallel pass and summed over exactly this run's parallel passes.
+//! uncached ones (`plans_identical`). Both are gates: `figures` exits
+//! non-zero if either is false. The report also carries the DES hot-loop
+//! counters: buffer pool traffic and fluid event-loop iterations, reset
+//! at the start of each parallel pass and summed over exactly this run's
+//! parallel passes.
 
 use crate::common::{suite, FIG13_SYSTEMS};
+use crate::report::{Obj, Report};
 use crate::sweep;
 use chiron::{reset_eval_cache, set_eval_caching, system_plan};
 use chiron_runtime::AllocStats;
@@ -29,14 +31,6 @@ use std::time::Instant;
 
 /// A figure generator, as routed by the `figures` binary.
 type FigureFn = fn() -> String;
-
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
-    }
-}
 
 /// The memoised planner must be invisible in the output: every plan it
 /// serves from cache must equal the one a cold planner derives.
@@ -92,7 +86,17 @@ fn add_stats(total: &mut AllocStats, pass: AllocStats) {
     total.events += pass.events;
 }
 
-fn figure_entry(name: &str, workers: usize, f: FigureFn) -> (String, f64, f64, AllocStats) {
+/// One figure's timings, as measured by [`figure_entry`].
+#[derive(Debug, Clone)]
+pub(crate) struct FigureRow {
+    pub(crate) name: &'static str,
+    pub(crate) cells: u64,
+    pub(crate) sequential_ms: f64,
+    pub(crate) parallel_ms: f64,
+    pub(crate) rows_identical: bool,
+}
+
+fn figure_entry(name: &'static str, workers: usize, f: FigureFn) -> (FigureRow, AllocStats) {
     // Each configuration is timed twice, interleaved so both see the same
     // heap and scheduler history, and the minimum is reported — the usual
     // guard against one-off interference on a shared box. Every pass must
@@ -103,35 +107,72 @@ fn figure_entry(name: &str, workers: usize, f: FigureFn) -> (String, f64, f64, A
     let (par_b, par_ms_b, stats_b) = parallel_pass(f, workers);
     let mut stats = stats_a;
     add_stats(&mut stats, stats_b);
-    let cells = sweep::cell_count();
-    let sequential_ms = seq_ms_a.min(seq_ms_b);
-    let parallel_ms = par_ms_a.min(par_ms_b);
-    let rows_identical = seq_a == par_a && seq_a == seq_b && seq_a == par_b;
-
-    let entry = format!(
-        concat!(
-            "{{\"figure\": \"{}\", \"cells\": {}, ",
-            "\"sequential_ms\": {}, \"parallel_ms\": {}, \"speedup\": {}, ",
-            "\"cells_per_sec\": {}, \"rows_identical\": {}}}"
-        ),
+    let row = FigureRow {
         name,
-        cells,
-        num(sequential_ms),
-        num(parallel_ms),
-        num(sequential_ms / parallel_ms),
-        num(cells as f64 / (parallel_ms / 1e3)),
-        rows_identical,
-    );
-    (entry, sequential_ms, parallel_ms, stats)
+        cells: sweep::cell_count(),
+        sequential_ms: seq_ms_a.min(seq_ms_b),
+        parallel_ms: par_ms_a.min(par_ms_b),
+        rows_identical: seq_a == par_a && seq_a == seq_b && seq_a == par_b,
+    };
+    (row, stats)
+}
+
+/// Assembles `BENCH_EVAL.json` from the measured rows.
+pub(crate) fn eval_report(
+    workers: usize,
+    rows: &[FigureRow],
+    stats: AllocStats,
+    plans_ok: bool,
+) -> Report {
+    let mut report = Report::new("BENCH_EVAL.json");
+    report.gate("rows_identical", rows.iter().all(|r| r.rows_identical));
+    report.gate("plans_identical", plans_ok);
+    let figures: Vec<Obj> = rows
+        .iter()
+        .map(|r| {
+            Obj::new()
+                .field("figure", r.name)
+                .field("cells", r.cells)
+                .field("sequential_ms", r.sequential_ms)
+                .field("parallel_ms", r.parallel_ms)
+                .field("speedup", r.sequential_ms / r.parallel_ms)
+                .field("cells_per_sec", r.cells as f64 / (r.parallel_ms / 1e3))
+                .field("rows_identical", r.rows_identical)
+        })
+        .collect();
+    let total_seq: f64 = rows.iter().map(|r| r.sequential_ms).sum();
+    let total_par: f64 = rows.iter().map(|r| r.parallel_ms).sum();
+    report.json = Obj::new()
+        .field("workers", workers)
+        .field("figures", figures)
+        .field(
+            "figures_all",
+            Obj::new()
+                .field("sequential_ms", total_seq)
+                .field("parallel_ms", total_par)
+                .field("speedup", total_seq / total_par),
+        )
+        .field(
+            "des_hot_loop",
+            Obj::new()
+                .field("buffer_allocs", stats.buffer_allocs)
+                .field("buffer_reuses", stats.buffer_reuses)
+                .field(
+                    "reuse_fraction",
+                    stats.buffer_reuses as f64 / (stats.buffer_allocs + stats.buffer_reuses) as f64,
+                )
+                .field("sim_events", stats.events),
+        );
+    report
 }
 
 /// The harness-performance report (see module docs). `workers` is the
 /// sweep width of the parallel pass.
-pub fn perf_eval(workers: usize) -> String {
+pub fn perf_eval(workers: usize) -> Report {
     let saved_workers = sweep::workers();
     let saved_caching = chiron::eval_caching();
 
-    let figures: [(&str, FigureFn); 7] = [
+    let figures: [(&str, FigureFn); 8] = [
         ("fig12", crate::fig12),
         ("fig13", crate::fig13),
         ("fig14", crate::fig14),
@@ -139,10 +180,8 @@ pub fn perf_eval(workers: usize) -> String {
         ("fig17", crate::fig17),
         ("fig19", crate::fig19),
         ("serve", crate::serve_figure),
+        ("ablations", crate::ablations::ablations_deterministic),
     ];
-    let mut entries = Vec::with_capacity(figures.len() + 1);
-    let mut total_seq = 0.0;
-    let mut total_par = 0.0;
     // Sum of the parallel passes' per-pass DES hot-loop deltas: exactly
     // this perf-eval run's pool traffic, however often the process has
     // already exercised the DES.
@@ -151,22 +190,12 @@ pub fn perf_eval(workers: usize) -> String {
         buffer_reuses: 0,
         events: 0,
     };
+    let mut rows = Vec::with_capacity(figures.len());
     for (name, f) in figures {
-        let (entry, seq_ms, par_ms, fig_stats) = figure_entry(name, workers, f);
-        entries.push(entry);
-        total_seq += seq_ms;
-        total_par += par_ms;
+        let (row, fig_stats) = figure_entry(name, workers, f);
+        rows.push(row);
         add_stats(&mut stats, fig_stats);
     }
-    let (abl, abl_seq, abl_par, abl_stats) = figure_entry(
-        "ablations",
-        workers,
-        crate::ablations::ablations_deterministic,
-    );
-    entries.push(abl);
-    total_seq += abl_seq;
-    total_par += abl_par;
-    add_stats(&mut stats, abl_stats);
 
     let plans_ok = plans_identical();
 
@@ -175,26 +204,7 @@ pub fn perf_eval(workers: usize) -> String {
     set_eval_caching(saved_caching);
     reset_eval_cache();
 
-    format!(
-        concat!(
-            "{{\n  \"workers\": {},\n  \"figures\": [\n    {}\n  ],\n",
-            "  \"figures_all\": {{\"sequential_ms\": {}, \"parallel_ms\": {}, ",
-            "\"speedup\": {}}},\n",
-            "  \"des_hot_loop\": {{\"buffer_allocs\": {}, \"buffer_reuses\": {}, ",
-            "\"reuse_fraction\": {}, \"sim_events\": {}}},\n",
-            "  \"plans_identical\": {}\n}}"
-        ),
-        workers,
-        entries.join(",\n    "),
-        num(total_seq),
-        num(total_par),
-        num(total_seq / total_par),
-        stats.buffer_allocs,
-        stats.buffer_reuses,
-        num(stats.buffer_reuses as f64 / (stats.buffer_allocs + stats.buffer_reuses) as f64),
-        stats.events,
-        plans_ok,
-    )
+    eval_report(workers, &rows, stats, plans_ok)
 }
 
 #[cfg(test)]

@@ -8,18 +8,21 @@
 //! * **the real ring** — `chiron_runtime::measure_fit()` runs the actual
 //!   lock-free SPSC ring on this host and reports its measured
 //!   `floor + bytes/bandwidth` fit next to the model's calibrated
-//!   constants. CI gates `ring_floor_lt_pipe_floor`: the measured ring
-//!   floor must sit below the modelled pipe floor (50 µs), i.e. the tier
-//!   the model promises must be physically achievable;
+//!   constants. The `ring_floor_lt_pipe_floor` gate requires the measured
+//!   ring floor to sit below the modelled pipe floor (50 µs), i.e. the
+//!   tier the model promises must be physically achievable;
 //! * **the planner and the serving plane** — with the tier opted in
-//!   (`PgpConfig::with_transfer`), the fast, reference and parallel PGP
-//!   searches must stay byte-identical (`plans_identical_with_shm_tier`),
+//!   (`PgpConfig::with_transfer`), the fast and reference PGP searches
+//!   must stay byte-identical (`plans_identical_with_shm_tier`),
 //!   the sharded fleet must reproduce the same `FleetReport` bytes for
 //!   every (shards, workers) combination (`fleet_digests_identical`), and
 //!   a FINRA-12 serving run's attributed `interaction` blame must shrink
 //!   against the same deployment on the legacy RPC-payload tier
 //!   (`interaction_blame_reduced`).
+//!
+//! All four are gates: `figures` exits non-zero if one fails.
 
+use crate::report::{Obj, Report};
 use chiron::serving::{ServeConfig, ServeReport, ServeSimulation, Workload};
 use chiron::{Chiron, FleetConfig, FleetSimulation, FleetWorkload, PgpConfig, PgpScheduler};
 use chiron_metrics::ArrivalProcess;
@@ -34,17 +37,9 @@ const SEED: u64 = 2023;
 /// Full-figure request count (the PR 7 observability baseline scale).
 const REQUESTS: u64 = 12_000;
 
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
-    }
-}
-
 /// The Fig. 4 ladder with the shm-ring rung: per-tier modelled latency at
 /// three payload sizes, as JSON rows.
-fn model_rows(model: &TransferModel) -> String {
+fn model_rows(model: &TransferModel) -> Vec<Obj> {
     let tiers: [(&str, &chiron_store::LinkModel); 5] = [
         ("s3", &model.s3),
         ("minio", &model.minio),
@@ -52,23 +47,17 @@ fn model_rows(model: &TransferModel) -> String {
         ("pipe", &model.pipe),
         ("shm_ring", &model.shm_ring),
     ];
-    let rows: Vec<String> = tiers
+    tiers
         .iter()
-        .map(|(name, link)| {
-            format!(
-                concat!(
-                    "{{\"tier\": \"{}\", \"floor_us\": {}, \"1kb_ms\": {}, ",
-                    "\"1mb_ms\": {}, \"1gb_ms\": {}}}"
-                ),
-                name,
-                num(link.floor.as_nanos() as f64 / 1e3),
-                num(link.latency(1 << 10).as_millis_f64()),
-                num(link.latency(1 << 20).as_millis_f64()),
-                num(link.latency(1 << 30).as_millis_f64()),
-            )
+        .map(|&(name, link)| {
+            Obj::new()
+                .field("tier", name)
+                .field("floor_us", link.floor.as_nanos() as f64 / 1e3)
+                .field("1kb_ms", link.latency(1 << 10).as_millis_f64())
+                .field("1mb_ms", link.latency(1 << 20).as_millis_f64())
+                .field("1gb_ms", link.latency(1 << 30).as_millis_f64())
         })
-        .collect();
-    rows.join(",\n    ")
+        .collect()
 }
 
 /// Fast and reference searches under the opted-in shm tier must
@@ -123,16 +112,20 @@ fn interaction_ns(attrib: &AttributionReport) -> u64 {
 /// The report with custom scale (the unit test shrinks the serving run
 /// and the fleet). `workers` is the multi-worker side of the fleet
 /// digest check.
-pub fn transfer_report(workers: usize, requests: u64, fleet_ms: u64) -> String {
+pub fn transfer_report(workers: usize, requests: u64, fleet_ms: u64) -> Report {
     let model = TransferModel::paper_calibrated();
+    let mut report = Report::new("BENCH_TRANSFER.json");
 
     // Layer 1: the real ring, measured on this host.
     let fit = measure_fit();
     let pipe_floor_ns = model.pipe.floor.as_nanos() as f64;
-    let ring_floor_gate = fit.floor_ns < pipe_floor_ns;
+    report.gate("ring_floor_lt_pipe_floor", fit.floor_ns < pipe_floor_ns);
 
     // Layer 2: the planner contract under the opted-in tier.
-    let plans_gate = plans_identical_with_shm_tier(&apps::finra(8));
+    report.gate(
+        "plans_identical_with_shm_tier",
+        plans_identical_with_shm_tier(&apps::finra(8)),
+    );
 
     // Layer 3a: serving — FINRA-12 under the legacy RPC-payload tier vs
     // the same pipeline redeployed onto the shm tier. The `interaction`
@@ -157,7 +150,6 @@ pub fn transfer_report(workers: usize, requests: u64, fleet_ms: u64) -> String {
     chiron_obs::set_tracing(false);
     let rpc_interaction = interaction_ns(&rpc_attrib);
     let shm_interaction = interaction_ns(&shm_attrib);
-    let blame_gate = shm_interaction < rpc_interaction;
     let blame_reduction = if rpc_interaction > 0 {
         1.0 - shm_interaction as f64 / rpc_interaction as f64
     } else {
@@ -179,59 +171,56 @@ pub fn transfer_report(workers: usize, requests: u64, fleet_ms: u64) -> String {
                 .digest()
         })
         .collect();
-    let fleet_gate = digests.iter().all(|&d| d == digests[0]);
+    report.gate(
+        "fleet_digests_identical",
+        digests.iter().all(|&d| d == digests[0]),
+    );
+    report.gate(
+        "interaction_blame_reduced",
+        shm_interaction < rpc_interaction,
+    );
 
-    format!(
-        concat!(
-            "{{\n",
-            "  \"scenario\": \"FINRA-12, steady 50 rps x {requests} requests, ",
-            "Poisson seed 7, seed {seed}\",\n",
-            "  \"model_tiers\": [\n    {rows}\n  ],\n",
-            "  \"measured_ring\": {{\"floor_ns\": {floor}, \"bytes_per_sec\": {bps}}},\n",
-            "  \"modelled_ring\": {{\"floor_ns\": {m_floor}, \"bytes_per_sec\": {m_bps}}},\n",
-            "  \"modelled_pipe_floor_ns\": {pipe_floor},\n",
-            "  \"ring_floor_lt_pipe_floor\": {ring_gate},\n",
-            "  \"plans_identical_with_shm_tier\": {plans_gate},\n",
-            "  \"fleet_digests_identical\": {fleet_gate},\n",
-            "  \"fleet_digests\": [{digests}],\n",
-            "  \"serve_p50_ms\": {{\"rpc_payload\": {rpc_p50}, \"shm_ring\": {shm_p50}}},\n",
-            "  \"serve_p99_ms\": {{\"rpc_payload\": {rpc_p99}, \"shm_ring\": {shm_p99}}},\n",
-            "  \"interaction_blame_ms\": {{\"rpc_payload\": {rpc_int}, ",
-            "\"shm_ring\": {shm_int}}},\n",
-            "  \"interaction_blame_reduction\": {reduction},\n",
-            "  \"interaction_blame_reduced\": {blame_gate}\n",
-            "}}"
-        ),
-        requests = requests,
-        seed = SEED,
-        rows = model_rows(&model),
-        floor = num(fit.floor_ns),
-        bps = num(fit.bytes_per_sec),
-        m_floor = num(model.shm_ring.floor.as_nanos() as f64),
-        m_bps = num(model.shm_ring.bytes_per_sec),
-        pipe_floor = num(pipe_floor_ns),
-        ring_gate = ring_floor_gate,
-        plans_gate = plans_gate,
-        fleet_gate = fleet_gate,
-        digests = digests
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        rpc_p50 = num(rpc_report.sojourns.percentile(0.50).as_millis_f64()),
-        shm_p50 = num(shm_report.sojourns.percentile(0.50).as_millis_f64()),
-        rpc_p99 = num(rpc_report.sojourns.percentile(0.99).as_millis_f64()),
-        shm_p99 = num(shm_report.sojourns.percentile(0.99).as_millis_f64()),
-        rpc_int = num(rpc_interaction as f64 / 1e6),
-        shm_int = num(shm_interaction as f64 / 1e6),
-        reduction = num(blame_reduction),
-        blame_gate = blame_gate,
-    )
+    let rpc_shm = |rpc: f64, shm: f64| Obj::new().field("rpc_payload", rpc).field("shm_ring", shm);
+    let p = |r: &ServeReport, q: f64| r.sojourns.percentile(q).as_millis_f64();
+    report.json = Obj::new()
+        .field(
+            "scenario",
+            format!("FINRA-12, steady 50 rps x {requests} requests, Poisson seed 7, seed {SEED}"),
+        )
+        .field("model_tiers", model_rows(&model))
+        .field(
+            "measured_ring",
+            Obj::new()
+                .field("floor_ns", fit.floor_ns)
+                .field("bytes_per_sec", fit.bytes_per_sec),
+        )
+        .field(
+            "modelled_ring",
+            Obj::new()
+                .field("floor_ns", model.shm_ring.floor.as_nanos() as f64)
+                .field("bytes_per_sec", model.shm_ring.bytes_per_sec),
+        )
+        .field("modelled_pipe_floor_ns", pipe_floor_ns)
+        .field("fleet_digests", digests)
+        .field(
+            "serve_p50_ms",
+            rpc_shm(p(&rpc_report, 0.50), p(&shm_report, 0.50)),
+        )
+        .field(
+            "serve_p99_ms",
+            rpc_shm(p(&rpc_report, 0.99), p(&shm_report, 0.99)),
+        )
+        .field(
+            "interaction_blame_ms",
+            rpc_shm(rpc_interaction as f64 / 1e6, shm_interaction as f64 / 1e6),
+        )
+        .field("interaction_blame_reduction", blame_reduction);
+    report
 }
 
 /// The full figure: the 12 000-request FINRA-12 serving comparison plus a
 /// 30-second two-cluster fleet digest sweep.
-pub fn transfer_figure(workers: usize) -> String {
+pub fn transfer_figure(workers: usize) -> Report {
     transfer_report(workers.max(2), REQUESTS, 30_000)
 }
 
@@ -242,23 +231,15 @@ mod tests {
     #[test]
     fn transfer_report_gates_hold() {
         let report = transfer_report(2, 600, 3_000);
-        for gate in [
-            "\"plans_identical_with_shm_tier\": true",
-            "\"fleet_digests_identical\": true",
-            "\"interaction_blame_reduced\": true",
-        ] {
-            assert!(report.contains(gate), "{gate} not met:\n{report}");
-        }
-        // All five tiers present, ring under pipe in the model.
-        for tier in ["s3", "minio", "rpc_payload", "pipe", "shm_ring"] {
-            assert!(report.contains(&format!("\"tier\": \"{tier}\"")));
-        }
         // The measured-fit gate is host- and build-dependent (a debug
         // build on a loaded single-core box can exceed the 50 µs pipe
         // floor), so the unit test only demands the measurement ran.
-        assert!(report.contains("\"measured_ring\""));
-        let opens = report.matches('{').count();
-        assert_eq!(opens, report.matches('}').count());
-        assert!(!report.contains(",\n}"));
+        crate::report::assert_gates(&report, 4, &["ring_floor_lt_pipe_floor"]);
+        // All five tiers present.
+        let rendered = report.render();
+        for tier in ["s3", "minio", "rpc_payload", "pipe", "shm_ring"] {
+            assert!(rendered.contains(&format!("\"tier\": \"{tier}\"")));
+        }
+        assert!(report.json.get("measured_ring").is_some());
     }
 }

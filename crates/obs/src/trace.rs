@@ -15,8 +15,7 @@
 //!    single-threaded, so its capture is naturally ordered; a multi-cell
 //!    figure assembles per-cell traces in cell-index order. Either way
 //!    `--workers N` yields byte-identical [`Trace::render`] output for
-//!    every `N` — the same contract the sweep engine and the parallel PGP
-//!    search keep.
+//!    every `N` — the same contract the sweep engine keeps.
 //! 3. **Cheap when enabled.** A [`TraceEvent`] is 40 bytes (compile-time
 //!    asserted): no strings — workflow/plan names are interned to `u32`
 //!    ids ([`crate::intern`]) — and the DES span payload carries
