@@ -129,18 +129,27 @@ impl FromIterator<SimDuration> for LatencySamples {
     }
 }
 
-/// Streaming latency percentiles in O(1) memory: an HDR-style
-/// log-bucketed histogram over nanoseconds.
+/// Streaming latency percentiles: an HDR-style log-bucketed histogram
+/// over nanoseconds.
 ///
 /// Values below 2¹² ns land in exact unit buckets; above that, each
 /// power-of-two decade is split into 2¹¹ sub-buckets, bounding relative
 /// quantile error at ~0.05%. This is what the serving simulation uses to
 /// track millions of sojourn times without keeping every sample
 /// ([`LatencySamples`] stays the exact, batch-oriented alternative).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Only a window of buckets around the samples is stored — a few
+/// thousand for a latency distribution, not the tens of thousands of
+/// empty buckets below its smallest sample — so memory follows the
+/// spread of the samples, not their magnitude. The window grows at
+/// either end as samples and merges arrive; equality compares logical
+/// contents, whatever window each side happened to grow.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamingHistogram {
-    /// `counts[bucket]`; lazily grown, index derived from the value.
+    /// `counts[i]` is bucket `lo + i`; every bucket outside the window
+    /// is empty.
     counts: Vec<u64>,
+    lo: usize,
     total: u64,
     sum_ns: u128,
     min_ns: u64,
@@ -154,6 +163,7 @@ impl Default for StreamingHistogram {
     fn default() -> Self {
         StreamingHistogram {
             counts: Vec::new(),
+            lo: 0,
             total: 0,
             sum_ns: 0,
             min_ns: u64::MAX,
@@ -192,13 +202,33 @@ impl StreamingHistogram {
         (((1u64 << SUB_BITS) + sub + 1) << decade) - 1
     }
 
+    /// Widens the window to hold buckets `first..end`. Growth at the
+    /// front adds at least the current width, so a run of ever-smaller
+    /// samples moves each stored bucket O(1) times overall.
+    fn cover(&mut self, first: usize, end: usize) {
+        if self.counts.is_empty() {
+            self.lo = first;
+            self.counts.resize(end - first, 0);
+            return;
+        }
+        if first < self.lo {
+            let grow = (self.lo - first).max(self.counts.len()).min(self.lo);
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.lo -= grow;
+        }
+        if end > self.lo + self.counts.len() {
+            self.counts.resize(end - self.lo, 0);
+        }
+    }
+
     pub fn record(&mut self, sample: SimDuration) {
         let ns = sample.as_nanos();
         let bucket = Self::bucket_of(ns);
-        if bucket >= self.counts.len() {
-            self.counts.resize(bucket + 1, 0);
+        // One compare covers both ends: below `lo` wraps to a huge index.
+        if bucket.wrapping_sub(self.lo) >= self.counts.len() {
+            self.cover(bucket, bucket + 1);
         }
-        self.counts[bucket] += 1;
+        self.counts[bucket - self.lo] += 1;
         self.total += 1;
         self.sum_ns += u128::from(ns);
         self.min_ns = self.min_ns.min(ns);
@@ -240,11 +270,10 @@ impl StreamingHistogram {
         }
         let rank = (q * self.total as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        let first = self.first_bucket();
-        for (bucket, &count) in self.counts.iter().enumerate().skip(first) {
+        for (i, &count) in self.counts.iter().enumerate() {
             seen += count;
             if seen >= rank {
-                return SimDuration::from_nanos(Self::bucket_upper(bucket).min(self.max_ns));
+                return SimDuration::from_nanos(Self::bucket_upper(self.lo + i).min(self.max_ns));
             }
         }
         self.max()
@@ -275,29 +304,47 @@ impl StreamingHistogram {
         }
     }
 
-    /// The lowest bucket that can hold a sample: every bucket below the
-    /// smallest recorded value is empty, and latency histograms leave
-    /// most of their low buckets so. Folds and scans start here.
-    fn first_bucket(&self) -> usize {
-        Self::bucket_of(self.min_ns).min(self.counts.len())
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &StreamingHistogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        let first = other.first_bucket();
-        let theirs = &other.counts[first..];
-        for (slot, &count) in self.counts[first..].iter_mut().zip(theirs) {
-            *slot += count;
+        if !other.counts.is_empty() {
+            self.cover(other.lo, other.lo + other.counts.len());
+            let mine = &mut self.counts[other.lo - self.lo..];
+            for (slot, &count) in mine.iter_mut().zip(&other.counts) {
+                *slot += count;
+            }
         }
         self.total += other.total;
         self.sum_ns += other.sum_ns;
         self.min_ns = self.min_ns.min(other.min_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
     }
+
+    /// The first non-empty bucket and the counts from it through the
+    /// last non-empty one: the window with its empty edges trimmed.
+    fn occupied(&self) -> (usize, &[u64]) {
+        let Some(start) = self.counts.iter().position(|&c| c != 0) else {
+            return (0, &[]);
+        };
+        let end = self
+            .counts
+            .iter()
+            .rposition(|&c| c != 0)
+            .map_or(start, |i| i + 1);
+        (self.lo + start, &self.counts[start..end])
+    }
 }
+
+impl PartialEq for StreamingHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.total == other.total
+            && self.sum_ns == other.sum_ns
+            && self.min_ns == other.min_ns
+            && self.max_ns == other.max_ns
+            && self.occupied() == other.occupied()
+    }
+}
+
+impl Eq for StreamingHistogram {}
 
 /// Relative prediction error `(P̂ − P) / P` (§6.1).
 pub fn prediction_error(predicted: SimDuration, actual: SimDuration) -> f64 {
@@ -501,6 +548,222 @@ mod tests {
                     "round {round} target {target}: counters {counters} vs full {full}"
                 );
             }
+        }
+    }
+
+    /// The unwindowed layout: one slot per bucket from bucket 0 up, every
+    /// scan starting at bucket 0. The windowed histogram must answer
+    /// every query exactly as this does.
+    #[derive(Default)]
+    struct Dense {
+        counts: Vec<u64>,
+        total: u64,
+        sum_ns: u128,
+        min_ns: Option<u64>,
+        max_ns: u64,
+    }
+
+    impl Dense {
+        fn record(&mut self, ns: u64) {
+            let bucket = StreamingHistogram::bucket_of(ns);
+            if bucket >= self.counts.len() {
+                self.counts.resize(bucket + 1, 0);
+            }
+            self.counts[bucket] += 1;
+            self.total += 1;
+            self.sum_ns += u128::from(ns);
+            self.min_ns = Some(self.min_ns.map_or(ns, |m| m.min(ns)));
+            self.max_ns = self.max_ns.max(ns);
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            if other.counts.len() > self.counts.len() {
+                self.counts.resize(other.counts.len(), 0);
+            }
+            for (slot, &count) in self.counts.iter_mut().zip(&other.counts) {
+                *slot += count;
+            }
+            self.total += other.total;
+            self.sum_ns += other.sum_ns;
+            self.min_ns = match (self.min_ns, other.min_ns) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            self.max_ns = self.max_ns.max(other.max_ns);
+        }
+
+        fn percentile(&self, q: f64) -> u64 {
+            if self.total == 0 {
+                return 0;
+            }
+            let rank = (q * self.total as f64).ceil().max(1.0) as u64;
+            let mut seen = 0u64;
+            for (bucket, &count) in self.counts.iter().enumerate() {
+                seen += count;
+                if seen >= rank {
+                    return StreamingHistogram::bucket_upper(bucket).min(self.max_ns);
+                }
+            }
+            self.max_ns
+        }
+
+        /// Largest upper edge at or below `target`, found by walking the
+        /// buckets from 0.
+        fn threshold_cut(target_ns: u64) -> u64 {
+            (0..)
+                .map(StreamingHistogram::bucket_upper)
+                .take_while(|&upper| upper <= target_ns)
+                .last()
+                .expect("bucket 0 has upper edge 0")
+        }
+    }
+
+    /// Checks `h` against the dense reference: stored buckets, every
+    /// query, and a window no wider than twice the occupied span.
+    fn assert_matches(h: &StreamingHistogram, dense: &Dense, what: &str) {
+        for (bucket, &count) in dense.counts.iter().enumerate() {
+            let stored = bucket
+                .checked_sub(h.lo)
+                .and_then(|i| h.counts.get(i))
+                .copied()
+                .unwrap_or(0);
+            assert_eq!(stored, count, "{what}: bucket {bucket}");
+        }
+        assert!(h.lo + h.counts.len() <= dense.counts.len().max(1), "{what}");
+        let (first, occupied) = h.occupied();
+        assert!(
+            h.counts.len() <= 2 * occupied.len().max(1),
+            "{what}: window"
+        );
+        assert_eq!(
+            first,
+            dense.counts.iter().position(|&c| c != 0).unwrap_or(0)
+        );
+        assert_eq!(h.len(), dense.total, "{what}");
+        let mean = (dense.total > 0).then(|| dense.sum_ns / u128::from(dense.total));
+        assert_eq!(h.mean().as_nanos(), mean.unwrap_or(0) as u64, "{what}");
+        assert_eq!(h.min().as_nanos(), dense.min_ns.unwrap_or(0), "{what}");
+        assert_eq!(h.max().as_nanos(), dense.max_ns, "{what}");
+        for q in [0.0, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(
+                h.percentile(q).as_nanos(),
+                dense.percentile(q),
+                "{what}: q={q}"
+            );
+        }
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    fn both(values: impl IntoIterator<Item = u64>) -> (StreamingHistogram, Dense) {
+        let (mut h, mut dense) = (StreamingHistogram::new(), Dense::default());
+        for ns in values {
+            h.record(SimDuration::from_nanos(ns));
+            dense.record(ns);
+        }
+        (h, dense)
+    }
+
+    #[test]
+    fn window_matches_dense_layout_in_any_sample_order() {
+        let mut x = 0x2545_f491_4f6c_dd1d;
+        let random: Vec<u64> = (0..5_000)
+            .map(|_| 20_000_000 + xorshift(&mut x) % 400_000_000)
+            .collect();
+        let mut rising = random.clone();
+        rising.sort_unstable();
+        let falling: Vec<u64> = rising.iter().rev().copied().collect();
+        // Exact unit buckets below 2^12 and the first log decades above.
+        let small: Vec<u64> = (0..3_000).map(|i| (i * 7919) % 9_000).collect();
+        let small_falling: Vec<u64> = (0..9_000u64).rev().step_by(3).collect();
+        for (what, values) in [
+            ("random", random),
+            ("rising", rising),
+            ("falling", falling),
+            ("small", small),
+            ("small falling", small_falling),
+            ("zero", vec![0, 0, 0]),
+        ] {
+            let (mut h, mut dense) = (StreamingHistogram::new(), Dense::default());
+            for (i, &ns) in values.iter().enumerate() {
+                h.record(SimDuration::from_nanos(ns));
+                dense.record(ns);
+                if i % 499 == 0 {
+                    assert_matches(&h, &dense, what);
+                }
+            }
+            assert_matches(&h, &dense, what);
+        }
+        assert_matches(&StreamingHistogram::new(), &Dense::default(), "empty");
+    }
+
+    #[test]
+    fn window_merges_match_dense_layout() {
+        let mut x = 0x9e37_79b9_7f4a_7c15;
+        let mut draw = |lo: u64, span: u64, n: usize| -> Vec<u64> {
+            (0..n).map(|_| lo + xorshift(&mut x) % span).collect()
+        };
+        let low = draw(100, 3_000, 400);
+        let mid = draw(1_000_000, 50_000, 400);
+        let high = draw(800_000_000, 600_000_000, 400);
+        let overlap = draw(1_020_000, 3_000_000, 400);
+        let parts = [&low, &mid, &high, &overlap, &Vec::new()];
+        for a in parts {
+            for b in parts {
+                let (mut ha, mut da) = both(a.iter().copied());
+                let (hb, db) = both(b.iter().copied());
+                ha.merge(&hb);
+                da.merge(&db);
+                let what = format!("{} into {}", b.len(), a.len());
+                assert_matches(&ha, &da, &what);
+                // Merging equals recording the union directly.
+                let (direct, _) = both(a.iter().chain(b).copied());
+                assert_eq!(ha, direct, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn equality_ignores_growth_history() {
+        let values: Vec<u64> = (1..=2_000u64).map(|i| i * i * 97).collect();
+        let (rising, _) = both(values.iter().copied());
+        let (falling, _) = both(values.iter().rev().copied());
+        assert_ne!(rising.lo, falling.lo, "the two windows grew differently");
+        assert_eq!(rising, falling);
+        // Assembled by merges from the top down, through an empty start.
+        let mut merged = StreamingHistogram::new();
+        for chunk in values.chunks(300).rev() {
+            merged.merge(&both(chunk.iter().copied()).0);
+        }
+        assert_eq!(merged, rising);
+        assert_eq!(StreamingHistogram::new(), both([]).0);
+        // One more sample anywhere breaks equality, and so do the same
+        // count, sum, min and max spread over different buckets.
+        let mut extra = falling.clone();
+        extra.record(SimDuration::from_nanos(5));
+        assert_ne!(extra, rising);
+        let (a, _) = both([4_000, 6_000, 6_004, 8_000]);
+        let (b, _) = both([4_000, 6_002, 6_002, 8_000]);
+        assert_eq!((a.mean(), a.min(), a.max()), (b.mean(), b.min(), b.max()));
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn threshold_cut_matches_dense_bucket_walk() {
+        let mut x = 0x0123_4567_89ab_cdef;
+        let mut targets: Vec<u64> = vec![0, 1, 4_095, 4_096, 4_097, 8_191, 8_192, 1_200_000_000];
+        targets.extend((0..300).map(|_| xorshift(&mut x) % 2_000_000_000));
+        for target in targets {
+            assert_eq!(
+                StreamingHistogram::threshold_cut(target),
+                Dense::threshold_cut(target),
+                "target {target}"
+            );
         }
     }
 

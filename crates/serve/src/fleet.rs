@@ -34,6 +34,13 @@
 //! last barrier the workers also drain their clusters and build the
 //! per-cluster reports and digests.
 //!
+//! A cluster keeps no full request log: at the end of each epoch it feeds
+//! the log's final prefix (completed or forwarded records, which nothing
+//! writes again) into its record digest and drops it, so it holds the
+//! records from its oldest unfinished request onward, not the run's
+//! history. A request stranded on a dead node, or a deadlocked cluster's
+//! lost work, pins the records after it until the run ends.
+//!
 //! Spillover moves *counts*, not identities: every request of a workflow
 //! is identical, so a saturated cluster pops its newest queued requests
 //! (LIFO — the oldest keep their position and their latency), marks them
@@ -331,14 +338,6 @@ impl FleetSimulation {
                 c as u32,
                 workload.phases[0].rps * shares[c],
             )?;
-            // Offered load tells us the request-log size up front (±5%
-            // slack for Poisson variance and spill-ins).
-            let expected: f64 = workload
-                .phases
-                .iter()
-                .map(|p| p.rps * shares[c] * p.duration.as_secs_f64())
-                .sum();
-            run.reserve_records((expected * 1.05) as usize + 64);
             run.set_phase(0, workload.phases[0].service_multiplier);
             runs.push(run);
         }
@@ -512,13 +511,11 @@ impl Block<'_> {
                 }
             }
             // Drain and report here, so the per-cluster report work
-            // (billing, histogram folds, the record digest) runs on the
-            // workers too.
-            None => self.finished.extend(self.runs.drain(..).map(|run| {
-                let (report, trace) = run.finish();
-                let digest = report.digest();
-                (report, digest, trace)
-            })),
+            // (billing, histogram folds, closing the record digest) runs
+            // on the workers too.
+            None => self
+                .finished
+                .extend(self.runs.drain(..).map(|run| run.finish())),
         }
     }
 }

@@ -174,64 +174,96 @@ pub struct ServeReport {
     /// configured without a `RegimeConfig`).
     pub regime_changes: u32,
     /// Per-request outcomes, indexed by request id (arrival order).
+    /// Empty for a fleet cluster: it streams each record into its digest
+    /// once the record is final and returns no log.
     pub records: Vec<RequestRecord>,
+}
+
+/// The order-sensitive FNV-1a digest of a request log, fed one record at
+/// a time in id order: the same value whether the records sit in one
+/// finished log ([`ServeReport::digest`]) or stream past as they become
+/// final (a fleet cluster, which keeps only its log's unfinished tail).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecordDigest {
+    hash: u64,
+}
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k`: FNV-1a over `k` zero bytes is one multiply by it.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+impl RecordDigest {
+    pub(crate) fn new() -> Self {
+        RecordDigest {
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    /// Byte-at-a-time FNV-1a over `v`'s little-endian bytes, with the
+    /// high zero bytes (most of a small id or flag word) folded into one
+    /// multiply — the same hash in fewer serial steps.
+    fn eat(&mut self, v: u64) {
+        let significant = (8 - v.leading_zeros() / 8) as usize;
+        for &byte in &v.to_le_bytes()[..significant] {
+            self.hash ^= u64::from(byte);
+            self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        }
+        self.hash = self.hash.wrapping_mul(FNV_PRIME_POW[8 - significant]);
+    }
+
+    /// Optional fields eat a presence tag before the value so `Some(0)`
+    /// and `None` digest differently.
+    fn eat_opt(&mut self, v: Option<u64>) {
+        match v {
+            Some(x) => {
+                self.eat(1);
+                self.eat(x);
+            }
+            None => self.eat(0),
+        }
+    }
+
+    /// Feeds the next record in id order.
+    pub(crate) fn eat_record(&mut self, r: &RequestRecord) {
+        self.eat(r.arrival_ns);
+        self.eat_opt(r.dispatched_ns);
+        self.eat_opt(r.completed_ns);
+        self.eat(u64::from(r.replica));
+        self.eat(
+            u64::from(r.phase) << 32
+                | u64::from(r.tier) << 24
+                | u64::from(r.forwarded) << 17
+                | u64::from(r.cold_start) << 16
+                | u64::from(r.requeues),
+        );
+    }
+
+    /// Closes the digest with the run's totals.
+    pub(crate) fn finish(mut self, accepted: u64, completed: u64) -> u64 {
+        self.eat(accepted);
+        self.eat(completed);
+        self.hash
+    }
 }
 
 impl ServeReport {
     /// Order-sensitive FNV-1a digest over every per-request outcome —
     /// byte-for-byte reproducibility check for seeded runs.
     pub fn digest(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        /// `PRIME^k`: FNV-1a over `k` zero bytes is one multiply by it.
-        const PRIME_POW: [u64; 9] = {
-            let mut pow = [1u64; 9];
-            let mut k = 1;
-            while k < 9 {
-                pow[k] = pow[k - 1].wrapping_mul(PRIME);
-                k += 1;
-            }
-            pow
-        };
-        // Byte-at-a-time FNV-1a over `v`'s little-endian bytes, with the
-        // high zero bytes (most of a small id or flag word) folded into
-        // one multiply — the same hash in fewer serial steps.
-        fn eat(hash: &mut u64, v: u64) {
-            let significant = (8 - v.leading_zeros() / 8) as usize;
-            for &byte in &v.to_le_bytes()[..significant] {
-                *hash ^= u64::from(byte);
-                *hash = hash.wrapping_mul(PRIME);
-            }
-            *hash = hash.wrapping_mul(PRIME_POW[8 - significant]);
-        }
-        // Optional fields eat a presence tag before the value so
-        // `Some(0)` and `None` digest differently.
-        fn eat_opt(hash: &mut u64, v: Option<u64>) {
-            match v {
-                Some(x) => {
-                    eat(hash, 1);
-                    eat(hash, x);
-                }
-                None => eat(hash, 0),
-            }
-        }
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut digest = RecordDigest::new();
         for r in &self.records {
-            eat(&mut hash, r.arrival_ns);
-            eat_opt(&mut hash, r.dispatched_ns);
-            eat_opt(&mut hash, r.completed_ns);
-            eat(&mut hash, u64::from(r.replica));
-            eat(
-                &mut hash,
-                u64::from(r.phase) << 32
-                    | u64::from(r.tier) << 24
-                    | u64::from(r.forwarded) << 17
-                    | u64::from(r.cold_start) << 16
-                    | u64::from(r.requeues),
-            );
+            digest.eat_record(r);
         }
-        eat(&mut hash, self.accepted);
-        eat(&mut hash, self.completed);
-        hash
+        digest.finish(self.accepted, self.completed)
     }
 
     /// Fraction of completed requests that paid an on-path cold start.
@@ -286,9 +318,11 @@ impl ServeReport {
 /// sojourns), counters and billing sum in cluster order, makespan takes
 /// the max, and reproducibility is pinned by a digest-of-digests.
 ///
-/// Per-request records stay in the cluster reports; the fleet view keeps
-/// only each cluster's digest, so merging ten million requests costs
-/// histogram-merge time, not a re-sort of the records.
+/// The fleet view keeps only each cluster's record digest, and a fleet
+/// cluster computes that digest as its records become final instead of
+/// keeping a request log, so a ten-million-request run holds only the
+/// records from each cluster's oldest unfinished request onward, and
+/// merging costs histogram-merge time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
     pub clusters: u32,

@@ -39,6 +39,13 @@
 //! sojourn metric is batched locally and folded into the registry once
 //! per run.
 //!
+//! Memory is the other bound. A standalone run returns its full request
+//! log, but a fleet cluster serves millions of requests whose records
+//! only its digest reads, so it streams them: after each epoch it feeds
+//! the log's final prefix into its `RecordDigest` and drops it, and
+//! re-queue counts are kept as a counter rather than scanned from the
+//! log. Sojourn histograms store only their occupied bucket window.
+//!
 //! ## Fleet mode
 //!
 //! [`crate::fleet`] runs many of these simulations — one per cluster —
@@ -53,7 +60,7 @@ use crate::autoscaler::Autoscaler;
 use crate::config::{RouterPolicy, ServeConfig, Workload};
 use crate::events::{Event, EventKind, EventQueue};
 use crate::faults::FaultPlan;
-use crate::report::{PhaseSummary, RequestRecord, ServeReport};
+use crate::report::{PhaseSummary, RecordDigest, RequestRecord, ServeReport};
 use crate::router::{Router, Shard};
 use chiron_deploy::{
     placement_overhead, scheduling_architectures, ClusterState, NodeId, Placement, PlacementError,
@@ -290,7 +297,15 @@ pub(crate) struct Run<'a> {
     rng: FastRng,
     gaps: ArrivalGen,
     replicas: Vec<Replica>,
-    records: Vec<RequestRecord>,
+    /// The request log: `records[i]` is request `base + i`. Standalone
+    /// runs keep it whole (`base` stays 0); a fleet cluster feeds its
+    /// final prefix to `digest` and drops it ([`Run::digest_final`]), so
+    /// requests below `base` are digested and nothing writes them again.
+    records: VecDeque<RequestRecord>,
+    base: u64,
+    digest: RecordDigest,
+    /// Requests re-queued at least once by failure recovery.
+    requeued: u64,
     /// Usable replicas per node, maintained at every replica state
     /// transition — the dispatch path never rescans the replica table.
     node_replicas: Vec<u32>,
@@ -494,7 +509,10 @@ impl<'a> Run<'a> {
             rng: FastRng::seed_from_u64(seed ^ 0x5e2e_5e2e_5e2e_5e2e),
             gaps: workload.arrivals.gaps(),
             replicas: Vec::new(),
-            records: Vec::with_capacity(cum as usize),
+            records: VecDeque::with_capacity(cum as usize),
+            base: 0,
+            digest: RecordDigest::new(),
+            requeued: 0,
             node_replicas: vec![0; nodes],
             node_usable: vec![false; nodes],
             hosts_scratch: Vec::with_capacity(nodes),
@@ -686,16 +704,6 @@ impl<'a> Run<'a> {
 
     // ---- fleet-mode driver interface ------------------------------------
 
-    /// Processes every event strictly before `until` (the epoch barrier).
-    /// Pre-sizes the request log. Fleet phases are open-ended (`requests:
-    /// 0`), so `Run::new` cannot size it from the workload; the federation
-    /// driver knows the offered `rate × duration` and reserves here, which
-    /// saves the doubling-growth copies of a multi-megabyte record vector.
-    pub(crate) fn reserve_records(&mut self, expected: usize) {
-        let len = self.records.len();
-        self.records.reserve(expected.saturating_sub(len));
-    }
-
     /// Closes the construction capture and banks its events. Only
     /// `Run::new` opens one (the platform probe and the context events
     /// emit through the thread-local sink before the struct exists);
@@ -724,18 +732,55 @@ impl<'a> Run<'a> {
         record_into(&mut self.trace_events, self.fleet.is_some(), time_ns, kind);
     }
 
+    /// Processes every event strictly before `until` (the epoch barrier),
+    /// then digests the log's new final prefix.
     pub(crate) fn advance_until(&mut self, until: SimTime) {
         while let Some(event) = self.events.pop_before(until) {
             self.handle(event);
         }
+        self.digest_final();
+    }
+
+    /// The log entry of request `id`, for writing. Only records not yet
+    /// digested are ever written: a record is digested once final, and
+    /// requeue and re-dispatch only touch records still in flight.
+    #[inline]
+    fn entry(&mut self, id: u64) -> &mut RequestRecord {
+        debug_assert!(
+            id >= self.base,
+            "request {id} written after its record was digested"
+        );
+        &mut self.records[(id - self.base) as usize]
+    }
+
+    /// Feeds the log's final prefix — completed records and records
+    /// forwarded to a peer — to the digest in id order and drops it, so
+    /// a fleet cluster holds the records from its oldest unfinished
+    /// request onward rather than its whole history.
+    fn digest_final(&mut self) {
+        while let Some(r) = self.records.front() {
+            if r.completed_ns.is_none() && !r.forwarded {
+                break;
+            }
+            self.digest.eat_record(r);
+            self.records.pop_front();
+            self.base += 1;
+        }
     }
 
     /// Drains every remaining event and produces the cluster's report
-    /// plus its trace (empty unless this is a traced fleet run).
-    pub(crate) fn finish(mut self) -> (ServeReport, Trace) {
+    /// (without a request log), its record digest and its trace (empty
+    /// unless this is a traced fleet run).
+    pub(crate) fn finish(mut self) -> (ServeReport, u64, Trace) {
         while let Some(event) = self.events.pop() {
             self.handle(event);
         }
+        // Whatever is still open (a deadlocked cluster's stranded work)
+        // closes the digest in id order.
+        for r in std::mem::take(&mut self.records) {
+            self.digest.eat_record(&r);
+        }
+        let digest = self.digest.finish(self.arrived, self.completed);
         let events = std::mem::take(&mut self.trace_events);
         // Handlers run in event-time order and coordinator records land
         // at the barrier they were computed for, so the banked stream is
@@ -744,7 +789,7 @@ impl<'a> Run<'a> {
             events.is_sorted_by_key(|e| e.time_ns),
             "banked cluster trace out of time order"
         );
-        (self.into_report(), Trace { events })
+        (self.into_report(), digest, Trace { events })
     }
 
     /// Gossips the next epoch's admission rate to this cluster, re-arming
@@ -795,7 +840,7 @@ impl<'a> Run<'a> {
             let Some(req) = self.router.pop_newest() else {
                 break;
             };
-            self.records[req as usize].forwarded = true;
+            self.entry(req).forwarded = true;
             self.forwarded_out += 1;
             shed_ids.push(req);
             shed += 1;
@@ -875,7 +920,8 @@ impl<'a> Run<'a> {
         if let Some(pools) = &mut self.pools {
             pools.observe_arrival();
         }
-        self.records.push(RequestRecord {
+        debug_assert_eq!(self.base + self.records.len() as u64, id);
+        self.records.push_back(RequestRecord {
             arrival_ns: now.as_nanos(),
             dispatched_ns: None,
             completed_ns: None,
@@ -932,7 +978,7 @@ impl<'a> Run<'a> {
             return; // stale (re-queued / replica dead) or physically lost
         }
 
-        let rec = &mut self.records[request as usize];
+        let rec = self.entry(request);
         rec.completed_ns = Some(now.as_nanos());
         let sojourn = SimDuration::from_nanos(now.as_nanos() - rec.arrival_ns);
         let dispatched_ns = rec.dispatched_ns;
@@ -1134,12 +1180,17 @@ impl<'a> Run<'a> {
         // In-flight work goes back to the front, oldest request foremost.
         requeue.sort_unstable();
         for &req in requeue.iter().rev() {
-            self.records[req as usize].requeues += 1;
+            let rec = self.entry(req);
+            rec.requeues += 1;
+            let replica = rec.replica;
+            if rec.requeues == 1 {
+                self.requeued += 1;
+            }
             self.record(
                 now.as_nanos(),
                 TraceEventKind::Requeue {
                     request: self.req_base + req,
-                    replica: self.rep_base + self.records[req as usize].replica,
+                    replica: self.rep_base + replica,
                 },
             );
             let shard = self.router.choose_shard(&self.hosts_scratch);
@@ -1274,7 +1325,7 @@ impl<'a> Run<'a> {
         let service = rep.service.mul_f64(mult);
         let node = rep.node as u32;
         let tier = rep.start_tier;
-        let rec = &mut self.records[request as usize];
+        let rec = self.entry(request);
         rec.dispatched_ns = Some(now.as_nanos());
         rec.replica = replica;
         rec.cold_start = cold;
@@ -1509,8 +1560,6 @@ impl<'a> Run<'a> {
             })
             .collect();
 
-        let requeued_requests = self.records.iter().filter(|r| r.requeues > 0).count() as u64;
-
         // One registry-lock acquisition instead of one per completion.
         SOJOURNS.merge(&sojourns);
 
@@ -1519,7 +1568,7 @@ impl<'a> Run<'a> {
             completed: self.completed,
             lost: self.arrived - self.completed - self.forwarded_out,
             forwarded_out: self.forwarded_out,
-            requeued_requests,
+            requeued_requests: self.requeued,
             cold_starts: self.cold_starts,
             makespan: SimDuration::from_nanos(end.as_nanos()),
             sojourns,
@@ -1544,7 +1593,7 @@ impl<'a> Run<'a> {
                 .regime
                 .as_ref()
                 .map_or(0, RegimeDetector::changes_fired),
-            records: self.records,
+            records: self.records.into(),
         }
     }
 }
