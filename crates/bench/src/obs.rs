@@ -50,7 +50,7 @@ use chiron_metrics::ArrivalProcess;
 use chiron_model::{
     apps, DeploymentPlan, JitterModel, PlatformConfig, SimDuration, SimTime, Workflow,
 };
-use chiron_obs::{AttributionReport, DriftEntry, SloPolicy, Trace, TraceStats};
+use chiron_obs::{AttributionReport, DriftEntry, DriftMonitor, SloPolicy, Trace, TraceStats};
 use chiron_pgp::ScheduleOutcome;
 use chiron_runtime::VirtualPlatform;
 use std::time::Instant;
@@ -411,14 +411,13 @@ pub fn obs_eval(workers: usize) -> Report {
     // per-stage baseline, against jittered DES observations. Observations
     // are recorded on this thread in cell-index order, so the residual
     // series are deterministic.
-    chiron_obs::set_drift_monitor(true);
-    chiron_obs::reset_drift();
+    let mut monitor = DriftMonitor::new();
     let key = chiron_obs::drift::plan_key(&plan);
-    chiron_obs::record_prediction(&wf.name, key, None, deployment.schedule.predicted);
+    monitor.record_prediction(&wf.name, key, None, deployment.schedule.predicted);
     let unjittered = VirtualPlatform::new(PlatformConfig::paper_calibrated());
     let base = unjittered.execute(&wf, &plan, 0).expect("valid plan");
     for (s, &(start, end)) in base.stage_windows.iter().enumerate() {
-        chiron_obs::record_prediction(&wf.name, key, Some(s as u32), end.since(start));
+        monitor.record_prediction(&wf.name, key, Some(s as u32), end.since(start));
     }
     let jittered = VirtualPlatform::new(
         PlatformConfig::paper_calibrated().with_jitter(JitterModel::cluster()),
@@ -428,16 +427,12 @@ pub fn obs_eval(workers: usize) -> Report {
         jittered.execute(&wf, &plan, seed).expect("valid plan")
     });
     for outcome in &outcomes {
-        chiron_obs::record_observation(&wf.name, key, None, outcome.e2e);
+        monitor.record_observation(&wf.name, key, None, outcome.e2e);
         for (s, &(start, end)) in outcome.stage_windows.iter().enumerate() {
-            chiron_obs::record_observation(&wf.name, key, Some(s as u32), end.since(start));
+            monitor.record_observation(&wf.name, key, Some(s as u32), end.since(start));
         }
     }
-    chiron_obs::set_drift_monitor(false);
-    let drift: Vec<DriftEntry> = chiron_obs::drift_report()
-        .into_iter()
-        .filter(|e| e.workflow == wf.name)
-        .collect();
+    let drift = monitor.report();
 
     let snapshot = chiron_obs::snapshot();
 

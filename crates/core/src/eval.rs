@@ -174,17 +174,11 @@ pub fn evaluate_plan(workflow: &Workflow, plan: DeploymentPlan, config: &EvalCon
     let platform = VirtualPlatform::new(platform_config.clone());
     let mut latencies = LatencySamples::new();
     let mut sample_outcome = None;
-    // Drift monitor (chiron-obs, off by default): hash the plan once, then
-    // feed every observed end-to-end latency into the residual series.
-    let drift_key = chiron_obs::drift_monitor_enabled().then(|| chiron_obs::drift::plan_key(&plan));
     for r in 0..config.requests.max(1) {
         let outcome = platform
             .execute(workflow, &plan, config.seed + u64::from(r))
             .expect("plan validated by the planner");
         latencies.push(outcome.e2e);
-        if let Some(key) = drift_key {
-            chiron_obs::record_observation(&workflow.name, key, None, outcome.e2e);
-        }
         if sample_outcome.is_none() {
             sample_outcome = Some(outcome);
         }

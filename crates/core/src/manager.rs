@@ -92,17 +92,6 @@ impl Chiron {
             None => PgpConfig::performance_first().with_mode(mode),
         };
         let schedule = self.run_scheduler(workflow, &profile, &config);
-        // Drift monitor (chiron-obs, off by default): the prediction PGP
-        // committed to becomes the baseline later observations are
-        // compared against.
-        if chiron_obs::drift_monitor_enabled() {
-            chiron_obs::record_prediction(
-                &workflow.name,
-                chiron_obs::drift::plan_key(&schedule.plan),
-                None,
-                schedule.predicted,
-            );
-        }
         let wraps = generate(workflow, &schedule.plan);
         Deployment {
             profile,
@@ -113,19 +102,11 @@ impl Chiron {
 
     /// Steps ➋–➎ with a caller-supplied PGP configuration — the hook for
     /// opting into non-default knobs like the shm-ring transfer tier
-    /// (`PgpConfig::with_transfer`) while keeping the same profiling,
-    /// drift-baseline and wrap-generation pipeline as [`Chiron::deploy`].
+    /// (`PgpConfig::with_transfer`) while keeping the same profiling and
+    /// wrap-generation pipeline as [`Chiron::deploy`].
     pub fn deploy_with_config(&self, workflow: &Workflow, config: &PgpConfig) -> Deployment {
         let profile = self.profiler.profile_workflow(workflow);
         let schedule = self.run_scheduler(workflow, &profile, config);
-        if chiron_obs::drift_monitor_enabled() {
-            chiron_obs::record_prediction(
-                &workflow.name,
-                chiron_obs::drift::plan_key(&schedule.plan),
-                None,
-                schedule.predicted,
-            );
-        }
         let wraps = generate(workflow, &schedule.plan);
         Deployment {
             profile,
@@ -141,16 +122,7 @@ impl Chiron {
         deployment: &Deployment,
         seed: u64,
     ) -> Result<RequestOutcome, PlanError> {
-        let outcome = self.platform.execute(workflow, deployment.plan(), seed)?;
-        if chiron_obs::drift_monitor_enabled() {
-            chiron_obs::record_observation(
-                &workflow.name,
-                chiron_obs::drift::plan_key(deployment.plan()),
-                None,
-                outcome.e2e,
-            );
-        }
-        Ok(outcome)
+        self.platform.execute(workflow, deployment.plan(), seed)
     }
 
     /// Online serving: drives an open-loop workload against the deployed

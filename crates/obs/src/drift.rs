@@ -2,26 +2,24 @@
 //! `(workflow, plan, stage)`.
 //!
 //! The white-box predictor (Algorithm 1 and its cached/parallel
-//! descendants) is only trustworthy while its residuals stay small, so
-//! figure and serving runs can opt in ([`set_drift_monitor`]) to record
-//! every prediction it commits to ([`record_prediction`]) and every
-//! latency the DES subsequently observes ([`record_observation`]).
-//! [`drift_report`] then surfaces per-key residual distributions: bias
-//! (mean signed error — positive means the predictor was optimistic) and
-//! mean absolute error, next to the observed percentiles.
+//! descendants) is only trustworthy while its residuals stay small, so a
+//! caller that wants to check it creates a [`DriftMonitor`], records every
+//! prediction it commits to ([`DriftMonitor::record_prediction`]) and
+//! every latency the DES subsequently observes
+//! ([`DriftMonitor::record_observation`]), and reads per-key residual
+//! distributions off [`DriftMonitor::report`]: bias (mean signed error —
+//! positive means the predictor was optimistic) and mean absolute error,
+//! next to the observed percentiles.
 //!
-//! Off by default — like tracing, a disabled monitor costs one relaxed
-//! atomic load per hook — and keyed by a structural [`plan_key`] so two
+//! The monitor is plain owned state, so nothing is recorded unless a
+//! caller holds one. Series are keyed by a structural [`plan_key`] so two
 //! identical plans for the same workflow share a series.
 
 use chiron_metrics::StreamingHistogram;
 use chiron_model::{DeploymentPlan, SimDuration};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// One `(workflow, plan, stage)` series; `stage: None` is end-to-end.
+#[derive(Debug)]
 struct DriftSeries {
     workflow: String,
     plan: u64,
@@ -30,23 +28,6 @@ struct DriftSeries {
     observed: StreamingHistogram,
     signed_error_ms: f64,
     abs_error_ms: f64,
-}
-
-static SERIES: Mutex<Vec<DriftSeries>> = Mutex::new(Vec::new());
-
-/// Turns the monitor on or off process-wide.
-pub fn set_drift_monitor(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-#[inline]
-pub fn drift_monitor_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Drops every recorded series.
-pub fn reset_drift() {
-    SERIES.lock().clear();
 }
 
 /// Structural FNV-1a key of a deployment plan (its `Debug` rendering
@@ -60,15 +41,25 @@ pub fn plan_key(plan: &DeploymentPlan) -> u64 {
     hash
 }
 
-fn with_series(workflow: &str, plan: u64, stage: Option<u32>, f: impl FnOnce(&mut DriftSeries)) {
-    let mut series = SERIES.lock();
-    let slot = series
-        .iter()
-        .position(|s| s.plan == plan && s.stage == stage && s.workflow == workflow);
-    let slot = match slot {
-        Some(i) => i,
-        None => {
-            series.push(DriftSeries {
+/// Residual series per `(workflow, plan, stage)`, owned by the caller
+/// that records into it.
+#[derive(Debug, Default)]
+pub struct DriftMonitor {
+    series: Vec<DriftSeries>,
+}
+
+impl DriftMonitor {
+    pub fn new() -> Self {
+        DriftMonitor::default()
+    }
+
+    fn series(&mut self, workflow: &str, plan: u64, stage: Option<u32>) -> &mut DriftSeries {
+        let slot = self
+            .series
+            .iter()
+            .position(|s| s.plan == plan && s.stage == stage && s.workflow == workflow);
+        let slot = slot.unwrap_or_else(|| {
+            self.series.push(DriftSeries {
                 workflow: workflow.to_string(),
                 plan,
                 stage,
@@ -77,35 +68,68 @@ fn with_series(workflow: &str, plan: u64, stage: Option<u32>, f: impl FnOnce(&mu
                 signed_error_ms: 0.0,
                 abs_error_ms: 0.0,
             });
-            series.len() - 1
-        }
-    };
-    f(&mut series[slot]);
-}
-
-/// Records the predictor's committed latency for a key. No-op while the
-/// monitor is disabled. A later prediction for the same key overwrites.
-pub fn record_prediction(workflow: &str, plan: u64, stage: Option<u32>, predicted: SimDuration) {
-    if !drift_monitor_enabled() {
-        return;
+            self.series.len() - 1
+        });
+        &mut self.series[slot]
     }
-    with_series(workflow, plan, stage, |s| s.predicted = Some(predicted));
-}
 
-/// Records one DES-observed latency for a key. No-op while the monitor
-/// is disabled. Residuals accrue only once a prediction is on file.
-pub fn record_observation(workflow: &str, plan: u64, stage: Option<u32>, observed: SimDuration) {
-    if !drift_monitor_enabled() {
-        return;
+    /// Records the predictor's committed latency for a key. A later
+    /// prediction for the same key overwrites.
+    pub fn record_prediction(
+        &mut self,
+        workflow: &str,
+        plan: u64,
+        stage: Option<u32>,
+        predicted: SimDuration,
+    ) {
+        self.series(workflow, plan, stage).predicted = Some(predicted);
     }
-    with_series(workflow, plan, stage, |s| {
+
+    /// Records one DES-observed latency for a key. Residuals accrue only
+    /// once a prediction is on file.
+    pub fn record_observation(
+        &mut self,
+        workflow: &str,
+        plan: u64,
+        stage: Option<u32>,
+        observed: SimDuration,
+    ) {
+        let s = self.series(workflow, plan, stage);
         s.observed.record(observed);
         if let Some(predicted) = s.predicted {
             let err = observed.as_millis_f64() - predicted.as_millis_f64();
             s.signed_error_ms += err;
             s.abs_error_ms += err.abs();
         }
-    });
+    }
+
+    /// Snapshot of every series, sorted by `(workflow, plan, stage)`.
+    pub fn report(&self) -> Vec<DriftEntry> {
+        let mut out: Vec<DriftEntry> = self
+            .series
+            .iter()
+            .map(|s| {
+                let n = s.observed.len();
+                let denom = if n == 0 { 1.0 } else { n as f64 };
+                DriftEntry {
+                    workflow: s.workflow.clone(),
+                    plan: s.plan,
+                    stage: s.stage,
+                    predicted_ms: s.predicted.map(|p| p.as_millis_f64()),
+                    samples: n,
+                    observed_mean_ms: s.observed.mean().as_millis_f64(),
+                    observed_p50_ms: s.observed.percentile(0.50).as_millis_f64(),
+                    observed_p99_ms: s.observed.percentile(0.99).as_millis_f64(),
+                    bias_ms: s.signed_error_ms / denom,
+                    mae_ms: s.abs_error_ms / denom,
+                }
+            })
+            .collect();
+        out.sort_by(|a, b| {
+            (a.workflow.as_str(), a.plan, a.stage).cmp(&(b.workflow.as_str(), b.plan, b.stage))
+        });
+        out
+    }
 }
 
 /// One row of the drift report.
@@ -127,56 +151,19 @@ pub struct DriftEntry {
     pub mae_ms: f64,
 }
 
-/// Snapshot of every series, sorted by `(workflow, plan, stage)`.
-pub fn drift_report() -> Vec<DriftEntry> {
-    let series = SERIES.lock();
-    let mut out: Vec<DriftEntry> = series
-        .iter()
-        .map(|s| {
-            let n = s.observed.len();
-            let denom = if n == 0 { 1.0 } else { n as f64 };
-            DriftEntry {
-                workflow: s.workflow.clone(),
-                plan: s.plan,
-                stage: s.stage,
-                predicted_ms: s.predicted.map(|p| p.as_millis_f64()),
-                samples: n,
-                observed_mean_ms: s.observed.mean().as_millis_f64(),
-                observed_p50_ms: s.observed.percentile(0.50).as_millis_f64(),
-                observed_p99_ms: s.observed.percentile(0.99).as_millis_f64(),
-                bias_ms: s.signed_error_ms / denom,
-                mae_ms: s.abs_error_ms / denom,
-            }
-        })
-        .collect();
-    out.sort_by(|a, b| {
-        (a.workflow.as_str(), a.plan, a.stage).cmp(&(b.workflow.as_str(), b.plan, b.stage))
-    });
-    out
-}
-
-/// The monitor is process-global; tests that flip or reset it (here and
-/// in `lib.rs`) serialise on this lock.
-#[cfg(test)]
-pub(crate) static TEST_GATE: Mutex<()> = Mutex::new(());
-
 #[cfg(test)]
 mod tests {
-    use super::TEST_GATE as GATE;
     use super::*;
 
     #[test]
     fn residuals_accumulate_per_key() {
-        let _g = GATE.lock();
-        set_drift_monitor(true);
-        reset_drift();
-        record_prediction("wf", 1, None, SimDuration::from_millis(100));
-        record_observation("wf", 1, None, SimDuration::from_millis(110));
-        record_observation("wf", 1, None, SimDuration::from_millis(90));
-        record_prediction("wf", 1, Some(0), SimDuration::from_millis(40));
-        record_observation("wf", 1, Some(0), SimDuration::from_millis(44));
-        let report = drift_report();
-        set_drift_monitor(false);
+        let mut m = DriftMonitor::new();
+        m.record_prediction("wf", 1, None, SimDuration::from_millis(100));
+        m.record_observation("wf", 1, None, SimDuration::from_millis(110));
+        m.record_observation("wf", 1, None, SimDuration::from_millis(90));
+        m.record_prediction("wf", 1, Some(0), SimDuration::from_millis(40));
+        m.record_observation("wf", 1, Some(0), SimDuration::from_millis(44));
+        let report = m.report();
         assert_eq!(report.len(), 2);
         // End-to-end sorts before stage 0 (None < Some).
         let e2e = &report[0];
@@ -191,28 +178,22 @@ mod tests {
 
     #[test]
     fn report_is_sorted_by_key_regardless_of_insertion_order() {
-        let _g = GATE.lock();
-        set_drift_monitor(true);
-        reset_drift();
+        let mut m = DriftMonitor::new();
         // Touch keys in deliberately scrambled order.
-        record_observation("wf-b", 9, Some(1), SimDuration::from_millis(1));
-        record_observation("wf-a", 7, Some(2), SimDuration::from_millis(1));
-        record_observation("wf-a", 7, None, SimDuration::from_millis(1));
-        record_observation("wf-a", 3, Some(0), SimDuration::from_millis(1));
-        record_observation("wf-b", 9, None, SimDuration::from_millis(1));
-        record_observation("wf-a", 7, Some(0), SimDuration::from_millis(1));
-        let report = drift_report();
-        set_drift_monitor(false);
-        let keys: Vec<_> = report
+        m.record_observation("wf-b", 9, Some(1), SimDuration::from_millis(1));
+        m.record_observation("wf-a", 7, Some(2), SimDuration::from_millis(1));
+        m.record_observation("wf-a", 7, None, SimDuration::from_millis(1));
+        m.record_observation("wf-a", 3, Some(0), SimDuration::from_millis(1));
+        m.record_observation("wf-b", 9, None, SimDuration::from_millis(1));
+        m.record_observation("wf-a", 7, Some(0), SimDuration::from_millis(1));
+        let keys: Vec<_> = m
+            .report()
             .iter()
             .map(|e| (e.workflow.clone(), e.plan, e.stage))
             .collect();
         let mut sorted = keys.clone();
         sorted.sort();
-        assert_eq!(
-            keys, sorted,
-            "drift_report must sort by (workflow, plan, stage)"
-        );
+        assert_eq!(keys, sorted, "report must sort by (workflow, plan, stage)");
         assert_eq!(keys.len(), 6);
         assert_eq!(keys[0], ("wf-a".to_string(), 3, Some(0)));
         assert_eq!(keys[1], ("wf-a".to_string(), 7, None));
@@ -220,23 +201,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_monitor_records_nothing() {
-        let _g = GATE.lock();
-        set_drift_monitor(false);
-        reset_drift();
-        record_prediction("wf", 2, None, SimDuration::from_millis(5));
-        record_observation("wf", 2, None, SimDuration::from_millis(6));
-        assert!(drift_report().is_empty());
-    }
-
-    #[test]
     fn observations_without_prediction_carry_no_residuals() {
-        let _g = GATE.lock();
-        set_drift_monitor(true);
-        reset_drift();
-        record_observation("wf", 3, None, SimDuration::from_millis(8));
-        let report = drift_report();
-        set_drift_monitor(false);
+        let mut m = DriftMonitor::new();
+        m.record_observation("wf", 3, None, SimDuration::from_millis(8));
+        let report = m.report();
         assert_eq!(report[0].predicted_ms, None);
         assert_eq!(report[0].samples, 1);
         assert_eq!(report[0].mae_ms, 0.0);

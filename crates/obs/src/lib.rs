@@ -7,15 +7,17 @@
 //! depends only on `chiron-model` and `chiron-metrics`) so every layer of
 //! the stack can emit into the same sinks:
 //!
-//! * [`trace`] — a global on/off [`TraceSink`](trace) with per-thread
-//!   capture buffers. Events carry `(sim_time, seq)` and traces are
-//!   normalised by that pair, so any worker count reproduces identical
-//!   bytes. Disabled, every hook is a single relaxed atomic load.
+//! * [`trace`] — a global on/off switch with per-thread capture buffers
+//!   (fleet clusters bank into buffers of their own). Events carry their
+//!   sim time, and traces are normalised by a stable sort on it, so any
+//!   worker count reproduces identical bytes. Disabled, every hook is a
+//!   single relaxed atomic load.
 //! * [`metrics`] — process-wide counters/gauges/histograms keyed by
 //!   static names, self-registering on first touch, with one snapshot
 //!   surface (JSON + human table) absorbing the stack's ad-hoc counters.
-//! * [`drift`] — predicted-vs-observed latency residuals per
-//!   `(workflow, plan, stage)`, feeding the `figures -- obs` report.
+//! * [`drift`] — an owned [`DriftMonitor`] of predicted-vs-observed
+//!   latency residuals per `(workflow, plan, stage)`, feeding the
+//!   `figures -- obs` report.
 //! * [`perfetto`] — renders a captured serving [`Trace`] as one Chrome
 //!   Trace Event Format document (one track per replica, grouped by
 //!   node) for <https://ui.perfetto.dev>.
@@ -30,8 +32,8 @@
 //!   simulator evaluates at event time, so alerts are byte-identical for
 //!   any worker count.
 //! * [`regime`] — an online Page–Hinkley/CUSUM regime-change detector
-//!   over latency residuals plus a flight recorder that snapshots the
-//!   recent trace window, metrics, and drift state when a sensor fires.
+//!   over latency residuals, plus the incident snapshot that windows a
+//!   finished trace around the first sensor fire next to the metrics.
 //! * [`whatif`] — Coz-style virtual-speedup experiments over the DES,
 //!   ranking top-blamed components by predicted p99 improvement.
 //! * [`intern`] — the string interner keeping trace events small.
@@ -52,10 +54,7 @@ pub mod whatif;
 pub use attrib::{
     attribute, AttributionReport, Component, ComponentProfile, RequestAttribution, COLD_TIER_SLOTS,
 };
-pub use drift::{
-    drift_monitor_enabled, drift_report, record_observation, record_prediction, reset_drift,
-    set_drift_monitor, DriftEntry,
-};
+pub use drift::{DriftEntry, DriftMonitor};
 pub use intern::{intern, resolve, StrId};
 pub use metrics::{
     reset_metrics, snapshot, HistogramSummary, MetricsSnapshot, StaticCounter, StaticGauge,
@@ -63,29 +62,25 @@ pub use metrics::{
 };
 pub use perfetto::serve_trace;
 pub use regime::{
-    incident_from_trace, FlightRecorder, IncidentSnapshot, RegimeChangeInfo, RegimeConfig,
-    RegimeDetector, E2E_STAGE,
+    incident_from_trace, IncidentSnapshot, RegimeChangeInfo, RegimeConfig, RegimeDetector,
+    E2E_STAGE,
 };
 pub use slo::{BurnRateMonitor, SloPolicy, SloSummary, SloTransition};
 pub use trace::{
     begin_capture, begin_capture_sized, emit, end_capture, recycle, reset_trace_stats, set_tracing,
     take_buffer, trace_stats, tracing_enabled, Trace, TraceEvent, TraceEventKind, TraceStats,
 };
-pub use whatif::{
-    run_tiers, TierWhatIfExperiment, TierWhatIfRanking, TierWhatIfReport, WhatIfExperiment,
-    WhatIfRanking, WhatIfReport,
-};
+pub use whatif::{WhatIfExperiment, WhatIfRanking, WhatIfReport};
 
 /// Scoped reset for every process-global observability sink — the
-/// metrics registry, the drift series, and the trace-stats counters —
-/// mirroring [`reset_trace_stats`] but covering the whole crate. Figure
-/// harnesses call this between cells so back-to-back runs in one process
-/// never bleed counters into each other's reports. (Detector and
-/// flight-recorder state is per-run owned, so there is nothing global to
-/// reset there.)
+/// metrics registry and the trace-stats counters — mirroring
+/// [`reset_trace_stats`] but covering the whole crate. Figure harnesses
+/// call this between cells so back-to-back runs in one process never
+/// bleed counters into each other's reports. (Drift monitors, regime
+/// detectors and fleet trace buffers are owned by their runs, so there is
+/// nothing global to reset there.)
 pub fn reset_observability() {
     reset_metrics();
-    reset_drift();
     reset_trace_stats();
 }
 
@@ -97,29 +92,21 @@ mod tests {
     static BLEED_A: StaticCounter = StaticCounter::new("obs.test.bleed.a");
     static BLEED_H: StaticHistogram = StaticHistogram::new("obs.test.bleed.h");
 
-    /// The satellite-3 isolation contract: a figure cell that resets
-    /// between runs starts from a provably clean slate — no counter,
-    /// histogram, drift, or trace-stat state survives from the cell
-    /// before it.
+    /// The isolation contract: a figure cell that resets between runs
+    /// starts from a provably clean slate — no counter, histogram, or
+    /// trace-stat state survives from the cell before it.
     #[test]
     fn reset_observability_isolates_back_to_back_runs() {
         let _m = metrics::TEST_GATE.lock();
-        let _d = drift::TEST_GATE.lock();
         // "Run 1" dirties every global sink.
         BLEED_A.add(41);
         BLEED_H.record(SimDuration::from_millis(7));
-        set_drift_monitor(true);
-        record_observation("obs-test-bleed-wf", 99, None, SimDuration::from_millis(3));
-        set_drift_monitor(false);
 
         reset_observability();
 
         // "Run 2" sees zeros everywhere.
         assert_eq!(BLEED_A.get(), 0);
         assert_eq!(BLEED_H.summary().samples, 0);
-        assert!(drift_report()
-            .iter()
-            .all(|e| e.workflow != "obs-test-bleed-wf"));
         let snap = snapshot();
         let ours = snap
             .counters

@@ -1,5 +1,6 @@
 //! Online regime-change detection over latency residuals, plus the
-//! flight recorder that snapshots the system the moment something fires.
+//! incident snapshot that freezes the trace around the moment something
+//! fires.
 //!
 //! The predictor-drift monitor ([`crate::drift`]) answers "was the
 //! prediction right on average?" after the fact; serving needs the
@@ -25,17 +26,13 @@
 //! times are byte-identical for any `(shards, workers)`, which is what
 //! lets `RegimeChange` trace events sit inside the gated fleet trace.
 //!
-//! [`FlightRecorder`] keeps the last `N` trace events in a ring; when a
-//! sensor fires, [`FlightRecorder::snapshot`] freezes that window next
-//! to the metrics-registry snapshot and the drift report so the incident
-//! can be read without re-running anything. [`incident_from_trace`]
-//! builds the same snapshot post-hoc from a merged fleet trace (the
-//! deterministic path the figure harness uses).
+//! [`incident_from_trace`] finds the first sensor fire in a finished
+//! (merged) fleet trace and freezes the events leading up to it next to
+//! the metrics-registry snapshot, so the incident can be read without
+//! re-running anything.
 
-use crate::drift::{drift_report, DriftEntry};
 use crate::metrics::{snapshot, MetricsSnapshot};
-use crate::trace::{Trace, TraceEvent, TraceEventKind};
-use std::collections::VecDeque;
+use crate::trace::{Trace, TraceEventKind};
 use std::fmt::Write as _;
 
 /// Stage code for the end-to-end (whole-request) series.
@@ -93,7 +90,7 @@ pub struct RegimeChangeInfo {
 }
 
 impl RegimeChangeInfo {
-    /// The trace payload (saturating microseconds keep it in 40 bytes).
+    /// The trace payload (saturating microseconds keep it in 32 bytes).
     pub fn to_event_kind(self) -> TraceEventKind {
         TraceEventKind::RegimeChange {
             up: self.up,
@@ -222,65 +219,16 @@ impl RegimeDetector {
     }
 }
 
-/// Ring buffer of the most recent trace events — cheap enough to run
-/// always-on next to an enabled capture, frozen by [`Self::snapshot`]
-/// the moment a sensor fires.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    window: VecDeque<TraceEvent>,
-    cap: usize,
-}
-
-impl FlightRecorder {
-    pub fn new(cap: usize) -> Self {
-        FlightRecorder {
-            window: VecDeque::with_capacity(cap.max(1)),
-            cap: cap.max(1),
-        }
-    }
-
-    #[inline]
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.window.len() == self.cap {
-            self.window.pop_front();
-        }
-        self.window.push_back(event);
-    }
-
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
-    /// Freezes the current window next to the live metrics snapshot and
-    /// drift report.
-    pub fn snapshot(&self, at_ns: u64, reason: &str) -> IncidentSnapshot {
-        IncidentSnapshot {
-            at_ns,
-            reason: reason.to_string(),
-            window: Trace {
-                events: self.window.iter().copied().collect(),
-            },
-            metrics: snapshot(),
-            drift: drift_report(),
-        }
-    }
-}
-
 /// Everything a responder needs about one incident: when, why, the last
-/// trace window leading up to it, and the registry + drift state at
-/// snapshot time.
+/// trace window leading up to it, and the registry state at snapshot
+/// time.
 #[derive(Debug, Clone)]
 pub struct IncidentSnapshot {
     pub at_ns: u64,
     pub reason: String,
-    /// The ring-buffered recent trace window, oldest first.
+    /// The trace window leading up to the incident, oldest first.
     pub window: Trace,
     pub metrics: MetricsSnapshot,
-    pub drift: Vec<DriftEntry>,
 }
 
 impl IncidentSnapshot {
@@ -297,23 +245,15 @@ impl IncidentSnapshot {
         out.push_str(&self.window.render());
         let _ = writeln!(out, "--- metrics snapshot ---");
         out.push_str(&self.metrics.render_table());
-        let _ = writeln!(out, "--- drift series ({}) ---", self.drift.len());
-        for e in &self.drift {
-            let _ = writeln!(
-                out,
-                "{} plan {:016x} stage {:?}: {} samples, bias {:+.3} ms, mae {:.3} ms",
-                e.workflow, e.plan, e.stage, e.samples, e.bias_ms, e.mae_ms
-            );
-        }
         out
     }
 }
 
-/// Builds the incident snapshot a live recorder *would* have produced,
-/// from a finished (merged) trace: finds the first `RegimeChange` or
-/// fired `SloAlert`, and windows the `cap` events preceding it. Pure in
-/// the trace (modulo the live metrics/drift attachments), so the window
-/// bytes inherit the trace's `(shards, workers)` invariance.
+/// Builds an incident snapshot from a finished (merged) trace: finds the
+/// first `RegimeChange` or fired `SloAlert`, and windows the `cap` events
+/// preceding it. Pure in the trace (modulo the live metrics attachment),
+/// so the window bytes inherit the trace's `(shards, workers)`
+/// invariance.
 pub fn incident_from_trace(trace: &Trace, cap: usize) -> Option<IncidentSnapshot> {
     let (idx, reason) = trace
         .events
@@ -362,13 +302,13 @@ pub fn incident_from_trace(trace: &Trace, cap: usize) -> Option<IncidentSnapshot
             events: trace.events[start..=idx].to_vec(),
         },
         metrics: snapshot(),
-        drift: drift_report(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEvent;
 
     fn cfg(warmup: u32) -> RegimeConfig {
         RegimeConfig::default().with_warmup(warmup)
@@ -481,24 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_keeps_a_bounded_window() {
-        let mut fr = FlightRecorder::new(4);
-        for t in 0..10u64 {
-            fr.push(TraceEvent {
-                time_ns: t,
-                kind: TraceEventKind::ReplicaReady { replica: t as u32 },
-            });
-        }
-        assert_eq!(fr.len(), 4);
-        let snap = fr.snapshot(9, "test incident");
-        assert_eq!(snap.window.len(), 4);
-        assert_eq!(snap.window.events[0].time_ns, 6);
-        let text = snap.render();
-        assert!(text.contains("test incident"));
-        assert!(text.contains("trace window (4 events)"));
-    }
-
-    #[test]
     fn incident_from_trace_finds_first_sensor_fire() {
         let mk = |t: u64, kind| TraceEvent { time_ns: t, kind };
         let trace = Trace {
@@ -533,6 +455,9 @@ mod tests {
         // are context, not triggers).
         assert_eq!(snap.window.len(), 3);
         assert_eq!(snap.window.events[2].time_ns, 4);
+        let text = snap.render();
+        assert!(text.contains("regime change up (stage e2e)"), "{text}");
+        assert!(text.contains("trace window (3 events)"), "{text}");
 
         let quiet = Trace {
             events: vec![mk(1, TraceEventKind::ReplicaReady { replica: 0 })],

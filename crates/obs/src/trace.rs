@@ -16,7 +16,7 @@
 //!    figure assembles per-cell traces in cell-index order. Either way
 //!    `--workers N` yields byte-identical [`Trace::render`] output for
 //!    every `N` — the same contract the sweep engine keeps.
-//! 3. **Cheap when enabled.** A [`TraceEvent`] is 40 bytes (compile-time
+//! 3. **Cheap when enabled.** A [`TraceEvent`] is at most 32 bytes (compile-time
 //!    asserted): no strings — workflow/plan names are interned to `u32`
 //!    ids ([`crate::intern`]) — and the DES span payload carries
 //!    window-relative `u32` durations. Capture buffers can be pre-sized
@@ -26,7 +26,9 @@
 //! 4. **No sink plumbing.** Capture buffers are thread-local and scoped
 //!    by the *caller* ([`begin_capture`]/[`end_capture`]), so the
 //!    simulators emit unconditionally and never thread a sink handle
-//!    through their state.
+//!    through their state. The one exception is a fleet cluster, which
+//!    banks every event into a buffer it owns ([`take_buffer`]) so its
+//!    stream survives work-stealing across worker threads.
 
 use crate::intern::{resolve, StrId};
 use std::cell::RefCell;
@@ -57,7 +59,7 @@ thread_local! {
 
 /// Spare buffers kept per thread; beyond this, recycled buffers are
 /// simply dropped. Sized for a large traced fleet (one buffer per
-/// cluster, the merged trace, and the construction capture).
+/// cluster, and the merged trace).
 const SPARE_POOL_CAP: usize = 64;
 
 /// Turns tracing on or off process-wide.
@@ -240,7 +242,7 @@ impl Trace {
     /// merged bytes are still identical for every execution policy, and
     /// the stitch is a flat copy instead of an O(n log n) interleaving
     /// merge on the timed serving path. Per-request analyses (attribution,
-    /// the flight recorder's look-behind window) read each cluster's
+    /// the incident snapshot's look-behind window) read each cluster's
     /// stream contiguously; anything needing one global timeline can
     /// [`Trace::concat`] instead.
     pub fn chain(parts: Vec<Trace>) -> Trace {
@@ -337,10 +339,9 @@ pub fn begin_capture_sized(capacity: usize) {
         return;
     }
     CAPTURE_BUFFERS.fetch_add(1, Ordering::Relaxed);
-    // Smallest spare buffer that already fits, so captures (typically
-    // small — a fleet run's construction window holds a few dozen
-    // events) never consume an allocation a cluster's banked event
-    // stream wants.
+    // Smallest spare buffer that already fits, so a small capture never
+    // consumes an allocation a fleet cluster's banked event stream
+    // wants.
     let mut buf = SPARE
         .with(|s| {
             let mut pool = s.borrow_mut();

@@ -153,135 +153,6 @@ impl WhatIfReport {
     }
 }
 
-/// One per-tier virtual-speedup re-run: the named start tier's on-path
-/// startup latency scaled to `scale_pct`% of its calibrated value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TierWhatIfExperiment {
-    pub tier: &'static str,
-    pub scale_pct: u32,
-    pub p99_ms: f64,
-    /// `baseline p99 − this p99` (negative = the change hurt).
-    pub improvement_ms: f64,
-}
-
-/// A tier's best case across its experiments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TierWhatIfRanking {
-    pub tier: &'static str,
-    pub blame_ns: u64,
-    pub best_scale_pct: u32,
-    pub best_improvement_ms: f64,
-}
-
-/// The per-tier counterpart of [`WhatIfReport`]: which rung of the
-/// start-tier ladder is worth engineering on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TierWhatIfReport {
-    pub baseline_p99_ms: f64,
-    pub experiments: Vec<TierWhatIfExperiment>,
-    pub ranking: Vec<TierWhatIfRanking>,
-    /// Tiers the runner declined (no startup constant to scale — e.g. a
-    /// tier the run never started from).
-    pub unsupported: Vec<&'static str>,
-}
-
-/// Runs the [`SPEEDUP_SCALES`] matrix over the start-tier ladder.
-/// `tiers` pairs each tier name with its cold-start blame (e.g. the
-/// attribution report's `cold_start_by_tier` slots); `runner(tier,
-/// scale)` re-runs serving with that tier's startup latency multiplied
-/// by `scale` and returns the new p99 ms, or `None` when the tier has
-/// nothing to scale.
-pub fn run_tiers(
-    tiers: &[(&'static str, u64)],
-    baseline_p99_ms: f64,
-    mut runner: impl FnMut(&'static str, f64) -> Option<f64>,
-) -> TierWhatIfReport {
-    let mut experiments = Vec::with_capacity(tiers.len() * SPEEDUP_SCALES.len());
-    let mut ranking: Vec<TierWhatIfRanking> = Vec::new();
-    let mut unsupported = Vec::new();
-    for &(tier, blame_ns) in tiers {
-        let mut best: Option<(u32, f64)> = None;
-        let mut supported = true;
-        for scale_pct in SPEEDUP_SCALES {
-            match runner(tier, f64::from(scale_pct) / 100.0) {
-                Some(p99_ms) => {
-                    let improvement_ms = baseline_p99_ms - p99_ms;
-                    experiments.push(TierWhatIfExperiment {
-                        tier,
-                        scale_pct,
-                        p99_ms,
-                        improvement_ms,
-                    });
-                    if best.is_none_or(|(_, b)| improvement_ms > b) {
-                        best = Some((scale_pct, improvement_ms));
-                    }
-                }
-                None => {
-                    supported = false;
-                    break;
-                }
-            }
-        }
-        match (supported, best) {
-            (true, Some((best_scale_pct, best_improvement_ms))) => {
-                ranking.push(TierWhatIfRanking {
-                    tier,
-                    blame_ns,
-                    best_scale_pct,
-                    best_improvement_ms,
-                })
-            }
-            _ => unsupported.push(tier),
-        }
-    }
-    // Input order breaks improvement ties, so callers must pass tiers in
-    // canonical ladder order for deterministic output.
-    ranking.sort_by(|a, b| b.best_improvement_ms.total_cmp(&a.best_improvement_ms));
-    TierWhatIfReport {
-        baseline_p99_ms,
-        experiments,
-        ranking,
-        unsupported,
-    }
-}
-
-impl TierWhatIfReport {
-    /// Deterministic text form, same shape as [`WhatIfReport::render`].
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "whatif-tiers baseline_p99_ms={:.3}",
-            self.baseline_p99_ms
-        );
-        for e in &self.experiments {
-            let _ = writeln!(
-                out,
-                "  {:<9} x{:.2} p99_ms={:.3} improvement_ms={:+.3}",
-                e.tier,
-                f64::from(e.scale_pct) / 100.0,
-                e.p99_ms,
-                e.improvement_ms,
-            );
-        }
-        for (i, r) in self.ranking.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "rank {} {:<9} blame_ns={} best_scale=x{:.2} best_improvement_ms={:+.3}",
-                i + 1,
-                r.tier,
-                r.blame_ns,
-                f64::from(r.best_scale_pct) / 100.0,
-                r.best_improvement_ms,
-            );
-        }
-        for t in &self.unsupported {
-            let _ = writeln!(out, "unsupported {t} (tier never on the start path)");
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,24 +196,5 @@ mod tests {
         let report = run(&[(Component::Execution, 5)], 20.0, |_, _| Some(25.0));
         assert!((report.ranking[0].best_improvement_ms + 5.0).abs() < 1e-9);
         assert!(report.render().contains("improvement_ms=-5.000"));
-    }
-
-    #[test]
-    fn tier_knobs_rank_the_ladder() {
-        let tiers = [("snapshot", 100), ("zygote", 50), ("coldboot", 9000)];
-        // Cold-boot speedups dominate; the zygote tier never started.
-        let report = run_tiers(&tiers, 80.0, |tier, scale| match tier {
-            "coldboot" => Some(30.0 + 50.0 * scale),
-            "snapshot" => Some(79.0 + 1.0 * scale - 1.0),
-            _ => None,
-        });
-        assert_eq!(report.experiments.len(), 6);
-        assert_eq!(report.ranking[0].tier, "coldboot");
-        assert_eq!(report.ranking[0].best_scale_pct, 25);
-        assert!((report.ranking[0].best_improvement_ms - 37.5).abs() < 1e-9);
-        assert_eq!(report.unsupported, vec!["zygote"]);
-        let render = report.render();
-        assert!(render.contains("rank 1 coldboot"), "{render}");
-        assert!(render.contains("unsupported zygote"), "{render}");
     }
 }

@@ -88,9 +88,6 @@ pub struct VirtualPlatform {
     config: PlatformConfig,
     transfer: TransferModel,
     include_cold_start: bool,
-    /// First-use startup charge per sandbox; `None` falls back to the cost
-    /// model's full `sandbox_cold_start`.
-    start_cost: Option<SimDuration>,
 }
 
 impl VirtualPlatform {
@@ -99,7 +96,6 @@ impl VirtualPlatform {
             config,
             transfer: TransferModel::paper_calibrated(),
             include_cold_start: false,
-            start_cost: None,
         }
     }
 
@@ -107,16 +103,6 @@ impl VirtualPlatform {
     /// paper measures "without cold start", §6.2).
     pub fn with_cold_starts(mut self, enabled: bool) -> Self {
         self.include_cold_start = enabled;
-        self
-    }
-
-    /// Overrides the first-use startup charge — how lifecycle tiers enter
-    /// the request path: a snapshot restore or zygote fork replaces the
-    /// full cold boot with its own (much smaller) latency. Only takes
-    /// effect when cold starts are enabled via
-    /// [`with_cold_starts`](Self::with_cold_starts).
-    pub fn with_start_cost(mut self, cost: SimDuration) -> Self {
-        self.start_cost = Some(cost);
         self
     }
 
@@ -253,7 +239,7 @@ impl VirtualPlatform {
                     }
                 };
                 if self.include_cold_start && !warm.contains(&wrap.sandbox) {
-                    avail += jit.startup(self.start_cost.unwrap_or(costs.sandbox_cold_start));
+                    avail += jit.startup(costs.sandbox_cold_start);
                 }
                 warm.insert(wrap.sandbox);
 
@@ -740,7 +726,7 @@ impl VirtualPlatform {
                     }
                 };
                 if self.include_cold_start && !warm.contains(&wrap.sandbox) {
-                    avail += jit.startup(self.start_cost.unwrap_or(costs.sandbox_cold_start));
+                    avail += jit.startup(costs.sandbox_cold_start);
                 }
                 warm.insert(wrap.sandbox);
 
@@ -1302,27 +1288,6 @@ mod tests {
         let warm = platform().execute(&wf, &plan, 0).unwrap();
         let delta = cold.e2e.as_millis_f64() - warm.e2e.as_millis_f64();
         assert!((delta - 167.0).abs() < 0.5, "cold start delta {delta}");
-    }
-
-    #[test]
-    fn start_cost_override_replaces_the_cold_boot() {
-        // A tiered start (snapshot restore ≈ 12 ms) charges its own
-        // latency in place of the 167 ms cold boot, once per sandbox.
-        let (wf, plan) = solo();
-        let restored = platform()
-            .with_cold_starts(true)
-            .with_start_cost(SimDuration::from_millis(12))
-            .execute(&wf, &plan, 0)
-            .unwrap();
-        let warm = platform().execute(&wf, &plan, 0).unwrap();
-        let delta = restored.e2e.as_millis_f64() - warm.e2e.as_millis_f64();
-        assert!((delta - 12.0).abs() < 0.5, "restore delta {delta}");
-        // Without cold starts enabled the override charges nothing.
-        let ignored = platform()
-            .with_start_cost(SimDuration::from_millis(12))
-            .execute(&wf, &plan, 0)
-            .unwrap();
-        assert_eq!(ignored.e2e, warm.e2e);
     }
 
     #[test]

@@ -284,7 +284,7 @@ impl FleetSimulation {
     /// events is the run-time cost of tracing; stitching the parts into
     /// one fleet trace is analysis-plane work ([`Trace::chain`] is a
     /// flat copy the overhead figure excludes from its timed region, as
-    /// it excludes attribution and the flight recorder).
+    /// it excludes attribution and the incident snapshot).
     pub fn run_sharded_parts(
         &self,
         workload: &FleetWorkload,

@@ -75,8 +75,9 @@ use chiron_obs::{
 use chiron_runtime::VirtualPlatform;
 use std::collections::VecDeque;
 
-/// [`Run::record`] over disjoint field borrows, for handlers that have
-/// destructured the run: fleet clusters append to their banked buffer,
+/// [`Run::record`] over disjoint field borrows, for code that cannot
+/// borrow the whole run (`Run::new` before the run exists, handlers that
+/// have destructured it): fleet clusters append to their banked buffer,
 /// standalone runs go through the thread-local capture. The caller has
 /// already checked the run's `trace` flag.
 #[inline]
@@ -381,10 +382,11 @@ pub(crate) struct Run<'a> {
     req_base: u64,
     rep_base: u32,
     node_base: u32,
-    /// Fleet mode's per-cluster trace: events banked window by window
-    /// (each `advance_until` opens and closes a thread-local capture, so
-    /// a cluster's events survive work-stealing across worker threads).
-    /// Standalone runs leave this empty — their caller owns the capture.
+    /// Fleet mode's per-cluster trace: every event from construction on
+    /// is pushed here directly, so a cluster's events survive
+    /// work-stealing across worker threads and never touch a thread-local
+    /// capture. Standalone runs leave this empty — their caller owns the
+    /// capture.
     trace_events: Vec<TraceEvent>,
     /// `tracing_enabled()` snapshotted at construction — captures are
     /// opened before a run starts and closed after it ends, so the
@@ -400,26 +402,26 @@ impl<'a> Run<'a> {
         seed: u64,
         fleet: Option<(u32, f64)>,
     ) -> Result<Self, ServeError> {
-        // Fleet clusters own their trace: the construction window runs
-        // inside a thread-local capture whose events are banked into
-        // `trace_events` (standalone runs keep the caller-owned capture
-        // untouched). The banked buffer itself comes from the spare pool
-        // — pulled *before* the capture opens so successive traced runs
-        // hand the largest recycled allocation (last run's merged trace)
-        // to the event stream, keeping its pages warm.
-        let fleet_traced = fleet.is_some() && chiron_obs::tracing_enabled();
-        let banked = if fleet_traced {
+        // Fleet clusters own their trace from the first event: everything
+        // they record, construction included, goes into `banked`, and the
+        // caller's thread-local capture is never touched (standalone runs
+        // emit into that capture instead). The buffer comes from the
+        // spare pool, so successive traced runs hand the largest recycled
+        // allocation (last run's merged trace) to the event stream,
+        // keeping its pages warm.
+        let trace = chiron_obs::tracing_enabled();
+        let in_fleet = fleet.is_some();
+        let mut banked = if in_fleet && trace {
             chiron_obs::take_buffer()
         } else {
             Vec::new()
         };
-        if fleet_traced {
-            chiron_obs::begin_capture_sized(0);
-        }
         // Names the capture before any other event so attribution knows
         // which (workflow, plan) this trace belongs to.
-        if chiron_obs::tracing_enabled() {
-            emit(
+        if trace {
+            record_into(
+                &mut banked,
+                in_fleet,
                 0,
                 TraceEventKind::RunContext {
                     workflow: chiron_obs::intern(&sim.workflow.name),
@@ -429,8 +431,9 @@ impl<'a> Run<'a> {
         }
         // Warm service time: one request on the virtual platform, cold
         // starts excluded (they are modelled at replica granularity here).
-        // Its DES spans land in the trace and give attribution the
-        // service-window component profile.
+        // Its DES spans land in the caller's capture and give attribution
+        // the service-window component profile. Fleet clusters always
+        // carry the override, so this probe never emits into a fleet run.
         let service_base = match sim.service_base_override {
             Some(base) => base,
             None => {
@@ -471,16 +474,16 @@ impl<'a> Run<'a> {
         let (req_base, rep_base, node_base, fleet_mode) = match fleet {
             Some((cluster, rate)) => {
                 let bases = (u64::from(cluster) << 40, cluster << 22, cluster << 16);
-                if chiron_obs::tracing_enabled() {
-                    emit(
-                        0,
-                        TraceEventKind::ClusterContext {
+                if trace {
+                    banked.push(TraceEvent {
+                        time_ns: 0,
+                        kind: TraceEventKind::ClusterContext {
                             cluster,
                             request_base: bases.0,
                             replica_base: bases.1,
                             node_base: bases.2,
                         },
-                    );
+                    });
                 }
                 let mode = FleetMode {
                     rate,
@@ -566,7 +569,7 @@ impl<'a> Run<'a> {
             rep_base,
             node_base,
             trace_events: banked,
-            trace: chiron_obs::tracing_enabled(),
+            trace,
         };
 
         // Deployment-time baseline: min_replicas warm at t=0 (their cold
@@ -584,7 +587,7 @@ impl<'a> Run<'a> {
             run.idle += 1;
             run.idle_bits[id >> 6] |= 1 << (id & 63);
             run.starts_by_tier[StartTier::Warm.code() as usize] += 1;
-            emit(
+            run.record(
                 0,
                 TraceEventKind::ReplicaSpawn {
                     replica: run.rep_base + id as u32,
@@ -593,7 +596,7 @@ impl<'a> Run<'a> {
                     tier: StartTier::Warm.code(),
                 },
             );
-            emit(
+            run.record(
                 0,
                 TraceEventKind::ReplicaReady {
                     replica: run.rep_base + id as u32,
@@ -623,7 +626,6 @@ impl<'a> Run<'a> {
                 EventKind::Heartbeat,
             );
         }
-        run.capture_close();
         Ok(run)
     }
 
@@ -703,21 +705,6 @@ impl<'a> Run<'a> {
     }
 
     // ---- fleet-mode driver interface ------------------------------------
-
-    /// Closes the construction capture and banks its events. Only
-    /// `Run::new` opens one (the platform probe and the context events
-    /// emit through the thread-local sink before the struct exists);
-    /// every post-construction event [`Run::record`]s straight into
-    /// `trace_events`, so a cluster's events survive work-stealing
-    /// across worker threads with no per-epoch capture windows, banking
-    /// copies, or thread-local hops.
-    fn capture_close(&mut self) {
-        if self.trace && self.fleet.is_some() {
-            let part = chiron_obs::end_capture();
-            self.trace_events.extend_from_slice(&part.events);
-            chiron_obs::recycle(part);
-        }
-    }
 
     /// Records one trace event: fleet clusters append straight to their
     /// own banked buffer, standalone runs emit into the caller-owned
