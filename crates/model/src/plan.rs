@@ -15,6 +15,7 @@
 //! intermediate data travels.
 
 use crate::function::FunctionId;
+use crate::workflow::WorkflowError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -348,6 +349,12 @@ pub enum PlanError {
     PoolMissing { stage: usize, wrap: usize },
     /// Two entries of `sandboxes` share one id.
     DuplicateSandbox(SandboxId),
+    /// The workflow the plan is executed against fails
+    /// [`Workflow::validate`](crate::Workflow::validate).
+    InvalidWorkflow(WorkflowError),
+    /// A pseudo-parallel plan on a platform whose GIL switch interval is
+    /// zero: the GIL holder's quantum would never expire.
+    ZeroGilInterval,
 }
 
 impl fmt::Display for PlanError {
@@ -369,6 +376,10 @@ impl fmt::Display for PlanError {
                 )
             }
             PlanError::DuplicateSandbox(id) => write!(f, "{id} is declared twice"),
+            PlanError::InvalidWorkflow(e) => write!(f, "invalid workflow: {e}"),
+            PlanError::ZeroGilInterval => {
+                write!(f, "pseudo-parallel plan on a zero GIL switch interval")
+            }
         }
     }
 }

@@ -25,11 +25,12 @@
 // consulting `holder`/`quantum_end`, which iterator forms cannot express.
 #![allow(clippy::needless_range_loop)]
 
-use crate::scratch::{self, SimScratch};
+use crate::scratch::SimStats;
 use crate::span::{Span, SpanKind};
 use chiron_model::{RuntimeKind, Segment, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// One thread to execute: absolute start time plus its segment list
 /// (already stretched by isolation overheads and jittered by the caller).
@@ -68,23 +69,39 @@ enum Phase {
     Done,
 }
 
+/// One thread of a simulation as the engine consumes it: its GIL domain,
+/// its arrival time and its segments as a range into one flat slice
+/// shared by every lane of the call.
+#[derive(Debug, Clone)]
+pub(crate) struct Lane {
+    pub(crate) process: usize,
+    pub(crate) start: SimTime,
+    pub(crate) segments: Range<usize>,
+}
+
 #[derive(Debug)]
 struct ThreadState {
     process: usize,
-    seg_idx: usize,
-    /// Remaining nanoseconds of work in the current segment.
+    /// Index of the current segment in the flat segment slice.
+    seg: usize,
+    seg_end: usize,
+    /// Remaining nanoseconds of work in the current segment. While the
+    /// thread is running, the live value is in `FluidScratch::run_rem`.
     remaining: f64,
     phase: Phase,
+    /// CPU time consumed; live in `FluidScratch::run_cpu` while running.
     cpu_used: f64,
     exec_start: Option<SimTime>,
     end: SimTime,
-    spans: Vec<Span>,
+    /// The span being recorded; it lands in the lane's span vector.
     open: Option<(SpanKind, SimTime)>,
 }
 
 /// The engine's per-call state, kept between calls so a hot loop of
-/// `run_wrap`s reuses every buffer. All scheduling structures are
-/// incremental replacements for what used to be full per-event scans:
+/// simulations reuses every buffer. At the end of a call every queue is
+/// empty again, so the next call resets only the slots its own processes
+/// and threads use. All scheduling structures are incremental
+/// replacements for what used to be full per-event scans:
 ///
 /// * `ready` — one min-heap per process ordered by `(cpu_used, index)`.
 ///   A `Ready` thread's `cpu_used` is frozen (it only accumulates while
@@ -93,17 +110,21 @@ struct ThreadState {
 ///   minimum is exactly the CFS `min_by(cpu_used).then(index)` victim —
 ///   no re-sorting. IEEE-754 bits of a non-negative f64 order like the
 ///   float itself, so the key is the bit pattern.
-/// * `wake` — min-heap of fixed future times: thread arrivals (`start`)
-///   and I/O completions (`until`), both immutable once pushed.
+/// * `arrivals` — every thread's `(start, index)`, sorted once per call
+///   and consumed in order; `wake` — min-heap of I/O completions, each
+///   fixed once pushed. Step 1 merges the two in `(time, index)` order.
 /// * `running` + `run_pos` — the running set as a swap-remove list, so
-///   the fluid rate is `cpus / running.len()` with no O(threads) count
-///   and steps 5/6 only touch running threads.
+///   the fluid rate is `cpus / running.len()` with no O(threads) count.
+///   `run_rem`/`run_cpu` mirror it with the running threads' remaining
+///   work and CPU time, so steps 5–7 sweep two dense float arrays.
 /// * `waiting` — the processes whose ready heap is non-empty, ascending.
 ///   The preemption, grant and quantum-expiry steps visit only these, in
 ///   the order a `0..n_procs` scan would, so a plan of 200 single-thread
 ///   processes with a few waiters pays for the waiters, not for 200
 ///   processes. A process joins when its heap goes from empty to
 ///   non-empty and leaves after the grant step empties it.
+/// * `ready_fifo` — run-slot requests when no process hosts two threads
+///   (or under true parallelism): every request is granted at once.
 #[derive(Debug, Default)]
 pub(crate) struct FluidScratch {
     threads: Vec<ThreadState>,
@@ -112,10 +133,15 @@ pub(crate) struct FluidScratch {
     ready: Vec<BinaryHeap<Reverse<(u64, usize)>>>,
     ready_fifo: Vec<usize>,
     waiting: Vec<usize>,
+    arrivals: Vec<(SimTime, usize)>,
     wake: BinaryHeap<Reverse<(SimTime, usize)>>,
     running: Vec<usize>,
+    run_rem: Vec<f64>,
+    run_cpu: Vec<f64>,
     run_pos: Vec<usize>,
-    results: Vec<ThreadResult>,
+    ends: Vec<LaneEnd>,
+    /// Counter increments not yet added to the global counters.
+    pub(crate) stats: SimStats,
 }
 
 const NOT_RUNNING: usize = usize::MAX;
@@ -126,10 +152,10 @@ impl ThreadState {
         self.open = Some((kind, now));
     }
 
-    fn close_span(&mut self, now: SimTime) {
+    fn close_span(&mut self, spans: &mut Vec<Span>, now: SimTime) {
         if let Some((kind, start)) = self.open.take() {
             if now > start {
-                self.spans.push(Span {
+                spans.push(Span {
                     kind,
                     start,
                     end: now,
@@ -149,26 +175,89 @@ pub fn execute_sandbox(
     runtime: RuntimeKind,
     gil_interval: SimDuration,
 ) -> Vec<ThreadResult> {
-    let mut scratch = SimScratch::new();
-    execute_sandbox_scratch(tasks, cpus, runtime, gil_interval, &mut scratch).to_vec()
-}
-
-/// [`execute_sandbox`] writing into `scratch`'s reusable buffers. The
-/// returned slice lives until the next simulation call on the same
-/// scratch; results are byte-identical to [`execute_sandbox`].
-pub fn execute_sandbox_scratch<'a>(
-    tasks: &[ThreadTask],
-    cpus: u32,
-    runtime: RuntimeKind,
-    gil_interval: SimDuration,
-    scratch: &'a mut SimScratch,
-) -> &'a [ThreadResult] {
     assert!(cpus > 0, "sandbox needs at least one CPU");
     assert!(
         runtime == RuntimeKind::TrueParallel || !gil_interval.is_zero(),
         "GIL switch interval must be positive"
     );
-    let span_pool = &mut scratch.spans;
+    let mut segments = Vec::new();
+    let lanes: Vec<Lane> = tasks
+        .iter()
+        .map(|t| {
+            let from = segments.len();
+            segments.extend_from_slice(&t.segments);
+            Lane {
+                process: t.process,
+                start: t.start,
+                segments: from..segments.len(),
+            }
+        })
+        .collect();
+    let n_procs = tasks.iter().map(|t| t.process + 1).max().unwrap_or(0);
+    let mut fluid = FluidScratch::default();
+    let sandbox = Sandbox {
+        cpus,
+        runtime,
+        gil_interval,
+    };
+    let mut spans = vec![Vec::new(); lanes.len()];
+    let ends = simulate(&lanes, &segments, n_procs, sandbox, &mut fluid, &mut spans);
+    let results = ends
+        .iter()
+        .zip(spans)
+        .map(|(e, spans)| ThreadResult {
+            exec_start: e.exec_start,
+            end: e.end,
+            spans,
+            cpu_time: SimDuration::from_nanos(e.cpu_used.round() as u64),
+        })
+        .collect();
+    fluid.stats.flush();
+    results
+}
+
+/// How one lane's simulation ended.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneEnd {
+    /// First instant the thread made progress (CPU granted or I/O issued).
+    pub(crate) exec_start: SimTime,
+    /// Instant the last segment finished.
+    pub(crate) end: SimTime,
+    /// CPU time consumed, in nanoseconds.
+    pub(crate) cpu_used: f64,
+}
+
+/// The sandbox a simulation runs in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sandbox {
+    pub(crate) cpus: u32,
+    pub(crate) runtime: RuntimeKind,
+    /// Ignored under `RuntimeKind::TrueParallel`.
+    pub(crate) gil_interval: SimDuration,
+}
+
+/// The engine behind [`execute_sandbox`] and the platform: simulates
+/// `lanes` (processes `0..n_procs`, segments in `segments`) inside one
+/// sandbox, appending each lane's Exec / Io / GilWait spans to `spans[i]`.
+/// The caller guarantees `cpus > 0` and, under
+/// `RuntimeKind::PseudoParallel`, a positive GIL interval. The returned
+/// slice (one end per lane) lives until the next call on the same
+/// scratch; the event and buffer counts wait in `scratch.stats` until the
+/// caller flushes them.
+pub(crate) fn simulate<'a>(
+    lanes: &[Lane],
+    segments: &[Segment],
+    n_procs: usize,
+    sandbox: Sandbox,
+    scratch: &'a mut FluidScratch,
+    spans: &mut [Vec<Span>],
+) -> &'a [LaneEnd] {
+    let Sandbox {
+        cpus,
+        runtime,
+        gil_interval,
+    } = sandbox;
+    debug_assert!(cpus > 0 && (runtime == RuntimeKind::TrueParallel || !gil_interval.is_zero()));
     let FluidScratch {
         threads,
         holder,
@@ -176,86 +265,129 @@ pub fn execute_sandbox_scratch<'a>(
         ready,
         ready_fifo,
         waiting,
+        arrivals,
         wake,
         running,
+        run_rem,
+        run_cpu,
         run_pos,
-        results,
-    } = &mut scratch.fluid;
+        ends,
+        stats,
+    } = scratch;
+    debug_assert_eq!(spans.len(), lanes.len());
 
-    // Recycle the previous call's span buffers and rebuild thread state.
-    for r in results.drain(..) {
-        span_pool.put(r.spans);
-    }
+    // Per-thread state lives in slots kept from earlier calls; a call
+    // with more threads than any before grows them.
+    let n = lanes.len();
+    let reused = threads.capacity().min(n);
+    stats.buffer_reuses += reused as u64;
+    stats.buffer_allocs += (n - reused) as u64;
+    ends.clear();
     threads.clear();
-    for t in tasks {
+    arrivals.clear();
+    for (i, lane) in lanes.iter().enumerate() {
         threads.push(ThreadState {
-            process: t.process,
-            seg_idx: 0,
+            process: lane.process,
+            seg: lane.segments.start,
+            seg_end: lane.segments.end,
             remaining: 0.0,
             phase: Phase::NotStarted,
             cpu_used: 0.0,
             exec_start: None,
-            end: t.start,
-            spans: span_pool.take(),
+            end: lane.start,
             open: None,
         });
+        arrivals.push((lane.start, i));
     }
-    if tasks.is_empty() {
-        return results;
-    }
+    arrivals.sort_unstable();
+    let Some(&(mut now, _)) = arrivals.first() else {
+        return ends;
+    };
 
-    let n_procs = tasks.iter().map(|t| t.process).max().unwrap_or(0) + 1;
-    holder.clear();
-    holder.resize(n_procs, None);
-    quantum_end.clear();
-    quantum_end.resize(n_procs, SimTime::FAR_FUTURE);
-    for heap in ready.iter_mut() {
-        heap.clear();
-    }
-    if ready.len() < n_procs {
-        ready.resize_with(n_procs, BinaryHeap::new);
-    }
-    ready_fifo.clear();
+    // A thread alone in its process never meets a GIL waiter, so it runs
+    // exactly as under true parallelism (grants happen at the same instant
+    // either way, and no quantum can expire without a waiter). The GIL is
+    // simulated only when some process hosts two or more threads; the
+    // check borrows `holder`, which only the GIL path reads afterwards.
+    let gil = runtime == RuntimeKind::PseudoParallel && lanes.len() > 1 && {
+        holder.clear();
+        holder.resize(n_procs, None);
+        lanes
+            .iter()
+            .enumerate()
+            .any(|(i, lane)| holder[lane.process].replace(i).is_some())
+    };
+
+    // A completed call leaves every queue empty, so these clears cost
+    // nothing; they matter only after a call that unwound. Per-process
+    // state is reset for this call's processes alone.
     waiting.clear();
     wake.clear();
     running.clear();
-    run_pos.clear();
-    run_pos.resize(tasks.len(), NOT_RUNNING);
-    let mut events: u64 = 0;
-
-    for (i, t) in tasks.iter().enumerate() {
-        wake.push(Reverse((t.start, i)));
+    run_rem.clear();
+    run_cpu.clear();
+    if gil {
+        holder.fill(None);
+        quantum_end.clear();
+        quantum_end.resize(n_procs, SimTime::FAR_FUTURE);
+        if ready.len() < n_procs {
+            ready.resize_with(n_procs, BinaryHeap::new);
+        }
+        for heap in &mut ready[..n_procs] {
+            heap.clear();
+        }
     }
-    let Some(&Reverse((mut now, _))) = wake.peek() else {
-        unreachable!("non-empty task list")
-    };
+    ready_fifo.clear();
+    run_pos.clear();
+    run_pos.resize(lanes.len(), NOT_RUNNING);
+    let mut next_arrival = 0;
+    let mut events: u64 = 0;
 
     loop {
         events += 1;
         // -- 1. Activate arrivals and I/O completions at `now`. -----------
-        // Wake times are immutable once pushed (thread starts are fixed,
-        // an Io `until` never changes), so each heap entry matches exactly
-        // one pending arrival or I/O episode of its thread.
-        while let Some(&Reverse((due, i))) = wake.peek() {
-            if due > now {
-                break;
-            }
-            wake.pop();
+        // Both sources are fixed once known (thread starts, an Io `until`),
+        // so each entry matches exactly one pending arrival or I/O episode
+        // of its thread; they are taken in `(time, index)` order.
+        loop {
+            let arrival = arrivals
+                .get(next_arrival)
+                .copied()
+                .filter(|&(due, _)| due <= now);
+            let io = wake
+                .peek()
+                .map(|&Reverse(e)| e)
+                .filter(|&(due, _)| due <= now);
+            let i = match (arrival, io) {
+                (None, None) => break,
+                (Some(a), Some(w)) if w < a => {
+                    wake.pop();
+                    w.1
+                }
+                (Some(a), _) => {
+                    next_arrival += 1;
+                    a.1
+                }
+                (None, Some(w)) => {
+                    wake.pop();
+                    w.1
+                }
+            };
             match threads[i].phase {
                 Phase::NotStarted => {}
                 Phase::Io { until } => {
                     debug_assert!(until <= now);
-                    threads[i].close_span(now);
-                    threads[i].seg_idx += 1;
+                    threads[i].close_span(&mut spans[i], now);
+                    threads[i].seg += 1;
                 }
                 _ => unreachable!("stale wake entry"),
             }
             enter_segment(
                 &mut threads[i],
                 i,
-                &tasks[i].segments,
+                segments,
                 now,
-                runtime,
+                gil,
                 ready,
                 ready_fifo,
                 waiting,
@@ -273,66 +405,78 @@ pub fn execute_sandbox_scratch<'a>(
                     // The holder is asked to drop the GIL (Fig. 2) and
                     // re-queues behind the CFS rule.
                     let t = &mut threads[h];
-                    t.close_span(now);
+                    (t.remaining, t.cpu_used) =
+                        remove_running(running, run_rem, run_cpu, run_pos, h);
+                    t.close_span(&mut spans[h], now);
                     t.phase = Phase::Ready;
                     t.open_span(SpanKind::GilWait, now);
                     ready[p].push(Reverse((t.cpu_used.to_bits(), h)));
                     holder[p] = None;
-                    remove_running(running, run_pos, h);
                 }
             }
         }
 
         // -- 3. Grant the GIL / run slots. ---------------------------------
-        match runtime {
-            RuntimeKind::PseudoParallel => {
-                for &p in waiting.iter() {
-                    if holder[p].is_none() {
-                        // CFS rule: the heap minimum is the ready thread
-                        // with the least CPU time (ties to lowest index).
-                        if let Some(Reverse((_, i))) = ready[p].pop() {
-                            let t = &mut threads[i];
-                            t.close_span(now);
-                            t.phase = Phase::Running;
-                            t.exec_start.get_or_insert(now);
-                            t.open_span(SpanKind::Exec, now);
-                            holder[p] = Some(i);
-                            quantum_end[p] = now + gil_interval;
-                            run_pos[i] = running.len();
-                            running.push(i);
-                        }
+        if gil {
+            for &p in waiting.iter() {
+                if holder[p].is_none() {
+                    // CFS rule: the heap minimum is the ready thread
+                    // with the least CPU time (ties to lowest index).
+                    if let Some(Reverse((_, i))) = ready[p].pop() {
+                        let t = &mut threads[i];
+                        t.close_span(&mut spans[i], now);
+                        t.phase = Phase::Running;
+                        t.exec_start.get_or_insert(now);
+                        t.open_span(SpanKind::Exec, now);
+                        holder[p] = Some(i);
+                        quantum_end[p] = now + gil_interval;
+                        run_pos[i] = running.len();
+                        running.push(i);
+                        run_rem.push(t.remaining);
+                        run_cpu.push(t.cpu_used);
                     }
                 }
-                waiting.retain(|&p| !ready[p].is_empty());
             }
-            RuntimeKind::TrueParallel => {
-                for &i in ready_fifo.iter() {
-                    let t = &mut threads[i];
-                    t.close_span(now);
-                    t.phase = Phase::Running;
-                    t.exec_start.get_or_insert(now);
-                    t.open_span(SpanKind::Exec, now);
-                    run_pos[i] = running.len();
-                    running.push(i);
-                }
-                ready_fifo.clear();
+            waiting.retain(|&p| !ready[p].is_empty());
+        } else {
+            for &i in ready_fifo.iter() {
+                let t = &mut threads[i];
+                t.close_span(&mut spans[i], now);
+                t.phase = Phase::Running;
+                t.exec_start.get_or_insert(now);
+                t.open_span(SpanKind::Exec, now);
+                run_pos[i] = running.len();
+                running.push(i);
+                run_rem.push(t.remaining);
+                run_cpu.push(t.cpu_used);
             }
+            ready_fifo.clear();
         }
 
         // -- 4. Fluid rate for the running set. ----------------------------
+        // `cpus / n` is at least 1.0 whenever `n <= cpus`, so the capped
+        // rate is exactly 1.0 there.
         let rate = if running.is_empty() {
             0.0
+        } else if running.len() <= cpus as usize {
+            1.0
         } else {
-            (f64::from(cpus) / running.len() as f64).min(1.0)
+            f64::from(cpus) / running.len() as f64
         };
 
         // -- 5. Find the next event. ---------------------------------------
         let mut next = SimTime::FAR_FUTURE;
+        if let Some(&(due, _)) = arrivals.get(next_arrival) {
+            next = next.min(due);
+        }
         if let Some(&Reverse((due, _))) = wake.peek() {
             next = next.min(due);
         }
-        for &i in running.iter() {
-            let ns = (threads[i].remaining / rate).ceil() as u64;
+        // `ceil(remaining / rate)` is monotone in `remaining`, so the
+        // earliest completion is the least-remaining thread's.
+        if let Some(least) = run_rem.iter().copied().reduce(f64::min) {
+            // Dividing by a rate of exactly 1.0 is the identity.
+            let ns = ceil_ns(if rate == 1.0 { least } else { least / rate });
             next = next.min(now + SimDuration::from_nanos(ns));
         }
         for &p in waiting.iter() {
@@ -348,11 +492,11 @@ pub fn execute_sandbox_scratch<'a>(
         // -- 6. Advance running threads by `dt`. ----------------------------
         let dt = next.since(now).as_nanos() as f64;
         if dt > 0.0 && rate > 0.0 {
-            for &i in running.iter() {
-                let t = &mut threads[i];
-                let progress = (dt * rate).min(t.remaining);
-                t.remaining -= progress;
-                t.cpu_used += progress;
+            let step = dt * rate;
+            for (rem, cpu) in run_rem.iter_mut().zip(run_cpu.iter_mut()) {
+                let progress = step.min(*rem);
+                *rem -= progress;
+                *cpu += progress;
             }
         }
         now = next;
@@ -360,112 +504,120 @@ pub fn execute_sandbox_scratch<'a>(
         // -- 7. Complete finished CPU segments. -----------------------------
         let mut k = 0;
         while k < running.len() {
-            let i = running[k];
-            if threads[i].remaining > 0.5 {
+            if run_rem[k] > 0.5 {
                 k += 1;
                 continue;
             }
-            threads[i].close_span(now);
-            let p = threads[i].process;
-            if holder[p] == Some(i) {
+            let i = running[k];
+            let t = &mut threads[i];
+            (t.remaining, t.cpu_used) = remove_running(running, run_rem, run_cpu, run_pos, i);
+            t.close_span(&mut spans[i], now);
+            let p = t.process;
+            if gil && holder[p] == Some(i) {
                 holder[p] = None;
             }
-            running.swap_remove(k);
-            run_pos[i] = NOT_RUNNING;
-            if let Some(&j) = running.get(k) {
-                run_pos[j] = k;
-            }
-            threads[i].seg_idx += 1;
+            t.seg += 1;
             // A CPU segment followed directly by another CPU segment
             // keeps the GIL: re-grant immediately in the next loop
             // iteration (the thread is Ready with min cpu time unless a
             // starved sibling takes over — which is exactly CFS).
-            enter_segment(
-                &mut threads[i],
-                i,
-                &tasks[i].segments,
-                now,
-                runtime,
-                ready,
-                ready_fifo,
-                waiting,
-                wake,
-            );
+            enter_segment(t, i, segments, now, gil, ready, ready_fifo, waiting, wake);
         }
     }
 
-    scratch::count_events(events);
-    for t in threads.drain(..) {
+    stats.events += events;
+    ends.extend(threads.iter().map(|t| {
         debug_assert_eq!(t.phase, Phase::Done);
-        results.push(ThreadResult {
+        LaneEnd {
             exec_start: t.exec_start.unwrap_or(t.end),
             end: t.end,
-            spans: t.spans,
-            cpu_time: SimDuration::from_nanos(t.cpu_used.round() as u64),
-        });
-    }
-    results
+            cpu_used: t.cpu_used,
+        }
+    }));
+    ends
 }
 
-/// Unlinks thread `i` from the running list in O(1).
-fn remove_running(running: &mut Vec<usize>, run_pos: &mut [usize], i: usize) {
+/// `x.ceil() as u64`, through a truncating integer conversion for the
+/// values the engine sees: without SSE4.1 `f64::ceil` is a software
+/// routine, and this runs once per event.
+fn ceil_ns(x: f64) -> u64 {
+    // Every float in [0, 2^63) truncates exactly to an i64.
+    if (0.0..(1u64 << 63) as f64).contains(&x) {
+        let t = x as i64;
+        t as u64 + u64::from((t as f64) < x)
+    } else {
+        x.ceil() as u64
+    }
+}
+
+/// Unlinks thread `i` from the running list in O(1) and returns its
+/// remaining work and CPU time.
+fn remove_running(
+    running: &mut Vec<usize>,
+    run_rem: &mut Vec<f64>,
+    run_cpu: &mut Vec<f64>,
+    run_pos: &mut [usize],
+    i: usize,
+) -> (f64, f64) {
     let pos = run_pos[i];
     debug_assert_ne!(pos, NOT_RUNNING);
     running.swap_remove(pos);
+    let state = (run_rem.swap_remove(pos), run_cpu.swap_remove(pos));
     run_pos[i] = NOT_RUNNING;
     if let Some(&j) = running.get(pos) {
         run_pos[j] = pos;
     }
+    state
 }
 
 /// Starts the thread's current segment at `now` (or finishes the thread),
 /// skipping zero-length segments, and registers the thread with the
-/// scheduler structure its new phase belongs to.
+/// scheduler structure its new phase belongs to: its process's ready heap
+/// under the GIL, the FIFO of run-slot requests otherwise.
 #[allow(clippy::too_many_arguments)]
 fn enter_segment(
     t: &mut ThreadState,
     i: usize,
     segments: &[Segment],
     now: SimTime,
-    runtime: RuntimeKind,
+    gil: bool,
     ready: &mut [BinaryHeap<Reverse<(u64, usize)>>],
     ready_fifo: &mut Vec<usize>,
     waiting: &mut Vec<usize>,
     wake: &mut BinaryHeap<Reverse<(SimTime, usize)>>,
 ) {
     loop {
-        match segments.get(t.seg_idx) {
-            None => {
-                t.phase = Phase::Done;
-                t.end = now;
-                return;
-            }
-            Some(&Segment::Cpu(d)) => {
+        if t.seg == t.seg_end {
+            t.phase = Phase::Done;
+            t.end = now;
+            return;
+        }
+        match segments[t.seg] {
+            Segment::Cpu(d) => {
                 if d.is_zero() {
-                    t.seg_idx += 1;
+                    t.seg += 1;
                     continue;
                 }
                 t.remaining = d.as_nanos() as f64;
                 t.phase = Phase::Ready;
                 t.open_span(SpanKind::GilWait, now);
-                match runtime {
-                    RuntimeKind::PseudoParallel => {
-                        let p = t.process;
-                        if ready[p].is_empty() {
-                            // Joins the waiting list, kept ascending.
-                            let at = waiting.partition_point(|&q| q < p);
-                            waiting.insert(at, p);
-                        }
-                        ready[p].push(Reverse((t.cpu_used.to_bits(), i)));
+                if gil {
+                    let p = t.process;
+                    if ready[p].is_empty() {
+                        // Joins the waiting list, kept ascending.
+                        let at = waiting.partition_point(|&q| q < p);
+                        waiting.insert(at, p);
                     }
-                    RuntimeKind::TrueParallel => ready_fifo.push(i),
+                    ready[p].push(Reverse((t.cpu_used.to_bits(), i)));
+                } else {
+                    ready_fifo.push(i);
                 }
                 return;
             }
-            Some(&Segment::Block { dur, .. }) => {
+            Segment::Block { dur, .. } => {
                 t.exec_start.get_or_insert(now);
                 if dur.is_zero() {
-                    t.seg_idx += 1;
+                    t.seg += 1;
                     continue;
                 }
                 t.phase = Phase::Io { until: now + dur };
@@ -518,10 +670,12 @@ impl RefThreadState {
 }
 
 /// The pre-optimisation fluid engine, retained verbatim as a reference:
-/// `figures -- perf-eval` measures the incremental engine against it, and
-/// the property tests assert both produce byte-identical results. Unlike
-/// [`execute_sandbox_scratch`] it allocates every buffer per call and
-/// re-scans all threads at every event.
+/// it backs [`VirtualPlatform::execute_reference`], and tier-1
+/// `tests/des_identity.rs` asserts both engines produce byte-identical
+/// outcomes. Unlike [`execute_sandbox`] it re-scans all threads at every
+/// event.
+///
+/// [`VirtualPlatform::execute_reference`]: crate::VirtualPlatform::execute_reference
 pub fn execute_sandbox_reference(
     tasks: &[ThreadTask],
     cpus: u32,
@@ -961,6 +1115,34 @@ mod tests {
             GIL,
         );
         assert_eq!(end_ms(&res[0]), 5.0);
+    }
+
+    #[test]
+    fn ceil_ns_matches_float_ceil() {
+        let two53 = (1u64 << 53) as f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.25,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0 / 3.0,
+            1e6 / 3.0,
+            two53 - 0.5,
+            two53,
+            two53 + 2.0,
+            ((1u64 << 63) - 1024) as f64,
+            (1u64 << 63) as f64,
+            1e19,
+            18_446_744_073_709_551_616.0,
+            1e30,
+            f64::INFINITY,
+        ];
+        xs.extend((1..2_000u32).map(|i| f64::from(i) * 7_919.123 / 3.0));
+        for x in xs {
+            assert_eq!(ceil_ns(x), x.ceil() as u64, "ceil of {x}");
+        }
     }
 
     #[test]

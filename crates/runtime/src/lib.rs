@@ -12,6 +12,7 @@
 // slices; everything else stays checked.
 #![deny(unsafe_code)]
 
+mod compiled;
 pub mod export;
 pub mod fluid;
 pub mod jitter;

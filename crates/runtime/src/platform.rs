@@ -20,8 +20,24 @@
 //!   by RPC payload, pipe, or shared memory depending on locality.
 //! * CPU contention, the GIL, and true parallelism are simulated by the
 //!   [`fluid`](crate::fluid) engine.
+//!
+//! **Compile once, replay per seed.** Only the jitter draws change from
+//! one seed to the next, so [`VirtualPlatform::execute_with_scratch`]
+//! compiles the plan once (validation, flat stage/wrap/process/thread
+//! ranges, every base cost and the shm placement resolved) and keeps the
+//! compiled plan in the caller's [`SimScratch`]. A later call reuses it
+//! when the platform, the workflow and the plan all compare equal by
+//! value to the ones it was compiled from — never by address, so an input
+//! mutated in place recompiles and an equal copy does not — and otherwise
+//! compiles anew. A reuse only draws jitter, in the order the paper's
+//! semantics above consume it, and runs the event loop; the draws (an
+//! ln, a cos and an exp each) are the floor of its cost. The
+//! interpretive path survives only as the [`execute_reference`] oracle.
+//!
+//! [`execute_reference`]: VirtualPlatform::execute_reference
 
-use crate::fluid::{execute_sandbox_scratch, ThreadTask};
+use crate::compiled::CompiledPlan;
+use crate::fluid::ThreadTask;
 use crate::jitter::Jitter;
 use crate::scratch::SimScratch;
 use crate::span::{FunctionTimeline, RequestOutcome, Span, SpanKind};
@@ -34,52 +50,14 @@ use chiron_model::{
 use chiron_store::TransferModel;
 use std::cell::RefCell;
 use std::collections::HashSet;
-use std::ops::Range;
 
 /// Size of the initial request payload entering stage 1.
-const REQUEST_PAYLOAD_BYTES: u64 = 1 << 10;
+pub(crate) const REQUEST_PAYLOAD_BYTES: u64 = 1 << 10;
 
 thread_local! {
     /// Default scratch for callers that don't manage their own (one per OS
     /// thread, so sweep workers never contend).
     static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::new());
-}
-
-/// Reusable buffers for [`VirtualPlatform::execute`] and `run_wrap`.
-/// `pre_all` holds every pre-execution span of the current wrap
-/// back-to-back; each thread's metadata keeps a [`Range`] into it instead
-/// of an owned clone, so the only per-function allocation left is the
-/// timeline's final span vector (which is returned to the caller and
-/// therefore cannot be pooled).
-#[derive(Debug, Default)]
-pub(crate) struct WrapScratch {
-    // -- per-request buffers (execute) --
-    stage_sets: Vec<Vec<FunctionId>>,
-    warm: HashSet<chiron_model::SandboxId>,
-    wrap_ends: Vec<SimTime>,
-    // -- per-wrap buffers (run_wrap), taken wholesale so the fluid engine
-    //    can borrow the rest of the scratch during the simulation --
-    bufs: WrapBufs,
-}
-
-#[derive(Debug, Default)]
-struct WrapBufs {
-    tasks: Vec<ThreadTask>,
-    metas: Vec<ThreadMeta>,
-    pre_all: Vec<Span>,
-    proc_end: Vec<SimTime>,
-    order: Vec<usize>,
-    ipc_span: Vec<Option<Span>>,
-    first_meta: Vec<usize>,
-}
-
-#[derive(Debug)]
-struct ThreadMeta {
-    function: FunctionId,
-    process: usize,
-    /// This thread's pre-execution spans, as a range into `pre_all`.
-    pre: Range<usize>,
-    dispatched: SimTime,
 }
 
 /// The virtual platform.
@@ -128,8 +106,12 @@ impl VirtualPlatform {
     }
 
     /// Like [`execute`](Self::execute), but drawing every internal buffer
-    /// from `scratch`. Byte-identical to a fresh-allocation run: buffers are
-    /// cleared before reuse and carry no state between requests.
+    /// from `scratch`, including its compiled plan. The plan is compiled
+    /// (and the inputs validated) when this platform, `workflow` and `plan`
+    /// differ by value from the ones the scratch's plan was compiled from;
+    /// otherwise the call only replays it with `seed`'s jitter.
+    /// Byte-identical to a fresh-scratch run: buffers are cleared before
+    /// reuse and carry no state between requests.
     pub fn execute_with_scratch(
         &self,
         workflow: &Workflow,
@@ -137,498 +119,44 @@ impl VirtualPlatform {
         seed: u64,
         scratch: &mut SimScratch,
     ) -> Result<RequestOutcome, PlanError> {
-        {
-            let stage_sets = &mut scratch.wrap.stage_sets;
-            for (i, s) in workflow.stages.iter().enumerate() {
-                if let Some(set) = stage_sets.get_mut(i) {
-                    set.clear();
-                    set.extend_from_slice(&s.functions);
-                } else {
-                    stage_sets.push(s.functions.clone());
-                }
-            }
-            stage_sets.truncate(workflow.stages.len());
+        let SimScratch {
+            fluid,
+            replay,
+            compiled,
+        } = scratch;
+        let cached = compiled.as_ref().is_some_and(|c| {
+            c.compiled_for(
+                &self.config,
+                &self.transfer,
+                self.include_cold_start,
+                workflow,
+                plan,
+            )
+        });
+        if !cached {
+            *compiled = Some(CompiledPlan::compile(
+                &self.config,
+                &self.transfer,
+                self.include_cold_start,
+                workflow,
+                plan,
+            )?);
         }
-        plan.validate(&scratch.wrap.stage_sets)?;
-
-        let costs = &self.config.costs;
-        let mut jit = Jitter::new(self.config.jitter, seed);
-        let iso = IsolationCosts::for_kind(plan.isolation);
-        let store_based = !matches!(
-            plan.transfer,
-            TransferKind::RpcPayload | TransferKind::ShmRing
-        );
-        // Locality only matters to the shm-ring tier; every other kind
-        // prices independently of placement, so skip the packing work.
-        let placement = (plan.transfer == TransferKind::ShmRing)
-            .then(|| NodePlacement::first_fit(plan, costs.node_cpus));
-        let colocated =
-            |a: SandboxId, b: SandboxId| placement.as_ref().is_some_and(|p| p.colocated(a, b));
-        let last_stage = plan.stages.len() - 1;
-
-        let mut timelines: Vec<Option<FunctionTimeline>> = vec![None; workflow.function_count()];
-        let mut warm = std::mem::take(&mut scratch.wrap.warm);
-        warm.clear();
-        let mut wrap_ends = std::mem::take(&mut scratch.wrap.wrap_ends);
-        let mut stage_windows = Vec::with_capacity(plan.stages.len());
-        let mut t = SimTime::ZERO;
-        let mut prev_primary = None;
-
-        for (si, stage_plan) in plan.stages.iter().enumerate() {
-            let stage_input_bytes = if si == 0 {
-                REQUEST_PAYLOAD_BYTES
-            } else {
-                workflow.stage_output_bytes(si - 1)
-            };
-
-            // Cross-stage control handoff between pre-deployed wraps in
-            // different sandboxes.
-            let primary = stage_plan.wraps[0].sandbox;
-            if plan.scheduling == SchedulingKind::PreDeployed {
-                if let Some(prev) = prev_primary {
-                    if prev != primary {
-                        // A co-located pair rides the ring: the doorbell
-                        // floor replaces the RPC round trip entirely.
-                        t += if colocated(prev, primary) {
-                            jit.comm(self.transfer.shm_ring.latency(stage_input_bytes))
-                        } else {
-                            jit.comm(costs.rpc)
-                                + jit.comm(
-                                    self.transfer
-                                        .cross_sandbox(TransferKind::RpcPayload, stage_input_bytes),
-                                )
-                        };
-                    }
-                }
-            }
-            prev_primary = Some(primary);
-
-            let stage_start = t;
-            wrap_ends.clear();
-
-            for (k, wrap) in stage_plan.wraps.iter().enumerate() {
-                // ---- invocation time of this wrap -----------------------
-                let mut avail = match plan.scheduling {
-                    SchedulingKind::Asf => {
-                        stage_start + jit.comm(self.config.scheduling.asf_schedule_time(k as u32))
-                    }
-                    SchedulingKind::OpenFaasGateway => {
-                        stage_start
-                            + jit.comm(self.config.scheduling.openfaas_stage_overhead(k as u32 + 1))
-                            + jit.comm(costs.rpc)
-                    }
-                    SchedulingKind::PreDeployed => {
-                        if k == 0 {
-                            stage_start
-                        } else if colocated(primary, wrap.sandbox) {
-                            // Invocation still costs T_INV per Eq. 2, but
-                            // the payload rides the ring in place of the
-                            // RPC round trip + piggy-backed copy.
-                            stage_start
-                                + jit.comm(costs.inv * k as u64)
-                                + jit.comm(self.transfer.shm_ring.latency(stage_input_bytes))
-                        } else {
-                            stage_start
-                                + jit.comm(costs.inv * k as u64)
-                                + jit.comm(costs.rpc)
-                                + jit.comm(
-                                    self.transfer
-                                        .cross_sandbox(TransferKind::RpcPayload, stage_input_bytes),
-                                )
-                        }
-                    }
-                };
-                if self.include_cold_start && !warm.contains(&wrap.sandbox) {
-                    avail += jit.startup(costs.sandbox_cold_start);
-                }
-                warm.insert(wrap.sandbox);
-
-                let read_input = store_based && si > 0;
-                let write_output = store_based && si < last_stage;
-                let end = self.run_wrap(
-                    WrapRun {
-                        workflow,
-                        plan,
-                        wrap,
-                        stage: si,
-                        stage_start,
-                        avail,
-                        stage_input_bytes,
-                        read_input,
-                        write_output,
-                        iso: &iso,
-                        jit: &mut jit,
-                        timelines: &mut timelines,
-                    },
-                    scratch,
-                );
-                wrap_ends.push(end);
-            }
-
-            // ---- stage completion (Eq. 2) -------------------------------
-            let remote_return = plan.scheduling != SchedulingKind::PreDeployed;
-            let mut stage_end = SimTime::ZERO;
-            for (k, &end) in wrap_ends.iter().enumerate() {
-                let e = if k == 0 && !remote_return {
-                    end
-                } else if !remote_return && colocated(stage_plan.wraps[k].sandbox, primary) {
-                    // Result notification over the ring: doorbell only.
-                    end + jit.comm(self.transfer.shm_ring.floor)
-                } else {
-                    end + jit.comm(costs.rpc)
-                };
-                stage_end = stage_end.max(e);
-            }
-            t = stage_end;
-            stage_windows.push((stage_start, stage_end));
-        }
-
-        scratch.wrap.warm = warm;
-        scratch.wrap.wrap_ends = wrap_ends;
-        let timelines: Vec<FunctionTimeline> = timelines
-            .into_iter()
-            .map(|t| t.expect("every function executed"))
-            .collect();
-        Ok(RequestOutcome {
-            e2e: t.since(SimTime::ZERO),
-            timelines,
-            stage_windows,
-        })
-    }
-
-    /// Executes one wrap and returns the instant its result set is complete
-    /// inside its sandbox.
-    fn run_wrap(&self, run: WrapRun<'_>, scratch: &mut SimScratch) -> SimTime {
-        let WrapRun {
-            workflow,
-            plan,
-            wrap,
-            stage,
-            stage_start,
-            avail,
-            stage_input_bytes,
-            read_input,
-            write_output,
-            iso,
-            jit,
-            timelines,
-        } = run;
-        let costs = &self.config.costs;
-        let sb = plan.sandbox(wrap.sandbox).expect("validated plan");
-
-        // The wrap buffers move out of the scratch so the fluid engine can
-        // borrow the rest of it during the simulation; they go back below.
-        let mut ws = std::mem::take(&mut scratch.wrap.bufs);
-        let WrapBufs {
-            tasks,
-            metas,
-            pre_all,
-            proc_end,
-            order,
-            ipc_span,
-            first_meta,
-        } = &mut ws;
-        tasks.clear();
-        metas.clear();
-        pre_all.clear();
-
-        let mut cum_block = SimDuration::ZERO;
-        let mut forked_before = false;
-        for (pi, proc) in wrap.processes.iter().enumerate() {
-            // ---- process materialisation --------------------------------
-            let proc_pre_start = pre_all.len();
-            if avail > stage_start {
-                pre_all.push(Span {
-                    kind: SpanKind::Scheduled,
-                    start: stage_start,
-                    end: avail,
-                });
-            }
-            let mut cursor = avail;
-            match proc.spawn {
-                ProcessSpawn::Fork => {
-                    if forked_before {
-                        cum_block += jit.startup(costs.process_block);
-                    }
-                    forked_before = true;
-                    if !cum_block.is_zero() {
-                        let end = cursor + cum_block;
-                        pre_all.push(Span {
-                            kind: SpanKind::BlockWait,
-                            start: cursor,
-                            end,
-                        });
-                        cursor = end;
-                    }
-                    let startup = jit.startup(costs.process_startup);
-                    let end = cursor + startup;
-                    pre_all.push(Span {
-                        kind: SpanKind::Startup,
-                        start: cursor,
-                        end,
-                    });
-                    cursor = end;
-                }
-                ProcessSpawn::Pool => {
-                    // Under the shm-ring tier the dispatch payload rides the
-                    // ring (orchestrator and worker share the node by
-                    // construction); otherwise it crosses a pipe.
-                    let payload = if plan.transfer == TransferKind::ShmRing {
-                        self.transfer.shm_ring.latency(stage_input_bytes)
-                    } else {
-                        self.transfer.cross_process(stage_input_bytes)
-                    };
-                    let dispatch = jit.startup(costs.pool_dispatch) + jit.comm(payload);
-                    let end = cursor + dispatch;
-                    pre_all.push(Span {
-                        kind: SpanKind::Startup,
-                        start: cursor,
-                        end,
-                    });
-                    cursor = end;
-                }
-                ProcessSpawn::MainReuse => {}
-            }
-            let proc_pre_end = pre_all.len();
-            let proc_ready = cursor;
-
-            // MPK/SFI isolation wraps thread execution: it applies wherever
-            // a function shares an address space (the orchestrator's
-            // process, or a multi-function process). A forked or pooled
-            // process hosting a single function is isolated by the process
-            // boundary itself.
-            let isolated = proc.spawn == ProcessSpawn::MainReuse || proc.functions.len() > 1;
-
-            for (ti, &fid) in proc.functions.iter().enumerate() {
-                // Each thread's pre-spans begin with its process's prefix.
-                let pre_start = pre_all.len();
-                for i in proc_pre_start..proc_pre_end {
-                    let span = pre_all[i];
-                    pre_all.push(span);
-                }
-                let mut cursor = proc_ready;
-                if ti > 0 {
-                    // Threads are cloned serially by the process main.
-                    let clone_cost = jit.startup(costs.thread_clone) * ti as u64;
-                    let end = cursor + clone_cost;
-                    pre_all.push(Span {
-                        kind: SpanKind::Startup,
-                        start: cursor,
-                        end,
-                    });
-                    cursor = end;
-                }
-                if isolated && !iso.startup.is_zero() {
-                    let end = cursor + jit.startup(iso.startup);
-                    pre_all.push(Span {
-                        kind: SpanKind::Startup,
-                        start: cursor,
-                        end,
-                    });
-                    cursor = end;
-                }
-                if read_input {
-                    let read = jit.comm(
-                        self.transfer
-                            .cross_sandbox(plan.transfer, stage_input_bytes),
-                    );
-                    let end = cursor + read;
-                    pre_all.push(Span {
-                        kind: SpanKind::TransferIn,
-                        start: cursor,
-                        end,
-                    });
-                    cursor = end;
-                }
-                let spec = workflow.function(fid);
-                let mut segments = scratch.segs.take();
-                segments.extend(spec.segments.iter().map(|&seg| {
-                    let stretched = if isolated {
-                        iso.stretch_segment(seg)
-                    } else {
-                        seg.duration()
-                    };
-                    match seg {
-                        Segment::Cpu(_) => Segment::Cpu(jit.cpu(stretched)),
-                        Segment::Block { kind, .. } => Segment::Block {
-                            kind,
-                            dur: jit.io(stretched),
-                        },
-                    }
-                }));
-                tasks.push(ThreadTask {
-                    process: pi,
-                    start: cursor,
-                    segments,
-                });
-                metas.push(ThreadMeta {
-                    function: fid,
-                    process: pi,
-                    pre: pre_start..pre_all.len(),
-                    dispatched: stage_start,
-                });
-            }
-        }
-
-        let results = execute_sandbox_scratch(
-            tasks,
-            sb.cpus,
-            plan.runtime,
-            costs.gil_switch_interval,
-            scratch,
-        );
-
-        // ---- per-process completion and IPC drain (Eq. 3) ---------------
-        let n_procs = wrap.processes.len();
-        proc_end.clear();
-        proc_end.resize(n_procs, SimTime::ZERO);
-        first_meta.clear();
-        first_meta.resize(n_procs, usize::MAX);
-        for (mi, (meta, result)) in metas.iter().zip(results).enumerate() {
-            proc_end[meta.process] = proc_end[meta.process].max(result.end);
-            if first_meta[meta.process] == usize::MAX {
-                first_meta[meta.process] = mi;
-            }
-        }
-        order.clear();
-        order.extend(0..n_procs);
-        order.sort_by_key(|&p| proc_end[p]);
-        let mut drain = SimTime::ZERO;
-        ipc_span.clear();
-        ipc_span.resize(n_procs, None);
-        for (rank, &p) in order.iter().enumerate() {
-            if rank == 0 {
-                drain = proc_end[p];
-                continue;
-            }
-            let start = drain.max(proc_end[p]);
-            let out_bytes: u64 = wrap.processes[p]
-                .functions
-                .iter()
-                .map(|&fid| workflow.function(fid).output_bytes)
-                .sum();
-            // Processes of one wrap share a node: under the shm-ring tier
-            // the drain rides the ring (floor replaces T_IPC's pipe write).
-            let cost = if plan.transfer == TransferKind::ShmRing {
-                jit.comm(self.transfer.shm_ring.latency(out_bytes))
-            } else {
-                jit.comm(costs.ipc_pipe + self.transfer.cross_process(out_bytes))
-            };
-            drain = start + cost;
-            ipc_span[p] = Some(Span {
-                kind: SpanKind::Ipc,
-                start,
-                end: drain,
-            });
-        }
-        let mut wrap_end = drain;
-
-        // ---- assemble timelines ------------------------------------------
-        for (mi, (meta, result)) in metas.iter().zip(results).enumerate() {
-            // IPC span attaches to the process's functions (recorded once,
-            // on the process's first function).
-            let ipc = ipc_span[meta.process].filter(|_| first_meta[meta.process] == mi);
-            let mut spans = Vec::with_capacity(
-                meta.pre.len()
-                    + result.spans.len()
-                    + usize::from(ipc.is_some())
-                    + usize::from(write_output),
-            );
-            spans.extend_from_slice(&pre_all[meta.pre.clone()]);
-            spans.extend_from_slice(&result.spans);
-            let mut completed = result.end;
-            if let Some(ipc) = ipc {
-                spans.push(ipc);
-            }
-            if write_output {
-                let write =
-                    jit.comm(self.transfer.cross_sandbox(
-                        plan.transfer,
-                        workflow.function(meta.function).output_bytes,
-                    ));
-                // The write starts when the function's own result exists.
-                let start = completed;
-                completed = start + write;
-                spans.push(Span {
-                    kind: SpanKind::TransferOut,
-                    start,
-                    end: completed,
-                });
-                wrap_end = wrap_end.max(completed);
-            }
-            // Tracing hook (one relaxed load when disabled): the warm-path
-            // engine reports each function's DES window. The reference
-            // engine stays uninstrumented — it exists to reproduce the
-            // seed harness byte-for-byte, overhead included.
-            if chiron_obs::tracing_enabled() {
-                let dispatched_ns = meta.dispatched.as_nanos();
-                let rel = |t: chiron_model::SimTime| {
-                    u32::try_from(t.as_nanos().saturating_sub(dispatched_ns)).unwrap_or(u32::MAX)
-                };
-                chiron_obs::emit(
-                    dispatched_ns,
-                    chiron_obs::TraceEventKind::DesSpan {
-                        function: meta.function.0 as u16,
-                        sandbox: wrap.sandbox.0 as u16,
-                        stage: stage as u16,
-                        spans: spans.len().min(u16::MAX as usize) as u16,
-                        exec_rel_ns: rel(result.exec_start),
-                        complete_rel_ns: rel(completed),
-                    },
-                );
-                // The window's §2.2 component breakdown, for latency
-                // attribution: startup / block / interaction / execution.
-                let mut parts = [0u64; 4];
-                for span in &spans {
-                    let slot = match span.kind {
-                        SpanKind::Startup => 0,
-                        SpanKind::BlockWait | SpanKind::GilWait | SpanKind::Scheduled => 1,
-                        SpanKind::TransferIn | SpanKind::TransferOut | SpanKind::Ipc => 2,
-                        SpanKind::Exec | SpanKind::Io => 3,
-                    };
-                    parts[slot] += span.end.since(span.start).as_nanos();
-                }
-                let sat = |ns: u64| u32::try_from(ns).unwrap_or(u32::MAX);
-                chiron_obs::emit(
-                    dispatched_ns,
-                    chiron_obs::TraceEventKind::DesBreakdown {
-                        function: meta.function.0 as u16,
-                        stage: stage as u16,
-                        startup_ns: sat(parts[0]),
-                        blocked_ns: sat(parts[1]),
-                        interaction_ns: sat(parts[2]),
-                        exec_ns: sat(parts[3]),
-                    },
-                );
-            }
-            timelines[meta.function.index()] = Some(FunctionTimeline {
-                function: meta.function,
-                sandbox: wrap.sandbox,
-                stage,
-                dispatched: meta.dispatched,
-                exec_start: result.exec_start,
-                completed,
-                spans,
-            });
-        }
-
-        // Recycle the task segment buffers, then hand the wrap buffers back.
-        for task in tasks.drain(..) {
-            scratch.segs.put(task.segments);
-        }
-        scratch.wrap.bufs = ws;
-        wrap_end
+        let compiled = compiled.as_ref().expect("compiled above");
+        Ok(compiled.replay(seed, replay, fluid))
     }
 
     // -----------------------------------------------------------------------
     // Reference engine
     // -----------------------------------------------------------------------
 
-    /// The pre-optimisation execution path, retained verbatim: allocates
-    /// every buffer per request and simulates sandboxes with
+    /// The pre-optimisation execution path, retained verbatim as the
+    /// oracle: interprets the plan on every call, allocates every buffer
+    /// per request and simulates sandboxes with
     /// [`execute_sandbox_reference`](crate::fluid::execute_sandbox_reference).
-    /// Byte-identical to [`execute`](Self::execute) — `figures -- perf-eval`
-    /// benchmarks against it and the property tests assert the equality.
+    /// Byte-identical to [`execute`](Self::execute) for every plan
+    /// `execute` accepts; tier-1 `tests/des_identity.rs` asserts the
+    /// equality.
     pub fn execute_reference(
         &self,
         workflow: &Workflow,
@@ -778,7 +306,7 @@ impl VirtualPlatform {
         })
     }
 
-    /// `run_wrap` as it was before buffer reuse: per-call vectors, cloned
+    /// One wrap as the seed executor ran it: per-call vectors, cloned
     /// pre-span lists and the re-scanning fluid engine.
     fn run_wrap_reference(&self, run: WrapRun<'_>) -> SimTime {
         let WrapRun {
@@ -1027,7 +555,7 @@ impl VirtualPlatform {
     }
 }
 
-/// Parameters for executing one wrap (bundled to keep `run_wrap` readable).
+/// Parameters for executing one wrap on the reference path.
 struct WrapRun<'a> {
     workflow: &'a Workflow,
     plan: &'a DeploymentPlan,

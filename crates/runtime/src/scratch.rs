@@ -1,36 +1,43 @@
-//! Reusable per-worker simulation buffers.
+//! Reusable per-worker simulation state.
 //!
-//! Every `run_wrap` used to allocate its thread-state, span and timeline
-//! vectors from scratch — millions of short-lived allocations over a full
-//! figure regeneration. [`SimScratch`] keeps those buffers alive between
-//! requests: one scratch per sweep worker (or the thread-local default),
-//! never shared, so reuse is free of synchronisation. Buffers are always
-//! cleared before reuse, which is why a scratch-backed run is
-//! byte-identical to a fresh-allocation run (the property tests check
-//! exactly that).
+//! [`SimScratch`] holds everything a request's execution can carry over
+//! to the next one: the compiled plan of the last (platform, workflow,
+//! plan) it ran, the fluid engine's per-thread state and queues, and the
+//! replay's segment and span buffers. One scratch per sweep worker (or
+//! the thread-local default), never shared, so reuse is free of
+//! synchronisation.
 //!
-//! The module also counts pool traffic globally — as
+//! The compiled plan is keyed by value: a call reuses it only when all
+//! three inputs compare equal to the ones it was compiled from, and
+//! compiles anew otherwise, so a stale plan can never reach a result.
+//! Buffers are always cleared before reuse. Together these make a
+//! scratch-backed run byte-identical to a fresh-scratch run (tier-1
+//! `tests/des_identity.rs` checks exactly that). With the structure
+//! compiled away, a replay costs its jitter draws plus the event loop.
+//!
+//! The module also counts buffer reuse and fluid events globally — as
 //! [`chiron_obs`]-registered counters, so `figures -- obs` sees them in
 //! the metrics snapshot and `figures -- perf-eval` can report first-run
-//! vs steady-state allocation counts for the DES hot loop. All accesses
-//! are `Relaxed`: these are statistics, not synchronisation, and their
-//! totals are sums of per-event increments (deterministic for a
-//! deterministic workload regardless of interleaving).
+//! vs steady-state allocation counts for the DES hot loop. A scratch
+//! gathers its counts and adds them once per request. All accesses are
+//! `Relaxed`: these are statistics, not synchronisation, and their totals
+//! are sums of per-event increments (deterministic for a deterministic
+//! workload regardless of interleaving).
 
-use crate::span::Span;
-use chiron_model::Segment;
+use crate::compiled::{CompiledPlan, ReplayScratch};
+use crate::fluid::FluidScratch;
 use chiron_obs::StaticCounter;
 
 static BUFFER_ALLOCS: StaticCounter = StaticCounter::new("runtime.scratch.buffer_allocs");
 static BUFFER_REUSES: StaticCounter = StaticCounter::new("runtime.scratch.buffer_reuses");
 static SIM_EVENTS: StaticCounter = StaticCounter::new("runtime.fluid.sim_events");
 
-/// Global pool-traffic counters for the DES hot loop.
+/// Global buffer-reuse counters for the DES hot loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocStats {
-    /// Buffers newly allocated because no pooled one was available.
+    /// Per-thread buffers newly allocated because the scratch had none.
     pub buffer_allocs: u64,
-    /// Buffers served from a scratch pool.
+    /// Per-thread buffers served from a scratch.
     pub buffer_reuses: u64,
     /// Fluid-simulator event-loop iterations.
     pub events: u64,
@@ -50,50 +57,40 @@ pub fn alloc_stats() -> AllocStats {
     }
 }
 
-pub(crate) fn count_events(n: u64) {
-    SIM_EVENTS.add(n);
+/// Counter increments gathered by one scratch and added to the global
+/// counters in one go, so the hot loop pays no atomic per simulation.
+#[derive(Debug, Default)]
+pub(crate) struct SimStats {
+    /// Per-thread engine slots the fluid engine had to grow its scratch
+    /// for (a simulation with more threads than any before it).
+    pub(crate) buffer_allocs: u64,
+    /// Per-thread engine slots served from an earlier call's scratch.
+    pub(crate) buffer_reuses: u64,
+    pub(crate) events: u64,
 }
 
-/// A pool of recycled `Vec<T>` buffers; `take` hands back a cleared buffer
-/// with its old capacity intact.
-#[derive(Debug)]
-pub(crate) struct Pool<T>(Vec<Vec<T>>);
-
-impl<T> Default for Pool<T> {
-    fn default() -> Self {
-        Pool(Vec::new())
+impl SimStats {
+    pub(crate) fn flush(&mut self) {
+        let SimStats {
+            buffer_allocs,
+            buffer_reuses,
+            events,
+        } = std::mem::take(self);
+        BUFFER_ALLOCS.add(buffer_allocs);
+        BUFFER_REUSES.add(buffer_reuses);
+        SIM_EVENTS.add(events);
     }
 }
 
-impl<T> Pool<T> {
-    pub(crate) fn take(&mut self) -> Vec<T> {
-        match self.0.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                BUFFER_REUSES.incr();
-                buf
-            }
-            None => {
-                BUFFER_ALLOCS.incr();
-                Vec::new()
-            }
-        }
-    }
-
-    pub(crate) fn put(&mut self, buf: Vec<T>) {
-        self.0.push(buf);
-    }
-}
-
-/// Reusable buffers for one simulation worker. Not shared between
+/// Reusable state for one simulation worker. Not shared between
 /// workers: each sweep worker (or the thread-local default) owns its own,
 /// mirroring `chiron-predict`'s `PredictScratch`.
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    pub(crate) spans: Pool<Span>,
-    pub(crate) segs: Pool<Segment>,
-    pub(crate) fluid: crate::fluid::FluidScratch,
-    pub(crate) wrap: crate::platform::WrapScratch,
+    pub(crate) fluid: FluidScratch,
+    pub(crate) replay: ReplayScratch,
+    /// The plan of the last call, with the inputs it was compiled from.
+    pub(crate) compiled: Option<CompiledPlan>,
 }
 
 impl SimScratch {
@@ -105,28 +102,33 @@ impl SimScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fluid::{execute_sandbox, ThreadTask};
+    use chiron_model::{RuntimeKind, Segment, SimDuration, SimTime};
 
     #[test]
-    fn pools_recycle_buffers() {
-        let mut pool: Pool<Span> = Pool::default();
-        let mut spans = pool.take();
-        spans.reserve(16);
-        let cap = spans.capacity();
-        pool.put(spans);
-        let again = pool.take();
-        assert!(again.is_empty());
-        assert!(again.capacity() >= cap);
-    }
+    fn stats_track_allocs_reuses_and_events() {
+        let tasks = [ThreadTask {
+            process: 0,
+            start: SimTime::ZERO,
+            segments: vec![Segment::cpu_ms(1)],
+        }];
+        let before = alloc_stats();
+        execute_sandbox(
+            &tasks,
+            1,
+            RuntimeKind::PseudoParallel,
+            SimDuration::from_millis(5),
+        );
+        let after = alloc_stats();
+        assert!(after.buffer_allocs > before.buffer_allocs);
+        assert!(after.events > before.events);
 
-    #[test]
-    fn stats_track_allocs_and_reuses() {
-        reset_alloc_stats();
-        let mut pool: Pool<Span> = Pool::default();
-        let buf = pool.take();
-        pool.put(buf);
-        let _ = pool.take();
-        let stats = alloc_stats();
-        assert!(stats.buffer_allocs >= 1);
-        assert!(stats.buffer_reuses >= 1);
+        let mut stats = SimStats {
+            buffer_reuses: 3,
+            ..SimStats::default()
+        };
+        stats.flush();
+        assert!(alloc_stats().buffer_reuses >= before.buffer_reuses + 3);
+        assert_eq!(stats.buffer_reuses, 0, "a flush empties the pending counts");
     }
 }
