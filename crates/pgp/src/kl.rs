@@ -32,6 +32,7 @@
 //! (the scheduler's does).
 
 use chiron_model::FunctionId;
+pub use chiron_predict::KlStats;
 
 /// The latency objective driving a Kernighan–Lin pass, plus the optional
 /// machinery the exact prunes need. Any `FnMut(&[FunctionId]) -> f64`
@@ -85,22 +86,6 @@ impl<F: FnMut(&[FunctionId]) -> f64> KlObjective for F {
     }
 }
 
-/// Search-effort counters of one or more Kernighan–Lin passes, summed
-/// into the PGP decision audit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KlStats {
-    /// Non-trivial passes run (both sets non-empty).
-    pub passes: u64,
-    /// Swap-selection rounds (Algorithm 2 line 20 iterations).
-    pub rounds: u64,
-    /// Candidate `(ia, ib)` swaps examined.
-    pub candidates: u64,
-    /// Candidates discharged by the exact prunes without full evaluation.
-    pub pruned: u64,
-    /// Swaps actually applied (the chosen prefix length, summed).
-    pub applied: u64,
-}
-
 /// Runs one Kernighan–Lin pass over function sets `a` and `b`.
 ///
 /// `objective` scores candidate sets (see [`KlObjective`]); the pair is
@@ -112,20 +97,21 @@ pub fn kernighan_lin(
     b: &mut [FunctionId],
     mut objective: impl KlObjective,
 ) -> f64 {
-    kernighan_lin_with_stats(a, b, &mut objective, &mut KlStats::default())
+    kernighan_lin_with_stats(a, b, &mut objective, &mut KlStats::default()).0
 }
 
 /// [`kernighan_lin`] with a borrowed (possibly `dyn`) objective,
 /// additionally accumulating search-effort counters into `stats`
-/// (identical swaps, scores and side effects).
+/// (identical swaps, scores and side effects). Also returns the swaps it
+/// applied to `a` and `b`, in order, as `(position in a, position in b)`.
 pub fn kernighan_lin_with_stats<O: KlObjective + ?Sized>(
     a: &mut [FunctionId],
     b: &mut [FunctionId],
     objective: &mut O,
     stats: &mut KlStats,
-) -> f64 {
+) -> (f64, Vec<(usize, usize)>) {
     if a.is_empty() || b.is_empty() {
-        return 0.0;
+        return (0.0, Vec::new());
     }
     stats.passes += 1;
     // Working copies that virtual swaps are applied to (line 19).
@@ -216,11 +202,12 @@ pub fn kernighan_lin_with_stats<O: KlObjective + ?Sized>(
     }
     // Each position appears in at most one swap, so application order does
     // not matter.
-    for &(ia, ib) in swaps.iter().take(best_k) {
+    swaps.truncate(best_k);
+    for &(ia, ib) in &swaps {
         std::mem::swap(&mut a[ia], &mut b[ib]);
     }
     stats.applied += best_k as u64;
-    best_sum
+    (best_sum, swaps)
 }
 
 #[cfg(test)]

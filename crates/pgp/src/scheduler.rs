@@ -34,6 +34,20 @@
 //! plans (enforced by the `identical_plans` property test and the root
 //! `plan_identity` test).
 //!
+//! The cached evaluator also memoises each stage's KL partition per
+//! process count `n` in the same cache, keyed by [`partition_key`] (the
+//! stage's ordered function contents, `n`, the switch interval and the
+//! thread spacing). An entry holds the swaps the search applied and its
+//! [`KlStats`]; a hit replays the swaps onto the round-robin split and
+//! adds the stored counters. A schedule's own searches enter the memo
+//! when it ends, so a cold schedule never replays them and its audit,
+//! cache lookups included, is the search's. A warm re-plan runs no KL
+//! pass, and its `audit.kl` equals the cold one's. `audit.cache_hits` and
+//! `audit.cache_misses` still count physical Algorithm 1 lookups, so a
+//! replayed stage adds none: a warm re-plan's hits come from packing and
+//! trimming alone. `schedule_reference` and [`PgpScheduler::partitions`]
+//! keep no memo.
+//!
 //! The search runs on one thread. §5 also explores partitions in
 //! parallel; a cache-sharing parallel variant was removed because its
 //! work gate (distinct behaviours × candidate `n` < 2000) sent every
@@ -49,8 +63,8 @@ use chiron_model::plan::{
 use chiron_model::{BillingModel, CostModel, FunctionId, LanguageRuntime, SimDuration, Workflow};
 use chiron_obs::StaticCounter;
 use chiron_predict::{
-    predict_threads, PredictScratch, PredictionCache, Predictor, SegmentCatalog, SimThread,
-    StaggeredSet, StaggeredSummary,
+    partition_key, predict_threads, PartitionMemo, PredictScratch, PredictionCache, Predictor,
+    SegmentCatalog, SimThread, StaggeredSet, StaggeredSummary,
 };
 use chiron_profiler::WorkflowProfile;
 use std::collections::HashMap;
@@ -198,9 +212,11 @@ pub struct ScheduleOutcome {
 pub struct PgpAudit {
     /// Process counts `n` evaluated end-to-end (partition + pack + trim).
     pub candidates_examined: u64,
-    /// Kernighan–Lin effort summed over every pass of the search.
+    /// Kernighan–Lin effort summed over every pass of the search; a
+    /// replayed partition adds the effort of the search it replays.
     pub kl: KlStats,
-    /// Prediction-cache hits attributable to this schedule.
+    /// Algorithm 1 lookups this schedule answered from the prediction
+    /// cache (a replayed partition makes none).
     pub cache_hits: u64,
     /// Prediction-cache misses (fresh simulations) for this schedule.
     pub cache_misses: u64,
@@ -248,6 +264,15 @@ fn publish_audit(audit: &PgpAudit) {
 trait PgpEval: KlObjective {
     /// Conservative end-to-end latency of `plan`.
     fn plan_latency(&mut self, plan: &DeploymentPlan) -> SimDuration;
+
+    /// Lines 6–11 of Algorithm 2 for one stage ([`partition_one_stage`]),
+    /// its search effort added to `stats`.
+    fn partition(
+        &mut self,
+        stage: &[FunctionId],
+        n: usize,
+        stats: &mut KlStats,
+    ) -> Vec<Vec<FunctionId>>;
 }
 
 /// Memoised, allocation-free evaluator (the default).
@@ -264,6 +289,11 @@ struct CachedEval<'a> {
     cache: &'a PredictionCache,
     scratch: PredictScratch,
     sides: [StaggeredSummary; 2],
+    /// Partitions searched by this schedule, memoised only when it ends:
+    /// a schedule never replays its own searches (two stages with equal
+    /// contents are both searched), so its cache hits and misses match a
+    /// search without the memo.
+    searched: Vec<(u64, PartitionMemo)>,
 }
 
 impl<'a> CachedEval<'a> {
@@ -328,6 +358,46 @@ impl PgpEval for CachedEval<'_> {
             &mut self.scratch,
         )
     }
+
+    /// Memoised in the cache per stage content and `n` by an earlier
+    /// schedule: a hit replays the recorded swaps onto the round-robin
+    /// split and adds the recorded effort, so the audit reads as if the
+    /// search had run.
+    fn partition(
+        &mut self,
+        stage: &[FunctionId],
+        n: usize,
+        stats: &mut KlStats,
+    ) -> Vec<Vec<FunctionId>> {
+        if n.min(stage.len()) < 2 {
+            return round_robin(stage, n); // one process: nothing to search
+        }
+        let costs = &self.predictor.costs;
+        let key = partition_key(
+            self.catalog,
+            stage,
+            n,
+            costs.gil_switch_interval,
+            costs.thread_clone,
+        );
+        if let Some(memo) = self.cache.partition(key) {
+            let mut sets = round_robin(stage, n);
+            for &[i, j, ia, ib] in &memo.swaps {
+                let (left, right) = sets.split_at_mut(j as usize);
+                std::mem::swap(
+                    &mut left[i as usize][ia as usize],
+                    &mut right[0][ib as usize],
+                );
+            }
+            *stats += memo.stats;
+            return sets;
+        }
+        let mut memo = PartitionMemo::default();
+        let sets = partition_one_stage(stage, n, self, &mut memo.stats, &mut memo.swaps);
+        *stats += memo.stats;
+        self.searched.push((key, memo));
+        sets
+    }
 }
 
 /// The pre-optimisation evaluator: owned `Vec<SimThread>` per objective
@@ -366,6 +436,15 @@ impl KlObjective for ReferenceEval<'_> {
 impl PgpEval for ReferenceEval<'_> {
     fn plan_latency(&mut self, plan: &DeploymentPlan) -> SimDuration {
         self.check.predict(self.workflow, self.profile, plan)
+    }
+
+    fn partition(
+        &mut self,
+        stage: &[FunctionId],
+        n: usize,
+        stats: &mut KlStats,
+    ) -> Vec<Vec<FunctionId>> {
+        partition_one_stage(stage, n, self, stats, &mut Vec::new())
     }
 }
 
@@ -415,10 +494,14 @@ impl PgpScheduler {
             cache,
             scratch: PredictScratch::new(),
             sides: Default::default(),
+            searched: Vec::new(),
         };
         let before = cache.stats();
         let mut outcome = self.dispatch(workflow, config, &mut eval);
         let after = cache.stats();
+        for (key, memo) in eval.searched {
+            cache.put_partition(key, memo);
+        }
         outcome.audit.cache_hits = after.hits - before.hits;
         outcome.audit.cache_misses = after.misses - before.misses;
         outcome.audit.function_modes = function_modes(workflow, &outcome.plan);
@@ -543,7 +626,7 @@ impl PgpScheduler {
         workflow
             .stages
             .iter()
-            .map(|stage| partition_one_stage(&stage.functions, n, eval, stats))
+            .map(|stage| eval.partition(&stage.functions, n, stats))
             .collect()
     }
 
@@ -868,23 +951,33 @@ impl PgpScheduler {
     }
 }
 
-/// Line 9 + lines 10–11 of Algorithm 2 for one stage: round-robin into `n`
-/// sets ({f1, f_{n+1}, ...}, {f2, ...}, ..., {f_n, ...}), then KL over
-/// every pair; objective = the slower of the two candidate processes. §7
-/// identifies KL as PGP's complexity bottleneck; we bound each pass to
-/// pairs whose swap space is tractable (large same-stage sets are nearly
-/// homogeneous round-robin splits, where KL's gain vanishes).
-fn partition_one_stage(
-    fns: &[FunctionId],
-    n: usize,
-    eval: &mut dyn PgpEval,
-    stats: &mut KlStats,
-) -> Vec<Vec<FunctionId>> {
+/// Line 9 of Algorithm 2: `fns` round-robin into `n` sets ({f1, f_{n+1},
+/// ...}, {f2, ...}, ..., {f_n, ...}), never more sets than functions.
+fn round_robin(fns: &[FunctionId], n: usize) -> Vec<Vec<FunctionId>> {
     let n_eff = n.min(fns.len()).max(1);
     let mut sets: Vec<Vec<FunctionId>> = vec![Vec::new(); n_eff];
     for (i, &f) in fns.iter().enumerate() {
         sets[i % n_eff].push(f);
     }
+    sets
+}
+
+/// Line 9 + lines 10–11 of Algorithm 2 for one stage: the round-robin
+/// split, then KL over every pair; objective = the slower of the two
+/// candidate processes. §7 identifies KL as PGP's complexity bottleneck;
+/// we bound each pass to pairs whose swap space is tractable (large
+/// same-stage sets are nearly homogeneous round-robin splits, where KL's
+/// gain vanishes). Every applied swap is appended to `swaps` as `[i, j,
+/// position in set i, position in set j]`.
+fn partition_one_stage(
+    fns: &[FunctionId],
+    n: usize,
+    eval: &mut dyn PgpEval,
+    stats: &mut KlStats,
+    swaps: &mut Vec<[u32; 4]>,
+) -> Vec<Vec<FunctionId>> {
+    let mut sets = round_robin(fns, n);
+    let n_eff = sets.len();
     const MAX_SWAP_SPACE: usize = 256;
     for i in 0..n_eff {
         for j in (i + 1)..n_eff {
@@ -894,7 +987,12 @@ fn partition_one_stage(
             }
             let mut a = std::mem::take(&mut left[i]);
             let mut b = std::mem::take(&mut right[0]);
-            kernighan_lin_with_stats(&mut a, &mut b, eval, stats);
+            let (_, applied) = kernighan_lin_with_stats(&mut a, &mut b, eval, stats);
+            swaps.extend(
+                applied
+                    .into_iter()
+                    .map(|(ia, ib)| [i as u32, j as u32, ia as u32, ib as u32]),
+            );
             left[i] = a;
             right[0] = b;
         }

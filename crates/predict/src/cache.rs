@@ -15,10 +15,16 @@
 //! ordered contents are required for a hit, which is exactly the guarantee
 //! needed for byte-identical plans.
 //!
-//! [`PredictionCache`] is sharded behind `parking_lot` mutexes, so a
-//! shared `&PredictionCache` (e.g. the deployment manager's) stays `Sync`;
-//! values are deterministic, so racing duplicate computations of the same
-//! key is harmless.
+//! The cache also holds the PGP scheduler's partition memo: per stage and
+//! process count, the Kernighan–Lin swaps the search applied and its
+//! effort counters ([`PartitionMemo`]), keyed by the stage's ordered
+//! function contents ([`partition_key`]). A warm re-plan replays those
+//! swaps instead of re-running the search.
+//!
+//! The store is sharded behind `parking_lot` mutexes with atomic counters,
+//! a layout from a parallel PGP search that no longer exists: every caller
+//! now owns its cache and uses it from one thread, so the locks are never
+//! contended and cost nothing measurable.
 
 use crate::threadsim::{predict_threads_src, SimArena, SimOutcome, ThreadSource};
 use chiron_model::{FunctionId, Segment, SimDuration};
@@ -42,6 +48,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// key can never collide with a flat-content key by construction.
 const SALT_STAGGERED: u64 = 0x5347_5354_4147_4745; // "SGSTAGGE"
 const SALT_FLAT: u64 = 0x5347_464c_4154_5448; // "SGFLATTH"
+const SALT_PARTITION: u64 = 0x5347_5041_5254_4954; // "SGPARTIT"
 
 /// Incremental FNV-1a.
 #[derive(Debug, Clone)]
@@ -357,6 +364,66 @@ pub fn content_key(src: &impl ThreadSource, interval: SimDuration) -> u64 {
     h.finish()
 }
 
+/// Key of a stage's memoised partition into `n` processes: the stage's
+/// ordered function content hashes, `n`, and the switch interval and
+/// thread spacing of the [`StaggeredSet`]s its KL search scores. Those are
+/// all the search reads, so equal keys mean equal swaps and counters.
+pub fn partition_key(
+    catalog: &SegmentCatalog,
+    stage: &[FunctionId],
+    n: usize,
+    interval: SimDuration,
+    spacing: SimDuration,
+) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(SALT_PARTITION);
+    h.write_u64(interval.as_nanos());
+    h.write_u64(spacing.as_nanos());
+    h.write_u64(n as u64);
+    h.write_u64(stage.len() as u64);
+    for &f in stage {
+        h.write_u64(catalog.content_hash(f));
+    }
+    h.finish()
+}
+
+/// Search-effort counters of one or more Kernighan–Lin passes, summed
+/// into the PGP decision audit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KlStats {
+    /// Non-trivial passes run (both sets non-empty).
+    pub passes: u64,
+    /// Swap-selection rounds (Algorithm 2 line 20 iterations).
+    pub rounds: u64,
+    /// Candidate `(ia, ib)` swaps examined.
+    pub candidates: u64,
+    /// Candidates discharged by the exact prunes without full evaluation.
+    pub pruned: u64,
+    /// Swaps actually applied (the chosen prefix length, summed).
+    pub applied: u64,
+}
+
+impl std::ops::AddAssign for KlStats {
+    fn add_assign(&mut self, other: KlStats) {
+        self.passes += other.passes;
+        self.rounds += other.rounds;
+        self.candidates += other.candidates;
+        self.pruned += other.pruned;
+        self.applied += other.applied;
+    }
+}
+
+/// One stage's Kernighan–Lin partition into `n` processes, as the PGP
+/// scheduler memoises it under [`partition_key`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PartitionMemo {
+    /// The swaps the search applied, in order, as `[set i, set j,
+    /// position in i, position in j]` over the stage's round-robin split.
+    pub swaps: Vec<[u32; 4]>,
+    /// What the search cost, added to the audit again on every replay.
+    pub stats: KlStats,
+}
+
 /// Keys are already uniformly mixed hashes; storing them under a second
 /// hash would be wasted work, so the map hasher is the identity.
 #[derive(Debug, Default, Clone)]
@@ -376,7 +443,8 @@ impl Hasher for IdentityHasher {
     }
 }
 
-type Shard = Mutex<HashMap<u64, SimOutcome, BuildHasherDefault<IdentityHasher>>>;
+type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<IdentityHasher>>;
+type Shard = Mutex<KeyMap<SimOutcome>>;
 
 const SHARD_COUNT: usize = 16;
 
@@ -399,11 +467,12 @@ impl CacheStats {
     }
 }
 
-/// Sharded content-addressed store of Algorithm 1 outcomes. One instance
-/// serves a whole schedule (or the manager's lifetime — keys are pure
-/// content, so entries never go stale) and is shared by reference.
+/// Sharded content-addressed store of Algorithm 1 outcomes, plus the PGP
+/// partition memo. One instance serves a whole schedule (or the manager's
+/// lifetime — keys are pure content, so entries never go stale).
 pub struct PredictionCache {
     shards: Vec<Shard>,
+    partitions: Mutex<KeyMap<PartitionMemo>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -412,6 +481,7 @@ impl PredictionCache {
     pub fn new() -> Self {
         PredictionCache {
             shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
+            partitions: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -462,6 +532,16 @@ impl PredictionCache {
         out
     }
 
+    /// The partition memoised under `key`, if any. Not counted in
+    /// [`CacheStats`], which counts Algorithm 1 lookups only.
+    pub fn partition(&self, key: u64) -> Option<PartitionMemo> {
+        self.partitions.lock().get(&key).cloned()
+    }
+
+    pub fn put_partition(&self, key: u64, memo: PartitionMemo) {
+        self.partitions.lock().insert(key, memo);
+    }
+
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -475,6 +555,7 @@ impl PredictionCache {
         for s in &self.shards {
             s.lock().clear();
         }
+        self.partitions.lock().clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }

@@ -11,7 +11,8 @@
 //! profiled segments, [`SimArena`] reuses simulation state, and
 //! [`PredictionCache`] shares content-addressed Algorithm 1 outcomes across
 //! the PGP scheduler's KL rounds, candidate swaps, process counts, and
-//! successive schedules.
+//! successive schedules, along with the scheduler's per-stage partition
+//! memo. Algorithm 1 itself answers CPU-only thread sets in closed form.
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
@@ -21,8 +22,8 @@ pub mod latency;
 pub mod threadsim;
 
 pub use cache::{
-    content_key, staggered_term, CacheStats, FlatThreads, PredictionCache, SegmentCatalog,
-    StaggeredSet, StaggeredSummary,
+    content_key, partition_key, staggered_term, CacheStats, FlatThreads, KlStats, PartitionMemo,
+    PredictionCache, SegmentCatalog, StaggeredSet, StaggeredSummary,
 };
 pub use latency::{PredictScratch, Predictor};
 pub use threadsim::{

@@ -17,6 +17,22 @@
 //! not owned), and per-thread bookkeeping lives in a reusable [`SimArena`]
 //! so the PGP scheduler's millions of objective evaluations allocate
 //! nothing after warm-up.
+//!
+//! ## Closed form for CPU-only sets
+//!
+//! When every segment of every thread is a CPU burst and creation times
+//! never decrease, nothing ever blocks: the GIL is a work-conserving single
+//! server whose jobs arrive in index order, so for any switch interval
+//!
+//! * `makespan = max_i(created_at(i) + Σ_{j≥i} cpu_j)` — the last busy
+//!   period starts at some arrival and never idles until the end;
+//! * `cpu_time = Σ_i cpu_i`.
+//!
+//! [`predict_threads_src`] returns that directly (one reverse pass, no
+//! quanta). Any set with a block segment, or with a later thread created
+//! before an earlier one, runs the quantum loop; it is the one general
+//! engine, and the unit tests check the closed form against it on random
+//! CPU-only sets.
 
 use chiron_model::{Segment, SimDuration};
 
@@ -105,20 +121,52 @@ pub fn predict_threads(threads: &[SimThread], interval: SimDuration) -> SimOutco
 
 /// Runs Algorithm 1 over the borrowed thread set `src`, reusing `arena`
 /// for per-thread state so the call allocates nothing once the arena has
-/// grown to the largest set it has seen.
+/// grown to the largest set it has seen. CPU-only sets take the exact
+/// closed form (see the module docs) instead of the quantum loop.
 pub fn predict_threads_src(
     src: &(impl ThreadSource + ?Sized),
     interval: SimDuration,
     arena: &mut SimArena,
 ) -> SimOutcome {
     assert!(!interval.is_zero(), "switch interval must be positive");
-    let n = src.count();
-    if n == 0 {
-        return SimOutcome {
-            makespan: SimDuration::ZERO,
-            cpu_time: SimDuration::ZERO,
-        };
+    cpu_only(src).unwrap_or_else(|| simulate(src, interval, arena))
+}
+
+/// The closed form of Algorithm 1 for a set that never blocks, or `None`
+/// when some segment is a block or a thread is created before its
+/// predecessor.
+fn cpu_only(src: &(impl ThreadSource + ?Sized)) -> Option<SimOutcome> {
+    let mut suffix_cpu = SimDuration::ZERO;
+    let mut makespan = SimDuration::ZERO;
+    let mut next_created: Option<SimDuration> = None;
+    for i in (0..src.count()).rev() {
+        let created = src.created_at(i);
+        if next_created.is_some_and(|next| created > next) {
+            return None;
+        }
+        next_created = Some(created);
+        for seg in src.segments(i) {
+            match seg {
+                Segment::Cpu(d) => suffix_cpu += *d,
+                Segment::Block { .. } => return None,
+            }
+        }
+        makespan = makespan.max(created + suffix_cpu);
     }
+    Some(SimOutcome {
+        makespan,
+        cpu_time: suffix_cpu,
+    })
+}
+
+/// The quantum loop: Algorithm 1 stepped switch interval by switch
+/// interval.
+fn simulate(
+    src: &(impl ThreadSource + ?Sized),
+    interval: SimDuration,
+    arena: &mut SimArena,
+) -> SimOutcome {
+    let n = src.count();
     let states = &mut arena.states;
     states.clear();
     states.reserve(n);
@@ -268,6 +316,7 @@ pub fn predict_true_parallel(tasks: &[Vec<Segment>], cpus: u32) -> SimOutcome {
 mod tests {
     use super::*;
     use chiron_model::SyscallKind;
+    use proptest::prelude::*;
 
     const I: SimDuration = SimDuration::from_millis(5);
 
@@ -393,6 +442,64 @@ mod tests {
             predicted.makespan,
             truth_end
         );
+    }
+
+    /// Random CPU-only thread sets: 1–16 threads with 0–4 bursts each (a
+    /// quarter of them zero-length), created at equal or gapped
+    /// non-decreasing times.
+    fn arb_cpu_only() -> impl Strategy<Value = Vec<SimThread>> {
+        let burst = (0u8..4, 0u64..12_000_000);
+        let thread = (0u8..3, 0u64..20_000_000, prop::collection::vec(burst, 0..5));
+        prop::collection::vec(thread, 1..=16).prop_map(|threads| {
+            let mut created = SimDuration::ZERO;
+            threads
+                .into_iter()
+                .map(|(gapped, gap_ns, bursts)| {
+                    if gapped > 0 {
+                        created += SimDuration::from_nanos(gap_ns);
+                    }
+                    let segments = bursts
+                        .into_iter()
+                        .map(|(zero, ns)| {
+                            Segment::Cpu(SimDuration::from_nanos(ns * u64::from(zero > 0)))
+                        })
+                        .collect();
+                    SimThread {
+                        created_at: created,
+                        segments,
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The closed form is exact: on every CPU-only set it equals the
+        /// quantum loop, whatever the switch interval.
+        #[test]
+        fn closed_form_matches_quantum_loop(
+            threads in arb_cpu_only(),
+            interval_ns in 100_000u64..20_000_000,
+        ) {
+            let interval = SimDuration::from_nanos(interval_ns);
+            let closed = cpu_only(threads.as_slice());
+            let looped = simulate(threads.as_slice(), interval, &mut SimArena::new());
+            prop_assert_eq!(closed, Some(looped), "{:?} at {}", threads, interval);
+        }
+    }
+
+    #[test]
+    fn blocks_and_out_of_order_creation_take_the_loop() {
+        assert_eq!(cpu_only([at(0, vec![cpu(1), io(2)])].as_slice()), None);
+        assert_eq!(
+            cpu_only([at(3, vec![cpu(1)]), at(1, vec![cpu(1)])].as_slice()),
+            None
+        );
+        // Out of order, the loop still serves the earlier arrival first.
+        let out = predict_threads(&[at(3, vec![cpu(1)]), at(1, vec![cpu(1)])], I);
+        assert_eq!(out.makespan.as_millis_f64(), 4.0);
     }
 
     #[test]

@@ -9,6 +9,17 @@
 //! by the test's module path + name, and assertion failures panic with the
 //! ordinary assert message. That keeps the properties exercised (and
 //! reproducible) without the external dependency.
+//!
+//! Two environment variables vary a run, as in the real crate:
+//!
+//! * `PROPTEST_CASES=<n>` runs `n` cases per property. Unlike the real
+//!   crate, it also overrides an explicit `ProptestConfig::with_cases`, so
+//!   any property can be rerun wider.
+//! * `PROPTEST_SEED=<u64>` is XORed into every test's name hash before
+//!   seeding its RNG. Unset (or 0) gives the default streams.
+//!
+//! A failing case prints its test name, case index and seed to stderr
+//! before the panic unwinds, so the failure can be rerun exactly.
 
 #![allow(clippy::all)]
 
@@ -21,14 +32,59 @@ use rand::{Rng, SeedableRng};
 /// RNG handed to strategies by the `proptest!` runner.
 pub type TestRng = StdRng;
 
-/// Deterministic per-test RNG: FNV-1a over the test's full name.
-pub fn rng_for(test_name: &str) -> TestRng {
+/// Deterministic per-test RNG: FNV-1a over the test's full name, XORed
+/// with `seed` (`PROPTEST_SEED`, 0 by default).
+pub fn rng_for(test_name: &str, seed: u64) -> TestRng {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in test_name.bytes() {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    StdRng::seed_from_u64(hash)
+    StdRng::seed_from_u64(hash ^ seed)
+}
+
+fn env_u64(var: &str) -> Option<u64> {
+    let value = std::env::var(var).ok()?;
+    Some(
+        value
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("{var}={value:?} is not a non-negative integer")),
+    )
+}
+
+/// `PROPTEST_SEED`, or 0 when unset.
+pub fn env_seed() -> u64 {
+    env_u64("PROPTEST_SEED").unwrap_or(0)
+}
+
+/// `PROPTEST_CASES` when set, else `config.cases`.
+pub fn env_cases(config: &ProptestConfig) -> u32 {
+    env_u64("PROPTEST_CASES").map_or(config.cases, |n| n.min(u64::from(u32::MAX)) as u32)
+}
+
+/// Lives for one case of a property; if the case panics, its drop names
+/// the case and the seed that reproduces it.
+pub struct CaseGuard<'a> {
+    pub test: &'a str,
+    pub seed: u64,
+    pub case: u32,
+    pub cases: u32,
+}
+
+impl Drop for CaseGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "proptest: {} failed at case {} of {}; rerun with PROPTEST_SEED={} PROPTEST_CASES={}",
+                self.test,
+                self.case,
+                self.cases,
+                self.seed,
+                self.cases
+            );
+        }
+    }
 }
 
 /// Runner configuration; only `cases` is modelled.
@@ -276,8 +332,17 @@ macro_rules! __proptest_items {
         $(#[$attr])*
         fn $name() {
             let __config: $crate::ProptestConfig = $cfg;
-            let mut __rng = $crate::rng_for(concat!(module_path!(), "::", stringify!($name)));
-            for _ in 0..__config.cases {
+            let __test = concat!(module_path!(), "::", stringify!($name));
+            let __seed = $crate::env_seed();
+            let __cases = $crate::env_cases(&__config);
+            let mut __rng = $crate::rng_for(__test, __seed);
+            for __case in 0..__cases {
+                let __guard = $crate::CaseGuard {
+                    test: __test,
+                    seed: __seed,
+                    case: __case,
+                    cases: __cases,
+                };
                 $(let $arg = $crate::Strategy::generate(&($strat), &mut __rng);)+
                 $body
             }
@@ -321,9 +386,22 @@ mod tests {
     }
 
     #[test]
+    fn seeds_change_the_stream() {
+        let draw = |mut rng: crate::TestRng| -> Vec<u64> {
+            (0..8)
+                .map(|_| crate::Strategy::generate(&(0u64..1 << 40), &mut rng))
+                .collect()
+        };
+        assert_ne!(
+            draw(crate::rng_for("x::y", 0)),
+            draw(crate::rng_for("x::y", 7))
+        );
+    }
+
+    #[test]
     fn deterministic_per_name() {
-        let mut a = crate::rng_for("x::y");
-        let mut b = crate::rng_for("x::y");
+        let mut a = crate::rng_for("x::y", 0);
+        let mut b = crate::rng_for("x::y", 0);
         let va: Vec<u64> = (0..16)
             .map(|_| crate::Strategy::generate(&(0u64..100), &mut a))
             .collect();

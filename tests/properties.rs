@@ -282,3 +282,56 @@ proptest! {
         }
     }
 }
+
+/// Algorithm 1 on CPU-only thread sets, against makespans worked out by
+/// hand: the GIL serves the threads back to back in creation order and
+/// idles only while nobody has been created yet.
+#[test]
+fn algorithm1_cpu_only_edge_cases() {
+    let interval = SimDuration::from_millis(5);
+    let thread = |created_ms: u64, bursts_ms: &[u64]| SimThread {
+        created_at: SimDuration::from_millis(created_ms),
+        segments: bursts_ms.iter().map(|&ms| Segment::cpu_ms(ms)).collect(),
+    };
+    let cases: [(&str, Vec<SimThread>, u64, u64); 4] = [
+        // 0–3 ms the first thread, idle until 10 ms, then 10–14 ms.
+        (
+            "idle gap before a late thread",
+            vec![thread(0, &[3]), thread(10, &[4])],
+            14,
+            7,
+        ),
+        // Zero-length bursts cost nothing. A thread of only zero-length
+        // bursts finishes at the first GIL switch point after its creation:
+        // 2 ms for the one created mid-burst at 1 ms, and its creation time
+        // for the one created at 9 ms, after the 5 ms of work are done.
+        (
+            "zero-length bursts",
+            vec![
+                thread(0, &[0, 2, 0, 3]),
+                thread(1, &[0]),
+                thread(9, &[0, 0]),
+            ],
+            9,
+            5,
+        ),
+        // 4 + 7 + 2 ms serialised from 2 ms.
+        (
+            "equal creation times",
+            vec![thread(2, &[4]), thread(2, &[7]), thread(2, &[2])],
+            15,
+            13,
+        ),
+        // 3 ms creation, then 2 + 6 ms alone.
+        ("single thread", vec![thread(3, &[2, 6])], 11, 8),
+    ];
+    for (case, threads, makespan_ms, cpu_ms) in cases {
+        let out = predict_threads(&threads, interval);
+        assert_eq!(
+            out.makespan,
+            SimDuration::from_millis(makespan_ms),
+            "{case}"
+        );
+        assert_eq!(out.cpu_time, SimDuration::from_millis(cpu_ms), "{case}");
+    }
+}
