@@ -86,7 +86,7 @@ fn fig12_predict(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig12_predict");
     group.sample_size(10);
     group.bench_function("native_thread_samples", |b| {
-        b.iter(|| black_box(build_samples(Fig12Mode::NativeThread, 1)))
+        b.iter(|| black_box(build_samples(Fig12Mode::NativeThread, 1, 1)))
     });
     group.finish();
 }

@@ -6,7 +6,7 @@
 //! * GIL switch-interval sensitivity of the thread-latency model.
 
 use crate::common::{ms, pct, ratio, Table};
-use crate::sweep;
+use crate::sweep::par_map_workers;
 use chiron::model::{apps, IsolationKind, SimDuration};
 use chiron::{evaluate_plan, paper_slo, profile_for, EvalConfig, PgpConfig, PgpMode, PgpScheduler};
 use chiron_model::FunctionId;
@@ -15,7 +15,7 @@ use chiron_profiler::Profiler;
 
 /// KL refinement vs. round-robin initial partition: measured latency of
 /// the resulting plans on a workflow with heterogeneous parallel functions.
-pub fn ablation_kl() -> String {
+pub fn ablation_kl(workers: usize) -> String {
     let wf = apps::finra(50);
     let profile = profile_for(&wf);
     let sched = PgpScheduler::paper_calibrated();
@@ -31,7 +31,7 @@ pub fn ablation_kl() -> String {
     // (one process gets every 12 ms rule) — exactly the imbalance KL's
     // swapping repairs.
     let ns = [5usize, 10, 15];
-    let rows = sweep::par_map(&ns, |_, &n| {
+    let rows = par_map_workers(&ns, workers, |_, &n| {
         // Raw round-robin (no KL): rebuild the line-9 initial partition.
         let rr: Vec<Vec<Vec<FunctionId>>> = wf
             .stages
@@ -72,7 +72,7 @@ pub fn ablation_kl() -> String {
 }
 
 /// Conservative vs. mean predictor parameters: SLO violation under jitter.
-pub fn ablation_conservative() -> String {
+pub fn ablation_conservative(workers: usize) -> String {
     let cfg = EvalConfig::jittered(150);
     let mut table = Table::new(vec![
         "workflow",
@@ -85,7 +85,7 @@ pub fn ablation_conservative() -> String {
         .enumerate()
         .flat_map(|(wi, _)| [1.0, 1.25].into_iter().map(move |margin| (wi, margin)))
         .collect();
-    let rates = sweep::par_map(&cells, |_, &(wi, margin)| {
+    let rates = par_map_workers(&cells, workers, |_, &(wi, margin)| {
         let wf = &workflows[wi];
         let slo = paper_slo(wf);
         let profile = profile_for(wf);
@@ -112,7 +112,7 @@ pub fn ablation_conservative() -> String {
 
 /// Wrap-count sweep: block amortisation vs. RPC overhead (the core m-to-n
 /// trade-off of Fig. 11).
-pub fn ablation_wrap_sweep() -> String {
+pub fn ablation_wrap_sweep(workers: usize) -> String {
     let wf = apps::finra(50);
     let profile = profile_for(&wf);
     let sched = PgpScheduler::paper_calibrated();
@@ -121,7 +121,7 @@ pub fn ablation_wrap_sweep() -> String {
     let partitions = sched.partitions(&wf, &profile, n);
     let mut table = Table::new(vec!["wraps", "latency (ms)", "sandboxes", "memory (MB)"]);
     let wraps: Vec<usize> = (1..=n).collect();
-    let rows = sweep::par_map(&wraps, |_, &w| {
+    let rows = par_map_workers(&wraps, workers, |_, &w| {
         let plan = sched.materialize(&wf, &partitions, w, IsolationKind::None, 0);
         let eval = evaluate_plan(&wf, plan, &cfg);
         vec![
@@ -143,12 +143,12 @@ pub fn ablation_wrap_sweep() -> String {
 }
 
 /// GIL switch-interval sensitivity of the multi-thread latency model.
-pub fn ablation_gil_interval() -> String {
+pub fn ablation_gil_interval(workers: usize) -> String {
     let wf = apps::slapp();
     let profile = profile_for(&wf);
     let mut table = Table::new(vec!["interval (ms)", "predicted stage-2 latency (ms)"]);
     let intervals = [1u64, 5, 20, 100];
-    let rows = sweep::par_map(&intervals, |_, &interval_ms| {
+    let rows = par_map_workers(&intervals, workers, |_, &interval_ms| {
         let threads: Vec<SimThread> = wf.stages[1]
             .functions
             .iter()
@@ -307,7 +307,7 @@ pub fn ablation_pgp_scalability() -> String {
 /// Cold-start impact per deployment model: the one-to-one model pays a
 /// cascading cold start per function sandbox (§1, \[8\]/\[38\]'s motivation),
 /// while a wrap-based deployment pays one per sandbox — few or one.
-pub fn ablation_cold_start() -> String {
+pub fn ablation_cold_start(workers: usize) -> String {
     use chiron::model::{PlatformConfig, SystemKind};
     use chiron::plan_for;
     use chiron_runtime::VirtualPlatform;
@@ -327,7 +327,7 @@ pub fn ablation_cold_start() -> String {
         SystemKind::FaastlanePlus,
         SystemKind::Chiron,
     ];
-    let rows = sweep::par_map(&systems, |_, &sys| {
+    let rows = par_map_workers(&systems, workers, |_, &sys| {
         let warm_platform = VirtualPlatform::new(PlatformConfig::paper_calibrated());
         let cold_platform =
             VirtualPlatform::new(PlatformConfig::paper_calibrated()).with_cold_starts(true);
@@ -356,27 +356,27 @@ pub fn ablation_cold_start() -> String {
 /// The deterministic ablation tables — everything in [`ablations`] except
 /// the two timing/real-thread studies. This is what `perf-eval` compares
 /// byte-for-byte across worker counts.
-pub fn ablations_deterministic() -> String {
+pub fn ablations_deterministic(workers: usize) -> String {
     format!(
         "{}\n{}\n{}\n{}\n{}",
-        ablation_kl(),
-        ablation_conservative(),
-        ablation_wrap_sweep(),
-        ablation_gil_interval(),
-        ablation_cold_start()
+        ablation_kl(workers),
+        ablation_conservative(workers),
+        ablation_wrap_sweep(workers),
+        ablation_gil_interval(workers),
+        ablation_cold_start(workers)
     )
 }
 
 /// The full ablation report.
-pub fn ablations() -> String {
+pub fn ablations(workers: usize) -> String {
     format!(
         "{}\n{}\n{}\n{}\n{}\n{}\n{}",
-        ablation_kl(),
-        ablation_conservative(),
-        ablation_wrap_sweep(),
-        ablation_gil_interval(),
+        ablation_kl(workers),
+        ablation_conservative(workers),
+        ablation_wrap_sweep(workers),
+        ablation_gil_interval(workers),
         ablation_pgp_scalability(),
-        ablation_cold_start(),
+        ablation_cold_start(workers),
         ablation_realtime_crosscheck()
     )
 }
@@ -388,13 +388,13 @@ mod tests {
     #[test]
     fn wrap_sweep_has_interior_optimum_or_monotone() {
         // The sweep must render and produce positive latencies.
-        let report = ablation_wrap_sweep();
+        let report = ablation_wrap_sweep(2);
         assert!(report.contains("wraps"));
     }
 
     #[test]
     fn gil_interval_report_renders() {
-        let report = ablation_gil_interval();
+        let report = ablation_gil_interval(2);
         assert!(report.lines().count() >= 6);
     }
 }

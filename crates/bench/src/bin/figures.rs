@@ -29,24 +29,26 @@ fn bench_report(target: &str, workers: usize) -> Option<bench::Report> {
     })
 }
 
-type FigureFn = fn() -> String;
+/// A text figure, called with the `--workers` count; the figures that
+/// do not sweep ignore it.
+type FigureFn = fn(usize) -> String;
 
 /// The text figures, in `all` order.
 const FIGURES: [(&str, FigureFn); 17] = [
-    ("fig3", bench::fig3),
-    ("fig4", bench::fig4),
-    ("fig5", bench::fig5),
-    ("fig6", bench::fig6),
-    ("fig7", bench::fig7),
-    ("fig8", bench::fig8),
-    ("table1", bench::table1),
+    ("fig3", |_| bench::fig3()),
+    ("fig4", |_| bench::fig4()),
+    ("fig5", |_| bench::fig5()),
+    ("fig6", |_| bench::fig6()),
+    ("fig7", |_| bench::fig7()),
+    ("fig8", |_| bench::fig8()),
+    ("table1", |_| bench::table1()),
     ("fig12", bench::fig12),
     ("fig13", bench::fig13),
     ("fig14", bench::fig14),
-    ("fig15", bench::fig15),
+    ("fig15", |_| bench::fig15()),
     ("fig16", bench::fig16),
     ("fig17", bench::fig17),
-    ("fig18", bench::fig18),
+    ("fig18", |_| bench::fig18()),
     ("fig19", bench::fig19),
     ("ablations", bench::ablations),
     ("serve", bench::serve_figure),
@@ -81,7 +83,6 @@ fn main() {
     let workers = workers.unwrap_or_else(|| {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     });
-    bench::sweep::set_workers(workers);
     let targets: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         FIGURES
             .iter()
@@ -97,7 +98,7 @@ fn main() {
             problems.extend(report.publish(Path::new(".")));
             report.to_string()
         } else if let Some(&(_, figure)) = FIGURES.iter().find(|&&(name, _)| name == target) {
-            figure()
+            figure(workers)
         } else {
             eprintln!("unknown target: {target}");
             std::process::exit(2);

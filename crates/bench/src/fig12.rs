@@ -13,6 +13,7 @@
 //!   data" condition the paper blames for their inconsistency.
 
 use crate::common::{pct, Table};
+use crate::sweep::par_map_workers;
 use chiron::metrics::prediction_error;
 use chiron::ml::{
     plan_features, plan_graph, stage_sequence, ForestConfig, GnnConfig, GnnRegressor, LstmConfig,
@@ -112,7 +113,7 @@ pub fn enumerate_plans(
 
 /// Builds the full sample set for one mode: enumerate, measure (jittered
 /// ground truth), and attach the Chiron prediction.
-pub fn build_samples(mode: Fig12Mode, truth_seeds: u32) -> Vec<Sample> {
+pub fn build_samples(mode: Fig12Mode, truth_seeds: u32, workers: usize) -> Vec<Sample> {
     let wfs = workflows();
     let profiles: Vec<WorkflowProfile> = wfs
         .iter()
@@ -130,7 +131,7 @@ pub fn build_samples(mode: Fig12Mode, truth_seeds: u32) -> Vec<Sample> {
                 .map(move |plan| (wi, plan))
         })
         .collect();
-    crate::sweep::par_map(&cells, |_, (wi, plan)| {
+    par_map_workers(&cells, workers, |_, (wi, plan)| {
         let platform = VirtualPlatform::new(
             PlatformConfig::paper_calibrated().with_jitter(JitterModel::cluster()),
         );
@@ -164,13 +165,13 @@ pub struct Fig12Row {
 
 /// Runs the full Fig. 12 study for one mode. `fast` shrinks training for
 /// tests.
-pub fn run_mode(mode: Fig12Mode, fast: bool) -> Vec<Fig12Row> {
+pub fn run_mode(mode: Fig12Mode, fast: bool, workers: usize) -> Vec<Fig12Row> {
     let wfs = workflows();
     let profiles: Vec<WorkflowProfile> = wfs
         .iter()
         .map(|wf| Profiler::default().profile_workflow(wf))
         .collect();
-    let samples = build_samples(mode, if fast { 2 } else { 5 });
+    let samples = build_samples(mode, if fast { 2 } else { 5 }, workers);
 
     // Feature representations for the learned models.
     let flat: Vec<Vec<f64>> = samples
@@ -190,7 +191,7 @@ pub fn run_mode(mode: Fig12Mode, fast: bool) -> Vec<Fig12Row> {
     // One sweep cell per held-out workflow: training is deterministic
     // given the (fixed) sample split, so the cells are independent.
     let holdouts: Vec<usize> = (0..wfs.len()).collect();
-    crate::sweep::par_map(&holdouts, |_, &wi| {
+    par_map_workers(&holdouts, workers, |_, &wi| {
         let wf = &wfs[wi];
         let test: Vec<usize> = (0..samples.len())
             .filter(|&i| samples[i].workflow_idx == wi)
@@ -272,7 +273,7 @@ fn mean_err(errs: impl Iterator<Item = f64>) -> f64 {
 }
 
 /// The full Fig. 12 report across all three modes.
-pub fn fig12() -> String {
+pub fn fig12(workers: usize) -> String {
     let mut out = String::from(
         "Fig. 12 — mean absolute prediction error (paper: Chiron averages \
          6.7%, 1.4–14.2% per workflow; −78.1%/−86.6%/−70.1% vs \
@@ -283,7 +284,7 @@ pub fn fig12() -> String {
         Fig12Mode::IntelMpk,
         Fig12Mode::ProcessPool,
     ] {
-        let rows = run_mode(mode, false);
+        let rows = run_mode(mode, false, workers);
         let mut table = Table::new(vec!["workflow", "Chiron", "RFR", "LSTM", "GNN"]);
         let mut sums = [0.0; 4];
         for r in &rows {
@@ -337,7 +338,7 @@ mod tests {
 
     #[test]
     fn chiron_predictor_is_accurate_on_enumerated_plans() {
-        let samples = build_samples(Fig12Mode::NativeThread, 3);
+        let samples = build_samples(Fig12Mode::NativeThread, 3, 2);
         let mean = mean_err(
             samples
                 .iter()
@@ -349,7 +350,7 @@ mod tests {
 
     #[test]
     fn chiron_beats_learned_baselines_on_average() {
-        let rows = run_mode(Fig12Mode::NativeThread, true);
+        let rows = run_mode(Fig12Mode::NativeThread, true, 2);
         let mean =
             |f: &dyn Fn(&Fig12Row) -> f64| rows.iter().map(f).sum::<f64>() / rows.len() as f64;
         let chiron = mean(&|r| r.chiron);

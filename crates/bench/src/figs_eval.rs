@@ -1,7 +1,7 @@
 //! Regeneration of the headline evaluation: Fig. 13–19 (§6.2–6.3).
 
 use crate::common::{ms, pct, ratio, suite, Table, FIG13_SYSTEMS, FIG16_SYSTEMS};
-use crate::sweep;
+use crate::sweep::par_map_workers;
 use chiron::deploy;
 use chiron::model::SystemKind;
 use chiron::{evaluate_plan, evaluate_system, paper_slo, system_plan, EvalConfig, SystemEval};
@@ -17,25 +17,30 @@ fn eval_with_slo(sys: SystemKind, wf: &Workflow, cfg: &EvalConfig) -> SystemEval
 
 /// Evaluates the full `workflows × systems` grid on the sweep engine, one
 /// `(workflow, system)` cell each; results come back in grid order.
-fn eval_grid(workflows: &[Workflow], systems: &[SystemKind], cfg: &EvalConfig) -> Vec<SystemEval> {
+fn eval_grid(
+    workflows: &[Workflow],
+    systems: &[SystemKind],
+    cfg: &EvalConfig,
+    workers: usize,
+) -> Vec<SystemEval> {
     let cells: Vec<(usize, SystemKind)> = workflows
         .iter()
         .enumerate()
         .flat_map(|(wi, _)| systems.iter().map(move |&sys| (wi, sys)))
         .collect();
-    sweep::par_map(&cells, |_, &(wi, sys)| {
+    par_map_workers(&cells, workers, |_, &(wi, sys)| {
         eval_with_slo(sys, &workflows[wi], cfg)
     })
 }
 
 /// Fig. 13: normalised end-to-end latency of nine systems on the suite.
-pub fn fig13() -> String {
+pub fn fig13(workers: usize) -> String {
     let cfg = EvalConfig::default();
     let mut header: Vec<String> = vec!["workflow".into(), "Chiron (ms)".into()];
     header.extend(FIG13_SYSTEMS.iter().map(|s| format!("{s} (norm)")));
     let mut table = Table::new(header);
     let workflows = suite();
-    let evals = eval_grid(&workflows, &FIG13_SYSTEMS, &cfg);
+    let evals = eval_grid(&workflows, &FIG13_SYSTEMS, &cfg, workers);
     for (wi, wf) in workflows.iter().enumerate() {
         let row_evals = &evals[wi * FIG13_SYSTEMS.len()..(wi + 1) * FIG13_SYSTEMS.len()];
         let chiron = row_evals
@@ -58,7 +63,7 @@ pub fn fig13() -> String {
 }
 
 /// Fig. 14: SLO-violation rate of Faastlane vs Chiron under cluster jitter.
-pub fn fig14() -> String {
+pub fn fig14(workers: usize) -> String {
     let cfg = EvalConfig::jittered(200);
     let mut table = Table::new(vec!["workflow", "SLO (ms)", "Faastlane", "Chiron"]);
     let mut chiron_rates = Vec::new();
@@ -83,7 +88,7 @@ pub fn fig14() -> String {
             (0..2usize).flat_map(move |which| (0..requests).map(move |r| (wi, which, r)))
         })
         .collect();
-    let latencies = sweep::par_map(&cells, |_, &(wi, which, r)| {
+    let latencies = par_map_workers(&cells, workers, |_, &(wi, which, r)| {
         let plan = if which == 0 {
             &plans[wi].1
         } else {
@@ -171,7 +176,7 @@ pub fn fig15() -> String {
 }
 
 /// Fig. 16: normalised memory and maximum node throughput.
-pub fn fig16() -> String {
+pub fn fig16(workers: usize) -> String {
     let cfg = EvalConfig::default();
     let mut mem = Table::new(vec![
         "workflow",
@@ -196,7 +201,7 @@ pub fn fig16() -> String {
         "Chiron-P",
     ]);
     let workflows = suite();
-    let all_evals = eval_grid(&workflows, &FIG16_SYSTEMS, &cfg);
+    let all_evals = eval_grid(&workflows, &FIG16_SYSTEMS, &cfg, workers);
     for (wi, wf) in workflows.iter().enumerate() {
         let evals = &all_evals[wi * FIG16_SYSTEMS.len()..(wi + 1) * FIG16_SYSTEMS.len()];
         let chiron = evals
@@ -245,7 +250,7 @@ pub fn fig16() -> String {
 }
 
 /// Fig. 17: normalised allocated CPUs.
-pub fn fig17() -> String {
+pub fn fig17(workers: usize) -> String {
     let cfg = EvalConfig {
         requests: 1,
         ..EvalConfig::default()
@@ -262,7 +267,7 @@ pub fn fig17() -> String {
     let mut table = Table::new(header);
     let mut savings = Vec::new();
     let workflows = suite();
-    let evals = eval_grid(&workflows, &systems, &cfg);
+    let evals = eval_grid(&workflows, &systems, &cfg, workers);
     for (wi, wf) in workflows.iter().enumerate() {
         let mut row = vec![wf.name.clone()];
         let mut cpus = Vec::new();
@@ -339,7 +344,7 @@ pub fn fig18() -> String {
 }
 
 /// Fig. 19: dollar cost per million requests, normalised by Chiron.
-pub fn fig19() -> String {
+pub fn fig19(workers: usize) -> String {
     let cfg = EvalConfig {
         requests: 3,
         ..EvalConfig::default()
@@ -359,7 +364,7 @@ pub fn fig19() -> String {
     let mut header: Vec<String> = vec!["system".into()];
     header.extend(workflows.iter().map(|w| w.name.clone()));
     let mut table = Table::new(header);
-    let evals = eval_grid(&workflows, &systems, &cfg);
+    let evals = eval_grid(&workflows, &systems, &cfg, workers);
     let eval_of = |sys_index: usize, wi: usize| &evals[wi * systems.len() + sys_index];
     let chiron_index = systems
         .iter()

@@ -9,7 +9,7 @@
 //! architectures.
 
 use crate::common::{ms, pct, Table};
-use crate::sweep;
+use crate::sweep::par_map_workers;
 use chiron::serving::{FaultPlan, RouterPolicy, ServeConfig, ServeSimulation, Workload};
 use chiron::{Chiron, PgpMode};
 use chiron_deploy::NodeId;
@@ -42,7 +42,7 @@ fn row_for(
 }
 
 /// The serving-plane comparison (no paper figure; §7 made operational).
-pub fn serve_figure() -> String {
+pub fn serve_figure(workers: usize) -> String {
     let chiron = Chiron::default();
     let wf = apps::finra(12);
     let deployment = chiron.deploy(&wf, None, PgpMode::NativeThread);
@@ -69,7 +69,7 @@ pub fn serve_figure() -> String {
         .into_iter()
         .flat_map(|router| (0..3usize).map(move |scenario| (router, scenario)))
         .collect();
-    let rows = sweep::par_map(&cells, |_, &(router, scenario)| {
+    let rows = par_map_workers(&cells, workers, |_, &(router, scenario)| {
         let config = ServeConfig::paper_testbed().with_router(router);
         let sim = ServeSimulation::new(wf.clone(), deployment.plan().clone(), config);
         match scenario {
@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn serve_figure_renders_all_scenarios() {
-        let report = serve_figure();
+        let report = serve_figure(2);
         assert!(report.contains("steady 50 rps"));
         assert!(report.contains("step 10 -> 100 rps"));
         assert!(report.contains("steady + node kill"));

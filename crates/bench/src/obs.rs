@@ -601,7 +601,6 @@ mod tests {
         use crate::perf_eval::{eval_report, FigureRow};
         let row = |name, parallel_ms| FigureRow {
             name,
-            cells: 6,
             sequential_ms: 31.4,
             parallel_ms,
             rows_identical: true,

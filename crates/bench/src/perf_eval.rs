@@ -4,61 +4,45 @@
 //! Every parallelised figure is regenerated under two configurations
 //! (each timed twice, interleaved, minimum reported):
 //!
-//! * **sequential** — one worker, cross-figure memoisation off and the
-//!   cache dropped first, so every plan, profile and SLO is re-derived
-//!   from scratch;
-//! * **parallel** — `N` sweep workers, memoisation on, i.e. what
+//! * **sequential** — one sweep worker;
+//! * **parallel** — `N` sweep workers, i.e. what
 //!   `figures -- all --workers N` actually runs.
 //!
-//! Both passes execute requests on the same engine; the speed-up measures
-//! the sweep workers and the cross-figure memo only.
+//! The two passes differ only in the worker count handed to the figure,
+//! so the speed-up measures the sweep workers alone.
 //!
 //! Both passes must produce byte-identical figure text
-//! (`rows_identical`) — the sweep's determinism contract — and the
-//! memoised planner must return plans structurally identical to the
-//! uncached ones (`plans_identical`). Both are gates: `figures` exits
-//! non-zero if either is false. The report also carries the DES hot-loop
+//! (`rows_identical`) — the sweep's determinism contract — and planning
+//! every (suite workflow, Fig. 13 system) pair twice must give equal
+//! plans (`plans_identical`). Both are gates: `figures` exits non-zero
+//! if either is false. The report also carries the DES hot-loop
 //! counters: buffer pool traffic and fluid event-loop iterations, reset
 //! at the start of each parallel pass and summed over exactly this run's
 //! parallel passes.
 
 use crate::common::{suite, FIG13_SYSTEMS};
 use crate::report::{Obj, Report};
-use crate::sweep;
-use chiron::{reset_eval_cache, set_eval_caching, system_plan};
+use chiron::system_plan;
 use chiron_runtime::AllocStats;
 use std::time::Instant;
 
-/// A figure generator, as routed by the `figures` binary.
-type FigureFn = fn() -> String;
+/// A sweeping figure generator, called with its worker count.
+type FigureFn = fn(usize) -> String;
 
-/// The memoised planner must be invisible in the output: every plan it
-/// serves from cache must equal the one a cold planner derives.
+/// Planning is deterministic: planning every (suite workflow, Fig. 13
+/// system) pair twice gives equal plans.
 fn plans_identical() -> bool {
-    let workflows = suite();
-    let mut identical = true;
-    for wf in &workflows {
-        for &sys in FIG13_SYSTEMS.iter() {
-            set_eval_caching(false);
-            reset_eval_cache();
-            let cold = system_plan(sys, wf, None);
-            set_eval_caching(true);
-            reset_eval_cache();
-            let warm_a = system_plan(sys, wf, None);
-            let warm_b = system_plan(sys, wf, None);
-            identical &= cold == warm_a && warm_a == warm_b;
-        }
-    }
-    identical
+    suite().iter().all(|wf| {
+        FIG13_SYSTEMS
+            .iter()
+            .all(|&sys| system_plan(sys, wf, None) == system_plan(sys, wf, None))
+    })
 }
 
-/// Sequential baseline: one worker, eval memo off.
+/// Sequential baseline: one sweep worker.
 fn sequential_pass(f: FigureFn) -> (String, f64) {
-    sweep::set_workers(1);
-    set_eval_caching(false);
-    reset_eval_cache();
     let t0 = Instant::now();
-    let out = f();
+    let out = f(1);
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     (out, ms)
 }
@@ -69,13 +53,9 @@ fn sequential_pass(f: FigureFn) -> (String, f64) {
 /// pass — `BENCH_EVAL.json`'s reuse fractions are per-run, not
 /// since-process-start.
 fn parallel_pass(f: FigureFn, workers: usize) -> (String, f64, AllocStats) {
-    sweep::set_workers(workers);
-    set_eval_caching(true);
-    reset_eval_cache();
-    sweep::reset_cell_count();
     chiron_runtime::reset_alloc_stats();
     let t0 = Instant::now();
-    let out = f();
+    let out = f(workers);
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     (out, ms, chiron_runtime::alloc_stats())
 }
@@ -90,7 +70,6 @@ fn add_stats(total: &mut AllocStats, pass: AllocStats) {
 #[derive(Debug, Clone)]
 pub(crate) struct FigureRow {
     pub(crate) name: &'static str,
-    pub(crate) cells: u64,
     pub(crate) sequential_ms: f64,
     pub(crate) parallel_ms: f64,
     pub(crate) rows_identical: bool,
@@ -100,7 +79,7 @@ fn figure_entry(name: &'static str, workers: usize, f: FigureFn) -> (FigureRow, 
     // Each configuration is timed twice, interleaved so both see the same
     // heap and scheduler history, and the minimum is reported — the usual
     // guard against one-off interference on a shared box. Every pass must
-    // emit the same bytes regardless of memoisation or workers.
+    // emit the same bytes whatever its worker count.
     let (seq_a, seq_ms_a) = sequential_pass(f);
     let (par_a, par_ms_a, stats_a) = parallel_pass(f, workers);
     let (seq_b, seq_ms_b) = sequential_pass(f);
@@ -109,7 +88,6 @@ fn figure_entry(name: &'static str, workers: usize, f: FigureFn) -> (FigureRow, 
     add_stats(&mut stats, stats_b);
     let row = FigureRow {
         name,
-        cells: sweep::cell_count(),
         sequential_ms: seq_ms_a.min(seq_ms_b),
         parallel_ms: par_ms_a.min(par_ms_b),
         rows_identical: seq_a == par_a && seq_a == seq_b && seq_a == par_b,
@@ -132,11 +110,9 @@ pub(crate) fn eval_report(
         .map(|r| {
             Obj::new()
                 .field("figure", r.name)
-                .field("cells", r.cells)
                 .field("sequential_ms", r.sequential_ms)
                 .field("parallel_ms", r.parallel_ms)
                 .field("speedup", r.sequential_ms / r.parallel_ms)
-                .field("cells_per_sec", r.cells as f64 / (r.parallel_ms / 1e3))
                 .field("rows_identical", r.rows_identical)
         })
         .collect();
@@ -169,9 +145,6 @@ pub(crate) fn eval_report(
 /// The harness-performance report (see module docs). `workers` is the
 /// sweep width of the parallel pass.
 pub fn perf_eval(workers: usize) -> Report {
-    let saved_workers = sweep::workers();
-    let saved_caching = chiron::eval_caching();
-
     let figures: [(&str, FigureFn); 8] = [
         ("fig12", crate::fig12),
         ("fig13", crate::fig13),
@@ -198,12 +171,6 @@ pub fn perf_eval(workers: usize) -> Report {
     }
 
     let plans_ok = plans_identical();
-
-    // Leave the globals as the caller set them.
-    sweep::set_workers(saved_workers);
-    set_eval_caching(saved_caching);
-    reset_eval_cache();
-
     eval_report(workers, &rows, stats, plans_ok)
 }
 
@@ -212,10 +179,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn memoised_plans_match_cold_plans() {
+    fn planning_twice_gives_equal_plans() {
         assert!(plans_identical());
-        // Leave the cross-figure cache in its default state for other tests.
-        set_eval_caching(true);
-        reset_eval_cache();
     }
 }

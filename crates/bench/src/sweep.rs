@@ -13,49 +13,11 @@
 //! `figures -- perf-eval` target and the cross-crate property tests
 //! enforce it.
 //!
-//! This is the same determinism contract `chiron-pgp`'s parallel schedule
-//! search established (shared content-addressed caches are pure, so
-//! interleaving cannot change any value), lifted from one scheduler run to
-//! the whole evaluation harness.
+//! The engine keeps no state between calls: every sweeping figure takes
+//! its worker count as an argument and passes it to [`par_map_workers`],
+//! so figures with different widths can run side by side.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Worker count used by [`par_map`]; set once by the `figures` binary
-/// (`--workers N`), read by every routed figure.
-static WORKERS: AtomicUsize = AtomicUsize::new(1);
-
-/// Cells executed since the last [`reset_cell_count`] (perf-eval's
-/// cells/sec denominator).
-static CELLS: AtomicU64 = AtomicU64::new(0);
-
-/// Sets the global worker count (clamped to ≥ 1).
-pub fn set_workers(n: usize) {
-    WORKERS.store(n.max(1), Ordering::SeqCst);
-}
-
-/// The global worker count.
-pub fn workers() -> usize {
-    WORKERS.load(Ordering::SeqCst)
-}
-
-/// Cells executed since the last reset.
-pub fn cell_count() -> u64 {
-    CELLS.load(Ordering::SeqCst)
-}
-
-pub fn reset_cell_count() {
-    CELLS.store(0, Ordering::SeqCst);
-}
-
-/// [`par_map_workers`] with the global worker count.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_workers(items, workers(), f)
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maps `f` over `items` on `workers` scoped threads and returns the
 /// results in item order.
@@ -70,7 +32,6 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    CELLS.fetch_add(items.len() as u64, Ordering::Relaxed);
     let workers = workers.min(items.len()).max(1);
     if workers == 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
@@ -149,13 +110,5 @@ mod tests {
         assert!(none.is_empty());
         let out = par_map_workers(&[1, 2], 16, |_, &x| x * 2);
         assert_eq!(out, vec![2, 4]);
-    }
-
-    #[test]
-    fn cell_counter_accumulates() {
-        reset_cell_count();
-        let _ = par_map_workers(&[0u8; 10], 2, |i, _| i);
-        let _ = par_map_workers(&[0u8; 5], 1, |i, _| i);
-        assert_eq!(cell_count(), 15);
     }
 }

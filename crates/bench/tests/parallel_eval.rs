@@ -9,6 +9,8 @@
 //! * a reused [`SimScratch`] produces outcomes equal to fresh-allocation
 //!   runs, which in turn equal the retained pre-optimisation reference
 //!   engine.
+//! * figures share no worker state: two figures sweeping at different
+//!   widths at the same time emit the same bytes.
 //!
 //! Workflows and plans are random: the planner turns each generated
 //! workflow into a real deployment plan before it reaches the simulator,
@@ -58,6 +60,18 @@ fn plan_for(wf: &Workflow, mode: PgpMode) -> chiron_model::DeploymentPlan {
     let sched = PgpScheduler::paper_calibrated();
     let config = PgpConfig::performance_first().with_mode(mode);
     sched.schedule(wf, &prof, &config).plan
+}
+
+/// `fig13` at one worker and at four, run at once on two threads: each
+/// figure owns its worker count, so neither can change the other's bytes.
+#[test]
+fn concurrent_figures_share_no_worker_state() {
+    let (solo, wide) = std::thread::scope(|scope| {
+        let solo = scope.spawn(|| chiron_bench::fig13(1));
+        let wide = scope.spawn(|| chiron_bench::fig13(4));
+        (solo.join().unwrap(), wide.join().unwrap())
+    });
+    assert_eq!(solo, wide);
 }
 
 proptest! {

@@ -2,6 +2,10 @@
 //! under any of the eleven systems, replay requests on the virtual
 //! platform (optionally jittered), and report latency, resources,
 //! throughput and dollar cost.
+//!
+//! The harness holds no state of its own. Profiles, plans and paper SLOs
+//! are pure functions of their inputs and are derived afresh at every
+//! call, so two figures running at once share nothing.
 
 use chiron_deploy as deploy;
 use chiron_metrics::{
@@ -13,78 +17,10 @@ use chiron_model::{
 };
 use chiron_profiler::{Profiler, WorkflowProfile};
 use chiron_runtime::{RequestOutcome, VirtualPlatform};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
-/// Cross-figure memo for the pure, deterministic prefix of every system
-/// evaluation: workflow profiles, deployment plans and paper SLOs. The
-/// same `(system, workflow, slo)` plan is rebuilt by almost every figure
-/// (Fig. 13/14/16/17/19 all replan the full suite), and `paper_slo` runs
-/// a Faastlane request from scratch at each call site. Entries are keyed
-/// by full structural equality on the stored [`Workflow`] — exact, no
-/// hashing — so a hit can never alias two distinct workflows, and because
-/// every cached value is a pure function of its key, toggling the cache
-/// changes timing only, never any figure row.
-struct EvalMemo {
-    profiles: Mutex<Vec<(Workflow, Arc<WorkflowProfile>)>>,
-    plans: Mutex<Vec<PlanEntry>>,
-    slos: Mutex<Vec<(Workflow, SimDuration)>>,
-}
-
-struct PlanEntry {
-    system: SystemKind,
-    slo: Option<SimDuration>,
-    workflow: Workflow,
-    plan: DeploymentPlan,
-}
-
-static MEMO: OnceLock<EvalMemo> = OnceLock::new();
-static CACHING: AtomicBool = AtomicBool::new(true);
-
-fn memo() -> &'static EvalMemo {
-    MEMO.get_or_init(|| EvalMemo {
-        profiles: Mutex::new(Vec::new()),
-        plans: Mutex::new(Vec::new()),
-        slos: Mutex::new(Vec::new()),
-    })
-}
-
-/// Enables or disables the cross-figure plan/profile/SLO memo (on by
-/// default). Disabling is only useful for timing an uncached run — cached
-/// and uncached evaluations produce byte-identical results.
-pub fn set_eval_caching(enabled: bool) {
-    CACHING.store(enabled, Ordering::SeqCst);
-}
-
-pub fn eval_caching() -> bool {
-    CACHING.load(Ordering::SeqCst)
-}
-
-/// Drops every memoised profile, plan and SLO.
-pub fn reset_eval_cache() {
-    let memo = memo();
-    memo.profiles.lock().unwrap().clear();
-    memo.plans.lock().unwrap().clear();
-    memo.slos.lock().unwrap().clear();
-}
-
-/// Profiles `workflow`, memoised under structural equality.
-pub fn profile_for(workflow: &Workflow) -> Arc<WorkflowProfile> {
-    if eval_caching() {
-        let profiles = memo().profiles.lock().unwrap();
-        if let Some((_, profile)) = profiles.iter().find(|(wf, _)| wf == workflow) {
-            return Arc::clone(profile);
-        }
-    }
-    let profile = Arc::new(Profiler::default().profile_workflow(workflow));
-    if eval_caching() {
-        memo()
-            .profiles
-            .lock()
-            .unwrap()
-            .push((workflow.clone(), Arc::clone(&profile)));
-    }
-    profile
+/// Profiles `workflow` with the default profiler.
+pub fn profile_for(workflow: &Workflow) -> WorkflowProfile {
+    Profiler::default().profile_workflow(workflow)
 }
 
 /// How a system evaluation replays requests.
@@ -206,33 +142,13 @@ pub fn evaluate_plan(workflow: &Workflow, plan: DeploymentPlan, config: &EvalCon
     }
 }
 
-/// [`plan_for`] with profiling folded in, memoised on
-/// `(system, slo, workflow)` when eval caching is on.
+/// [`plan_for`] with profiling folded in.
 pub fn system_plan(
     system: SystemKind,
     workflow: &Workflow,
     slo: Option<SimDuration>,
 ) -> DeploymentPlan {
-    if eval_caching() {
-        let plans = memo().plans.lock().unwrap();
-        if let Some(entry) = plans
-            .iter()
-            .find(|e| e.system == system && e.slo == slo && e.workflow == *workflow)
-        {
-            return entry.plan.clone();
-        }
-    }
-    let profile = profile_for(workflow);
-    let plan = plan_for(system, workflow, &profile, slo);
-    if eval_caching() {
-        memo().plans.lock().unwrap().push(PlanEntry {
-            system,
-            slo,
-            workflow: workflow.clone(),
-            plan: plan.clone(),
-        });
-    }
-    plan
+    plan_for(system, workflow, &profile_for(workflow), slo)
 }
 
 /// Profiles the workflow, builds the system's plan, and evaluates it.
@@ -249,12 +165,6 @@ pub fn evaluate_system(
 /// The paper's SLO convention (§6.2): "the average latency of Faastlane
 /// with an additional 10 ms slack".
 pub fn paper_slo(workflow: &Workflow) -> SimDuration {
-    if eval_caching() {
-        let slos = memo().slos.lock().unwrap();
-        if let Some((_, slo)) = slos.iter().find(|(wf, _)| wf == workflow) {
-            return *slo;
-        }
-    }
     let faastlane = evaluate_plan(
         workflow,
         deploy::faastlane(workflow),
@@ -263,11 +173,7 @@ pub fn paper_slo(workflow: &Workflow) -> SimDuration {
             ..EvalConfig::default()
         },
     );
-    let slo = faastlane.mean_latency + SimDuration::from_millis(10);
-    if eval_caching() {
-        memo().slos.lock().unwrap().push((workflow.clone(), slo));
-    }
-    slo
+    faastlane.mean_latency + SimDuration::from_millis(10)
 }
 
 #[cfg(test)]

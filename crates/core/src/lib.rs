@@ -24,8 +24,8 @@ pub mod eval;
 pub mod manager;
 
 pub use eval::{
-    eval_caching, evaluate_plan, evaluate_system, paper_slo, plan_for, profile_for,
-    reset_eval_cache, set_eval_caching, state_transitions, system_plan, EvalConfig, SystemEval,
+    evaluate_plan, evaluate_system, paper_slo, plan_for, profile_for, state_transitions,
+    system_plan, EvalConfig, SystemEval,
 };
 pub use manager::{Chiron, Deployment};
 

@@ -10,12 +10,16 @@
 //!   point validates as the contiguous payload does, so wrapped frames
 //!   are never misreported as torn. Injecting raw corruption needs the
 //!   ring's private buffer; that half stays in the ring's unit tests.
+//! * **No process state outside `chiron-obs`.** No library `static` holds
+//!   interior mutability and no `thread_local!` exists, bar an explicit
+//!   allowlist; state belongs to the value that uses it.
 
 use chiron::deploy::NodeId;
 use chiron::model::{apps, SimTime};
 use chiron::{Chiron, FaultPlan, PgpMode, ServeConfig, Workload};
 use chiron_runtime::rt::ring::crc32_pair;
 use chiron_runtime::{crc32, ring, RingError};
+use std::path::{Path, PathBuf};
 
 #[test]
 fn traced_serve_run_attributes_every_request_exactly() {
@@ -108,4 +112,83 @@ fn ring_delivers_wrapped_frames_intact() {
         assert_eq!(rx.pop(), Ok(Some(want)));
     }
     assert_eq!(rx.pop(), Ok(None));
+}
+
+/// The process state `no_process_state_outside_obs` tolerates, as
+/// `(file, static)`: the DES's per-thread default scratch arena.
+const PROCESS_STATE_ALLOWLIST: [(&str, &str); 1] = [("crates/runtime/src/platform.rs", "SCRATCH")];
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source tree") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every `static` in `crates/*/src` (bar `crates/obs`) whose type names an
+/// atomic, lock, lazy or cell type, and every `thread_local!` static, as
+/// `(file, name)`. The `Static*` metric sites pass by type.
+fn process_state_sites(root: &Path) -> Vec<(String, String)> {
+    const STATEFUL: [&str; 6] = ["Mutex", "RwLock", "OnceLock", "LazyLock", "Cell", "RefCell"];
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let krate = krate.expect("directory entry").path();
+        if krate.file_name().is_some_and(|n| n != "obs") && krate.join("src").is_dir() {
+            rust_files(&krate.join("src"), &mut files);
+        }
+    }
+    let mut sites = Vec::new();
+    for file in files {
+        let rel = file.strip_prefix(root).unwrap().display().to_string();
+        let text = std::fs::read_to_string(&file).expect("readable source file");
+        // Brace depth inside a `thread_local!` block, if in one.
+        let mut thread_local: Option<i32> = None;
+        for line in text.lines().map(str::trim) {
+            if line.starts_with("//") {
+                continue;
+            }
+            let mut decl = line;
+            if let Some(rest) = line.strip_prefix("thread_local!") {
+                thread_local = Some(0);
+                decl = rest.trim_start_matches([' ', '{', '(']);
+            }
+            let decl = decl
+                .trim_start_matches("pub(crate) ")
+                .trim_start_matches("pub ");
+            if let Some((name, ty)) = decl.strip_prefix("static ").and_then(|d| d.split_once(':')) {
+                let ty = ty.split('=').next().unwrap_or_default();
+                let stateful = ty
+                    .split(|c: char| !c.is_alphanumeric() && c != '_')
+                    .any(|word| word.starts_with("Atomic") || STATEFUL.contains(&word));
+                if stateful || thread_local.is_some() {
+                    sites.push((rel.clone(), name.trim_start_matches("mut ").to_string()));
+                }
+            }
+            if let Some(depth) = thread_local.as_mut() {
+                *depth += line.matches(['{', '(']).count() as i32;
+                *depth -= line.matches(['}', ')']).count() as i32;
+                if *depth <= 0 {
+                    thread_local = None;
+                }
+            }
+        }
+    }
+    sites
+}
+
+#[test]
+fn no_process_state_outside_obs() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sites = process_state_sites(root);
+    let allowed = |(file, name): &(String, String)| {
+        PROCESS_STATE_ALLOWLIST.contains(&(file.as_str(), name.as_str()))
+    };
+    let offending: Vec<_> = sites.iter().filter(|s| !allowed(s)).collect();
+    assert!(offending.is_empty(), "process-wide state: {offending:?}");
+    // The allowlist must not outlive what it names.
+    assert_eq!(sites.len(), PROCESS_STATE_ALLOWLIST.len(), "{sites:?}");
 }
