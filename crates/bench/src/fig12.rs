@@ -28,14 +28,14 @@ use chiron_runtime::VirtualPlatform;
 
 /// One execution-mechanism column of Fig. 12.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fig12Mode {
+enum Fig12Mode {
     NativeThread,
     IntelMpk,
     ProcessPool,
 }
 
 impl Fig12Mode {
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             Fig12Mode::NativeThread => "Native Thread",
             Fig12Mode::IntelMpk => "Intel MPK",
@@ -49,11 +49,11 @@ pub type PlanGraph = (Vec<Vec<f64>>, Vec<Vec<f64>>);
 
 /// One enumerated sample: a candidate plan plus its measured latency.
 #[derive(Debug)]
-pub struct Sample {
-    pub workflow_idx: usize,
-    pub plan: DeploymentPlan,
-    pub actual: SimDuration,
-    pub predicted_chiron: SimDuration,
+struct Sample {
+    workflow_idx: usize,
+    plan: DeploymentPlan,
+    actual: SimDuration,
+    predicted_chiron: SimDuration,
 }
 
 /// The five workflows of the prediction study.
@@ -68,7 +68,7 @@ pub fn workflows() -> Vec<Workflow> {
 }
 
 /// Enumerates candidate wrap designs for one workflow and mode.
-pub fn enumerate_plans(
+fn enumerate_plans(
     workflow: &Workflow,
     profile: &WorkflowProfile,
     mode: Fig12Mode,
@@ -113,7 +113,7 @@ pub fn enumerate_plans(
 
 /// Builds the full sample set for one mode: enumerate, measure (jittered
 /// ground truth), and attach the Chiron prediction.
-pub fn build_samples(mode: Fig12Mode, truth_seeds: u32, workers: usize) -> Vec<Sample> {
+fn build_samples(mode: Fig12Mode, truth_seeds: u32, workers: usize) -> Vec<Sample> {
     let wfs = workflows();
     let profiles: Vec<WorkflowProfile> = wfs
         .iter()
@@ -165,7 +165,7 @@ pub struct Fig12Row {
 
 /// Runs the full Fig. 12 study for one mode. `fast` shrinks training for
 /// tests.
-pub fn run_mode(mode: Fig12Mode, fast: bool, workers: usize) -> Vec<Fig12Row> {
+fn run_mode(mode: Fig12Mode, fast: bool, workers: usize) -> Vec<Fig12Row> {
     let wfs = workflows();
     let profiles: Vec<WorkflowProfile> = wfs
         .iter()

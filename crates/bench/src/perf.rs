@@ -1,13 +1,14 @@
 //! Machine-readable performance summary of the optimised hot paths, for
 //! regression tracking (`figures -- perf` writes it to `BENCH_PGP.json`).
 //!
-//! Three measurements, all wall-clock on the current machine:
+//! Two measurements, both wall-clock on the current machine:
 //!
 //! * PGP scheduling time — pre-optimisation reference vs the memoised
 //!   evaluator, with the cache hit rate and an identical-plan cross-check;
-//! * warm-cache re-schedule time (the online re-planning case);
-//! * the serving-simulator macrobench: a large steady open-loop run,
-//!   reported as simulated requests per wall-clock second.
+//! * warm-cache re-schedule time (the online re-planning case).
+//!
+//! The serve loop is timed by the benchmark's `serve` workload
+//! (`perfbench/`), not here.
 //!
 //! The output is a [`Report`] whose `plans_identical` gate ANDs the
 //! per-workflow cross-checks.
@@ -15,8 +16,7 @@
 use crate::report::{Json, Obj, Report};
 use chiron::model::synthetic::{synthetic, SyntheticSpec};
 use chiron::model::{apps, Workflow};
-use chiron::serving::{ServeConfig, ServeSimulation, Workload};
-use chiron::{Chiron, PgpConfig, PgpMode, PgpScheduler};
+use chiron::{PgpConfig, PgpScheduler};
 use chiron_predict::PredictionCache;
 use chiron_profiler::Profiler;
 use std::time::Instant;
@@ -51,31 +51,8 @@ fn scheduler_entry(label: &str, wf: &Workflow) -> Obj {
         .field("plans_identical", memoised.plan == reference.plan)
 }
 
-fn serve_entry(requests: u64) -> Obj {
-    let chiron = Chiron::default();
-    let wf = apps::finra(12);
-    let deployment = chiron.deploy(&wf, None, PgpMode::NativeThread);
-    let sim = ServeSimulation::new(
-        wf.clone(),
-        deployment.plan().clone(),
-        ServeConfig::paper_testbed(),
-    );
-    let workload = Workload::steady(500.0, requests);
-    let (report, wall_ms) = timed(|| sim.run(&workload, 2023).expect("serving run"));
-    Obj::new()
-        .field("workflow", wf.name.as_str())
-        .field("requests", requests)
-        .field("completed", report.completed)
-        .field("lost", report.lost)
-        .field("wall_ms", wall_ms)
-        .field(
-            "throughput_per_sec",
-            report.completed as f64 / (wall_ms / 1e3),
-        )
-}
-
-/// The summary with a custom macrobench size (tests use a small one).
-pub fn perf_report(macro_requests: u64) -> Report {
+/// The summary: the three scheduler workloads and their gate.
+pub fn perf() -> Report {
     let synthetic_wf = synthetic(SyntheticSpec {
         seed: 42,
         stages: 6,
@@ -104,16 +81,8 @@ pub fn perf_report(macro_requests: u64) -> Report {
             .iter()
             .all(|s| s.get("plans_identical") == Some(&Json::Bool(true))),
     );
-    report.json = Obj::new()
-        .field("schedulers", schedulers)
-        .field("serve_macrobench", serve_entry(macro_requests));
+    report.json = Obj::new().field("schedulers", schedulers);
     report
-}
-
-/// The full summary: both scheduler workloads plus a 1M-request serving
-/// macrobench.
-pub fn perf() -> Report {
-    perf_report(1_000_000)
 }
 
 #[cfg(test)]
@@ -122,8 +91,6 @@ mod tests {
 
     #[test]
     fn perf_report_plans_match() {
-        let report = perf_report(2_000);
-        crate::report::assert_gates(&report, 1, &[]);
-        assert!(report.json.get("serve_macrobench").is_some());
+        crate::report::assert_gates(&perf(), 1, &[]);
     }
 }

@@ -71,6 +71,7 @@ proptest! {
         let workload = FleetWorkload::steady(rps, SimDuration::from_millis(3_000));
         let reference = sim.run(&workload, run_seed).expect("reference run");
         prop_assert!(reference.completed > 0, "degenerate case: nothing completed");
+        prop_assert_eq!(reference.lost, 0, "the fleet must not lose requests");
         for shards in SHARD_COUNTS {
             for workers in WORKER_COUNTS {
                 let sharded = sim

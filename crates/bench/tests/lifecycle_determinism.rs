@@ -109,6 +109,9 @@ proptest! {
         let baseline_render = render(&baseline);
         let baseline_digests: Vec<u64> =
             baseline.iter().map(ServeReport::digest).collect();
+        for r in &baseline {
+            prop_assert_eq!((r.accepted, r.completed, r.lost), (REQUESTS, REQUESTS, 0));
+        }
         // The tiered cell must actually exercise the pools for the
         // property to mean anything.
         prop_assert!(

@@ -85,6 +85,20 @@ proptest! {
     }
 }
 
+/// Frames of 16 B to 64 KiB, each through a ring about four frames deep,
+/// come back intact as the ring wraps.
+#[test]
+fn large_frames_round_trip_intact() {
+    for size in [16usize, 1 << 10, 16 << 10, 64 << 10] {
+        let (mut tx, mut rx) = ring((size + 8) * 4);
+        for seq in 0..12 {
+            let want = frame(seq, size);
+            tx.try_push(&want).expect("frame fits");
+            assert_eq!(rx.pop(), Ok(Some(want)), "{size}-byte frame {seq}");
+        }
+    }
+}
+
 proptest! {
     // Threaded stress is expensive; fewer, bigger cases.
     #![proptest_config(ProptestConfig::with_cases(8))]

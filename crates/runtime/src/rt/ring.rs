@@ -27,8 +27,8 @@
 //!   silently delivering torn data.
 //!
 //! The measured `floor + bytes/bandwidth` fit of this ring
-//! ([`measure_fit`], plus the Criterion bench `bench/benches/ring.rs`)
-//! calibrates the `shm_ring` tier in `chiron-store::transfer`.
+//! ([`measure_fit`], run and gated by `figures -- transfer`) calibrates
+//! the `shm_ring` tier in `chiron-store::transfer`.
 
 use super::Backoff;
 use chiron_model::SimDuration;

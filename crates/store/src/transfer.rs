@@ -13,8 +13,8 @@
 //! Each model is `floor + size / bandwidth`, fit to the paper's reported
 //! end points: the smallest S3 transfer takes ≈52 ms and 1 GB ≈25 s; the
 //! local cluster ranges from ≈10 ms to ≈10 s. The shm-ring tier is fit to
-//! the Criterion-measured latency/throughput of the real ring (`figures --
-//! transfer` records the measured fit next to these constants).
+//! the measured floor and bandwidth of the real ring (`figures -- transfer`
+//! records the `measure_fit` result next to these constants).
 
 use chiron_model::{SimDuration, TransferKind};
 use serde::{Deserialize, Serialize};

@@ -6,7 +6,7 @@ use chiron_deploy::{place, planners, ClusterConfig, ClusterState, PlacementPolic
 use chiron_metrics::LatencySamples;
 use chiron_model::{apps, FunctionId};
 use chiron_pgp::kernighan_lin;
-use chiron_runtime::{execute_sandbox, SpanKind, ThreadTask};
+use chiron_runtime::{execute_sandbox, SpanKind, ThreadResult, ThreadTask};
 use proptest::prelude::*;
 
 /// Random segment lists: alternating CPU/block with millisecond durations.
@@ -46,11 +46,117 @@ fn solo_ms(segments: &[Segment]) -> f64 {
     segments.iter().map(|s| s.duration().as_millis_f64()).sum()
 }
 
+fn cpu_ms<'a>(segments: impl IntoIterator<Item = &'a Segment>) -> f64 {
+    let cpu = segments.into_iter().filter(|s| s.is_cpu());
+    cpu.map(|s| s.duration().as_millis_f64()).sum()
+}
+
+fn threads_at_zero(segs: &[Vec<Segment>]) -> Vec<SimThread> {
+    let thread = |s: &Vec<Segment>| SimThread {
+        created_at: SimDuration::ZERO,
+        segments: s.clone(),
+    };
+    segs.iter().map(thread).collect()
+}
+
+fn last_end(results: &[ThreadResult]) -> f64 {
+    let end = results.iter().map(|r| r.end).max();
+    end.map_or(0.0, SimTime::as_millis_f64)
+}
+
+const GIL_INTERVAL: SimDuration = SimDuration::from_millis(5);
+
+// The property bodies, shared by `proptest!` and the recorded cases below it.
+
+/// The sandbox simulator never finishes a thread before its solo
+/// latency, and CPU accounting matches its CPU demand exactly.
+fn check_solo_lower_bound(tasks: &[ThreadTask], cpus: u32, runtime: RuntimeKind) {
+    let results = execute_sandbox(tasks, cpus, runtime, GIL_INTERVAL);
+    for (task, r) in tasks.iter().zip(&results) {
+        let solo = solo_ms(&task.segments);
+        let elapsed = r.end.as_millis_f64() - task.start.as_millis_f64();
+        assert!(
+            elapsed + 1e-6 >= solo,
+            "thread finished in {elapsed}ms, solo needs {solo}ms"
+        );
+        assert!((r.cpu_time.as_millis_f64() - cpu_ms(&task.segments)).abs() < 0.01);
+    }
+}
+
+/// Total CPU work delivered can never exceed capacity × makespan.
+fn check_cpu_capacity(tasks: &[ThreadTask], cpus: u32) {
+    let results = execute_sandbox(tasks, cpus, RuntimeKind::TrueParallel, GIL_INTERVAL);
+    let start = tasks.iter().map(|t| t.start).min().unwrap().as_millis_f64();
+    let delivered: f64 = results.iter().map(|r| r.cpu_time.as_millis_f64()).sum();
+    assert!(delivered <= (last_end(&results) - start) * f64::from(cpus) + 0.01);
+}
+
+/// Spans are ordered and non-overlapping; Exec wall time can exceed the
+/// CPU work delivered (fluid sharing runs threads at reduced rate) but
+/// never undercut it.
+fn check_spans_well_formed(tasks: &[ThreadTask], cpus: u32) {
+    for r in execute_sandbox(tasks, cpus, RuntimeKind::PseudoParallel, GIL_INTERVAL) {
+        let mut cursor = SimTime::ZERO;
+        let mut exec = 0.0;
+        for s in &r.spans {
+            assert!(s.start >= cursor && s.end >= s.start);
+            cursor = s.end;
+            if s.kind == SpanKind::Exec {
+                exec += s.duration().as_millis_f64();
+            }
+        }
+        let cpu = r.cpu_time;
+        assert!(
+            exec + 0.01 >= cpu.as_millis_f64(),
+            "Exec spans {exec}ms < cpu work {cpu}"
+        );
+    }
+}
+
+/// Algorithm 1's prediction is bounded below by both the longest thread
+/// and the total CPU demand (single effective CPU under the GIL).
+fn check_algorithm1_lower_bounds(segs: &[Vec<Segment>]) {
+    let out = predict_threads(&threads_at_zero(segs), GIL_INTERVAL);
+    let longest = segs.iter().map(|s| solo_ms(s)).fold(0.0, f64::max);
+    let total_cpu = cpu_ms(segs.iter().flatten());
+    assert!(out.makespan.as_millis_f64() + 1e-6 >= longest);
+    assert!(out.makespan.as_millis_f64() + 1e-6 >= total_cpu);
+    assert!((out.cpu_time.as_millis_f64() - total_cpu).abs() < 0.01);
+}
+
+/// Algorithm 1 agrees with the ground-truth fluid engine for a
+/// dedicated-CPU process (same scheduling rules ⇒ same makespan).
+fn check_algorithm1_matches_fluid(segs: &[Vec<Segment>]) {
+    let predicted = predict_threads(&threads_at_zero(segs), GIL_INTERVAL);
+    let task = |s: &Vec<Segment>| ThreadTask {
+        process: 0,
+        start: SimTime::ZERO,
+        segments: s.clone(),
+    };
+    let tasks: Vec<ThreadTask> = segs.iter().map(task).collect();
+    let truth = execute_sandbox(&tasks, 1, RuntimeKind::PseudoParallel, GIL_INTERVAL);
+    let diff = (predicted.makespan.as_millis_f64() - last_end(&truth)).abs();
+    // Algorithm 1 only notices I/O completions at quantum boundaries
+    // (a designed simplification of the model), so each blocking
+    // segment may contribute up to one 5ms switch interval of error.
+    let blocks = segs.iter().flatten().filter(|s| !s.is_cpu()).count();
+    let bound = 5.0 * (blocks as f64) + 0.5;
+    assert!(diff <= bound, "model off by {diff}ms (> {bound}ms bound)");
+}
+
+/// The true-parallel bound is monotone in CPU count.
+fn check_true_parallel_monotone(segs: &[Vec<Segment>]) {
+    let mut prev = f64::MAX;
+    for cpus in 1..=4u32 {
+        let out = predict_true_parallel(segs, cpus);
+        assert!(out.makespan.as_millis_f64() <= prev + 1e-9);
+        prev = out.makespan.as_millis_f64();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The sandbox simulator never finishes a thread before its solo
-    /// latency, and CPU accounting matches its CPU demand exactly.
     #[test]
     fn fluid_respects_solo_lower_bound(
         tasks in arb_tasks(6, 3),
@@ -58,114 +164,32 @@ proptest! {
         pseudo in any::<bool>(),
     ) {
         let runtime = if pseudo { RuntimeKind::PseudoParallel } else { RuntimeKind::TrueParallel };
-        let results = execute_sandbox(&tasks, cpus, runtime, SimDuration::from_millis(5));
-        for (task, r) in tasks.iter().zip(&results) {
-            let solo = solo_ms(&task.segments);
-            let elapsed = r.end.as_millis_f64() - task.start.as_millis_f64();
-            prop_assert!(elapsed + 1e-6 >= solo,
-                "thread finished in {elapsed}ms, solo needs {solo}ms");
-            let cpu_demand: f64 = task.segments.iter()
-                .filter(|s| s.is_cpu())
-                .map(|s| s.duration().as_millis_f64())
-                .sum();
-            prop_assert!((r.cpu_time.as_millis_f64() - cpu_demand).abs() < 0.01);
-        }
+        check_solo_lower_bound(&tasks, cpus, runtime);
     }
 
-    /// Total CPU work delivered can never exceed capacity × makespan.
     #[test]
-    fn fluid_respects_cpu_capacity(
-        tasks in arb_tasks(6, 3),
-        cpus in 1u32..4,
-    ) {
-        let results = execute_sandbox(&tasks, cpus, RuntimeKind::TrueParallel,
-            SimDuration::from_millis(5));
-        let start = tasks.iter().map(|t| t.start.as_millis_f64()).fold(f64::MAX, f64::min);
-        let end = results.iter().map(|r| r.end.as_millis_f64()).fold(0.0, f64::max);
-        let delivered: f64 = results.iter().map(|r| r.cpu_time.as_millis_f64()).sum();
-        prop_assert!(delivered <= (end - start) * f64::from(cpus) + 0.01);
+    fn fluid_respects_cpu_capacity(tasks in arb_tasks(6, 3), cpus in 1u32..4) {
+        check_cpu_capacity(&tasks, cpus);
     }
 
-    /// Spans are ordered and non-overlapping; Exec wall time can exceed
-    /// the CPU work delivered (fluid sharing runs threads at reduced rate)
-    /// but never undercut it.
     #[test]
     fn fluid_spans_well_formed(tasks in arb_tasks(5, 2), cpus in 1u32..3) {
-        let results = execute_sandbox(&tasks, cpus, RuntimeKind::PseudoParallel,
-            SimDuration::from_millis(5));
-        for r in &results {
-            let mut cursor = SimTime::ZERO;
-            let mut exec = 0.0;
-            for s in &r.spans {
-                prop_assert!(s.start >= cursor);
-                prop_assert!(s.end >= s.start);
-                cursor = s.end;
-                if s.kind == SpanKind::Exec {
-                    exec += s.duration().as_millis_f64();
-                }
-            }
-            prop_assert!(exec + 0.01 >= r.cpu_time.as_millis_f64(),
-                "Exec spans {exec}ms < cpu work {}", r.cpu_time);
-        }
+        check_spans_well_formed(&tasks, cpus);
     }
 
-    /// Algorithm 1's prediction is bounded below by both the longest thread
-    /// and the total CPU demand (single effective CPU under the GIL).
     #[test]
     fn algorithm1_lower_bounds(segs in prop::collection::vec(arb_segments(), 1..6)) {
-        let threads: Vec<SimThread> = segs.iter()
-            .map(|s| SimThread { created_at: SimDuration::ZERO, segments: s.clone() })
-            .collect();
-        let out = predict_threads(&threads, SimDuration::from_millis(5));
-        let longest = segs.iter().map(|s| solo_ms(s)).fold(0.0, f64::max);
-        let total_cpu: f64 = segs.iter().flatten()
-            .filter(|s| s.is_cpu())
-            .map(|s| s.duration().as_millis_f64())
-            .sum();
-        prop_assert!(out.makespan.as_millis_f64() + 1e-6 >= longest);
-        prop_assert!(out.makespan.as_millis_f64() + 1e-6 >= total_cpu);
-        prop_assert!((out.cpu_time.as_millis_f64() - total_cpu).abs() < 0.01);
+        check_algorithm1_lower_bounds(&segs);
     }
 
-    /// Algorithm 1 agrees with the ground-truth fluid engine for a
-    /// dedicated-CPU process (same scheduling rules ⇒ same makespan).
     #[test]
-    fn algorithm1_matches_fluid_on_one_process(
-        segs in prop::collection::vec(arb_segments(), 1..5)
-    ) {
-        let predicted = predict_threads(
-            &segs.iter().map(|s| SimThread {
-                created_at: SimDuration::ZERO, segments: s.clone(),
-            }).collect::<Vec<_>>(),
-            SimDuration::from_millis(5),
-        );
-        let truth = execute_sandbox(
-            &segs.iter().map(|s| ThreadTask {
-                process: 0, start: SimTime::ZERO, segments: s.clone(),
-            }).collect::<Vec<_>>(),
-            1,
-            RuntimeKind::PseudoParallel,
-            SimDuration::from_millis(5),
-        );
-        let truth_end = truth.iter().map(|r| r.end.as_millis_f64()).fold(0.0, f64::max);
-        let diff = (predicted.makespan.as_millis_f64() - truth_end).abs();
-        // Algorithm 1 only notices I/O completions at quantum boundaries
-        // (a designed simplification of the model), so each blocking
-        // segment may contribute up to one 5ms switch interval of error.
-        let blocks = segs.iter().flatten().filter(|s| !s.is_cpu()).count();
-        let bound = 5.0 * (blocks as f64) + 0.5;
-        prop_assert!(diff <= bound, "model off by {diff}ms (> {bound}ms bound)");
+    fn algorithm1_matches_fluid_on_one_process(segs in prop::collection::vec(arb_segments(), 1..5)) {
+        check_algorithm1_matches_fluid(&segs);
     }
 
-    /// The true-parallel bound is monotone in CPU count.
     #[test]
     fn true_parallel_monotone_in_cpus(segs in prop::collection::vec(arb_segments(), 1..6)) {
-        let mut prev = f64::MAX;
-        for cpus in 1..=4u32 {
-            let out = predict_true_parallel(&segs, cpus);
-            prop_assert!(out.makespan.as_millis_f64() <= prev + 1e-9);
-            prev = out.makespan.as_millis_f64();
-        }
+        check_true_parallel_monotone(&segs);
     }
 
     /// Kernighan–Lin preserves the multiset, never grows the objective, and
@@ -334,4 +358,37 @@ fn algorithm1_cpu_only_edge_cases() {
         );
         assert_eq!(out.cpu_time, SimDuration::from_millis(cpu_ms), "{case}");
     }
+}
+
+/// A shrunk failure recorded from an earlier property run: one CPU-only
+/// thread of 9 + 20 ms beside one blocking thread of 10 + 16 ms, run
+/// through every property over segment lists.
+#[test]
+fn recorded_segment_regression() {
+    let net = |ms| Segment::block_ms(SyscallKind::NetIo, ms);
+    let segs = [
+        vec![Segment::cpu_ms(9), Segment::cpu_ms(20)],
+        vec![net(10.0), net(16.0)],
+    ];
+    check_algorithm1_lower_bounds(&segs);
+    check_algorithm1_matches_fluid(&segs);
+    check_true_parallel_monotone(&segs);
+}
+
+/// A shrunk failure recorded from an earlier property run: two 1 ms CPU
+/// threads in different processes, both started at 10 ms, on one CPU,
+/// run through every property over thread tasks.
+#[test]
+fn recorded_task_regression() {
+    let task = |process| ThreadTask {
+        process,
+        start: SimTime::from_nanos(10_000_000),
+        segments: vec![Segment::cpu_ms(1)],
+    };
+    let tasks = [task(1), task(0)];
+    for runtime in [RuntimeKind::PseudoParallel, RuntimeKind::TrueParallel] {
+        check_solo_lower_bound(&tasks, 1, runtime);
+    }
+    check_cpu_capacity(&tasks, 1);
+    check_spans_well_formed(&tasks, 1);
 }

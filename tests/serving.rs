@@ -69,12 +69,20 @@ fn p99_recovers_after_ten_x_traffic_step() {
 }
 
 /// Killing a node mid-run completes every accepted request: in-flight work
-/// is re-queued by failure detection, never dropped.
+/// is re-queued by failure detection, never dropped. Without a fault, a
+/// steady 500 rps run completes every request too.
 #[test]
 fn node_kill_mid_run_loses_nothing() {
     let (chiron, wf, deployment) = deployed();
     for router in RouterPolicy::ALL {
         let config = ServeConfig::paper_testbed().with_router(router);
+        let busy =
+            Workload::steady(500.0, 20_000).with_arrivals(ArrivalProcess::Poisson { seed: 9 });
+        let report = chiron
+            .serve(&wf, &deployment, config.clone(), &busy, 1)
+            .unwrap();
+        let counts = (report.accepted, report.completed, report.lost);
+        assert_eq!(counts, (20_000, 20_000, 0), "{} at 500 rps", router.name());
         let faults = FaultPlan::none().kill_at(SimTime::from_millis_f64(30_000.0), NodeId(0));
         let workload =
             Workload::steady(40.0, 4_000).with_arrivals(ArrivalProcess::Poisson { seed: 2 });
