@@ -40,6 +40,14 @@ pub enum ArrivalProcess {
 }
 
 /// Stateful inter-arrival gap generator for one [`ArrivalProcess`].
+///
+/// The random processes draw unit-rate exponentials `-ln(1 − u)` a block
+/// of [`UNIT_BLOCK`] at a time, in stream order, and scale one by the
+/// current rate only when its gap is used. A block's logs have no
+/// dependency on each other, so they run as one vectorised pass with
+/// no unpredictable branch; and since the rate is applied per gap,
+/// a rate that changes inside a block (a fleet cluster's gossiped
+/// admission rate) yields exactly the gaps of one-at-a-time draws.
 #[derive(Debug, Clone)]
 pub struct ArrivalGen {
     process: ArrivalProcess,
@@ -47,7 +55,13 @@ pub struct ArrivalGen {
     /// Accumulated simulated time since the stream started — the phase
     /// of the diurnal sinusoid. Unused by the homogeneous processes.
     elapsed: SimDuration,
+    /// Unit exponentials drawn ahead; `units[next..]` are still unused.
+    units: [f64; UNIT_BLOCK],
+    next: usize,
 }
+
+/// Unit exponentials drawn per refill of an [`ArrivalGen`].
+const UNIT_BLOCK: usize = 64;
 
 /// Fast natural log for the inverse-CDF exponential draw — the single
 /// transcendental on the arrival hot path (one call per simulated
@@ -116,20 +130,41 @@ impl ArrivalProcess {
             process: self,
             rng: FastRng::seed_from_u64(seed),
             elapsed: SimDuration::ZERO,
+            units: [0.0; UNIT_BLOCK],
+            next: UNIT_BLOCK,
         }
     }
 }
 
 impl ArrivalGen {
+    /// The stream's next unit-rate exponential `-ln(1 − u)`; `1 − u`
+    /// avoids `ln(0)`.
+    #[inline]
+    fn next_unit(&mut self) -> f64 {
+        if self.next == UNIT_BLOCK {
+            // Two passes: the generator's serial state chain first, then
+            // the logs, which carry no dependency and so vectorise.
+            for unit in &mut self.units {
+                *unit = 1.0 - self.rng.next_f64();
+            }
+            for unit in &mut self.units {
+                *unit = -fast_ln(*unit);
+            }
+            self.next = 0;
+        }
+        let unit = self.units[self.next];
+        self.next += 1;
+        unit
+    }
+
     /// Next gap to the following arrival at mean rate `rps`.
     pub fn next_gap(&mut self, rps: f64) -> SimDuration {
         assert!(rps > 0.0, "arrival rate must be positive");
         let gap = match self.process {
             ArrivalProcess::Uniform => SimDuration::from_nanos((1e9 / rps).round() as u64),
             ArrivalProcess::Poisson { .. } => {
-                // Inverse-CDF exponential; 1 - u avoids ln(0).
-                let u = self.rng.next_f64();
-                let secs = -fast_ln(1.0 - u) / rps;
+                // Inverse-CDF exponential at the asked rate.
+                let secs = self.next_unit() / rps;
                 // Half-up rounding: same as `round()` for positive gaps,
                 // one convert instead of the inlined `round` sequence.
                 SimDuration::from_nanos((secs * 1e9 + 0.5) as u64)
@@ -151,8 +186,7 @@ impl ArrivalGen {
                 let period = period_ms as f64 / 1e3;
                 let phase = 2.0 * std::f64::consts::PI * self.elapsed.as_secs_f64() / period;
                 let rate = rps * (1.0 + f64::from(amplitude_pct) / 100.0 * phase.sin());
-                let u = self.rng.next_f64();
-                let secs = -fast_ln(1.0 - u) / rate;
+                let secs = self.next_unit() / rate;
                 SimDuration::from_nanos((secs * 1e9 + 0.5) as u64)
             }
         };
@@ -464,5 +498,71 @@ mod tests {
         let mean = total / f64::from(n);
         // Expected gap 20ms; the sample mean should land within a few %.
         assert!((0.018..0.022).contains(&mean), "mean gap {mean}");
+    }
+
+    /// The one-at-a-time gap formula block draws replaced: one uniform
+    /// per gap, its log taken on the spot.
+    struct OneAtATime {
+        process: ArrivalProcess,
+        rng: FastRng,
+        elapsed: SimDuration,
+    }
+
+    impl OneAtATime {
+        fn new(process: ArrivalProcess, seed: u64) -> Self {
+            OneAtATime {
+                process,
+                rng: FastRng::seed_from_u64(seed),
+                elapsed: SimDuration::ZERO,
+            }
+        }
+
+        fn next_gap(&mut self, rps: f64) -> SimDuration {
+            let rate = match self.process {
+                ArrivalProcess::Diurnal {
+                    period_ms,
+                    amplitude_pct,
+                    ..
+                } => {
+                    let phase = 2.0 * std::f64::consts::PI * self.elapsed.as_secs_f64()
+                        / (period_ms as f64 / 1e3);
+                    rps * (1.0 + f64::from(amplitude_pct) / 100.0 * phase.sin())
+                }
+                _ => rps,
+            };
+            let u = self.rng.next_f64();
+            let secs = -fast_ln(1.0 - u) / rate;
+            let gap = SimDuration::from_nanos((secs * 1e9 + 0.5) as u64);
+            self.elapsed += gap;
+            gap
+        }
+    }
+
+    #[test]
+    fn block_draws_equal_one_at_a_time_draws() {
+        let poisson = ArrivalProcess::Poisson { seed: 21 };
+        let diurnal = ArrivalProcess::Diurnal {
+            period_ms: 2_000,
+            amplitude_pct: 70,
+            seed: 22,
+        };
+        for (process, seed) in [(poisson, 21), (diurnal, 22)] {
+            let mut blocked = process.gaps();
+            let mut single = OneAtATime::new(process, seed);
+            // The rate changes mid-block (a fleet `set_rate`), and at
+            // block edges too: 0..=UNIT_BLOCK + 1 straddles both.
+            let rate = |i: usize| [40.0, 450.0, 0.5, 7_500.0][(i / 37 + i / 64) % 4];
+            for i in 0..=UNIT_BLOCK + 1 {
+                assert_eq!(blocked.next_gap(rate(i)), single.next_gap(rate(i)), "{i}");
+            }
+            // A clone taken mid-block carries the rest of the block and
+            // the generator state behind it.
+            let mut fork = blocked.clone();
+            for i in 0..5 * UNIT_BLOCK {
+                let want = single.next_gap(rate(i));
+                assert_eq!(blocked.next_gap(rate(i)), want, "{i}");
+                assert_eq!(fork.next_gap(rate(i)), want, "fork {i}");
+            }
+        }
     }
 }

@@ -8,7 +8,8 @@
 //! the stack can emit into the same sinks:
 //!
 //! * [`trace`] — a global on/off switch with per-thread capture buffers
-//!   (fleet clusters bank into buffers of their own). Events carry their
+//!   (a standalone serving run takes its caller's buffer and banks into
+//!   it; fleet clusters bank into buffers of their own). Events carry their
 //!   sim time, and traces are normalised by a stable sort on it, so any
 //!   worker count reproduces identical bytes. Disabled, every hook is a
 //!   single relaxed atomic load.
@@ -30,7 +31,7 @@
 //!   exports.
 //! * [`slo`] — an online multi-window burn-rate monitor the serving
 //!   simulator evaluates at event time, so alerts are byte-identical for
-//!   any worker count.
+//!   any worker count; both windows are cursors over one completion log.
 //! * [`regime`] — an online Page–Hinkley/CUSUM regime-change detector
 //!   over latency residuals, plus the incident snapshot that windows a
 //!   finished trace around the first sensor fire next to the metrics.
@@ -67,8 +68,9 @@ pub use regime::{
 };
 pub use slo::{BurnRateMonitor, SloPolicy, SloSummary, SloTransition};
 pub use trace::{
-    begin_capture, begin_capture_sized, emit, end_capture, recycle, reset_trace_stats, set_tracing,
-    take_buffer, trace_stats, tracing_enabled, Trace, TraceEvent, TraceEventKind, TraceStats,
+    begin_capture, begin_capture_sized, emit, end_capture, recycle, reset_trace_stats,
+    restore_capture, set_tracing, take_buffer, take_capture, trace_stats, tracing_enabled, Trace,
+    TraceEvent, TraceEventKind, TraceStats,
 };
 pub use whatif::{WhatIfExperiment, WhatIfRanking, WhatIfReport};
 

@@ -19,7 +19,6 @@
 //! by the serving simulator and summarised in its report.
 
 use chiron_model::SimDuration;
-use std::collections::VecDeque;
 
 /// The SLO and the burn-rate alerting policy guarding it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,46 +76,56 @@ impl SloTransition {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+/// One sliding window over the monitor's shared log: the entries from
+/// `start` on, of which `bad` are bad.
+#[derive(Debug, Clone, Copy)]
 struct Window {
     span_ns: u64,
-    samples: VecDeque<(u64, bool)>,
+    start: usize,
     bad: u64,
 }
 
 impl Window {
-    fn observe(&mut self, at_ns: u64, bad: bool) {
-        self.samples.push_back((at_ns, bad));
-        if bad {
-            self.bad += 1;
-        }
+    /// Drops the entries older than `span_ns` before `at_ns`.
+    fn evict(&mut self, log: &[u64], at_ns: u64) {
         let cutoff = at_ns.saturating_sub(self.span_ns);
-        while let Some(&(t, b)) = self.samples.front() {
-            if t >= cutoff {
-                break;
-            }
-            self.samples.pop_front();
-            if b {
-                self.bad -= 1;
-            }
+        // The newest entry is stamped `at_ns >= cutoff`, so the scan stops
+        // inside the log.
+        while log[self.start] >> 1 < cutoff {
+            self.bad -= log[self.start] & 1;
+            self.start += 1;
         }
     }
 
-    fn bad_fraction(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.bad as f64 / self.samples.len() as f64
-        }
+    /// Bad fraction of the `len`-entry log's window, over the error
+    /// budget. A caught-up window is never empty: it holds the newest
+    /// entry.
+    fn burn(&self, len: usize, budget: f64) -> f64 {
+        self.bad as f64 / (len - self.start) as f64 / budget
     }
 }
 
 /// The online monitor: feed it every completion in event-time order.
+///
+/// Both windows are cursors into one log of `at_ns << 1 | bad` entries.
+/// While neither window holds a bad sample (so no alert is firing), both
+/// burns are zero and, for a positive threshold, nothing can fire, so an
+/// observation only appends: the cursors and bad counts go stale, but a
+/// stale window holds a superset of the true one, so zero stale bad
+/// samples still proves zero true ones. The cursors catch up when a bad
+/// sample arrives, on every observation while one is in a window, and
+/// when the log's middle entry leaves the larger window; the last case
+/// also drops the log's expired prefix, which keeps the log within twice
+/// the larger window's sample count.
 #[derive(Debug, Clone)]
 pub struct BurnRateMonitor {
     policy: SloPolicy,
+    log: Vec<u64>,
     short: Window,
     long: Window,
+    /// The first `at_ns` at which the log's middle entry (as of the last
+    /// compaction) has left the larger window.
+    compact_at_ns: u64,
     fired: bool,
     total: u64,
     bad_total: u64,
@@ -128,16 +137,17 @@ pub struct BurnRateMonitor {
 
 impl BurnRateMonitor {
     pub fn new(policy: SloPolicy) -> Self {
+        let window = |span: SimDuration| Window {
+            span_ns: span.as_nanos(),
+            start: 0,
+            bad: 0,
+        };
         BurnRateMonitor {
             policy,
-            short: Window {
-                span_ns: policy.short_window.as_nanos(),
-                ..Window::default()
-            },
-            long: Window {
-                span_ns: policy.long_window.as_nanos(),
-                ..Window::default()
-            },
+            log: Vec::new(),
+            short: window(policy.short_window),
+            long: window(policy.long_window),
+            compact_at_ns: 0,
             fired: false,
             total: 0,
             bad_total: 0,
@@ -153,21 +163,44 @@ impl BurnRateMonitor {
     }
 
     /// Records one completion; returns the transition if the alert state
-    /// flipped at this event.
+    /// flipped at this event. `at_ns` must not decrease from one call to
+    /// the next — the serve loop observes completions in event order —
+    /// and must stay below 2^63 (the log keeps the bad bit beside it).
     pub fn observe(&mut self, at_ns: u64, sojourn: SimDuration) -> Option<SloTransition> {
+        debug_assert!(
+            at_ns >= self.last_ns,
+            "SLO observations out of time order: {at_ns} after {}",
+            self.last_ns
+        );
+        debug_assert!(at_ns >> 63 == 0, "event time {at_ns} out of range");
         let bad = sojourn > self.policy.target;
         self.total += 1;
-        if bad {
-            self.bad_total += 1;
+        self.bad_total += u64::from(bad);
+        self.last_ns = at_ns;
+        self.log.push(at_ns << 1 | u64::from(bad));
+        self.short.bad += u64::from(bad);
+        self.long.bad += u64::from(bad);
+        // Zero burns rule out a fire only under a positive threshold. And
+        // clean windows cannot leave an alert firing: the observation that
+        // evicted their last bad sample saw zero burns and cleared it.
+        let quiet = self.policy.burn_threshold > 0.0 && self.short.bad == 0 && self.long.bad == 0;
+        debug_assert!(!(quiet && self.fired), "alert firing over clean windows");
+        if quiet && at_ns < self.compact_at_ns {
+            return None;
         }
-        self.last_ns = self.last_ns.max(at_ns);
-        self.short.observe(at_ns, bad);
-        self.long.observe(at_ns, bad);
+        self.short.evict(&self.log, at_ns);
+        self.long.evict(&self.log, at_ns);
+        if at_ns >= self.compact_at_ns {
+            self.compact();
+        }
+        if quiet {
+            return None;
+        }
 
         let budget = self.policy.error_budget();
-        let short_burn = self.short.bad_fraction() / budget;
-        let long_burn = self.long.bad_fraction() / budget;
-        let warmed = self.short.samples.len() >= self.policy.min_samples;
+        let short_burn = self.short.burn(self.log.len(), budget);
+        let long_burn = self.long.burn(self.log.len(), budget);
+        let warmed = self.log.len() - self.short.start >= self.policy.min_samples;
         let should_fire = warmed
             && short_burn >= self.policy.burn_threshold
             && long_burn >= self.policy.burn_threshold;
@@ -188,6 +221,26 @@ impl BurnRateMonitor {
         };
         self.transitions.push(transition);
         Some(transition)
+    }
+
+    /// Drops the log prefix both (caught-up) windows have left, and
+    /// schedules the next compaction for when the middle of what is left
+    /// leaves the larger window. Until then at least half the retained
+    /// entries, and every later one, are inside that window.
+    fn compact(&mut self) {
+        let drop = self.short.start.min(self.long.start);
+        self.log.drain(..drop);
+        self.short.start -= drop;
+        self.long.start -= drop;
+        let span = self.short.span_ns.max(self.long.span_ns);
+        let middle = self.log[self.log.len() / 2] >> 1;
+        self.compact_at_ns = middle.saturating_add(span).saturating_add(1);
+    }
+
+    /// Entries in the shared log (bounded by twice the larger window).
+    #[cfg(test)]
+    fn log_len(&self) -> usize {
+        self.log.len()
     }
 
     pub fn is_firing(&self) -> bool {
@@ -316,9 +369,159 @@ impl SloSummary {
     }
 }
 
+/// The two-deque monitor the shared log replaced, kept as the oracle the
+/// property test compares against: each window holds its own copy of
+/// every sample in it and is evicted and divided on every observation.
+#[cfg(test)]
+mod reference {
+    use super::{SloPolicy, SloSummary, SloTransition};
+    use chiron_model::SimDuration;
+    use std::collections::VecDeque;
+
+    #[derive(Debug, Clone, Default)]
+    struct Window {
+        span_ns: u64,
+        samples: VecDeque<(u64, bool)>,
+        bad: u64,
+    }
+
+    impl Window {
+        fn observe(&mut self, at_ns: u64, bad: bool) {
+            self.samples.push_back((at_ns, bad));
+            if bad {
+                self.bad += 1;
+            }
+            let cutoff = at_ns.saturating_sub(self.span_ns);
+            while let Some(&(t, b)) = self.samples.front() {
+                if t >= cutoff {
+                    break;
+                }
+                self.samples.pop_front();
+                if b {
+                    self.bad -= 1;
+                }
+            }
+        }
+
+        fn bad_fraction(&self) -> f64 {
+            if self.samples.is_empty() {
+                0.0
+            } else {
+                self.bad as f64 / self.samples.len() as f64
+            }
+        }
+    }
+
+    pub struct TwoDequeMonitor {
+        policy: SloPolicy,
+        short: Window,
+        long: Window,
+        fired: bool,
+        total: u64,
+        bad_total: u64,
+        transitions: Vec<SloTransition>,
+        time_in_alert_ns: u64,
+        fired_at_ns: u64,
+        last_ns: u64,
+    }
+
+    impl TwoDequeMonitor {
+        pub fn new(policy: SloPolicy) -> Self {
+            TwoDequeMonitor {
+                policy,
+                short: Window {
+                    span_ns: policy.short_window.as_nanos(),
+                    ..Window::default()
+                },
+                long: Window {
+                    span_ns: policy.long_window.as_nanos(),
+                    ..Window::default()
+                },
+                fired: false,
+                total: 0,
+                bad_total: 0,
+                transitions: Vec::new(),
+                time_in_alert_ns: 0,
+                fired_at_ns: 0,
+                last_ns: 0,
+            }
+        }
+
+        /// Sample count of the fuller window.
+        pub fn larger_window(&self) -> usize {
+            self.short.samples.len().max(self.long.samples.len())
+        }
+
+        pub fn observe(&mut self, at_ns: u64, sojourn: SimDuration) -> Option<SloTransition> {
+            let bad = sojourn > self.policy.target;
+            self.total += 1;
+            if bad {
+                self.bad_total += 1;
+            }
+            self.last_ns = self.last_ns.max(at_ns);
+            self.short.observe(at_ns, bad);
+            self.long.observe(at_ns, bad);
+
+            let budget = self.policy.error_budget();
+            let short_burn = self.short.bad_fraction() / budget;
+            let long_burn = self.long.bad_fraction() / budget;
+            let warmed = self.short.samples.len() >= self.policy.min_samples;
+            let should_fire = warmed
+                && short_burn >= self.policy.burn_threshold
+                && long_burn >= self.policy.burn_threshold;
+            if should_fire == self.fired {
+                return None;
+            }
+            self.fired = should_fire;
+            if should_fire {
+                self.fired_at_ns = at_ns;
+            } else {
+                self.time_in_alert_ns += at_ns - self.fired_at_ns;
+            }
+            let transition = SloTransition {
+                at_ns,
+                fired: should_fire,
+                short_burn,
+                long_burn,
+            };
+            self.transitions.push(transition);
+            Some(transition)
+        }
+
+        pub fn is_firing(&self) -> bool {
+            self.fired
+        }
+
+        pub fn into_summary(mut self) -> SloSummary {
+            if self.fired {
+                self.time_in_alert_ns += self.last_ns - self.fired_at_ns;
+            }
+            let alerts_fired = self.transitions.iter().filter(|t| t.fired).count() as u32;
+            SloSummary {
+                target: self.policy.target,
+                objective: self.policy.objective,
+                total: self.total,
+                bad: self.bad_total,
+                compliance: if self.total == 0 {
+                    1.0
+                } else {
+                    1.0 - self.bad_total as f64 / self.total as f64
+                },
+                alerts_fired,
+                alerts_cleared: self.transitions.len() as u32 - alerts_fired,
+                first_alert_ns: self.transitions.iter().find(|t| t.fired).map(|t| t.at_ns),
+                time_in_alert_ns: self.time_in_alert_ns,
+                transitions: self.transitions,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chiron_metrics::FastRng;
+    use proptest::prelude::*;
 
     fn policy() -> SloPolicy {
         SloPolicy {
@@ -473,5 +676,67 @@ mod tests {
             sa.transitions.len() + sb.transitions.len()
         );
         assert_eq!(fleet.target, sa.target);
+    }
+
+    /// A random policy, edge cases included: non-positive thresholds,
+    /// `min_samples` beyond any window, zero-length windows and a short
+    /// window longer than the long one.
+    fn random_policy(rng: &mut FastRng) -> SloPolicy {
+        let pick = |rng: &mut FastRng, n: u64| rng.next_u64() % n;
+        let window = |rng: &mut FastRng| SimDuration::from_micros(pick(rng, 400) * 500);
+        SloPolicy {
+            target: SimDuration::from_millis(1 + pick(rng, 100)),
+            objective: [0.5, 0.9, 0.99, 1.0][pick(rng, 4) as usize],
+            short_window: window(rng),
+            long_window: window(rng),
+            burn_threshold: [-1.0, 0.0, 0.5, 1.0, 2.0, 10.0][pick(rng, 6) as usize],
+            min_samples: [0, 1, 20, 500, 100_000][pick(rng, 5) as usize],
+        }
+    }
+
+    /// Runs one random stream through the shared-log monitor and the
+    /// two-deque oracle: `n` completions at non-decreasing times (ties
+    /// and long gaps included), in good stretches broken by bad bursts
+    /// that end and recur.
+    fn check_against_reference(seed: u64, n: usize) {
+        let mut rng = FastRng::seed_from_u64(seed);
+        let policy = random_policy(&mut rng);
+        let mut fast = BurnRateMonitor::new(policy);
+        let mut oracle = reference::TwoDequeMonitor::new(policy);
+        let target = policy.target.as_nanos();
+        let mut at_ns = rng.next_u64() % 1_000_000;
+        let mut burst = false;
+        for i in 0..n {
+            at_ns += match rng.next_u64() % 8 {
+                0 => 0,
+                1 => rng.next_u64() % 300_000_000,
+                _ => rng.next_u64() % 2_000_000,
+            };
+            if rng.next_u64() & 63 == 0 {
+                burst = !burst;
+            }
+            let bad = rng.next_f64() < if burst { 0.8 } else { 0.01 };
+            let sojourn = SimDuration::from_nanos(if bad { target + 1 } else { target / 2 });
+            let got = fast.observe(at_ns, sojourn);
+            let want = oracle.observe(at_ns, sojourn);
+            assert_eq!(got, want, "seed {seed}, observation {i}: {policy:?}");
+            assert_eq!(fast.is_firing(), oracle.is_firing(), "seed {seed}, {i}");
+            assert!(
+                fast.log_len() <= 2 * oracle.larger_window(),
+                "seed {seed}, observation {i}: log of {} entries for a window of {}",
+                fast.log_len(),
+                oracle.larger_window()
+            );
+        }
+        assert_eq!(fast.into_summary(), oracle.into_summary(), "seed {seed}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn shared_log_matches_two_deque_monitor(seed in any::<u64>(), n in 1usize..3_000) {
+            check_against_reference(seed, n);
+        }
     }
 }

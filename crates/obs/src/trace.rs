@@ -24,11 +24,13 @@
 //!    never trigger a growth memcpy, and normalisation skips the sort
 //!    entirely when events arrived in time order.
 //! 4. **No sink plumbing.** Capture buffers are thread-local and scoped
-//!    by the *caller* ([`begin_capture`]/[`end_capture`]), so the
-//!    simulators emit unconditionally and never thread a sink handle
-//!    through their state. The one exception is a fleet cluster, which
-//!    banks every event into a buffer it owns ([`take_buffer`]) so its
-//!    stream survives work-stealing across worker threads.
+//!    by the *caller* ([`begin_capture`]/[`end_capture`]), so emitters
+//!    never thread a sink handle through their state. The serving
+//!    simulator banks instead of emitting per event: a standalone run
+//!    takes the caller's open buffer for its lifetime ([`take_capture`],
+//!    handed back by [`restore_capture`]) and a fleet cluster banks into
+//!    a buffer of its own ([`take_buffer`]), so its stream survives
+//!    work-stealing across worker threads.
 
 use crate::intern::{resolve, StrId};
 use std::cell::RefCell;
@@ -397,6 +399,24 @@ pub fn recycle(trace: Trace) {
             pool.push(events);
         }
     });
+}
+
+/// Takes this thread's open capture buffer, leaving the thread without
+/// one, so a single-threaded producer (a standalone serving run) can push
+/// its events straight into the caller's buffer rather than through a
+/// thread-local lookup per event. `None` when no capture is open. The
+/// producer must hand the buffer back with [`restore_capture`] on every
+/// exit path, or the caller's capture ends empty.
+pub fn take_capture() -> Option<Vec<TraceEvent>> {
+    CAPTURE.with(|c| c.borrow_mut().take())
+}
+
+/// Reopens this thread's capture with `events` — a buffer from
+/// [`take_capture`] with the producer's events appended — replacing
+/// whatever capture is open. Never panics, so a `Drop` can call it: on a
+/// thread already tearing down its locals the buffer is dropped.
+pub fn restore_capture(events: Vec<TraceEvent>) {
+    let _ = CAPTURE.try_with(|c| *c.borrow_mut() = Some(events));
 }
 
 /// Closes this thread's capture buffer and returns the normalised

@@ -1,9 +1,9 @@
-//! The discrete-event core: a time-ordered heap with a deterministic
-//! tiebreaker.
+//! The discrete-event core: a time-ordered queue with a deterministic
+//! tiebreaker, kept as a sorted ring because the serve loop's events
+//! arrive nearly in firing order.
 
 use chiron_deploy::NodeId;
 use chiron_model::SimTime;
-use std::cmp::Ordering;
 
 /// What happens at an event's timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,8 @@ pub enum EventKind {
 }
 
 /// An event with its firing time and insertion sequence (the tiebreaker
-/// that makes simultaneous events deterministic).
+/// that makes simultaneous events deterministic). The queue orders events
+/// by their packed `(time, seq)` key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     pub at: SimTime,
@@ -46,21 +47,9 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at.as_nanos(), self.seq).cmp(&(other.at.as_nanos(), other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Packed total-order key: one u128 comparison instead of a
-/// lexicographic pair — the heap's only comparison currency. The
-/// `(time, seq)` pair is fully recoverable from the key, so the heap
+/// lexicographic pair — the queue's only comparison currency. The
+/// `(time, seq)` pair is fully recoverable from the key, so the ring
 /// stores only keys (and payloads beside them).
 #[inline]
 fn pack_key(at: SimTime, seq: u64) -> u128 {
@@ -72,33 +61,41 @@ fn unpack_key(key: u128) -> (SimTime, u64) {
     (SimTime::from_nanos((key >> 64) as u64), key as u64)
 }
 
-/// Min-heap of events in (time, insertion-order).
+/// Priority queue of events in (time, insertion-order).
 ///
-/// Two deviations from a textbook binary heap, both pure speedups with a
-/// bit-for-bit identical pop sequence (the `(time, seq)` key is a total
-/// order, so *any* correct priority queue pops the same sequence):
+/// The serve loop's event stream is nearly FIFO: a dispatch schedules its
+/// completion one service time ahead, which is almost always at or near
+/// the latest pending event. So the queue is a ring of events kept sorted
+/// from head to tail: `pop` takes the head and `push` inserts by scanning
+/// from the tail, moving each later event one slot back. On the serve
+/// ladder a push moves one or two events on average, so both operations
+/// are close to O(1), with no sift and no comparison chain.
 ///
-/// - The open-loop arrival train — exactly one pending
-///   [`EventKind::Arrival`] at any time — accounts for about half of all
-///   queue traffic, so it lives in a dedicated one-element slot beside
-///   the heap. The slot still draws its sequence number from the shared
-///   counter and `pop`/`peek` order it against the heap top by the same
-///   key.
-/// - The heap itself is 4-ary — half the depth of a binary heap for the
-///   sift-down that dominates pop cost — and stores keys and payloads in
-///   parallel arrays, so the 4-child minimum scan reads one cache line of
-///   packed `u128` keys instead of striding across 48-byte events.
+/// The open-loop arrival train — exactly one pending
+/// [`EventKind::Arrival`] at any time, about half of all queue traffic —
+/// lives in a one-element slot beside the ring. The slot still draws its
+/// sequence number from the shared counter, and `pop`/`peek` order it
+/// against the ring head by the same key.
+///
+/// The `(time, seq)` key is a total order, so any correct priority queue
+/// pops the same sequence: this one pops bit for bit what a binary heap
+/// would. Keys and payloads live in parallel arrays, so the tail scan
+/// reads packed `u128` keys only.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// Packed `(time, seq)` keys, heap-ordered; `kinds[i]` is `keys[i]`'s
-    /// payload.
+    /// Packed `(time, seq)` keys, ascending from `head` around the ring;
+    /// `kinds[i]` is `keys[i]`'s payload. Both have the same power-of-two
+    /// length (or are empty), and only the `len` slots from `head` on
+    /// are live.
     keys: Vec<u128>,
     kinds: Vec<EventKind>,
+    head: usize,
+    len: usize,
     /// The pending arrival's packed key, or [`EMPTY_SLOT`] when none. The
     /// slot's kind is always [`EventKind::Arrival`], so the key alone
     /// carries the whole event; the sentinel compares greater than every
     /// real key (`u64::MAX` nanoseconds is unreachable), which lets
-    /// `pop` order slot against heap top with a single `u128` compare
+    /// `pop` order slot against ring head with a single `u128` compare
     /// and no `Option` branching.
     slot_key: u128,
     next_seq: u64,
@@ -106,6 +103,9 @@ pub struct EventQueue {
 
 /// Sentinel for an empty arrival slot — later than any reachable event.
 const EMPTY_SLOT: u128 = u128::MAX;
+
+/// Smallest ring allocated on first use.
+const MIN_RING: usize = 16;
 
 impl Default for EventQueue {
     fn default() -> Self {
@@ -115,21 +115,23 @@ impl Default for EventQueue {
 
 impl EventQueue {
     pub fn new() -> Self {
-        EventQueue {
-            keys: Vec::new(),
-            kinds: Vec::new(),
-            slot_key: EMPTY_SLOT,
-            next_seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Pre-sizes the heap. The simulator's heap holds one in-flight
+    /// Pre-sizes the ring. The simulator's queue holds one in-flight
     /// completion per busy replica plus a handful of control events, so a
     /// capacity around the replica cap avoids every growth reallocation.
     pub fn with_capacity(capacity: usize) -> Self {
+        let ring = if capacity == 0 {
+            0
+        } else {
+            capacity.next_power_of_two().max(MIN_RING)
+        };
         EventQueue {
-            keys: Vec::with_capacity(capacity),
-            kinds: Vec::with_capacity(capacity),
+            keys: vec![0; ring],
+            kinds: vec![EventKind::Heartbeat; ring],
+            head: 0,
+            len: 0,
             slot_key: EMPTY_SLOT,
             next_seq: 0,
         }
@@ -138,82 +140,65 @@ impl EventQueue {
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let key = pack_key(at, seq);
         // Opportunistic: a second simultaneous pending arrival (which the
-        // simulator never produces) would simply fall through to the heap
+        // simulator never produces) would simply fall through to the ring
         // with ordering intact.
         if matches!(kind, EventKind::Arrival) && self.slot_key == EMPTY_SLOT {
-            self.slot_key = pack_key(at, seq);
-        } else {
-            self.keys.push(pack_key(at, seq));
-            self.kinds.push(kind);
-            self.sift_up(self.keys.len() - 1);
+            self.slot_key = key;
+            return;
         }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let k = self.keys[i];
-        let kind = self.kinds[i];
+        if self.len == self.keys.len() {
+            self.grow();
+        }
+        let mask = self.keys.len() - 1;
+        // Scan from the tail, moving each later event one slot back. Keys
+        // are unique (the sequence number is), and a new key's sequence is
+        // the largest yet, so it lands after every event at its instant.
+        let mut i = self.len;
         while i > 0 {
-            let parent = (i - 1) / 4;
-            if k < self.keys[parent] {
-                self.keys[i] = self.keys[parent];
-                self.kinds[i] = self.kinds[parent];
-                i = parent;
-            } else {
+            let from = (self.head + i - 1) & mask;
+            let k = self.keys[from];
+            if k < key {
                 break;
             }
+            let to = (self.head + i) & mask;
+            self.keys[to] = k;
+            self.kinds[to] = self.kinds[from];
+            i -= 1;
         }
-        self.keys[i] = k;
-        self.kinds[i] = kind;
+        let to = (self.head + i) & mask;
+        self.keys[to] = key;
+        self.kinds[to] = kind;
+        self.len += 1;
     }
 
-    fn pop_heap(&mut self) -> Option<Event> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let key = self.keys[0];
-        let kind = self.kinds[0];
-        // Refill the root hole with the last element, pushed down by
-        // copy (half the writes of a swap-based sift) — pop order is
-        // unchanged because `(time, seq)` is a total order.
-        let last_key = self.keys.pop().expect("non-empty heap");
-        let last_kind = self.kinds.pop().expect("kinds tracks keys");
-        let n = self.keys.len();
-        if n > 0 {
-            let mut i = 0;
-            loop {
-                let first = 4 * i + 1;
-                if first >= n {
-                    break;
-                }
-                let mut min = first;
-                let mut min_key = self.keys[first];
-                for child in first + 1..(first + 4).min(n) {
-                    let k = self.keys[child];
-                    if k < min_key {
-                        min = child;
-                        min_key = k;
-                    }
-                }
-                if min_key < last_key {
-                    self.keys[i] = min_key;
-                    self.kinds[i] = self.kinds[min];
-                    i = min;
-                } else {
-                    break;
-                }
-            }
-            self.keys[i] = last_key;
-            self.kinds[i] = last_kind;
-        }
-        let (at, seq) = unpack_key(key);
-        Some(Event { at, seq, kind })
+    /// Doubles the full ring, first rotating its events to the front.
+    fn grow(&mut self) {
+        let ring = (self.keys.len() * 2).max(MIN_RING);
+        self.keys.rotate_left(self.head);
+        self.kinds.rotate_left(self.head);
+        self.keys.resize(ring, 0);
+        self.kinds.resize(ring, EventKind::Heartbeat);
+        self.head = 0;
     }
 
-    /// Heap-top key, or a sentinel past every real event when empty.
+    /// Ring-head key, or a sentinel past every real event when empty.
     #[inline]
-    fn heap_key(&self) -> u128 {
-        self.keys.first().copied().unwrap_or(EMPTY_SLOT)
+    fn head_key(&self) -> u128 {
+        if self.len == 0 {
+            EMPTY_SLOT
+        } else {
+            self.keys[self.head]
+        }
+    }
+
+    fn pop_head(&mut self) -> Event {
+        let (at, seq) = unpack_key(self.keys[self.head]);
+        let kind = self.kinds[self.head];
+        self.head = (self.head + 1) & (self.keys.len() - 1);
+        self.len -= 1;
+        Event { at, seq, kind }
     }
 
     #[inline]
@@ -228,32 +213,32 @@ impl EventQueue {
     }
 
     pub fn pop(&mut self) -> Option<Event> {
-        if self.slot_key <= self.heap_key() {
+        if self.slot_key <= self.head_key() {
             // Both sentinels equal means both stores are empty.
             if self.slot_key == EMPTY_SLOT {
                 return None;
             }
             Some(self.take_slot())
         } else {
-            self.pop_heap()
+            Some(self.pop_head())
         }
     }
 
     /// Pops the next event only if it fires strictly before `limit` — the
     /// fused peek-then-pop the epoch-barrier driver runs per event, so a
     /// cluster's loop stops exactly at the barrier without paying the
-    /// slot-vs-heap comparison twice.
+    /// slot-vs-ring comparison twice.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<Event> {
-        let heap_key = self.heap_key();
-        if self.slot_key <= heap_key {
+        let head_key = self.head_key();
+        if self.slot_key <= head_key {
             // The sentinel's time component is `u64::MAX`, never strictly
             // below a limit, so an empty queue falls out here too.
             if (self.slot_key >> 64) as u64 >= limit.as_nanos() {
                 return None;
             }
             Some(self.take_slot())
-        } else if ((heap_key >> 64) as u64) < limit.as_nanos() {
-            self.pop_heap()
+        } else if ((head_key >> 64) as u64) < limit.as_nanos() {
+            Some(self.pop_head())
         } else {
             None
         }
@@ -261,32 +246,25 @@ impl EventQueue {
 
     /// The firing time and kind of the next event without removing it.
     pub fn peek(&self) -> Option<Event> {
-        if self.slot_key <= self.heap_key() {
+        let head_key = self.head_key();
+        let (key, kind) = if self.slot_key <= head_key {
             if self.slot_key == EMPTY_SLOT {
                 return None;
             }
-            let (at, seq) = unpack_key(self.slot_key);
-            Some(Event {
-                at,
-                seq,
-                kind: EventKind::Arrival,
-            })
+            (self.slot_key, EventKind::Arrival)
         } else {
-            let (at, seq) = unpack_key(*self.keys.first()?);
-            Some(Event {
-                at,
-                seq,
-                kind: self.kinds[0],
-            })
-        }
+            (head_key, self.kinds[self.head])
+        };
+        let (at, seq) = unpack_key(key);
+        Some(Event { at, seq, kind })
     }
 
     pub fn is_empty(&self) -> bool {
-        self.slot_key == EMPTY_SLOT && self.keys.is_empty()
+        self.slot_key == EMPTY_SLOT && self.len == 0
     }
 
     pub fn len(&self) -> usize {
-        usize::from(self.slot_key != EMPTY_SLOT) + self.keys.len()
+        usize::from(self.slot_key != EMPTY_SLOT) + self.len
     }
 }
 
@@ -315,7 +293,7 @@ mod tests {
     #[test]
     fn arrival_slot_preserves_simultaneous_ordering() {
         // An arrival pushed *after* a same-timestamp event must still pop
-        // second (higher seq), even though it bypasses the heap.
+        // second (higher seq), even though it bypasses the ring.
         let mut q = EventQueue::new();
         let t = |ns| SimTime::from_nanos(ns);
         q.push(t(10), EventKind::Heartbeat);

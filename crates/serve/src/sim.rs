@@ -37,7 +37,19 @@
 //! total queue depth are maintained at each (rare) state transition
 //! instead of being rescanned per arrival/completion, and the global
 //! sojourn metric is batched locally and folded into the registry once
-//! per run.
+//! per run. The per-request work around that state is kept just as
+//! cheap:
+//!
+//! - the event queue is a sorted ring filled from the back
+//!   ([`EventQueue`]), since a completion almost always lands at or near
+//!   the latest pending event;
+//! - arrival gaps come from unit exponentials drawn 64 at a time
+//!   ([`ArrivalGen`]) and scaled by the rate when used;
+//! - the SLO monitor's two windows are cursors over one completion log
+//!   ([`BurnRateMonitor`]), left stale while neither holds a bad sample;
+//! - a traced run pushes each event straight into a buffer it holds for
+//!   its lifetime: the caller's capture for a standalone run, its own
+//!   for a fleet cluster.
 //!
 //! Memory is the other bound. A standalone run returns its full request
 //! log, but a fleet cluster serves millions of requests whose records
@@ -69,30 +81,11 @@ use chiron_lifecycle::{PoolAction, PrewarmPools, StartTier, TierTable};
 use chiron_metrics::{plan_resources, ArrivalGen, FastRng, StreamingHistogram};
 use chiron_model::{DeploymentPlan, PlanError, SimDuration, SimTime, Workflow};
 use chiron_obs::{
-    emit, BurnRateMonitor, RegimeDetector, StaticCounter, StaticGauge, StaticHistogram, Trace,
+    BurnRateMonitor, RegimeDetector, StaticCounter, StaticGauge, StaticHistogram, Trace,
     TraceEvent, TraceEventKind,
 };
 use chiron_runtime::VirtualPlatform;
 use std::collections::VecDeque;
-
-/// [`Run::record`] over disjoint field borrows, for code that cannot
-/// borrow the whole run (`Run::new` before the run exists, handlers that
-/// have destructured it): fleet clusters append to their banked buffer,
-/// standalone runs go through the thread-local capture. The caller has
-/// already checked the run's `trace` flag.
-#[inline]
-fn record_into(
-    trace_events: &mut Vec<TraceEvent>,
-    fleet: bool,
-    time_ns: u64,
-    kind: TraceEventKind,
-) {
-    if fleet {
-        trace_events.push(TraceEvent { time_ns, kind });
-    } else {
-        emit(time_ns, kind);
-    }
-}
 
 /// Highest queue depth any autoscaler tick observed.
 static QUEUE_DEPTH_PEAK: StaticGauge = StaticGauge::new("serve.autoscaler.queue_depth_peak");
@@ -382,17 +375,30 @@ pub(crate) struct Run<'a> {
     req_base: u64,
     rep_base: u32,
     node_base: u32,
-    /// Fleet mode's per-cluster trace: every event from construction on
-    /// is pushed here directly, so a cluster's events survive
-    /// work-stealing across worker threads and never touch a thread-local
-    /// capture. Standalone runs leave this empty — their caller owns the
-    /// capture.
+    /// The run's trace buffer: every event from construction on is
+    /// pushed here directly. A fleet cluster owns it, so its events
+    /// survive work-stealing across worker threads; a standalone run
+    /// holds the caller's capture buffer for its lifetime and hands it
+    /// back when dropped.
     trace_events: Vec<TraceEvent>,
-    /// `tracing_enabled()` snapshotted at construction — captures are
-    /// opened before a run starts and closed after it ends, so the
-    /// per-request emit sites can branch on a plain bool instead of
-    /// paying an atomic load (and eager event-payload packing) each.
+    /// Whether this run records: tracing was enabled at construction
+    /// and the run has a buffer to bank into (a standalone run needs the
+    /// caller's open capture). Captures are opened before a run starts
+    /// and closed after it ends, so the per-request record sites branch
+    /// on a plain bool instead of paying an atomic load (and eager
+    /// event-payload packing) each.
     trace: bool,
+}
+
+impl Drop for Run<'_> {
+    /// A standalone traced run hands the caller's capture buffer back,
+    /// with the run's events appended, on every exit path: a finished
+    /// report, a start-up error, or an unwind.
+    fn drop(&mut self) {
+        if self.trace && self.fleet.is_none() {
+            chiron_obs::restore_capture(std::mem::take(&mut self.trace_events));
+        }
+    }
 }
 
 impl<'a> Run<'a> {
@@ -402,44 +408,56 @@ impl<'a> Run<'a> {
         seed: u64,
         fleet: Option<(u32, f64)>,
     ) -> Result<Self, ServeError> {
-        // Fleet clusters own their trace from the first event: everything
-        // they record, construction included, goes into `banked`, and the
-        // caller's thread-local capture is never touched (standalone runs
-        // emit into that capture instead). The buffer comes from the
+        // A traced run banks every event it records, construction
+        // included, into one buffer. A fleet cluster's comes from the
         // spare pool, so successive traced runs hand the largest recycled
         // allocation (last run's merged trace) to the event stream,
-        // keeping its pages warm.
-        let trace = chiron_obs::tracing_enabled();
+        // keeping its pages warm, and the caller's thread-local capture
+        // is never touched. A standalone run takes the caller's open
+        // capture, and records nothing when there is none.
         let in_fleet = fleet.is_some();
-        let mut banked = if in_fleet && trace {
-            chiron_obs::take_buffer()
+        let (mut banked, trace) = if !chiron_obs::tracing_enabled() {
+            (Vec::new(), false)
+        } else if in_fleet {
+            (chiron_obs::take_buffer(), true)
         } else {
-            Vec::new()
+            match chiron_obs::take_capture() {
+                Some(buffer) => (buffer, true),
+                None => (Vec::new(), false),
+            }
         };
         // Names the capture before any other event so attribution knows
         // which (workflow, plan) this trace belongs to.
         if trace {
-            record_into(
-                &mut banked,
-                in_fleet,
-                0,
-                TraceEventKind::RunContext {
+            banked.push(TraceEvent {
+                time_ns: 0,
+                kind: TraceEventKind::RunContext {
                     workflow: chiron_obs::intern(&sim.workflow.name),
                     plan: chiron_obs::drift::plan_key(&sim.plan),
                 },
-            );
+            });
         }
         // Warm service time: one request on the virtual platform, cold
         // starts excluded (they are modelled at replica granularity here).
-        // Its DES spans land in the caller's capture and give attribution
-        // the service-window component profile. Fleet clusters always
+        // Its DES spans go through the thread-local capture, so the
+        // caller's buffer is open again for the probe, and they give
+        // attribution the service-window component profile. On a probe
+        // error the buffer stays with the caller. Fleet clusters always
         // carry the override, so this probe never emits into a fleet run.
+        let owns_capture = trace && !in_fleet;
         let service_base = match sim.service_base_override {
             Some(base) => base,
             None => {
+                if owns_capture {
+                    chiron_obs::restore_capture(std::mem::take(&mut banked));
+                }
                 let platform =
                     VirtualPlatform::new(sim.config.platform.clone()).with_cold_starts(false);
-                platform.execute(&sim.workflow, &sim.plan, 0)?.e2e
+                let e2e = platform.execute(&sim.workflow, &sim.plan, 0)?.e2e;
+                if owns_capture {
+                    banked = chiron_obs::take_capture().unwrap_or_default();
+                }
+                e2e
             }
         };
         let (central, decentral) = scheduling_architectures(&sim.plan, &sim.config.platform.costs);
@@ -706,17 +724,15 @@ impl<'a> Run<'a> {
 
     // ---- fleet-mode driver interface ------------------------------------
 
-    /// Records one trace event: fleet clusters append straight to their
-    /// own banked buffer, standalone runs emit into the caller-owned
-    /// thread-local capture. Handlers run in event-time order, so
-    /// `trace_events` stays internally sorted and the final
-    /// [`Trace::chain`] stitch needs no per-cluster re-sort.
+    /// Records one trace event into the run's banked buffer. Handlers
+    /// run in event-time order, so `trace_events` stays internally
+    /// sorted and the final [`Trace::chain`] stitch needs no per-cluster
+    /// re-sort.
     #[inline]
     fn record(&mut self, time_ns: u64, kind: TraceEventKind) {
-        if !self.trace {
-            return;
+        if self.trace {
+            self.trace_events.push(TraceEvent { time_ns, kind });
         }
-        record_into(&mut self.trace_events, self.fleet.is_some(), time_ns, kind);
     }
 
     /// Processes every event strictly before `until` (the epoch barrier),
@@ -1389,10 +1405,8 @@ impl<'a> Run<'a> {
             hosts_dirty,
             trace,
             trace_events,
-            fleet,
             ..
         } = self;
-        let fleet = fleet.is_some();
         for (id, rep) in replicas.iter_mut().enumerate() {
             if *usable <= min {
                 break;
@@ -1412,14 +1426,12 @@ impl<'a> Run<'a> {
             rep.state = ReplicaState::Retired;
             rep.ended_at = Some(now);
             if *trace {
-                record_into(
-                    trace_events,
-                    fleet,
-                    now.as_nanos(),
-                    TraceEventKind::ReplicaRetired {
+                trace_events.push(TraceEvent {
+                    time_ns: now.as_nanos(),
+                    kind: TraceEventKind::ReplicaRetired {
                         replica: rep_base + id as u32,
                     },
-                );
+                });
             }
             cluster.remove_replica(&sim.plan, &sim.workflow, &rep.placement);
             *scale_downs += 1;
@@ -1574,13 +1586,13 @@ impl<'a> Run<'a> {
             keepalive_tail_seconds,
             pool_gb_seconds,
             pool_rent_usd,
-            replica_timeline: self.timeline,
-            slo: self.slo.map(BurnRateMonitor::into_summary),
+            replica_timeline: std::mem::take(&mut self.timeline),
+            slo: self.slo.take().map(BurnRateMonitor::into_summary),
             regime_changes: self
                 .regime
                 .as_ref()
                 .map_or(0, RegimeDetector::changes_fired),
-            records: self.records.into(),
+            records: std::mem::take(&mut self.records).into(),
         }
     }
 }

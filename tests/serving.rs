@@ -1,11 +1,19 @@
 //! End-to-end acceptance tests of the serving control plane, driven
 //! through the `Chiron` facade (deploy → serve).
 
-use chiron::serving::{FaultPlan, RouterPolicy, ServeConfig, Workload};
+use chiron::obs::{self, Trace, TraceEventKind};
+use chiron::serving::{
+    EventKind, EventQueue, FaultPlan, RouterPolicy, ServeConfig, ServeError, ServeSimulation,
+    Workload,
+};
 use chiron::{Chiron, PgpMode};
 use chiron_deploy::NodeId;
-use chiron_metrics::ArrivalProcess;
+use chiron_metrics::{ArrivalProcess, FastRng};
 use chiron_model::{apps, SimTime};
+use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::Mutex;
 
 fn deployed() -> (Chiron, chiron_model::Workflow, chiron::Deployment) {
     let chiron = Chiron::default();
@@ -107,5 +115,237 @@ fn node_kill_mid_run_loses_nothing() {
             "{}: recovery re-queues, not drops",
             router.name()
         );
+    }
+}
+
+/// One step of an event-queue workout.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    /// Push `kind` at `now + delay`.
+    Push(EventKind, u64),
+    /// Push at an absolute time, earlier than `now` or not.
+    PushAt(EventKind, u64),
+    /// A fleet barrier's forwarded batch: `count` `Forwarded` events at
+    /// `now + delay`, ahead of the in-flight completions.
+    Burst(u32, u64),
+    Pop,
+    /// `pop_before(now + delay)`.
+    PopBefore(u64),
+}
+
+/// A random op stream shaped like the serve loop's — mostly arrivals one
+/// gap ahead and completions one service time ahead, with same-instant
+/// ties, second pending arrivals, forwarded bursts and pops — plus
+/// arbitrary-time pushes the loop never makes.
+fn queue_ops(seed: u64, n: usize) -> Vec<QueueOp> {
+    let mut rng = FastRng::seed_from_u64(seed);
+    let mut pick = move |n: u64| rng.next_u64() % n;
+    (0..n)
+        .map(|i| {
+            let completion = EventKind::Completion {
+                replica: i as u32,
+                request: i as u64,
+                dispatch_seq: i as u64,
+            };
+            match pick(16) {
+                0..=2 => QueueOp::Push(EventKind::Arrival, pick(3) * 1_000),
+                3..=6 => QueueOp::Push(completion, 80_000 + pick(8) * 1_000),
+                7 => QueueOp::Push(
+                    EventKind::AutoscaleTick,
+                    [0, 1_000, 1_000_000][pick(3) as usize],
+                ),
+                8 => QueueOp::PushAt(EventKind::Heartbeat, pick(200_000)),
+                9 => QueueOp::Burst(1 + pick(24) as u32, pick(2) * 500),
+                10..=12 => QueueOp::Pop,
+                _ => QueueOp::PopBefore(pick(100_000)),
+            }
+        })
+        .collect()
+}
+
+/// An [`EventQueue`] beside its reference: a binary heap of `(time, seq)`
+/// keys, with each pushed kind indexed by its sequence number.
+#[derive(Default)]
+struct QueuePair {
+    queue: EventQueue,
+    heap: BinaryHeap<Reverse<(u64, u64)>>,
+    kinds: Vec<EventKind>,
+}
+
+type Popped = Option<(u64, u64, EventKind)>;
+
+impl QueuePair {
+    fn push(&mut self, at: u64, kind: EventKind) {
+        self.queue.push(SimTime::from_nanos(at), kind);
+        self.heap.push(Reverse((at, self.kinds.len() as u64)));
+        self.kinds.push(kind);
+    }
+
+    fn reference(&self, key: Option<Reverse<(u64, u64)>>) -> Popped {
+        key.map(|Reverse((at, seq))| (at, seq, self.kinds[seq as usize]))
+    }
+
+    /// `(got, want)` for one pop, or for one `pop_before(limit)`.
+    fn pop(&mut self, limit: Option<u64>) -> (Popped, Popped) {
+        let got = match limit {
+            None => self.queue.pop(),
+            Some(limit) => self.queue.pop_before(SimTime::from_nanos(limit)),
+        };
+        let due = match (limit, self.heap.peek()) {
+            (Some(limit), Some(&Reverse((at, _)))) => at < limit,
+            _ => true,
+        };
+        let want = if due { self.heap.pop() } else { None };
+        let got = got.map(|e| (e.at.as_nanos(), e.seq, e.kind));
+        (got, self.reference(want))
+    }
+}
+
+/// Replays `ops` on an [`EventQueue`] and on a binary heap of
+/// `(time, seq)` keys, asserting after every op that both hold the same
+/// events and pop the same one next.
+fn check_queue_against_heap(ops: &[QueueOp]) {
+    let mut pair = QueuePair::default();
+    let mut now = 0u64;
+    for (step, &op) in ops.iter().enumerate() {
+        let popped = match op {
+            QueueOp::Push(kind, delay) => {
+                pair.push(now + delay, kind);
+                None
+            }
+            QueueOp::PushAt(kind, at) => {
+                pair.push(at, kind);
+                None
+            }
+            QueueOp::Burst(count, delay) => {
+                for _ in 0..count {
+                    pair.push(now + delay, EventKind::Forwarded);
+                }
+                None
+            }
+            QueueOp::Pop => Some(pair.pop(None)),
+            QueueOp::PopBefore(delay) => Some(pair.pop(Some(now + delay))),
+        };
+        if let Some((got, want)) = popped {
+            assert_eq!(got, want, "step {step}: {op:?}");
+            if let Some((at, _, _)) = got {
+                now = now.max(at);
+            }
+        }
+        assert_eq!(pair.queue.len(), pair.heap.len(), "step {step}");
+        let next = pair.queue.peek().map(|e| (e.at.as_nanos(), e.seq, e.kind));
+        assert_eq!(
+            next,
+            pair.reference(pair.heap.peek().copied()),
+            "step {step}"
+        );
+    }
+    while !pair.heap.is_empty() {
+        let (got, want) = pair.pop(None);
+        assert_eq!(got, want, "draining");
+    }
+    assert!(pair.queue.is_empty() && pair.queue.pop().is_none());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The sorted event ring pops exactly what a binary heap of
+    /// `(time, seq)` keys pops, under any interleaving of pushes, pops
+    /// and barrier-bounded pops.
+    #[test]
+    fn event_queue_pops_like_a_binary_heap(seed in any::<u64>(), n in 1usize..2_000) {
+        check_queue_against_heap(&queue_ops(seed, n));
+    }
+}
+
+/// Tracing is process-wide, so the tests that switch it take turns.
+static TRACING: Mutex<()> = Mutex::new(());
+
+/// Events emitted before and after a traced standalone run, in the
+/// caller's capture.
+fn caller_events() -> [(u64, TraceEventKind); 2] {
+    [
+        (0, TraceEventKind::ReplicaReady { replica: 9_999 }),
+        (u64::MAX, TraceEventKind::ReplicaRetired { replica: 9_999 }),
+    ]
+}
+
+/// Opens a capture, emits the first caller event, runs `serve`, emits the
+/// second, and returns the closed capture with `serve`'s result.
+fn capture_around<T>(serve: impl FnOnce() -> T) -> (T, Trace) {
+    let [(t0, before), (t1, after)] = caller_events();
+    obs::begin_capture();
+    obs::emit(t0, before);
+    let out = serve();
+    obs::emit(t1, after);
+    (out, obs::end_capture())
+}
+
+/// A traced standalone run banks into the capture its caller opened:
+/// what the caller emitted first stays first, the run's events follow in
+/// the bytes the thread-local emitter used to produce (pinned digest),
+/// and the capture is open again for the caller once the run returns.
+#[test]
+fn traced_standalone_run_banks_into_the_callers_capture() {
+    let _lock = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+    let (_, wf, deployment) = deployed();
+    let sim = ServeSimulation::new(wf, deployment.plan().clone(), ServeConfig::paper_testbed());
+    let workload = Workload::steady(60.0, 400).with_arrivals(ArrivalProcess::Poisson { seed: 3 });
+    let untraced = sim.run(&workload, 11).unwrap();
+
+    obs::set_tracing(true);
+    let (report, trace) = capture_around(|| sim.run(&workload, 11));
+    // Tracing on without a capture: nothing is recorded, nothing breaks.
+    obs::reset_trace_stats();
+    let bare = sim.run(&workload, 11);
+    let bare_stats = obs::trace_stats();
+    obs::set_tracing(false);
+
+    let report = report.unwrap();
+    assert_eq!(report.digest(), untraced.digest());
+    assert_eq!(bare.unwrap().digest(), untraced.digest());
+    assert_eq!(bare_stats, obs::TraceStats::default());
+    let ends = [trace.events[0], trace.events[trace.len() - 1]].map(|e| (e.time_ns, e.kind));
+    assert_eq!(ends, caller_events());
+    assert!(matches!(
+        trace.events[1].kind,
+        TraceEventKind::RunContext { .. }
+    ));
+    assert!(trace.len() > 400 * 4, "{} events", trace.len());
+    assert_eq!(trace.digest(), 318521437357800724, "trace bytes moved");
+}
+
+/// A standalone run that fails to start hands the caller's capture back:
+/// both when the DES probe rejects the plan and when the baseline
+/// replicas do not fit the cluster.
+#[test]
+fn failed_standalone_run_hands_the_capture_back() {
+    let _lock = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+    let wf = apps::finra(12);
+    let foreign_plan = chiron_deploy::planners::faastlane_plus(&apps::finra(5));
+    let mut crowded = ServeConfig::paper_testbed();
+    crowded.replicas.min_replicas = 100_000;
+    let own_plan = chiron_deploy::planners::faastlane_plus(&wf);
+    let workload = Workload::steady(60.0, 100);
+
+    obs::set_tracing(true);
+    let (plan_err, plan_trace) = capture_around(|| {
+        ServeSimulation::new(wf.clone(), foreign_plan, ServeConfig::paper_testbed())
+            .run(&workload, 1)
+    });
+    let (placement_err, placement_trace) =
+        capture_around(|| ServeSimulation::new(wf.clone(), own_plan, crowded).run(&workload, 1));
+    obs::set_tracing(false);
+
+    assert!(matches!(plan_err, Err(ServeError::Plan(_))), "{plan_err:?}");
+    assert!(
+        matches!(placement_err, Err(ServeError::Placement(_))),
+        "{placement_err:?}"
+    );
+    for trace in [plan_trace, placement_trace] {
+        let events: Vec<_> = trace.events.iter().map(|e| (e.time_ns, e.kind)).collect();
+        assert_eq!(events.first(), Some(&caller_events()[0]));
+        assert_eq!(events.last(), Some(&caller_events()[1]));
     }
 }
