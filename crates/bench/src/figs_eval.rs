@@ -88,13 +88,15 @@ pub fn fig14(workers: usize) -> String {
             (0..2usize).flat_map(move |which| (0..requests).map(move |r| (wi, which, r)))
         })
         .collect();
+    // One platform for every cell, so its jitter tables are built once.
+    let platform = cfg.platform();
     let latencies = par_map_workers(&cells, workers, |_, &(wi, which, r)| {
         let plan = if which == 0 {
             &plans[wi].1
         } else {
             &plans[wi].2
         };
-        cfg.platform()
+        platform
             .execute(&workflows[wi], plan, cfg.request_seed(r))
             .expect("plan validated by the planner")
             .e2e

@@ -10,6 +10,7 @@
 
 pub mod cost;
 pub mod loadgen;
+pub mod math;
 pub mod resources;
 pub mod rng;
 pub mod stats;

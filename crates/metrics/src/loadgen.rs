@@ -8,6 +8,7 @@
 //! finds the highest arrival rate whose sojourn time stays bounded — which
 //! must agree with the analytic figure.
 
+use crate::math::fast_ln;
 use crate::rng::FastRng;
 use crate::stats::LatencySamples;
 use chiron_model::SimDuration;
@@ -62,30 +63,6 @@ pub struct ArrivalGen {
 
 /// Unit exponentials drawn per refill of an [`ArrivalGen`].
 const UNIT_BLOCK: usize = 64;
-
-/// Fast natural log for the inverse-CDF exponential draw — the single
-/// transcendental on the arrival hot path (one call per simulated
-/// request). Splits `x = m·2^e` with `m ∈ [√½, √2)` and sums the atanh
-/// series in `t = (m−1)/(m+1)` (|t| ≤ 0.172, so the truncated `t¹¹` term
-/// is < 1e-10 relative): ~3× cheaper than libm's `ln` and exactly as
-/// deterministic. Only valid for normal positive `x`, which `1 − u`,
-/// `u ∈ [0,1)` from a 53-bit uniform, always is.
-fn fast_ln(x: f64) -> f64 {
-    debug_assert!(x > 0.0 && x.is_normal());
-    let bits = x.to_bits();
-    let mut e = ((bits >> 52) as i32) - 1023;
-    let mut m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
-    if m > std::f64::consts::SQRT_2 {
-        m *= 0.5;
-        e += 1;
-    }
-    let t = (m - 1.0) / (m + 1.0);
-    let t2 = t * t;
-    let series = 1.0
-        + t2 * (1.0 / 3.0
-            + t2 * (1.0 / 5.0 + t2 * (1.0 / 7.0 + t2 * (1.0 / 9.0 + t2 * (1.0 / 11.0)))));
-    2.0 * t * series + f64::from(e) * std::f64::consts::LN_2
-}
 
 /// SplitMix64 finaliser — decorrelates substream seeds derived from a
 /// parent seed and a stream index.
@@ -474,20 +451,6 @@ mod tests {
             ArrivalProcess::Uniform.substream(5),
             ArrivalProcess::Uniform
         );
-    }
-
-    #[test]
-    fn fast_ln_matches_libm() {
-        // Sweep (0, 1] — the 1−u domain — plus values above 1 for safety.
-        let mut x = 1e-300f64;
-        while x <= 4.0 {
-            let got = fast_ln(x);
-            let want = x.ln();
-            let tol = want.abs().max(1.0) * 1e-9;
-            assert!((got - want).abs() < tol, "x={x}: {got} vs {want}");
-            x *= 1.37;
-        }
-        assert_eq!(fast_ln(1.0), 0.0);
     }
 
     #[test]

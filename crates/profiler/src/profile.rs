@@ -5,8 +5,7 @@ use crate::trace::{strace_solo, StraceRecord};
 use chiron_model::{
     FunctionId, FunctionSpec, JitterModel, Segment, SimDuration, SyscallKind, Workflow,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use chiron_runtime::jitter::{Jitter, JitterTables};
 use serde::{Deserialize, Serialize};
 
 /// One extracted block period, relative to function start (Fig. 10's
@@ -115,8 +114,14 @@ impl Profiler {
     /// 3. scale all block periods down by `untraced / traced` so they fit
     ///    the untraced timeline.
     pub fn profile_function(&self, id: FunctionId, spec: &FunctionSpec) -> FunctionProfile {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ u64::from(id.0));
-        let clean_mean = self.mean_untraced_latency(spec, &mut rng);
+        // Solo runs are CPU and blocking segments only.
+        let tables = JitterTables::new(&JitterModel {
+            startup_rel_std: 0.0,
+            comm_rel_std: 0.0,
+            ..self.noise
+        });
+        let mut jit = Jitter::new(&tables, self.seed ^ u64::from(id.0));
+        let clean_mean = self.mean_untraced_latency(spec, &mut jit);
         let (log, traced_total) = strace_solo(spec);
         let scale = if traced_total.is_zero() {
             1.0
@@ -152,32 +157,21 @@ impl Profiler {
         }
     }
 
-    fn mean_untraced_latency(&self, spec: &FunctionSpec, rng: &mut StdRng) -> SimDuration {
+    fn mean_untraced_latency(&self, spec: &FunctionSpec, jit: &mut Jitter) -> SimDuration {
         let reps = self.repetitions.max(1);
         let mut total_ns: u128 = 0;
         for _ in 0..reps {
             let mut run = SimDuration::ZERO;
             for &seg in &spec.segments {
-                let rel_std = match seg {
-                    Segment::Cpu(_) => self.noise.cpu_rel_std,
-                    Segment::Block { .. } => self.noise.io_rel_std,
+                run += match seg {
+                    Segment::Cpu(d) => jit.cpu(d),
+                    Segment::Block { dur, .. } => jit.io(dur),
                 };
-                run += jittered(seg.duration(), rel_std, rng);
             }
             total_ns += run.as_nanos() as u128;
         }
         SimDuration::from_nanos((total_ns / u128::from(reps)) as u64)
     }
-}
-
-fn jittered(d: SimDuration, rel_std: f64, rng: &mut StdRng) -> SimDuration {
-    if rel_std == 0.0 {
-        return d;
-    }
-    let u1: f64 = rng.random::<f64>().max(1e-12);
-    let u2: f64 = rng.random();
-    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-    d.mul_f64((rel_std * z - rel_std * rel_std / 2.0).exp())
 }
 
 fn syscall_kind(name: &str) -> SyscallKind {

@@ -12,11 +12,12 @@
 //!
 //! A replay then only draws jitter — in exactly the order the
 //! interpretive executor drew it — runs the fluid engine over the flat
-//! thread ranges and writes the [`RequestOutcome`]. The jitter draws are
-//! the floor of a replay's cost.
+//! thread ranges and writes the [`RequestOutcome`]. Each draw is one
+//! `next_u64` and one interpolated lookup in the platform's
+//! [`JitterTables`].
 
 use crate::fluid::{simulate, FluidScratch, Lane, Sandbox};
-use crate::jitter::Jitter;
+use crate::jitter::{Jitter, JitterTables};
 use crate::platform::REQUEST_PAYLOAD_BYTES;
 use crate::span::{FunctionTimeline, RequestOutcome, Span, SpanKind};
 use chiron_isolation::IsolationCosts;
@@ -386,14 +387,16 @@ impl CompiledPlan {
             && self.workflow == *workflow
     }
 
-    /// Executes one request; `seed` drives the jitter model.
+    /// Executes one request; `seed` drives the jitter model, whose
+    /// sampling tables are `tables`.
     pub(crate) fn replay(
         &self,
         seed: u64,
+        tables: &JitterTables,
         replay: &mut ReplayScratch,
         fluid: &mut FluidScratch,
     ) -> RequestOutcome {
-        let mut jit = Jitter::new(self.config.jitter, seed);
+        let mut jit = Jitter::new(tables, seed);
         let unset = FunctionTimeline {
             function: FunctionId(0),
             sandbox: SandboxId(0),

@@ -30,15 +30,16 @@
 //! value to the ones it was compiled from — never by address, so an input
 //! mutated in place recompiles and an equal copy does not — and otherwise
 //! compiles anew. A reuse only draws jitter, in the order the paper's
-//! semantics above consume it, and runs the event loop; the draws (an
-//! ln, a cos and an exp each) are the floor of its cost. The
+//! semantics above consume it, and runs the event loop. Each draw is one
+//! lookup in the jitter model's lognormal tables, which the platform
+//! builds on its first execution and both engines share. The
 //! interpretive path survives only as the [`execute_reference`] oracle.
 //!
 //! [`execute_reference`]: VirtualPlatform::execute_reference
 
 use crate::compiled::CompiledPlan;
 use crate::fluid::ThreadTask;
-use crate::jitter::Jitter;
+use crate::jitter::{Jitter, JitterTables};
 use crate::scratch::SimScratch;
 use crate::span::{FunctionTimeline, RequestOutcome, Span, SpanKind};
 use chiron_isolation::IsolationCosts;
@@ -50,6 +51,7 @@ use chiron_model::{
 use chiron_store::TransferModel;
 use std::cell::RefCell;
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// Size of the initial request payload entering stage 1.
 pub(crate) const REQUEST_PAYLOAD_BYTES: u64 = 1 << 10;
@@ -66,6 +68,9 @@ pub struct VirtualPlatform {
     config: PlatformConfig,
     transfer: TransferModel,
     include_cold_start: bool,
+    /// The jitter model's sampling tables, built by the first execution
+    /// (not here: a platform that never executes pays nothing for them).
+    jitter_tables: OnceLock<JitterTables>,
 }
 
 impl VirtualPlatform {
@@ -74,6 +79,7 @@ impl VirtualPlatform {
             config,
             transfer: TransferModel::paper_calibrated(),
             include_cold_start: false,
+            jitter_tables: OnceLock::new(),
         }
     }
 
@@ -90,6 +96,11 @@ impl VirtualPlatform {
 
     pub fn transfer_model(&self) -> &TransferModel {
         &self.transfer
+    }
+
+    fn jitter_tables(&self) -> &JitterTables {
+        self.jitter_tables
+            .get_or_init(|| JitterTables::new(&self.config.jitter))
     }
 
     /// Executes one request; `seed` drives the jitter model (ignored when
@@ -143,7 +154,7 @@ impl VirtualPlatform {
             )?);
         }
         let compiled = compiled.as_ref().expect("compiled above");
-        Ok(compiled.replay(seed, replay, fluid))
+        Ok(compiled.replay(seed, self.jitter_tables(), replay, fluid))
     }
 
     // -----------------------------------------------------------------------
@@ -171,7 +182,7 @@ impl VirtualPlatform {
         plan.validate(&stage_sets)?;
 
         let costs = &self.config.costs;
-        let mut jit = Jitter::new(self.config.jitter, seed);
+        let mut jit = Jitter::new(self.jitter_tables(), seed);
         let iso = IsolationCosts::for_kind(plan.isolation);
         let store_based = !matches!(
             plan.transfer,
@@ -308,7 +319,7 @@ impl VirtualPlatform {
 
     /// One wrap as the seed executor ran it: per-call vectors, cloned
     /// pre-span lists and the re-scanning fluid engine.
-    fn run_wrap_reference(&self, run: WrapRun<'_>) -> SimTime {
+    fn run_wrap_reference(&self, run: WrapRun<'_, '_>) -> SimTime {
         let WrapRun {
             workflow,
             plan,
@@ -556,7 +567,7 @@ impl VirtualPlatform {
 }
 
 /// Parameters for executing one wrap on the reference path.
-struct WrapRun<'a> {
+struct WrapRun<'a, 't> {
     workflow: &'a Workflow,
     plan: &'a DeploymentPlan,
     wrap: &'a WrapPlan,
@@ -567,7 +578,7 @@ struct WrapRun<'a> {
     read_input: bool,
     write_output: bool,
     iso: &'a IsolationCosts,
-    jit: &'a mut Jitter,
+    jit: &'a mut Jitter<'t>,
     timelines: &'a mut Vec<Option<FunctionTimeline>>,
 }
 
