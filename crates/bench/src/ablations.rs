@@ -199,7 +199,8 @@ pub fn ablation_realtime_crosscheck() -> String {
         2,
         RuntimeKind::PseudoParallel,
         SimDuration::from_millis(5),
-    );
+    )
+    .expect("two CPUs and a 5 ms GIL interval are a valid sandbox");
     let rt = run_realtime(
         &segments
             .iter()

@@ -110,11 +110,11 @@ pub fn fig5() -> String {
             table.row(vec![
                 wf.function(t.function).name.clone(),
                 ms(t.dispatched.as_millis_f64()),
-                ms(t.total(SpanKind::BlockWait).as_millis_f64()),
-                ms(t.total(SpanKind::Startup).as_millis_f64()),
-                ms(t.total(SpanKind::Exec).as_millis_f64()),
-                ms(t.total(SpanKind::Io).as_millis_f64()),
-                ms(t.total(SpanKind::Ipc).as_millis_f64()),
+                ms(t.total(&outcome.spans, SpanKind::BlockWait).as_millis_f64()),
+                ms(t.total(&outcome.spans, SpanKind::Startup).as_millis_f64()),
+                ms(t.total(&outcome.spans, SpanKind::Exec).as_millis_f64()),
+                ms(t.total(&outcome.spans, SpanKind::Io).as_millis_f64()),
+                ms(t.total(&outcome.spans, SpanKind::Ipc).as_millis_f64()),
                 ms(t.completed.as_millis_f64()),
             ]);
         }

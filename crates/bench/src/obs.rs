@@ -34,7 +34,8 @@
 //! sped up to 75/50/25 %, ranked by predicted p99 improvement).
 //!
 //! The report also carries the predictor-drift residuals (predicted vs
-//! DES-observed latency, end-to-end and per stage), the PGP decision
+//! DES-observed latency, end-to-end and per stage; each bias with its
+//! standard error, so a sampler bias can be told from noise), the PGP decision
 //! audit of the deployment's schedule, and the full metrics-registry
 //! snapshot. Every named contract is a gate: `figures` exits non-zero if
 //! one fails.
@@ -240,12 +241,13 @@ fn drift_json(e: &DriftEntry) -> Obj {
         .field("observed_p50_ms", e.observed_p50_ms)
         .field("observed_p99_ms", e.observed_p99_ms)
         .field("bias_ms", e.bias_ms)
+        .field("bias_se_ms", e.bias_se_ms)
         .field("mae_ms", e.mae_ms)
 }
 
 fn drift_table(entries: &[DriftEntry]) -> String {
     let mut out = String::from(
-        "stage      predicted_ms  samples  mean_ms   p50_ms    p99_ms    bias_ms   mae_ms\n",
+        "stage      predicted_ms  samples  mean_ms   p50_ms    p99_ms    bias_ms   bias_se  mae_ms\n",
     );
     for e in entries {
         let stage = e
@@ -255,12 +257,13 @@ fn drift_table(entries: &[DriftEntry]) -> String {
             .predicted_ms
             .map_or_else(|| "-".into(), |p| format!("{p:.3}"));
         out.push_str(&format!(
-            "{stage:<10} {predicted:>12}  {:>7}  {:>8.3}  {:>8.3}  {:>8.3}  {:>8.3}  {:>7.3}\n",
+            "{stage:<10} {predicted:>12}  {:>7}  {:>8.3}  {:>8.3}  {:>8.3}  {:>8.3}  {:>7.3}  {:>7.3}\n",
             e.samples,
             e.observed_mean_ms,
             e.observed_p50_ms,
             e.observed_p99_ms,
             e.bias_ms,
+            e.bias_se_ms,
             e.mae_ms,
         ));
     }

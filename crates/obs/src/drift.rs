@@ -8,8 +8,10 @@
 //! every latency the DES subsequently observes
 //! ([`DriftMonitor::record_observation`]), and reads per-key residual
 //! distributions off [`DriftMonitor::report`]: bias (mean signed error —
-//! positive means the predictor was optimistic) and mean absolute error,
-//! next to the observed percentiles.
+//! positive means the predictor was optimistic), its standard error and
+//! the mean absolute error, next to the observed percentiles. A bias
+//! within about two standard errors of zero is indistinguishable from
+//! jitter noise at the series' sample count.
 //!
 //! The monitor is plain owned state, so nothing is recorded unless a
 //! caller holds one. Series are keyed by a structural [`plan_key`] so two
@@ -28,6 +30,24 @@ struct DriftSeries {
     observed: StreamingHistogram,
     signed_error_ms: f64,
     abs_error_ms: f64,
+    /// Sum of squared residuals, for their standard deviation.
+    sq_error_ms: f64,
+    /// Observations that produced a residual (a prediction was on file).
+    residuals: u64,
+}
+
+impl DriftSeries {
+    /// The residuals' sample standard deviation over √(their count); 0
+    /// with fewer than two residuals.
+    fn bias_standard_error_ms(&self) -> f64 {
+        if self.residuals < 2 {
+            return 0.0;
+        }
+        let m = self.residuals as f64;
+        let mean = self.signed_error_ms / m;
+        let variance = ((self.sq_error_ms - mean * self.signed_error_ms) / (m - 1.0)).max(0.0);
+        (variance / m).sqrt()
+    }
 }
 
 /// Structural FNV-1a key of a deployment plan (its `Debug` rendering
@@ -67,6 +87,8 @@ impl DriftMonitor {
                 observed: StreamingHistogram::new(),
                 signed_error_ms: 0.0,
                 abs_error_ms: 0.0,
+                sq_error_ms: 0.0,
+                residuals: 0,
             });
             self.series.len() - 1
         });
@@ -100,6 +122,8 @@ impl DriftMonitor {
             let err = observed.as_millis_f64() - predicted.as_millis_f64();
             s.signed_error_ms += err;
             s.abs_error_ms += err.abs();
+            s.sq_error_ms += err * err;
+            s.residuals += 1;
         }
     }
 
@@ -121,6 +145,7 @@ impl DriftMonitor {
                     observed_p50_ms: s.observed.percentile(0.50).as_millis_f64(),
                     observed_p99_ms: s.observed.percentile(0.99).as_millis_f64(),
                     bias_ms: s.signed_error_ms / denom,
+                    bias_se_ms: s.bias_standard_error_ms(),
                     mae_ms: s.abs_error_ms / denom,
                 }
             })
@@ -147,6 +172,12 @@ pub struct DriftEntry {
     /// Mean signed residual (observed − predicted); positive = the
     /// predictor under-estimated.
     pub bias_ms: f64,
+    /// Standard error of `bias_ms`: the residuals' sample standard
+    /// deviation over the square root of their count, which is `samples`
+    /// when the prediction came first (0 with fewer than two residuals).
+    /// A bias within about two of these of zero is noise, not a predictor
+    /// error.
+    pub bias_se_ms: f64,
     /// Mean absolute residual.
     pub mae_ms: f64,
 }
@@ -171,9 +202,12 @@ mod tests {
         assert_eq!(e2e.samples, 2);
         assert!(e2e.bias_ms.abs() < 1.0, "symmetric errors cancel");
         assert!((e2e.mae_ms - 10.0).abs() < 1.0);
+        // Residuals +10 and −10: sample SD √200, over √2 ⇒ 10.
+        assert!((e2e.bias_se_ms - 10.0).abs() < 1e-9, "{}", e2e.bias_se_ms);
         let s0 = &report[1];
         assert_eq!(s0.stage, Some(0));
         assert!((s0.bias_ms - 4.0).abs() < 0.5);
+        assert_eq!(s0.bias_se_ms, 0.0, "one residual has no spread estimate");
     }
 
     #[test]
@@ -208,5 +242,6 @@ mod tests {
         assert_eq!(report[0].predicted_ms, None);
         assert_eq!(report[0].samples, 1);
         assert_eq!(report[0].mae_ms, 0.0);
+        assert_eq!(report[0].bias_se_ms, 0.0);
     }
 }

@@ -430,7 +430,8 @@ mod tests {
             1,
             RuntimeKind::PseudoParallel,
             I,
-        );
+        )
+        .unwrap();
         let truth_end = truth
             .iter()
             .map(|r| r.end.as_millis_f64())

@@ -15,6 +15,15 @@
 //! thread ranges and writes the [`RequestOutcome`]. Each draw is one
 //! `next_u64` and one interpolated lookup in the platform's
 //! [`JitterTables`].
+//!
+//! Spans are built in [`ReplayScratch`]'s per-lane buffers, which are
+//! cleared and never freed, so they keep their capacity from one replay
+//! to the next: a thread's buffer gets its pre-execution spans, then the
+//! engine appends its Exec / Io / GilWait spans. At each wrap's end the
+//! lanes are copied, in thread order, into the outcome's one span buffer,
+//! each followed by its IPC and store-write spans, and each timeline
+//! records its range there. A replay allocates three vectors: the
+//! timelines, the spans and the stage windows.
 
 use crate::fluid::{simulate, FluidScratch, Lane, Sandbox};
 use crate::jitter::{Jitter, JitterTables};
@@ -130,9 +139,6 @@ struct ThreadCode {
     /// The store write of the function's output (store-based transfer,
     /// stages before the last).
     write: Option<SimDuration>,
-    /// How many spans the timeline usually gains after its pre-execution
-    /// spans (it grows past this only under contention).
-    tail_spans: usize,
 }
 
 /// Reusable per-replay buffers.
@@ -145,14 +151,15 @@ pub(crate) struct ReplayScratch {
     /// The pre-execution spans every thread of the current process starts
     /// with.
     prefix: Vec<Span>,
-    /// The current wrap's timelines under construction, one per thread.
+    /// One span buffer per lane of the current wrap (the first
+    /// `lanes.len()` are in use). Cleared, never freed.
     spans: Vec<Vec<Span>>,
     /// Each process's completion and index, sorted into drain order.
     proc_end: Vec<(SimTime, usize)>,
     ipc: Vec<Option<Span>>,
     wrap_ends: Vec<SimTime>,
-    /// The (empty) timeline vector the next replay returns.
-    next_timelines: Vec<FunctionTimeline>,
+    /// The previous outcome's span count: the next outcome's capacity.
+    last_spans: usize,
 }
 
 impl CompiledPlan {
@@ -303,16 +310,9 @@ impl CompiledPlan {
                         ProcessSpawn::MainReuse => Spawn::MainReuse,
                     };
                     let iso_startup = (isolated && !iso.startup.is_zero()).then_some(iso.startup);
-                    let shares_gil =
-                        plan.runtime == RuntimeKind::PseudoParallel && proc.functions.len() > 1;
                     let proc_threads = code.threads.len();
                     for (ti, &fid) in proc.functions.iter().enumerate() {
                         let spec = workflow.function(fid);
-                        let cpu_segments = spec
-                            .segments
-                            .iter()
-                            .filter(|seg| matches!(seg, Segment::Cpu(_)))
-                            .count();
                         let from = code.segments.len();
                         code.segments.extend(spec.segments.iter().map(|&seg| {
                             let stretched = if isolated {
@@ -335,14 +335,6 @@ impl CompiledPlan {
                             segments: from..code.segments.len(),
                             write: write_output
                                 .then(|| transfer.cross_sandbox(plan.transfer, spec.output_bytes)),
-                            // One span per segment when it runs
-                            // uncontended (a CPU segment behind a shared
-                            // GIL also waits for it), the IPC drain, the
-                            // store write.
-                            tail_spans: spec.segments.len()
-                                + if shares_gil { cpu_segments } else { 0 }
-                                + usize::from(ti == 0 && wrap.processes.len() > 1)
-                                + usize::from(write_output),
                         });
                     }
                     code.procs.push(ProcCode {
@@ -404,16 +396,12 @@ impl CompiledPlan {
             dispatched: SimTime::ZERO,
             exec_start: SimTime::ZERO,
             completed: SimTime::ZERO,
-            spans: Vec::new(),
+            spans: 0..0,
         };
         // A validated workflow runs every function exactly once, so every
         // slot is overwritten.
-        let n = self.workflow.function_count();
-        let mut timelines = std::mem::take(&mut replay.next_timelines);
-        if timelines.capacity() != n {
-            timelines = Vec::with_capacity(n);
-        }
-        timelines.resize(n, unset);
+        let mut timelines = vec![unset; self.workflow.function_count()];
+        let mut spans = Vec::with_capacity(replay.last_spans);
         let mut stage_windows = Vec::with_capacity(self.stages.len());
         replay.segments.clear();
         let mut t = SimTime::ZERO;
@@ -431,7 +419,7 @@ impl CompiledPlan {
                     &mut jit,
                     replay,
                     fluid,
-                    &mut timelines,
+                    (&mut timelines, &mut spans),
                 );
                 wrap_ends.push(end);
             }
@@ -451,21 +439,18 @@ impl CompiledPlan {
         }
 
         fluid.stats.flush();
-        // The next replay's timeline vector is allocated here, where the
-        // allocator's small-block free lists are empty. Allocated at the
-        // start of the next replay instead, after the caller has freed this
-        // outcome's span buffers, the large request would first make the
-        // allocator coalesce all of them.
-        replay.next_timelines = Vec::with_capacity(n);
+        replay.last_spans = spans.len();
         RequestOutcome {
             e2e: t.since(SimTime::ZERO),
             timelines,
+            spans,
             stage_windows,
         }
     }
 
-    /// Executes one wrap and returns the instant its result set is
-    /// complete inside its sandbox.
+    /// Executes one wrap, writing its timelines and appending their spans
+    /// to the outcome's (`out`), and returns the instant its result set
+    /// is complete inside its sandbox.
     #[allow(clippy::too_many_arguments)]
     fn replay_wrap(
         &self,
@@ -475,7 +460,7 @@ impl CompiledPlan {
         jit: &mut Jitter,
         replay: &mut ReplayScratch,
         fluid: &mut FluidScratch,
-        timelines: &mut [FunctionTimeline],
+        (timelines, out): (&mut [FunctionTimeline], &mut Vec<Span>),
     ) -> SimTime {
         let costs = &self.config.costs;
         let ReplayScratch {
@@ -488,7 +473,6 @@ impl CompiledPlan {
             ..
         } = replay;
         lanes.clear();
-        spans.clear();
 
         // ---- invocation time of this wrap -------------------------------
         let mut avail = stage_start + wrap.invoke.draw(jit);
@@ -531,31 +515,28 @@ impl CompiledPlan {
             let proc_ready = cursor;
 
             for (ti, thread) in self.threads[proc.threads.clone()].iter().enumerate() {
-                // A thread's timeline is built in place: its process's
-                // prefix and its own pre-execution spans now, the engine's
-                // spans during the simulation, its IPC and store write
-                // after it.
-                let pre_spans = prefix.len()
-                    + usize::from(ti > 0)
-                    + usize::from(proc.iso_startup.is_some())
-                    + usize::from(stage.read.is_some());
-                let mut own = Vec::with_capacity(pre_spans + thread.tail_spans);
-                for &span in prefix.iter() {
-                    own.push(span);
+                // A lane's buffer gets its process's prefix and its own
+                // pre-execution spans now, the engine's spans during the
+                // simulation.
+                if spans.len() == lanes.len() {
+                    spans.push(Vec::new());
                 }
+                let own = &mut spans[lanes.len()];
+                own.clear();
+                own.extend_from_slice(prefix);
                 let mut cursor = proc_ready;
                 if ti > 0 {
                     // Threads are cloned serially by the process main.
                     let clone_cost = jit.startup(costs.thread_clone) * ti as u64;
-                    push_span(&mut own, SpanKind::Startup, &mut cursor, clone_cost);
+                    push_span(own, SpanKind::Startup, &mut cursor, clone_cost);
                 }
                 if let Some(iso_startup) = proc.iso_startup {
                     let entry = jit.startup(iso_startup);
-                    push_span(&mut own, SpanKind::Startup, &mut cursor, entry);
+                    push_span(own, SpanKind::Startup, &mut cursor, entry);
                 }
                 if let Some(read) = stage.read {
                     let read = jit.comm(read);
-                    push_span(&mut own, SpanKind::TransferIn, &mut cursor, read);
+                    push_span(own, SpanKind::TransferIn, &mut cursor, read);
                 }
                 debug_assert_eq!(segments.len(), thread.segments.start);
                 segments.extend(self.segments[thread.segments.clone()].iter().map(
@@ -572,7 +553,6 @@ impl CompiledPlan {
                     start: cursor,
                     segments: thread.segments.clone(),
                 });
-                spans.push(own);
             }
         }
 
@@ -581,6 +561,7 @@ impl CompiledPlan {
             runtime: self.plan.runtime,
             gil_interval: costs.gil_switch_interval,
         };
+        let spans = &mut spans[..lanes.len()];
         let ends = simulate(lanes, segments, procs.len(), sandbox, fluid, spans);
         let threads = &self.threads[wrap.threads.clone()];
 
@@ -612,18 +593,19 @@ impl CompiledPlan {
         let mut wrap_end = drain;
 
         // ---- assemble timelines -----------------------------------------
-        for ((thread, result), spans) in threads.iter().zip(ends).zip(spans.iter_mut()) {
-            let mut spans = std::mem::take(spans);
+        for ((thread, result), own) in threads.iter().zip(ends).zip(spans.iter()) {
+            let from = out.len();
+            out.extend_from_slice(own);
             let mut completed = result.end;
             // The IPC span attaches to the process's first function.
             if let Some(ipc) = ipc[thread.process].filter(|_| thread.first_in_process) {
-                spans.push(ipc);
+                out.push(ipc);
             }
             if let Some(write) = thread.write {
                 // The write starts when the function's own result exists.
                 let write = jit.comm(write);
                 let mut cursor = completed;
-                push_span(&mut spans, SpanKind::TransferOut, &mut cursor, write);
+                push_span(out, SpanKind::TransferOut, &mut cursor, write);
                 completed = cursor;
                 wrap_end = wrap_end.max(completed);
             }
@@ -634,15 +616,20 @@ impl CompiledPlan {
                 dispatched: stage_start,
                 exec_start: result.exec_start,
                 completed,
-                spans,
+                spans: span_index(from)..span_index(out.len()),
             };
             if chiron_obs::tracing_enabled() {
-                emit_des_window(&timeline);
+                emit_des_window(&timeline, &out[from..]);
             }
             timelines[thread.function.index()] = timeline;
         }
         wrap_end
     }
+}
+
+/// A position in an outcome's span buffer, as a timeline's range stores it.
+pub(crate) fn span_index(len: usize) -> u32 {
+    u32::try_from(len).expect("a request records fewer than 2^32 spans")
 }
 
 /// Appends a `kind` span of length `d` at `*cursor` and moves the cursor
@@ -659,8 +646,9 @@ fn push_span(spans: &mut Vec<Span>, kind: SpanKind, cursor: &mut SimTime, d: Sim
 
 /// Tracing hook: reports one function's DES window and its §2.2
 /// component breakdown (startup / block / interaction / execution) for
-/// latency attribution. The reference engine stays uninstrumented.
-fn emit_des_window(timeline: &FunctionTimeline) {
+/// latency attribution; `spans` are the function's own. The reference
+/// engine stays uninstrumented.
+fn emit_des_window(timeline: &FunctionTimeline, spans: &[Span]) {
     let dispatched_ns = timeline.dispatched.as_nanos();
     let rel =
         |t: SimTime| u32::try_from(t.as_nanos().saturating_sub(dispatched_ns)).unwrap_or(u32::MAX);
@@ -670,13 +658,13 @@ fn emit_des_window(timeline: &FunctionTimeline) {
             function: timeline.function.0 as u16,
             sandbox: timeline.sandbox.0 as u16,
             stage: timeline.stage as u16,
-            spans: timeline.spans.len().min(u16::MAX as usize) as u16,
+            spans: spans.len().min(u16::MAX as usize) as u16,
             exec_rel_ns: rel(timeline.exec_start),
             complete_rel_ns: rel(timeline.completed),
         },
     );
     let mut parts = [0u64; 4];
-    for span in &timeline.spans {
+    for span in spans {
         let slot = match span.kind {
             SpanKind::Startup => 0,
             SpanKind::BlockWait | SpanKind::GilWait | SpanKind::Scheduled => 1,

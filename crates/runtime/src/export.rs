@@ -79,7 +79,7 @@ pub fn to_chrome_trace(workflow: &Workflow, outcome: &RequestOutcome) -> String 
             &mut out,
             &mut first,
         );
-        for span in &timeline.spans {
+        for span in timeline.spans(&outcome.spans) {
             let ts_us = span.start.as_nanos() as f64 / 1e3;
             let dur_us = span.duration().as_nanos() as f64 / 1e3;
             if dur_us <= 0.0 {

@@ -20,6 +20,24 @@
 //! The engine is exact for piecewise-constant rates: it advances from event
 //! to event (thread starts, segment completions, GIL switch expiries) and
 //! never time-steps.
+//!
+//! **Uncontended sandboxes in closed form.** When no process hosts two
+//! threads under the GIL and the sandbox has a CPU for every thread, no
+//! thread can ever wait: every run-slot request is granted at the instant
+//! it is made, the running set never exceeds the CPUs, and the rate is
+//! exactly 1.0. Each thread then runs its segments back to back from its
+//! start: a nonzero CPU segment is one `Exec` span, a nonzero block one
+//! `Io` span, and a zero-length segment is skipped (a zero-length block
+//! still marks the thread's first progress). The engine replays such a
+//! sandbox that way, with no event loop. The result is bit-identical, not
+//! approximate: durations are integer nanoseconds below 2⁵³, so at rate
+//! 1.0 every remaining-work and CPU-time float the loop would compute is
+//! an exact integer, each CPU segment ends exactly `d` after it starts,
+//! and the CPU time is the plain sum of the CPU durations. The event
+//! count is the number of distinct instants the loop would visit: the
+//! lane starts and the ends of nonzero segments. Every Faastlane and
+//! OpenFaaS wrap of the suite is such a sandbox (one thread per process);
+//! Chiron's multi-thread processes take the loop.
 
 // Index loops are deliberate here: the engine mutates `threads[i]` while
 // consulting `holder`/`quantum_end`, which iterator forms cannot express.
@@ -41,6 +59,45 @@ pub struct ThreadTask {
     /// When the thread exists and begins its first segment.
     pub start: SimTime,
     pub segments: Vec<Segment>,
+}
+
+/// Why [`execute_sandbox`] or [`execute_sandbox_reference`] refused its
+/// input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SandboxError {
+    /// The sandbox has no CPU, so no CPU work could ever finish.
+    ZeroCpus,
+    /// A zero GIL switch interval under `RuntimeKind::PseudoParallel`:
+    /// the GIL holder's quantum would never expire.
+    ZeroGilInterval,
+}
+
+impl std::fmt::Display for SandboxError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SandboxError::ZeroCpus => write!(f, "sandbox needs at least one CPU"),
+            SandboxError::ZeroGilInterval => {
+                write!(f, "GIL switch interval must be positive under the GIL")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SandboxError {}
+
+/// Checks the sandbox parameters both engines require.
+fn check_sandbox(
+    cpus: u32,
+    runtime: RuntimeKind,
+    gil_interval: SimDuration,
+) -> Result<(), SandboxError> {
+    if cpus == 0 {
+        Err(SandboxError::ZeroCpus)
+    } else if runtime == RuntimeKind::PseudoParallel && gil_interval.is_zero() {
+        Err(SandboxError::ZeroGilInterval)
+    } else {
+        Ok(())
+    }
 }
 
 /// Result of executing one thread.
@@ -140,6 +197,8 @@ pub(crate) struct FluidScratch {
     run_cpu: Vec<f64>,
     run_pos: Vec<usize>,
     ends: Vec<LaneEnd>,
+    /// The closed form's event instants, counted once each.
+    instants: InstantSet,
     /// Counter increments not yet added to the global counters.
     pub(crate) stats: SimStats,
 }
@@ -168,18 +227,15 @@ impl ThreadState {
 /// Executes `tasks` inside one sandbox with `cpus` CPUs.
 ///
 /// `gil_interval` is the CPython switch interval; it is ignored under
-/// `RuntimeKind::TrueParallel`.
+/// `RuntimeKind::TrueParallel`. Zero CPUs, or a zero interval under
+/// `RuntimeKind::PseudoParallel`, is a [`SandboxError`].
 pub fn execute_sandbox(
     tasks: &[ThreadTask],
     cpus: u32,
     runtime: RuntimeKind,
     gil_interval: SimDuration,
-) -> Vec<ThreadResult> {
-    assert!(cpus > 0, "sandbox needs at least one CPU");
-    assert!(
-        runtime == RuntimeKind::TrueParallel || !gil_interval.is_zero(),
-        "GIL switch interval must be positive"
-    );
+) -> Result<Vec<ThreadResult>, SandboxError> {
+    check_sandbox(cpus, runtime, gil_interval)?;
     let mut segments = Vec::new();
     let lanes: Vec<Lane> = tasks
         .iter()
@@ -213,7 +269,7 @@ pub fn execute_sandbox(
         })
         .collect();
     fluid.stats.flush();
-    results
+    Ok(results)
 }
 
 /// How one lane's simulation ended.
@@ -272,6 +328,7 @@ pub(crate) fn simulate<'a>(
         run_cpu,
         run_pos,
         ends,
+        instants,
         stats,
     } = scratch;
     debug_assert_eq!(spans.len(), lanes.len());
@@ -284,8 +341,9 @@ pub(crate) fn simulate<'a>(
     stats.buffer_allocs += (n - reused) as u64;
     ends.clear();
     threads.clear();
-    arrivals.clear();
-    for (i, lane) in lanes.iter().enumerate() {
+    // Pushed one by one, not extended: the slots' growth, and so the
+    // reuse counts, follow the push loop's doubling.
+    for lane in lanes {
         threads.push(ThreadState {
             process: lane.process,
             seg: lane.segments.start,
@@ -297,12 +355,7 @@ pub(crate) fn simulate<'a>(
             end: lane.start,
             open: None,
         });
-        arrivals.push((lane.start, i));
     }
-    arrivals.sort_unstable();
-    let Some(&(mut now, _)) = arrivals.first() else {
-        return ends;
-    };
 
     // A thread alone in its process never meets a GIL waiter, so it runs
     // exactly as under true parallelism (grants happen at the same instant
@@ -316,6 +369,17 @@ pub(crate) fn simulate<'a>(
             .iter()
             .enumerate()
             .any(|(i, lane)| holder[lane.process].replace(i).is_some())
+    };
+    if !gil && n <= cpus as usize {
+        uncontended(lanes, segments, spans, ends, instants, stats);
+        return ends;
+    }
+
+    arrivals.clear();
+    arrivals.extend(lanes.iter().enumerate().map(|(i, lane)| (lane.start, i)));
+    arrivals.sort_unstable();
+    let Some(&(mut now, _)) = arrivals.first() else {
+        return ends;
     };
 
     // A completed call leaves every queue empty, so these clears cost
@@ -537,6 +601,103 @@ pub(crate) fn simulate<'a>(
     ends
 }
 
+/// The closed form of an uncontended sandbox (see the module doc): each
+/// lane runs its segments back to back from its start, and the event
+/// count is the number of distinct instants the loop would visit.
+fn uncontended(
+    lanes: &[Lane],
+    segments: &[Segment],
+    spans: &mut [Vec<Span>],
+    ends: &mut Vec<LaneEnd>,
+    instants: &mut InstantSet,
+    stats: &mut SimStats,
+) {
+    instants.reset(lanes.iter().map(|l| 1 + l.segments.len()).sum());
+    for (lane, spans) in lanes.iter().zip(spans.iter_mut()) {
+        let mut now = lane.start;
+        let mut exec_start = None;
+        let mut cpu_used = 0.0;
+        instants.insert(now);
+        for &seg in &segments[lane.segments.clone()] {
+            let (kind, d) = match seg {
+                Segment::Cpu(d) => (SpanKind::Exec, d),
+                Segment::Block { dur, .. } => {
+                    exec_start.get_or_insert(now);
+                    (SpanKind::Io, dur)
+                }
+            };
+            if d.is_zero() {
+                continue;
+            }
+            exec_start.get_or_insert(now);
+            if kind == SpanKind::Exec {
+                cpu_used += d.as_nanos() as f64;
+            }
+            let end = now + d;
+            spans.push(Span {
+                kind,
+                start: now,
+                end,
+            });
+            now = end;
+            instants.insert(now);
+        }
+        ends.push(LaneEnd {
+            exec_start: exec_start.unwrap_or(now),
+            end: now,
+            cpu_used,
+        });
+    }
+    stats.events += instants.len;
+}
+
+/// A set of instants that only counts its members: open addressing with
+/// linear probing, at most half full. Counting the closed form's distinct
+/// instants this way is linear: for the 800 instants of a FINRA-200 wrap
+/// it took 1.2 µs where a sort and dedup took 7.5 µs (2-vCPU host).
+#[derive(Debug, Default)]
+struct InstantSet {
+    slots: Vec<u64>,
+    /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    len: u64,
+}
+
+impl InstantSet {
+    /// `SimTime::FAR_FUTURE`, which the event loop never visits either.
+    const EMPTY: u64 = u64::MAX;
+
+    /// Empties the set and sizes it for up to `capacity` members.
+    fn reset(&mut self, capacity: usize) {
+        let size = (2 * capacity).next_power_of_two().max(2);
+        self.slots.clear();
+        self.slots.resize(size, Self::EMPTY);
+        self.shift = 64 - size.trailing_zeros();
+        self.len = 0;
+    }
+
+    fn insert(&mut self, t: SimTime) {
+        let key = t.as_nanos();
+        if key == Self::EMPTY {
+            return;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if *slot == key {
+                return;
+            }
+            if *slot == Self::EMPTY {
+                *slot = key;
+                self.len += 1;
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
 /// `x.ceil() as u64`, through a truncating integer conversion for the
 /// values the engine sees: without SSE4.1 `f64::ceil` is a software
 /// routine, and this runs once per event.
@@ -672,8 +833,10 @@ impl RefThreadState {
 /// The pre-optimisation fluid engine, retained verbatim as a reference:
 /// it backs [`VirtualPlatform::execute_reference`], and tier-1
 /// `tests/des_identity.rs` asserts both engines produce byte-identical
-/// outcomes. Unlike [`execute_sandbox`] it re-scans all threads at every
-/// event.
+/// outcomes (`tests/properties.rs` compares the two sandbox engines
+/// directly). Unlike [`execute_sandbox`] it re-scans all threads at every
+/// event and has no closed form. Refuses the same inputs with the same
+/// [`SandboxError`].
 ///
 /// [`VirtualPlatform::execute_reference`]: crate::VirtualPlatform::execute_reference
 pub fn execute_sandbox_reference(
@@ -681,12 +844,8 @@ pub fn execute_sandbox_reference(
     cpus: u32,
     runtime: RuntimeKind,
     gil_interval: SimDuration,
-) -> Vec<ThreadResult> {
-    assert!(cpus > 0, "sandbox needs at least one CPU");
-    assert!(
-        runtime == RuntimeKind::TrueParallel || !gil_interval.is_zero(),
-        "GIL switch interval must be positive"
-    );
+) -> Result<Vec<ThreadResult>, SandboxError> {
+    check_sandbox(cpus, runtime, gil_interval)?;
     let mut threads: Vec<RefThreadState> = tasks
         .iter()
         .map(|t| RefThreadState {
@@ -704,7 +863,7 @@ pub fn execute_sandbox_reference(
         })
         .collect();
     if threads.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
 
     let n_procs = tasks.iter().map(|t| t.process).max().unwrap_or(0) + 1;
@@ -857,7 +1016,7 @@ pub fn execute_sandbox_reference(
         }
     }
 
-    threads
+    Ok(threads
         .into_iter()
         .map(|t| {
             debug_assert_eq!(t.phase, Phase::Done);
@@ -868,7 +1027,7 @@ pub fn execute_sandbox_reference(
                 cpu_time: SimDuration::from_nanos(t.cpu_used.round() as u64),
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Starts the thread's current segment at `now` (or finishes the thread).
@@ -944,7 +1103,8 @@ mod tests {
             1,
             RuntimeKind::PseudoParallel,
             GIL,
-        );
+        )
+        .unwrap();
         assert_eq!(end_ms(&res[0]), 20.0);
         assert_eq!(res[0].cpu_time.as_millis_f64(), 15.0);
         assert_eq!(res[0].exec_start, SimTime::ZERO);
@@ -958,7 +1118,8 @@ mod tests {
             4,
             RuntimeKind::PseudoParallel,
             GIL,
-        );
+        )
+        .unwrap();
         let finish = res.iter().map(end_ms).fold(0.0, f64::max);
         assert_eq!(finish, 20.0);
         // The first thread is preempted at every 5ms quantum, so both
@@ -974,7 +1135,8 @@ mod tests {
             2,
             RuntimeKind::TrueParallel,
             GIL,
-        );
+        )
+        .unwrap();
         assert!(res.iter().all(|r| end_ms(r) == 10.0));
     }
 
@@ -986,7 +1148,8 @@ mod tests {
             2,
             RuntimeKind::PseudoParallel,
             GIL,
-        );
+        )
+        .unwrap();
         assert!(res.iter().all(|r| end_ms(r) == 10.0));
     }
 
@@ -998,7 +1161,8 @@ mod tests {
             1,
             RuntimeKind::PseudoParallel,
             GIL,
-        );
+        )
+        .unwrap();
         assert!(res.iter().all(|r| end_ms(r) == 20.0));
     }
 
@@ -1011,7 +1175,8 @@ mod tests {
             1,
             RuntimeKind::PseudoParallel,
             GIL,
-        );
+        )
+        .unwrap();
         assert_eq!(end_ms(&res[0]), 20.0);
         assert_eq!(end_ms(&res[1]), 20.0);
     }
@@ -1023,7 +1188,8 @@ mod tests {
             4,
             RuntimeKind::PseudoParallel,
             GIL,
-        );
+        )
+        .unwrap();
         let wait: f64 = res
             .iter()
             .map(|r| {
@@ -1046,7 +1212,8 @@ mod tests {
             2,
             RuntimeKind::PseudoParallel,
             GIL,
-        );
+        )
+        .unwrap();
         assert_eq!(end_ms(&res[0]), 5.0);
         assert_eq!(res[1].exec_start.as_millis_f64(), 7.0);
         assert_eq!(end_ms(&res[1]), 12.0);
@@ -1065,7 +1232,8 @@ mod tests {
             1,
             RuntimeKind::PseudoParallel,
             GIL,
-        );
+        )
+        .unwrap();
         // A must not be starved until B finishes (which would be 25+).
         assert!(end_ms(&res[0]) < 25.0, "A finished at {}", end_ms(&res[0]));
         let total = res.iter().map(end_ms).fold(0.0, f64::max);
@@ -1083,7 +1251,8 @@ mod tests {
             2,
             RuntimeKind::PseudoParallel,
             GIL,
-        );
+        )
+        .unwrap();
         for r in &res {
             let mut cursor = SimTime::ZERO;
             for s in &r.spans {
@@ -1103,7 +1272,9 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        assert!(execute_sandbox(&[], 1, RuntimeKind::PseudoParallel, GIL).is_empty());
+        assert!(execute_sandbox(&[], 1, RuntimeKind::PseudoParallel, GIL)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -1113,7 +1284,8 @@ mod tests {
             1,
             RuntimeKind::PseudoParallel,
             GIL,
-        );
+        )
+        .unwrap();
         assert_eq!(end_ms(&res[0]), 5.0);
     }
 
@@ -1158,7 +1330,8 @@ mod tests {
             2,
             RuntimeKind::TrueParallel,
             GIL,
-        );
+        )
+        .unwrap();
         for r in &res {
             assert!((end_ms(r) - 15.0).abs() < 0.001, "end {}", end_ms(r));
         }

@@ -22,7 +22,9 @@ pub mod scratch;
 pub mod span;
 
 pub use export::to_chrome_trace;
-pub use fluid::{execute_sandbox, execute_sandbox_reference, ThreadResult, ThreadTask};
+pub use fluid::{
+    execute_sandbox, execute_sandbox_reference, SandboxError, ThreadResult, ThreadTask,
+};
 pub use platform::VirtualPlatform;
 pub use rt::ring::{crc32, measure_fit, ring, Consumer, Producer, RingError, RingFit};
 pub use rt::{run_realtime, run_realtime_wired, Backoff, RtEdge, RtResult, RtTask};

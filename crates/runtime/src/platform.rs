@@ -37,7 +37,7 @@
 //!
 //! [`execute_reference`]: VirtualPlatform::execute_reference
 
-use crate::compiled::CompiledPlan;
+use crate::compiled::{span_index, CompiledPlan};
 use crate::fluid::ThreadTask;
 use crate::jitter::{Jitter, JitterTables};
 use crate::scratch::SimScratch;
@@ -45,7 +45,7 @@ use crate::span::{FunctionTimeline, RequestOutcome, Span, SpanKind};
 use chiron_isolation::IsolationCosts;
 use chiron_model::plan::ProcessSpawn;
 use chiron_model::{
-    DeploymentPlan, FunctionId, NodePlacement, PlanError, PlatformConfig, SandboxId,
+    DeploymentPlan, FunctionId, NodePlacement, PlanError, PlatformConfig, RuntimeKind, SandboxId,
     SchedulingKind, Segment, SimDuration, SimTime, TransferKind, Workflow, WrapPlan,
 };
 use chiron_store::TransferModel;
@@ -161,13 +161,14 @@ impl VirtualPlatform {
     // Reference engine
     // -----------------------------------------------------------------------
 
-    /// The pre-optimisation execution path, retained verbatim as the
-    /// oracle: interprets the plan on every call, allocates every buffer
-    /// per request and simulates sandboxes with
-    /// [`execute_sandbox_reference`](crate::fluid::execute_sandbox_reference).
-    /// Byte-identical to [`execute`](Self::execute) for every plan
-    /// `execute` accepts; tier-1 `tests/des_identity.rs` asserts the
-    /// equality.
+    /// The pre-optimisation execution path, retained as the oracle:
+    /// interprets the plan on every call, allocates every buffer per
+    /// request and simulates sandboxes with
+    /// [`execute_sandbox_reference`](crate::fluid::execute_sandbox_reference),
+    /// which has no closed form. It writes the outcome's span buffer in
+    /// the same order as [`execute`](Self::execute), and refuses the same
+    /// inputs. Byte-identical to `execute` for every plan `execute`
+    /// accepts; tier-1 `tests/des_identity.rs` asserts the equality.
     pub fn execute_reference(
         &self,
         workflow: &Workflow,
@@ -182,6 +183,9 @@ impl VirtualPlatform {
         plan.validate(&stage_sets)?;
 
         let costs = &self.config.costs;
+        if plan.runtime == RuntimeKind::PseudoParallel && costs.gil_switch_interval.is_zero() {
+            return Err(PlanError::ZeroGilInterval);
+        }
         let mut jit = Jitter::new(self.jitter_tables(), seed);
         let iso = IsolationCosts::for_kind(plan.isolation);
         let store_based = !matches!(
@@ -195,6 +199,7 @@ impl VirtualPlatform {
         let last_stage = plan.stages.len() - 1;
 
         let mut timelines: Vec<Option<FunctionTimeline>> = vec![None; workflow.function_count()];
+        let mut spans: Vec<Span> = Vec::new();
         let mut warm: HashSet<chiron_model::SandboxId> = HashSet::new();
         let mut stage_windows = Vec::with_capacity(plan.stages.len());
         let mut t = SimTime::ZERO;
@@ -284,6 +289,7 @@ impl VirtualPlatform {
                     iso: &iso,
                     jit: &mut jit,
                     timelines: &mut timelines,
+                    spans: &mut spans,
                 });
                 wrap_ends.push(end);
             }
@@ -313,6 +319,7 @@ impl VirtualPlatform {
         Ok(RequestOutcome {
             e2e: t.since(SimTime::ZERO),
             timelines,
+            spans,
             stage_windows,
         })
     }
@@ -333,6 +340,7 @@ impl VirtualPlatform {
             iso,
             jit,
             timelines,
+            spans: out,
         } = run;
         let costs = &self.config.costs;
         let sb = plan.sandbox(wrap.sandbox).expect("validated plan");
@@ -481,7 +489,8 @@ impl VirtualPlatform {
             sb.cpus,
             plan.runtime,
             costs.gil_switch_interval,
-        );
+        )
+        .expect("validated plan: positive CPUs and GIL interval");
 
         // ---- per-process completion and IPC drain (Eq. 3) ---------------
         let n_procs = wrap.processes.len();
@@ -522,6 +531,7 @@ impl VirtualPlatform {
 
         // ---- assemble timelines ------------------------------------------
         for (meta, result) in metas.iter().zip(&results) {
+            let from = out.len();
             let mut spans = meta.pre_spans.clone();
             spans.extend(result.spans.iter().copied());
             let mut completed = result.end;
@@ -559,8 +569,9 @@ impl VirtualPlatform {
                 dispatched: meta.dispatched,
                 exec_start: result.exec_start,
                 completed,
-                spans,
+                spans: span_index(from)..span_index(from + spans.len()),
             });
+            out.extend(spans);
         }
         wrap_end
     }
@@ -580,6 +591,8 @@ struct WrapRun<'a, 't> {
     iso: &'a IsolationCosts,
     jit: &'a mut Jitter<'t>,
     timelines: &'a mut Vec<Option<FunctionTimeline>>,
+    /// The outcome's span buffer; each function's spans are appended.
+    spans: &'a mut Vec<Span>,
 }
 
 #[cfg(test)]
@@ -628,7 +641,7 @@ mod tests {
         let outcome = platform().execute(&wf, &plan, 0).unwrap();
         assert_eq!(outcome.e2e.as_millis_f64(), 10.0);
         let t = outcome.timeline(FunctionId(0));
-        t.check_invariants().unwrap();
+        t.check_invariants(&outcome.spans).unwrap();
         assert_eq!(t.startup_overhead(), SimDuration::ZERO);
     }
 
@@ -700,7 +713,7 @@ mod tests {
         let stage2_start = outcome.stage_windows[1].0;
         for j in 0..5u32 {
             let t = outcome.timeline(FunctionId(1 + j));
-            t.check_invariants().unwrap();
+            t.check_invariants(&outcome.spans).unwrap();
             let expected =
                 stage2_start + costs.process_block * u64::from(j) + costs.process_startup;
             assert_eq!(
@@ -813,7 +826,7 @@ mod tests {
         // Scheduling spans exist for gateway-dispatched functions.
         assert!(outcome.total(SpanKind::Scheduled) > SimDuration::ZERO);
         for t in &outcome.timelines {
-            t.check_invariants().unwrap();
+            t.check_invariants(&outcome.spans).unwrap();
         }
     }
 
@@ -896,10 +909,10 @@ mod tests {
         let local = outcome.timeline(FunctionId(1));
         let remote = outcome.timeline(FunctionId(3));
         // The remote wrap starts T_INV + T_RPC + payload later.
-        assert_eq!(local.spans[0].start, stage2);
+        assert_eq!(local.spans(&outcome.spans)[0].start, stage2);
         assert!(remote.exec_start > local.exec_start);
         // The remote wrap's functions carry a Scheduled span.
-        assert!(remote.total(SpanKind::Scheduled) > SimDuration::ZERO);
+        assert!(remote.total(&outcome.spans, SpanKind::Scheduled) > SimDuration::ZERO);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! [`SimScratch`] holds everything a request's execution can carry over
 //! to the next one: the compiled plan of the last (platform, workflow,
 //! plan) it ran, the fluid engine's per-thread state and queues, and the
-//! replay's segment and span buffers. One scratch per sweep worker (or
-//! the thread-local default), never shared, so reuse is free of
-//! synchronisation.
+//! replay's segment buffer and per-lane span buffers. The span buffers
+//! are cleared, never freed, so they keep their capacity from one replay
+//! to the next; an outcome gets a copy of their spans in its own single
+//! buffer. One scratch per sweep worker (or the thread-local default),
+//! never shared, so reuse is free of synchronisation.
 //!
 //! The compiled plan is keyed by value: a call reuses it only when all
 //! three inputs compare equal to the ones it was compiled from, and
@@ -13,7 +15,9 @@
 //! Buffers are always cleared before reuse. Together these make a
 //! scratch-backed run byte-identical to a fresh-scratch run (tier-1
 //! `tests/des_identity.rs` checks exactly that). With the structure
-//! compiled away, a replay costs its jitter draws plus the event loop.
+//! compiled away, a replay costs its jitter draws plus the fluid engine:
+//! its event loop, or the closed form for a sandbox whose threads can
+//! never wait.
 //!
 //! The module also counts buffer reuse and fluid events globally — as
 //! [`chiron_obs`]-registered counters, so `figures -- obs` sees them in
@@ -39,7 +43,8 @@ pub struct AllocStats {
     pub buffer_allocs: u64,
     /// Per-thread buffers served from a scratch.
     pub buffer_reuses: u64,
-    /// Fluid-simulator event-loop iterations.
+    /// Fluid-simulator event-loop iterations (for a closed-form sandbox,
+    /// the iterations the loop would have made).
     pub events: u64,
 }
 
@@ -118,7 +123,8 @@ mod tests {
             1,
             RuntimeKind::PseudoParallel,
             SimDuration::from_millis(5),
-        );
+        )
+        .unwrap();
         let after = alloc_stats();
         assert!(after.buffer_allocs > before.buffer_allocs);
         assert!(after.events > before.events);

@@ -2,9 +2,17 @@
 //! when. These records are the raw material for Fig. 5 (process vs. thread
 //! timelines), Fig. 15 (per-function latency CDFs), and the Profiler's
 //! strace-style traces.
+//!
+//! A request's spans live in one buffer, [`RequestOutcome::spans`]; each
+//! [`FunctionTimeline`] holds the index range of its own spans there, so
+//! an outcome costs three allocations however many functions it has.
+//! The accessors that read spans take that buffer. Within it, the spans
+//! are grouped by wrap in execution order, and within a wrap by thread,
+//! each thread's run ending with its IPC and store-write spans.
 
 use chiron_model::{FunctionId, SandboxId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The kind of activity a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -57,13 +65,22 @@ pub struct FunctionTimeline {
     pub exec_start: SimTime,
     /// When the function finished (result available in its process).
     pub completed: SimTime,
-    pub spans: Vec<Span>,
+    /// This function's spans: an index range into its outcome's
+    /// [`RequestOutcome::spans`].
+    pub spans: Range<u32>,
 }
 
 impl FunctionTimeline {
-    /// Total time attributed to one span kind.
-    pub fn total(&self, kind: SpanKind) -> SimDuration {
-        self.spans
+    /// This function's spans, sliced from `buffer`, its outcome's span
+    /// buffer.
+    pub fn spans<'a>(&self, buffer: &'a [Span]) -> &'a [Span] {
+        &buffer[self.spans.start as usize..self.spans.end as usize]
+    }
+
+    /// Total time attributed to one span kind; `buffer` is the outcome's
+    /// span buffer.
+    pub fn total(&self, buffer: &[Span], kind: SpanKind) -> SimDuration {
+        self.spans(buffer)
             .iter()
             .filter(|s| s.kind == kind)
             .map(Span::duration)
@@ -81,10 +98,14 @@ impl FunctionTimeline {
     }
 
     /// Checks internal invariants: spans ordered, non-overlapping, within
-    /// the dispatch/completion window.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// the dispatch/completion window. `buffer` is the outcome's span
+    /// buffer.
+    pub fn check_invariants(&self, buffer: &[Span]) -> Result<(), String> {
+        if self.spans.start > self.spans.end || self.spans.end as usize > buffer.len() {
+            return Err("span range outside the outcome's buffer".into());
+        }
         let mut cursor = self.dispatched;
-        for (i, s) in self.spans.iter().enumerate() {
+        for (i, s) in self.spans(buffer).iter().enumerate() {
             if s.end < s.start {
                 return Err(format!("span {i} ends before it starts"));
             }
@@ -110,6 +131,8 @@ pub struct RequestOutcome {
     pub e2e: SimDuration,
     /// Per-function timelines, in `FunctionId` order.
     pub timelines: Vec<FunctionTimeline>,
+    /// Every function's spans; each timeline's `spans` range indexes it.
+    pub spans: Vec<Span>,
     /// `[start, end)` of every stage.
     pub stage_windows: Vec<(SimTime, SimTime)>,
 }
@@ -124,7 +147,10 @@ impl RequestOutcome {
 
     /// Aggregate time spent in one span kind across all functions.
     pub fn total(&self, kind: SpanKind) -> SimDuration {
-        self.timelines.iter().map(|t| t.total(kind)).sum()
+        self.timelines
+            .iter()
+            .map(|t| t.total(&self.spans, kind))
+            .sum()
     }
 }
 
@@ -144,59 +170,75 @@ mod tests {
         }
     }
 
-    fn timeline() -> FunctionTimeline {
-        FunctionTimeline {
+    /// One timeline whose spans sit after another function's span in the
+    /// buffer.
+    fn timeline() -> (FunctionTimeline, Vec<Span>) {
+        let buffer = vec![
+            span(SpanKind::Exec, 0, 1),
+            span(SpanKind::BlockWait, 0, 3),
+            span(SpanKind::Startup, 3, 8),
+            span(SpanKind::Exec, 8, 14),
+            span(SpanKind::Io, 14, 18),
+            span(SpanKind::Exec, 18, 20),
+        ];
+        let t = FunctionTimeline {
             function: FunctionId(1),
             sandbox: SandboxId(0),
             stage: 0,
             dispatched: ms(0),
             exec_start: ms(8),
             completed: ms(20),
-            spans: vec![
-                span(SpanKind::BlockWait, 0, 3),
-                span(SpanKind::Startup, 3, 8),
-                span(SpanKind::Exec, 8, 14),
-                span(SpanKind::Io, 14, 18),
-                span(SpanKind::Exec, 18, 20),
-            ],
-        }
+            spans: 1..6,
+        };
+        (t, buffer)
     }
 
     #[test]
     fn totals_by_kind() {
-        let t = timeline();
-        assert_eq!(t.total(SpanKind::Exec).as_millis_f64(), 8.0);
-        assert_eq!(t.total(SpanKind::Io).as_millis_f64(), 4.0);
-        assert_eq!(t.total(SpanKind::Ipc), SimDuration::ZERO);
+        let (t, buffer) = timeline();
+        assert_eq!(t.spans(&buffer).len(), 5);
+        assert_eq!(t.total(&buffer, SpanKind::Exec).as_millis_f64(), 8.0);
+        assert_eq!(t.total(&buffer, SpanKind::Io).as_millis_f64(), 4.0);
+        assert_eq!(t.total(&buffer, SpanKind::Ipc), SimDuration::ZERO);
         assert_eq!(t.latency().as_millis_f64(), 20.0);
         assert_eq!(t.startup_overhead().as_millis_f64(), 8.0);
     }
 
     #[test]
     fn invariants_hold() {
-        timeline().check_invariants().unwrap();
+        let (t, buffer) = timeline();
+        t.check_invariants(&buffer).unwrap();
     }
 
     #[test]
     fn invariants_catch_overlap() {
-        let mut t = timeline();
-        t.spans[1].start = ms(2);
-        assert!(t.check_invariants().is_err());
+        let (t, mut buffer) = timeline();
+        buffer[2].start = ms(2);
+        assert!(t.check_invariants(&buffer).is_err());
     }
 
     #[test]
     fn invariants_catch_backwards_span() {
-        let mut t = timeline();
-        t.spans[0].end = SimTime::ZERO;
-        t.spans[0].start = ms(1);
-        assert!(t.check_invariants().is_err());
+        let (t, mut buffer) = timeline();
+        buffer[1].end = SimTime::ZERO;
+        buffer[1].start = ms(1);
+        assert!(t.check_invariants(&buffer).is_err());
+    }
+
+    #[test]
+    fn invariants_catch_a_range_past_the_buffer() {
+        let (mut t, buffer) = timeline();
+        t.spans = 1..7;
+        assert!(t.check_invariants(&buffer).is_err());
     }
 
     #[test]
     fn outcome_lookup() {
+        let (t, spans) = timeline();
         let outcome = RequestOutcome {
             e2e: SimDuration::from_millis(20),
-            timelines: vec![timeline()],
+            timelines: vec![t],
+            spans,
             stage_windows: vec![(ms(0), ms(20))],
         };
         assert_eq!(outcome.timeline(FunctionId(1)).stage, 0);

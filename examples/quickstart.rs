@@ -68,9 +68,9 @@ fn main() {
         println!(
             "  {:<22} exec {:>7} startup {:>7} io {:>7} done at {:>9}",
             workflow.function(t.function).name,
-            format!("{}", t.total(SpanKind::Exec)),
+            format!("{}", t.total(&outcome.spans, SpanKind::Exec)),
             format!("{}", t.startup_overhead()),
-            format!("{}", t.total(SpanKind::Io)),
+            format!("{}", t.total(&outcome.spans, SpanKind::Io)),
             format!("{}", t.completed)
         );
     }

@@ -31,7 +31,8 @@ fn run_case(label: &str, workload: &[Vec<Segment>], runtime: RuntimeKind) {
         4,
         runtime,
         interval,
-    );
+    )
+    .expect("four CPUs and a 5 ms GIL interval are a valid sandbox");
     let sim_ms = simulated
         .iter()
         .map(|r| r.end.as_millis_f64())

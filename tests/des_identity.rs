@@ -52,7 +52,8 @@ fn squeezed(wf: &Workflow) -> DeploymentPlan {
 /// spans than its function has CPU segments.
 fn preempted(wf: &Workflow, outcome: &RequestOutcome) -> bool {
     outcome.timelines.iter().any(|t| {
-        let execs = t.spans.iter().filter(|s| s.kind == SpanKind::Exec).count();
+        let spans = t.spans(&outcome.spans);
+        let execs = spans.iter().filter(|s| s.kind == SpanKind::Exec).count();
         let cpu_segments = wf
             .function(t.function)
             .segments

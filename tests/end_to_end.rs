@@ -40,7 +40,7 @@ fn every_system_runs_every_benchmark() {
             assert!(!eval.mean_latency.is_zero(), "{sys} on {}", wf.name);
             assert_eq!(eval.sample_outcome.timelines.len(), wf.function_count());
             for t in &eval.sample_outcome.timelines {
-                t.check_invariants()
+                t.check_invariants(&eval.sample_outcome.spans)
                     .unwrap_or_else(|e| panic!("{sys} on {}: {e}", wf.name));
             }
             // Stage windows are ordered and cover every function.

@@ -2,24 +2,60 @@
 //!
 //! The simulator is deterministic, so a digest over its outputs pins its
 //! behaviour to the bit: a change to the jitter tables, the order of the
-//! draws, or any cost the replay charges moves the digest. A deliberate
-//! change updates the constant here by hand, and names the old and new
-//! values in CHANGES.md.
+//! draws, or any cost the replay charges moves the digest. One digest
+//! covers `e2e` alone; the other covers every field of every outcome, so
+//! a span that moves, splits or changes kind fails it even when `e2e`
+//! holds. A deliberate change updates the constants here by hand, and
+//! names the old and new values in CHANGES.md.
 
 use chiron::model::{apps, JitterModel, PlatformConfig, Workflow};
 use chiron::{Chiron, PgpMode};
 use chiron_deploy::planners;
-use chiron_runtime::{SimScratch, VirtualPlatform};
+use chiron_runtime::{RequestOutcome, SimScratch, VirtualPlatform};
 
 /// FNV-1a over the little-endian bytes of each `e2e` in nanoseconds,
 /// in suite × {Chiron, Faastlane, OpenFaaS} × seed order.
 const SUITE_E2E_DIGEST: u64 = 0xc458_c662_5560_a201;
+/// FNV-1a, in the same order, over every outcome: `e2e`; per timeline
+/// (in `FunctionId` order) its function, sandbox, stage, dispatch,
+/// exec-start and completion instants, its span count and each span's
+/// kind, start and end; then every stage window's start and end.
+const SUITE_OUTCOME_DIGEST: u64 = 0x7aa6_ec26_b16f_65ea;
 const SEEDS: u64 = 32;
 
 fn fnv1a(hash: u64, bytes: [u8; 8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+fn outcome_digest(mut digest: u64, outcome: &RequestOutcome) -> u64 {
+    let mut add = |v: u64| digest = fnv1a(digest, v.to_le_bytes());
+    add(outcome.e2e.as_nanos());
+    for t in &outcome.timelines {
+        let spans = t.spans(&outcome.spans);
+        for v in [
+            u64::from(t.function.0),
+            u64::from(t.sandbox.0),
+            t.stage as u64,
+            t.dispatched.as_nanos(),
+            t.exec_start.as_nanos(),
+            t.completed.as_nanos(),
+            spans.len() as u64,
+        ] {
+            add(v);
+        }
+        for s in spans.iter() {
+            add(s.kind as u64);
+            add(s.start.as_nanos());
+            add(s.end.as_nanos());
+        }
+    }
+    for &(start, end) in &outcome.stage_windows {
+        add(start.as_nanos());
+        add(end.as_nanos());
+    }
+    digest
 }
 
 fn chiron_plan(wf: &Workflow) -> chiron::model::DeploymentPlan {
@@ -29,8 +65,9 @@ fn chiron_plan(wf: &Workflow) -> chiron::model::DeploymentPlan {
         .clone()
 }
 
-#[test]
-fn evaluation_suite_e2e_digest() {
+/// Runs the suite × {Chiron, Faastlane, OpenFaaS} × `SEEDS` on the
+/// jittered platform and folds each outcome into the digest with `fold`.
+fn suite_digest(fold: impl Fn(u64, &RequestOutcome) -> u64) -> u64 {
     let platform = VirtualPlatform::new(
         PlatformConfig::paper_calibrated().with_jitter(JitterModel::cluster()),
     );
@@ -46,12 +83,27 @@ fn evaluation_suite_e2e_digest() {
                 let outcome = platform
                     .execute_with_scratch(wf, &plan, seed, &mut scratch)
                     .expect("suite plans execute");
-                digest = fnv1a(digest, outcome.e2e.as_nanos().to_le_bytes());
+                digest = fold(digest, &outcome);
             }
         }
     }
+    digest
+}
+
+#[test]
+fn evaluation_suite_e2e_digest() {
+    let digest = suite_digest(|h, outcome| fnv1a(h, outcome.e2e.as_nanos().to_le_bytes()));
     assert_eq!(
         digest, SUITE_E2E_DIGEST,
         "jittered suite e2e digest moved: committed {SUITE_E2E_DIGEST:#018x}, now {digest:#018x}"
+    );
+}
+
+#[test]
+fn evaluation_suite_outcome_digest() {
+    let digest = suite_digest(outcome_digest);
+    assert_eq!(
+        digest, SUITE_OUTCOME_DIGEST,
+        "jittered suite outcome digest moved: committed {SUITE_OUTCOME_DIGEST:#018x}, now {digest:#018x}"
     );
 }

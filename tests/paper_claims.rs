@@ -68,7 +68,7 @@ fn observation2_block_overhead() {
     let max_block = outcome
         .timelines
         .iter()
-        .map(|t| t.total(SpanKind::BlockWait).as_millis_f64())
+        .map(|t| t.total(&outcome.spans, SpanKind::BlockWait).as_millis_f64())
         .fold(0.0, f64::max);
     assert!(
         (140.0..210.0).contains(&max_block),

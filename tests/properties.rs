@@ -6,7 +6,9 @@ use chiron_deploy::{place, planners, ClusterConfig, ClusterState, PlacementPolic
 use chiron_metrics::LatencySamples;
 use chiron_model::{apps, FunctionId};
 use chiron_pgp::kernighan_lin;
-use chiron_runtime::{execute_sandbox, SpanKind, ThreadResult, ThreadTask};
+use chiron_runtime::{
+    execute_sandbox, execute_sandbox_reference, SandboxError, SpanKind, ThreadResult, ThreadTask,
+};
 use proptest::prelude::*;
 
 /// Random segment lists: alternating CPU/block with millisecond durations.
@@ -21,6 +23,32 @@ fn arb_segments() -> impl Strategy<Value = Vec<Segment>> {
                     Segment::Block {
                         kind: SyscallKind::NetIo,
                         dur: SimDuration::from_millis(ms),
+                    }
+                }
+            })
+            .collect()
+    })
+}
+
+/// Segment lists for the engine-vs-oracle property: CPU and block
+/// segments of random nanosecond lengths, a third of them zero-length,
+/// either kind first, and sometimes none at all.
+fn arb_edge_segments() -> impl Strategy<Value = Vec<Segment>> {
+    prop::collection::vec((any::<bool>(), 0u8..3, 1u64..20_000_000), 0..6).prop_map(|parts| {
+        parts
+            .into_iter()
+            .map(|(cpu, zero, ns)| {
+                let d = if zero == 0 {
+                    SimDuration::ZERO
+                } else {
+                    SimDuration::from_nanos(ns)
+                };
+                if cpu {
+                    Segment::Cpu(d)
+                } else {
+                    Segment::Block {
+                        kind: SyscallKind::NetIo,
+                        dur: d,
                     }
                 }
             })
@@ -66,12 +94,16 @@ fn last_end(results: &[ThreadResult]) -> f64 {
 
 const GIL_INTERVAL: SimDuration = SimDuration::from_millis(5);
 
+fn execute(tasks: &[ThreadTask], cpus: u32, runtime: RuntimeKind) -> Vec<ThreadResult> {
+    execute_sandbox(tasks, cpus, runtime, GIL_INTERVAL).expect("valid sandbox")
+}
+
 // The property bodies, shared by `proptest!` and the recorded cases below it.
 
 /// The sandbox simulator never finishes a thread before its solo
 /// latency, and CPU accounting matches its CPU demand exactly.
 fn check_solo_lower_bound(tasks: &[ThreadTask], cpus: u32, runtime: RuntimeKind) {
-    let results = execute_sandbox(tasks, cpus, runtime, GIL_INTERVAL);
+    let results = execute(tasks, cpus, runtime);
     for (task, r) in tasks.iter().zip(&results) {
         let solo = solo_ms(&task.segments);
         let elapsed = r.end.as_millis_f64() - task.start.as_millis_f64();
@@ -85,7 +117,7 @@ fn check_solo_lower_bound(tasks: &[ThreadTask], cpus: u32, runtime: RuntimeKind)
 
 /// Total CPU work delivered can never exceed capacity × makespan.
 fn check_cpu_capacity(tasks: &[ThreadTask], cpus: u32) {
-    let results = execute_sandbox(tasks, cpus, RuntimeKind::TrueParallel, GIL_INTERVAL);
+    let results = execute(tasks, cpus, RuntimeKind::TrueParallel);
     let start = tasks.iter().map(|t| t.start).min().unwrap().as_millis_f64();
     let delivered: f64 = results.iter().map(|r| r.cpu_time.as_millis_f64()).sum();
     assert!(delivered <= (last_end(&results) - start) * f64::from(cpus) + 0.01);
@@ -95,7 +127,7 @@ fn check_cpu_capacity(tasks: &[ThreadTask], cpus: u32) {
 /// CPU work delivered (fluid sharing runs threads at reduced rate) but
 /// never undercut it.
 fn check_spans_well_formed(tasks: &[ThreadTask], cpus: u32) {
-    for r in execute_sandbox(tasks, cpus, RuntimeKind::PseudoParallel, GIL_INTERVAL) {
+    for r in execute(tasks, cpus, RuntimeKind::PseudoParallel) {
         let mut cursor = SimTime::ZERO;
         let mut exec = 0.0;
         for s in &r.spans {
@@ -134,7 +166,7 @@ fn check_algorithm1_matches_fluid(segs: &[Vec<Segment>]) {
         segments: s.clone(),
     };
     let tasks: Vec<ThreadTask> = segs.iter().map(task).collect();
-    let truth = execute_sandbox(&tasks, 1, RuntimeKind::PseudoParallel, GIL_INTERVAL);
+    let truth = execute(&tasks, 1, RuntimeKind::PseudoParallel);
     let diff = (predicted.makespan.as_millis_f64() - last_end(&truth)).abs();
     // Algorithm 1 only notices I/O completions at quantum boundaries
     // (a designed simplification of the model), so each blocking
@@ -142,6 +174,16 @@ fn check_algorithm1_matches_fluid(segs: &[Vec<Segment>]) {
     let blocks = segs.iter().flatten().filter(|s| !s.is_cpu()).count();
     let bound = 5.0 * (blocks as f64) + 0.5;
     assert!(diff <= bound, "model off by {diff}ms (> {bound}ms bound)");
+}
+
+/// The sandbox engine equals its oracle field for field (spans,
+/// `exec_start`, `end`, `cpu_time`), on both sides of the closed-form
+/// boundary: with or without a process hosting two threads, and with
+/// fewer, as many or more CPUs than threads.
+fn check_engine_matches_oracle(tasks: &[ThreadTask], cpus: u32, runtime: RuntimeKind) {
+    let fast = execute(tasks, cpus, runtime);
+    let oracle = execute_sandbox_reference(tasks, cpus, runtime, GIL_INTERVAL).expect("valid");
+    assert_eq!(fast, oracle, "{runtime:?} on {cpus} CPUs: {tasks:?}");
 }
 
 /// The true-parallel bound is monotone in CPU count.
@@ -304,6 +346,68 @@ proptest! {
             prop_assert!(used <= cluster.node.node_cpus,
                 "node {i} accumulated {used} CPUs over the cap");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sandbox_engine_matches_oracle(
+        threads in prop::collection::vec(
+            (arb_edge_segments(), 0usize..3, 0u64..20_000_000),
+            1..7,
+        ),
+        one_thread_per_process in any::<bool>(),
+        cpus_vs_threads in 0usize..5,
+        pseudo in any::<bool>(),
+    ) {
+        let tasks: Vec<ThreadTask> = threads
+            .into_iter()
+            .enumerate()
+            .map(|(i, (segments, process, start_ns))| ThreadTask {
+                process: if one_thread_per_process { i } else { process },
+                start: SimTime::from_nanos(start_ns),
+                segments,
+            })
+            .collect();
+        // Two fewer CPUs than threads up to two more, at least one.
+        let cpus = (tasks.len() + cpus_vs_threads).saturating_sub(2).max(1) as u32;
+        let runtime = if pseudo { RuntimeKind::PseudoParallel } else { RuntimeKind::TrueParallel };
+        check_engine_matches_oracle(&tasks, cpus, runtime);
+    }
+}
+
+/// Both sandbox engines refuse a sandbox with no CPU, and a zero GIL
+/// interval under the GIL only, with the same typed error.
+#[test]
+fn bad_sandbox_parameters_are_typed_errors() {
+    let tasks = [ThreadTask {
+        process: 0,
+        start: SimTime::ZERO,
+        segments: vec![Segment::cpu_ms(1)],
+    }];
+    let pseudo = RuntimeKind::PseudoParallel;
+    let truep = RuntimeKind::TrueParallel;
+    for engine in [execute_sandbox, execute_sandbox_reference] {
+        for runtime in [pseudo, truep] {
+            assert_eq!(
+                engine(&tasks, 0, runtime, GIL_INTERVAL),
+                Err(SandboxError::ZeroCpus),
+                "{runtime:?}"
+            );
+        }
+        assert_eq!(
+            engine(&tasks, 1, pseudo, SimDuration::ZERO),
+            Err(SandboxError::ZeroGilInterval)
+        );
+        // Zero CPUs is reported first.
+        assert_eq!(
+            engine(&tasks, 0, pseudo, SimDuration::ZERO),
+            Err(SandboxError::ZeroCpus)
+        );
+        // Without a GIL the interval is never read.
+        assert!(engine(&tasks, 1, truep, SimDuration::ZERO).is_ok());
     }
 }
 
