@@ -27,12 +27,14 @@
 //! The default ([`CachedEval`]) memoises per-process Algorithm 1 outcomes
 //! in a content-addressed [`PredictionCache`] shared across KL rounds,
 //! candidate swaps, every value of `n`, the wrap-packing sweep and the
-//! CPU-trim loop — so each distinct process content is simulated exactly
-//! once per schedule — and runs those simulations allocation-free against
-//! a [`SegmentCatalog`]. The pre-optimisation path is preserved verbatim
-//! as [`PgpScheduler::schedule_reference`]; both produce byte-identical
-//! plans (enforced by the `identical_plans` property test and the root
-//! `plan_identity` test).
+//! CPU-trim loop, and runs those simulations allocation-free against a
+//! [`SegmentCatalog`]. A KL candidate whose process is CPU-only skips the
+//! cache: Algorithm 1's closed form scores it in O(1) from its round's
+//! [`StaggeredSummary`], with no key and no probe, so KL recomputes such
+//! sets rather than storing them. The pre-optimisation path is preserved
+//! verbatim as [`PgpScheduler::schedule_reference`]; both produce
+//! byte-identical plans (enforced by the `identical_plans` property test
+//! and the root `plan_identity` test).
 //!
 //! The cached evaluator also memoises each stage's KL partition per
 //! process count `n` in the same cache, keyed by [`partition_key`] (the
@@ -44,9 +46,9 @@
 //! cache lookups included, is the search's. A warm re-plan runs no KL
 //! pass, and its `audit.kl` equals the cold one's. `audit.cache_hits` and
 //! `audit.cache_misses` still count physical Algorithm 1 lookups, so a
-//! replayed stage adds none: a warm re-plan's hits come from packing and
-//! trimming alone. `schedule_reference` and [`PgpScheduler::partitions`]
-//! keep no memo.
+//! replayed stage and a CPU-only KL candidate add none: a warm re-plan's
+//! hits come from packing and trimming alone. `schedule_reference` and
+//! [`PgpScheduler::partitions`] keep no memo.
 //!
 //! The search runs on one thread. §5 also explores partitions in
 //! parallel; a cache-sharing parallel variant was removed because its
@@ -216,7 +218,7 @@ pub struct PgpAudit {
     /// replayed partition adds the effort of the search it replays.
     pub kl: KlStats,
     /// Algorithm 1 lookups this schedule answered from the prediction
-    /// cache (a replayed partition makes none).
+    /// cache (a replayed partition and a CPU-only KL candidate make none).
     pub cache_hits: u64,
     /// Prediction-cache misses (fresh simulations) for this schedule.
     pub cache_misses: u64,
@@ -323,14 +325,19 @@ impl<'a> CachedEval<'a> {
 
 impl KlObjective for CachedEval<'_> {
     fn eval(&mut self, set: &[FunctionId]) -> f64 {
-        let key = self
-            .staggered(set)
-            .key(self.predictor.costs.gil_switch_interval);
+        let src = self.staggered(set);
+        if let Some(makespan) = src.cpu_only_makespan() {
+            return makespan.as_millis_f64();
+        }
+        let key = src.key(self.predictor.costs.gil_switch_interval);
         self.makespan_ms(set, key)
     }
 
+    /// When both sets are CPU-only, so is every incoming function, and
+    /// every candidate takes the closed form: the summaries skip the keys.
     fn begin_round(&mut self, a: &[FunctionId], b: &[FunctionId]) {
-        let interval = self.predictor.costs.gil_switch_interval;
+        let keyed = !a.iter().chain(b).all(|&f| self.catalog.is_cpu_only(f));
+        let interval = keyed.then_some(self.predictor.costs.gil_switch_interval);
         let (src_a, src_b) = (self.staggered(a), self.staggered(b));
         self.sides[0].rebuild(&src_a, interval);
         self.sides[1].rebuild(&src_b, interval);
@@ -343,7 +350,11 @@ impl KlObjective for CachedEval<'_> {
     }
 
     fn swapped_eval(&mut self, side: Side, set: &[FunctionId], pos: usize) -> f64 {
-        let key = self.sides[side as usize].key_with(self.catalog, pos, set[pos]);
+        let summary = &self.sides[side as usize];
+        if let Some(makespan) = summary.makespan_with(self.catalog, pos, set[pos]) {
+            return makespan.as_millis_f64();
+        }
+        let key = summary.key_with(self.catalog, pos, set[pos]);
         self.makespan_ms(set, key)
     }
 }
@@ -968,11 +979,12 @@ fn round_robin(fns: &[FunctionId], n: usize) -> Vec<Vec<FunctionId>> {
 /// we bound each pass to pairs whose swap space is tractable (large
 /// same-stage sets are nearly homogeneous round-robin splits, where KL's
 /// gain vanishes). Every applied swap is appended to `swaps` as `[i, j,
-/// position in set i, position in set j]`.
-fn partition_one_stage(
+/// position in set i, position in set j]`. Generic rather than `dyn`, so
+/// the KL loop's per-candidate scoring calls are static.
+fn partition_one_stage<E: PgpEval>(
     fns: &[FunctionId],
     n: usize,
-    eval: &mut dyn PgpEval,
+    eval: &mut E,
     stats: &mut KlStats,
     swaps: &mut Vec<[u32; 4]>,
 ) -> Vec<Vec<FunctionId>> {

@@ -63,7 +63,7 @@ proptest! {
         let mut summary = StaggeredSummary::default();
         summary.rebuild(
             &StaggeredSet { set: &set, catalog: &catalog, spacing, base },
-            interval,
+            Some(interval),
         );
         let key = summary.key_with(&catalog, pos, incoming);
         let bound = summary.lower_bound_with(&catalog, pos, incoming);

@@ -2,7 +2,8 @@
 //!
 //! The PGP scheduler evaluates the same process contents over and over:
 //! every KL candidate swap re-proposes sets that earlier swaps (or earlier
-//! values of `n`, or the CPU-trim loop) already simulated. Because
+//! values of `n`, or the CPU-trim loop) already simulated (KL scores its
+//! CPU-only sets by a closed form instead). Because
 //! [`predict_threads_src`] is a pure function of the thread *contents*
 //! (creation times + segment lists + switch interval), its outcome can be
 //! keyed by a content hash and shared across KL rounds, candidate swaps,
@@ -106,7 +107,7 @@ fn hash_segment(h: &mut Fnv1a, seg: &Segment) {
 /// Built once per schedule from the [`WorkflowProfile`]; replaces the
 /// per-call `FunctionProfile::segments()` `Vec` reconstruction with a
 /// borrow, and precomputes each function's content hash for fast set keys.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SegmentCatalog {
     flat: Vec<Segment>,
     ranges: Vec<(u32, u32)>,
@@ -114,22 +115,27 @@ pub struct SegmentCatalog {
     /// Per function: (total CPU time, total segment span). Feed the KL
     /// bound prune — see [`StaggeredSet::makespan_lower_bound`].
     totals: Vec<(SimDuration, SimDuration)>,
+    /// Per function: no segment is a block, not even a zero-length one.
+    cpu_only: Vec<bool>,
 }
 
 impl SegmentCatalog {
     pub fn new(profile: &WorkflowProfile) -> Self {
-        let mut flat = Vec::new();
-        let mut ranges = Vec::with_capacity(profile.functions.len());
-        let mut hashes = Vec::with_capacity(profile.functions.len());
-        let mut totals = Vec::with_capacity(profile.functions.len());
-        for f in &profile.functions {
-            let start = flat.len() as u32;
-            flat.extend(f.segments());
-            ranges.push((start, flat.len() as u32));
+        SegmentCatalog::from_segments(profile.functions.iter().map(|f| f.segments()))
+    }
+
+    /// A catalog over explicit segment lists, one per function in id order.
+    pub fn from_segments(functions: impl IntoIterator<Item = Vec<Segment>>) -> Self {
+        let mut catalog = SegmentCatalog::default();
+        for segments in functions {
+            let start = catalog.flat.len() as u32;
+            catalog.flat.extend(segments);
+            catalog.ranges.push((start, catalog.flat.len() as u32));
             let mut h = Fnv1a::new();
             let mut cpu = SimDuration::ZERO;
             let mut span = SimDuration::ZERO;
-            for seg in &flat[start as usize..] {
+            let segments = &catalog.flat[start as usize..];
+            for seg in segments {
                 hash_segment(&mut h, seg);
                 match seg {
                     Segment::Cpu(d) => {
@@ -139,15 +145,11 @@ impl SegmentCatalog {
                     Segment::Block { dur, .. } => span += *dur,
                 }
             }
-            hashes.push(h.finish());
-            totals.push((cpu, span));
+            catalog.hashes.push(h.finish());
+            catalog.totals.push((cpu, span));
+            catalog.cpu_only.push(segments.iter().all(|s| s.is_cpu()));
         }
-        SegmentCatalog {
-            flat,
-            ranges,
-            hashes,
-            totals,
-        }
+        catalog
     }
 
     /// The function's profiled segment list, borrowed.
@@ -169,6 +171,11 @@ impl SegmentCatalog {
     /// Total duration (CPU + blocks) of the function's profiled segments.
     pub fn span(&self, f: FunctionId) -> SimDuration {
         self.totals[f.index()].1
+    }
+
+    /// Whether the function's profiled segments are all CPU bursts.
+    pub fn is_cpu_only(&self, f: FunctionId) -> bool {
+        self.cpu_only[f.index()]
     }
 }
 
@@ -245,6 +252,23 @@ impl StaggeredSet<'_> {
         }
         self.base + cpu_sum.max(tail)
     }
+
+    /// Algorithm 1's makespan of the set by the closed form (see
+    /// [`crate::threadsim`]) over the catalog's CPU totals, or `None` when
+    /// some function has a block segment. The same integer sums as
+    /// [`predict_threads_src`], so the result is bit-identical.
+    pub fn cpu_only_makespan(&self) -> Option<SimDuration> {
+        let mut suffix_cpu = SimDuration::ZERO;
+        let mut makespan = SimDuration::ZERO;
+        for (i, &f) in self.set.iter().enumerate().rev() {
+            if !self.catalog.is_cpu_only(f) {
+                return None;
+            }
+            suffix_cpu += self.catalog.cpu_total(f);
+            makespan = makespan.max(self.created_at(i) + suffix_cpu);
+        }
+        Some(makespan)
+    }
 }
 
 /// The contribution of a function with content hash `hash` at position
@@ -253,15 +277,18 @@ pub fn staggered_term(hash: u64, pos: usize) -> u64 {
     splitmix64(hash.wrapping_add((pos as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)))
 }
 
-/// A [`StaggeredSet`] summarised so that the key and the makespan lower
-/// bound of any one-position replacement cost O(1) instead of O(set):
-/// the CPU sum, the XOR-folded key, and per position the key term, the
-/// CPU total and the largest `spacing·j + span` over the *other*
-/// positions (the max of a prefix and a suffix maximum).
+/// A [`StaggeredSet`] summarised so that the key, the makespan lower
+/// bound and, for a CPU-only set, the makespan itself of any one-position
+/// replacement cost O(1) instead of O(set): the CPU sum, the XOR-folded
+/// key, and per position the key term, the CPU total, the largest
+/// `spacing·j + span` over the *other* positions (the max of a prefix and
+/// a suffix maximum), and prefix and suffix maxima of the closed form's
+/// `reach(i) = base + spacing·i + Σ_{j≥i} cpu_j`.
 ///
 /// The Kernighan–Lin pass rebuilds one summary per side per round and
 /// then scores every candidate swap against it; the buffers are reused
-/// across rebuilds.
+/// across rebuilds. A CPU-only candidate is scored by
+/// [`makespan_with`](StaggeredSummary::makespan_with) and never keyed.
 #[derive(Debug, Clone, Default)]
 pub struct StaggeredSummary {
     base: SimDuration,
@@ -272,36 +299,60 @@ pub struct StaggeredSummary {
     cpus: Vec<SimDuration>,
     /// `others_tail[i]` = max over `j != i` of `spacing·j + span(set[j])`.
     others_tail: Vec<SimDuration>,
+    /// Every function of the set is CPU-only: only then do `reach_*` count.
+    cpu_only: bool,
+    /// `reach_pre[i]` = max over `j <= i` of `reach(j)`.
+    reach_pre: Vec<SimDuration>,
+    /// `reach_suf[i]` = max over `j >= i` of `reach(j)`; zero at `n`.
+    reach_suf: Vec<SimDuration>,
 }
 
 impl StaggeredSummary {
-    /// Re-summarises the buffers for `src` (keyed under `interval`).
-    pub fn rebuild(&mut self, src: &StaggeredSet<'_>, interval: SimDuration) {
+    /// Re-summarises the buffers for `src`, keyed under `interval`; with
+    /// `None` the key and its terms are skipped, and only
+    /// [`makespan_with`](Self::makespan_with) and the bound may be asked.
+    pub fn rebuild(&mut self, src: &StaggeredSet<'_>, interval: Option<SimDuration>) {
         let n = src.set.len();
         self.base = src.base;
         self.spacing = src.spacing;
         self.cpu_sum = SimDuration::ZERO;
-        self.key = src.salt(interval);
+        self.key = interval.map_or(0, |interval| src.salt(interval));
+        self.cpu_only = true;
         self.terms.clear();
         self.cpus.clear();
         self.others_tail.clear();
+        self.reach_pre.clear();
+        self.reach_suf.clear();
         // Prefix pass: the max over the positions before each one.
         let mut prefix = SimDuration::ZERO;
         for (i, &f) in src.set.iter().enumerate() {
-            let term = staggered_term(src.catalog.content_hash(f), i);
+            if interval.is_some() {
+                let term = staggered_term(src.catalog.content_hash(f), i);
+                self.key ^= term;
+                self.terms.push(term);
+            }
             let cpu = src.catalog.cpu_total(f);
-            self.key ^= term;
             self.cpu_sum += cpu;
-            self.terms.push(term);
             self.cpus.push(cpu);
+            self.cpu_only &= src.catalog.is_cpu_only(f);
             self.others_tail.push(prefix);
             prefix = prefix.max(src.spacing * i as u64 + src.catalog.span(f));
         }
-        // Suffix pass folds in the max over the positions after each one.
+        // Suffix pass folds in the max over the positions after each one,
+        // and takes each `reach(i)` and its suffix maximum.
         let mut suffix = SimDuration::ZERO;
+        let mut suffix_cpu = SimDuration::ZERO;
+        self.reach_pre.resize(n, SimDuration::ZERO);
+        self.reach_suf.resize(n + 1, SimDuration::ZERO);
         for i in (0..n).rev() {
             self.others_tail[i] = self.others_tail[i].max(suffix);
             suffix = suffix.max(src.spacing * i as u64 + src.catalog.span(src.set[i]));
+            suffix_cpu += self.cpus[i];
+            self.reach_pre[i] = src.created_at(i) + suffix_cpu;
+            self.reach_suf[i] = self.reach_suf[i + 1].max(self.reach_pre[i]);
+        }
+        for i in 1..n {
+            self.reach_pre[i] = self.reach_pre[i].max(self.reach_pre[i - 1]);
         }
     }
 
@@ -322,6 +373,24 @@ impl StaggeredSummary {
         let cpu_sum = self.cpu_sum - self.cpus[pos] + catalog.cpu_total(incoming);
         let tail = self.others_tail[pos].max(self.spacing * pos as u64 + catalog.span(incoming));
         self.base + cpu_sum.max(tail)
+    }
+
+    /// Algorithm 1's makespan of the summarised set with position `pos`
+    /// holding `incoming` instead, or `None` unless both are CPU-only. The
+    /// swap shifts `reach(i)` by the same CPU delta for every `i <= pos`
+    /// and for no later `i`, so this is [`StaggeredSet::cpu_only_makespan`]
+    /// of the swapped set, bit for bit, in O(1).
+    pub fn makespan_with(
+        &self,
+        catalog: &SegmentCatalog,
+        pos: usize,
+        incoming: FunctionId,
+    ) -> Option<SimDuration> {
+        if !(self.cpu_only && catalog.is_cpu_only(incoming)) {
+            return None;
+        }
+        let head = self.reach_pre[pos] - self.cpus[pos] + catalog.cpu_total(incoming);
+        Some(head.max(self.reach_suf[pos + 1]))
     }
 }
 

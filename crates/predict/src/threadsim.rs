@@ -29,10 +29,13 @@
 //! * `cpu_time = Σ_i cpu_i`.
 //!
 //! [`predict_threads_src`] returns that directly (one reverse pass, no
-//! quanta). Any set with a block segment, or with a later thread created
-//! before an earlier one, runs the quantum loop; it is the one general
-//! engine, and the unit tests check the closed form against it on random
-//! CPU-only sets.
+//! quanta). PGP's Kernighan–Lin objective applies the same form, uncached:
+//! `StaggeredSet::cpu_only_makespan` to a whole set, and
+//! `StaggeredSummary::makespan_with` in O(1) per one-position swap. Any
+//! set with a block segment, or with a later thread created before an
+//! earlier one, runs the quantum loop; it is the one general engine, and
+//! the unit tests check the closed form against it on random CPU-only
+//! sets.
 
 use chiron_model::{Segment, SimDuration};
 

@@ -24,9 +24,10 @@
 //! the metrics snapshot and `figures -- perf-eval` can report first-run
 //! vs steady-state allocation counts for the DES hot loop. A scratch
 //! gathers its counts and adds them once per request. All accesses are
-//! `Relaxed`: these are statistics, not synchronisation, and their totals
-//! are sums of per-event increments (deterministic for a deterministic
-//! workload regardless of interleaving).
+//! `Relaxed`: these are statistics, not synchronisation. Only the
+//! `runtime.fluid.sim_events` total is the same whatever the interleaving;
+//! `buffer_allocs`/`buffer_reuses` depend on which worker's thread-local
+//! scratch first meets the largest wraps, and vary from run to run.
 
 use crate::compiled::{CompiledPlan, ReplayScratch};
 use crate::fluid::FluidScratch;

@@ -85,8 +85,8 @@ fn cached_search_effort_is_pinned() {
                 pruned: 25872,
                 applied: 290,
             },
-            16210,
-            4522,
+            1183,
+            92,
         )
     );
     assert_eq!(
@@ -99,8 +99,8 @@ fn cached_search_effort_is_pinned() {
                 pruned: 2136,
                 applied: 97,
             },
-            3793,
-            488,
+            961,
+            51,
         )
     );
 }
@@ -208,8 +208,8 @@ fn a_cold_schedule_never_replays_its_own_searches() {
                 pruned: 620,
                 applied: 60,
             },
-            1454,
-            245,
+            464,
+            25,
         )
     );
     let warm = sched.schedule_with_cache(&wf, &profile, &config, &cache);

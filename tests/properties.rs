@@ -1,7 +1,10 @@
 //! Property-based tests (proptest) on the core engines' invariants.
 
 use chiron::model::{RuntimeKind, Segment, SimDuration, SimTime, SyscallKind};
-use chiron::predict::{predict_threads, predict_true_parallel, SimThread};
+use chiron::predict::{
+    predict_threads, predict_threads_src, predict_true_parallel, SegmentCatalog, SimArena,
+    SimThread, StaggeredSet, StaggeredSummary,
+};
 use chiron_deploy::{place, planners, ClusterConfig, ClusterState, PlacementPolicy};
 use chiron_metrics::LatencySamples;
 use chiron_model::{apps, FunctionId};
@@ -349,8 +352,77 @@ proptest! {
     }
 }
 
+/// CPU bursts of one function: 0–4 of them, a quarter zero-length.
+fn arb_cpu_bursts() -> impl Strategy<Value = Vec<Segment>> {
+    let burst = (0u8..4, 1u64..12_000_000);
+    prop::collection::vec(burst, 0..5).prop_map(|bursts| {
+        let cpu =
+            |(zero, ns): (u8, u64)| Segment::Cpu(SimDuration::from_nanos(ns * u64::from(zero > 0)));
+        bursts.into_iter().map(cpu).collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The KL objective's closed forms are Algorithm 1: on a CPU-only set,
+    /// the summary's makespan for every position × incoming function and
+    /// the whole-set form equal [`predict_threads_src`] on the materialised
+    /// set; neither exists once the set or the incoming function holds a
+    /// block segment (a third of them zero-length).
+    #[test]
+    fn kl_closed_forms_match_algorithm1(
+        fns in prop::collection::vec(arb_cpu_bursts(), 1..=20),
+        picks in prop::collection::vec(0usize..1000, 1..=16),
+        blocky in (arb_cpu_bursts(), 0usize..8, 0u64..3),
+        spacing in (any::<bool>(), 1u64..400_000),
+        base_ns in 1u64..2_000_000,
+        interval_ns in 100_000u64..20_000_000,
+    ) {
+        let (mut segments, block_at, block_ms) = blocky;
+        let block = Segment::block_ms(SyscallKind::NetIo, 1.5 * block_ms as f64);
+        segments.insert(block_at % (segments.len() + 1), block);
+        let catalog = SegmentCatalog::from_segments(fns.iter().cloned().chain([segments]));
+        let spacing = SimDuration::from_nanos(spacing.1 * u64::from(spacing.0));
+        let base = SimDuration::from_nanos(base_ns);
+        let interval = SimDuration::from_nanos(interval_ns);
+        let shape = StaggeredSet { set: &[], catalog: &catalog, spacing, base };
+        let whole = |set: &[FunctionId]| StaggeredSet { set, ..shape }.cpu_only_makespan();
+        let mut arena = SimArena::new();
+        let mut algorithm1 = |set: &[FunctionId]| {
+            let thread = |(i, &f): (usize, &FunctionId)| SimThread {
+                created_at: base + spacing * i as u64,
+                segments: catalog.segments(f).to_vec(),
+            };
+            let threads: Vec<SimThread> = set.iter().enumerate().map(thread).collect();
+            predict_threads_src(threads.as_slice(), interval, &mut arena).makespan
+        };
+        let ids = || (0..=fns.len() as u32).map(FunctionId);
+        let blocked = FunctionId(fns.len() as u32);
+        let mut set: Vec<FunctionId> =
+            picks.iter().map(|&p| FunctionId((p % fns.len()) as u32)).collect();
+        let mut summary = StaggeredSummary::default();
+        summary.rebuild(&StaggeredSet { set: &set, ..shape }, None);
+        prop_assert_eq!(whole(&set), Some(algorithm1(&set)));
+        for pos in 0..set.len() {
+            for f in ids() {
+                let mut swapped = set.clone();
+                swapped[pos] = f;
+                let closed = (f != blocked).then(|| algorithm1(&swapped));
+                let at = format!("{f:?} at {pos} of {set:?}");
+                prop_assert_eq!(summary.makespan_with(&catalog, pos, f), closed, "{}", at);
+                prop_assert_eq!(whole(&swapped), closed, "{}", at);
+            }
+        }
+        set[picks[0] % picks.len()] = blocked;
+        summary.rebuild(&StaggeredSet { set: &set, ..shape }, Some(interval));
+        prop_assert_eq!(whole(&set), None);
+        for pos in 0..set.len() {
+            for f in ids() {
+                prop_assert_eq!(summary.makespan_with(&catalog, pos, f), None, "{:?}", set);
+            }
+        }
+    }
 
     #[test]
     fn sandbox_engine_matches_oracle(
