@@ -11,7 +11,6 @@ use chiron::model::{apps, IsolationKind, SimDuration};
 use chiron::{evaluate_plan, paper_slo, profile_for, EvalConfig, PgpConfig, PgpMode, PgpScheduler};
 use chiron_model::FunctionId;
 use chiron_predict::{predict_threads, SimThread};
-use chiron_profiler::Profiler;
 
 /// KL refinement vs. round-robin initial partition: measured latency of
 /// the resulting plans on a workflow with heterogeneous parallel functions.
@@ -233,9 +232,6 @@ pub fn ablation_realtime_crosscheck() -> String {
 /// path vs the memoised evaluator (§7's scalability discussion).
 pub fn ablation_pgp_scalability() -> String {
     use chiron::model::synthetic::{synthetic, SyntheticSpec};
-    use chiron_predict::PredictionCache;
-    use std::time::Instant;
-    let sched = PgpScheduler::paper_calibrated();
     let mut table = Table::new(vec![
         "functions",
         "max par",
@@ -268,33 +264,18 @@ pub fn ablation_pgp_scalability() -> String {
             profile_classes: classes,
             ..SyntheticSpec::default()
         });
-        let profile = Profiler::default().profile_workflow(&wf);
-        let config = PgpConfig::performance_first();
-        let t0 = Instant::now();
-        let reference = sched.schedule_reference(&wf, &profile, &config);
-        let ref_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let cache = PredictionCache::new();
-        let t1 = Instant::now();
-        let memo = sched.schedule_with_cache(&wf, &profile, &config, &cache);
-        let memo_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let hit_rate = cache.stats().hit_rate();
-        // Warm pass: same workflow rescheduled against the populated cache,
-        // the steady state of a control plane that re-plans on profile or
-        // SLO updates.
-        let t2 = Instant::now();
-        let warm = sched.schedule_with_cache(&wf, &profile, &config, &cache);
-        let warm_ms = t2.elapsed().as_secs_f64() * 1e3;
+        let times = crate::perf::schedule_times(&wf);
         table.row(vec![
             wf.function_count().to_string(),
             wf.max_parallelism().to_string(),
             classes.to_string(),
-            ms(ref_ms),
-            ms(memo_ms),
-            ms(warm_ms),
-            ratio(ref_ms / memo_ms),
-            ratio(ref_ms / warm_ms),
-            pct(hit_rate),
-            (memo.plan == reference.plan && warm.plan == reference.plan).to_string(),
+            ms(times.reference_ms),
+            ms(times.cold_ms),
+            ms(times.warm_ms),
+            ratio(times.reference_ms / times.cold_ms),
+            ratio(times.reference_ms / times.warm_ms),
+            pct(times.cold_cache.hit_rate()),
+            times.same_plan.to_string(),
         ]);
     }
     format!(

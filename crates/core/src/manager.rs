@@ -54,12 +54,6 @@ impl Chiron {
         }
     }
 
-    /// Replaces the Profiler (e.g. to add measurement noise).
-    pub fn with_profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = profiler;
-        self
-    }
-
     /// Hit/miss/entry counts of the shared prediction memo.
     pub fn cache_stats(&self) -> CacheStats {
         self.prediction_cache.stats()

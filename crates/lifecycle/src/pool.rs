@@ -57,12 +57,6 @@ impl LifecycleConfig {
         }
     }
 
-    pub fn with_capacities(mut self, snapshot: u32, zygote: u32) -> Self {
-        self.snapshot_capacity = snapshot;
-        self.zygote_capacity = zygote;
-        self
-    }
-
     pub fn with_initial_stock(mut self, snapshot: u32, zygote: u32) -> Self {
         self.initial_snapshot = snapshot;
         self.initial_zygote = zygote;
@@ -149,10 +143,6 @@ impl PrewarmPools {
 
     pub fn zygote_stock(&self) -> u32 {
         self.zyg_stock
-    }
-
-    pub fn forecast_rate(&self) -> f64 {
-        self.forecast.rate()
     }
 
     /// Integrates `stock × Δt` up to `now`. Every mutation goes through

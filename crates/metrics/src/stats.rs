@@ -15,10 +15,6 @@ impl LatencySamples {
         Self::default()
     }
 
-    pub fn from_vec(samples: Vec<SimDuration>) -> Self {
-        LatencySamples { samples }
-    }
-
     pub fn push(&mut self, sample: SimDuration) {
         self.samples.push(sample);
     }

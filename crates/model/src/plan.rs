@@ -83,10 +83,6 @@ impl ProcessPlan {
             spawn: ProcessSpawn::MainReuse,
         }
     }
-
-    pub fn thread_count(&self) -> usize {
-        self.functions.len()
-    }
 }
 
 /// A wrap instantiated for one stage: the processes it runs and the sandbox
@@ -100,10 +96,6 @@ pub struct WrapPlan {
 impl WrapPlan {
     pub fn function_count(&self) -> usize {
         self.processes.iter().map(|p| p.functions.len()).sum()
-    }
-
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
     }
 
     pub fn functions(&self) -> impl Iterator<Item = FunctionId> + '_ {

@@ -31,10 +31,12 @@
 //! [`SegmentCatalog`]. A KL candidate whose process is CPU-only skips the
 //! cache: Algorithm 1's closed form scores it in O(1) from its round's
 //! [`StaggeredSummary`], with no key and no probe, so KL recomputes such
-//! sets rather than storing them. The pre-optimisation path is preserved
-//! verbatim as [`PgpScheduler::schedule_reference`]; both produce
-//! byte-identical plans (enforced by the `identical_plans` property test
-//! and the root `plan_identity` test).
+//! sets rather than storing them. Any other candidate is keyed by
+//! [`StaggeredSet::key`], the key the plan evaluator uses for the same
+//! process. The pre-optimisation path is preserved verbatim as
+//! [`PgpScheduler::schedule_reference`], the one user of the reference
+//! evaluator; both produce byte-identical plans (enforced by the
+//! `identical_plans` property test and the root `plan_identity` test).
 //!
 //! The cached evaluator also memoises each stage's KL partition per
 //! process count `n` in the same cache, keyed by [`partition_key`] (the
@@ -47,8 +49,9 @@
 //! pass, and its `audit.kl` equals the cold one's. `audit.cache_hits` and
 //! `audit.cache_misses` still count physical Algorithm 1 lookups, so a
 //! replayed stage and a CPU-only KL candidate add none: a warm re-plan's
-//! hits come from packing and trimming alone. `schedule_reference` and
-//! [`PgpScheduler::partitions`] keep no memo.
+//! hits come from packing and trimming alone. `schedule_reference` keeps
+//! no memo, and [`PgpScheduler::partitions`] searches with the cached
+//! evaluator on a fresh cache it drops.
 //!
 //! The search runs on one thread. §5 also explores partitions in
 //! parallel; a cache-sharing parallel variant was removed because its
@@ -281,8 +284,9 @@ trait PgpEval: KlObjective {
 ///
 /// KL candidates are scored against per-side [`StaggeredSummary`]s,
 /// rebuilt once per round into buffers that live as long as the
-/// evaluator: a candidate's lower bound and cache key are O(1) deltas of
-/// its round's sets instead of O(set) recomputations.
+/// evaluator: a candidate's lower bound, and a CPU-only candidate's
+/// makespan, are O(1) deltas of its round's sets instead of O(set)
+/// recomputations.
 struct CachedEval<'a> {
     predictor: &'a Predictor,
     check: &'a Predictor,
@@ -299,6 +303,25 @@ struct CachedEval<'a> {
 }
 
 impl<'a> CachedEval<'a> {
+    fn new(
+        predictor: &'a Predictor,
+        check: &'a Predictor,
+        workflow: &'a Workflow,
+        catalog: &'a SegmentCatalog,
+        cache: &'a PredictionCache,
+    ) -> Self {
+        CachedEval {
+            predictor,
+            check,
+            workflow,
+            catalog,
+            cache,
+            scratch: PredictScratch::new(),
+            sides: Default::default(),
+            searched: Vec::new(),
+        }
+    }
+
     /// The KL objective's process shape for `set`.
     fn staggered<'s>(&self, set: &'s [FunctionId]) -> StaggeredSet<'s>
     where
@@ -312,12 +335,12 @@ impl<'a> CachedEval<'a> {
         }
     }
 
-    /// The makespan of `set`, memoised under its precomputed `key`.
-    fn makespan_ms(&mut self, set: &[FunctionId], key: u64) -> f64 {
+    /// The makespan of `set`, memoised under its [`StaggeredSet::key`].
+    fn cached_makespan_ms(&mut self, set: &[FunctionId]) -> f64 {
         let src = self.staggered(set);
         let interval = self.predictor.costs.gil_switch_interval;
         self.cache
-            .get_or_simulate(key, &src, interval, &mut self.scratch.arena)
+            .get_or_simulate(src.key(interval), &src, interval, &mut self.scratch.arena)
             .makespan
             .as_millis_f64()
     }
@@ -325,22 +348,16 @@ impl<'a> CachedEval<'a> {
 
 impl KlObjective for CachedEval<'_> {
     fn eval(&mut self, set: &[FunctionId]) -> f64 {
-        let src = self.staggered(set);
-        if let Some(makespan) = src.cpu_only_makespan() {
-            return makespan.as_millis_f64();
+        match self.staggered(set).cpu_only_makespan() {
+            Some(makespan) => makespan.as_millis_f64(),
+            None => self.cached_makespan_ms(set),
         }
-        let key = src.key(self.predictor.costs.gil_switch_interval);
-        self.makespan_ms(set, key)
     }
 
-    /// When both sets are CPU-only, so is every incoming function, and
-    /// every candidate takes the closed form: the summaries skip the keys.
     fn begin_round(&mut self, a: &[FunctionId], b: &[FunctionId]) {
-        let keyed = !a.iter().chain(b).all(|&f| self.catalog.is_cpu_only(f));
-        let interval = keyed.then_some(self.predictor.costs.gil_switch_interval);
         let (src_a, src_b) = (self.staggered(a), self.staggered(b));
-        self.sides[0].rebuild(&src_a, interval);
-        self.sides[1].rebuild(&src_b, interval);
+        self.sides[0].rebuild(&src_a);
+        self.sides[1].rebuild(&src_b);
     }
 
     fn swapped_lower_bound(&mut self, side: Side, set: &[FunctionId], pos: usize) -> f64 {
@@ -350,12 +367,10 @@ impl KlObjective for CachedEval<'_> {
     }
 
     fn swapped_eval(&mut self, side: Side, set: &[FunctionId], pos: usize) -> f64 {
-        let summary = &self.sides[side as usize];
-        if let Some(makespan) = summary.makespan_with(self.catalog, pos, set[pos]) {
-            return makespan.as_millis_f64();
+        match self.sides[side as usize].makespan_with(self.catalog, pos, set[pos]) {
+            Some(makespan) => makespan.as_millis_f64(),
+            None => self.cached_makespan_ms(set),
         }
-        let key = summary.key_with(self.catalog, pos, set[pos]);
-        self.makespan_ms(set, key)
     }
 }
 
@@ -497,16 +512,7 @@ impl PgpScheduler {
     ) -> ScheduleOutcome {
         let check = self.predictor.conservative(config.conservative_margin);
         let catalog = SegmentCatalog::new(profile);
-        let mut eval = CachedEval {
-            predictor: &self.predictor,
-            check: &check,
-            workflow,
-            catalog: &catalog,
-            cache,
-            scratch: PredictScratch::new(),
-            sides: Default::default(),
-            searched: Vec::new(),
-        };
+        let mut eval = CachedEval::new(&self.predictor, &check, workflow, &catalog, cache);
         let before = cache.stats();
         let mut outcome = self.dispatch(workflow, config, &mut eval);
         let after = cache.stats();
@@ -713,18 +719,18 @@ impl PgpScheduler {
 
     /// Round-robin stage partitions into `n` processes followed by KL
     /// refinement (Algorithm 2 lines 6–11), exposed for plan enumeration.
+    /// Searched by the cached evaluator on a fresh cache, whose prunes are
+    /// exact: the partitions are the reference search's.
     pub fn partitions(
         &self,
         workflow: &Workflow,
         profile: &WorkflowProfile,
         n: usize,
     ) -> Vec<Vec<Vec<FunctionId>>> {
-        let mut eval = ReferenceEval {
-            predictor: &self.predictor,
-            check: &self.predictor,
-            workflow,
-            profile,
-        };
+        let catalog = SegmentCatalog::new(profile);
+        let cache = PredictionCache::new();
+        let mut eval =
+            CachedEval::new(&self.predictor, &self.predictor, workflow, &catalog, &cache);
         self.partition_stages(workflow, n, &mut eval, &mut KlStats::default())
     }
 

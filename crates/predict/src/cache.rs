@@ -208,27 +208,19 @@ impl StaggeredSet<'_> {
     /// position's function-content hash. Shared between the KL objective
     /// and the pack/trim plan evaluator, so a set first simulated during
     /// partitioning is a cache hit when the packed plan is priced.
-    ///
-    /// The positions are XOR-folded, so replacing the function at one
-    /// position changes the key by exactly two [`staggered_term`]s — the
-    /// delta [`StaggeredSummary::key_with`] applies.
     pub fn key(&self, interval: SimDuration) -> u64 {
-        let mut key = self.salt(interval);
-        for (i, &f) in self.set.iter().enumerate() {
-            key ^= staggered_term(self.catalog.content_hash(f), i);
-        }
-        key
-    }
-
-    /// The key's salt: everything but the per-position terms.
-    pub fn salt(&self, interval: SimDuration) -> u64 {
         let mut salt = Fnv1a::new();
         salt.write_u64(SALT_STAGGERED);
         salt.write_u64(interval.as_nanos());
         salt.write_u64(self.spacing.as_nanos());
         salt.write_u64(self.base.as_nanos());
         salt.write_u64(self.set.len() as u64);
-        salt.finish()
+        let mut key = salt.finish();
+        for (i, &f) in self.set.iter().enumerate() {
+            let pos = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            key ^= splitmix64(self.catalog.content_hash(f).wrapping_add(pos));
+        }
+        key
     }
 
     /// A cheap, exact lower bound on the simulated makespan, from the
@@ -271,31 +263,24 @@ impl StaggeredSet<'_> {
     }
 }
 
-/// The contribution of a function with content hash `hash` at position
-/// `pos` to a [`StaggeredSet::key`].
-pub fn staggered_term(hash: u64, pos: usize) -> u64 {
-    splitmix64(hash.wrapping_add((pos as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)))
-}
-
-/// A [`StaggeredSet`] summarised so that the key, the makespan lower
-/// bound and, for a CPU-only set, the makespan itself of any one-position
-/// replacement cost O(1) instead of O(set): the CPU sum, the XOR-folded
-/// key, and per position the key term, the CPU total, the largest
-/// `spacing·j + span` over the *other* positions (the max of a prefix and
-/// a suffix maximum), and prefix and suffix maxima of the closed form's
+/// A [`StaggeredSet`] summarised so that the makespan lower bound and,
+/// for a CPU-only set, the makespan itself of any one-position
+/// replacement cost O(1) instead of O(set): the CPU sum, and per position
+/// the CPU total, the largest `spacing·j + span` over the *other*
+/// positions (the max of a prefix and a suffix maximum), and prefix and
+/// suffix maxima of the closed form's
 /// `reach(i) = base + spacing·i + Σ_{j≥i} cpu_j`.
 ///
 /// The Kernighan–Lin pass rebuilds one summary per side per round and
 /// then scores every candidate swap against it; the buffers are reused
 /// across rebuilds. A CPU-only candidate is scored by
-/// [`makespan_with`](StaggeredSummary::makespan_with) and never keyed.
+/// [`makespan_with`](StaggeredSummary::makespan_with); any other is
+/// keyed by [`StaggeredSet::key`] and looked up in the cache.
 #[derive(Debug, Clone, Default)]
 pub struct StaggeredSummary {
     base: SimDuration,
     spacing: SimDuration,
     cpu_sum: SimDuration,
-    key: u64,
-    terms: Vec<u64>,
     cpus: Vec<SimDuration>,
     /// `others_tail[i]` = max over `j != i` of `spacing·j + span(set[j])`.
     others_tail: Vec<SimDuration>,
@@ -308,17 +293,13 @@ pub struct StaggeredSummary {
 }
 
 impl StaggeredSummary {
-    /// Re-summarises the buffers for `src`, keyed under `interval`; with
-    /// `None` the key and its terms are skipped, and only
-    /// [`makespan_with`](Self::makespan_with) and the bound may be asked.
-    pub fn rebuild(&mut self, src: &StaggeredSet<'_>, interval: Option<SimDuration>) {
+    /// Re-summarises the buffers for `src`.
+    pub fn rebuild(&mut self, src: &StaggeredSet<'_>) {
         let n = src.set.len();
         self.base = src.base;
         self.spacing = src.spacing;
         self.cpu_sum = SimDuration::ZERO;
-        self.key = interval.map_or(0, |interval| src.salt(interval));
         self.cpu_only = true;
-        self.terms.clear();
         self.cpus.clear();
         self.others_tail.clear();
         self.reach_pre.clear();
@@ -326,11 +307,6 @@ impl StaggeredSummary {
         // Prefix pass: the max over the positions before each one.
         let mut prefix = SimDuration::ZERO;
         for (i, &f) in src.set.iter().enumerate() {
-            if interval.is_some() {
-                let term = staggered_term(src.catalog.content_hash(f), i);
-                self.key ^= term;
-                self.terms.push(term);
-            }
             let cpu = src.catalog.cpu_total(f);
             self.cpu_sum += cpu;
             self.cpus.push(cpu);
@@ -354,12 +330,6 @@ impl StaggeredSummary {
         for i in 1..n {
             self.reach_pre[i] = self.reach_pre[i].max(self.reach_pre[i - 1]);
         }
-    }
-
-    /// [`StaggeredSet::key`] of the summarised set with position `pos`
-    /// holding `incoming` instead.
-    pub fn key_with(&self, catalog: &SegmentCatalog, pos: usize, incoming: FunctionId) -> u64 {
-        self.key ^ self.terms[pos] ^ staggered_term(catalog.content_hash(incoming), pos)
     }
 
     /// [`StaggeredSet::makespan_lower_bound`] of the summarised set with

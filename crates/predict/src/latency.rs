@@ -14,12 +14,12 @@
 //! platform is Chiron's prediction error (Fig. 12).
 
 use crate::cache::{content_key, FlatThreads, PredictionCache, SegmentCatalog, StaggeredSet};
-use crate::threadsim::{predict_threads, predict_true_parallel, SimArena, SimThread};
+use crate::threadsim::{predict_threads, predict_true_parallel, SimArena, SimOutcome, SimThread};
 use chiron_isolation::IsolationCosts;
 use chiron_model::plan::ProcessSpawn;
 use chiron_model::{
-    CostModel, DeploymentPlan, NodePlacement, PlatformConfig, SchedulingKind, SchedulingModel,
-    Segment, SimDuration, TransferKind, Workflow, WrapPlan,
+    CostModel, DeploymentPlan, FunctionId, NodePlacement, PlatformConfig, RuntimeKind,
+    SchedulingKind, SchedulingModel, Segment, SimDuration, TransferKind, Workflow, WrapPlan,
 };
 use chiron_profiler::WorkflowProfile;
 use chiron_store::TransferModel;
@@ -27,6 +27,23 @@ use chiron_store::TransferModel;
 /// Size of the initial request payload entering stage 1 (matches the
 /// virtual platform's constant).
 const REQUEST_PAYLOAD_BYTES: u64 = 1 << 10;
+
+/// Eq. 4's `T_exec` of one process: its functions run as threads created
+/// `thread_clone` apart from `offset` (isolation startup + input read),
+/// their segments stretched by the isolation overheads when the process
+/// is `isolated`, in a sandbox of `cpus` CPUs.
+type ProcessEval<'a> = dyn FnMut(&[FunctionId], SimDuration, bool, u32) -> SimOutcome + 'a;
+
+/// `seg` with its duration stretched by the isolation overheads.
+fn stretch(iso: &IsolationCosts, seg: Segment) -> Segment {
+    match seg {
+        Segment::Cpu(_) => Segment::Cpu(iso.stretch_segment(seg)),
+        Segment::Block { kind, .. } => Segment::Block {
+            kind,
+            dur: iso.stretch_segment(seg),
+        },
+    }
+}
 
 /// The white-box latency predictor.
 #[derive(Debug, Clone)]
@@ -64,7 +81,8 @@ impl Predictor {
         }
     }
 
-    /// Predicts the end-to-end latency of `plan` for one request (Eq. 1).
+    /// Predicts the end-to-end latency of `plan` for one request (Eq. 1),
+    /// materialising and simulating each process's threads afresh.
     pub fn predict(
         &self,
         workflow: &Workflow,
@@ -72,8 +90,30 @@ impl Predictor {
         plan: &DeploymentPlan,
     ) -> SimDuration {
         let iso = IsolationCosts::for_kind(plan.isolation);
-        self.compose(workflow, plan, &mut |wrap, bytes, read, write| {
-            self.wrap_latency(workflow, profile, plan, wrap, bytes, read, write, &iso)
+        self.compose(workflow, plan, &iso, &mut |set, offset, isolated, cpus| {
+            let threads: Vec<SimThread> = set
+                .iter()
+                .enumerate()
+                .map(|(ti, &fid)| SimThread {
+                    created_at: self.costs.thread_clone * ti as u64 + offset,
+                    segments: profile
+                        .function(fid)
+                        .segments()
+                        .into_iter()
+                        .map(|seg| if isolated { stretch(&iso, seg) } else { seg })
+                        .collect(),
+                })
+                .collect();
+            match plan.runtime {
+                RuntimeKind::PseudoParallel => {
+                    predict_threads(&threads, self.costs.gil_switch_interval)
+                }
+                RuntimeKind::TrueParallel => {
+                    let tasks: Vec<Vec<Segment>> =
+                        threads.into_iter().map(|t| t.segments).collect();
+                    self.true_parallel(&tasks, offset, cpus)
+                }
+            }
         })
     }
 
@@ -90,20 +130,69 @@ impl Predictor {
         scratch: &mut PredictScratch,
     ) -> SimDuration {
         let iso = IsolationCosts::for_kind(plan.isolation);
-        self.compose(workflow, plan, &mut |wrap, bytes, read, write| {
-            self.wrap_latency_cached(
-                workflow, plan, wrap, bytes, read, write, &iso, catalog, cache, scratch,
-            )
+        let interval = self.costs.gil_switch_interval;
+        let spacing = self.costs.thread_clone;
+        self.compose(workflow, plan, &iso, &mut |set, offset, isolated, cpus| {
+            // Identity stretches (IsolationKind::None has zero overheads)
+            // leave segments bit-identical, so the catalog's unstretched
+            // slices can be simulated directly.
+            let stretched = isolated && (iso.cpu_overhead != 0.0 || iso.io_overhead != 0.0);
+            let scaled = |&seg: &Segment| if stretched { stretch(&iso, seg) } else { seg };
+            match plan.runtime {
+                RuntimeKind::PseudoParallel if !stretched => {
+                    let src = StaggeredSet {
+                        set,
+                        catalog,
+                        spacing,
+                        base: offset,
+                    };
+                    cache.get_or_simulate(src.key(interval), &src, interval, &mut scratch.arena)
+                }
+                RuntimeKind::PseudoParallel => {
+                    let PredictScratch {
+                        arena,
+                        created,
+                        ranges,
+                        segments,
+                    } = &mut *scratch;
+                    created.clear();
+                    ranges.clear();
+                    segments.clear();
+                    for (ti, &fid) in set.iter().enumerate() {
+                        created.push(spacing * ti as u64 + offset);
+                        let from = segments.len() as u32;
+                        segments.extend(catalog.segments(fid).iter().map(scaled));
+                        ranges.push((from, segments.len() as u32));
+                    }
+                    let src = FlatThreads {
+                        created,
+                        ranges,
+                        segments,
+                    };
+                    cache.get_or_simulate(content_key(&src, interval), &src, interval, arena)
+                }
+                RuntimeKind::TrueParallel => {
+                    // Cold path: PGP never emits truly parallel plans, so
+                    // this materialises the tasks without memoisation.
+                    let tasks: Vec<Vec<Segment>> = set
+                        .iter()
+                        .map(|&fid| catalog.segments(fid).iter().map(scaled).collect())
+                        .collect();
+                    self.true_parallel(&tasks, offset, cpus)
+                }
+            }
         })
     }
 
-    /// Eq. 1 + Eq. 2: stage composition over a per-wrap latency evaluator
-    /// (`predict` and `predict_cached` differ only in that evaluator).
+    /// Eq. 1 + Eq. 2: stage composition over Eq. 3/4's per-wrap latency,
+    /// with each process's execution from `process` (`predict` and
+    /// `predict_cached` differ only in that evaluator).
     fn compose(
         &self,
         workflow: &Workflow,
         plan: &DeploymentPlan,
-        wrap_latency: &mut dyn FnMut(&WrapPlan, u64, bool, bool) -> SimDuration,
+        iso: &IsolationCosts,
+        process: &mut ProcessEval<'_>,
     ) -> SimDuration {
         let store_based = !matches!(
             plan.transfer,
@@ -173,7 +262,16 @@ impl Predictor {
                 };
                 let read_input = store_based && si > 0;
                 let write_output = store_based && si < last_stage;
-                let wrap_dur = wrap_latency(wrap, stage_input_bytes, read_input, write_output);
+                let wrap_dur = self.wrap_latency(
+                    workflow,
+                    plan,
+                    wrap,
+                    stage_input_bytes,
+                    read_input,
+                    write_output,
+                    iso,
+                    process,
+                );
                 let remote_return = plan.scheduling != SchedulingKind::PreDeployed || k > 0;
                 let mut end = invoke + wrap_dur;
                 if remote_return {
@@ -197,13 +295,13 @@ impl Predictor {
     fn wrap_latency(
         &self,
         workflow: &Workflow,
-        profile: &WorkflowProfile,
         plan: &DeploymentPlan,
         wrap: &WrapPlan,
         stage_input_bytes: u64,
         read_input: bool,
         write_output: bool,
         iso: &IsolationCosts,
+        process: &mut ProcessEval<'_>,
     ) -> SimDuration {
         let cpus = plan.sandbox(wrap.sandbox).expect("validated plan").cpus;
         let mut fork_idx: u64 = 0;
@@ -231,58 +329,19 @@ impl Predictor {
                 ProcessSpawn::MainReuse => SimDuration::ZERO,
             };
             let isolated = proc.spawn == ProcessSpawn::MainReuse || proc.functions.len() > 1;
-
-            let mut threads = Vec::with_capacity(proc.functions.len());
-            for (ti, &fid) in proc.functions.iter().enumerate() {
-                let mut created = self.costs.thread_clone * ti as u64;
-                if isolated {
-                    created += iso.startup;
-                }
-                if read_input {
-                    created += self
-                        .transfer
-                        .cross_sandbox(plan.transfer, stage_input_bytes);
-                }
-                let segments: Vec<Segment> = profile
-                    .function(fid)
-                    .segments()
-                    .into_iter()
-                    .map(|seg| {
-                        if !isolated {
-                            return seg;
-                        }
-                        match seg {
-                            Segment::Cpu(_) => Segment::Cpu(iso.stretch_segment(seg)),
-                            Segment::Block { kind, .. } => Segment::Block {
-                                kind,
-                                dur: iso.stretch_segment(seg),
-                            },
-                        }
-                    })
-                    .collect();
-                threads.push(SimThread {
-                    created_at: created,
-                    segments,
-                });
+            // Every thread starts after the isolation startup and the
+            // input read.
+            let mut offset = SimDuration::ZERO;
+            if isolated {
+                offset += iso.startup;
+            }
+            if read_input {
+                offset += self
+                    .transfer
+                    .cross_sandbox(plan.transfer, stage_input_bytes);
             }
 
-            let exec = match plan.runtime {
-                chiron_model::RuntimeKind::PseudoParallel => {
-                    predict_threads(&threads, self.costs.gil_switch_interval)
-                }
-                chiron_model::RuntimeKind::TrueParallel => {
-                    let max_created = threads
-                        .iter()
-                        .map(|t| t.created_at)
-                        .max()
-                        .unwrap_or(SimDuration::ZERO);
-                    let tasks: Vec<Vec<Segment>> =
-                        threads.into_iter().map(|t| t.segments).collect();
-                    let mut out = predict_true_parallel(&tasks, cpus);
-                    out.makespan += max_created;
-                    out
-                }
-            };
+            let exec = process(&proc.functions, offset, isolated, cpus);
             max_end = max_end.max(start + exec.makespan);
             total_cpu += exec.cpu_time;
 
@@ -306,6 +365,16 @@ impl Predictor {
         exec_end + ipc + max_write
     }
 
+    /// The work-conserving parallel bound of a truly parallel process's
+    /// `tasks` on `cpus`, from the creation of its last thread.
+    fn true_parallel(&self, tasks: &[Vec<Segment>], offset: SimDuration, cpus: u32) -> SimOutcome {
+        let mut out = predict_true_parallel(tasks, cpus);
+        if let Some(last) = tasks.len().checked_sub(1) {
+            out.makespan += self.costs.thread_clone * last as u64 + offset;
+        }
+        out
+    }
+
     /// Per-process serial drain cost (Eq. 3's `T_IPC` term): a pipe write
     /// by default, the ring's doorbell floor under the shm-ring tier (the
     /// wrap's processes share a node by construction).
@@ -315,150 +384,6 @@ impl Predictor {
         } else {
             self.costs.ipc_pipe
         }
-    }
-
-    /// `wrap_latency` with memoised, allocation-free process simulations.
-    #[allow(clippy::too_many_arguments)]
-    fn wrap_latency_cached(
-        &self,
-        workflow: &Workflow,
-        plan: &DeploymentPlan,
-        wrap: &WrapPlan,
-        stage_input_bytes: u64,
-        read_input: bool,
-        write_output: bool,
-        iso: &IsolationCosts,
-        catalog: &SegmentCatalog,
-        cache: &PredictionCache,
-        scratch: &mut PredictScratch,
-    ) -> SimDuration {
-        let cpus = plan.sandbox(wrap.sandbox).expect("validated plan").cpus;
-        let interval = self.costs.gil_switch_interval;
-        let mut fork_idx: u64 = 0;
-        let mut max_end = SimDuration::ZERO;
-        let mut total_cpu = SimDuration::ZERO;
-        let mut max_write = SimDuration::ZERO;
-
-        for proc in &wrap.processes {
-            let start = match proc.spawn {
-                ProcessSpawn::Fork => {
-                    let s = self.costs.process_block * fork_idx + self.costs.process_startup;
-                    fork_idx += 1;
-                    s
-                }
-                ProcessSpawn::Pool => {
-                    // Mirrors the DES: under the shm-ring tier the pool
-                    // dispatch payload rides the ring instead of a pipe.
-                    self.costs.pool_dispatch
-                        + if plan.transfer == TransferKind::ShmRing {
-                            self.transfer.shm_ring.latency(stage_input_bytes)
-                        } else {
-                            self.transfer.cross_process(stage_input_bytes)
-                        }
-                }
-                ProcessSpawn::MainReuse => SimDuration::ZERO,
-            };
-            let isolated = proc.spawn == ProcessSpawn::MainReuse || proc.functions.len() > 1;
-            let mut extra = SimDuration::ZERO;
-            if isolated {
-                extra += iso.startup;
-            }
-            if read_input {
-                extra += self
-                    .transfer
-                    .cross_sandbox(plan.transfer, stage_input_bytes);
-            }
-            // Identity stretches (IsolationKind::None has zero overheads)
-            // leave segments bit-identical, so the catalog's unstretched
-            // slices can be simulated directly.
-            let stretched = isolated && (iso.cpu_overhead != 0.0 || iso.io_overhead != 0.0);
-
-            let exec = match plan.runtime {
-                chiron_model::RuntimeKind::PseudoParallel if !stretched => {
-                    let src = StaggeredSet {
-                        set: &proc.functions,
-                        catalog,
-                        spacing: self.costs.thread_clone,
-                        base: extra,
-                    };
-                    cache.get_or_simulate(src.key(interval), &src, interval, &mut scratch.arena)
-                }
-                chiron_model::RuntimeKind::PseudoParallel => {
-                    let PredictScratch {
-                        arena,
-                        created,
-                        ranges,
-                        segments,
-                    } = scratch;
-                    created.clear();
-                    ranges.clear();
-                    segments.clear();
-                    for (ti, &fid) in proc.functions.iter().enumerate() {
-                        created.push(self.costs.thread_clone * ti as u64 + extra);
-                        let from = segments.len() as u32;
-                        segments.extend(catalog.segments(fid).iter().map(|&seg| match seg {
-                            Segment::Cpu(_) => Segment::Cpu(iso.stretch_segment(seg)),
-                            Segment::Block { kind, .. } => Segment::Block {
-                                kind,
-                                dur: iso.stretch_segment(seg),
-                            },
-                        }));
-                        ranges.push((from, segments.len() as u32));
-                    }
-                    let src = FlatThreads {
-                        created,
-                        ranges,
-                        segments,
-                    };
-                    cache.get_or_simulate(content_key(&src, interval), &src, interval, arena)
-                }
-                chiron_model::RuntimeKind::TrueParallel => {
-                    // Cold path: PGP never emits truly parallel plans, so
-                    // this mirrors the uncached build without memoisation.
-                    let mut max_created = SimDuration::ZERO;
-                    let mut tasks: Vec<Vec<Segment>> = Vec::with_capacity(proc.functions.len());
-                    for (ti, &fid) in proc.functions.iter().enumerate() {
-                        max_created = max_created.max(self.costs.thread_clone * ti as u64 + extra);
-                        tasks.push(
-                            catalog
-                                .segments(fid)
-                                .iter()
-                                .map(|&seg| {
-                                    if !stretched {
-                                        return seg;
-                                    }
-                                    match seg {
-                                        Segment::Cpu(_) => Segment::Cpu(iso.stretch_segment(seg)),
-                                        Segment::Block { kind, .. } => Segment::Block {
-                                            kind,
-                                            dur: iso.stretch_segment(seg),
-                                        },
-                                    }
-                                })
-                                .collect(),
-                        );
-                    }
-                    let mut out = predict_true_parallel(&tasks, cpus);
-                    out.makespan += max_created;
-                    out
-                }
-            };
-            max_end = max_end.max(start + exec.makespan);
-            total_cpu += exec.cpu_time;
-
-            if write_output {
-                for &fid in &proc.functions {
-                    let bytes = workflow.function(fid).output_bytes;
-                    max_write = max_write.max(self.transfer.cross_sandbox(plan.transfer, bytes));
-                }
-            }
-        }
-
-        let packed =
-            SimDuration::from_nanos((total_cpu.as_nanos() as f64 / f64::from(cpus)).ceil() as u64);
-        let exec_end = max_end.max(packed);
-        let ipc = self.drain_cost(plan) * (wrap.processes.len() as u64 - 1);
-        exec_end + ipc + max_write
     }
 }
 

@@ -22,8 +22,8 @@ pub mod latency;
 pub mod threadsim;
 
 pub use cache::{
-    content_key, partition_key, staggered_term, CacheStats, FlatThreads, KlStats, PartitionMemo,
-    PredictionCache, SegmentCatalog, StaggeredSet, StaggeredSummary,
+    content_key, partition_key, CacheStats, FlatThreads, KlStats, PartitionMemo, PredictionCache,
+    SegmentCatalog, StaggeredSet, StaggeredSummary,
 };
 pub use latency::{PredictScratch, Predictor};
 pub use threadsim::{

@@ -94,10 +94,6 @@ impl VirtualPlatform {
         &self.config
     }
 
-    pub fn transfer_model(&self) -> &TransferModel {
-        &self.transfer
-    }
-
     fn jitter_tables(&self) -> &JitterTables {
         self.jitter_tables
             .get_or_init(|| JitterTables::new(&self.config.jitter))

@@ -79,16 +79,6 @@ pub fn ring_stats() -> RingStats {
     }
 }
 
-/// Resets the global ring telemetry (scoped to the ring: other
-/// registered metrics are untouched).
-pub fn reset_ring_stats() {
-    RING_OCCUPANCY.reset();
-    RING_TORN_FRAMES.reset();
-    RING_CRC_FAILURES.reset();
-    RING_FULL_REJECTS.reset();
-    RING_BACKOFF_YIELDS.reset();
-}
-
 /// Bytes of frame header preceding every payload: `[len u32][crc u32]`.
 pub const FRAME_HEADER_BYTES: usize = 8;
 

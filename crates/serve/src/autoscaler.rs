@@ -37,18 +37,6 @@ impl Default for AutoscalerConfig {
     }
 }
 
-impl AutoscalerConfig {
-    pub fn with_p99_target(mut self, target: SimDuration) -> Self {
-        self.p99_target = target;
-        self
-    }
-
-    pub fn with_tick(mut self, tick: SimDuration) -> Self {
-        self.tick = tick;
-        self
-    }
-}
-
 /// Per-run autoscaler state: the sliding (per-tick) latency window.
 ///
 /// The window only ever answers one question — "is the windowed p99 over

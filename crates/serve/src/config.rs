@@ -150,18 +150,8 @@ impl ServeConfig {
         self
     }
 
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
-        self
-    }
-
     pub fn with_replicas(mut self, replicas: ReplicaConfig) -> Self {
         self.replicas = replicas;
-        self
-    }
-
-    pub fn with_autoscaler(mut self, autoscaler: AutoscalerConfig) -> Self {
-        self.autoscaler = autoscaler;
         self
     }
 

@@ -114,11 +114,6 @@ impl FleetConfig {
         self
     }
 
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        self.epoch = epoch;
-        self
-    }
-
     pub fn with_spill(mut self, threshold: u32, forward_latency: SimDuration) -> Self {
         self.spill_threshold = threshold;
         self.forward_latency = forward_latency;

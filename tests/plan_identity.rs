@@ -4,12 +4,16 @@
 //! that prunes or simulates different candidates shows up here even when
 //! the plans happen to agree. A re-plan on a warm cache replays memoised
 //! partitions; it must decide and audit exactly as a fresh search would.
+//! Likewise the search's memoised plan prediction equals the Predictor's
+//! own, on every system's plan.
 
+use chiron::model::plan::{RuntimeKind, SystemKind, TransferKind};
 use chiron::model::{
-    apps, DeploymentPlan, FunctionSpec, PlatformConfig, Segment, SimDuration, Workflow,
+    apps, DeploymentPlan, FunctionSpec, PlatformConfig, Segment, SimDuration, SyscallKind, Workflow,
 };
+use chiron::{profile_for, system_plan};
 use chiron_pgp::{KlStats, PgpConfig, PgpMode, PgpScheduler, ScheduleOutcome};
-use chiron_predict::{PredictionCache, Predictor};
+use chiron_predict::{PredictScratch, PredictionCache, Predictor, SegmentCatalog};
 use chiron_profiler::{Profiler, WorkflowProfile};
 
 fn scheduler() -> PgpScheduler {
@@ -60,6 +64,52 @@ fn fast_and_reference_searches_decide_identically() {
             }
         }
     }
+}
+
+#[test]
+fn cached_and_owned_predictions_agree_on_every_system_plan() {
+    let predictor = Predictor::from_config(&PlatformConfig::paper_calibrated());
+    let systems = [
+        SystemKind::Asf,
+        SystemKind::OpenFaas,
+        SystemKind::Sand,
+        SystemKind::Faastlane,
+        SystemKind::FaastlaneT,
+        SystemKind::FaastlanePlus,
+        SystemKind::Chiron,
+        SystemKind::FaastlaneM,
+        SystemKind::ChironM,
+        SystemKind::FaastlaneP,
+        SystemKind::ChironP,
+    ];
+    let cache = PredictionCache::new();
+    let mut scratch = PredictScratch::new();
+    let mut cases = 0;
+    for wf in &apps::evaluation_suite() {
+        let profile = profile_for(wf);
+        let catalog = SegmentCatalog::new(&profile);
+        for system in systems {
+            let plan = system_plan(system, wf, None);
+            let parallel = DeploymentPlan {
+                runtime: RuntimeKind::TrueParallel,
+                ..plan.clone()
+            };
+            let ring = DeploymentPlan {
+                transfer: TransferKind::ShmRing,
+                ..plan.clone()
+            };
+            for (variant, plan) in [("as built", plan), ("parallel", parallel), ("ring", ring)] {
+                assert_eq!(
+                    predictor.predict_cached(wf, &plan, &catalog, &cache, &mut scratch),
+                    predictor.predict(wf, &profile, &plan),
+                    "{} {system:?} {variant}",
+                    wf.name
+                );
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 264);
 }
 
 /// The cached search's effort on a fresh cache: every KL candidate
@@ -176,14 +226,19 @@ fn a_cold_schedule_never_replays_its_own_searches() {
     // Two parallel stages with equal ordered contents: the memo may only
     // serve the second stage from an earlier schedule, so a cold
     // schedule searches both and its cache lookups are those of a
-    // search without the memo (values read before the memo existed).
+    // search without the memo. Each rule blocks after its burst, so KL
+    // scores its candidates through keyed cache lookups rather than the
+    // CPU-only closed form, and a replayed search would show here.
     let rule_ms = [0.5, 0.7, 6.0, 1.0, 12.0, 0.5, 0.7, 6.0, 1.0, 12.0, 3.0, 2.0];
     let mut functions = vec![FunctionSpec::new("fetch", vec![Segment::cpu_ms(1)])];
     for stage in ["a", "b"] {
         for (i, ms) in rule_ms.iter().enumerate() {
             functions.push(FunctionSpec::new(
                 format!("rule_{stage}{i}"),
-                vec![Segment::cpu_ms_f64(*ms)],
+                vec![
+                    Segment::cpu_ms_f64(*ms),
+                    Segment::block_ms(SyscallKind::DiskIo, 1.0),
+                ],
             ));
         }
     }
@@ -205,11 +260,11 @@ fn a_cold_schedule_never_replays_its_own_searches() {
                 passes: 112,
                 rounds: 236,
                 candidates: 976,
-                pruned: 620,
+                pruned: 532,
                 applied: 60,
             },
-            464,
-            25,
+            1667,
+            272,
         )
     );
     let warm = sched.schedule_with_cache(&wf, &profile, &config, &cache);

@@ -402,7 +402,7 @@ proptest! {
         let mut set: Vec<FunctionId> =
             picks.iter().map(|&p| FunctionId((p % fns.len()) as u32)).collect();
         let mut summary = StaggeredSummary::default();
-        summary.rebuild(&StaggeredSet { set: &set, ..shape }, None);
+        summary.rebuild(&StaggeredSet { set: &set, ..shape });
         prop_assert_eq!(whole(&set), Some(algorithm1(&set)));
         for pos in 0..set.len() {
             for f in ids() {
@@ -415,7 +415,7 @@ proptest! {
             }
         }
         set[picks[0] % picks.len()] = blocked;
-        summary.rebuild(&StaggeredSet { set: &set, ..shape }, Some(interval));
+        summary.rebuild(&StaggeredSet { set: &set, ..shape });
         prop_assert_eq!(whole(&set), None);
         for pos in 0..set.len() {
             for f in ids() {
