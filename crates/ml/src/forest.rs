@@ -3,6 +3,7 @@
 //! bootstrap sampling, per-split feature subsampling, mean aggregation).
 
 use crate::tree::{RegressionTree, TreeConfig};
+use crate::{check_fit, FitError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -33,9 +34,8 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Fits `config.n_trees` trees on bootstrap resamples of `(x, y)`.
-    pub fn fit(x: &[Vec<f64>], y: &[f64], config: ForestConfig) -> Self {
-        assert_eq!(x.len(), y.len());
-        assert!(!x.is_empty(), "cannot fit on an empty dataset");
+    pub fn fit(x: &[Vec<f64>], y: &[f64], config: ForestConfig) -> Result<Self, FitError> {
+        check_fit(x, y, Vec::is_empty)?;
         let n = x.len();
         let n_features = x[0].len();
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -63,9 +63,9 @@ impl RandomForest {
                 all.truncate(k);
                 all
             };
-            trees.push(RegressionTree::fit(&bx, &by, config.tree, &mut picker));
+            trees.push(RegressionTree::fit(&bx, &by, config.tree, &mut picker)?);
         }
-        RandomForest { trees }
+        Ok(RandomForest { trees })
     }
 
     /// Mean prediction over all trees.
@@ -98,7 +98,7 @@ mod tests {
     #[test]
     fn learns_smooth_function() {
         let (x, y) = dataset();
-        let forest = RandomForest::fit(&x, &y, ForestConfig::default());
+        let forest = RandomForest::fit(&x, &y, ForestConfig::default()).unwrap();
         assert_eq!(forest.n_trees(), 50);
         let pred = forest.predict(&[15.0, 1.0]);
         assert!((pred - 46.0).abs() < 6.0, "prediction {pred}");
@@ -107,20 +107,24 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let (x, y) = dataset();
-        let a = RandomForest::fit(&x, &y, ForestConfig::default()).predict(&[10.0, 0.0]);
-        let b = RandomForest::fit(&x, &y, ForestConfig::default()).predict(&[10.0, 0.0]);
+        let a = RandomForest::fit(&x, &y, ForestConfig::default())
+            .unwrap()
+            .predict(&[10.0, 0.0]);
+        let b = RandomForest::fit(&x, &y, ForestConfig::default())
+            .unwrap()
+            .predict(&[10.0, 0.0]);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
         let (x, y) = dataset();
-        let a = RandomForest::fit(&x, &y, ForestConfig::default());
+        let a = RandomForest::fit(&x, &y, ForestConfig::default()).unwrap();
         let cfg = ForestConfig {
             seed: 999,
             ..ForestConfig::default()
         };
-        let b = RandomForest::fit(&x, &y, cfg);
+        let b = RandomForest::fit(&x, &y, cfg).unwrap();
         // The ensembles are different (predictions usually differ slightly).
         let pa = a.predict(&[12.5, 1.5]);
         let pb = b.predict(&[12.5, 1.5]);
@@ -130,7 +134,8 @@ mod tests {
 
     #[test]
     fn single_sample_dataset() {
-        let forest = RandomForest::fit(&[vec![1.0, 2.0]], &[42.0], ForestConfig::default());
+        let forest =
+            RandomForest::fit(&[vec![1.0, 2.0]], &[42.0], ForestConfig::default()).unwrap();
         assert_eq!(forest.predict(&[9.0, 9.0]), 42.0);
     }
 }

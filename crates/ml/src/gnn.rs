@@ -11,6 +11,7 @@
 // rewrites obscure the math and fight the split mutable borrows.
 #![allow(clippy::needless_range_loop)]
 
+use crate::{check_fit, FitError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -105,9 +106,12 @@ pub struct GnnRegressor {
 
 impl GnnRegressor {
     /// Trains on graphs `(node features, adjacency)` with scalar targets.
-    pub fn fit(graphs: &[(Matrix, Matrix)], y: &[f64], config: GnnConfig) -> Self {
-        assert_eq!(graphs.len(), y.len());
-        assert!(!graphs.is_empty(), "cannot fit on an empty dataset");
+    pub fn fit(
+        graphs: &[(Matrix, Matrix)],
+        y: &[f64],
+        config: GnnConfig,
+    ) -> Result<Self, FitError> {
+        check_fit(graphs, y, |(nodes, _)| nodes.is_empty())?;
         let input_dim = graphs[0].0[0].len();
         let h = config.hidden;
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -180,7 +184,7 @@ impl GnnRegressor {
                 model.sgd_step(&prepared[s].0, &prepared[s].1, target, config.lr);
             }
         }
-        model
+        Ok(model)
     }
 
     fn normalise_nodes(&self, nodes: &Matrix) -> Matrix {
@@ -329,7 +333,7 @@ mod tests {
     #[test]
     fn learns_additive_graph_target() {
         let (graphs, y) = dataset(50);
-        let model = GnnRegressor::fit(&graphs, &y, GnnConfig::default());
+        let model = GnnRegressor::fit(&graphs, &y, GnnConfig::default()).unwrap();
         let mut abs_err = 0.0;
         for ((nodes, adj), &target) in graphs.iter().zip(&y) {
             abs_err += (model.predict(nodes, adj) - target).abs();
@@ -349,8 +353,12 @@ mod tests {
             epochs: 10,
             ..GnnConfig::default()
         };
-        let a = GnnRegressor::fit(&graphs, &y, cfg).predict(&graphs[0].0, &graphs[0].1);
-        let b = GnnRegressor::fit(&graphs, &y, cfg).predict(&graphs[0].0, &graphs[0].1);
+        let a = GnnRegressor::fit(&graphs, &y, cfg)
+            .unwrap()
+            .predict(&graphs[0].0, &graphs[0].1);
+        let b = GnnRegressor::fit(&graphs, &y, cfg)
+            .unwrap()
+            .predict(&graphs[0].0, &graphs[0].1);
         assert_eq!(a, b);
     }
 
@@ -364,7 +372,8 @@ mod tests {
                 epochs: 20,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         for (nodes, adj) in &graphs {
             assert!(model.predict(nodes, adj).is_finite());
         }

@@ -20,3 +20,49 @@ pub use forest::{ForestConfig, RandomForest};
 pub use gnn::{GnnConfig, GnnRegressor};
 pub use lstm::{LstmConfig, LstmRegressor};
 pub use tree::{RegressionTree, TreeConfig};
+
+/// Why a learned baseline's `fit` refused its training data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FitError {
+    /// No samples to fit on.
+    EmptyDataset,
+    /// The inputs and the targets differ in number.
+    LengthMismatch { inputs: usize, targets: usize },
+    /// The first sample, which fixes the input width, is empty: no
+    /// features (tree, forest), no steps (LSTM) or no nodes (GNN).
+    EmptyFirstSample,
+}
+
+impl std::fmt::Display for FitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FitError::EmptyDataset => write!(f, "cannot fit on an empty dataset"),
+            FitError::LengthMismatch { inputs, targets } => {
+                write!(f, "{inputs} inputs but {targets} targets")
+            }
+            FitError::EmptyFirstSample => write!(f, "the first sample is empty"),
+        }
+    }
+}
+
+impl std::error::Error for FitError {}
+
+/// Checks what every `fit` needs of its data: as many targets as inputs,
+/// at least one sample, and a non-empty first sample.
+fn check_fit<T>(
+    inputs: &[T],
+    targets: &[f64],
+    first_is_empty: impl FnOnce(&T) -> bool,
+) -> Result<(), FitError> {
+    if inputs.len() != targets.len() {
+        return Err(FitError::LengthMismatch {
+            inputs: inputs.len(),
+            targets: targets.len(),
+        });
+    }
+    match inputs.first() {
+        None => Err(FitError::EmptyDataset),
+        Some(first) if first_is_empty(first) => Err(FitError::EmptyFirstSample),
+        Some(_) => Ok(()),
+    }
+}

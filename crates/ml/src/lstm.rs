@@ -9,6 +9,7 @@
 // rewrites obscure the math and fight the split mutable borrows.
 #![allow(clippy::needless_range_loop)]
 
+use crate::{check_fit, FitError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,9 +71,8 @@ struct StepCache {
 impl LstmRegressor {
     /// Trains on sequences `x` (each a `Vec` of per-step feature vectors)
     /// with scalar targets `y`.
-    pub fn fit(x: &[Vec<Vec<f64>>], y: &[f64], config: LstmConfig) -> Self {
-        assert_eq!(x.len(), y.len());
-        assert!(!x.is_empty(), "cannot fit on an empty dataset");
+    pub fn fit(x: &[Vec<Vec<f64>>], y: &[f64], config: LstmConfig) -> Result<Self, FitError> {
+        check_fit(x, y, Vec::is_empty)?;
         let input_dim = x[0][0].len();
         let h = config.hidden;
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -142,7 +142,7 @@ impl LstmRegressor {
                 model.sgd_step(&x[s], y[s], config.lr);
             }
         }
-        model
+        Ok(model)
     }
 
     fn normalise(&self, step: &[f64]) -> Vec<f64> {
@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn learns_additive_sequence_target() {
         let (x, y) = dataset(60);
-        let model = LstmRegressor::fit(&x, &y, LstmConfig::default());
+        let model = LstmRegressor::fit(&x, &y, LstmConfig::default()).unwrap();
         let mut abs_err = 0.0;
         for (seq, &target) in x.iter().zip(&y) {
             abs_err += (model.predict(seq) - target).abs();
@@ -327,8 +327,8 @@ mod tests {
             epochs: 5,
             ..LstmConfig::default()
         };
-        let a = LstmRegressor::fit(&x, &y, cfg).predict(&x[0]);
-        let b = LstmRegressor::fit(&x, &y, cfg).predict(&x[0]);
+        let a = LstmRegressor::fit(&x, &y, cfg).unwrap().predict(&x[0]);
+        let b = LstmRegressor::fit(&x, &y, cfg).unwrap().predict(&x[0]);
         assert_eq!(a, b);
     }
 
@@ -340,7 +340,7 @@ mod tests {
             epochs: 50,
             ..LstmConfig::default()
         };
-        let model = LstmRegressor::fit(&x, &y, cfg);
+        let model = LstmRegressor::fit(&x, &y, cfg).unwrap();
         let pred = model.predict(&x[0]);
         assert!((pred - 10.0).abs() < 1.0, "pred {pred}");
     }
@@ -355,7 +355,8 @@ mod tests {
                 epochs: 30,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         for seq in &x {
             assert!(model.predict(seq).is_finite());
         }

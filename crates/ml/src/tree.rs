@@ -5,6 +5,8 @@
 //! `RandomForestRegressor` with default parameters; this mirrors its core
 //! algorithm.
 
+use crate::{check_fit, FitError};
+
 /// Configuration of one regression tree.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeConfig {
@@ -53,13 +55,12 @@ impl RegressionTree {
         y: &[f64],
         config: TreeConfig,
         feature_pick: &mut impl FnMut(usize) -> Vec<usize>,
-    ) -> Self {
-        assert_eq!(x.len(), y.len());
-        assert!(!x.is_empty(), "cannot fit on an empty dataset");
+    ) -> Result<Self, FitError> {
+        check_fit(x, y, Vec::is_empty)?;
         let n_features = x[0].len();
         let idx: Vec<usize> = (0..x.len()).collect();
         let root = build(x, y, &idx, 0, config, n_features, feature_pick);
-        RegressionTree { root, n_features }
+        Ok(RegressionTree { root, n_features })
     }
 
     pub fn predict(&self, sample: &[f64]) -> f64 {
@@ -188,7 +189,7 @@ mod tests {
     fn fits_a_step_function() {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![f64::from(i)]).collect();
         let y: Vec<f64> = (0..20).map(|i| if i < 10 { 1.0 } else { 5.0 }).collect();
-        let tree = RegressionTree::fit(&x, &y, TreeConfig::default(), &mut all_features);
+        let tree = RegressionTree::fit(&x, &y, TreeConfig::default(), &mut all_features).unwrap();
         assert_eq!(tree.predict(&[3.0]), 1.0);
         assert_eq!(tree.predict(&[15.0]), 5.0);
     }
@@ -197,7 +198,7 @@ mod tests {
     fn constant_target_is_single_leaf() {
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![f64::from(i)]).collect();
         let y = vec![7.0; 10];
-        let tree = RegressionTree::fit(&x, &y, TreeConfig::default(), &mut all_features);
+        let tree = RegressionTree::fit(&x, &y, TreeConfig::default(), &mut all_features).unwrap();
         assert_eq!(tree.depth(), 0);
         assert_eq!(tree.predict(&[4.2]), 7.0);
     }
@@ -210,7 +211,7 @@ mod tests {
             max_depth: 3,
             ..TreeConfig::default()
         };
-        let tree = RegressionTree::fit(&x, &y, cfg, &mut all_features);
+        let tree = RegressionTree::fit(&x, &y, cfg, &mut all_features).unwrap();
         assert!(tree.depth() <= 3);
     }
 
@@ -225,7 +226,7 @@ mod tests {
                 y.push(f64::from(j) * 2.0);
             }
         }
-        let tree = RegressionTree::fit(&x, &y, TreeConfig::default(), &mut all_features);
+        let tree = RegressionTree::fit(&x, &y, TreeConfig::default(), &mut all_features).unwrap();
         assert!((tree.predict(&[0.0, 7.0]) - 14.0).abs() < 1e-9);
         assert!((tree.predict(&[9.0, 2.0]) - 4.0).abs() < 1e-9);
     }
@@ -238,7 +239,8 @@ mod tests {
             &[1.0],
             TreeConfig::default(),
             &mut all_features,
-        );
+        )
+        .unwrap();
         tree.predict(&[1.0, 2.0]);
     }
 }

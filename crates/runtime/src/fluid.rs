@@ -19,25 +19,38 @@
 //!
 //! The engine is exact for piecewise-constant rates: it advances from event
 //! to event (thread starts, segment completions, GIL switch expiries) and
-//! never time-steps.
+//! never time-steps. It has two regimes.
 //!
-//! **Uncontended sandboxes in closed form.** When no process hosts two
-//! threads under the GIL and the sandbox has a CPU for every thread, no
-//! thread can ever wait: every run-slot request is granted at the instant
-//! it is made, the running set never exceeds the CPUs, and the rate is
-//! exactly 1.0. Each thread then runs its segments back to back from its
-//! start: a nonzero CPU segment is one `Exec` span, a nonzero block one
-//! `Io` span, and a zero-length segment is skipped (a zero-length block
-//! still marks the thread's first progress). The engine replays such a
-//! sandbox that way, with no event loop. The result is bit-identical, not
-//! approximate: durations are integer nanoseconds below 2⁵³, so at rate
-//! 1.0 every remaining-work and CPU-time float the loop would compute is
-//! an exact integer, each CPU segment ends exactly `d` after it starts,
-//! and the CPU time is the plain sum of the CPU durations. The event
-//! count is the number of distinct instants the loop would visit: the
-//! lane starts and the ends of nonzero segments. Every Faastlane and
-//! OpenFaaS wrap of the suite is such a sandbox (one thread per process);
-//! Chiron's multi-thread processes take the loop.
+//! **A CPU per process: each process replayed alone.** Under the GIL a
+//! process runs at most one thread at a time, and separate processes run
+//! in parallel; so when every process that hosts a thread can hold a CPU of
+//! its own (processes ≤ CPUs under the GIL, threads ≤ CPUs under true
+//! parallelism, where each thread is its own domain), the running set
+//! never exceeds the CPUs and the fluid rate is exactly 1.0. No process
+//! can then affect another: a process's grants, preemptions and quantum
+//! ends depend only on its own threads. The engine replays such a sandbox
+//! one process at a time, in integer nanoseconds: the process's own
+//! arrival order, a ready set that yields the CFS `(cpu_used, index)`
+//! minimum, one GIL holder with its quantum end, and its own I/O wakes. A
+//! process with one thread never meets a waiter, so that thread runs its
+//! segments back to back from its start: a nonzero CPU segment is one
+//! `Exec` span, a nonzero block one `Io` span, and a zero-length segment is
+//! skipped (a zero-length block still marks the thread's first progress).
+//! The result is bit-identical to the shared loop, not approximate:
+//! durations are integer nanoseconds below 2⁵³, so at rate 1.0 every
+//! remaining-work and CPU-time float the loop would compute is an exact
+//! integer, each CPU burst ends exactly its remaining work after its grant,
+//! and within one instant the loop's steps touch each process's state
+//! alone, in the order the replay applies them. The event count is the
+//! number of distinct instants the shared loop would visit: the union of
+//! every process's visited instants (arrivals, I/O wakes, burst ends, and
+//! quantum ends while a sibling waits). Every Faastlane and OpenFaaS wrap
+//! of the suite takes this regime, and so does nearly every Chiron wrap.
+//!
+//! **Contended sandboxes: one shared event loop.** When processes
+//! outnumber CPUs (threads, without the GIL), the fluid rate can drop
+//! below 1.0 and the processes interact through it, so every thread of the
+//! sandbox advances in one loop.
 
 // Index loops are deliberate here: the engine mutates `threads[i]` while
 // consulting `holder`/`quantum_end`, which iterator forms cannot express.
@@ -182,6 +195,12 @@ struct ThreadState {
 ///   non-empty and leaves after the grant step empties it.
 /// * `ready_fifo` — run-slot requests when no process hosts two threads
 ///   (or under true parallelism): every request is granted at once.
+///
+/// The per-process replay reuses `threads` and `wake`, and keeps
+/// `arrivals` grouped by process (`proc_end[p]` is where process `p`'s
+/// run ends). Its ready set, `proc_ready`, is the replayed process's
+/// `(cpu_used bits, index)` pairs, unordered: a grant takes the least by a
+/// scan, which for the few threads a process hosts costs less than a heap.
 #[derive(Debug, Default)]
 pub(crate) struct FluidScratch {
     threads: Vec<ThreadState>,
@@ -191,13 +210,15 @@ pub(crate) struct FluidScratch {
     ready_fifo: Vec<usize>,
     waiting: Vec<usize>,
     arrivals: Vec<(SimTime, usize)>,
+    proc_end: Vec<usize>,
+    proc_ready: Vec<(u64, usize)>,
     wake: BinaryHeap<Reverse<(SimTime, usize)>>,
     running: Vec<usize>,
     run_rem: Vec<f64>,
     run_cpu: Vec<f64>,
     run_pos: Vec<usize>,
     ends: Vec<LaneEnd>,
-    /// The closed form's event instants, counted once each.
+    /// The per-process replay's event instants, counted once each.
     instants: InstantSet,
     /// Counter increments not yet added to the global counters.
     pub(crate) stats: SimStats,
@@ -273,7 +294,7 @@ pub fn execute_sandbox(
 }
 
 /// How one lane's simulation ended.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LaneEnd {
     /// First instant the thread made progress (CPU granted or I/O issued).
     pub(crate) exec_start: SimTime,
@@ -314,24 +335,14 @@ pub(crate) fn simulate<'a>(
         gil_interval,
     } = sandbox;
     debug_assert!(cpus > 0 && (runtime == RuntimeKind::TrueParallel || !gil_interval.is_zero()));
+    debug_assert_eq!(spans.len(), lanes.len());
     let FluidScratch {
         threads,
-        holder,
-        quantum_end,
-        ready,
-        ready_fifo,
-        waiting,
-        arrivals,
-        wake,
-        running,
-        run_rem,
-        run_cpu,
-        run_pos,
+        proc_end,
         ends,
-        instants,
         stats,
+        ..
     } = scratch;
-    debug_assert_eq!(spans.len(), lanes.len());
 
     // Per-thread state lives in slots kept from earlier calls; a call
     // with more threads than any before grows them.
@@ -357,29 +368,166 @@ pub(crate) fn simulate<'a>(
         });
     }
 
-    // A thread alone in its process never meets a GIL waiter, so it runs
-    // exactly as under true parallelism (grants happen at the same instant
-    // either way, and no quantum can expire without a waiter). The GIL is
-    // simulated only when some process hosts two or more threads; the
-    // check borrows `holder`, which only the GIL path reads afterwards.
-    let gil = runtime == RuntimeKind::PseudoParallel && lanes.len() > 1 && {
-        holder.clear();
-        holder.resize(n_procs, None);
-        lanes
-            .iter()
-            .enumerate()
-            .any(|(i, lane)| holder[lane.process].replace(i).is_some())
+    // Count the processes that host a lane under the GIL; without it each
+    // thread is its own domain. `gil` is set when some process hosts two
+    // or more threads: a thread alone in its process never meets a GIL
+    // waiter, so it runs exactly as under true parallelism.
+    let mut gil = false;
+    let domains = if runtime == RuntimeKind::PseudoParallel && n > 1 {
+        proc_end.clear();
+        proc_end.resize(n_procs, 0);
+        let mut domains = 0;
+        for lane in lanes {
+            let count = &mut proc_end[lane.process];
+            domains += usize::from(*count == 0);
+            gil |= *count > 0;
+            *count += 1;
+        }
+        domains
+    } else {
+        n
     };
-    if !gil && n <= cpus as usize {
-        uncontended(lanes, segments, spans, ends, instants, stats);
-        return ends;
+    if domains <= cpus as usize {
+        replay_each_domain(lanes, segments, gil_interval, gil, domains, scratch, spans);
+    } else {
+        shared_loop(lanes, segments, n_procs, sandbox, gil, scratch, spans);
     }
+    &scratch.ends
+}
 
+/// The first regime (see the module doc): every domain can hold a CPU of
+/// its own, so each is replayed alone. With `gil`, `scratch.proc_end`
+/// holds each process's lane count; `domains` is how many host a lane.
+fn replay_each_domain(
+    lanes: &[Lane],
+    segments: &[Segment],
+    gil_interval: SimDuration,
+    gil: bool,
+    domains: usize,
+    scratch: &mut FluidScratch,
+    spans: &mut [Vec<Span>],
+) {
+    let FluidScratch {
+        threads,
+        arrivals,
+        proc_end,
+        proc_ready,
+        wake,
+        ends,
+        instants,
+        stats,
+        ..
+    } = scratch;
+    let n = lanes.len();
+    // A process visits its threads' starts, the ends of their nonzero
+    // segments, and the quantum ends at which it preempts its holder; each
+    // preemption follows at least one interval of running, so CPU work
+    // over the interval bounds those.
+    let visits: usize = lanes.iter().map(|l| 1 + l.segments.len()).sum();
+    let preemptions = if gil && domains > 1 {
+        let cpu: u64 = lanes
+            .iter()
+            .flat_map(|l| &segments[l.segments.clone()])
+            .map(|seg| match seg {
+                Segment::Cpu(d) => d.as_nanos(),
+                Segment::Block { .. } => 0,
+            })
+            .sum();
+        (cpu / gil_interval.as_nanos()) as usize
+    } else {
+        0
+    };
+    instants.reset(visits + preemptions, domains == 1);
+    if gil {
+        // Group the lanes by process with a counting sort: after it,
+        // `proc_end[p]` is where process `p`'s run of `arrivals` ends.
+        let mut at = 0;
+        for slot in proc_end.iter_mut() {
+            (*slot, at) = (at, at + *slot);
+        }
+        arrivals.clear();
+        arrivals.resize(n, (SimTime::ZERO, 0));
+        for (i, lane) in lanes.iter().enumerate() {
+            let slot = &mut proc_end[lane.process];
+            arrivals[*slot] = (lane.start, i);
+            *slot += 1;
+        }
+        ends.resize(n, LaneEnd::default());
+        // Empty after any completed call, like the loop's queues.
+        proc_ready.clear();
+        wake.clear();
+        let mut from = 0;
+        for &to in proc_end.iter() {
+            let run = &mut arrivals[from..to];
+            from = to;
+            match run {
+                [] => {}
+                &mut [(_, i)] => {
+                    ends[i] = run_alone(&lanes[i], segments, &mut spans[i], instants);
+                }
+                _ => {
+                    run.sort_unstable();
+                    replay_process(
+                        run,
+                        segments,
+                        gil_interval,
+                        threads,
+                        proc_ready,
+                        wake,
+                        spans,
+                        instants,
+                        ends,
+                    );
+                }
+            }
+        }
+    } else {
+        ends.extend(
+            lanes
+                .iter()
+                .zip(spans.iter_mut())
+                .map(|(lane, spans)| run_alone(lane, segments, spans, instants)),
+        );
+    }
+    stats.events += instants.len;
+}
+
+/// The second regime (see the module doc): processes outnumber CPUs, so
+/// every thread of the sandbox advances in one event loop.
+fn shared_loop(
+    lanes: &[Lane],
+    segments: &[Segment],
+    n_procs: usize,
+    sandbox: Sandbox,
+    gil: bool,
+    scratch: &mut FluidScratch,
+    spans: &mut [Vec<Span>],
+) {
+    let Sandbox {
+        cpus, gil_interval, ..
+    } = sandbox;
+    let FluidScratch {
+        threads,
+        holder,
+        quantum_end,
+        ready,
+        ready_fifo,
+        waiting,
+        arrivals,
+        wake,
+        running,
+        run_rem,
+        run_cpu,
+        run_pos,
+        ends,
+        stats,
+        ..
+    } = scratch;
     arrivals.clear();
     arrivals.extend(lanes.iter().enumerate().map(|(i, lane)| (lane.start, i)));
     arrivals.sort_unstable();
     let Some(&(mut now, _)) = arrivals.first() else {
-        return ends;
+        return;
     };
 
     // A completed call leaves every queue empty, so these clears cost
@@ -391,7 +539,8 @@ pub(crate) fn simulate<'a>(
     run_rem.clear();
     run_cpu.clear();
     if gil {
-        holder.fill(None);
+        holder.clear();
+        holder.resize(n_procs, None);
         quantum_end.clear();
         quantum_end.resize(n_procs, SimTime::FAR_FUTURE);
         if ready.len() < n_procs {
@@ -598,63 +747,191 @@ pub(crate) fn simulate<'a>(
             cpu_used: t.cpu_used,
         }
     }));
-    ends
 }
 
-/// The closed form of an uncontended sandbox (see the module doc): each
-/// lane runs its segments back to back from its start, and the event
-/// count is the number of distinct instants the loop would visit.
-fn uncontended(
-    lanes: &[Lane],
+/// Runs a thread that never meets a waiter (see the module doc): its
+/// segments back to back from its start, each visited instant counted.
+/// Inlined into its two callers: as a call it cost one-thread-per-process
+/// sandboxes ~9% (2-vCPU host).
+#[inline(always)]
+fn run_alone(
+    lane: &Lane,
     segments: &[Segment],
-    spans: &mut [Vec<Span>],
-    ends: &mut Vec<LaneEnd>,
+    spans: &mut Vec<Span>,
     instants: &mut InstantSet,
-    stats: &mut SimStats,
-) {
-    instants.reset(lanes.iter().map(|l| 1 + l.segments.len()).sum());
-    for (lane, spans) in lanes.iter().zip(spans.iter_mut()) {
-        let mut now = lane.start;
-        let mut exec_start = None;
-        let mut cpu_used = 0.0;
-        instants.insert(now);
-        for &seg in &segments[lane.segments.clone()] {
-            let (kind, d) = match seg {
-                Segment::Cpu(d) => (SpanKind::Exec, d),
-                Segment::Block { dur, .. } => {
-                    exec_start.get_or_insert(now);
-                    (SpanKind::Io, dur)
-                }
-            };
-            if d.is_zero() {
-                continue;
+) -> LaneEnd {
+    let mut now = lane.start;
+    let mut exec_start = None;
+    let mut cpu_used = 0.0;
+    instants.insert(now);
+    for &seg in &segments[lane.segments.clone()] {
+        let (kind, d) = match seg {
+            Segment::Cpu(d) => (SpanKind::Exec, d),
+            Segment::Block { dur, .. } => {
+                exec_start.get_or_insert(now);
+                (SpanKind::Io, dur)
             }
-            exec_start.get_or_insert(now);
-            if kind == SpanKind::Exec {
-                cpu_used += d.as_nanos() as f64;
-            }
-            let end = now + d;
-            spans.push(Span {
-                kind,
-                start: now,
-                end,
-            });
-            now = end;
-            instants.insert(now);
+        };
+        if d.is_zero() {
+            continue;
         }
-        ends.push(LaneEnd {
-            exec_start: exec_start.unwrap_or(now),
-            end: now,
-            cpu_used,
+        exec_start.get_or_insert(now);
+        if kind == SpanKind::Exec {
+            cpu_used += d.as_nanos() as f64;
+        }
+        let end = now + d;
+        spans.push(Span {
+            kind,
+            start: now,
+            end,
         });
+        now = end;
+        instants.insert(now);
     }
-    stats.events += instants.len;
+    LaneEnd {
+        exec_start: exec_start.unwrap_or(now),
+        end: now,
+        cpu_used,
+    }
+}
+
+/// Replays one process of two or more threads under the GIL at rate 1.0
+/// (see the module doc). `arrivals` holds its threads' `(start, index)` in
+/// ascending order; `ready` (unordered `(cpu_used bits, index)` pairs) and
+/// `wake` are empty and are left empty. The steps are the shared loop's,
+/// restricted to this process: wakes, an expired quantum's preemption, the
+/// CFS grant, then the next instant and the holder's burst end. A running
+/// thread's progress is the time since its grant, so its remaining work
+/// and CPU time change only at a grant, a preemption or a burst end.
+#[allow(clippy::too_many_arguments)]
+fn replay_process(
+    arrivals: &[(SimTime, usize)],
+    segments: &[Segment],
+    gil_interval: SimDuration,
+    threads: &mut [ThreadState],
+    ready: &mut Vec<(u64, usize)>,
+    wake: &mut BinaryHeap<Reverse<(SimTime, usize)>>,
+    spans: &mut [Vec<Span>],
+    instants: &mut InstantSet,
+    ends: &mut [LaneEnd],
+) {
+    let enter =
+        |t: &mut ThreadState, i: usize, now, ready: &mut Vec<_>, wake: &mut BinaryHeap<_>| {
+            start_segment(t, segments, now);
+            match t.phase {
+                Phase::Ready => ready.push((t.cpu_used.to_bits(), i)),
+                Phase::Io { until } => wake.push(Reverse((until, i))),
+                _ => {}
+            }
+        };
+    let mut now = arrivals[0].0;
+    let mut next_arrival = 0;
+    // The GIL holder, with its grant, its burst end and its quantum end.
+    let mut holder: Option<usize> = None;
+    let mut granted = now;
+    let mut burst_end = SimTime::FAR_FUTURE;
+    let mut quantum_end = SimTime::FAR_FUTURE;
+    loop {
+        instants.insert(now);
+        while let Some(&(due, i)) = arrivals.get(next_arrival) {
+            if due > now {
+                break;
+            }
+            next_arrival += 1;
+            enter(&mut threads[i], i, now, ready, wake);
+        }
+        while let Some(&Reverse((due, i))) = wake.peek() {
+            if due > now {
+                break;
+            }
+            wake.pop();
+            let t = &mut threads[i];
+            t.close_span(&mut spans[i], now);
+            t.seg += 1;
+            enter(t, i, now, ready, wake);
+        }
+
+        // An expired quantum with a sibling waiting: the holder drops the
+        // GIL (Fig. 2) and re-queues behind the CFS rule.
+        if let Some(h) = holder {
+            if quantum_end <= now && !ready.is_empty() {
+                let t = &mut threads[h];
+                t.remaining = ns_to_float(burst_end.since(now).as_nanos());
+                t.cpu_used += ns_to_float(now.since(granted).as_nanos());
+                t.close_span(&mut spans[h], now);
+                t.phase = Phase::Ready;
+                t.open_span(SpanKind::GilWait, now);
+                ready.push((t.cpu_used.to_bits(), h));
+                holder = None;
+            }
+        }
+        if holder.is_none() && !ready.is_empty() {
+            // CFS rule: the ready thread with the least CPU time (ties to
+            // lowest index).
+            let mut least = 0;
+            for k in 1..ready.len() {
+                if ready[k] < ready[least] {
+                    least = k;
+                }
+            }
+            let (_, i) = ready.swap_remove(least);
+            let t = &mut threads[i];
+            t.close_span(&mut spans[i], now);
+            t.phase = Phase::Running;
+            t.exec_start.get_or_insert(now);
+            t.open_span(SpanKind::Exec, now);
+            holder = Some(i);
+            granted = now;
+            burst_end = now + SimDuration::from_nanos(float_to_ns(t.remaining));
+            quantum_end = now + gil_interval;
+        }
+
+        let mut next = arrivals
+            .get(next_arrival)
+            .map_or(SimTime::FAR_FUTURE, |&(due, _)| due);
+        if let Some(&Reverse((due, _))) = wake.peek() {
+            next = next.min(due);
+        }
+        if holder.is_some() {
+            next = next.min(burst_end);
+            if !ready.is_empty() {
+                next = next.min(quantum_end);
+            }
+        }
+        if next == SimTime::FAR_FUTURE {
+            break; // every thread is Done
+        }
+        now = next;
+
+        if let Some(h) = holder.filter(|_| burst_end == now) {
+            let t = &mut threads[h];
+            t.cpu_used += ns_to_float(now.since(granted).as_nanos());
+            t.remaining = 0.0;
+            t.close_span(&mut spans[h], now);
+            t.seg += 1;
+            holder = None;
+            // A CPU segment followed by another re-queues; the grant
+            // step re-grants it unless a starved sibling takes over.
+            enter(t, h, now, ready, wake);
+        }
+    }
+    for &(_, i) in arrivals {
+        let t = &threads[i];
+        debug_assert_eq!(t.phase, Phase::Done);
+        ends[i] = LaneEnd {
+            exec_start: t.exec_start.unwrap_or(t.end),
+            end: t.end,
+            cpu_used: t.cpu_used,
+        };
+    }
 }
 
 /// A set of instants that only counts its members: open addressing with
-/// linear probing, at most half full. Counting the closed form's distinct
-/// instants this way is linear: for the 800 instants of a FINRA-200 wrap
-/// it took 1.2 µs where a sort and dedup took 7.5 µs (2-vCPU host).
+/// linear probing, at most half full. Counting distinct instants this way
+/// is linear: for the 800 instants of a FINRA-200 wrap it took 1.2 µs
+/// where a sort and dedup took 7.5 µs (2-vCPU host). A sandbox of one
+/// domain needs no table: a domain visits its instants in strictly
+/// increasing order, so each insert is a new member.
 #[derive(Debug, Default)]
 struct InstantSet {
     slots: Vec<u64>,
@@ -667,13 +944,17 @@ impl InstantSet {
     /// `SimTime::FAR_FUTURE`, which the event loop never visits either.
     const EMPTY: u64 = u64::MAX;
 
-    /// Empties the set and sizes it for up to `capacity` members.
-    fn reset(&mut self, capacity: usize) {
-        let size = (2 * capacity).next_power_of_two().max(2);
+    /// Empties the set and sizes it for up to `capacity` members (more is
+    /// a caller bug), or, for `one_domain`, leaves it without a table: then
+    /// every insert counts.
+    fn reset(&mut self, capacity: usize, one_domain: bool) {
         self.slots.clear();
-        self.slots.resize(size, Self::EMPTY);
-        self.shift = 64 - size.trailing_zeros();
         self.len = 0;
+        if !one_domain {
+            let size = (2 * capacity).next_power_of_two().max(2);
+            self.slots.resize(size, Self::EMPTY);
+            self.shift = 64 - size.trailing_zeros();
+        }
     }
 
     fn insert(&mut self, t: SimTime) {
@@ -681,6 +962,14 @@ impl InstantSet {
         if key == Self::EMPTY {
             return;
         }
+        if self.slots.is_empty() {
+            self.len += 1;
+            return;
+        }
+        debug_assert!(
+            2 * self.len < self.slots.len() as u64,
+            "more members than reset for"
+        );
         let mask = self.slots.len() - 1;
         let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
         loop {
@@ -696,6 +985,17 @@ impl InstantSet {
             i = (i + 1) & mask;
         }
     }
+}
+
+/// `ns as f64` and `x as u64` for the integer nanoseconds the engine
+/// handles (below 2⁵³, see the module doc), exact either way: through
+/// `i64` each is one instruction, where `u64` needs a sign fix-up.
+fn ns_to_float(ns: u64) -> f64 {
+    ns as i64 as f64
+}
+
+fn float_to_ns(x: f64) -> u64 {
+    x as i64 as u64
 }
 
 /// `x.ceil() as u64`, through a truncating integer conversion for the
@@ -732,21 +1032,9 @@ fn remove_running(
 }
 
 /// Starts the thread's current segment at `now` (or finishes the thread),
-/// skipping zero-length segments, and registers the thread with the
-/// scheduler structure its new phase belongs to: its process's ready heap
-/// under the GIL, the FIFO of run-slot requests otherwise.
-#[allow(clippy::too_many_arguments)]
-fn enter_segment(
-    t: &mut ThreadState,
-    i: usize,
-    segments: &[Segment],
-    now: SimTime,
-    gil: bool,
-    ready: &mut [BinaryHeap<Reverse<(u64, usize)>>],
-    ready_fifo: &mut Vec<usize>,
-    waiting: &mut Vec<usize>,
-    wake: &mut BinaryHeap<Reverse<(SimTime, usize)>>,
-) {
+/// skipping zero-length segments: a CPU segment leaves it `Ready` with a
+/// `GilWait` span open, a block leaves it in `Io`.
+fn start_segment(t: &mut ThreadState, segments: &[Segment], now: SimTime) {
     loop {
         if t.seg == t.seg_end {
             t.phase = Phase::Done;
@@ -759,20 +1047,9 @@ fn enter_segment(
                     t.seg += 1;
                     continue;
                 }
-                t.remaining = d.as_nanos() as f64;
+                t.remaining = ns_to_float(d.as_nanos());
                 t.phase = Phase::Ready;
                 t.open_span(SpanKind::GilWait, now);
-                if gil {
-                    let p = t.process;
-                    if ready[p].is_empty() {
-                        // Joins the waiting list, kept ascending.
-                        let at = waiting.partition_point(|&q| q < p);
-                        waiting.insert(at, p);
-                    }
-                    ready[p].push(Reverse((t.cpu_used.to_bits(), i)));
-                } else {
-                    ready_fifo.push(i);
-                }
                 return;
             }
             Segment::Block { dur, .. } => {
@@ -783,10 +1060,42 @@ fn enter_segment(
                 }
                 t.phase = Phase::Io { until: now + dur };
                 t.open_span(SpanKind::Io, now);
-                wake.push(Reverse((now + dur, i)));
                 return;
             }
         }
+    }
+}
+
+/// Starts the thread's current segment (see [`start_segment`]) and
+/// registers the thread with the shared loop's structure its new phase
+/// belongs to: its process's ready heap under the GIL, the FIFO of
+/// run-slot requests otherwise, or the wake heap.
+#[allow(clippy::too_many_arguments)]
+fn enter_segment(
+    t: &mut ThreadState,
+    i: usize,
+    segments: &[Segment],
+    now: SimTime,
+    gil: bool,
+    ready: &mut [BinaryHeap<Reverse<(u64, usize)>>],
+    ready_fifo: &mut Vec<usize>,
+    waiting: &mut Vec<usize>,
+    wake: &mut BinaryHeap<Reverse<(SimTime, usize)>>,
+) {
+    start_segment(t, segments, now);
+    match t.phase {
+        Phase::Ready if gil => {
+            let p = t.process;
+            if ready[p].is_empty() {
+                // Joins the waiting list, kept ascending.
+                let at = waiting.partition_point(|&q| q < p);
+                waiting.insert(at, p);
+            }
+            ready[p].push(Reverse((t.cpu_used.to_bits(), i)));
+        }
+        Phase::Ready => ready_fifo.push(i),
+        Phase::Io { until } => wake.push(Reverse((until, i))),
+        _ => {}
     }
 }
 
@@ -835,7 +1144,7 @@ impl RefThreadState {
 /// `tests/des_identity.rs` asserts both engines produce byte-identical
 /// outcomes (`tests/properties.rs` compares the two sandbox engines
 /// directly). Unlike [`execute_sandbox`] it re-scans all threads at every
-/// event and has no closed form. Refuses the same inputs with the same
+/// event and runs every sandbox in one loop. Refuses the same inputs with the same
 /// [`SandboxError`].
 ///
 /// [`VirtualPlatform::execute_reference`]: crate::VirtualPlatform::execute_reference

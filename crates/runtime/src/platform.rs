@@ -161,7 +161,7 @@ impl VirtualPlatform {
     /// interprets the plan on every call, allocates every buffer per
     /// request and simulates sandboxes with
     /// [`execute_sandbox_reference`](crate::fluid::execute_sandbox_reference),
-    /// which has no closed form. It writes the outcome's span buffer in
+    /// which runs every sandbox in one loop. It writes the outcome's span buffer in
     /// the same order as [`execute`](Self::execute), and refuses the same
     /// inputs. Byte-identical to `execute` for every plan `execute`
     /// accepts; tier-1 `tests/des_identity.rs` asserts the equality.

@@ -16,8 +16,9 @@
 //! scratch-backed run byte-identical to a fresh-scratch run (tier-1
 //! `tests/des_identity.rs` checks exactly that). With the structure
 //! compiled away, a replay costs its jitter draws plus the fluid engine:
-//! its event loop, or the closed form for a sandbox whose threads can
-//! never wait.
+//! one process at a time for a sandbox with a CPU per process, and the
+//! shared event loop only for a contended one. The engine's buffers (its
+//! per-thread slots, queues and instant set) live in the scratch too.
 //!
 //! The module also counts buffer reuse and fluid events globally — as
 //! [`chiron_obs`]-registered counters, so `figures -- obs` sees them in
@@ -44,8 +45,8 @@ pub struct AllocStats {
     pub buffer_allocs: u64,
     /// Per-thread buffers served from a scratch.
     pub buffer_reuses: u64,
-    /// Fluid-simulator event-loop iterations (for a closed-form sandbox,
-    /// the iterations the loop would have made).
+    /// Fluid-simulator event-loop iterations (for a sandbox replayed one
+    /// process at a time, the iterations the shared loop would have made).
     pub events: u64,
 }
 

@@ -1,0 +1,107 @@
+//! Public entry points refuse bad caller input with a typed error, never a
+//! panic; each case matches its exact variant.
+
+use chiron_ml::{
+    FitError, ForestConfig, GnnConfig, GnnRegressor, LstmConfig, LstmRegressor, RandomForest,
+    RegressionTree, TreeConfig,
+};
+
+type Graph = (Vec<Vec<f64>>, Vec<Vec<f64>>);
+
+fn all_features(n: usize) -> Vec<usize> {
+    (0..n).collect()
+}
+
+fn tree(x: &[Vec<f64>], y: &[f64]) -> Result<RegressionTree, FitError> {
+    RegressionTree::fit(x, y, TreeConfig::default(), &mut all_features)
+}
+
+fn forest(x: &[Vec<f64>], y: &[f64]) -> Result<RandomForest, FitError> {
+    let config = ForestConfig {
+        n_trees: 2,
+        ..ForestConfig::default()
+    };
+    RandomForest::fit(x, y, config)
+}
+
+fn lstm(x: &[Vec<Vec<f64>>], y: &[f64]) -> Result<LstmRegressor, FitError> {
+    let config = LstmConfig {
+        epochs: 1,
+        ..LstmConfig::default()
+    };
+    LstmRegressor::fit(x, y, config)
+}
+
+fn gnn(x: &[Graph], y: &[f64]) -> Result<GnnRegressor, FitError> {
+    let config = GnnConfig {
+        epochs: 1,
+        ..GnnConfig::default()
+    };
+    GnnRegressor::fit(x, y, config)
+}
+
+fn one_node_graph() -> Graph {
+    (vec![vec![1.0, 2.0]], vec![vec![1.0]])
+}
+
+#[test]
+fn fits_refuse_an_empty_dataset() {
+    assert_eq!(tree(&[], &[]).err(), Some(FitError::EmptyDataset));
+    assert_eq!(forest(&[], &[]).err(), Some(FitError::EmptyDataset));
+    assert_eq!(lstm(&[], &[]).err(), Some(FitError::EmptyDataset));
+    assert_eq!(gnn(&[], &[]).err(), Some(FitError::EmptyDataset));
+}
+
+#[test]
+fn fits_refuse_inputs_and_targets_of_different_lengths() {
+    let mismatch = Some(FitError::LengthMismatch {
+        inputs: 1,
+        targets: 2,
+    });
+    let y = [1.0, 2.0];
+    assert_eq!(tree(&[vec![1.0]], &y).err(), mismatch);
+    assert_eq!(forest(&[vec![1.0]], &y).err(), mismatch);
+    assert_eq!(lstm(&[vec![vec![1.0]]], &y).err(), mismatch);
+    assert_eq!(gnn(&[one_node_graph()], &y).err(), mismatch);
+    // Targets with no inputs is a mismatch too, not an empty dataset.
+    assert_eq!(
+        tree(&[], &[1.0]).err(),
+        Some(FitError::LengthMismatch {
+            inputs: 0,
+            targets: 1
+        })
+    );
+}
+
+#[test]
+fn fits_refuse_an_empty_first_sample() {
+    let y = [1.0, 2.0];
+    let featureless = [vec![], vec![1.0]];
+    assert_eq!(
+        tree(&featureless, &y).err(),
+        Some(FitError::EmptyFirstSample)
+    );
+    assert_eq!(
+        forest(&featureless, &y).err(),
+        Some(FitError::EmptyFirstSample)
+    );
+    // An LSTM sequence with no steps.
+    assert_eq!(
+        lstm(&[vec![], vec![vec![1.0]]], &y).err(),
+        Some(FitError::EmptyFirstSample)
+    );
+    // A GNN graph with no nodes.
+    assert_eq!(
+        gnn(&[(vec![], vec![]), one_node_graph()], &y).err(),
+        Some(FitError::EmptyFirstSample)
+    );
+}
+
+#[test]
+fn fits_accept_well_formed_data() {
+    let y = [1.0, 2.0];
+    assert!(tree(&[vec![1.0], vec![2.0]], &y).is_ok());
+    assert!(forest(&[vec![1.0], vec![2.0]], &y).is_ok());
+    assert!(lstm(&[vec![vec![1.0]], vec![vec![2.0]]], &y).is_ok());
+    assert!(gnn(&[one_node_graph(), one_node_graph()], &y).is_ok());
+}

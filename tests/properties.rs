@@ -180,9 +180,9 @@ fn check_algorithm1_matches_fluid(segs: &[Vec<Segment>]) {
 }
 
 /// The sandbox engine equals its oracle field for field (spans,
-/// `exec_start`, `end`, `cpu_time`), on both sides of the closed-form
-/// boundary: with or without a process hosting two threads, and with
-/// fewer, as many or more CPUs than threads.
+/// `exec_start`, `end`, `cpu_time`), on both sides of the per-process
+/// replay's boundary: with or without a process hosting two threads, and
+/// with fewer, as many or more CPUs than processes or threads.
 fn check_engine_matches_oracle(tasks: &[ThreadTask], cpus: u32, runtime: RuntimeKind) {
     let fast = execute(tasks, cpus, runtime);
     let oracle = execute_sandbox_reference(tasks, cpus, runtime, GIL_INTERVAL).expect("valid");
@@ -424,27 +424,42 @@ proptest! {
         }
     }
 
+    /// Up to 8 threads in each of up to 3 processes (spread over process
+    /// indices so some hosts none), or one thread per process, on CPUs
+    /// from two below to two above the process count or the thread count:
+    /// both sides of the per-process replay's boundary. Half the threads
+    /// start at zero or at the first GIL switch point, so arrivals tie
+    /// with each other and with quantum ends.
     #[test]
     fn sandbox_engine_matches_oracle(
-        threads in prop::collection::vec(
-            (arb_edge_segments(), 0usize..3, 0u64..20_000_000),
-            1..7,
+        procs in prop::collection::vec(
+            prop::collection::vec((arb_edge_segments(), 0u8..4, 0u64..20_000_000), 1..=8),
+            1..=3,
         ),
+        spread in 1usize..3,
         one_thread_per_process in any::<bool>(),
-        cpus_vs_threads in 0usize..5,
+        cpus_vs_count in 0usize..5,
+        cpus_per_thread in any::<bool>(),
         pseudo in any::<bool>(),
     ) {
-        let tasks: Vec<ThreadTask> = threads
-            .into_iter()
-            .enumerate()
-            .map(|(i, (segments, process, start_ns))| ThreadTask {
-                process: if one_thread_per_process { i } else { process },
-                start: SimTime::from_nanos(start_ns),
-                segments,
-            })
-            .collect();
-        // Two fewer CPUs than threads up to two more, at least one.
-        let cpus = (tasks.len() + cpus_vs_threads).saturating_sub(2).max(1) as u32;
+        let n_procs = procs.len();
+        let mut tasks = Vec::new();
+        for (k, threads) in procs.into_iter().enumerate() {
+            for (segments, at, ns) in threads {
+                let start_ns = match at {
+                    0 => 0,
+                    1 => GIL_INTERVAL.as_nanos(),
+                    _ => ns,
+                };
+                tasks.push(ThreadTask {
+                    process: if one_thread_per_process { tasks.len() } else { k * spread },
+                    start: SimTime::from_nanos(start_ns),
+                    segments,
+                });
+            }
+        }
+        let count = if cpus_per_thread || one_thread_per_process { tasks.len() } else { n_procs };
+        let cpus = (count + cpus_vs_count).saturating_sub(2).max(1) as u32;
         let runtime = if pseudo { RuntimeKind::PseudoParallel } else { RuntimeKind::TrueParallel };
         check_engine_matches_oracle(&tasks, cpus, runtime);
     }
