@@ -387,8 +387,10 @@ pub(crate) fn simulate<'a>(
     } else {
         n
     };
-    if domains <= cpus as usize {
-        replay_each_domain(lanes, segments, gil_interval, gil, domains, scratch, spans);
+    if domains == 1 {
+        replay_each_domain::<true>(lanes, segments, gil_interval, gil, scratch, spans);
+    } else if domains <= cpus as usize {
+        replay_each_domain::<false>(lanes, segments, gil_interval, gil, scratch, spans);
     } else {
         shared_loop(lanes, segments, n_procs, sandbox, gil, scratch, spans);
     }
@@ -397,13 +399,13 @@ pub(crate) fn simulate<'a>(
 
 /// The first regime (see the module doc): every domain can hold a CPU of
 /// its own, so each is replayed alone. With `gil`, `scratch.proc_end`
-/// holds each process's lane count; `domains` is how many host a lane.
-fn replay_each_domain(
+/// holds each process's lane count. `ONE_DOMAIN` is set when one domain
+/// hosts every lane (see [`InstantSet`]).
+fn replay_each_domain<const ONE_DOMAIN: bool>(
     lanes: &[Lane],
     segments: &[Segment],
     gil_interval: SimDuration,
     gil: bool,
-    domains: usize,
     scratch: &mut FluidScratch,
     spans: &mut [Vec<Span>],
 ) {
@@ -419,25 +421,29 @@ fn replay_each_domain(
         ..
     } = scratch;
     let n = lanes.len();
-    // A process visits its threads' starts, the ends of their nonzero
-    // segments, and the quantum ends at which it preempts its holder; each
-    // preemption follows at least one interval of running, so CPU work
-    // over the interval bounds those.
-    let visits: usize = lanes.iter().map(|l| 1 + l.segments.len()).sum();
-    let preemptions = if gil && domains > 1 {
-        let cpu: u64 = lanes
-            .iter()
-            .flat_map(|l| &segments[l.segments.clone()])
-            .map(|seg| match seg {
-                Segment::Cpu(d) => d.as_nanos(),
-                Segment::Block { .. } => 0,
-            })
-            .sum();
-        (cpu / gil_interval.as_nanos()) as usize
+    if ONE_DOMAIN {
+        instants.len = 0;
     } else {
-        0
-    };
-    instants.reset(visits + preemptions, domains == 1);
+        // A process visits its threads' starts, the ends of their nonzero
+        // segments, and the quantum ends at which it preempts its holder;
+        // each preemption follows at least one interval of running, so CPU
+        // work over the interval bounds those.
+        let visits: usize = lanes.iter().map(|l| 1 + l.segments.len()).sum();
+        let preemptions = if gil {
+            let cpu: u64 = lanes
+                .iter()
+                .flat_map(|l| &segments[l.segments.clone()])
+                .map(|seg| match seg {
+                    Segment::Cpu(d) => d.as_nanos(),
+                    Segment::Block { .. } => 0,
+                })
+                .sum();
+            (cpu / gil_interval.as_nanos()) as usize
+        } else {
+            0
+        };
+        instants.reset(visits + preemptions);
+    }
     if gil {
         // Group the lanes by process with a counting sort: after it,
         // `proc_end[p]` is where process `p`'s run of `arrivals` ends.
@@ -463,11 +469,11 @@ fn replay_each_domain(
             match run {
                 [] => {}
                 &mut [(_, i)] => {
-                    ends[i] = run_alone(&lanes[i], segments, &mut spans[i], instants);
+                    ends[i] = run_alone::<ONE_DOMAIN>(&lanes[i], segments, &mut spans[i], instants);
                 }
                 _ => {
                     run.sort_unstable();
-                    replay_process(
+                    replay_process::<ONE_DOMAIN>(
                         run,
                         segments,
                         gil_interval,
@@ -486,7 +492,7 @@ fn replay_each_domain(
             lanes
                 .iter()
                 .zip(spans.iter_mut())
-                .map(|(lane, spans)| run_alone(lane, segments, spans, instants)),
+                .map(|(lane, spans)| run_alone::<ONE_DOMAIN>(lane, segments, spans, instants)),
         );
     }
     stats.events += instants.len;
@@ -754,7 +760,7 @@ fn shared_loop(
 /// Inlined into its two callers: as a call it cost one-thread-per-process
 /// sandboxes ~9% (2-vCPU host).
 #[inline(always)]
-fn run_alone(
+fn run_alone<const ONE_DOMAIN: bool>(
     lane: &Lane,
     segments: &[Segment],
     spans: &mut Vec<Span>,
@@ -763,7 +769,7 @@ fn run_alone(
     let mut now = lane.start;
     let mut exec_start = None;
     let mut cpu_used = 0.0;
-    instants.insert(now);
+    instants.insert::<ONE_DOMAIN>(now);
     for &seg in &segments[lane.segments.clone()] {
         let (kind, d) = match seg {
             Segment::Cpu(d) => (SpanKind::Exec, d),
@@ -786,7 +792,7 @@ fn run_alone(
             end,
         });
         now = end;
-        instants.insert(now);
+        instants.insert::<ONE_DOMAIN>(now);
     }
     LaneEnd {
         exec_start: exec_start.unwrap_or(now),
@@ -804,7 +810,7 @@ fn run_alone(
 /// thread's progress is the time since its grant, so its remaining work
 /// and CPU time change only at a grant, a preemption or a burst end.
 #[allow(clippy::too_many_arguments)]
-fn replay_process(
+fn replay_process<const ONE_DOMAIN: bool>(
     arrivals: &[(SimTime, usize)],
     segments: &[Segment],
     gil_interval: SimDuration,
@@ -832,7 +838,7 @@ fn replay_process(
     let mut burst_end = SimTime::FAR_FUTURE;
     let mut quantum_end = SimTime::FAR_FUTURE;
     loop {
-        instants.insert(now);
+        instants.insert::<ONE_DOMAIN>(now);
         while let Some(&(due, i)) = arrivals.get(next_arrival) {
             if due > now {
                 break;
@@ -856,8 +862,8 @@ fn replay_process(
         if let Some(h) = holder {
             if quantum_end <= now && !ready.is_empty() {
                 let t = &mut threads[h];
-                t.remaining = ns_to_float(burst_end.since(now).as_nanos());
-                t.cpu_used += ns_to_float(now.since(granted).as_nanos());
+                t.remaining = burst_end.since(now).as_nanos() as f64;
+                t.cpu_used += now.since(granted).as_nanos() as f64;
                 t.close_span(&mut spans[h], now);
                 t.phase = Phase::Ready;
                 t.open_span(SpanKind::GilWait, now);
@@ -882,7 +888,7 @@ fn replay_process(
             t.open_span(SpanKind::Exec, now);
             holder = Some(i);
             granted = now;
-            burst_end = now + SimDuration::from_nanos(float_to_ns(t.remaining));
+            burst_end = now + SimDuration::from_nanos(t.remaining as u64);
             quantum_end = now + gil_interval;
         }
 
@@ -905,7 +911,7 @@ fn replay_process(
 
         if let Some(h) = holder.filter(|_| burst_end == now) {
             let t = &mut threads[h];
-            t.cpu_used += ns_to_float(now.since(granted).as_nanos());
+            t.cpu_used += now.since(granted).as_nanos() as f64;
             t.remaining = 0.0;
             t.close_span(&mut spans[h], now);
             t.seg += 1;
@@ -929,9 +935,13 @@ fn replay_process(
 /// A set of instants that only counts its members: open addressing with
 /// linear probing, at most half full. Counting distinct instants this way
 /// is linear: for the 800 instants of a FINRA-200 wrap it took 1.2 µs
-/// where a sort and dedup took 7.5 µs (2-vCPU host). A sandbox of one
-/// domain needs no table: a domain visits its instants in strictly
-/// increasing order, so each insert is a new member.
+/// where a sort and dedup took 7.5 µs (2-vCPU host).
+///
+/// A sandbox whose lanes all share one domain needs no table: a domain
+/// visits its instants in strictly increasing order, so every insert is a
+/// new member, and `insert::<true>` only counts. On the suite's recorded
+/// calls, 94% of which have one domain, that took those calls from ~60 to
+/// ~45 ns and left the others unchanged (2-vCPU host).
 #[derive(Debug, Default)]
 struct InstantSet {
     slots: Vec<u64>,
@@ -945,24 +955,21 @@ impl InstantSet {
     const EMPTY: u64 = u64::MAX;
 
     /// Empties the set and sizes it for up to `capacity` members (more is
-    /// a caller bug), or, for `one_domain`, leaves it without a table: then
-    /// every insert counts.
-    fn reset(&mut self, capacity: usize, one_domain: bool) {
+    /// a caller bug).
+    fn reset(&mut self, capacity: usize) {
+        let size = (2 * capacity).next_power_of_two().max(2);
         self.slots.clear();
+        self.slots.resize(size, Self::EMPTY);
+        self.shift = 64 - size.trailing_zeros();
         self.len = 0;
-        if !one_domain {
-            let size = (2 * capacity).next_power_of_two().max(2);
-            self.slots.resize(size, Self::EMPTY);
-            self.shift = 64 - size.trailing_zeros();
-        }
     }
 
-    fn insert(&mut self, t: SimTime) {
+    fn insert<const ONE_DOMAIN: bool>(&mut self, t: SimTime) {
         let key = t.as_nanos();
         if key == Self::EMPTY {
             return;
         }
-        if self.slots.is_empty() {
+        if ONE_DOMAIN {
             self.len += 1;
             return;
         }
@@ -985,17 +992,6 @@ impl InstantSet {
             i = (i + 1) & mask;
         }
     }
-}
-
-/// `ns as f64` and `x as u64` for the integer nanoseconds the engine
-/// handles (below 2⁵³, see the module doc), exact either way: through
-/// `i64` each is one instruction, where `u64` needs a sign fix-up.
-fn ns_to_float(ns: u64) -> f64 {
-    ns as i64 as f64
-}
-
-fn float_to_ns(x: f64) -> u64 {
-    x as i64 as u64
 }
 
 /// `x.ceil() as u64`, through a truncating integer conversion for the
@@ -1047,7 +1043,7 @@ fn start_segment(t: &mut ThreadState, segments: &[Segment], now: SimTime) {
                     t.seg += 1;
                     continue;
                 }
-                t.remaining = ns_to_float(d.as_nanos());
+                t.remaining = d.as_nanos() as f64;
                 t.phase = Phase::Ready;
                 t.open_span(SpanKind::GilWait, now);
                 return;

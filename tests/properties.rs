@@ -429,13 +429,19 @@ proptest! {
     /// from two below to two above the process count or the thread count:
     /// both sides of the per-process replay's boundary. Half the threads
     /// start at zero or at the first GIL switch point, so arrivals tie
-    /// with each other and with quantum ends.
+    /// with each other and with quantum ends. Half the sandboxes list
+    /// their threads in a random order, so one process's lanes need not
+    /// sit at consecutive indices.
     #[test]
     fn sandbox_engine_matches_oracle(
         procs in prop::collection::vec(
-            prop::collection::vec((arb_edge_segments(), 0u8..4, 0u64..20_000_000), 1..=8),
+            prop::collection::vec(
+                (arb_edge_segments(), 0u8..4, 0u64..20_000_000, any::<u64>()),
+                1..=8,
+            ),
             1..=3,
         ),
+        interleave in any::<bool>(),
         spread in 1usize..3,
         one_thread_per_process in any::<bool>(),
         cpus_vs_count in 0usize..5,
@@ -443,21 +449,26 @@ proptest! {
         pseudo in any::<bool>(),
     ) {
         let n_procs = procs.len();
-        let mut tasks = Vec::new();
+        let mut ranked = Vec::new();
         for (k, threads) in procs.into_iter().enumerate() {
-            for (segments, at, ns) in threads {
+            for (segments, at, ns, rank) in threads {
                 let start_ns = match at {
                     0 => 0,
                     1 => GIL_INTERVAL.as_nanos(),
                     _ => ns,
                 };
-                tasks.push(ThreadTask {
-                    process: if one_thread_per_process { tasks.len() } else { k * spread },
+                let task = ThreadTask {
+                    process: if one_thread_per_process { ranked.len() } else { k * spread },
                     start: SimTime::from_nanos(start_ns),
                     segments,
-                });
+                };
+                ranked.push((rank, task));
             }
         }
+        if interleave {
+            ranked.sort_by_key(|&(rank, _)| rank);
+        }
+        let tasks: Vec<ThreadTask> = ranked.into_iter().map(|(_, task)| task).collect();
         let count = if cpus_per_thread || one_thread_per_process { tasks.len() } else { n_procs };
         let cpus = (count + cpus_vs_count).saturating_sub(2).max(1) as u32;
         let runtime = if pseudo { RuntimeKind::PseudoParallel } else { RuntimeKind::TrueParallel };
