@@ -219,10 +219,12 @@ fn run_mode(mode: Fig12Mode, fast: bool, workers: usize) -> Vec<Fig12Row> {
             },
         )
         .expect("a non-empty training set, one target per sample");
-        let rfr_err = mean_err(
-            test.iter()
-                .map(|&i| rel_err(forest.predict(&flat[i]), targets[i])),
-        );
+        let rfr_err = mean_err(test.iter().map(|&i| {
+            let predicted = forest
+                .predict(&flat[i])
+                .expect("every plan has the same features");
+            rel_err(predicted, targets[i])
+        }));
 
         // LSTM.
         let sx: Vec<Vec<Vec<f64>>> = train.iter().map(|&i| seqs[i].clone()).collect();

@@ -3,7 +3,7 @@
 //! bootstrap sampling, per-split feature subsampling, mean aggregation).
 
 use crate::tree::{RegressionTree, TreeConfig};
-use crate::{check_fit, FitError};
+use crate::{check_fit, FitError, PredictError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -68,9 +68,15 @@ impl RandomForest {
         Ok(RandomForest { trees })
     }
 
-    /// Mean prediction over all trees.
-    pub fn predict(&self, sample: &[f64]) -> f64 {
-        self.trees.iter().map(|t| t.predict(sample)).sum::<f64>() / self.trees.len() as f64
+    /// Mean prediction over all trees, for a sample of the width the
+    /// forest was fitted on.
+    pub fn predict(&self, sample: &[f64]) -> Result<f64, PredictError> {
+        let sum = self
+            .trees
+            .iter()
+            .map(|t| t.predict(sample))
+            .sum::<Result<f64, _>>()?;
+        Ok(sum / self.trees.len() as f64)
     }
 
     pub fn n_trees(&self) -> usize {
@@ -100,7 +106,7 @@ mod tests {
         let (x, y) = dataset();
         let forest = RandomForest::fit(&x, &y, ForestConfig::default()).unwrap();
         assert_eq!(forest.n_trees(), 50);
-        let pred = forest.predict(&[15.0, 1.0]);
+        let pred = forest.predict(&[15.0, 1.0]).unwrap();
         assert!((pred - 46.0).abs() < 6.0, "prediction {pred}");
     }
 
@@ -109,10 +115,12 @@ mod tests {
         let (x, y) = dataset();
         let a = RandomForest::fit(&x, &y, ForestConfig::default())
             .unwrap()
-            .predict(&[10.0, 0.0]);
+            .predict(&[10.0, 0.0])
+            .unwrap();
         let b = RandomForest::fit(&x, &y, ForestConfig::default())
             .unwrap()
-            .predict(&[10.0, 0.0]);
+            .predict(&[10.0, 0.0])
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -126,8 +134,8 @@ mod tests {
         };
         let b = RandomForest::fit(&x, &y, cfg).unwrap();
         // The ensembles are different (predictions usually differ slightly).
-        let pa = a.predict(&[12.5, 1.5]);
-        let pb = b.predict(&[12.5, 1.5]);
+        let pa = a.predict(&[12.5, 1.5]).unwrap();
+        let pb = b.predict(&[12.5, 1.5]).unwrap();
         assert!((pa - pb).abs() > 1e-12 || pa == pb); // sanity: both finite
         assert!(pa.is_finite() && pb.is_finite());
     }
@@ -136,6 +144,6 @@ mod tests {
     fn single_sample_dataset() {
         let forest =
             RandomForest::fit(&[vec![1.0, 2.0]], &[42.0], ForestConfig::default()).unwrap();
-        assert_eq!(forest.predict(&[9.0, 9.0]), 42.0);
+        assert_eq!(forest.predict(&[9.0, 9.0]).unwrap(), 42.0);
     }
 }

@@ -47,6 +47,25 @@ impl std::fmt::Display for FitError {
 
 impl std::error::Error for FitError {}
 
+/// Why a fitted learned baseline refused to predict a sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PredictError {
+    /// The sample's width is not the width the model was fitted on.
+    WidthMismatch { expected: usize, got: usize },
+}
+
+impl std::fmt::Display for PredictError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PredictError::WidthMismatch { expected, got } => {
+                write!(f, "a sample of {got} features, fitted on {expected}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PredictError {}
+
 /// Checks what every `fit` needs of its data: as many targets as inputs,
 /// at least one sample, and a non-empty first sample.
 fn check_fit<T>(

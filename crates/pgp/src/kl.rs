@@ -30,6 +30,20 @@
 //! [`KlObjective::swapped_eval`], naming the changed position, so an
 //! objective that summarises the round's sets scores the side in O(1)
 //! (the scheduler's does).
+//!
+//! An objective may instead pick the round's winner itself
+//! ([`KlObjective::best_swap`]): the first candidate, in the loop's
+//! order, scoring strictly below every earlier one, with the loop's
+//! candidate and prune counts. The scheduler's evaluator does so when
+//! every function of both sets is CPU-only, by one scan of integer
+//! nanoseconds over per-position tables
+//! ([`chiron_predict::SwapScan`]); rounds with a block run the loop. The
+//! loop compares milliseconds, `ns as f64 / 1e6`: a correctly rounded
+//! division by a positive constant is monotone, and below 2^51 ns two
+//! integers' quotients lie more than two ulps apart, so it is also
+//! injective. Below that bound, which the scan checks, integer `<` and
+//! `>=` decide exactly as the loop's float compares, and the winner's
+//! score converts to the loop's bits.
 
 use chiron_model::FunctionId;
 pub use chiron_predict::KlStats;
@@ -71,6 +85,22 @@ pub trait KlObjective {
     fn swapped_eval(&mut self, _side: Side, set: &[FunctionId], _pos: usize) -> f64 {
         self.eval(set)
     }
+
+    /// The round's winning swap picked by the objective in one pass of its
+    /// own, after [`begin_round`](KlObjective::begin_round): `(position in
+    /// a, position in b, pair score)` of the first candidate, in
+    /// `free_a × free_b` order, whose score is strictly below every
+    /// earlier one's, with `stats.candidates` and `stats.pruned` advanced
+    /// exactly as the candidate loop would advance them. `None` (the
+    /// default) runs the loop.
+    fn best_swap(
+        &mut self,
+        _free_a: &[usize],
+        _free_b: &[usize],
+        _stats: &mut KlStats,
+    ) -> Option<(usize, usize, f64)> {
+        None
+    }
 }
 
 /// Which of the pass's two sets a candidate side belongs to.
@@ -97,95 +127,84 @@ pub fn kernighan_lin(
     b: &mut [FunctionId],
     mut objective: impl KlObjective,
 ) -> f64 {
-    kernighan_lin_with_stats(a, b, &mut objective, &mut KlStats::default()).0
+    let mut scratch = KlScratch::default();
+    kernighan_lin_with_stats(a, b, &mut objective, &mut KlStats::default(), &mut scratch).0
 }
 
-/// [`kernighan_lin`] with a borrowed (possibly `dyn`) objective,
-/// additionally accumulating search-effort counters into `stats`
-/// (identical swaps, scores and side effects). Also returns the swaps it
-/// applied to `a` and `b`, in order, as `(position in a, position in b)`.
+/// The work vectors of a Kernighan–Lin pass. An objective's owner keeps
+/// one across passes (the scheduler's evaluator does), so a schedule's
+/// passes reuse five buffers instead of allocating them each time.
+#[derive(Debug, Clone, Default)]
+pub struct KlScratch {
+    wa: Vec<FunctionId>,
+    wb: Vec<FunctionId>,
+    free_a: Vec<usize>,
+    free_b: Vec<usize>,
+    gains: Vec<f64>,
+}
+
+/// [`kernighan_lin`] with a borrowed (possibly `dyn`) objective and
+/// caller-owned work vectors, additionally accumulating search-effort
+/// counters into `stats` (identical swaps, scores and side effects). Also
+/// returns the swaps it applied to `a` and `b`, in order, as `(position
+/// in a, position in b)`.
 pub fn kernighan_lin_with_stats<O: KlObjective + ?Sized>(
     a: &mut [FunctionId],
     b: &mut [FunctionId],
     objective: &mut O,
     stats: &mut KlStats,
+    scratch: &mut KlScratch,
 ) -> (f64, Vec<(usize, usize)>) {
     if a.is_empty() || b.is_empty() {
         return (0.0, Vec::new());
     }
     stats.passes += 1;
+    let KlScratch {
+        wa,
+        wb,
+        free_a,
+        free_b,
+        gains,
+    } = scratch;
     // Working copies that virtual swaps are applied to (line 19).
-    let mut wa = a.to_vec();
-    let mut wb = b.to_vec();
+    wa.clear();
+    wa.extend_from_slice(a);
+    wb.clear();
+    wb.extend_from_slice(b);
     // Positions still eligible: each element is swapped at most once.
-    let mut free_a: Vec<usize> = (0..wa.len()).collect();
-    let mut free_b: Vec<usize> = (0..wb.len()).collect();
+    free_a.clear();
+    free_a.extend(0..wa.len());
+    free_b.clear();
+    free_b.extend(0..wb.len());
+    gains.clear();
 
-    let initial = objective.eval(&wa).max(objective.eval(&wb));
+    let initial = objective.eval(wa).max(objective.eval(wb));
     let mut current = initial;
-    let mut gains: Vec<f64> = Vec::new();
     let mut swaps: Vec<(usize, usize)> = Vec::new();
     let prunes = objective.prunes();
 
     // Line 20: until one working set is exhausted.
     while !free_a.is_empty() && !free_b.is_empty() {
         stats.rounds += 1;
-        if prunes {
-            objective.begin_round(&wa, &wb);
-        }
         // Line 21: the swap that minimises the predicted latency.
-        let mut best: Option<(usize, usize, f64)> = None;
-        for &ia in &free_a {
-            for &ib in &free_b {
-                stats.candidates += 1;
-                std::mem::swap(&mut wa[ia], &mut wb[ib]);
-                // Exact prunes (skipped candidates score INFINITY, which
-                // never wins under strict `<`): a candidate is dead as soon
-                // as either side — or even a side's cheap lower bound —
-                // reaches the incumbent score, because the pair score is
-                // the max of the sides and can only grow.
-                let score = if !prunes {
-                    objective.eval(&wa).max(objective.eval(&wb))
-                } else {
-                    match best {
-                        Some((_, _, s)) if objective.swapped_lower_bound(Side::A, &wa, ia) >= s => {
-                            f64::INFINITY
-                        }
-                        _ => {
-                            let score_a = objective.swapped_eval(Side::A, &wa, ia);
-                            match best {
-                                Some((_, _, s)) if score_a >= s => f64::INFINITY,
-                                Some((_, _, s))
-                                    if objective.swapped_lower_bound(Side::B, &wb, ib) >= s =>
-                                {
-                                    f64::INFINITY
-                                }
-                                _ => score_a.max(objective.swapped_eval(Side::B, &wb, ib)),
-                            }
-                        }
-                    }
-                };
-                if score.is_infinite() {
-                    stats.pruned += 1;
-                }
-                std::mem::swap(&mut wa[ia], &mut wb[ib]);
-                let better = match best {
-                    Some((_, _, s)) => score < s,
-                    None => true,
-                };
-                if better {
-                    best = Some((ia, ib, score));
-                }
-            }
-        }
-        let (ia, ib, score) = best.expect("free sets are non-empty");
+        let scanned = if prunes {
+            objective.begin_round(wa, wb);
+            objective.best_swap(free_a, free_b, stats)
+        } else {
+            None
+        };
+        let (ia, ib, score) = match scanned {
+            Some(best) => best,
+            None => candidate_loop(wa, wb, free_a, free_b, objective, prunes, stats),
+        };
         // Lines 22–23: record the benefit, lock the pair out.
         std::mem::swap(&mut wa[ia], &mut wb[ib]);
         gains.push(current - score);
         current = score;
         swaps.push((ia, ib));
-        free_a.retain(|&i| i != ia);
-        free_b.retain(|&i| i != ib);
+        let at = |free: &[usize], pos| free.iter().position(|&i| i == pos);
+        free_a.remove(at(free_a, ia).expect("the swap's position in a is free"));
+        free_b.remove(at(free_b, ib).expect("the swap's position in b is free"));
     }
 
     // Lines 24–25: choose k maximising the cumulative gain and apply the
@@ -208,6 +227,65 @@ pub fn kernighan_lin_with_stats<O: KlObjective + ?Sized>(
     }
     stats.applied += best_k as u64;
     (best_sum, swaps)
+}
+
+/// Line 21 one candidate at a time: each swap is applied to the working
+/// sets, scored through the objective and undone. Returns the first
+/// candidate scoring strictly below every earlier one.
+fn candidate_loop<O: KlObjective + ?Sized>(
+    wa: &mut [FunctionId],
+    wb: &mut [FunctionId],
+    free_a: &[usize],
+    free_b: &[usize],
+    objective: &mut O,
+    prunes: bool,
+    stats: &mut KlStats,
+) -> (usize, usize, f64) {
+    let mut best: Option<(usize, usize, f64)> = None;
+    for &ia in free_a {
+        for &ib in free_b {
+            stats.candidates += 1;
+            std::mem::swap(&mut wa[ia], &mut wb[ib]);
+            // Exact prunes (skipped candidates score INFINITY, which never
+            // wins under strict `<`): a candidate is dead as soon as either
+            // side — or even a side's cheap lower bound — reaches the
+            // incumbent score, because the pair score is the max of the
+            // sides and can only grow.
+            let score = if !prunes {
+                objective.eval(wa).max(objective.eval(wb))
+            } else {
+                match best {
+                    Some((_, _, s)) if objective.swapped_lower_bound(Side::A, wa, ia) >= s => {
+                        f64::INFINITY
+                    }
+                    _ => {
+                        let score_a = objective.swapped_eval(Side::A, wa, ia);
+                        match best {
+                            Some((_, _, s)) if score_a >= s => f64::INFINITY,
+                            Some((_, _, s))
+                                if objective.swapped_lower_bound(Side::B, wb, ib) >= s =>
+                            {
+                                f64::INFINITY
+                            }
+                            _ => score_a.max(objective.swapped_eval(Side::B, wb, ib)),
+                        }
+                    }
+                }
+            };
+            if score.is_infinite() {
+                stats.pruned += 1;
+            }
+            std::mem::swap(&mut wa[ia], &mut wb[ib]);
+            let better = match best {
+                Some((_, _, s)) => score < s,
+                None => true,
+            };
+            if better {
+                best = Some((ia, ib, score));
+            }
+        }
+    }
+    best.expect("free sets are non-empty")
 }
 
 #[cfg(test)]

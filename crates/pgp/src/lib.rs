@@ -14,5 +14,5 @@ pub mod kl;
 pub mod scheduler;
 
 pub use chiron_lifecycle::PrewarmBudget;
-pub use kl::{kernighan_lin, kernighan_lin_with_stats, KlObjective, KlStats, Side};
+pub use kl::{kernighan_lin, kernighan_lin_with_stats, KlObjective, KlScratch, KlStats, Side};
 pub use scheduler::{PgpAudit, PgpConfig, PgpMode, PgpScheduler, ScheduleOutcome};

@@ -29,11 +29,17 @@
 //! candidate swaps, every value of `n`, the wrap-packing sweep and the
 //! CPU-trim loop, and runs those simulations allocation-free against a
 //! [`SegmentCatalog`]. A KL candidate whose process is CPU-only skips the
-//! cache: Algorithm 1's closed form scores it in O(1) from its round's
-//! [`StaggeredSummary`], with no key and no probe, so KL recomputes such
-//! sets rather than storing them. Any other candidate is keyed by
+//! cache: Algorithm 1's closed form scores it from its round's tables,
+//! with no key and no probe, so KL recomputes such sets rather than
+//! storing them. When every function of a round's two sets is CPU-only,
+//! the round is one integer scan ([`SwapScan`]) that picks the loop's
+//! swap and counts its prunes; most of FINRA's rounds are. A round with a
+//! block rebuilds two [`StaggeredSummary`]s and scores candidate by
+//! candidate, the CPU-only ones in O(1) and the others keyed by
 //! [`StaggeredSet::key`], the key the plan evaluator uses for the same
-//! process. The pre-optimisation path is preserved verbatim as
+//! process. The evaluator also owns the KL pass's work vectors
+//! ([`KlScratch`]), so a schedule's passes reuse them. The
+//! pre-optimisation path is preserved verbatim as
 //! [`PgpScheduler::schedule_reference`], the one user of the reference
 //! evaluator; both produce byte-identical plans (enforced by the
 //! `identical_plans` property test and the root `plan_identity` test).
@@ -59,7 +65,7 @@
 //! workflow here — the paper apps, FINRA-200 and the benchmark
 //! synthetics — back to this sequential rule.
 
-use crate::kl::{kernighan_lin_with_stats, KlObjective, KlStats, Side};
+use crate::kl::{kernighan_lin_with_stats, KlObjective, KlScratch, KlStats, Side};
 use chiron_lifecycle::{penalty_for_plan, LifecycleCosts, PrewarmBudget};
 use chiron_model::plan::{
     DeploymentPlan, IsolationKind, ProcessPlan, ProcessSpawn, RuntimeKind, SandboxId, SandboxPlan,
@@ -69,7 +75,7 @@ use chiron_model::{BillingModel, CostModel, FunctionId, LanguageRuntime, SimDura
 use chiron_obs::StaticCounter;
 use chiron_predict::{
     partition_key, predict_threads, PartitionMemo, PredictScratch, PredictionCache, Predictor,
-    SegmentCatalog, SimThread, StaggeredSet, StaggeredSummary,
+    SegmentCatalog, SimThread, StaggeredSet, StaggeredSummary, SwapScan,
 };
 use chiron_profiler::WorkflowProfile;
 use std::collections::HashMap;
@@ -282,11 +288,12 @@ trait PgpEval: KlObjective {
 
 /// Memoised, allocation-free evaluator (the default).
 ///
-/// KL candidates are scored against per-side [`StaggeredSummary`]s,
-/// rebuilt once per round into buffers that live as long as the
-/// evaluator: a candidate's lower bound, and a CPU-only candidate's
-/// makespan, are O(1) deltas of its round's sets instead of O(set)
-/// recomputations.
+/// A KL round over two CPU-only sets is tabulated and scanned in integer
+/// nanoseconds ([`SwapScan`]). Any other round's candidates are scored
+/// against per-side [`StaggeredSummary`]s, rebuilt for that round into
+/// buffers that live as long as the evaluator: a candidate's lower bound,
+/// and a CPU-only candidate's makespan, are O(1) deltas of its round's
+/// sets instead of O(set) recomputations.
 struct CachedEval<'a> {
     predictor: &'a Predictor,
     check: &'a Predictor,
@@ -294,7 +301,11 @@ struct CachedEval<'a> {
     catalog: &'a SegmentCatalog,
     cache: &'a PredictionCache,
     scratch: PredictScratch,
+    /// The round's tables when both working sets are CPU-only.
+    scan: SwapScan,
+    /// The round's summaries otherwise.
     sides: [StaggeredSummary; 2],
+    kl: KlScratch,
     /// Partitions searched by this schedule, memoised only when it ends:
     /// a schedule never replays its own searches (two stages with equal
     /// contents are both searched), so its cache hits and misses match a
@@ -317,7 +328,9 @@ impl<'a> CachedEval<'a> {
             catalog,
             cache,
             scratch: PredictScratch::new(),
+            scan: SwapScan::default(),
             sides: Default::default(),
+            kl: KlScratch::default(),
             searched: Vec::new(),
         }
     }
@@ -356,8 +369,20 @@ impl KlObjective for CachedEval<'_> {
 
     fn begin_round(&mut self, a: &[FunctionId], b: &[FunctionId]) {
         let (src_a, src_b) = (self.staggered(a), self.staggered(b));
-        self.sides[0].rebuild(&src_a);
-        self.sides[1].rebuild(&src_b);
+        if !self.scan.begin(&src_a, &src_b) {
+            self.sides[0].rebuild(&src_a);
+            self.sides[1].rebuild(&src_b);
+        }
+    }
+
+    fn best_swap(
+        &mut self,
+        free_a: &[usize],
+        free_b: &[usize],
+        stats: &mut KlStats,
+    ) -> Option<(usize, usize, f64)> {
+        let (ia, ib, score) = self.scan.best_swap(free_a, free_b, stats)?;
+        Some((ia, ib, score.as_millis_f64()))
     }
 
     fn swapped_lower_bound(&mut self, side: Side, set: &[FunctionId], pos: usize) -> f64 {
@@ -419,7 +444,9 @@ impl PgpEval for CachedEval<'_> {
             return sets;
         }
         let mut memo = PartitionMemo::default();
-        let sets = partition_one_stage(stage, n, self, &mut memo.stats, &mut memo.swaps);
+        let mut kl = std::mem::take(&mut self.kl);
+        let sets = partition_one_stage(stage, n, self, &mut kl, &mut memo.stats, &mut memo.swaps);
+        self.kl = kl;
         *stats += memo.stats;
         self.searched.push((key, memo));
         sets
@@ -470,7 +497,14 @@ impl PgpEval for ReferenceEval<'_> {
         n: usize,
         stats: &mut KlStats,
     ) -> Vec<Vec<FunctionId>> {
-        partition_one_stage(stage, n, self, stats, &mut Vec::new())
+        partition_one_stage(
+            stage,
+            n,
+            self,
+            &mut KlScratch::default(),
+            stats,
+            &mut Vec::new(),
+        )
     }
 }
 
@@ -991,6 +1025,7 @@ fn partition_one_stage<E: PgpEval>(
     fns: &[FunctionId],
     n: usize,
     eval: &mut E,
+    kl: &mut KlScratch,
     stats: &mut KlStats,
     swaps: &mut Vec<[u32; 4]>,
 ) -> Vec<Vec<FunctionId>> {
@@ -1005,7 +1040,7 @@ fn partition_one_stage<E: PgpEval>(
             }
             let mut a = std::mem::take(&mut left[i]);
             let mut b = std::mem::take(&mut right[0]);
-            let (_, applied) = kernighan_lin_with_stats(&mut a, &mut b, eval, stats);
+            let (_, applied) = kernighan_lin_with_stats(&mut a, &mut b, eval, stats, kl);
             swaps.extend(
                 applied
                     .into_iter()

@@ -271,9 +271,10 @@ impl StaggeredSet<'_> {
 /// suffix maxima of the closed form's
 /// `reach(i) = base + spacing·i + Σ_{j≥i} cpu_j`.
 ///
-/// The Kernighan–Lin pass rebuilds one summary per side per round and
-/// then scores every candidate swap against it; the buffers are reused
-/// across rebuilds. A CPU-only candidate is scored by
+/// The Kernighan–Lin pass rebuilds one summary per side for each round
+/// with a block (a round over two CPU-only sets is a [`SwapScan`]
+/// instead) and then scores every candidate swap against it; the buffers
+/// are reused across rebuilds. A CPU-only candidate is scored by
 /// [`makespan_with`](StaggeredSummary::makespan_with); any other is
 /// keyed by [`StaggeredSet::key`] and looked up in the cache.
 #[derive(Debug, Clone, Default)]
@@ -362,6 +363,151 @@ impl StaggeredSummary {
         let head = self.reach_pre[pos] - self.cpus[pos] + catalog.cpu_total(incoming);
         Some(head.max(self.reach_suf[pos + 1]))
     }
+}
+
+/// Scores below this many nanoseconds convert to distinct, equally
+/// ordered milliseconds: `x as f64 / 1e6` is correctly rounded, so it is
+/// monotone, and below 2^51 two integers' quotients lie more than two
+/// ulps apart, so it is injective.
+const EXACT_MS_BELOW_NS: u64 = 1 << 51;
+
+/// One position `i` of a CPU-only side of a [`SwapScan`], in integer
+/// nanoseconds. With `c` the incoming function's CPU total, the swapped
+/// set's closed-form makespan is `max(head + c, suf)` (as
+/// [`StaggeredSummary::makespan_with`]), and its lower bound is
+/// `max(low + c, tail)` (as [`StaggeredSummary::lower_bound_with`]: a
+/// CPU-only function's span is its CPU total, so the bound's two `+ c`
+/// terms share one maximum).
+#[derive(Debug, Clone, Copy, Default)]
+struct SwapTerms {
+    /// `reach_pre[i] − cpu[i]`.
+    head: u64,
+    /// `reach_suf[i + 1]`.
+    suf: u64,
+    /// `base + max(cpu_sum − cpu[i], spacing·i)`.
+    low: u64,
+    /// `base + others_tail[i]`.
+    tail: u64,
+    /// `cpu[i]`, what the position brings to the other side.
+    cpu: u64,
+}
+
+/// A Kernighan–Lin round over two CPU-only sets, tabulated so that its
+/// winning swap is one scan of integer maxima and compares.
+///
+/// [`begin`](SwapScan::begin) builds one [`SwapTerms`] table per side in
+/// two passes over the set (no [`StaggeredSummary`] rebuild), and
+/// [`best_swap`](SwapScan::best_swap) walks the round's candidates in the
+/// pass's order. Every score stays below 2^51 ns, where integer order is
+/// the order of the milliseconds the candidate loop compares, so the scan
+/// picks the loop's swap and prunes the loop's candidates.
+#[derive(Debug, Clone, Default)]
+pub struct SwapScan {
+    sides: [Vec<SwapTerms>; 2],
+    /// Side B's terms at the free positions, in `free_b` order.
+    row: Vec<SwapTerms>,
+    ready: bool,
+}
+
+impl SwapScan {
+    /// Tabulates the round whose working sets are `a` and `b`. Returns
+    /// whether [`best_swap`](SwapScan::best_swap) will answer it: every
+    /// function of both sets is CPU-only and no score can reach 2^51 ns.
+    pub fn begin(&mut self, a: &StaggeredSet<'_>, b: &StaggeredSet<'_>) -> bool {
+        let [ta, tb] = &mut self.sides;
+        self.ready = match (tabulate(ta, a), tabulate(tb, b)) {
+            (Some(reach_a), Some(reach_b)) => reach_a.saturating_add(reach_b) < EXACT_MS_BELOW_NS,
+            _ => false,
+        };
+        self.ready
+    }
+
+    /// The round's winning swap `(position in a, position in b, pair
+    /// score)`: the first candidate of `free_a × free_b`, in that nesting
+    /// order, whose score is strictly below every earlier one's. Advances
+    /// `stats.candidates` and `stats.pruned` exactly as the pruning
+    /// candidate loop does. `None` unless the last
+    /// [`begin`](SwapScan::begin) returned true.
+    ///
+    /// With incumbent `s`, the loop prunes a candidate once side A's
+    /// bound, side A's score or side B's bound reaches `s`. A side's bound
+    /// never exceeds its CPU-only score, so that is `max(ev_a, lb_b) ≥ s`,
+    /// and a pruned candidate's score `max(ev_a, ev_b)` is at least `s`:
+    /// the winner is the first strict minimum of the scores alone.
+    pub fn best_swap(
+        &mut self,
+        free_a: &[usize],
+        free_b: &[usize],
+        stats: &mut KlStats,
+    ) -> Option<(usize, usize, SimDuration)> {
+        if !self.ready || free_a.is_empty() || free_b.is_empty() {
+            return None;
+        }
+        let [a, b] = &self.sides;
+        self.row.clear();
+        self.row.extend(free_b.iter().map(|&ib| b[ib]));
+        let (mut s, mut best, mut pruned) = (u64::MAX, (0, 0), 0u64);
+        for &ia in free_a {
+            let ta = a[ia];
+            for (j, tb) in self.row.iter().enumerate() {
+                let ev_a = (ta.head + tb.cpu).max(ta.suf);
+                let ev_b = (tb.head + ta.cpu).max(tb.suf);
+                let lb_b = (tb.low + ta.cpu).max(tb.tail);
+                pruned += u64::from(ev_a.max(lb_b) >= s);
+                let score = ev_a.max(ev_b);
+                if score < s {
+                    (s, best) = (score, (ia, j));
+                }
+            }
+        }
+        stats.candidates += (free_a.len() * free_b.len()) as u64;
+        stats.pruned += pruned;
+        Some((best.0, free_b[best.1], SimDuration::from_nanos(s)))
+    }
+}
+
+/// Fills `terms` for `src`, or returns `None` when a function of the set
+/// has a block segment. Otherwise returns `base + spacing·n + cpu_sum`:
+/// the two sides' sum bounds every score and bound of the round.
+fn tabulate(terms: &mut Vec<SwapTerms>, src: &StaggeredSet<'_>) -> Option<u64> {
+    let (base, spacing) = (src.base.as_nanos(), src.spacing.as_nanos());
+    terms.resize(src.set.len(), SwapTerms::default());
+    // Forward: the CPU totals, their sum, the tail maximum over the
+    // earlier positions, and the running maximum of `spacing·j − Σ_{k<j}
+    // cpu_k`, which is `reach(j)` less `base + cpu_sum` (known only at the
+    // end), held in `head` as a two's-complement i64.
+    let (mut cpu_sum, mut tail, mut lead, mut step) = (0u64, 0u64, i64::MIN, 0u64);
+    for (t, &f) in terms.iter_mut().zip(src.set) {
+        if !src.catalog.is_cpu_only(f) {
+            return None;
+        }
+        let cpu = src.catalog.cpu_total(f).as_nanos();
+        lead = lead.max(step as i64 - cpu_sum as i64);
+        *t = SwapTerms {
+            head: lead as u64,
+            suf: 0,
+            low: step,
+            tail,
+            cpu,
+        };
+        tail = tail.max(step + cpu);
+        cpu_sum += cpu;
+        step += spacing;
+    }
+    // Backward: the tail maximum over the later positions, the suffix
+    // maximum of `reach`, and every term in its final form.
+    let (mut tail, mut suffix_cpu, mut reach_suf) = (0u64, 0u64, 0u64);
+    for t in terms.iter_mut().rev() {
+        let step = t.low;
+        t.suf = reach_suf;
+        suffix_cpu += t.cpu;
+        reach_suf = reach_suf.max(base + step + suffix_cpu);
+        t.head = (base + cpu_sum).wrapping_add(t.head) - t.cpu;
+        t.low = base + (cpu_sum - t.cpu).max(step);
+        t.tail = base + t.tail.max(tail);
+        tail = tail.max(step + t.cpu);
+    }
+    Some(base.saturating_add(step).saturating_add(cpu_sum))
 }
 
 /// [`ThreadSource`] over caller-owned flat buffers; used for isolated

@@ -2,8 +2,8 @@
 //! panic; each case matches its exact variant.
 
 use chiron_ml::{
-    FitError, ForestConfig, GnnConfig, GnnRegressor, LstmConfig, LstmRegressor, RandomForest,
-    RegressionTree, TreeConfig,
+    FitError, ForestConfig, GnnConfig, GnnRegressor, LstmConfig, LstmRegressor, PredictError,
+    RandomForest, RegressionTree, TreeConfig,
 };
 
 type Graph = (Vec<Vec<f64>>, Vec<Vec<f64>>);
@@ -104,4 +104,20 @@ fn fits_accept_well_formed_data() {
     assert!(forest(&[vec![1.0], vec![2.0]], &y).is_ok());
     assert!(lstm(&[vec![vec![1.0]], vec![vec![2.0]]], &y).is_ok());
     assert!(gnn(&[one_node_graph(), one_node_graph()], &y).is_ok());
+}
+
+#[test]
+fn predicts_refuse_a_sample_of_the_wrong_width() {
+    let (x, y) = ([vec![1.0, 2.0], vec![3.0, 4.0]], [1.0, 2.0]);
+    let (tree, forest) = (tree(&x, &y).unwrap(), forest(&x, &y).unwrap());
+    for sample in [&[][..], &[1.0], &[1.0, 2.0, 3.0]] {
+        let mismatch = Err(PredictError::WidthMismatch {
+            expected: 2,
+            got: sample.len(),
+        });
+        assert_eq!(tree.predict(sample), mismatch);
+        assert_eq!(forest.predict(sample), mismatch);
+    }
+    assert!(tree.predict(&[1.0, 2.0]).is_ok());
+    assert!(forest.predict(&[1.0, 2.0]).is_ok());
 }

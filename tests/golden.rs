@@ -1,16 +1,23 @@
-//! Committed digests of jittered DES outcomes.
+//! Committed digests of jittered DES outcomes and of PGP decisions.
 //!
 //! The simulator is deterministic, so a digest over its outputs pins its
 //! behaviour to the bit: a change to the jitter tables, the order of the
 //! draws, or any cost the replay charges moves the digest. One digest
 //! covers `e2e` alone; the other covers every field of every outcome, so
 //! a span that moves, splits or changes kind fails it even when `e2e`
-//! holds. A deliberate change updates the constants here by hand, and
+//! holds. A third pins what PGP decides and how hard it searched, so a
+//! change to the search that keeps the suite's plans but moves a
+//! prediction, a KL counter or a cache lookup anywhere fails it. A deliberate change updates the constants here by hand, and
 //! names the old and new values in CHANGES.md.
 
-use chiron::model::{apps, JitterModel, PlatformConfig, Workflow};
+use chiron::model::{
+    apps, synthetic, JitterModel, PlatformConfig, SimDuration, SyntheticSpec, Workflow,
+};
 use chiron::{Chiron, PgpMode};
 use chiron_deploy::planners;
+use chiron_pgp::{PgpConfig, PgpScheduler, ScheduleOutcome};
+use chiron_predict::{PredictionCache, Predictor};
+use chiron_profiler::Profiler;
 use chiron_runtime::{RequestOutcome, SimScratch, VirtualPlatform};
 
 /// FNV-1a over the little-endian bytes of each `e2e` in nanoseconds,
@@ -88,6 +95,87 @@ fn suite_digest(fold: impl Fn(u64, &RequestOutcome) -> u64) -> u64 {
         }
     }
     digest
+}
+
+/// FNV-1a over every PGP decision of [`pgp_schedules`]: per schedule the
+/// plan's `Debug` text, `predicted` in nanoseconds, `processes`,
+/// `met_slo`, the five `audit.kl` counters and the cache hits and misses.
+const PGP_DECISION_DIGEST: u64 = 0xc546_c138_a441_5f6d;
+/// Seeded synthetic workflows in the PGP decision digest.
+const PGP_SYNTHETICS: u64 = 40;
+
+/// Every schedule the PGP decision digest covers, each on a fresh cache:
+/// the suite and FINRA-20 under both profiler seeds, every mode and both
+/// configs (FINRA-100/200 only NativeThread performance-first, to bound
+/// the debug build's time), then seeded synthetics the same way. Half
+/// the synthetics are CPU-only and half mix in I/O, so the KL search
+/// runs both its CPU-only and its keyed rounds.
+fn pgp_schedules(mut visit: impl FnMut(&ScheduleOutcome)) {
+    let scheduler = PgpScheduler::new(Predictor::from_config(&PlatformConfig::paper_calibrated()));
+    let mut workflows = apps::evaluation_suite();
+    workflows.push(apps::finra(20));
+    workflows.extend((0..PGP_SYNTHETICS).map(|seed| {
+        synthetic(SyntheticSpec {
+            seed,
+            io_fraction: if seed % 2 == 0 { 0.0 } else { 0.4 },
+            profile_classes: seed as usize % 3,
+            ..SyntheticSpec::default()
+        })
+    }));
+    for wf in &workflows {
+        let large = wf.function_count() > 60;
+        for profiler_seed in [0, 7] {
+            let profile = Profiler::default()
+                .with_seed(profiler_seed)
+                .profile_workflow(wf);
+            for mode in [PgpMode::NativeThread, PgpMode::Mpk, PgpMode::Pool] {
+                for config in [
+                    PgpConfig::performance_first(),
+                    PgpConfig::with_slo(SimDuration::from_millis(200)),
+                ] {
+                    if large && (mode != PgpMode::NativeThread || config.slo.is_some()) {
+                        continue;
+                    }
+                    let config = config.with_mode(mode);
+                    let cache = PredictionCache::new();
+                    visit(&scheduler.schedule_with_cache(wf, &profile, &config, &cache));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn pgp_decision_digest() {
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut schedules = 0;
+    pgp_schedules(|out| {
+        let mut add = |v: u64| digest = fnv1a(digest, v.to_le_bytes());
+        for b in format!("{:?}", out.plan).bytes() {
+            add(u64::from(b));
+        }
+        let kl = &out.audit.kl;
+        for v in [
+            out.predicted.as_nanos(),
+            out.processes as u64,
+            u64::from(out.met_slo),
+            kl.passes,
+            kl.rounds,
+            kl.candidates,
+            kl.pruned,
+            kl.applied,
+            out.audit.cache_hits,
+            out.audit.cache_misses,
+        ] {
+            add(v);
+        }
+        schedules += 1;
+    });
+    assert_eq!(schedules, 568);
+    assert_eq!(
+        digest, PGP_DECISION_DIGEST,
+        "PGP decision digest moved: committed {PGP_DECISION_DIGEST:#018x}, now {digest:#018x}"
+    );
 }
 
 #[test]

@@ -2,8 +2,8 @@
 
 use chiron::model::{RuntimeKind, Segment, SimDuration, SimTime, SyscallKind};
 use chiron::predict::{
-    predict_threads, predict_threads_src, predict_true_parallel, SegmentCatalog, SimArena,
-    SimThread, StaggeredSet, StaggeredSummary,
+    predict_threads, predict_threads_src, predict_true_parallel, KlStats, SegmentCatalog, SimArena,
+    SimThread, StaggeredSet, StaggeredSummary, SwapScan,
 };
 use chiron_deploy::{place, planners, ClusterConfig, ClusterState, PlacementPolicy};
 use chiron_metrics::LatencySamples;
@@ -362,6 +362,69 @@ fn arb_cpu_bursts() -> impl Strategy<Value = Vec<Segment>> {
     })
 }
 
+/// CPU bursts of one function drawn so that CPU totals repeat across
+/// functions: 0–4 bursts, each a whole 0–3 ms or, for half the functions,
+/// a random nanosecond length (a quarter of them zero).
+fn arb_tied_bursts() -> impl Strategy<Value = Vec<Segment>> {
+    let burst = (0u64..4, 1u64..12_000_000);
+    (any::<bool>(), prop::collection::vec(burst, 0..5)).prop_map(|(coarse, bursts)| {
+        let ns = |(k, ns): (u64, u64)| {
+            if coarse {
+                k * 1_000_000
+            } else {
+                ns * u64::from(k > 0)
+            }
+        };
+        bursts
+            .into_iter()
+            .map(|b| Segment::Cpu(SimDuration::from_nanos(ns(b))))
+            .collect()
+    })
+}
+
+/// One pruning Kernighan–Lin round run candidate by candidate, as the pass
+/// runs it for the scheduler's evaluator when the round has a block: each
+/// side scored in milliseconds through its [`StaggeredSummary`], with the
+/// pass's three exact prunes in its order.
+fn kl_candidate_loop(
+    catalog: &SegmentCatalog,
+    sides: [&StaggeredSummary; 2],
+    [a, b]: [&[FunctionId]; 2],
+    [free_a, free_b]: [&[usize]; 2],
+    stats: &mut KlStats,
+) -> (usize, usize, f64) {
+    let lb =
+        |side: &StaggeredSummary, pos, f| side.lower_bound_with(catalog, pos, f).as_millis_f64();
+    let ev = |side: &StaggeredSummary, pos, f| {
+        let makespan = side.makespan_with(catalog, pos, f);
+        makespan.expect("a CPU-only round").as_millis_f64()
+    };
+    let mut best: Option<(usize, usize, f64)> = None;
+    for &ia in free_a {
+        for &ib in free_b {
+            stats.candidates += 1;
+            let score = match best {
+                Some((_, _, s)) if lb(sides[0], ia, b[ib]) >= s => f64::INFINITY,
+                _ => {
+                    let score_a = ev(sides[0], ia, b[ib]);
+                    match best {
+                        Some((_, _, s)) if score_a >= s => f64::INFINITY,
+                        Some((_, _, s)) if lb(sides[1], ib, a[ia]) >= s => f64::INFINITY,
+                        _ => score_a.max(ev(sides[1], ib, a[ia])),
+                    }
+                }
+            };
+            if score.is_infinite() {
+                stats.pruned += 1;
+            }
+            if best.is_none_or(|(_, _, s)| score < s) {
+                best = Some((ia, ib, score));
+            }
+        }
+    }
+    best.expect("free sets are non-empty")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -422,6 +485,76 @@ proptest! {
                 prop_assert_eq!(summary.makespan_with(&catalog, pos, f), None, "{:?}", set);
             }
         }
+    }
+
+    /// A CPU-only Kernighan–Lin round's integer scan is its candidate loop:
+    /// on random catalogs with repeated CPU totals (so scores tie), sides
+    /// of 1–16 functions, zero or positive thread spacing and random
+    /// mid-pass free positions, [`SwapScan::best_swap`] picks the loop's
+    /// swap with the loop's score, bit for bit, and counts the same
+    /// candidates and prunes. With a block on either side it answers
+    /// nothing.
+    #[test]
+    fn kl_round_scan_matches_candidate_loop(
+        fns in prop::collection::vec(arb_tied_bursts(), 1..=20),
+        picks in (
+            prop::collection::vec((0usize..1000, any::<bool>()), 1..=16),
+            prop::collection::vec((0usize..1000, any::<bool>()), 1..=16),
+        ),
+        spacing in (any::<bool>(), 1u64..400_000),
+        base in (any::<bool>(), 1u64..2_000_000),
+        blocked_side in 0usize..2,
+    ) {
+        let block = Segment::block_ms(SyscallKind::NetIo, 1.0);
+        let catalog = SegmentCatalog::from_segments(fns.iter().cloned().chain([vec![block]]));
+        let shape = StaggeredSet {
+            set: &[],
+            catalog: &catalog,
+            spacing: SimDuration::from_nanos(spacing.1 * u64::from(spacing.0)),
+            base: SimDuration::from_nanos(base.1 * u64::from(base.0)),
+        };
+        // Each side's functions, and its free positions in pass order
+        // (the first position is kept free if no other is).
+        let side = |picks: &[(usize, bool)]| {
+            let set: Vec<FunctionId> =
+                picks.iter().map(|&(p, _)| FunctionId((p % fns.len()) as u32)).collect();
+            let mut free: Vec<usize> = (0..set.len()).filter(|&i| picks[i].1).collect();
+            if free.is_empty() {
+                free.push(0);
+            }
+            (set, free)
+        };
+        let ((mut a, free_a), (mut b, free_b)) = (side(&picks.0), side(&picks.1));
+        let mut summaries = [StaggeredSummary::default(), StaggeredSummary::default()];
+        summaries[0].rebuild(&StaggeredSet { set: &a, ..shape });
+        summaries[1].rebuild(&StaggeredSet { set: &b, ..shape });
+        let mut looped = KlStats::default();
+        let expected = kl_candidate_loop(
+            &catalog,
+            [&summaries[0], &summaries[1]],
+            [&a, &b],
+            [&free_a, &free_b],
+            &mut looped,
+        );
+        let mut scan = SwapScan::default();
+        let mut scanned = KlStats::default();
+        prop_assert!(scan.begin(&StaggeredSet { set: &a, ..shape }, &StaggeredSet { set: &b, ..shape }));
+        let (ia, ib, score) = scan
+            .best_swap(&free_a, &free_b, &mut scanned)
+            .expect("a CPU-only round is scanned");
+        let at = format!("a {a:?} free {free_a:?}, b {b:?} free {free_b:?}");
+        prop_assert_eq!((ia, ib), (expected.0, expected.1), "{}", at);
+        prop_assert_eq!(score.as_millis_f64().to_bits(), expected.2.to_bits(), "{}", at);
+        prop_assert_eq!(scanned, looped, "{}", at);
+
+        // A block on either side: the round is the loop's, not the scan's.
+        let blocked = FunctionId(fns.len() as u32);
+        let sides = [&mut a, &mut b];
+        let pos = picks.0[0].0 % sides[blocked_side].len();
+        sides[blocked_side][pos] = blocked;
+        prop_assert!(!scan.begin(&StaggeredSet { set: &a, ..shape }, &StaggeredSet { set: &b, ..shape }));
+        prop_assert_eq!(scan.best_swap(&free_a, &free_b, &mut scanned), None);
+        prop_assert_eq!(scanned, looped);
     }
 
     /// Up to 8 threads in each of up to 3 processes (spread over process
