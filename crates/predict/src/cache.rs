@@ -66,9 +66,7 @@ impl Fnv1a {
     }
 
     pub fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.write_u8(b);
-        }
+        self.0 = fnv_u64(self.0, v);
     }
 
     pub fn finish(&self) -> u64 {
@@ -80,6 +78,29 @@ impl Default for Fnv1a {
     fn default() -> Self {
         Fnv1a::new()
     }
+}
+
+/// [`Fnv1a::write_u64`] from state `h`: one FNV-1a step per byte of `v`,
+/// little-endian.
+const fn fnv_u64(mut h: u64, v: u64) -> u64 {
+    let mut byte = 0;
+    while byte < 8 {
+        h = (h ^ ((v >> (8 * byte)) & 0xff)).wrapping_mul(FNV_PRIME);
+        byte += 1;
+    }
+    h
+}
+
+/// The FNV-1a state after `SALT_STAGGERED`, folded at compile time.
+const STAGGERED_STATE: u64 = fnv_u64(FNV_OFFSET, SALT_STAGGERED);
+
+/// The salt of the last shape (switch interval, spacing, base, set
+/// length) a [`StaggeredSet::key_memo`] keyed. A search keys thousands of
+/// sets of one shape, so each shape's salt is hashed once in a row.
+#[derive(Debug, Clone, Default)]
+pub struct SaltMemo {
+    shape: Option<[u64; 4]>,
+    salt: u64,
 }
 
 /// Finaliser used to mix per-position element hashes into a set key.
@@ -209,13 +230,21 @@ impl StaggeredSet<'_> {
     /// and the pack/trim plan evaluator, so a set first simulated during
     /// partitioning is a cache hit when the packed plan is priced.
     pub fn key(&self, interval: SimDuration) -> u64 {
-        let mut salt = Fnv1a::new();
-        salt.write_u64(SALT_STAGGERED);
-        salt.write_u64(interval.as_nanos());
-        salt.write_u64(self.spacing.as_nanos());
-        salt.write_u64(self.base.as_nanos());
-        salt.write_u64(self.set.len() as u64);
-        let mut key = salt.finish();
+        self.key_memo(interval, &mut SaltMemo::default())
+    }
+
+    /// [`key`](Self::key), reusing `memo`'s salt when the shape repeats.
+    pub fn key_memo(&self, interval: SimDuration, memo: &mut SaltMemo) -> u64 {
+        let (spacing, base) = (self.spacing.as_nanos(), self.base.as_nanos());
+        let shape = [interval.as_nanos(), spacing, base, self.set.len() as u64];
+        if memo.shape != Some(shape) {
+            let salt = shape.iter().fold(STAGGERED_STATE, |h, &v| fnv_u64(h, v));
+            *memo = SaltMemo {
+                shape: Some(shape),
+                salt,
+            };
+        }
+        let mut key = memo.salt;
         for (i, &f) in self.set.iter().enumerate() {
             let pos = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             key ^= splitmix64(self.catalog.content_hash(f).wrapping_add(pos));
@@ -850,6 +879,50 @@ mod tests {
         };
         assert_ne!(a.key(i), wider.key(i));
         assert_ne!(a.key(i), a.key(SimDuration::from_millis(6)));
+    }
+
+    #[test]
+    fn staggered_key_matches_bytewise_fold() {
+        let (catalog, _) = catalog_for(12);
+        let mut state = 0;
+        let mut next = || {
+            state = splitmix64(state);
+            state
+        };
+        // Each scalar is a typical value or any 64 bits, so shapes repeat
+        // now and then across one memo.
+        let mut memo = SaltMemo::default();
+        let mut either = |typical: u64| [typical, next()][next() as usize % 2];
+        for _ in 0..512 {
+            let len = either(3) % 8;
+            let set: Vec<FunctionId> = (0..len)
+                .map(|i| FunctionId(either(i) as u32 % 13))
+                .collect();
+            let interval = SimDuration::from_nanos(either(5_000_000));
+            let src = StaggeredSet {
+                set: &set,
+                catalog: &catalog,
+                spacing: SimDuration::from_nanos(either(100_000)),
+                base: SimDuration::from_nanos(either(0)),
+            };
+            // The salt as first written: each scalar folded byte by byte.
+            let mut salt = Fnv1a::new();
+            let scalars = [SALT_STAGGERED, interval.as_nanos(), src.spacing.as_nanos()];
+            for v in scalars
+                .into_iter()
+                .chain([src.base.as_nanos(), set.len() as u64])
+            {
+                v.to_le_bytes().into_iter().for_each(|b| salt.write_u8(b));
+            }
+            let mut want = salt.finish();
+            for (i, &f) in set.iter().enumerate() {
+                let pos = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                want ^= splitmix64(catalog.content_hash(f).wrapping_add(pos));
+            }
+            assert_eq!(src.key(interval), want);
+            assert_eq!(src.key_memo(interval, &mut memo), want);
+            assert_eq!(src.key_memo(interval, &mut memo), want);
+        }
     }
 
     #[test]

@@ -11,21 +11,37 @@
 //! placement, and which wraps are a sandbox's first use (its cold start).
 //!
 //! A replay then only draws jitter — in exactly the order the
-//! interpretive executor drew it — runs the fluid engine over the flat
-//! thread ranges and writes the [`RequestOutcome`]. Each draw is one
-//! `next_u64` and one interpolated lookup in the platform's
-//! [`JitterTables`].
+//! interpretive executor drew it — runs each wrap's threads and writes the
+//! [`RequestOutcome`]. Each draw is one `next_u64` and one interpolated
+//! lookup in the platform's [`JitterTables`].
 //!
-//! Spans are built in [`ReplayScratch`]'s per-lane buffers, which are
-//! cleared and never freed, so they keep their capacity from one replay
-//! to the next: a thread's buffer gets its pre-execution spans, then the
-//! engine appends its Exec / Io / GilWait spans. At each wrap's end the
-//! lanes are copied, in thread order, into the outcome's one span buffer,
-//! each followed by its IPC and store-write spans, and each timeline
-//! records its range there. A replay allocates three vectors: the
-//! timelines, the spans and the stage windows.
+//! **Alone wraps: one pass.** When no process of a wrap hosts two threads
+//! under the GIL and its threads fit its CPUs (or are one), the fluid
+//! engine would run each thread alone; `compile` reads that off the plan.
+//! Such a wrap is replayed in one pass over its threads: the pre-execution
+//! spans are drawn, then each segment's jitter, its `Exec` / `Io` span
+//! going straight into the outcome's span buffer and its instants counted
+//! as the engine counts them. A thread leaves a slot for its IPC span (if
+//! first in its process, in a wrap of two or more processes) and one for
+//! its store write. Then the processes drain in completion order, the
+//! slots are filled (writes drawn after the drains, in thread order), and
+//! the first-completing process's empty IPC slot goes with one
+//! `Vec::remove`, shifting the later threads' ranges. Draws and spans
+//! match the engine path byte for byte.
+//!
+//! **Other wraps: the engine.** Their spans are built in
+//! [`ReplayScratch`]'s per-lane buffers, cleared and never freed: a
+//! thread's buffer gets its pre-execution spans, then the engine appends
+//! its Exec / Io / GilWait spans over the wrap's jittered segments. At the
+//! wrap's end the lanes are copied, in thread order, into the outcome's
+//! span buffer, each followed by its IPC and store-write spans.
+//!
+//! Both paths sort the drain order as packed `end << bits | process` keys.
+//! A replay allocates three vectors: the timelines, the spans (sized by the
+//! previous replay's count, plus the slot an alone wrap holds until its
+//! end) and the stage windows.
 
-use crate::fluid::{simulate, FluidScratch, Lane, Sandbox};
+use crate::fluid::{simulate, FluidScratch, InstantSet, Lane, Sandbox};
 use crate::jitter::{Jitter, JitterTables};
 use crate::platform::REQUEST_PAYLOAD_BYTES;
 use crate::span::{FunctionTimeline, RequestOutcome, Span, SpanKind};
@@ -39,13 +55,14 @@ use chiron_store::TransferModel;
 use std::ops::Range;
 
 /// A plan compiled against one platform and workflow. The inputs are kept
-/// by value: [`compiled_for`](Self::compiled_for) is the cache key.
+/// by value, the workflow as the fields compiling reads:
+/// [`compiled_for`](Self::compiled_for) is the cache key.
 #[derive(Debug)]
 pub(crate) struct CompiledPlan {
     config: PlatformConfig,
     transfer: TransferModel,
     cold_starts: bool,
-    workflow: Workflow,
+    workflow: WorkflowKey,
     plan: DeploymentPlan,
     stages: Vec<StageCode>,
     wraps: Vec<WrapCode>,
@@ -97,6 +114,10 @@ struct StageCode {
 struct WrapCode {
     sandbox: SandboxId,
     cpus: u32,
+    /// No process hosts two threads under the GIL, and the threads fit
+    /// the CPUs (or are one): the engine would run each thread alone, so
+    /// the replay does it in one pass (see the module doc).
+    alone: bool,
     procs: Range<usize>,
     threads: Range<usize>,
     /// Invocation delay after the stage start (Eq. 2 / the gateway).
@@ -144,8 +165,7 @@ struct ThreadCode {
 /// Reusable per-replay buffers.
 #[derive(Debug, Default)]
 pub(crate) struct ReplayScratch {
-    /// The request's jittered segments, indexed like
-    /// `CompiledPlan::segments`.
+    /// The current engine wrap's jittered segments, which its lanes index.
     segments: Vec<Segment>,
     lanes: Vec<Lane>,
     /// The pre-execution spans every thread of the current process starts
@@ -154,8 +174,10 @@ pub(crate) struct ReplayScratch {
     /// One span buffer per lane of the current wrap (the first
     /// `lanes.len()` are in use). Cleared, never freed.
     spans: Vec<Vec<Span>>,
-    /// Each process's completion and index, sorted into drain order.
-    proc_end: Vec<(SimTime, usize)>,
+    /// Each process's completion.
+    proc_end: Vec<SimTime>,
+    /// The processes in drain order (see [`drain_order`]).
+    order: Vec<u64>,
     ipc: Vec<Option<Span>>,
     wrap_ends: Vec<SimTime>,
     /// The previous outcome's span count: the next outcome's capacity.
@@ -187,7 +209,7 @@ impl CompiledPlan {
             config: config.clone(),
             transfer: *transfer,
             cold_starts,
-            workflow: workflow.clone(),
+            workflow: WorkflowKey::of(workflow),
             plan: plan.clone(),
             stages: Vec::with_capacity(plan.stages.len()),
             wraps: Vec::new(),
@@ -344,9 +366,16 @@ impl CompiledPlan {
                         drain,
                     });
                 }
+                // The engine runs each thread alone unless a process hosts
+                // two threads under the GIL or the threads outnumber the
+                // CPUs (`fluid::simulate`'s test, read off the plan).
+                let lanes = code.threads.len() - first_thread;
+                let gil = plan.runtime == RuntimeKind::PseudoParallel
+                    && code.procs[first_proc..].iter().any(|p| p.threads.len() > 1);
                 code.wraps.push(WrapCode {
                     sandbox: wrap.sandbox,
                     cpus,
+                    alone: !gil && (lanes <= cpus as usize || lanes == 1),
                     procs: first_proc..code.procs.len(),
                     threads: first_thread..code.threads.len(),
                     invoke,
@@ -376,7 +405,7 @@ impl CompiledPlan {
             && self.config == *config
             && self.transfer == *transfer
             && self.plan == *plan
-            && self.workflow == *workflow
+            && self.workflow.matches(workflow)
     }
 
     /// Executes one request; `seed` drives the jitter model, whose
@@ -398,12 +427,12 @@ impl CompiledPlan {
             completed: SimTime::ZERO,
             spans: 0..0,
         };
-        // A validated workflow runs every function exactly once, so every
-        // slot is overwritten.
-        let mut timelines = vec![unset; self.workflow.function_count()];
-        let mut spans = Vec::with_capacity(replay.last_spans);
+        // A validated workflow runs every function exactly once, as one
+        // thread, so every slot is overwritten.
+        let mut timelines = vec![unset; self.threads.len()];
+        // An alone wrap holds one slot more than it keeps until its end.
+        let mut spans = Vec::with_capacity(replay.last_spans + 1);
         let mut stage_windows = Vec::with_capacity(self.stages.len());
-        replay.segments.clear();
         let mut t = SimTime::ZERO;
 
         for (si, stage) in self.stages.iter().enumerate() {
@@ -412,15 +441,13 @@ impl CompiledPlan {
             let mut wrap_ends = std::mem::take(&mut replay.wrap_ends);
             wrap_ends.clear();
             for wrap in &self.wraps[stage.wraps.clone()] {
-                let end = self.replay_wrap(
-                    (si, stage),
-                    wrap,
-                    stage_start,
-                    &mut jit,
-                    replay,
-                    fluid,
-                    (&mut timelines, &mut spans),
-                );
+                let at = (si, stage, stage_start);
+                let out = (&mut timelines[..], &mut spans);
+                let end = if wrap.alone {
+                    self.replay_alone(at, wrap, &mut jit, replay, fluid, out)
+                } else {
+                    self.replay_wrap(at, wrap, &mut jit, replay, fluid, out)
+                };
                 wrap_ends.push(end);
             }
 
@@ -448,72 +475,148 @@ impl CompiledPlan {
         }
     }
 
-    /// Executes one wrap, writing its timelines and appending their spans
-    /// to the outcome's (`out`), and returns the instant its result set
-    /// is complete inside its sandbox.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_wrap(
+    /// Replays an alone wrap in one pass (see the module doc), writing its
+    /// timelines and appending their spans to the outcome's (`out`), and
+    /// returns the instant its result set is complete inside its sandbox.
+    fn replay_alone(
         &self,
-        (si, stage): (usize, &StageCode),
+        (si, stage, stage_start): (usize, &StageCode, SimTime),
         wrap: &WrapCode,
-        stage_start: SimTime,
         jit: &mut Jitter,
         replay: &mut ReplayScratch,
         fluid: &mut FluidScratch,
         (timelines, out): (&mut [FunctionTimeline], &mut Vec<Span>),
     ) -> SimTime {
-        let costs = &self.config.costs;
+        let ReplayScratch {
+            prefix,
+            proc_end,
+            order,
+            ..
+        } = replay;
+        let FluidScratch {
+            instants, stats, ..
+        } = fluid;
+        let threads = &self.threads[wrap.threads.clone()];
+        // One lane's instants strictly increase, so they are only counted.
+        let one = threads.len() == 1;
+        if one {
+            instants.len = 0;
+        } else {
+            instants.reset(threads.iter().map(|t| 1 + t.segments.len()).sum());
+        }
+
+        let avail = self.invoke(wrap, stage_start, jit);
+        let procs = &self.procs[wrap.procs.clone()];
+        proc_end.clear();
+        proc_end.resize(procs.len(), SimTime::ZERO);
+        // A lone process completes first and pipes nothing: no IPC slots.
+        let piped = procs.len() > 1;
+        let mut forks = (SimDuration::ZERO, false);
+        for (proc, proc_end) in procs.iter().zip(proc_end.iter_mut()) {
+            let ready = self.materialise(proc, stage_start, avail, &mut forks, jit, prefix);
+            for (ti, thread) in self.threads[proc.threads.clone()].iter().enumerate() {
+                let from = out.len();
+                out.extend_from_slice(prefix);
+                let start = self.thread_start(stage, proc, ti, ready, jit, out);
+                let segments = &self.segments[thread.segments.clone()];
+                let (exec_start, end) = if one {
+                    run_jittered::<true>(segments, start, jit, out, instants)
+                } else {
+                    run_jittered::<false>(segments, start, jit, out, instants)
+                };
+                *proc_end = (*proc_end).max(end);
+                // Slots for the IPC and store-write spans, filled below.
+                let slots = usize::from(piped && thread.first_in_process)
+                    + usize::from(thread.write.is_some());
+                out.resize(out.len() + slots, SLOT);
+                timelines[thread.function.index()] = FunctionTimeline {
+                    function: thread.function,
+                    sandbox: wrap.sandbox,
+                    stage: si,
+                    dispatched: stage_start,
+                    exec_start,
+                    completed: end,
+                    spans: span_index(from)..span_index(out.len()),
+                };
+            }
+        }
+        stats.events += instants.len;
+
+        // A validated plan has no empty process, so each has a first thread.
+        let mut wrap_end = drain(procs, proc_end, order, jit, |p, ipc| {
+            let first = &self.threads[procs[p].threads.start];
+            out[ipc_slot(&timelines[first.function.index()], first)] = ipc;
+        });
+        for thread in threads {
+            if let Some(write) = thread.write {
+                // The write starts when the function's own result exists.
+                let timeline = &mut timelines[thread.function.index()];
+                let mut cursor = timeline.completed;
+                let write = jit.comm(write);
+                let slot = timeline.spans.end as usize - 1;
+                out[slot] = Span {
+                    kind: SpanKind::TransferOut,
+                    start: cursor,
+                    end: cursor + write,
+                };
+                cursor += write;
+                timeline.completed = cursor;
+                wrap_end = wrap_end.max(cursor);
+            }
+        }
+        // The first process to complete pipes nothing: drop its IPC slot.
+        if let Some(&p) = order.first().filter(|_| piped) {
+            let first = procs[p as usize].threads.start;
+            let thread = &self.threads[first];
+            let timeline = &mut timelines[thread.function.index()];
+            out.remove(ipc_slot(timeline, thread));
+            timeline.spans.end -= 1;
+            for later in &self.threads[first + 1..wrap.threads.end] {
+                let spans = &mut timelines[later.function.index()].spans;
+                *spans = spans.start - 1..spans.end - 1;
+            }
+        }
+        if chiron_obs::tracing_enabled() {
+            for thread in threads {
+                let timeline = &timelines[thread.function.index()];
+                emit_des_window(timeline, timeline.spans(out));
+            }
+        }
+        wrap_end
+    }
+
+    /// Executes a wrap the engine must simulate (a process hosts two
+    /// threads under the GIL, or the threads outnumber the CPUs), writing
+    /// its timelines and appending their spans to the outcome's (`out`),
+    /// and returns the instant its result set is complete inside its
+    /// sandbox.
+    fn replay_wrap(
+        &self,
+        (si, stage, stage_start): (usize, &StageCode, SimTime),
+        wrap: &WrapCode,
+        jit: &mut Jitter,
+        replay: &mut ReplayScratch,
+        fluid: &mut FluidScratch,
+        (timelines, out): (&mut [FunctionTimeline], &mut Vec<Span>),
+    ) -> SimTime {
         let ReplayScratch {
             segments,
             lanes,
             prefix,
             spans,
             proc_end,
+            order,
             ipc,
             ..
         } = replay;
         lanes.clear();
+        segments.clear();
 
-        // ---- invocation time of this wrap -------------------------------
-        let mut avail = stage_start + wrap.invoke.draw(jit);
-        if wrap.cold_start {
-            avail += jit.startup(costs.sandbox_cold_start);
-        }
-
-        // ---- process materialisation (Eq. 4) ----------------------------
+        let avail = self.invoke(wrap, stage_start, jit);
         let procs = &self.procs[wrap.procs.clone()];
-        let mut cum_block = SimDuration::ZERO;
-        let mut forked_before = false;
+        let mut forks = (SimDuration::ZERO, false);
         for (pi, proc) in procs.iter().enumerate() {
-            prefix.clear();
-            if avail > stage_start {
-                prefix.push(Span {
-                    kind: SpanKind::Scheduled,
-                    start: stage_start,
-                    end: avail,
-                });
-            }
-            let mut cursor = avail;
-            match proc.spawn {
-                Spawn::Fork => {
-                    if forked_before {
-                        cum_block += jit.startup(costs.process_block);
-                    }
-                    forked_before = true;
-                    if !cum_block.is_zero() {
-                        push_span(prefix, SpanKind::BlockWait, &mut cursor, cum_block);
-                    }
-                    let startup = jit.startup(costs.process_startup);
-                    push_span(prefix, SpanKind::Startup, &mut cursor, startup);
-                }
-                Spawn::Pool { payload } => {
-                    let dispatch = jit.startup(costs.pool_dispatch) + jit.comm(payload);
-                    push_span(prefix, SpanKind::Startup, &mut cursor, dispatch);
-                }
-                Spawn::MainReuse => {}
-            }
-            let proc_ready = cursor;
-
+            let ready = self.materialise(proc, stage_start, avail, &mut forks, jit, prefix);
             for (ti, thread) in self.threads[proc.threads.clone()].iter().enumerate() {
                 // A lane's buffer gets its process's prefix and its own
                 // pre-execution spans now, the engine's spans during the
@@ -524,21 +627,8 @@ impl CompiledPlan {
                 let own = &mut spans[lanes.len()];
                 own.clear();
                 own.extend_from_slice(prefix);
-                let mut cursor = proc_ready;
-                if ti > 0 {
-                    // Threads are cloned serially by the process main.
-                    let clone_cost = jit.startup(costs.thread_clone) * ti as u64;
-                    push_span(own, SpanKind::Startup, &mut cursor, clone_cost);
-                }
-                if let Some(iso_startup) = proc.iso_startup {
-                    let entry = jit.startup(iso_startup);
-                    push_span(own, SpanKind::Startup, &mut cursor, entry);
-                }
-                if let Some(read) = stage.read {
-                    let read = jit.comm(read);
-                    push_span(own, SpanKind::TransferIn, &mut cursor, read);
-                }
-                debug_assert_eq!(segments.len(), thread.segments.start);
+                let start = self.thread_start(stage, proc, ti, ready, jit, own);
+                let from = segments.len();
                 segments.extend(self.segments[thread.segments.clone()].iter().map(
                     |&seg| match seg {
                         Segment::Cpu(d) => Segment::Cpu(jit.cpu(d)),
@@ -550,8 +640,8 @@ impl CompiledPlan {
                 ));
                 lanes.push(Lane {
                     process: pi,
-                    start: cursor,
-                    segments: thread.segments.clone(),
+                    start,
+                    segments: from..segments.len(),
                 });
             }
         }
@@ -559,38 +649,21 @@ impl CompiledPlan {
         let sandbox = Sandbox {
             cpus: wrap.cpus,
             runtime: self.plan.runtime,
-            gil_interval: costs.gil_switch_interval,
+            gil_interval: self.config.costs.gil_switch_interval,
         };
         let spans = &mut spans[..lanes.len()];
         let ends = simulate(lanes, segments, procs.len(), sandbox, fluid, spans);
         let threads = &self.threads[wrap.threads.clone()];
 
-        // ---- per-process completion and IPC drain (Eq. 3) ---------------
         proc_end.clear();
-        proc_end.extend((0..procs.len()).map(|p| (SimTime::ZERO, p)));
+        proc_end.resize(procs.len(), SimTime::ZERO);
         for (thread, result) in threads.iter().zip(ends) {
-            let end = &mut proc_end[thread.process].0;
+            let end = &mut proc_end[thread.process];
             *end = (*end).max(result.end);
         }
-        // Ascending completion, ties in process order.
-        proc_end.sort_unstable();
-        let mut drain = SimTime::ZERO;
         ipc.clear();
         ipc.resize(procs.len(), None);
-        for (rank, &(end, p)) in proc_end.iter().enumerate() {
-            if rank == 0 {
-                drain = end;
-                continue;
-            }
-            let start = drain.max(end);
-            drain = start + jit.comm(procs[p].drain);
-            ipc[p] = Some(Span {
-                kind: SpanKind::Ipc,
-                start,
-                end: drain,
-            });
-        }
-        let mut wrap_end = drain;
+        let mut wrap_end = drain(procs, proc_end, order, jit, |p, span| ipc[p] = Some(span));
 
         // ---- assemble timelines -----------------------------------------
         for ((thread, result), own) in threads.iter().zip(ends).zip(spans.iter()) {
@@ -624,6 +697,243 @@ impl CompiledPlan {
             timelines[thread.function.index()] = timeline;
         }
         wrap_end
+    }
+
+    // The helpers below serve both replay paths and are inlined into each:
+    // as calls they cost the suite's replays ~7% (in-process A/B).
+
+    /// Draws the wrap's invocation after the stage start (and its cold
+    /// start), and returns when its sandbox begins materialising processes.
+    #[inline(always)]
+    fn invoke(&self, wrap: &WrapCode, stage_start: SimTime, jit: &mut Jitter) -> SimTime {
+        let mut avail = stage_start + wrap.invoke.draw(jit);
+        if wrap.cold_start {
+            avail += jit.startup(self.config.costs.sandbox_cold_start);
+        }
+        avail
+    }
+
+    /// Draws `proc`'s materialisation (Eq. 4) into `prefix`, the spans
+    /// every thread of the process starts with, and returns when the
+    /// process is ready. `forks` carries the wrap's summed block wait and
+    /// whether a fork came before.
+    #[inline(always)]
+    fn materialise(
+        &self,
+        proc: &ProcCode,
+        stage_start: SimTime,
+        avail: SimTime,
+        (cum_block, forked_before): &mut (SimDuration, bool),
+        jit: &mut Jitter,
+        prefix: &mut Vec<Span>,
+    ) -> SimTime {
+        let costs = &self.config.costs;
+        prefix.clear();
+        if avail > stage_start {
+            prefix.push(Span {
+                kind: SpanKind::Scheduled,
+                start: stage_start,
+                end: avail,
+            });
+        }
+        let mut cursor = avail;
+        match proc.spawn {
+            Spawn::Fork => {
+                if *forked_before {
+                    *cum_block += jit.startup(costs.process_block);
+                }
+                *forked_before = true;
+                if !cum_block.is_zero() {
+                    push_span(prefix, SpanKind::BlockWait, &mut cursor, *cum_block);
+                }
+                let startup = jit.startup(costs.process_startup);
+                push_span(prefix, SpanKind::Startup, &mut cursor, startup);
+            }
+            Spawn::Pool { payload } => {
+                let dispatch = jit.startup(costs.pool_dispatch) + jit.comm(payload);
+                push_span(prefix, SpanKind::Startup, &mut cursor, dispatch);
+            }
+            Spawn::MainReuse => {}
+        }
+        cursor
+    }
+
+    /// Draws the pre-execution spans of thread `ti` of `proc` onto `spans`
+    /// from its process's `ready` instant, and returns when the thread
+    /// begins its first segment.
+    #[inline(always)]
+    fn thread_start(
+        &self,
+        stage: &StageCode,
+        proc: &ProcCode,
+        ti: usize,
+        ready: SimTime,
+        jit: &mut Jitter,
+        spans: &mut Vec<Span>,
+    ) -> SimTime {
+        let costs = &self.config.costs;
+        let mut cursor = ready;
+        if ti > 0 {
+            // Threads are cloned serially by the process main.
+            let clone_cost = jit.startup(costs.thread_clone) * ti as u64;
+            push_span(spans, SpanKind::Startup, &mut cursor, clone_cost);
+        }
+        if let Some(iso_startup) = proc.iso_startup {
+            let entry = jit.startup(iso_startup);
+            push_span(spans, SpanKind::Startup, &mut cursor, entry);
+        }
+        if let Some(read) = stage.read {
+            let read = jit.comm(read);
+            push_span(spans, SpanKind::TransferIn, &mut cursor, read);
+        }
+        cursor
+    }
+}
+
+/// The workflow fields [`CompiledPlan::compile`] and `Workflow::validate`
+/// read, flattened: each stage's function ids, and each function's
+/// segments and output bytes. A name, written files, working set, class or
+/// language runtime changes no output of a replay, so it is not compared.
+#[derive(Debug, Default)]
+struct WorkflowKey {
+    stages: Vec<Range<usize>>,
+    stage_functions: Vec<FunctionId>,
+    /// Per function: its range in `segments`, and its output bytes.
+    functions: Vec<(Range<usize>, u64)>,
+    segments: Vec<Segment>,
+}
+
+impl WorkflowKey {
+    fn of(workflow: &Workflow) -> WorkflowKey {
+        let mut key = WorkflowKey::default();
+        for stage in &workflow.stages {
+            let from = key.stage_functions.len();
+            key.stage_functions.extend_from_slice(&stage.functions);
+            key.stages.push(from..key.stage_functions.len());
+        }
+        for function in &workflow.functions {
+            let from = key.segments.len();
+            key.segments.extend_from_slice(&function.segments);
+            let segments = from..key.segments.len();
+            key.functions.push((segments, function.output_bytes));
+        }
+        key
+    }
+
+    fn matches(&self, workflow: &Workflow) -> bool {
+        let mut stages = workflow.stages.iter().zip(&self.stages);
+        let mut functions = workflow.functions.iter().zip(&self.functions);
+        workflow.stages.len() == self.stages.len()
+            && workflow.functions.len() == self.functions.len()
+            && stages.all(|(stage, ids)| stage.functions[..] == self.stage_functions[ids.clone()])
+            && functions.all(|(function, (segments, output_bytes))| {
+                function.output_bytes == *output_bytes
+                    && function.segments[..] == self.segments[segments.clone()]
+            })
+    }
+}
+
+/// What an alone wrap's IPC and store-write slots hold until filled.
+const SLOT: Span = Span {
+    kind: SpanKind::Ipc,
+    start: SimTime::ZERO,
+    end: SimTime::ZERO,
+};
+
+/// Where `thread`'s IPC slot is in an alone wrap's spans: after its own
+/// spans, before its store-write slot.
+fn ipc_slot(timeline: &FunctionTimeline, thread: &ThreadCode) -> usize {
+    timeline.spans.end as usize - 1 - usize::from(thread.write.is_some())
+}
+
+/// Runs one thread alone from `start`: `fluid`'s `run_alone` with each
+/// segment's jitter drawn as it is reached (the order the engine path
+/// draws them in). Appends the thread's `Exec` / `Io` spans to `out`, adds
+/// its visited instants to `instants`, and returns its first progress and
+/// its end.
+fn run_jittered<const ONE_DOMAIN: bool>(
+    segments: &[Segment],
+    start: SimTime,
+    jit: &mut Jitter,
+    out: &mut Vec<Span>,
+    instants: &mut InstantSet,
+) -> (SimTime, SimTime) {
+    let mut now = start;
+    let mut exec_start = None;
+    instants.insert::<ONE_DOMAIN>(now);
+    for &seg in segments {
+        let (kind, d) = match seg {
+            Segment::Cpu(d) => (SpanKind::Exec, jit.cpu(d)),
+            Segment::Block { dur, .. } => {
+                exec_start.get_or_insert(now);
+                (SpanKind::Io, jit.io(dur))
+            }
+        };
+        if d.is_zero() {
+            continue;
+        }
+        exec_start.get_or_insert(now);
+        push_span(out, kind, &mut now, d);
+        instants.insert::<ONE_DOMAIN>(now);
+    }
+    (exec_start.unwrap_or(now), now)
+}
+
+/// Drains the results of a wrap's processes (Eq. 3) in completion order
+/// (`proc_end`; `order` is scratch): the first to complete pipes nothing,
+/// each later one pipes after the previous drain. Calls `ipc` with each
+/// piping process and its span, and returns when the last result is in.
+#[inline(always)]
+fn drain(
+    procs: &[ProcCode],
+    proc_end: &[SimTime],
+    order: &mut Vec<u64>,
+    jit: &mut Jitter,
+    mut ipc: impl FnMut(usize, Span),
+) -> SimTime {
+    drain_order(proc_end, order);
+    let mut ranked = order.iter().map(|&p| p as usize);
+    let Some(first) = ranked.next() else {
+        return SimTime::ZERO;
+    };
+    let mut drain = proc_end[first];
+    for p in ranked {
+        let start = drain.max(proc_end[p]);
+        drain = start + jit.comm(procs[p].drain);
+        ipc(
+            p,
+            Span {
+                kind: SpanKind::Ipc,
+                start,
+                end: drain,
+            },
+        );
+    }
+    drain
+}
+
+/// Sorts the processes into drain order, ascending completion with ties
+/// in process order, as `order`'s indices. Sorts packed `end << bits | p`
+/// keys, or, if some end needs more than `64 − bits` bits, the pairs.
+fn drain_order(ends: &[SimTime], order: &mut Vec<u64>) {
+    order.clear();
+    let Some(last) = ends.len().checked_sub(1) else {
+        return;
+    };
+    let bits = usize::BITS - last.leading_zeros();
+    let all = ends.iter().fold(0, |all, e| all | e.as_nanos());
+    if all.leading_zeros() >= bits {
+        order.extend(
+            ends.iter()
+                .enumerate()
+                .map(|(p, e)| e.as_nanos() << bits | p as u64),
+        );
+        order.sort_unstable();
+        let mask = (1 << bits) - 1;
+        order.iter_mut().for_each(|key| *key &= mask);
+    } else {
+        order.extend(0..ends.len() as u64);
+        order.sort_unstable_by_key(|&p| (ends[p as usize], p));
     }
 }
 

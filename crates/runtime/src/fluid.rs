@@ -219,7 +219,7 @@ pub(crate) struct FluidScratch {
     run_pos: Vec<usize>,
     ends: Vec<LaneEnd>,
     /// The per-process replay's event instants, counted once each.
-    instants: InstantSet,
+    pub(crate) instants: InstantSet,
     /// Counter increments not yet added to the global counters.
     pub(crate) stats: SimStats,
 }
@@ -943,11 +943,11 @@ fn replay_process<const ONE_DOMAIN: bool>(
 /// calls, 94% of which have one domain, that took those calls from ~60 to
 /// ~45 ns and left the others unchanged (2-vCPU host).
 #[derive(Debug, Default)]
-struct InstantSet {
+pub(crate) struct InstantSet {
     slots: Vec<u64>,
     /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
     shift: u32,
-    len: u64,
+    pub(crate) len: u64,
 }
 
 impl InstantSet {
@@ -956,7 +956,7 @@ impl InstantSet {
 
     /// Empties the set and sizes it for up to `capacity` members (more is
     /// a caller bug).
-    fn reset(&mut self, capacity: usize) {
+    pub(crate) fn reset(&mut self, capacity: usize) {
         let size = (2 * capacity).next_power_of_two().max(2);
         self.slots.clear();
         self.slots.resize(size, Self::EMPTY);
@@ -964,7 +964,7 @@ impl InstantSet {
         self.len = 0;
     }
 
-    fn insert<const ONE_DOMAIN: bool>(&mut self, t: SimTime) {
+    pub(crate) fn insert<const ONE_DOMAIN: bool>(&mut self, t: SimTime) {
         let key = t.as_nanos();
         if key == Self::EMPTY {
             return;

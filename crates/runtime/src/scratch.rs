@@ -9,16 +9,22 @@
 //! buffer. One scratch per sweep worker (or the thread-local default),
 //! never shared, so reuse is free of synchronisation.
 //!
-//! The compiled plan is keyed by value: a call reuses it only when all
-//! three inputs compare equal to the ones it was compiled from, and
-//! compiles anew otherwise, so a stale plan can never reach a result.
-//! Buffers are always cleared before reuse. Together these make a
-//! scratch-backed run byte-identical to a fresh-scratch run (tier-1
-//! `tests/des_identity.rs` checks exactly that). With the structure
-//! compiled away, a replay costs its jitter draws plus the fluid engine:
-//! one process at a time for a sandbox with a CPU per process, and the
-//! shared event loop only for a contended one. The engine's buffers (its
-//! per-thread slots, queues and instant set) live in the scratch too.
+//! The compiled plan is keyed by value: a call reuses it only when the
+//! platform and the plan compare equal to the ones it was compiled from
+//! and the workflow agrees on every field compiling reads (each stage's
+//! function ids, each function's segments and output bytes), and compiles
+//! anew otherwise, so a stale plan can never reach a result. A change to
+//! a name, `writes_files`, `workingset_bytes`, `class` or the language
+//! runtime reuses it: the outputs are the same either way. Buffers are
+//! always cleared before reuse. Together these make a scratch-backed run
+//! byte-identical to a fresh-scratch run (tier-1 `tests/des_identity.rs`
+//! checks exactly that, after a change to each field the key reads).
+//! With the structure compiled away, a replay costs its jitter draws plus
+//! its threads' runs: one pass for a wrap whose threads each run alone,
+//! and otherwise the fluid engine, one process at a time for a sandbox
+//! with a CPU per process and the shared event loop for a contended one.
+//! The engine's buffers (its per-thread slots, queues and instant set)
+//! live in the scratch too.
 //!
 //! The module also counts buffer reuse and fluid events globally — as
 //! [`chiron_obs`]-registered counters, so `figures -- obs` sees them in
@@ -28,7 +34,9 @@
 //! `Relaxed`: these are statistics, not synchronisation. Only the
 //! `runtime.fluid.sim_events` total is the same whatever the interleaving;
 //! `buffer_allocs`/`buffer_reuses` depend on which worker's thread-local
-//! scratch first meets the largest wraps, and vary from run to run.
+//! scratch first meets the largest wraps, and vary from run to run. They
+//! count the lanes that enter the fluid engine; an alone wrap's threads
+//! never do, so they count in neither.
 
 use crate::compiled::{CompiledPlan, ReplayScratch};
 use crate::fluid::FluidScratch;
@@ -41,9 +49,10 @@ static SIM_EVENTS: StaticCounter = StaticCounter::new("runtime.fluid.sim_events"
 /// Global buffer-reuse counters for the DES hot loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocStats {
-    /// Per-thread buffers newly allocated because the scratch had none.
+    /// Per-thread engine slots newly allocated because the scratch had
+    /// none (lanes that enter the fluid engine only).
     pub buffer_allocs: u64,
-    /// Per-thread buffers served from a scratch.
+    /// Per-thread engine slots served from a scratch.
     pub buffer_reuses: u64,
     /// Fluid-simulator event-loop iterations (for a sandbox replayed one
     /// process at a time, the iterations the shared loop would have made).

@@ -7,19 +7,25 @@
 //! [`RequestOutcome`]s, with one scratch reused across every case. The
 //! scratch's compiled plan is keyed by value, so alternating inputs can
 //! never replay a stale plan, and malformed inputs are typed errors.
+//! Random workflows under every planner, with sandbox CPUs drawn on both
+//! sides of the alone-wrap boundary, agree as well.
 
 use chiron::model::plan::{
-    DeploymentPlan, IsolationKind, ProcessPlan, RuntimeKind, SandboxPlan, SchedulingKind,
-    StagePlan, SystemKind, TransferKind, WrapPlan,
+    DeploymentPlan, IsolationKind, ProcessPlan, ProcessSpawn, RuntimeKind, SandboxPlan,
+    SchedulingKind, StagePlan, SystemKind, TransferKind, WrapPlan,
 };
 use chiron::model::{
-    apps, FunctionId, FunctionSpec, JitterModel, PlanError, PlatformConfig, SandboxId, Segment,
-    SimDuration, Stage, Workflow, WorkflowError,
+    apps, synthetic, FunctionId, FunctionSpec, JitterModel, PlanError, PlatformConfig, SandboxId,
+    Segment, SimDuration, Stage, SyntheticSpec, SyscallKind, Workflow, WorkflowError,
 };
 use chiron::{Chiron, PgpConfig, PgpMode, PgpScheduler};
 use chiron_deploy::planners;
 use chiron_profiler::Profiler;
 use chiron_runtime::{RequestOutcome, SimScratch, SpanKind, VirtualPlatform};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 
 const SEEDS: [u64; 3] = [0, 1, 2023];
 
@@ -285,4 +291,178 @@ fn zero_gil_interval_is_a_typed_error_under_the_gil_only() {
     );
     // Without a GIL the interval is never read.
     assert!(platform.execute(&wf, &planners::to_java(plan), 0).is_ok());
+}
+
+/// Plans `wf` with planner `index` of `chiron_deploy::planners`.
+fn planned(wf: &Workflow, index: usize) -> DeploymentPlan {
+    let baselines = [
+        planners::asf,
+        planners::openfaas,
+        planners::sand,
+        planners::faastlane,
+        planners::faastlane_t,
+        planners::faastlane_plus,
+        planners::faastlane_m,
+        planners::faastlane_p,
+    ];
+    let chiron = [planners::chiron, planners::chiron_m, planners::chiron_p];
+    match baselines.get(index) {
+        Some(planner) => planner(wf),
+        None => {
+            chiron[index - baselines.len()](wf, &Profiler::default().profile_workflow(wf), None)
+                .plan
+        }
+    }
+}
+
+thread_local! {
+    /// One scratch reused by every case of the property.
+    static REUSED: RefCell<SimScratch> = RefCell::new(SimScratch::new());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A synthetic workflow of `(seed, stages, width, I/O quarters)`, one
+    /// planner's plan (`java` lifts the GIL; `transfer` below 4 overrides
+    /// the data path), each sandbox given 1 to `lanes + 1` CPUs where
+    /// `lanes` is its widest wrap, so wraps fall on both sides of the
+    /// alone boundary; cold starts and jitter on or off.
+    #[test]
+    fn compiled_replay_matches_reference_on_random_plans(
+        shape in (any::<u64>(), 1usize..5, 1usize..9, 0u8..5),
+        planner in (0usize..11, any::<bool>(), 0u8..8),
+        cpu_seed in any::<u64>(),
+        platform in (any::<bool>(), any::<bool>(), any::<u64>()),
+    ) {
+        let ((wf_seed, stages, width, io), (index, java, transfer)) = (shape, planner);
+        let (cold, jitter, seed) = platform;
+        let wf = synthetic(SyntheticSpec {
+            seed: wf_seed,
+            stages,
+            max_parallelism: width,
+            io_fraction: f64::from(io) / 4.0,
+            ..SyntheticSpec::default()
+        });
+        let mut plan = planned(&wf, index);
+        if java {
+            plan = planners::to_java(plan);
+        }
+        let kinds = [TransferKind::RemoteS3, TransferKind::LocalMinio, TransferKind::RpcPayload, TransferKind::ShmRing];
+        plan.transfer = kinds.get(usize::from(transfer)).copied().unwrap_or(plan.transfer);
+        let mut rng = StdRng::seed_from_u64(cpu_seed);
+        for i in 0..plan.sandboxes.len() {
+            let id = plan.sandboxes[i].id;
+            let wraps = plan.stages.iter().flat_map(|s| &s.wraps).filter(|w| w.sandbox == id);
+            let lanes = wraps.map(|w| w.processes.iter().map(|p| p.functions.len()).sum::<usize>()).max();
+            plan.sandboxes[i].cpus = rng.random_range(1..=lanes.unwrap_or(1) as u32 + 1);
+        }
+        let config = PlatformConfig::paper_calibrated();
+        let config = if jitter { config.with_jitter(JitterModel::cluster()) } else { config };
+        let platform = VirtualPlatform::new(config).with_cold_starts(cold);
+        let reused = REUSED.with(|s| platform.execute_with_scratch(&wf, &plan, seed, &mut s.borrow_mut()));
+        let fresh = platform.execute_with_scratch(&wf, &plan, seed, &mut SimScratch::new());
+        let reference = platform.execute_reference(&wf, &plan, seed);
+        prop_assert!(reference.is_ok(), "{:?}: {reference:?}", plan.system);
+        prop_assert_eq!(&reused, &fresh, "{} {:?}", wf.name, plan.system);
+        prop_assert_eq!(fresh, reference, "{} {:?}", wf.name, plan.system);
+    }
+}
+
+/// A platform, a workflow and a plan: what a replay is keyed on.
+type Inputs = (VirtualPlatform, Workflow, DeploymentPlan);
+/// What changes, the base plan's planner, whether the outcome moves, and
+/// the change.
+type Edit = (
+    &'static str,
+    fn(&Workflow) -> DeploymentPlan,
+    bool,
+    fn(&mut Inputs),
+);
+
+#[test]
+fn reuse_key_recompiles_on_every_read_field() {
+    let finra = apps::finra(10);
+    // FINRA's function 5 is a 12 ms rule that completes after others, so
+    // its result pipes.
+    let edits: [Edit; 13] = [
+        (
+            "segment duration",
+            planners::faastlane,
+            true,
+            |(_, wf, _)| wf.functions[1].segments[0] = Segment::cpu_ms(3),
+        ),
+        ("segment kind", planners::faastlane, true, |(_, wf, _)| {
+            let dur = wf.functions[1].segments[0].duration();
+            let kind = SyscallKind::NetIo;
+            wf.functions[1].segments[0] = Segment::Block { kind, dur };
+        }),
+        ("output bytes", planners::faastlane, true, |(_, wf, _)| {
+            wf.functions[5].output_bytes = 64 << 20
+        }),
+        (
+            "stage functions",
+            planners::faastlane,
+            true,
+            |(_, wf, _)| {
+                let moved = wf.stages[1].functions.pop().expect("FINRA has rules");
+                wf.stages[0].functions.push(moved);
+            },
+        ),
+        ("sandbox cpus", planners::faastlane, true, |(_, _, plan)| {
+            plan.sandboxes[0].cpus = 1
+        }),
+        ("pool size", planners::faastlane_p, true, |(_, _, plan)| {
+            plan.sandboxes[0].pool_size = 0
+        }),
+        (
+            "process spawn",
+            planners::faastlane,
+            true,
+            |(_, _, plan)| plan.stages[1].wraps[0].processes[0].spawn = ProcessSpawn::MainReuse,
+        ),
+        ("runtime", planners::faastlane_t, true, |(_, _, plan)| {
+            plan.runtime = RuntimeKind::TrueParallel
+        }),
+        ("transfer", planners::faastlane, true, |(_, _, plan)| {
+            plan.transfer = TransferKind::LocalMinio
+        }),
+        ("isolation", planners::faastlane_t, true, |(_, _, plan)| {
+            plan.isolation = IsolationKind::Mpk
+        }),
+        ("jitter", planners::faastlane, true, |(platform, _, _)| {
+            *platform = VirtualPlatform::new(PlatformConfig::paper_calibrated())
+        }),
+        (
+            "cold starts",
+            planners::faastlane,
+            true,
+            |(platform, _, _)| *platform = jittered().with_cold_starts(true),
+        ),
+        (
+            "names and unread fields",
+            planners::faastlane,
+            false,
+            |(_, wf, plan)| {
+                (wf.name, plan.workflow) = ("renamed".into(), "renamed".into());
+                let f = &mut wf.functions[1];
+                f.name = "renamed_rule".into();
+                f.workingset_bytes *= 2;
+                f.writes_files.push("/tmp/out".into());
+            },
+        ),
+    ];
+    let mut scratch = SimScratch::new();
+    for (what, planner, moves, edit) in edits {
+        let mut inputs = (jittered(), finra.clone(), planner(&finra));
+        let (platform, wf, plan) = &inputs;
+        let before = platform.execute_with_scratch(wf, plan, 11, &mut scratch);
+        assert!(before.is_ok(), "{what}: the base plan executes");
+        edit(&mut inputs);
+        let (platform, wf, plan) = &inputs;
+        let got = platform.execute_with_scratch(wf, plan, 11, &mut scratch);
+        let fresh = platform.execute_with_scratch(wf, plan, 11, &mut SimScratch::new());
+        assert_eq!(got, fresh, "{what}");
+        assert_eq!(got != before, moves, "{what}");
+    }
 }
