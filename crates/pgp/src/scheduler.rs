@@ -352,9 +352,8 @@ impl<'a> CachedEval<'a> {
     fn cached_makespan_ms(&mut self, set: &[FunctionId]) -> f64 {
         let src = self.staggered(set);
         let interval = self.predictor.costs.gil_switch_interval;
-        let key = src.key_memo(interval, &mut self.scratch.salt);
         self.cache
-            .get_or_simulate(key, &src, interval, &mut self.scratch.arena)
+            .get_or_simulate(src.key(interval), &src, interval, &mut self.scratch.arena)
             .makespan
             .as_millis_f64()
     }

@@ -94,15 +94,6 @@ const fn fnv_u64(mut h: u64, v: u64) -> u64 {
 /// The FNV-1a state after `SALT_STAGGERED`, folded at compile time.
 const STAGGERED_STATE: u64 = fnv_u64(FNV_OFFSET, SALT_STAGGERED);
 
-/// The salt of the last shape (switch interval, spacing, base, set
-/// length) a [`StaggeredSet::key_memo`] keyed. A search keys thousands of
-/// sets of one shape, so each shape's salt is hashed once in a row.
-#[derive(Debug, Clone, Default)]
-pub struct SaltMemo {
-    shape: Option<[u64; 4]>,
-    salt: u64,
-}
-
 /// Finaliser used to mix per-position element hashes into a set key.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -230,21 +221,10 @@ impl StaggeredSet<'_> {
     /// and the pack/trim plan evaluator, so a set first simulated during
     /// partitioning is a cache hit when the packed plan is priced.
     pub fn key(&self, interval: SimDuration) -> u64 {
-        self.key_memo(interval, &mut SaltMemo::default())
-    }
-
-    /// [`key`](Self::key), reusing `memo`'s salt when the shape repeats.
-    pub fn key_memo(&self, interval: SimDuration, memo: &mut SaltMemo) -> u64 {
-        let (spacing, base) = (self.spacing.as_nanos(), self.base.as_nanos());
-        let shape = [interval.as_nanos(), spacing, base, self.set.len() as u64];
-        if memo.shape != Some(shape) {
-            let salt = shape.iter().fold(STAGGERED_STATE, |h, &v| fnv_u64(h, v));
-            *memo = SaltMemo {
-                shape: Some(shape),
-                salt,
-            };
-        }
-        let mut key = memo.salt;
+        let mut key = fnv_u64(STAGGERED_STATE, interval.as_nanos());
+        key = fnv_u64(key, self.spacing.as_nanos());
+        key = fnv_u64(key, self.base.as_nanos());
+        key = fnv_u64(key, self.set.len() as u64);
         for (i, &f) in self.set.iter().enumerate() {
             let pos = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             key ^= splitmix64(self.catalog.content_hash(f).wrapping_add(pos));
@@ -889,9 +869,7 @@ mod tests {
             state = splitmix64(state);
             state
         };
-        // Each scalar is a typical value or any 64 bits, so shapes repeat
-        // now and then across one memo.
-        let mut memo = SaltMemo::default();
+        // Each scalar is a typical value or any 64 bits.
         let mut either = |typical: u64| [typical, next()][next() as usize % 2];
         for _ in 0..512 {
             let len = either(3) % 8;
@@ -907,11 +885,8 @@ mod tests {
             };
             // The salt as first written: each scalar folded byte by byte.
             let mut salt = Fnv1a::new();
-            let scalars = [SALT_STAGGERED, interval.as_nanos(), src.spacing.as_nanos()];
-            for v in scalars
-                .into_iter()
-                .chain([src.base.as_nanos(), set.len() as u64])
-            {
+            let (spacing, base) = (src.spacing.as_nanos(), src.base.as_nanos());
+            for v in [SALT_STAGGERED, interval.as_nanos(), spacing, base, len] {
                 v.to_le_bytes().into_iter().for_each(|b| salt.write_u8(b));
             }
             let mut want = salt.finish();
@@ -920,8 +895,6 @@ mod tests {
                 want ^= splitmix64(catalog.content_hash(f).wrapping_add(pos));
             }
             assert_eq!(src.key(interval), want);
-            assert_eq!(src.key_memo(interval, &mut memo), want);
-            assert_eq!(src.key_memo(interval, &mut memo), want);
         }
     }
 

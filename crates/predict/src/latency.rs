@@ -13,9 +13,7 @@
 //! parameters — the gap to the jittered, contention-accurate virtual
 //! platform is Chiron's prediction error (Fig. 12).
 
-use crate::cache::{
-    content_key, FlatThreads, PredictionCache, SaltMemo, SegmentCatalog, StaggeredSet,
-};
+use crate::cache::{content_key, FlatThreads, PredictionCache, SegmentCatalog, StaggeredSet};
 use crate::threadsim::{predict_threads, predict_true_parallel, SimArena, SimOutcome, SimThread};
 use chiron_isolation::IsolationCosts;
 use chiron_model::plan::ProcessSpawn;
@@ -148,13 +146,11 @@ impl Predictor {
                         spacing,
                         base: offset,
                     };
-                    let key = src.key_memo(interval, &mut scratch.salt);
-                    cache.get_or_simulate(key, &src, interval, &mut scratch.arena)
+                    cache.get_or_simulate(src.key(interval), &src, interval, &mut scratch.arena)
                 }
                 RuntimeKind::PseudoParallel => {
                     let PredictScratch {
                         arena,
-                        salt: _,
                         created,
                         ranges,
                         segments,
@@ -397,8 +393,6 @@ impl Predictor {
 #[derive(Debug, Default)]
 pub struct PredictScratch {
     pub arena: SimArena,
-    /// The salt of the last staggered-set shape keyed.
-    pub salt: SaltMemo,
     created: Vec<SimDuration>,
     ranges: Vec<(u32, u32)>,
     segments: Vec<Segment>,

@@ -23,7 +23,7 @@ pub mod threadsim;
 
 pub use cache::{
     content_key, partition_key, CacheStats, FlatThreads, KlStats, PartitionMemo, PredictionCache,
-    SaltMemo, SegmentCatalog, StaggeredSet, StaggeredSummary, SwapScan,
+    SegmentCatalog, StaggeredSet, StaggeredSummary, SwapScan,
 };
 pub use latency::{PredictScratch, Predictor};
 pub use threadsim::{

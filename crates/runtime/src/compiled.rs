@@ -19,15 +19,15 @@
 //! under the GIL and its threads fit its CPUs (or are one), the fluid
 //! engine would run each thread alone; `compile` reads that off the plan.
 //! Such a wrap is replayed in one pass over its threads: the pre-execution
-//! spans are drawn, then each segment's jitter, its `Exec` / `Io` span
-//! going straight into the outcome's span buffer and its instants counted
-//! as the engine counts them. A thread leaves a slot for its IPC span (if
-//! first in its process, in a wrap of two or more processes) and one for
-//! its store write. Then the processes drain in completion order, the
-//! slots are filled (writes drawn after the drains, in thread order), and
-//! the first-completing process's empty IPC slot goes with one
-//! `Vec::remove`, shifting the later threads' ranges. Draws and spans
-//! match the engine path byte for byte.
+//! spans are drawn, then the thread's segments' jitter, and the engine's
+//! `run_alone` writes its `Exec` / `Io` spans straight into the outcome's
+//! span buffer, counting its instants as the engine does. A thread leaves
+//! a slot for its IPC span (if first in its process, in a wrap of two or
+//! more processes) and one for its store write. Then the processes drain
+//! in completion order, the slots are filled (writes drawn after the
+//! drains, in thread order), and the first-completing process's empty IPC
+//! slot goes with one `Vec::remove`, shifting the later threads' ranges.
+//! Draws and spans match the engine path byte for byte.
 //!
 //! **Other wraps: the engine.** Their spans are built in
 //! [`ReplayScratch`]'s per-lane buffers, cleared and never freed: a
@@ -41,7 +41,7 @@
 //! previous replay's count, plus the slot an alone wrap holds until its
 //! end) and the stage windows.
 
-use crate::fluid::{simulate, FluidScratch, InstantSet, Lane, Sandbox};
+use crate::fluid::{run_alone, simulate, FluidScratch, Lane, Sandbox};
 use crate::jitter::{Jitter, JitterTables};
 use crate::platform::REQUEST_PAYLOAD_BYTES;
 use crate::span::{FunctionTimeline, RequestOutcome, Span, SpanKind};
@@ -488,6 +488,7 @@ impl CompiledPlan {
         (timelines, out): (&mut [FunctionTimeline], &mut Vec<Span>),
     ) -> SimTime {
         let ReplayScratch {
+            segments,
             prefix,
             proc_end,
             order,
@@ -518,13 +519,19 @@ impl CompiledPlan {
                 let from = out.len();
                 out.extend_from_slice(prefix);
                 let start = self.thread_start(stage, proc, ti, ready, jit, out);
-                let segments = &self.segments[thread.segments.clone()];
-                let (exec_start, end) = if one {
-                    run_jittered::<true>(segments, start, jit, out, instants)
-                } else {
-                    run_jittered::<false>(segments, start, jit, out, instants)
+                segments.clear();
+                self.jitter(thread, jit, segments);
+                let lane = Lane {
+                    process: 0,
+                    start,
+                    segments: 0..segments.len(),
                 };
-                *proc_end = (*proc_end).max(end);
+                let end = if one {
+                    run_alone::<true>(&lane, segments, out, instants)
+                } else {
+                    run_alone::<false>(&lane, segments, out, instants)
+                };
+                *proc_end = (*proc_end).max(end.end);
                 // Slots for the IPC and store-write spans, filled below.
                 let slots = usize::from(piped && thread.first_in_process)
                     + usize::from(thread.write.is_some());
@@ -534,8 +541,8 @@ impl CompiledPlan {
                     sandbox: wrap.sandbox,
                     stage: si,
                     dispatched: stage_start,
-                    exec_start,
-                    completed: end,
+                    exec_start: end.exec_start,
+                    completed: end.end,
                     spans: span_index(from)..span_index(out.len()),
                 };
             }
@@ -629,15 +636,7 @@ impl CompiledPlan {
                 own.extend_from_slice(prefix);
                 let start = self.thread_start(stage, proc, ti, ready, jit, own);
                 let from = segments.len();
-                segments.extend(self.segments[thread.segments.clone()].iter().map(
-                    |&seg| match seg {
-                        Segment::Cpu(d) => Segment::Cpu(jit.cpu(d)),
-                        Segment::Block { kind, dur } => Segment::Block {
-                            kind,
-                            dur: jit.io(dur),
-                        },
-                    },
-                ));
+                self.jitter(thread, jit, segments);
                 lanes.push(Lane {
                     process: pi,
                     start,
@@ -758,6 +757,20 @@ impl CompiledPlan {
         cursor
     }
 
+    /// Appends `thread`'s segments to `segments`, drawing each one's
+    /// jitter in order.
+    #[inline(always)]
+    fn jitter(&self, thread: &ThreadCode, jit: &mut Jitter, segments: &mut Vec<Segment>) {
+        let base = &self.segments[thread.segments.clone()];
+        segments.extend(base.iter().map(|&seg| match seg {
+            Segment::Cpu(d) => Segment::Cpu(jit.cpu(d)),
+            Segment::Block { kind, dur } => Segment::Block {
+                kind,
+                dur: jit.io(dur),
+            },
+        }));
+    }
+
     /// Draws the pre-execution spans of thread `ti` of `proc` onto `spans`
     /// from its process's `ready` instant, and returns when the thread
     /// begins its first segment.
@@ -846,39 +859,6 @@ fn ipc_slot(timeline: &FunctionTimeline, thread: &ThreadCode) -> usize {
     timeline.spans.end as usize - 1 - usize::from(thread.write.is_some())
 }
 
-/// Runs one thread alone from `start`: `fluid`'s `run_alone` with each
-/// segment's jitter drawn as it is reached (the order the engine path
-/// draws them in). Appends the thread's `Exec` / `Io` spans to `out`, adds
-/// its visited instants to `instants`, and returns its first progress and
-/// its end.
-fn run_jittered<const ONE_DOMAIN: bool>(
-    segments: &[Segment],
-    start: SimTime,
-    jit: &mut Jitter,
-    out: &mut Vec<Span>,
-    instants: &mut InstantSet,
-) -> (SimTime, SimTime) {
-    let mut now = start;
-    let mut exec_start = None;
-    instants.insert::<ONE_DOMAIN>(now);
-    for &seg in segments {
-        let (kind, d) = match seg {
-            Segment::Cpu(d) => (SpanKind::Exec, jit.cpu(d)),
-            Segment::Block { dur, .. } => {
-                exec_start.get_or_insert(now);
-                (SpanKind::Io, jit.io(dur))
-            }
-        };
-        if d.is_zero() {
-            continue;
-        }
-        exec_start.get_or_insert(now);
-        push_span(out, kind, &mut now, d);
-        instants.insert::<ONE_DOMAIN>(now);
-    }
-    (exec_start.unwrap_or(now), now)
-}
-
 /// Drains the results of a wrap's processes (Eq. 3) in completion order
 /// (`proc_end`; `order` is scratch): the first to complete pipes nothing,
 /// each later one pipes after the previous drain. Calls `ipc` with each
@@ -914,7 +894,9 @@ fn drain(
 
 /// Sorts the processes into drain order, ascending completion with ties
 /// in process order, as `order`'s indices. Sorts packed `end << bits | p`
-/// keys, or, if some end needs more than `64 − bits` bits, the pairs.
+/// keys, or, if some end needs more than `64 − bits` bits, the pairs. The
+/// packed keys took Faastlane FINRA-100/200 (100/200 processes in one
+/// wrap) ~10% faster than the pair sort of indices (2-vCPU host).
 fn drain_order(ends: &[SimTime], order: &mut Vec<u64>) {
     order.clear();
     let Some(last) = ends.len().checked_sub(1) else {

@@ -757,10 +757,10 @@ fn shared_loop(
 
 /// Runs a thread that never meets a waiter (see the module doc): its
 /// segments back to back from its start, each visited instant counted.
-/// Inlined into its two callers: as a call it cost one-thread-per-process
-/// sandboxes ~9% (2-vCPU host).
+/// Inlined into its callers (here and the compiled replay's alone wraps):
+/// as a call it cost one-thread-per-process sandboxes ~9% (2-vCPU host).
 #[inline(always)]
-fn run_alone<const ONE_DOMAIN: bool>(
+pub(crate) fn run_alone<const ONE_DOMAIN: bool>(
     lane: &Lane,
     segments: &[Segment],
     spans: &mut Vec<Span>,
@@ -964,7 +964,7 @@ impl InstantSet {
         self.len = 0;
     }
 
-    pub(crate) fn insert<const ONE_DOMAIN: bool>(&mut self, t: SimTime) {
+    fn insert<const ONE_DOMAIN: bool>(&mut self, t: SimTime) {
         let key = t.as_nanos();
         if key == Self::EMPTY {
             return;

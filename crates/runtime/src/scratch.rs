@@ -36,7 +36,10 @@
 //! `buffer_allocs`/`buffer_reuses` depend on which worker's thread-local
 //! scratch first meets the largest wraps, and vary from run to run. They
 //! count the lanes that enter the fluid engine; an alone wrap's threads
-//! never do, so they count in neither.
+//! never do, so they count in neither. Reuse fractions derived from them
+//! (`BENCH_EVAL.json`'s `des_hot_loop.reuse_fraction`, the traced
+//! `runtime.scratch_reuse_frac`) are therefore not comparable with
+//! figures recorded before alone wraps bypassed the engine.
 
 use crate::compiled::{CompiledPlan, ReplayScratch};
 use crate::fluid::FluidScratch;
