@@ -149,6 +149,23 @@ fn cell_config(cell: Cell) -> ServeConfig {
     }
 }
 
+/// Serves every cell of the figure at its committed size on `workers`
+/// workers: each cell's name and report, in cell order. The reports are
+/// the ones `BENCH_LIFECYCLE.json` records, whatever `workers` is.
+pub fn serve_cells(workers: usize) -> Vec<(&'static str, ServeReport)> {
+    let (wf, plan) = served();
+    let reports = run_cells(&wf, &plan, workers);
+    CELLS.iter().map(|c| c.name).zip(reports).collect()
+}
+
+/// The served workflow, and the plan Chiron deploys it with.
+fn served() -> (Workflow, DeploymentPlan) {
+    let wf = apps::finra(12);
+    let deployment = Chiron::default().deploy(&wf, None, PgpMode::NativeThread);
+    let plan = deployment.plan().clone();
+    (wf, plan)
+}
+
 /// Runs every cell from the same deterministic seed. Cells are seeded by
 /// index through the sweep engine, so the reports depend only on the cell
 /// — never on the worker count that ran them.
@@ -246,11 +263,7 @@ fn sweep_row_json(row: &SweepRow) -> Obj {
 /// reported cells; the invariance gate re-runs them pinned to 1 and 4
 /// workers and compares the rendered bytes.
 pub fn lifecycle_figure(workers: usize) -> Report {
-    let chiron = Chiron::default();
-    let wf = apps::finra(12);
-    let deployment = chiron.deploy(&wf, None, PgpMode::NativeThread);
-    let plan = deployment.plan().clone();
-
+    let (wf, plan) = served();
     let reports = run_cells(&wf, &plan, workers);
     let w1 = run_cells(&wf, &plan, 1);
     let w4 = run_cells(&wf, &plan, 4);

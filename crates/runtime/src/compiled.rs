@@ -48,14 +48,15 @@ use crate::span::{FunctionTimeline, RequestOutcome, Span, SpanKind};
 use chiron_isolation::IsolationCosts;
 use chiron_model::plan::ProcessSpawn;
 use chiron_model::{
-    DeploymentPlan, FunctionId, NodePlacement, PlanError, PlatformConfig, RuntimeKind, SandboxId,
-    SchedulingKind, Segment, SimDuration, SimTime, TransferKind, Workflow,
+    DeploymentPlan, FunctionId, IsolationKind, NodePlacement, PlanError, PlatformConfig,
+    RuntimeKind, SandboxId, SandboxPlan, SchedulingKind, Segment, SimDuration, SimTime,
+    TransferKind, Workflow,
 };
 use chiron_store::TransferModel;
 use std::ops::Range;
 
 /// A plan compiled against one platform and workflow. The inputs are kept
-/// by value, the workflow as the fields compiling reads:
+/// by value, the workflow and the plan as the fields compiling reads:
 /// [`compiled_for`](Self::compiled_for) is the cache key.
 #[derive(Debug)]
 pub(crate) struct CompiledPlan {
@@ -63,7 +64,7 @@ pub(crate) struct CompiledPlan {
     transfer: TransferModel,
     cold_starts: bool,
     workflow: WorkflowKey,
-    plan: DeploymentPlan,
+    plan: PlanKey,
     stages: Vec<StageCode>,
     wraps: Vec<WrapCode>,
     procs: Vec<ProcCode>,
@@ -210,7 +211,7 @@ impl CompiledPlan {
             transfer: *transfer,
             cold_starts,
             workflow: WorkflowKey::of(workflow),
-            plan: plan.clone(),
+            plan: PlanKey::of(plan),
             stages: Vec::with_capacity(plan.stages.len()),
             wraps: Vec::new(),
             procs: Vec::new(),
@@ -392,7 +393,8 @@ impl CompiledPlan {
         Ok(code)
     }
 
-    /// Whether this plan was compiled from inputs equal by value to these.
+    /// Whether this plan was compiled from inputs equal by value to these
+    /// (the workflow and the plan in the fields compiling reads).
     pub(crate) fn compiled_for(
         &self,
         config: &PlatformConfig,
@@ -404,7 +406,7 @@ impl CompiledPlan {
         self.cold_starts == cold_starts
             && self.config == *config
             && self.transfer == *transfer
-            && self.plan == *plan
+            && self.plan.matches(plan)
             && self.workflow.matches(workflow)
     }
 
@@ -517,7 +519,7 @@ impl CompiledPlan {
             let ready = self.materialise(proc, stage_start, avail, &mut forks, jit, prefix);
             for (ti, thread) in self.threads[proc.threads.clone()].iter().enumerate() {
                 let from = out.len();
-                out.extend_from_slice(prefix);
+                push_prefix(out, prefix);
                 let start = self.thread_start(stage, proc, ti, ready, jit, out);
                 segments.clear();
                 self.jitter(thread, jit, segments);
@@ -846,6 +848,89 @@ impl WorkflowKey {
     }
 }
 
+/// The plan fields [`CompiledPlan::compile`] and `DeploymentPlan::validate`
+/// read, flattened: the runtime, isolation, transfer and scheduling kinds,
+/// each sandbox's id, CPUs and pool size, each wrap's sandbox, and each
+/// process's spawn and function ids. The system and the workflow name
+/// change no output of a replay, so they are not compared.
+#[derive(Debug)]
+struct PlanKey {
+    runtime: RuntimeKind,
+    isolation: IsolationKind,
+    transfer: TransferKind,
+    scheduling: SchedulingKind,
+    sandboxes: Vec<SandboxPlan>,
+    /// Per stage: its range in `wraps`.
+    stages: Vec<Range<usize>>,
+    /// Per wrap: its sandbox, and its range in `processes`.
+    wraps: Vec<(SandboxId, Range<usize>)>,
+    /// Per process: its spawn, and its range in `functions`.
+    processes: Vec<(ProcessSpawn, Range<usize>)>,
+    functions: Vec<FunctionId>,
+}
+
+impl PlanKey {
+    fn of(plan: &DeploymentPlan) -> PlanKey {
+        let mut key = PlanKey {
+            runtime: plan.runtime,
+            isolation: plan.isolation,
+            transfer: plan.transfer,
+            scheduling: plan.scheduling,
+            sandboxes: plan.sandboxes.clone(),
+            stages: Vec::with_capacity(plan.stages.len()),
+            wraps: Vec::new(),
+            processes: Vec::new(),
+            functions: Vec::new(),
+        };
+        for stage in &plan.stages {
+            let wraps = key.wraps.len();
+            for wrap in &stage.wraps {
+                let processes = key.processes.len();
+                for proc in &wrap.processes {
+                    let functions = key.functions.len();
+                    key.functions.extend_from_slice(&proc.functions);
+                    key.processes
+                        .push((proc.spawn, functions..key.functions.len()));
+                }
+                key.wraps
+                    .push((wrap.sandbox, processes..key.processes.len()));
+            }
+            key.stages.push(wraps..key.wraps.len());
+        }
+        key
+    }
+
+    fn matches(&self, plan: &DeploymentPlan) -> bool {
+        if (self.runtime, self.isolation, self.transfer, self.scheduling)
+            != (plan.runtime, plan.isolation, plan.transfer, plan.scheduling)
+            || self.sandboxes[..] != plan.sandboxes[..]
+            || self.stages.len() != plan.stages.len()
+        {
+            return false;
+        }
+        for (stage, wraps) in plan.stages.iter().zip(&self.stages) {
+            let wraps = &self.wraps[wraps.clone()];
+            if stage.wraps.len() != wraps.len() {
+                return false;
+            }
+            for (wrap, (sandbox, procs)) in stage.wraps.iter().zip(wraps) {
+                let procs = &self.processes[procs.clone()];
+                if wrap.sandbox != *sandbox || wrap.processes.len() != procs.len() {
+                    return false;
+                }
+                for (proc, (spawn, functions)) in wrap.processes.iter().zip(procs) {
+                    if proc.spawn != *spawn
+                        || proc.functions[..] != self.functions[functions.clone()]
+                    {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+}
+
 /// What an alone wrap's IPC and store-write slots hold until filled.
 const SLOT: Span = Span {
     kind: SpanKind::Ipc,
@@ -916,6 +1001,21 @@ fn drain_order(ends: &[SimTime], order: &mut Vec<u64>) {
     } else {
         order.extend(0..ends.len() as u64);
         order.sort_unstable_by_key(|&p| (ends[p as usize], p));
+    }
+}
+
+/// Appends a process's prefix (at most its Scheduled, BlockWait and
+/// Startup spans, as [`CompiledPlan::materialise`] draws them) to `out`
+/// span by span: an `extend_from_slice` of these few spans is a `memcpy`
+/// call per thread.
+#[inline(always)]
+fn push_prefix(out: &mut Vec<Span>, prefix: &[Span]) {
+    match *prefix {
+        [] => {}
+        [a] => out.push(a),
+        [a, b] => out.extend([a, b]),
+        [a, b, c] => out.extend([a, b, c]),
+        _ => unreachable!("a process prefix holds at most three spans"),
     }
 }
 

@@ -26,19 +26,22 @@
 //! compiles the plan once (validation, flat stage/wrap/process/thread
 //! ranges, every base cost and the shm placement resolved) and keeps the
 //! compiled plan in the caller's [`SimScratch`]. A later call reuses it
-//! when the platform and the plan compare equal by value to the ones it
-//! was compiled from, and the workflow agrees on every field compiling
+//! when the platform compares equal by value to the one it was compiled
+//! for, and the workflow and the plan agree on every field compiling
 //! reads — each stage's function ids, and each function's segments and
-//! output bytes — never by address, so an input mutated in place
-//! recompiles and an equal copy does not; otherwise it compiles anew. A
-//! workflow that differs only in a name, `writes_files`,
-//! `workingset_bytes`, `class` or language runtime reuses the plan: no
-//! output of a replay reads them. A reuse only draws jitter, in the order
-//! the paper's semantics above consume it, and runs each wrap's threads
-//! (alone in one pass, or through the fluid engine). Each draw is one
-//! lookup in the jitter model's lognormal tables, which the platform
-//! builds on its first execution and both engines share. The
-//! interpretive path survives only as the [`execute_reference`] oracle.
+//! output bytes; the plan's runtime, isolation, transfer and scheduling
+//! kinds, each sandbox's id, CPUs and pool size, each wrap's sandbox, and
+//! each process's spawn and function ids — never by address, so an input
+//! mutated in place recompiles and an equal copy does not; otherwise it
+//! compiles anew. A workflow that differs only in a name, `writes_files`,
+//! `workingset_bytes`, `class` or language runtime, or a plan that
+//! differs only in its `system` or `workflow` name, reuses the compiled
+//! plan: no output of a replay reads them. A reuse only draws jitter, in
+//! the order the paper's semantics above consume it, and runs each wrap's
+//! threads (alone in one pass, or through the fluid engine). Each draw is
+//! one lookup in the jitter model's lognormal tables, which the platform
+//! builds on its first execution and both engines share. The interpretive
+//! path survives only as the [`execute_reference`] oracle.
 //!
 //! [`execute_reference`]: VirtualPlatform::execute_reference
 
@@ -121,8 +124,9 @@ impl VirtualPlatform {
     /// from `scratch`, including its compiled plan. The plan is compiled
     /// (and the inputs validated) when this platform, `workflow` and `plan`
     /// differ by value from the ones the scratch's plan was compiled from
-    /// (the workflow only in the fields compiling reads; see the module
-    /// doc); otherwise the call only replays it with `seed`'s jitter.
+    /// (the workflow and the plan only in the fields compiling reads; see
+    /// the module doc); otherwise the call only replays it with `seed`'s
+    /// jitter.
     /// Byte-identical to a fresh-scratch run: buffers are cleared before
     /// reuse and carry no state between requests.
     pub fn execute_with_scratch(

@@ -10,12 +10,15 @@
 //! never shared, so reuse is free of synchronisation.
 //!
 //! The compiled plan is keyed by value: a call reuses it only when the
-//! platform and the plan compare equal to the ones it was compiled from
-//! and the workflow agrees on every field compiling reads (each stage's
-//! function ids, each function's segments and output bytes), and compiles
-//! anew otherwise, so a stale plan can never reach a result. A change to
-//! a name, `writes_files`, `workingset_bytes`, `class` or the language
-//! runtime reuses it: the outputs are the same either way. Buffers are
+//! platform compares equal to the one it was compiled for and the
+//! workflow and the plan agree on every field compiling reads (each
+//! stage's function ids, each function's segments and output bytes; the
+//! plan's four kinds, each sandbox's id, CPUs and pool size, each wrap's
+//! sandbox, each process's spawn and function ids), and compiles anew
+//! otherwise, so a stale plan can never reach a result. A change to a
+//! workflow or function name, `writes_files`, `workingset_bytes`, `class`
+//! or the language runtime, or to the plan's `system` or `workflow` name,
+//! reuses it: the outputs are the same either way. Buffers are
 //! always cleared before reuse. Together these make a scratch-backed run
 //! byte-identical to a fresh-scratch run (tier-1 `tests/des_identity.rs`
 //! checks exactly that, after a change to each field the key reads).

@@ -6,47 +6,126 @@ use chiron_obs::SloSummary;
 use serde::{Deserialize, Serialize};
 
 /// One completed (or still-unfinished) request's life cycle, in
-/// simulation nanoseconds.
+/// simulation nanoseconds, in 40 bytes.
+///
+/// A standalone run keeps one record per request, so the log is most of
+/// what a long run holds, and the layout is kept lean: three plain `u64`
+/// times (arrival, last dispatch, completion), the `u32` replica, the
+/// `u16` phase and requeue count, the `u8` tier and one `u8` of flags,
+/// 8-byte aligned. The dispatch and completion times are plain words
+/// with a presence flag each, where two `Option<u64>`s would take 16
+/// bytes apiece: a time not set yet is stored as 0, and a set time is
+/// never cleared, so the derived `PartialEq` compares records exactly as
+/// the `Option`s would. The flags say whether each of the two times is
+/// set, whether the request paid a cold start, and whether it was
+/// forwarded. The simulation writes a record through
+/// [`RequestRecord::new`] and the setters; readers use the accessors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RequestRecord {
     pub arrival_ns: u64,
-    /// Last dispatch time (re-dispatches overwrite); `None` before the
-    /// first dispatch.
-    pub dispatched_ns: Option<u64>,
-    /// Completion time; `None` while in flight. An explicit option —
-    /// rather than a 0 sentinel — so a request completing at exactly
-    /// t=0 in a synthetic workload cannot be misread as unfinished.
-    pub completed_ns: Option<u64>,
+    /// See [`RequestRecord::dispatched_ns`]; 0 while unset.
+    dispatched_ns: u64,
+    /// See [`RequestRecord::completed_ns`]; 0 while unset.
+    completed_ns: u64,
     /// Replica that served (or was serving) it.
     pub replica: u32,
     /// Workload phase the arrival fell in.
     pub phase: u16,
-    /// Served by a replica whose on-path start window this request's
-    /// burst triggered (first request of a replica that paid a startup
-    /// latency — a full cold boot, a snapshot restore, or a zygote fork).
-    pub cold_start: bool,
+    /// Times the request went back to a queue after its replica died.
+    pub requeues: u16,
     /// `StartTier` code of the serving replica (0 warm, 1 snapshot,
     /// 2 zygote, 3 cold boot). Legacy runs only ever record 0 and 3.
     pub tier: u8,
-    /// Times the request went back to a queue after its replica died.
-    pub requeues: u16,
+    /// `DISPATCHED | COMPLETED | COLD_START | FORWARDED` bits.
+    flags: u8,
+}
+
+const DISPATCHED: u8 = 1;
+const COMPLETED: u8 = 1 << 1;
+const COLD_START: u8 = 1 << 2;
+const FORWARDED: u8 = 1 << 3;
+
+impl RequestRecord {
+    /// A request that arrived at `arrival_ns` in workload phase `phase`,
+    /// not yet dispatched.
+    pub fn new(arrival_ns: u64, phase: u16) -> Self {
+        RequestRecord {
+            arrival_ns,
+            dispatched_ns: 0,
+            completed_ns: 0,
+            replica: 0,
+            phase,
+            requeues: 0,
+            tier: 0,
+            flags: 0,
+        }
+    }
+
+    /// Last dispatch time (re-dispatches overwrite); `None` before the
+    /// first dispatch.
+    pub fn dispatched_ns(&self) -> Option<u64> {
+        (self.flags & DISPATCHED != 0).then_some(self.dispatched_ns)
+    }
+
+    /// Completion time; `None` while in flight. A request completing at
+    /// exactly t = 0 in a synthetic workload reads `Some(0)`, not
+    /// unfinished.
+    pub fn completed_ns(&self) -> Option<u64> {
+        self.is_completed().then_some(self.completed_ns)
+    }
+
+    /// Served by a replica whose on-path start window this request's
+    /// burst triggered (first request of a replica that paid a startup
+    /// latency — a full cold boot, a snapshot restore, or a zygote fork).
+    pub fn cold_start(&self) -> bool {
+        self.flags & COLD_START != 0
+    }
+
     /// Spilled to another cluster by the federation router while still
     /// queued: the request leaves this cluster's accounting (it is not
     /// lost) and completes — with a fresh record — at the receiver.
-    pub forwarded: bool,
-}
+    pub fn forwarded(&self) -> bool {
+        self.flags & FORWARDED != 0
+    }
 
-impl RequestRecord {
+    /// Records a dispatch (or re-dispatch) at `ns`.
+    pub fn set_dispatched_ns(&mut self, ns: u64) {
+        self.dispatched_ns = ns;
+        self.flags |= DISPATCHED;
+    }
+
+    /// Records the completion at `ns`.
+    pub fn set_completed_ns(&mut self, ns: u64) {
+        self.completed_ns = ns;
+        self.flags |= COMPLETED;
+    }
+
+    pub fn set_cold_start(&mut self, cold: bool) {
+        self.set_flag(COLD_START, cold);
+    }
+
+    pub fn set_forwarded(&mut self, forwarded: bool) {
+        self.set_flag(FORWARDED, forwarded);
+    }
+
+    fn set_flag(&mut self, flag: u8, on: bool) {
+        if on {
+            self.flags |= flag;
+        } else {
+            self.flags &= !flag;
+        }
+    }
+
     /// Arrival-to-completion latency; zero while still in flight.
     pub fn sojourn(&self) -> SimDuration {
-        match self.completed_ns {
+        match self.completed_ns() {
             Some(done) => SimDuration::from_nanos(done.saturating_sub(self.arrival_ns)),
             None => SimDuration::ZERO,
         }
     }
 
     pub fn is_completed(&self) -> bool {
-        self.completed_ns.is_some()
+        self.flags & COMPLETED != 0
     }
 }
 
@@ -173,9 +252,10 @@ pub struct ServeReport {
     /// Regime changes the online sensor fired (zero when the run was
     /// configured without a `RegimeConfig`).
     pub regime_changes: u32,
-    /// Per-request outcomes, indexed by request id (arrival order).
-    /// Empty for a fleet cluster: it streams each record into its digest
-    /// once the record is final and returns no log.
+    /// Per-request outcomes, indexed by request id (arrival order), at
+    /// 40 bytes a request (see [`RequestRecord`]). Empty for a fleet
+    /// cluster: it streams each record into its digest once the record
+    /// is final and returns no log.
     pub records: Vec<RequestRecord>,
 }
 
@@ -235,14 +315,14 @@ impl RecordDigest {
     /// Feeds the next record in id order.
     pub(crate) fn eat_record(&mut self, r: &RequestRecord) {
         self.eat(r.arrival_ns);
-        self.eat_opt(r.dispatched_ns);
-        self.eat_opt(r.completed_ns);
+        self.eat_opt(r.dispatched_ns());
+        self.eat_opt(r.completed_ns());
         self.eat(u64::from(r.replica));
         self.eat(
             u64::from(r.phase) << 32
                 | u64::from(r.tier) << 24
-                | u64::from(r.forwarded) << 17
-                | u64::from(r.cold_start) << 16
+                | u64::from(r.forwarded()) << 17
+                | u64::from(r.cold_start()) << 16
                 | u64::from(r.requeues),
         );
     }
@@ -509,17 +589,10 @@ mod tests {
     use super::*;
 
     fn record(arrival: u64, completed: u64, phase: u16) -> RequestRecord {
-        RequestRecord {
-            arrival_ns: arrival,
-            dispatched_ns: Some(arrival),
-            completed_ns: Some(completed),
-            replica: 0,
-            phase,
-            cold_start: false,
-            tier: 0,
-            requeues: 0,
-            forwarded: false,
-        }
+        let mut r = RequestRecord::new(arrival, phase);
+        r.set_dispatched_ns(arrival);
+        r.set_completed_ns(completed);
+        r
     }
 
     fn report(records: Vec<RequestRecord>) -> ServeReport {
@@ -537,7 +610,7 @@ mod tests {
             makespan: SimDuration::from_nanos(
                 records
                     .iter()
-                    .filter_map(|r| r.completed_ns)
+                    .filter_map(|r| r.completed_ns())
                     .max()
                     .unwrap_or(0),
             ),
@@ -602,19 +675,20 @@ mod tests {
                 let shift = (rng.next_u64() % 65) as u32;
                 rng.next_u64().checked_shr(shift).unwrap_or(0)
             };
-            let r = RequestRecord {
-                arrival_ns: wide(&mut rng),
-                dispatched_ns: (i % 3 != 0).then(|| wide(&mut rng)),
-                completed_ns: (i % 5 != 0).then(|| wide(&mut rng)),
-                replica: wide(&mut rng) as u32,
-                phase: (i % 4) as u16,
-                cold_start: i % 7 == 0,
-                tier: (i % 4) as u8,
-                requeues: (i % 3) as u16,
-                forwarded: i % 11 == 0,
-            };
+            let mut r = RequestRecord::new(wide(&mut rng), (i % 4) as u16);
+            if i % 3 != 0 {
+                r.set_dispatched_ns(wide(&mut rng));
+            }
+            if i % 5 != 0 {
+                r.set_completed_ns(wide(&mut rng));
+            }
+            r.replica = wide(&mut rng) as u32;
+            r.set_cold_start(i % 7 == 0);
+            r.tier = (i % 4) as u8;
+            r.requeues = (i % 3) as u16;
+            r.set_forwarded(i % 11 == 0);
             words.push(r.arrival_ns);
-            for field in [r.dispatched_ns, r.completed_ns] {
+            for field in [r.dispatched_ns(), r.completed_ns()] {
                 match field {
                     Some(v) => words.extend([1, v]),
                     None => words.push(0),
@@ -624,8 +698,8 @@ mod tests {
             words.push(
                 u64::from(r.phase) << 32
                     | u64::from(r.tier) << 24
-                    | u64::from(r.forwarded) << 17
-                    | u64::from(r.cold_start) << 16
+                    | u64::from(r.forwarded()) << 17
+                    | u64::from(r.cold_start()) << 16
                     | u64::from(r.requeues),
             );
             records.push(r);
@@ -637,15 +711,13 @@ mod tests {
 
     #[test]
     fn completion_at_t0_is_not_misclassified() {
-        // The old 0-sentinel encoding could not tell "completed at t=0"
-        // from "in flight"; the Option encoding can, and the two digest
-        // differently.
-        let mut r = record(0, 0, 0);
+        // A 0 sentinel alone could not tell "completed at t=0" from "in
+        // flight"; the presence flag can, and the two digest differently.
+        let r = record(0, 0, 0);
         assert!(r.is_completed());
         assert_eq!(r.sojourn(), SimDuration::ZERO);
         let completed = report(vec![r]).digest();
-        r.completed_ns = None;
-        r.dispatched_ns = None;
+        let r = RequestRecord::new(0, 0);
         assert!(!r.is_completed());
         let in_flight = report(vec![r]).digest();
         assert_ne!(completed, in_flight);
@@ -654,10 +726,8 @@ mod tests {
     #[test]
     fn digest_sees_forwarded_flag() {
         let plain = report(vec![record(1, 10, 0)]).digest();
-        let mut r = record(1, 10, 0);
-        r.forwarded = true;
-        r.dispatched_ns = None;
-        r.completed_ns = None;
+        let mut r = RequestRecord::new(1, 0);
+        r.set_forwarded(true);
         let spilled = report(vec![r]).digest();
         assert_ne!(plain, spilled);
     }

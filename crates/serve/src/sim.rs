@@ -762,7 +762,7 @@ impl<'a> Run<'a> {
     /// request onward rather than its whole history.
     fn digest_final(&mut self) {
         while let Some(r) = self.records.front() {
-            if r.completed_ns.is_none() && !r.forwarded {
+            if !r.is_completed() && !r.forwarded() {
                 break;
             }
             self.digest.eat_record(r);
@@ -843,7 +843,7 @@ impl<'a> Run<'a> {
             let Some(req) = self.router.pop_newest() else {
                 break;
             };
-            self.entry(req).forwarded = true;
+            self.entry(req).set_forwarded(true);
             self.forwarded_out += 1;
             shed_ids.push(req);
             shed += 1;
@@ -924,17 +924,8 @@ impl<'a> Run<'a> {
             pools.observe_arrival();
         }
         debug_assert_eq!(self.base + self.records.len() as u64, id);
-        self.records.push_back(RequestRecord {
-            arrival_ns: now.as_nanos(),
-            dispatched_ns: None,
-            completed_ns: None,
-            replica: 0,
-            phase,
-            cold_start: false,
-            tier: 0,
-            requeues: 0,
-            forwarded: false,
-        });
+        self.records
+            .push_back(RequestRecord::new(now.as_nanos(), phase));
         if self.trace {
             self.record(
                 now.as_nanos(),
@@ -982,11 +973,11 @@ impl<'a> Run<'a> {
         }
 
         let rec = self.entry(request);
-        rec.completed_ns = Some(now.as_nanos());
+        rec.set_completed_ns(now.as_nanos());
         let sojourn = SimDuration::from_nanos(now.as_nanos() - rec.arrival_ns);
-        let dispatched_ns = rec.dispatched_ns;
+        let dispatched_ns = rec.dispatched_ns();
         let phase = rec.phase as usize;
-        let cold = rec.cold_start;
+        let cold = rec.cold_start();
         if self.trace {
             self.record(
                 now.as_nanos(),
@@ -1329,9 +1320,9 @@ impl<'a> Run<'a> {
         let node = rep.node as u32;
         let tier = rep.start_tier;
         let rec = self.entry(request);
-        rec.dispatched_ns = Some(now.as_nanos());
+        rec.set_dispatched_ns(now.as_nanos());
         rec.replica = replica;
-        rec.cold_start = cold;
+        rec.set_cold_start(cold);
         rec.tier = tier.code();
         if self.trace {
             self.record(

@@ -380,12 +380,15 @@ type Edit = (
     fn(&mut Inputs),
 );
 
+/// Changes each input field the compiled-plan key reads, and each field it
+/// does not: a reused plan must give the fresh-scratch outcome either way,
+/// and only a read field may move it.
 #[test]
 fn reuse_key_recompiles_on_every_read_field() {
     let finra = apps::finra(10);
     // FINRA's function 5 is a 12 ms rule that completes after others, so
     // its result pipes.
-    let edits: [Edit; 13] = [
+    let edits: [Edit; 20] = [
         (
             "segment duration",
             planners::faastlane,
@@ -415,6 +418,18 @@ fn reuse_key_recompiles_on_every_read_field() {
         ("pool size", planners::faastlane_p, true, |(_, _, plan)| {
             plan.sandboxes[0].pool_size = 0
         }),
+        ("sandbox id", planners::openfaas, true, |(_, _, plan)| {
+            plan.sandboxes[0].id = SandboxId(999)
+        }),
+        ("wrap sandbox", planners::openfaas, true, |(_, _, plan)| {
+            plan.stages[1].wraps[0].sandbox = plan.stages[1].wraps[1].sandbox
+        }),
+        (
+            "process functions",
+            planners::faastlane,
+            true,
+            |(_, _, plan)| plan.stages[1].wraps[0].processes.swap(0, 1),
+        ),
         (
             "process spawn",
             planners::faastlane,
@@ -430,6 +445,9 @@ fn reuse_key_recompiles_on_every_read_field() {
         ("isolation", planners::faastlane_t, true, |(_, _, plan)| {
             plan.isolation = IsolationKind::Mpk
         }),
+        ("scheduling", planners::faastlane, true, |(_, _, plan)| {
+            plan.scheduling = SchedulingKind::OpenFaasGateway
+        }),
         ("jitter", planners::faastlane, true, |(platform, _, _)| {
             *platform = VirtualPlatform::new(PlatformConfig::paper_calibrated())
         }),
@@ -443,12 +461,29 @@ fn reuse_key_recompiles_on_every_read_field() {
             "names and unread fields",
             planners::faastlane,
             false,
-            |(_, wf, plan)| {
-                (wf.name, plan.workflow) = ("renamed".into(), "renamed".into());
+            |(_, wf, _)| {
+                wf.name = "renamed".into();
                 let f = &mut wf.functions[1];
                 f.name = "renamed_rule".into();
                 f.workingset_bytes *= 2;
                 f.writes_files.push("/tmp/out".into());
+            },
+        ),
+        ("plan system", planners::faastlane, false, |(_, _, plan)| {
+            plan.system = SystemKind::Chiron
+        }),
+        (
+            "plan workflow name",
+            planners::faastlane,
+            false,
+            |(_, _, plan)| plan.workflow = "renamed".into(),
+        ),
+        (
+            "plan names on a one-to-one plan",
+            planners::openfaas,
+            false,
+            |(_, _, plan)| {
+                (plan.system, plan.workflow) = (SystemKind::Asf, "renamed".into());
             },
         ),
     ];

@@ -1,4 +1,5 @@
-//! Committed digests of jittered DES outcomes and of PGP decisions.
+//! Committed digests of jittered DES outcomes, of PGP decisions and of
+//! served request logs.
 //!
 //! The simulator is deterministic, so a digest over its outputs pins its
 //! behaviour to the bit: a change to the jitter tables, the order of the
@@ -7,8 +8,10 @@
 //! a span that moves, splits or changes kind fails it even when `e2e`
 //! holds. A third pins what PGP decides and how hard it searched, so a
 //! change to the search that keeps the suite's plans but moves a
-//! prediction, a KL counter or a cache lookup anywhere fails it. A deliberate change updates the constants here by hand, and
-//! names the old and new values in CHANGES.md.
+//! prediction, a KL counter or a cache lookup anywhere fails it. The
+//! lifecycle cell digests pin the request logs of
+//! three faulted serving runs. A deliberate change updates the constants
+//! here by hand, and names the old and new values in CHANGES.md.
 
 use chiron::model::{
     apps, synthetic, JitterModel, PlatformConfig, SimDuration, SyntheticSpec, Workflow,
@@ -194,4 +197,25 @@ fn evaluation_suite_outcome_digest() {
         digest, SUITE_OUTCOME_DIGEST,
         "jittered suite outcome digest moved: committed {SUITE_OUTCOME_DIGEST:#018x}, now {digest:#018x}"
     );
+}
+
+/// `ServeReport::digest` of each `figures lifecycle` cell (12,000
+/// FINRA-12 requests with three nodes killed at t = 60 s), as
+/// `BENCH_LIFECYCLE.json` records them. Between them the cells requeue
+/// requests and start replicas from every tier, cold boots included.
+const LIFECYCLE_CELL_DIGESTS: [(&str, u64); 3] = [
+    ("coldboot-only", 0x40ce_4cea_1d59_8ed2),
+    ("tiered", 0xe630_e422_242b_840b),
+    ("tiered-diurnal", 0x6d11_1746_3aaf_40c2),
+];
+
+#[test]
+fn lifecycle_cell_digests() {
+    let hex = |(name, digest): (&str, u64)| format!("{name} {digest:016x}");
+    let now: Vec<String> = chiron_bench::lifecycle::serve_cells(2)
+        .iter()
+        .map(|(name, report)| hex((name, report.digest())))
+        .collect();
+    let committed: Vec<String> = LIFECYCLE_CELL_DIGESTS.into_iter().map(hex).collect();
+    assert_eq!(now, committed, "lifecycle cell digests moved (left: now)");
 }

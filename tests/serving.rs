@@ -3,8 +3,8 @@
 
 use chiron::obs::{self, Trace, TraceEventKind};
 use chiron::serving::{
-    EventKind, EventQueue, FaultPlan, RouterPolicy, ServeConfig, ServeError, ServeSimulation,
-    Workload,
+    EventKind, EventQueue, FaultPlan, RequestRecord, RouterPolicy, ServeConfig, ServeError,
+    ServeSimulation, Workload,
 };
 use chiron::{Chiron, PgpMode};
 use chiron_deploy::NodeId;
@@ -49,6 +49,65 @@ fn seeded_serving_runs_are_reproducible() {
     assert_eq!(a.digest(), b.digest());
     assert_eq!(a.records, b.records);
     assert_eq!(a.replica_timeline, b.replica_timeline);
+}
+
+/// A request record takes 40 bytes, and its two optional times keep
+/// `Option` semantics: `None`, `Some(0)` and `Some(u64::MAX)` each read
+/// back as set, records that differ only there compare unequal, and the
+/// report digest tells `Some(0)` from `None`.
+#[test]
+fn request_record_is_40_bytes_with_optional_times() {
+    assert_eq!(std::mem::size_of::<RequestRecord>(), 40);
+    let (chiron, wf, deployment) = deployed();
+    let config = ServeConfig::paper_testbed();
+    let base = chiron
+        .serve(&wf, &deployment, config, &Workload::steady(10.0, 20), 3)
+        .unwrap();
+    let digest = |r: RequestRecord| {
+        let mut report = base.clone();
+        report.records = vec![r];
+        report.digest()
+    };
+    type Set = fn(&mut RequestRecord, u64);
+    type Get = fn(&RequestRecord) -> Option<u64>;
+    let times: [(&str, Set, Get, Get); 2] = [
+        (
+            "dispatched_ns",
+            RequestRecord::set_dispatched_ns,
+            RequestRecord::dispatched_ns,
+            RequestRecord::completed_ns,
+        ),
+        (
+            "completed_ns",
+            RequestRecord::set_completed_ns,
+            RequestRecord::completed_ns,
+            RequestRecord::dispatched_ns,
+        ),
+    ];
+    let values = [None, Some(0), Some(u64::MAX)];
+    for (what, set, get, other) in times {
+        let records = values.map(|v| {
+            let mut r = RequestRecord::new(5, 1);
+            if let Some(ns) = v {
+                set(&mut r, ns);
+            }
+            r
+        });
+        for (r, v) in records.iter().zip(values) {
+            assert_eq!(get(r), v, "{what} round trip");
+            assert_eq!(other(r), None, "{what} leaves the other time unset");
+        }
+        for (i, a) in records.iter().enumerate() {
+            for b in &records[i + 1..] {
+                assert_ne!(a, b, "{what}: {a:?} == {b:?}");
+            }
+        }
+        assert_ne!(
+            digest(records[0]),
+            digest(records[1]),
+            "{what}: None vs Some(0)"
+        );
+    }
 }
 
 /// After a 10× traffic step the autoscaler returns tail latency to its
