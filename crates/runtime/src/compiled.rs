@@ -21,12 +21,13 @@
 //! Such a wrap is replayed in one pass over its threads: the pre-execution
 //! spans are drawn, then the thread's segments' jitter, and the engine's
 //! `run_alone` writes its `Exec` / `Io` spans straight into the outcome's
-//! span buffer, counting its instants as the engine does. A thread leaves
-//! a slot for its IPC span (if first in its process, in a wrap of two or
-//! more processes) and one for its store write. Then the processes drain
-//! in completion order, the slots are filled (writes drawn after the
-//! drains, in thread order), and the first-completing process's empty IPC
-//! slot goes with one `Vec::remove`, shifting the later threads' ranges.
+//! span buffer, adding each thread's instants to the event count as the
+//! engine adds each domain's. A thread leaves a slot for its IPC span (if
+//! first in its process, in a wrap of two or more processes) and one for
+//! its store write. Then the processes drain in completion order, the
+//! slots are filled (writes drawn after the drains, in thread order), and
+//! the first-completing process's empty IPC slot goes with one
+//! `Vec::remove`, shifting the later threads' ranges.
 //! Draws and spans match the engine path byte for byte.
 //!
 //! **Other wraps: the engine.** Their spans are built in
@@ -496,17 +497,8 @@ impl CompiledPlan {
             order,
             ..
         } = replay;
-        let FluidScratch {
-            instants, stats, ..
-        } = fluid;
         let threads = &self.threads[wrap.threads.clone()];
-        // One lane's instants strictly increase, so they are only counted.
-        let one = threads.len() == 1;
-        if one {
-            instants.len = 0;
-        } else {
-            instants.reset(threads.iter().map(|t| 1 + t.segments.len()).sum());
-        }
+        let mut events = 0;
 
         let avail = self.invoke(wrap, stage_start, jit);
         let procs = &self.procs[wrap.procs.clone()];
@@ -528,11 +520,7 @@ impl CompiledPlan {
                     start,
                     segments: 0..segments.len(),
                 };
-                let end = if one {
-                    run_alone::<true>(&lane, segments, out, instants)
-                } else {
-                    run_alone::<false>(&lane, segments, out, instants)
-                };
+                let end = run_alone(&lane, segments, out, &mut events);
                 *proc_end = (*proc_end).max(end.end);
                 // Slots for the IPC and store-write spans, filled below.
                 let slots = usize::from(piped && thread.first_in_process)
@@ -549,7 +537,7 @@ impl CompiledPlan {
                 };
             }
         }
-        stats.events += instants.len;
+        fluid.stats.events += events;
 
         // A validated plan has no empty process, so each has a first thread.
         let mut wrap_end = drain(procs, proc_end, order, jit, |p, ipc| {

@@ -42,10 +42,11 @@
 //! integer, each CPU burst ends exactly its remaining work after its grant,
 //! and within one instant the loop's steps touch each process's state
 //! alone, in the order the replay applies them. The event count is the
-//! number of distinct instants the shared loop would visit: the union of
-//! every process's visited instants (arrivals, I/O wakes, burst ends, and
-//! quantum ends while a sibling waits). Every Faastlane and OpenFaaS wrap
-//! of the suite takes this regime, and so does nearly every Chiron wrap.
+//! number of instants each replayed domain visits (arrivals, I/O wakes,
+//! burst ends, and quantum ends while a sibling waits), summed over the
+//! domains; one domain's instants strictly increase, so a plain counter
+//! counts them. Every Faastlane and OpenFaaS wrap of the suite takes this
+//! regime, and so does nearly every Chiron wrap.
 //!
 //! **Contended sandboxes: one shared event loop.** When processes
 //! outnumber CPUs (threads, without the GIL), the fluid rate can drop
@@ -218,8 +219,6 @@ pub(crate) struct FluidScratch {
     run_cpu: Vec<f64>,
     run_pos: Vec<usize>,
     ends: Vec<LaneEnd>,
-    /// The per-process replay's event instants, counted once each.
-    pub(crate) instants: InstantSet,
     /// Counter increments not yet added to the global counters.
     pub(crate) stats: SimStats,
 }
@@ -387,10 +386,8 @@ pub(crate) fn simulate<'a>(
     } else {
         n
     };
-    if domains == 1 {
-        replay_each_domain::<true>(lanes, segments, gil_interval, gil, scratch, spans);
-    } else if domains <= cpus as usize {
-        replay_each_domain::<false>(lanes, segments, gil_interval, gil, scratch, spans);
+    if domains <= cpus as usize {
+        replay_each_domain(lanes, segments, gil_interval, gil, scratch, spans);
     } else {
         shared_loop(lanes, segments, n_procs, sandbox, gil, scratch, spans);
     }
@@ -399,9 +396,8 @@ pub(crate) fn simulate<'a>(
 
 /// The first regime (see the module doc): every domain can hold a CPU of
 /// its own, so each is replayed alone. With `gil`, `scratch.proc_end`
-/// holds each process's lane count. `ONE_DOMAIN` is set when one domain
-/// hosts every lane (see [`InstantSet`]).
-fn replay_each_domain<const ONE_DOMAIN: bool>(
+/// holds each process's lane count.
+fn replay_each_domain(
     lanes: &[Lane],
     segments: &[Segment],
     gil_interval: SimDuration,
@@ -416,34 +412,11 @@ fn replay_each_domain<const ONE_DOMAIN: bool>(
         proc_ready,
         wake,
         ends,
-        instants,
         stats,
         ..
     } = scratch;
     let n = lanes.len();
-    if ONE_DOMAIN {
-        instants.len = 0;
-    } else {
-        // A process visits its threads' starts, the ends of their nonzero
-        // segments, and the quantum ends at which it preempts its holder;
-        // each preemption follows at least one interval of running, so CPU
-        // work over the interval bounds those.
-        let visits: usize = lanes.iter().map(|l| 1 + l.segments.len()).sum();
-        let preemptions = if gil {
-            let cpu: u64 = lanes
-                .iter()
-                .flat_map(|l| &segments[l.segments.clone()])
-                .map(|seg| match seg {
-                    Segment::Cpu(d) => d.as_nanos(),
-                    Segment::Block { .. } => 0,
-                })
-                .sum();
-            (cpu / gil_interval.as_nanos()) as usize
-        } else {
-            0
-        };
-        instants.reset(visits + preemptions);
-    }
+    let mut events = 0;
     if gil {
         // Group the lanes by process with a counting sort: after it,
         // `proc_end[p]` is where process `p`'s run of `arrivals` ends.
@@ -469,11 +442,11 @@ fn replay_each_domain<const ONE_DOMAIN: bool>(
             match run {
                 [] => {}
                 &mut [(_, i)] => {
-                    ends[i] = run_alone::<ONE_DOMAIN>(&lanes[i], segments, &mut spans[i], instants);
+                    ends[i] = run_alone(&lanes[i], segments, &mut spans[i], &mut events);
                 }
                 _ => {
                     run.sort_unstable();
-                    replay_process::<ONE_DOMAIN>(
+                    events += replay_process(
                         run,
                         segments,
                         gil_interval,
@@ -481,7 +454,6 @@ fn replay_each_domain<const ONE_DOMAIN: bool>(
                         proc_ready,
                         wake,
                         spans,
-                        instants,
                         ends,
                     );
                 }
@@ -492,10 +464,10 @@ fn replay_each_domain<const ONE_DOMAIN: bool>(
             lanes
                 .iter()
                 .zip(spans.iter_mut())
-                .map(|(lane, spans)| run_alone::<ONE_DOMAIN>(lane, segments, spans, instants)),
+                .map(|(lane, spans)| run_alone(lane, segments, spans, &mut events)),
         );
     }
-    stats.events += instants.len;
+    stats.events += events;
 }
 
 /// The second regime (see the module doc): processes outnumber CPUs, so
@@ -756,20 +728,21 @@ fn shared_loop(
 }
 
 /// Runs a thread that never meets a waiter (see the module doc): its
-/// segments back to back from its start, each visited instant counted.
+/// segments back to back from its start, adding its visited instants (its
+/// start and each nonzero segment's end) to `events`.
 /// Inlined into its callers (here and the compiled replay's alone wraps):
 /// as a call it cost one-thread-per-process sandboxes ~9% (2-vCPU host).
 #[inline(always)]
-pub(crate) fn run_alone<const ONE_DOMAIN: bool>(
+pub(crate) fn run_alone(
     lane: &Lane,
     segments: &[Segment],
     spans: &mut Vec<Span>,
-    instants: &mut InstantSet,
+    events: &mut u64,
 ) -> LaneEnd {
     let mut now = lane.start;
     let mut exec_start = None;
     let mut cpu_used = 0.0;
-    instants.insert::<ONE_DOMAIN>(now);
+    *events += 1;
     for &seg in &segments[lane.segments.clone()] {
         let (kind, d) = match seg {
             Segment::Cpu(d) => (SpanKind::Exec, d),
@@ -792,7 +765,7 @@ pub(crate) fn run_alone<const ONE_DOMAIN: bool>(
             end,
         });
         now = end;
-        instants.insert::<ONE_DOMAIN>(now);
+        *events += 1;
     }
     LaneEnd {
         exec_start: exec_start.unwrap_or(now),
@@ -809,8 +782,9 @@ pub(crate) fn run_alone<const ONE_DOMAIN: bool>(
 /// CFS grant, then the next instant and the holder's burst end. A running
 /// thread's progress is the time since its grant, so its remaining work
 /// and CPU time change only at a grant, a preemption or a burst end.
+/// Returns the number of instants visited.
 #[allow(clippy::too_many_arguments)]
-fn replay_process<const ONE_DOMAIN: bool>(
+fn replay_process(
     arrivals: &[(SimTime, usize)],
     segments: &[Segment],
     gil_interval: SimDuration,
@@ -818,9 +792,8 @@ fn replay_process<const ONE_DOMAIN: bool>(
     ready: &mut Vec<(u64, usize)>,
     wake: &mut BinaryHeap<Reverse<(SimTime, usize)>>,
     spans: &mut [Vec<Span>],
-    instants: &mut InstantSet,
     ends: &mut [LaneEnd],
-) {
+) -> u64 {
     let enter =
         |t: &mut ThreadState, i: usize, now, ready: &mut Vec<_>, wake: &mut BinaryHeap<_>| {
             start_segment(t, segments, now);
@@ -837,8 +810,9 @@ fn replay_process<const ONE_DOMAIN: bool>(
     let mut granted = now;
     let mut burst_end = SimTime::FAR_FUTURE;
     let mut quantum_end = SimTime::FAR_FUTURE;
+    let mut events = 0;
     loop {
-        instants.insert::<ONE_DOMAIN>(now);
+        events += 1;
         while let Some(&(due, i)) = arrivals.get(next_arrival) {
             if due > now {
                 break;
@@ -930,68 +904,7 @@ fn replay_process<const ONE_DOMAIN: bool>(
             cpu_used: t.cpu_used,
         };
     }
-}
-
-/// A set of instants that only counts its members: open addressing with
-/// linear probing, at most half full. Counting distinct instants this way
-/// is linear: for the 800 instants of a FINRA-200 wrap it took 1.2 µs
-/// where a sort and dedup took 7.5 µs (2-vCPU host).
-///
-/// A sandbox whose lanes all share one domain needs no table: a domain
-/// visits its instants in strictly increasing order, so every insert is a
-/// new member, and `insert::<true>` only counts. On the suite's recorded
-/// calls, 94% of which have one domain, that took those calls from ~60 to
-/// ~45 ns and left the others unchanged (2-vCPU host).
-#[derive(Debug, Default)]
-pub(crate) struct InstantSet {
-    slots: Vec<u64>,
-    /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
-    shift: u32,
-    pub(crate) len: u64,
-}
-
-impl InstantSet {
-    /// `SimTime::FAR_FUTURE`, which the event loop never visits either.
-    const EMPTY: u64 = u64::MAX;
-
-    /// Empties the set and sizes it for up to `capacity` members (more is
-    /// a caller bug).
-    pub(crate) fn reset(&mut self, capacity: usize) {
-        let size = (2 * capacity).next_power_of_two().max(2);
-        self.slots.clear();
-        self.slots.resize(size, Self::EMPTY);
-        self.shift = 64 - size.trailing_zeros();
-        self.len = 0;
-    }
-
-    fn insert<const ONE_DOMAIN: bool>(&mut self, t: SimTime) {
-        let key = t.as_nanos();
-        if key == Self::EMPTY {
-            return;
-        }
-        if ONE_DOMAIN {
-            self.len += 1;
-            return;
-        }
-        debug_assert!(
-            2 * self.len < self.slots.len() as u64,
-            "more members than reset for"
-        );
-        let mask = self.slots.len() - 1;
-        let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
-        loop {
-            let slot = &mut self.slots[i];
-            if *slot == key {
-                return;
-            }
-            if *slot == Self::EMPTY {
-                *slot = key;
-                self.len += 1;
-                return;
-            }
-            i = (i + 1) & mask;
-        }
-    }
+    events
 }
 
 /// `x.ceil() as u64`, through a truncating integer conversion for the

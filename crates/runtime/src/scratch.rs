@@ -26,16 +26,19 @@
 //! its threads' runs: one pass for a wrap whose threads each run alone,
 //! and otherwise the fluid engine, one process at a time for a sandbox
 //! with a CPU per process and the shared event loop for a contended one.
-//! The engine's buffers (its per-thread slots, queues and instant set)
-//! live in the scratch too.
+//! The engine's buffers (its per-thread slots and queues) live in the
+//! scratch too.
 //!
 //! The module also counts buffer reuse and fluid events globally — as
 //! [`chiron_obs`]-registered counters, so `figures -- obs` sees them in
 //! the metrics snapshot and `figures -- perf-eval` can report first-run
 //! vs steady-state allocation counts for the DES hot loop. A scratch
 //! gathers its counts and adds them once per request. All accesses are
-//! `Relaxed`: these are statistics, not synchronisation. Only the
-//! `runtime.fluid.sim_events` total is the same whatever the interleaving;
+//! `Relaxed`: these are statistics, not synchronisation.
+//! `runtime.fluid.sim_events` counts the shared loop's iterations plus,
+//! in a sandbox replayed one domain (a GIL process, or a thread without
+//! the GIL) at a time, the instants each domain visits, summed over the
+//! domains. Only that total is the same whatever the interleaving;
 //! `buffer_allocs`/`buffer_reuses` depend on which worker's thread-local
 //! scratch first meets the largest wraps, and vary from run to run. They
 //! count the lanes that enter the fluid engine; an alone wrap's threads
@@ -60,8 +63,10 @@ pub struct AllocStats {
     pub buffer_allocs: u64,
     /// Per-thread engine slots served from a scratch.
     pub buffer_reuses: u64,
-    /// Fluid-simulator event-loop iterations (for a sandbox replayed one
-    /// process at a time, the iterations the shared loop would have made).
+    /// Fluid-simulator events: the shared loop's iterations, plus, for a
+    /// sandbox replayed one domain at a time, the instants each domain
+    /// visits, summed over the domains (two domains visiting the same
+    /// instant count it twice).
     pub events: u64,
 }
 

@@ -120,16 +120,10 @@ impl FleetConfig {
         self
     }
 
+    /// Sets each cluster's locality weight. [`FleetSimulation::new`]
+    /// refuses a vector whose length is not `clusters`, or a weight that
+    /// is not finite and positive.
     pub fn with_locality(mut self, locality: Vec<f64>) -> Self {
-        assert_eq!(
-            locality.len(),
-            self.clusters as usize,
-            "one locality weight per cluster"
-        );
-        assert!(
-            locality.iter().all(|&w| w > 0.0),
-            "locality weights must be positive"
-        );
         self.locality = locality;
         self
     }

@@ -1,6 +1,9 @@
 //! Public entry points refuse bad caller input with a typed error, never a
 //! panic; each case matches its exact variant.
 
+use chiron::serving::ServeError;
+use chiron::{FleetConfig, FleetSimulation};
+use chiron_deploy::planners;
 use chiron_ml::{
     FitError, ForestConfig, GnnConfig, GnnRegressor, LstmConfig, LstmRegressor, PredictError,
     RandomForest, RegressionTree, TreeConfig,
@@ -120,4 +123,25 @@ fn predicts_refuse_a_sample_of_the_wrong_width() {
     }
     assert!(tree.predict(&[1.0, 2.0]).is_ok());
     assert!(forest.predict(&[1.0, 2.0]).is_ok());
+}
+
+#[test]
+fn fleet_refuses_bad_locality_weights() {
+    let wf = chiron::model::apps::finra(12);
+    let plan = planners::faastlane_plus(&wf);
+    let fleet = |locality| {
+        let config = FleetConfig::paper_fleet(2).with_locality(locality);
+        FleetSimulation::new(wf.clone(), plan.clone(), config).err()
+    };
+    assert_eq!(
+        fleet(vec![1.0]),
+        Some(ServeError::Fleet("one locality weight per cluster"))
+    );
+    for bad in [0.0, f64::NAN] {
+        assert_eq!(
+            fleet(vec![1.0, bad]),
+            Some(ServeError::Fleet("locality weights must be positive"))
+        );
+    }
+    assert_eq!(fleet(vec![3.0, 1.0]), None);
 }

@@ -54,7 +54,8 @@ fn seeded_serving_runs_are_reproducible() {
 /// A request record takes 40 bytes, and its two optional times keep
 /// `Option` semantics: `None`, `Some(0)` and `Some(u64::MAX)` each read
 /// back as set, records that differ only there compare unequal, and the
-/// report digest tells `Some(0)` from `None`.
+/// report digest tells `Some(0)` from `None`. Its two flags clear as well
+/// as they set.
 #[test]
 fn request_record_is_40_bytes_with_optional_times() {
     assert_eq!(std::mem::size_of::<RequestRecord>(), 40);
@@ -107,6 +108,34 @@ fn request_record_is_40_bytes_with_optional_times() {
             digest(records[1]),
             "{what}: None vs Some(0)"
         );
+    }
+
+    // A flag set and then cleared leaves no trace in the record or its
+    // digest.
+    let fresh = RequestRecord::new(5, 1);
+    type SetFlag = fn(&mut RequestRecord, bool);
+    type GetFlag = fn(&RequestRecord) -> bool;
+    let flags: [(&str, SetFlag, GetFlag); 2] = [
+        (
+            "cold_start",
+            RequestRecord::set_cold_start,
+            RequestRecord::cold_start,
+        ),
+        (
+            "forwarded",
+            RequestRecord::set_forwarded,
+            RequestRecord::forwarded,
+        ),
+    ];
+    for (what, set, get) in flags {
+        let mut r = fresh;
+        set(&mut r, true);
+        assert!(get(&r), "{what} reads back as set");
+        assert_ne!(digest(r), digest(fresh), "{what} moves the digest");
+        set(&mut r, false);
+        assert!(!get(&r), "{what} reads back as cleared");
+        assert_eq!(r, fresh, "{what} set then cleared");
+        assert_eq!(digest(r), digest(fresh), "{what} set then cleared");
     }
 }
 
