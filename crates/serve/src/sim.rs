@@ -56,7 +56,7 @@
 //! only its digest reads, so it streams them: after each epoch it feeds
 //! the log's final prefix into its `RecordDigest` and drops it, and
 //! re-queue counts are kept as a counter rather than scanned from the
-//! log. Sojourn histograms store only their occupied bucket window.
+//! log. Sojourn histograms store only the bucket pages that hold a sample.
 //!
 //! ## Fleet mode
 //!

@@ -10,18 +10,20 @@
 //! change to the search that keeps the suite's plans but moves a
 //! prediction, a KL counter or a cache lookup anywhere fails it. The
 //! lifecycle cell digests pin the request logs of
-//! three faulted serving runs. A deliberate change updates the constants
+//! three faulted serving runs, and their sojourn percentiles pin the
+//! histograms those runs report. A deliberate change updates the constants
 //! here by hand, and names the old and new values in CHANGES.md.
 
 use chiron::model::{
     apps, synthetic, JitterModel, PlatformConfig, SimDuration, SyntheticSpec, Workflow,
 };
-use chiron::{Chiron, PgpMode};
+use chiron::{Chiron, PgpMode, ServeReport};
 use chiron_deploy::planners;
 use chiron_pgp::{PgpConfig, PgpScheduler, ScheduleOutcome};
 use chiron_predict::{PredictionCache, Predictor};
 use chiron_profiler::Profiler;
 use chiron_runtime::{RequestOutcome, SimScratch, VirtualPlatform};
+use std::sync::OnceLock;
 
 /// FNV-1a over the little-endian bytes of each `e2e` in nanoseconds,
 /// in suite × {Chiron, Faastlane, OpenFaaS} × seed order.
@@ -209,13 +211,48 @@ const LIFECYCLE_CELL_DIGESTS: [(&str, u64); 3] = [
     ("tiered-diurnal", 0x6d11_1746_3aaf_40c2),
 ];
 
+/// The three `figures lifecycle` cells, run once and shared by the
+/// tests that read them.
+fn lifecycle_cells() -> &'static [(&'static str, ServeReport)] {
+    static CELLS: OnceLock<Vec<(&'static str, ServeReport)>> = OnceLock::new();
+    CELLS.get_or_init(|| chiron_bench::lifecycle::serve_cells(2))
+}
+
 #[test]
 fn lifecycle_cell_digests() {
     let hex = |(name, digest): (&str, u64)| format!("{name} {digest:016x}");
-    let now: Vec<String> = chiron_bench::lifecycle::serve_cells(2)
+    let now: Vec<String> = lifecycle_cells()
         .iter()
         .map(|(name, report)| hex((name, report.digest())))
         .collect();
     let committed: Vec<String> = LIFECYCLE_CELL_DIGESTS.into_iter().map(hex).collect();
     assert_eq!(now, committed, "lifecycle cell digests moved (left: now)");
+}
+
+/// Each lifecycle cell's sojourn p50, p99 and max in ns, as
+/// `BENCH_LIFECYCLE.json` records them in ms. The record digests do not
+/// cover the sojourn histogram, so these pin its bucket counts.
+const LIFECYCLE_CELL_SOJOURNS: [(&str, [u64; 3]); 3] = [
+    ("coldboot-only", [87_130_111, 633_077_759, 1_688_227_897]),
+    ("tiered", [87_130_111, 524_419_071, 1_700_001_203]),
+    ("tiered-diurnal", [87_916_543, 556_531_711, 1_683_991_014]),
+];
+
+#[test]
+fn lifecycle_cell_sojourn_percentiles() {
+    let now: Vec<(&str, [u64; 3])> = lifecycle_cells()
+        .iter()
+        .map(|(name, report)| {
+            let s = &report.sojourns;
+            let ns = |d: SimDuration| d.as_nanos();
+            (
+                *name,
+                [ns(s.percentile(0.5)), ns(s.percentile(0.99)), ns(s.max())],
+            )
+        })
+        .collect();
+    assert_eq!(
+        now, LIFECYCLE_CELL_SOJOURNS,
+        "lifecycle cell sojourns moved (left: now)"
+    );
 }

@@ -6,7 +6,7 @@ use chiron::predict::{
     SimThread, StaggeredSet, StaggeredSummary, SwapScan,
 };
 use chiron_deploy::{place, planners, ClusterConfig, ClusterState, PlacementPolicy};
-use chiron_metrics::LatencySamples;
+use chiron_metrics::{LatencySamples, StreamingHistogram};
 use chiron_model::{apps, FunctionId};
 use chiron_pgp::kernighan_lin;
 use chiron_runtime::{
@@ -348,6 +348,75 @@ proptest! {
         for (i, &used) in cpu.iter().enumerate() {
             prop_assert!(used <= cluster.node.node_cpus,
                 "node {i} accumulated {used} CPUs over the cap");
+        }
+    }
+}
+
+/// Sojourn-like samples for the histogram property: exact unit buckets
+/// below 4,096 ns mixed with values of every magnitude up to ~2⁴⁰ ns,
+/// each tagged with the part (of up to four) it is recorded into.
+fn arb_split_samples() -> impl Strategy<Value = Vec<(u64, usize)>> {
+    let sample = (
+        any::<bool>(),
+        0u64..4096,
+        (1u64 << 12)..(1 << 40),
+        0usize..4,
+    );
+    let draw = |(unit, small, wide, part): (bool, u64, u64, usize)| {
+        let ns = if unit { small } else { wide >> (wide % 29) };
+        (ns, part)
+    };
+    prop::collection::vec(sample, 0..400).prop_map(move |v| v.into_iter().map(draw).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A streaming histogram split into 1–4 parts (empty parts allowed)
+    /// and merged back in any order is the one-pass histogram, and every
+    /// percentile brackets the exact rank-⌈q·n⌉ sample: never below it,
+    /// less than 2⁻¹¹ relative above it, and equal to it below 4,096 ns.
+    #[test]
+    fn streaming_histogram_split_merge_is_exact(
+        samples in arb_split_samples(),
+        parts in 1usize..=4,
+        order in prop::collection::vec(any::<u64>(), 4),
+    ) {
+        let mut whole = StreamingHistogram::new();
+        let mut split = vec![StreamingHistogram::new(); parts];
+        for &(ns, part) in &samples {
+            whole.record(SimDuration::from_nanos(ns));
+            split[part % parts].record(SimDuration::from_nanos(ns));
+        }
+        let mut merge_order: Vec<usize> = (0..parts).collect();
+        merge_order.sort_by_key(|&i| order[i]);
+        let mut merged = split[merge_order[0]].clone();
+        for &i in &merge_order[1..] {
+            merged.merge(&split[i]);
+        }
+        prop_assert_eq!(&merged, &whole);
+        prop_assert_eq!(merged.len(), samples.len() as u64);
+        prop_assert_eq!(
+            (merged.min(), merged.max(), merged.mean()),
+            (whole.min(), whole.max(), whole.mean())
+        );
+        let mut exact: Vec<u64> = samples.iter().map(|&(ns, _)| ns).collect();
+        exact.sort_unstable();
+        for q in [0.0, 0.001, 0.5, 0.99, 0.999, 1.0] {
+            let got = merged.percentile(q);
+            prop_assert_eq!(got, whole.percentile(q), "q={}", q);
+            if exact.is_empty() {
+                prop_assert_eq!(got, SimDuration::ZERO);
+                continue;
+            }
+            let rank = (q * exact.len() as f64).ceil().max(1.0) as usize;
+            let (got, want) = (got.as_nanos(), exact[rank - 1]);
+            prop_assert!(got >= want, "q={}: {} below the exact {}", q, got, want);
+            if want < 4096 {
+                prop_assert_eq!(got, want, "q={}: unit bucket", q);
+            } else {
+                prop_assert!((got - want) << 11 < want, "q={}: {} too far above {}", q, got, want);
+            }
         }
     }
 }
