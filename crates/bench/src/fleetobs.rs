@@ -40,7 +40,12 @@ use chiron_model::{apps, SimDuration, SimTime};
 use chiron_obs::{Component, RegimeConfig, SloPolicy, Trace, TraceStats};
 use std::time::Instant;
 
-const SEED: u64 = 2023;
+/// The seed every pass serves the fleet from.
+pub const SEED: u64 = 2023;
+/// The figure's size, as `(clusters, rps, phase1_ms, phase2_ms)`: 16
+/// clusters / 128 nodes at 2 400 req/s fleet-wide, a 12 s calibrated
+/// phase then a 6 s ×1.6 shifted phase.
+pub const FIGURE_SIZE: (u32, f64, u64, u64) = (16, 2_400.0, 12_000, 6_000);
 /// Service-time multiplier of the second phase — the injected regime
 /// shift the sensor is gated on catching.
 const SHIFT_MULT: f64 = 1.6;
@@ -64,10 +69,18 @@ fn floor_ms(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
-/// The faulted, skewed fleet every pass runs: cluster 0 carries 6× the
-/// demand (and sheds through the spillover path from the first busy
-/// barrier), cluster 1 loses node 0 halfway through phase 1.
-fn fleet(clusters: u32, phase1_ms: u64) -> FleetSimulation {
+/// The faulted, skewed fleet every pass of a report runs, at a size (see
+/// [`FIGURE_SIZE`]), and its workload; tier-1 pins the figure-size traced
+/// run's digests. Cluster 0 carries 6× the demand (and sheds through the
+/// spillover path from the first busy barrier), cluster 1 loses node 0
+/// halfway through phase 1, and the two phases run at one rate, stepping
+/// the service multiplier at the boundary: the injected regime shift.
+pub fn scenario(
+    clusters: u32,
+    rps: f64,
+    phase1_ms: u64,
+    phase2_ms: u64,
+) -> (FleetSimulation, FleetWorkload) {
     let wf = apps::finra(12);
     let plan = Chiron::default()
         .deploy(&wf, None, PgpMode::NativeThread)
@@ -83,32 +96,20 @@ fn fleet(clusters: u32, phase1_ms: u64) -> FleetSimulation {
         )
         .with_locality(locality)
         .with_spill(16, SimDuration::from_millis(2));
-    FleetSimulation::new(wf, plan, config)
+    let kill = SimTime::from_millis_f64(phase1_ms as f64 / 2.0);
+    let sim = FleetSimulation::new(wf, plan, config)
         .expect("fleet construction")
-        .with_cluster_faults(
-            1,
-            FaultPlan::none().kill_at(SimTime::from_millis_f64(phase1_ms as f64 / 2.0), NodeId(0)),
-        )
-}
-
-/// Two time-bounded phases at the same rate; stepping the service
-/// multiplier at the boundary is the injected regime shift.
-fn workload(rps: f64, phase1_ms: u64, phase2_ms: u64) -> FleetWorkload {
-    FleetWorkload {
-        phases: vec![
-            FleetPhase {
-                rps,
-                duration: SimDuration::from_millis(phase1_ms),
-                service_multiplier: 1.0,
-            },
-            FleetPhase {
-                rps,
-                duration: SimDuration::from_millis(phase2_ms),
-                service_multiplier: SHIFT_MULT,
-            },
-        ],
+        .with_cluster_faults(1, FaultPlan::none().kill_at(kill, NodeId(0)));
+    let phase = |ms, service_multiplier| FleetPhase {
+        rps,
+        duration: SimDuration::from_millis(ms),
+        service_multiplier,
+    };
+    let workload = FleetWorkload {
+        phases: vec![phase(phase1_ms, 1.0), phase(phase2_ms, SHIFT_MULT)],
         arrivals: ArrivalProcess::Poisson { seed: 7 },
-    }
+    };
+    (sim, workload)
 }
 
 /// The report with custom fleet and workload sizes (tests use small
@@ -119,9 +120,8 @@ pub fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64)
     chiron_obs::reset_observability();
     chiron_obs::set_tracing(false);
 
-    let sim = fleet(clusters, phase1_ms);
+    let (sim, workload) = scenario(clusters, rps, phase1_ms, phase2_ms);
     let nodes = clusters * sim.config().cluster.cluster.nodes;
-    let workload = workload(rps, phase1_ms, phase2_ms);
 
     // One discarded warmup pass per mode (cold caches, ramping
     // frequency governor), then the interleaved timing rounds.
@@ -327,10 +327,10 @@ pub fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64)
     report
 }
 
-/// The full report: 16 clusters / 128 nodes at 2 400 req/s fleet-wide,
-/// a 12 s calibrated phase then a 6 s ×1.6 shifted phase.
+/// The full report, at [`FIGURE_SIZE`].
 pub fn fleet_obs_figure() -> Report {
-    fleet_obs_report(16, 2_400.0, 12_000, 6_000)
+    let (clusters, rps, phase1_ms, phase2_ms) = FIGURE_SIZE;
+    fleet_obs_report(clusters, rps, phase1_ms, phase2_ms)
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ use crate::sweep;
 use chiron::serving::{
     FaultPlan, RouterPolicy, ServeConfig, ServeReport, ServeSimulation, Workload,
 };
-use chiron::{Chiron, PgpMode};
+use chiron::{Chiron, Deployment, PgpMode};
 use chiron_deploy::NodeId;
 use chiron_metrics::ArrivalProcess;
 use chiron_model::{
@@ -127,12 +127,15 @@ fn workload() -> Workload {
 
 /// One full serving figure — both router cells from the same seed — with
 /// each cell's capture returned in cell-index order.
-struct ServePass {
+#[derive(Debug)]
+pub struct ServePass {
     /// Byte string compared across worker counts: the concatenated
     /// per-cell traces, normalised.
     render: String,
-    /// Per-cell traces, cell-index order (0 = central-fifo).
-    traces: Vec<Trace>,
+    /// Per-cell traces, cell-index order (0 = central-fifo); while tracing
+    /// is off, empty. `BENCH_OBS.json`'s `trace_digest` is
+    /// [`Trace::concat`]'s over them.
+    pub traces: Vec<Trace>,
     /// Per-cell [`ServeReport::digest`]s: tracing must never perturb the
     /// simulation itself.
     digests: Vec<u64>,
@@ -145,7 +148,8 @@ struct ServePass {
 /// total wall clock; the last rep's traces and reports are returned
 /// (every rep is the same deterministic computation, so which one is
 /// kept is immaterial — the extra reps only lengthen the timed region).
-fn serve_pass(wf: &Workflow, plan: &DeploymentPlan, workers: usize, reps: usize) -> ServePass {
+/// The figure runs at its committed size; tier-1 pins its trace digest.
+pub fn serve_pass(wf: &Workflow, plan: &DeploymentPlan, workers: usize, reps: usize) -> ServePass {
     let workload = workload();
     let cells = RouterPolicy::ALL;
     let t0 = Instant::now();
@@ -184,6 +188,14 @@ fn serve_pass(wf: &Workflow, plan: &DeploymentPlan, workers: usize, reps: usize)
         reports,
         ms,
     }
+}
+
+/// The served workflow, FINRA-12, and Chiron's deployment of it.
+pub fn deployed() -> (Chiron, Workflow, Deployment) {
+    let chiron = Chiron::default();
+    let wf = apps::finra(12);
+    let deployment = chiron.deploy(&wf, None, PgpMode::NativeThread);
+    (chiron, wf, deployment)
 }
 
 /// The committed `BENCH_EVAL.json`'s serve-figure parallel wall clock, if
@@ -295,9 +307,7 @@ pub fn obs_eval(workers: usize) -> Report {
     chiron_obs::reset_trace_stats();
     chiron_obs::set_tracing(false);
 
-    let chiron = Chiron::default();
-    let wf = apps::finra(12);
-    let deployment = chiron.deploy(&wf, None, PgpMode::NativeThread);
+    let (chiron, wf, deployment) = deployed();
     let plan = deployment.plan().clone();
 
     // Interleaved timing (the perf_eval idiom): each round runs the

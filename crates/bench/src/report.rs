@@ -13,6 +13,7 @@
 //! object puts each entry on its own line; anything nested deeper stays
 //! on one line, so a table row is one line of the file.
 
+use chiron_obs::perfetto::Escaped;
 use std::fmt;
 use std::path::Path;
 
@@ -115,16 +116,7 @@ impl Obj {
 }
 
 fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    out.push_str(&format!("\"{}\"", Escaped(s)));
 }
 
 impl Json {

@@ -25,7 +25,7 @@
 //!
 //! The serving simulator treats a replica's service time as one scalar,
 //! so the split of the service window among the last four components
-//! comes from the DES itself: `platform::run_wrap` emits a
+//! comes from the DES itself: `CompiledPlan::replay` emits a
 //! [`TraceEventKind::DesBreakdown`] per function window (§2.2's additive
 //! model) during the run's warm profiling execute, and the aggregate
 //! shares are apportioned over each request's service window by
@@ -38,6 +38,7 @@
 //! output regardless of `--workers`.
 
 use crate::intern::resolve;
+use crate::perfetto::TraceWriter;
 use crate::trace::{Trace, TraceEventKind};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -642,13 +643,9 @@ impl AttributionReport {
     /// (milliseconds) sampled at each request completion, importable next
     /// to the `serve_trace` export.
     pub fn counter_track(&self, completions: &[(u64, u64)]) -> String {
-        const BLAME_PID: u32 = 9997;
-        let mut out = String::from("{\"traceEvents\":[\n");
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":{BLAME_PID},\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"component blame\"}}}}"
-        );
+        const BLAME: (u32, u32) = (9997, 0);
+        let mut w = TraceWriter::default();
+        w.process_name(BLAME.0, "component blame");
         let by_request: HashMap<u64, &RequestAttribution> =
             self.requests.iter().map(|r| (r.request, r)).collect();
         let mut cumulative = [0u64; 7];
@@ -656,32 +653,14 @@ impl AttributionReport {
             let Some(r) = by_request.get(&request) else {
                 continue;
             };
-            for (acc, c) in cumulative.iter_mut().zip(r.components) {
+            w.counter(BLAME, time_ns, "blame_ms");
+            for ((acc, c), component) in cumulative.iter_mut().zip(r.components).zip(Component::ALL)
+            {
                 *acc += c;
+                w.arg(component.name(), format_args!("{:.3}", *acc as f64 / 1e6));
             }
-            let _ = write!(
-                out,
-                ",\n{{\"ph\":\"C\",\"pid\":{BLAME_PID},\"tid\":0,\"ts\":{:.3},\
-                 \"name\":\"blame_ms\",\"args\":{{",
-                time_ns as f64 / 1e3,
-            );
-            for (i, c) in Component::ALL.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "{}\"{}\":{:.3}",
-                    if i == 0 { "" } else { "," },
-                    c.name(),
-                    cumulative[i] as f64 / 1e6,
-                );
-            }
-            out.push_str("}}");
         }
-        let _ = write!(
-            out,
-            "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"samples\":{}}}}}",
-            completions.len()
-        );
-        out
+        w.finish(format_args!("\"samples\":{}", completions.len()))
     }
 
     /// `(completion time, request)` pairs for [`Self::counter_track`],

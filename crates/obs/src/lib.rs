@@ -19,9 +19,10 @@
 //! * [`drift`] — an owned [`DriftMonitor`] of predicted-vs-observed
 //!   latency residuals per `(workflow, plan, stage)`, feeding the
 //!   `figures -- obs` report.
-//! * [`perfetto`] — renders a captured serving [`Trace`] as one Chrome
-//!   Trace Event Format document (one track per replica, grouped by
-//!   node) for <https://ui.perfetto.dev>.
+//! * [`perfetto`] — the workspace's one Chrome Trace Event Format
+//!   writer, and the export of a captured serving [`Trace`] as one
+//!   document (one track per replica, grouped by node) for
+//!   <https://ui.perfetto.dev>.
 //!
 //! On top of the recording plane sits the analysis plane:
 //!

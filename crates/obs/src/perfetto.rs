@@ -1,9 +1,12 @@
-//! Whole-run Perfetto/Chrome trace export.
+//! The workspace's one Trace Event Format writer, [`TraceWriter`], and
+//! the whole-run Perfetto/Chrome export of a serving trace.
 //!
-//! Renders a captured serving [`Trace`] as one Trace Event Format
-//! document: one process per cluster node (`pid = 1000 + node`), one
-//! thread per replica (`tid = replica`), and per-request complete events
-//! for every life-cycle phase —
+//! [`serve_trace`], `AttributionReport::counter_track` and
+//! `chiron-runtime`'s `to_chrome_trace` all write through the writer.
+//! [`serve_trace`] renders a captured serving [`Trace`] as one document:
+//! one process per cluster node (`pid = 1000 + node`), one thread per
+//! replica (`tid = replica`), and per-request complete events for every
+//! life-cycle phase —
 //!
 //! * `queue` — arrival (or re-queue) until dispatch, drawn on the track
 //!   of the replica that eventually served the request;
@@ -14,44 +17,198 @@
 //!   sandbox cold start;
 //! * instant markers for node kills/detections on a control-plane track.
 //!
-//! DES span events (single-request `platform::run_wrap` windows) land in
-//! a dedicated `pid = 9998` process, one thread per function. Like
-//! `chiron-runtime::export`, the JSON is written by hand — this is a
-//! write-only format, timestamps in microseconds.
+//! DES span events (the per-function windows `CompiledPlan::replay`
+//! emits) land in a dedicated `pid = 9998` process, one thread per
+//! function.
 
 use crate::intern::resolve;
 use crate::trace::{Trace, TraceEventKind};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Display, Write as _};
 
 const NODE_PID_BASE: u32 = 1000;
-const CONTROL_PID: u32 = 1;
+const CONTROL: Track = (1, 0);
 const DES_PID: u32 = 9998;
+const HEADER: &str = "{\"traceEvents\":[\n";
+
+/// A trace row: `(pid, tid)`.
+pub type Track = (u32, u32);
 
 fn us(ns: u64) -> f64 {
     ns as f64 / 1e3
 }
 
+/// Writes a Trace Event Format document event by event, in place. An
+/// event method writes the event and returns the writer, so its optional
+/// fields chain on — [`cname`](Self::cname), then [`arg`](Self::arg)s —
+/// until the next event starts. Times are nanoseconds, written as
+/// microseconds with three decimals; every name is escaped.
+#[derive(Debug, Default)]
+pub struct TraceWriter {
+    out: String,
+    /// What closes the current event: `""` before the first (whose
+    /// header is not written yet), `"}"`, or `"}}"` once it has `args`.
+    close: &'static str,
+}
+
+impl TraceWriter {
+    /// `process_name` metadata naming `pid`.
+    pub fn process_name(&mut self, pid: u32, name: impl Display) -> &mut Self {
+        self.metadata("process_name", (pid, 0), name)
+    }
+
+    /// `thread_name` metadata naming a track.
+    pub fn thread_name(&mut self, track: Track, name: impl Display) -> &mut Self {
+        self.metadata("thread_name", track, name)
+    }
+
+    /// A complete (`X`) event over `[ts, ts + dur)`.
+    pub fn complete(&mut self, track: Track, ts: u64, dur: u64, name: impl Display) -> &mut Self {
+        self.begin("X", track, ts);
+        let _ = write!(self.out, ",\"dur\":{:.3}", us(dur));
+        self.name(name)
+    }
+
+    /// An instant (`i`) event of scope `g` (global) or `t` (thread).
+    pub fn instant(&mut self, track: Track, ts: u64, scope: char, name: impl Display) -> &mut Self {
+        self.begin("i", track, ts);
+        let _ = write!(self.out, ",\"s\":\"{scope}\"");
+        self.name(name)
+    }
+
+    /// A counter (`C`) event; its [`arg`](Self::arg)s are its series.
+    pub fn counter(&mut self, track: Track, ts: u64, name: impl Display) -> &mut Self {
+        self.begin("C", track, ts);
+        self.name(name)
+    }
+
+    /// A flow arrow's start (`ph` `s`) or end (`f`, bound to the
+    /// enclosing slice); the two ends share `cat` and `id`.
+    pub fn flow(
+        &mut self,
+        track: Track,
+        ts: u64,
+        ph: &str,
+        cat: &str,
+        id: u32,
+        name: impl Display,
+    ) -> &mut Self {
+        self.open();
+        let bind = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
+        let _ = write!(
+            self.out,
+            "{{\"ph\":\"{ph}\"{bind},\"cat\":\"{cat}\",\"id\":{id}"
+        );
+        self.at(track, ts);
+        self.name(name)
+    }
+
+    /// Colours the current event with a trace-viewer colour name.
+    pub fn cname(&mut self, cname: &str) -> &mut Self {
+        let _ = write!(self.out, ",\"cname\":\"{cname}\"");
+        self
+    }
+
+    /// Adds `key` to the current event's `args`; `value` is written as
+    /// it displays (a JSON number).
+    pub fn arg(&mut self, key: &str, value: impl Display) -> &mut Self {
+        let open = if self.close == "}}" {
+            ","
+        } else {
+            ",\"args\":{"
+        };
+        self.close = "}}";
+        let _ = write!(self.out, "{open}\"{key}\":{value}");
+        self
+    }
+
+    /// Closes the document, its `otherData` object holding `other_data`
+    /// (fields written as they display), and returns it.
+    pub fn finish(mut self, other_data: fmt::Arguments<'_>) -> String {
+        let close = if self.close.is_empty() {
+            HEADER
+        } else {
+            self.close
+        };
+        let _ = write!(
+            self.out,
+            "{close}\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{{other_data}}}}}"
+        );
+        self.out
+    }
+
+    fn metadata(&mut self, kind: &str, (pid, tid): Track, name: impl Display) -> &mut Self {
+        self.open();
+        let _ = write!(
+            self.out,
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\"args\":{{\"name\":\"{}\"}}",
+            Escaped(name)
+        );
+        self
+    }
+
+    /// Closes the current event and separates the next, or writes the
+    /// header before the first.
+    fn open(&mut self) {
+        let sep = if self.close.is_empty() { HEADER } else { ",\n" };
+        self.out.push_str(self.close);
+        self.out.push_str(sep);
+        self.close = "}";
+    }
+
+    fn begin(&mut self, ph: &str, track: Track, ts: u64) {
+        self.open();
+        let _ = write!(self.out, "{{\"ph\":\"{ph}\"");
+        self.at(track, ts);
+    }
+
+    fn at(&mut self, (pid, tid): Track, ts: u64) {
+        let _ = write!(
+            self.out,
+            ",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3}",
+            us(ts)
+        );
+    }
+
+    fn name(&mut self, name: impl Display) -> &mut Self {
+        let _ = write!(self.out, ",\"name\":\"{}\"", Escaped(name));
+        self
+    }
+}
+
+/// Displays a value as the contents of a JSON string: `"`, `\\` and
+/// control characters escaped.
+#[derive(Debug, Clone, Copy)]
+pub struct Escaped<T>(pub T);
+
+impl<T: Display> Display for Escaped<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(Escaping(f), "{}", self.0)
+    }
+}
+
+/// Writes through to the inner writer, escaping as [`Escaped`] does.
+struct Escaping<W>(W);
+
+impl<W: fmt::Write> fmt::Write for Escaping<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for c in s.chars() {
+            match c {
+                '"' => self.0.write_str("\\\"")?,
+                '\\' => self.0.write_str("\\\\")?,
+                c if c < ' ' => write!(self.0, "\\u{:04x}", u32::from(c))?,
+                c => self.0.write_char(c)?,
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Renders a captured serving trace (see module docs). Valid JSON for
 /// any trace, including an empty one.
 pub fn serve_trace(trace: &Trace) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&line);
-    };
-
-    push(
-        format!(
-            "{{\"ph\":\"M\",\"pid\":{CONTROL_PID},\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"control-plane\"}}}}"
-        ),
-        &mut out,
-    );
+    let mut w = TraceWriter::default();
+    w.process_name(CONTROL.0, "control-plane");
 
     // Fleet captures carry ClusterContext markers mapping node-id ranges
     // back to clusters; resolve them first so node tracks group by
@@ -91,17 +248,12 @@ pub fn serve_trace(trace: &Trace) -> String {
             let pid = NODE_PID_BASE + node;
             if !named_nodes.contains(&node) {
                 named_nodes.push(node);
-                let name = match cluster_of(node) {
-                    Some((cluster, local)) => format!("cluster {cluster} node {local}"),
-                    None => format!("node {node}"),
+                match cluster_of(node) {
+                    Some((cluster, local)) => {
+                        w.process_name(pid, format_args!("cluster {cluster} node {local}"))
+                    }
+                    None => w.process_name(pid, format_args!("node {node}")),
                 };
-                push(
-                    format!(
-                        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-                         \"args\":{{\"name\":\"{name}\"}}}}"
-                    ),
-                    &mut out,
-                );
             }
             // Tier label first (it subsumes the boolean for tiered
             // runs); legacy traces carry tier 0/3, which map back onto
@@ -112,13 +264,7 @@ pub fn serve_trace(trace: &Trace) -> String {
                 _ if cold => "cold",
                 _ => "warm",
             };
-            push(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{replica},\"name\":\"thread_name\",\
-                     \"args\":{{\"name\":\"replica {replica} ({kind})\"}}}}"
-                ),
-                &mut out,
-            );
+            w.thread_name((pid, replica), format_args!("replica {replica} ({kind})"));
         }
     }
     let track = |replica: u32| {
@@ -131,21 +277,16 @@ pub fn serve_trace(trace: &Trace) -> String {
     let mut executing: HashMap<u64, (u64, bool)> = HashMap::new();
     let mut starting: HashMap<u32, (u64, bool)> = HashMap::new();
     for e in &trace.events {
+        let now = e.time_ns;
         match e.kind {
             TraceEventKind::Arrival { .. }
             | TraceEventKind::NodeKill { .. }
             | TraceEventKind::ClusterContext { .. }
             | TraceEventKind::DesBreakdown { .. } => {}
             TraceEventKind::RunContext { workflow, plan } => {
-                push(
-                    format!(
-                        "{{\"ph\":\"i\",\"pid\":{CONTROL_PID},\"tid\":0,\"ts\":{:.3},\
-                         \"s\":\"g\",\"name\":\"run {} plan {plan:016x}\"}}",
-                        us(e.time_ns),
-                        resolve(workflow),
-                    ),
-                    &mut out,
-                );
+                let run = resolve(workflow);
+                let name = format_args!("run {run} plan {plan:016x}");
+                w.instant(CONTROL, now, 'g', name);
             }
             TraceEventKind::SloAlert {
                 fired,
@@ -153,19 +294,15 @@ pub fn serve_trace(trace: &Trace) -> String {
                 long_burn_centi,
             } => {
                 let state = if fired { "fired" } else { "cleared" };
-                push(
-                    format!(
-                        "{{\"ph\":\"i\",\"pid\":{CONTROL_PID},\"tid\":0,\"ts\":{:.3},\
-                         \"s\":\"g\",\"name\":\"slo {state} (burn {:.2}/{:.2})\"}}",
-                        us(e.time_ns),
-                        f64::from(short_burn_centi) / 100.0,
-                        f64::from(long_burn_centi) / 100.0,
-                    ),
-                    &mut out,
+                let (short, long) = (
+                    f64::from(short_burn_centi) / 100.0,
+                    f64::from(long_burn_centi) / 100.0,
                 );
+                let name = format_args!("slo {state} (burn {short:.2}/{long:.2})");
+                w.instant(CONTROL, now, 'g', name);
             }
             TraceEventKind::Enqueue { request, .. } => {
-                queued_since.insert(request, e.time_ns);
+                queued_since.insert(request, now);
             }
             TraceEventKind::Dispatch {
                 request,
@@ -173,92 +310,45 @@ pub fn serve_trace(trace: &Trace) -> String {
                 cold,
                 ..
             } => {
-                let (pid, tid) = track(replica);
                 if let Some(from) = queued_since.remove(&request) {
-                    push(
-                        format!(
-                            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\
-                             \"dur\":{:.3},\"name\":\"queue\",\"cname\":\"grey\",\
-                             \"args\":{{\"request\":{request}}}}}",
-                            us(from),
-                            us(e.time_ns - from),
-                        ),
-                        &mut out,
-                    );
+                    w.complete(track(replica), from, now - from, "queue")
+                        .cname("grey")
+                        .arg("request", request);
                 }
-                executing.insert(request, (e.time_ns, cold));
+                executing.insert(request, (now, cold));
             }
             TraceEventKind::Complete { request, replica } => {
                 if let Some((from, cold)) = executing.remove(&request) {
-                    let (pid, tid) = track(replica);
                     let name = if cold { "exec (cold)" } else { "exec" };
-                    push(
-                        format!(
-                            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\
-                             \"dur\":{:.3},\"name\":\"{name}\",\"cname\":\"good\",\
-                             \"args\":{{\"request\":{request}}}}}",
-                            us(from),
-                            us(e.time_ns - from),
-                        ),
-                        &mut out,
-                    );
+                    w.complete(track(replica), from, now - from, name)
+                        .cname("good")
+                        .arg("request", request);
                 }
             }
             TraceEventKind::Requeue { request, replica } => {
                 if let Some((from, _)) = executing.remove(&request) {
-                    let (pid, tid) = track(replica);
-                    push(
-                        format!(
-                            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\
-                             \"dur\":{:.3},\"name\":\"exec (lost)\",\"cname\":\"terrible\",\
-                             \"args\":{{\"request\":{request}}}}}",
-                            us(from),
-                            us(e.time_ns - from),
-                        ),
-                        &mut out,
-                    );
+                    w.complete(track(replica), from, now - from, "exec (lost)")
+                        .cname("terrible")
+                        .arg("request", request);
                 }
-                queued_since.insert(request, e.time_ns);
+                queued_since.insert(request, now);
             }
             TraceEventKind::ReplicaSpawn { replica, cold, .. } => {
-                starting.insert(replica, (e.time_ns, cold));
+                starting.insert(replica, (now, cold));
             }
             TraceEventKind::ReplicaReady { replica } => {
                 if let Some((from, cold)) = starting.remove(&replica) {
-                    if cold && e.time_ns > from {
-                        let (pid, tid) = track(replica);
-                        push(
-                            format!(
-                                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\
-                                 \"dur\":{:.3},\"name\":\"cold-start\",\"cname\":\"bad\"}}",
-                                us(from),
-                                us(e.time_ns - from),
-                            ),
-                            &mut out,
-                        );
+                    if cold && now > from {
+                        w.complete(track(replica), from, now - from, "cold-start")
+                            .cname("bad");
                     }
                 }
             }
             TraceEventKind::ReplicaRetired { replica } => {
-                let (pid, tid) = track(replica);
-                push(
-                    format!(
-                        "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\
-                         \"s\":\"t\",\"name\":\"retired\"}}",
-                        us(e.time_ns),
-                    ),
-                    &mut out,
-                );
+                w.instant(track(replica), now, 't', "retired");
             }
             TraceEventKind::NodeDeath { node } => {
-                push(
-                    format!(
-                        "{{\"ph\":\"i\",\"pid\":{CONTROL_PID},\"tid\":0,\"ts\":{:.3},\
-                         \"s\":\"g\",\"name\":\"node {node} dead\"}}",
-                        us(e.time_ns),
-                    ),
-                    &mut out,
-                );
+                w.instant(CONTROL, now, 'g', format_args!("node {node} dead"));
             }
             TraceEventKind::Forward {
                 request,
@@ -267,23 +357,11 @@ pub fn serve_trace(trace: &Trace) -> String {
                 to_cluster,
             } => {
                 // Flow-arrow start: Perfetto joins this to the matching
-                // `ph:"f"` at the destination's RemoteAdmit via `id`.
-                push(
-                    format!(
-                        "{{\"ph\":\"i\",\"pid\":{CONTROL_PID},\"tid\":0,\"ts\":{:.3},\
-                         \"s\":\"g\",\"name\":\"forward req {request} c{from_cluster}->c{to_cluster}\"}}",
-                        us(e.time_ns),
-                    ),
-                    &mut out,
-                );
-                push(
-                    format!(
-                        "{{\"ph\":\"s\",\"cat\":\"forward\",\"id\":{hop},\"pid\":{CONTROL_PID},\
-                         \"tid\":0,\"ts\":{:.3},\"name\":\"hop {hop}\"}}",
-                        us(e.time_ns),
-                    ),
-                    &mut out,
-                );
+                // end at the destination's RemoteAdmit via `id`.
+                let name = format_args!("forward req {request} c{from_cluster}->c{to_cluster}");
+                w.instant(CONTROL, now, 'g', name);
+                let hop_name = format_args!("hop {hop}");
+                w.flow(CONTROL, now, "s", "forward", hop, hop_name);
             }
             TraceEventKind::RemoteAdmit {
                 request,
@@ -291,24 +369,13 @@ pub fn serve_trace(trace: &Trace) -> String {
                 from_cluster,
                 hop_ns,
             } => {
-                push(
-                    format!(
-                        "{{\"ph\":\"i\",\"pid\":{CONTROL_PID},\"tid\":0,\"ts\":{:.3},\
-                         \"s\":\"g\",\"name\":\"remote-admit req {request} from c{from_cluster} \
-                         (+{:.3}us)\"}}",
-                        us(e.time_ns),
-                        us(u64::from(hop_ns)),
-                    ),
-                    &mut out,
+                let hop_us = us(u64::from(hop_ns));
+                let name = format_args!(
+                    "remote-admit req {request} from c{from_cluster} (+{hop_us:.3}us)"
                 );
-                push(
-                    format!(
-                        "{{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"forward\",\"id\":{hop},\
-                         \"pid\":{CONTROL_PID},\"tid\":0,\"ts\":{:.3},\"name\":\"hop {hop}\"}}",
-                        us(e.time_ns),
-                    ),
-                    &mut out,
-                );
+                w.instant(CONTROL, now, 'g', name);
+                let hop_name = format_args!("hop {hop}");
+                w.flow(CONTROL, now, "f", "forward", hop, hop_name);
             }
             TraceEventKind::RegimeChange {
                 up,
@@ -323,15 +390,10 @@ pub fn serve_trace(trace: &Trace) -> String {
                 } else {
                     format!("stage {stage}")
                 };
-                push(
-                    format!(
-                        "{{\"ph\":\"i\",\"pid\":{CONTROL_PID},\"tid\":0,\"ts\":{:.3},\
-                         \"s\":\"g\",\"name\":\"regime {dir} ({stage_label}: \
-                         {baseline_us}us->{observed_us}us, n={samples})\"}}",
-                        us(e.time_ns),
-                    ),
-                    &mut out,
+                let name = format_args!(
+                    "regime {dir} ({stage_label}: {baseline_us}us->{observed_us}us, n={samples})"
                 );
+                w.instant(CONTROL, now, 'g', name);
             }
             TraceEventKind::DesSpan {
                 function,
@@ -339,25 +401,13 @@ pub fn serve_trace(trace: &Trace) -> String {
                 complete_rel_ns,
                 ..
             } => {
-                push(
-                    format!(
-                        "{{\"ph\":\"X\",\"pid\":{DES_PID},\"tid\":{function},\"ts\":{:.3},\
-                         \"dur\":{:.3},\"name\":\"fn{function} stage{stage}\"}}",
-                        us(e.time_ns),
-                        us(u64::from(complete_rel_ns)),
-                    ),
-                    &mut out,
-                );
+                let track = (DES_PID, u32::from(function));
+                let name = format_args!("fn{function} stage{stage}");
+                w.complete(track, now, u64::from(complete_rel_ns), name);
             }
         }
     }
-
-    let _ = write!(
-        out,
-        "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"events\":{}}}}}",
-        trace.events.len()
-    );
-    out
+    w.finish(format_args!("\"events\":{}", trace.events.len()))
 }
 
 #[cfg(test)]
@@ -628,5 +678,12 @@ mod tests {
         let json = serve_trace(&Trace::default());
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"events\":0"));
+    }
+
+    #[test]
+    fn escaping_handles_quotes() {
+        assert_eq!(Escaped("a\"b\\c").to_string(), "a\\\"b\\\\c");
+        assert_eq!(Escaped("tab\tchar").to_string(), "tab\\u0009char");
+        assert_eq!(Escaped(format_args!("n{}", '\n')).to_string(), "n\\u000a");
     }
 }

@@ -129,8 +129,9 @@ pub enum TraceEventKind {
     NodeKill { node: u32 },
     /// Heartbeat monitoring detected the crash and wrote the node off.
     NodeDeath { node: u32 },
-    /// One function's DES execution window inside `platform::run_wrap`
-    /// (the warm-path engine). The event is stamped at the function's
+    /// One function's DES execution window, emitted by
+    /// `CompiledPlan::replay` from the finished outcome (the reference
+    /// engine emits none). The event is stamped at the function's
     /// dispatch; `exec_rel_ns`/`complete_rel_ns` are relative to that
     /// stamp (saturating u32 — DES windows are millisecond-scale).
     DesSpan {

@@ -42,6 +42,7 @@
 //! previous replay's count, plus the slot an alone wrap holds until its
 //! end) and the stage windows.
 
+use crate::export::emit_des_windows;
 use crate::fluid::{run_alone, simulate, FluidScratch, Lane, Sandbox};
 use crate::jitter::{Jitter, JitterTables};
 use crate::platform::REQUEST_PAYLOAD_BYTES;
@@ -470,12 +471,17 @@ impl CompiledPlan {
 
         fluid.stats.flush();
         replay.last_spans = spans.len();
-        RequestOutcome {
+        let outcome = RequestOutcome {
             e2e: t.since(SimTime::ZERO),
             timelines,
             spans,
             stage_windows,
+        };
+        if chiron_obs::tracing_enabled() {
+            // `threads` is laid out stage → wrap → process → thread.
+            emit_des_windows(&outcome, self.threads.iter().map(|t| t.function));
         }
+        outcome
     }
 
     /// Replays an alone wrap in one pass (see the module doc), writing its
@@ -573,12 +579,6 @@ impl CompiledPlan {
                 *spans = spans.start - 1..spans.end - 1;
             }
         }
-        if chiron_obs::tracing_enabled() {
-            for thread in threads {
-                let timeline = &timelines[thread.function.index()];
-                emit_des_window(timeline, timeline.spans(out));
-            }
-        }
         wrap_end
     }
 
@@ -671,7 +671,7 @@ impl CompiledPlan {
                 completed = cursor;
                 wrap_end = wrap_end.max(completed);
             }
-            let timeline = FunctionTimeline {
+            timelines[thread.function.index()] = FunctionTimeline {
                 function: thread.function,
                 sandbox: wrap.sandbox,
                 stage: si,
@@ -680,10 +680,6 @@ impl CompiledPlan {
                 completed,
                 spans: span_index(from)..span_index(out.len()),
             };
-            if chiron_obs::tracing_enabled() {
-                emit_des_window(&timeline, &out[from..]);
-            }
-            timelines[thread.function.index()] = timeline;
         }
         wrap_end
     }
@@ -1022,47 +1018,4 @@ fn push_span(spans: &mut Vec<Span>, kind: SpanKind, cursor: &mut SimTime, d: Sim
         end,
     });
     *cursor = end;
-}
-
-/// Tracing hook: reports one function's DES window and its §2.2
-/// component breakdown (startup / block / interaction / execution) for
-/// latency attribution; `spans` are the function's own. The reference
-/// engine stays uninstrumented.
-fn emit_des_window(timeline: &FunctionTimeline, spans: &[Span]) {
-    let dispatched_ns = timeline.dispatched.as_nanos();
-    let rel =
-        |t: SimTime| u32::try_from(t.as_nanos().saturating_sub(dispatched_ns)).unwrap_or(u32::MAX);
-    chiron_obs::emit(
-        dispatched_ns,
-        chiron_obs::TraceEventKind::DesSpan {
-            function: timeline.function.0 as u16,
-            sandbox: timeline.sandbox.0 as u16,
-            stage: timeline.stage as u16,
-            spans: spans.len().min(u16::MAX as usize) as u16,
-            exec_rel_ns: rel(timeline.exec_start),
-            complete_rel_ns: rel(timeline.completed),
-        },
-    );
-    let mut parts = [0u64; 4];
-    for span in spans {
-        let slot = match span.kind {
-            SpanKind::Startup => 0,
-            SpanKind::BlockWait | SpanKind::GilWait | SpanKind::Scheduled => 1,
-            SpanKind::TransferIn | SpanKind::TransferOut | SpanKind::Ipc => 2,
-            SpanKind::Exec | SpanKind::Io => 3,
-        };
-        parts[slot] += span.end.since(span.start).as_nanos();
-    }
-    let sat = |ns: u64| u32::try_from(ns).unwrap_or(u32::MAX);
-    chiron_obs::emit(
-        dispatched_ns,
-        chiron_obs::TraceEventKind::DesBreakdown {
-            function: timeline.function.0 as u16,
-            stage: timeline.stage as u16,
-            startup_ns: sat(parts[0]),
-            blocked_ns: sat(parts[1]),
-            interaction_ns: sat(parts[2]),
-            exec_ns: sat(parts[3]),
-        },
-    );
 }

@@ -9,16 +9,16 @@
 //! must be byte-identical whether the serving cells ran on 1 worker or 4.
 //!
 //! This test binary owns the process-global tracing flag: no other test
-//! in it flips `chiron_obs::set_tracing`, so the proptest cases can keep
+//! in it flips `obs::set_tracing`, so the proptest cases can keep
 //! it enabled throughout.
 
+use chiron::obs::{self, Trace};
+use chiron::serving::{FaultPlan, RouterPolicy, ServeConfig, ServeSimulation, Workload};
 use chiron_bench::sweep::par_map_workers;
 use chiron_deploy::NodeId;
 use chiron_model::{FunctionSpec, Segment, SimDuration, SimTime, SyscallKind, Workflow};
-use chiron_obs::Trace;
 use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler};
 use chiron_profiler::Profiler;
-use chiron_serve::{FaultPlan, RouterPolicy, ServeConfig, ServeSimulation, Workload};
 use proptest::prelude::*;
 
 /// Same shapes as `trace_determinism.rs`: an entry function then a
@@ -74,19 +74,19 @@ proptest! {
             FaultPlan::none().kill_at(SimTime::from_millis_f64(1_500.0), NodeId(0));
         let cells = RouterPolicy::ALL;
         let cell = |_: usize, &router: &RouterPolicy| {
-            chiron_obs::begin_capture_sized(REQUESTS as usize * 10);
+            obs::begin_capture_sized(REQUESTS as usize * 10);
             let config = ServeConfig::paper_testbed().with_router(router);
             let report = ServeSimulation::new(wf.clone(), plan.clone(), config)
                 .with_faults(faults.clone())
                 .run(&workload, seed)
                 .expect("serving run");
-            (chiron_obs::end_capture(), report.completed)
+            (obs::end_capture(), report.completed)
         };
 
-        chiron_obs::set_tracing(true);
+        obs::set_tracing(true);
         let solo: Vec<(Trace, u64)> = par_map_workers(&cells, 1, cell);
         for (trace, completed) in &solo {
-            let attrib = chiron_obs::attribute(trace);
+            let attrib = obs::attribute(trace);
             prop_assert!(
                 attrib.sums_exact(),
                 "components must sum exactly to the sojourn:\n{}",
@@ -99,13 +99,13 @@ proptest! {
         let render_of = |results: &[(Trace, u64)]| -> String {
             results
                 .iter()
-                .map(|(t, _)| chiron_obs::attribute(t).render())
+                .map(|(t, _)| obs::attribute(t).render())
                 .collect()
         };
         let solo_render = render_of(&solo);
         prop_assert!(!solo_render.is_empty());
         let multi = par_map_workers(&cells, 4, cell);
-        chiron_obs::set_tracing(false);
+        obs::set_tracing(false);
         prop_assert_eq!(
             render_of(&multi),
             solo_render,

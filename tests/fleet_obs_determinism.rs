@@ -13,11 +13,11 @@
 //! matter how the fleet was executed.
 
 use chiron::model::apps;
+use chiron::obs::{self, Component, RegimeConfig, SloPolicy, Trace, TraceEventKind};
 use chiron::serving::ServeConfig;
 use chiron::{Chiron, FleetConfig, FleetPhase, FleetSimulation, FleetWorkload, PgpMode};
 use chiron_metrics::ArrivalProcess;
 use chiron_model::{DeploymentPlan, SimDuration, Workflow};
-use chiron_obs::{Component, RegimeConfig, SloPolicy, Trace, TraceEventKind};
 use proptest::prelude::*;
 use std::sync::{Mutex, OnceLock};
 
@@ -113,7 +113,7 @@ proptest! {
         let sim = fleet();
         let workload = workload(rps);
 
-        chiron_obs::set_tracing(true);
+        obs::set_tracing(true);
         let (reference, ref_trace) = sim
             .run_sharded_traced(&workload, run_seed, 1, 1)
             .expect("reference run");
@@ -137,10 +137,10 @@ proptest! {
                     outcome = Err(format!("regime times diverged at shards={shards} workers={workers}"));
                     break 'combos;
                 }
-                chiron_obs::recycle(trace);
+                obs::recycle(trace);
             }
         }
-        chiron_obs::set_tracing(false);
+        obs::set_tracing(false);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
 
         // The scenario exercises what it claims to: spillover moved work
@@ -155,7 +155,7 @@ proptest! {
         // Attribution over the merged fleet trace: all seven components
         // (cross-cluster forwarding included) sum exactly to each
         // sojourn, and every shed request's hop carries blame.
-        let attrib = chiron_obs::attribute(&ref_trace);
+        let attrib = obs::attribute(&ref_trace);
         prop_assert!(attrib.sums_exact(), "attribution must sum exactly");
         prop_assert!(attrib.forwarded_out == reference.forwarded,
             "attribution saw {} forwards, report {}",

@@ -1,5 +1,5 @@
-//! Committed digests of jittered DES outcomes, of PGP decisions and of
-//! served request logs.
+//! Committed digests of jittered DES outcomes, of PGP decisions, of
+//! served request logs and of traces.
 //!
 //! The simulator is deterministic, so a digest over its outputs pins its
 //! behaviour to the bit: a change to the jitter tables, the order of the
@@ -11,19 +11,23 @@
 //! prediction, a KL counter or a cache lookup anywhere fails it. The
 //! lifecycle cell digests pin the request logs of
 //! three faulted serving runs, and their sojourn percentiles pin the
-//! histograms those runs report. A deliberate change updates the constants
-//! here by hand, and names the old and new values in CHANGES.md.
+//! histograms those runs report. The trace digests pin the DES trace of
+//! the suite, the `figures obs` and `figures fleet-obs` traces at their
+//! committed sizes, and the bytes of a Chrome trace export. A deliberate
+//! change updates the constants here by hand, and names the old and new
+//! values in CHANGES.md.
 
 use chiron::model::{
     apps, synthetic, JitterModel, PlatformConfig, SimDuration, SyntheticSpec, Workflow,
 };
+use chiron::obs::{self, Trace};
 use chiron::{Chiron, PgpMode, ServeReport};
 use chiron_deploy::planners;
 use chiron_pgp::{PgpConfig, PgpScheduler, ScheduleOutcome};
 use chiron_predict::{PredictionCache, Predictor};
 use chiron_profiler::Profiler;
-use chiron_runtime::{RequestOutcome, SimScratch, VirtualPlatform};
-use std::sync::OnceLock;
+use chiron_runtime::{to_chrome_trace, RequestOutcome, SimScratch, VirtualPlatform};
+use std::sync::{Mutex, OnceLock};
 
 /// FNV-1a over the little-endian bytes of each `e2e` in nanoseconds,
 /// in suite × {Chiron, Faastlane, OpenFaaS} × seed order.
@@ -35,14 +39,14 @@ const SUITE_E2E_DIGEST: u64 = 0xc458_c662_5560_a201;
 const SUITE_OUTCOME_DIGEST: u64 = 0x7aa6_ec26_b16f_65ea;
 const SEEDS: u64 = 32;
 
-fn fnv1a(hash: u64, bytes: [u8; 8]) -> u64 {
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
 fn outcome_digest(mut digest: u64, outcome: &RequestOutcome) -> u64 {
-    let mut add = |v: u64| digest = fnv1a(digest, v.to_le_bytes());
+    let mut add = |v: u64| digest = fnv1a(digest, &v.to_le_bytes());
     add(outcome.e2e.as_nanos());
     for t in &outcome.timelines {
         let spans = t.spans(&outcome.spans);
@@ -77,9 +81,9 @@ fn chiron_plan(wf: &Workflow) -> chiron::model::DeploymentPlan {
         .clone()
 }
 
-/// Runs the suite × {Chiron, Faastlane, OpenFaaS} × `SEEDS` on the
+/// Runs the suite × {Chiron, Faastlane, OpenFaaS} × `seeds` on the
 /// jittered platform and folds each outcome into the digest with `fold`.
-fn suite_digest(fold: impl Fn(u64, &RequestOutcome) -> u64) -> u64 {
+fn suite_digest(seeds: u64, mut fold: impl FnMut(u64, &RequestOutcome) -> u64) -> u64 {
     let platform = VirtualPlatform::new(
         PlatformConfig::paper_calibrated().with_jitter(JitterModel::cluster()),
     );
@@ -91,7 +95,7 @@ fn suite_digest(fold: impl Fn(u64, &RequestOutcome) -> u64) -> u64 {
             planners::faastlane(wf),
             planners::openfaas(wf),
         ] {
-            for seed in 0..SEEDS {
+            for seed in 0..seeds {
                 let outcome = platform
                     .execute_with_scratch(wf, &plan, seed, &mut scratch)
                     .expect("suite plans execute");
@@ -155,7 +159,7 @@ fn pgp_decision_digest() {
     let mut digest = 0xcbf2_9ce4_8422_2325;
     let mut schedules = 0;
     pgp_schedules(|out| {
-        let mut add = |v: u64| digest = fnv1a(digest, v.to_le_bytes());
+        let mut add = |v: u64| digest = fnv1a(digest, &v.to_le_bytes());
         for b in format!("{:?}", out.plan).bytes() {
             add(u64::from(b));
         }
@@ -185,7 +189,9 @@ fn pgp_decision_digest() {
 
 #[test]
 fn evaluation_suite_e2e_digest() {
-    let digest = suite_digest(|h, outcome| fnv1a(h, outcome.e2e.as_nanos().to_le_bytes()));
+    let digest = suite_digest(SEEDS, |h, outcome| {
+        fnv1a(h, &outcome.e2e.as_nanos().to_le_bytes())
+    });
     assert_eq!(
         digest, SUITE_E2E_DIGEST,
         "jittered suite e2e digest moved: committed {SUITE_E2E_DIGEST:#018x}, now {digest:#018x}"
@@ -194,7 +200,7 @@ fn evaluation_suite_e2e_digest() {
 
 #[test]
 fn evaluation_suite_outcome_digest() {
-    let digest = suite_digest(outcome_digest);
+    let digest = suite_digest(SEEDS, outcome_digest);
     assert_eq!(
         digest, SUITE_OUTCOME_DIGEST,
         "jittered suite outcome digest moved: committed {SUITE_OUTCOME_DIGEST:#018x}, now {digest:#018x}"
@@ -254,5 +260,98 @@ fn lifecycle_cell_sojourn_percentiles() {
     assert_eq!(
         now, LIFECYCLE_CELL_SOJOURNS,
         "lifecycle cell sojourns moved (left: now)"
+    );
+}
+
+/// Tracing is process-wide, so the tests that switch it take turns.
+static TRACING: Mutex<()> = Mutex::new(());
+
+/// Runs `run` with tracing on, holding [`TRACING`].
+fn traced<T>(run: impl FnOnce() -> T) -> T {
+    let _lock = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+    obs::set_tracing(true);
+    let out = run();
+    obs::set_tracing(false);
+    out
+}
+
+/// FNV-1a over the [`Trace::render`] bytes of one capture per request of
+/// the suite × {Chiron, Faastlane, OpenFaaS} × `TRACE_SEEDS`, in the
+/// suite digests' order: each function's `DesSpan` and `DesBreakdown`.
+/// Faastlane and OpenFaaS replay mostly alone wraps, Chiron's GIL
+/// processes go through the engine.
+const SUITE_DES_TRACE_DIGEST: u64 = 0x47a1_4657_b6e8_a49d;
+const TRACE_SEEDS: u64 = 4;
+
+#[test]
+fn evaluation_suite_des_trace_digest() {
+    let digest = traced(|| {
+        obs::begin_capture();
+        let digest = suite_digest(TRACE_SEEDS, |h, _| {
+            // Each capture holds one request: close it, fold it, open the
+            // next.
+            let trace = obs::end_capture();
+            obs::begin_capture();
+            fnv1a(h, trace.render().as_bytes())
+        });
+        obs::end_capture();
+        digest
+    });
+    assert_eq!(
+        digest, SUITE_DES_TRACE_DIGEST,
+        "jittered suite DES trace digest moved: committed {SUITE_DES_TRACE_DIGEST:#018x}, now {digest:#018x}"
+    );
+}
+
+/// `BENCH_OBS.json`'s `trace_digest`: both router cells of one
+/// `figures obs` serving figure at its committed size.
+const OBS_TRACE_DIGEST: u64 = 0x7808_38c9_91cf_12b1;
+
+#[test]
+fn obs_trace_digest() {
+    let (_, wf, deployment) = chiron_bench::obs::deployed();
+    let pass = traced(|| chiron_bench::obs::serve_pass(&wf, deployment.plan(), 2, 1));
+    let digest = Trace::concat(pass.traces).digest();
+    assert_eq!(
+        digest, OBS_TRACE_DIGEST,
+        "obs trace digest moved: committed {OBS_TRACE_DIGEST:016x}, now {digest:016x}"
+    );
+}
+
+/// `BENCH_FLEETOBS.json`'s trace and report digests of the `figures
+/// fleet-obs` reference run (one shard, one worker) at its committed
+/// size.
+const FLEET_OBS_DIGESTS: (u64, u64) = (0x2e03_c7b1_c8d1_c87e, 1_228_697_949_111_127_765);
+
+#[test]
+fn fleet_obs_digests() {
+    use chiron_bench::fleetobs::{scenario, FIGURE_SIZE, SEED};
+    let (clusters, rps, phase1_ms, phase2_ms) = FIGURE_SIZE;
+    let (sim, workload) = scenario(clusters, rps, phase1_ms, phase2_ms);
+    let (report, trace) =
+        traced(|| sim.run_sharded_traced(&workload, SEED, 1, 1)).expect("fleet run");
+    let now = (trace.digest(), report.digest());
+    assert_eq!(
+        now, FLEET_OBS_DIGESTS,
+        "fleet-obs (trace, report) digests moved: committed {FLEET_OBS_DIGESTS:x?}, now {now:x?}"
+    );
+}
+
+/// FNV-1a over `to_chrome_trace`'s document of one unjittered FINRA-5
+/// request under Faastlane's plan: the entry function on the main
+/// process, then five forked processes in one wrap.
+const FINRA5_CHROME_TRACE_DIGEST: u64 = 0xb281_7071_3ec1_d302;
+
+#[test]
+fn finra5_forked_chrome_trace_digest() {
+    let wf = apps::finra(5);
+    let outcome = VirtualPlatform::new(PlatformConfig::paper_calibrated())
+        .execute(&wf, &planners::faastlane(&wf), 0)
+        .expect("valid plan");
+    let json = to_chrome_trace(&wf, &outcome);
+    let digest = fnv1a(0xcbf2_9ce4_8422_2325, json.as_bytes());
+    assert_eq!(
+        digest, FINRA5_CHROME_TRACE_DIGEST,
+        "FINRA-5 chrome trace moved: committed {FINRA5_CHROME_TRACE_DIGEST:#018x}, now {digest:#018x}"
     );
 }

@@ -1,7 +1,7 @@
 //! End-to-end acceptance tests of the serving control plane, driven
 //! through the `Chiron` facade (deploy → serve).
 
-use chiron::obs::{self, Trace, TraceEventKind};
+use chiron::obs::{self, AttributionReport, Trace, TraceEvent, TraceEventKind};
 use chiron::serving::{
     EventKind, EventQueue, FaultPlan, RequestRecord, RouterPolicy, ServeConfig, ServeError,
     ServeSimulation, Workload,
@@ -402,6 +402,47 @@ fn traced_standalone_run_banks_into_the_callers_capture() {
     ));
     assert!(trace.len() > 400 * 4, "{} events", trace.len());
     assert_eq!(trace.digest(), 318521437357800724, "trace bytes moved");
+    // The Chrome exports of the same capture, byte for byte.
+    let counters = obs::attribute(&trace).counter_track(&AttributionReport::completions(&trace));
+    let exports = [fnv(&obs::serve_trace(&trace)), fnv(&counters)];
+    assert_eq!(
+        exports, SERVE_EXPORT_DIGESTS,
+        "serve_trace / counter_track bytes moved (left: now)"
+    );
+}
+
+/// FNV-1a over `serve_trace` and `counter_track` of the pinned traced
+/// run above.
+const SERVE_EXPORT_DIGESTS: [u64; 2] = [0xc3c8_f48e_034f_5fd0, 0xc0a3_c062_dccf_d294];
+
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `serve_trace` escapes the workflow name in its run marker, so a name
+/// with a quote or a backslash still yields valid JSON.
+#[test]
+fn serve_trace_escapes_the_workflow_name() {
+    let trace = Trace {
+        events: vec![TraceEvent {
+            time_ns: 1_500,
+            kind: TraceEventKind::RunContext {
+                workflow: obs::intern(r#"wf "a" \ b"#),
+                plan: 0xab,
+            },
+        }],
+    };
+    let expected = concat!(
+        "{\"traceEvents\":[\n",
+        r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"control-plane"}},"#,
+        "\n",
+        r#"{"ph":"i","pid":1,"tid":0,"ts":1.500,"s":"g","name":"run wf \"a\" \\ b plan 00000000000000ab"}"#,
+        "\n",
+        r#"],"displayTimeUnit":"ms","otherData":{"events":1}}"#,
+    );
+    assert_eq!(obs::serve_trace(&trace), expected);
 }
 
 /// A standalone run that fails to start hands the caller's capture back:

@@ -1,7 +1,7 @@
 //! The trace layer's worker-count-invariance contract, on random planned
 //! workflows.
 //!
-//! A traced sweep captures one [`chiron_obs::Trace`] per cell (the capture
+//! A traced sweep captures one [`chiron::obs::Trace`] per cell (the capture
 //! buffer is thread-local, opened and drained inside the cell closure) and
 //! assembles them with [`Trace::concat`] in cell-index order. Because every
 //! event is stamped with simulated time — never wall clock, never a thread
@@ -10,20 +10,20 @@
 //! exactly like the figure rows the sweep engine already pins.
 //!
 //! This test binary owns the process-global tracing flag: no other test in
-//! it flips `chiron_obs::set_tracing`, so the proptest cases can keep it
+//! it flips `obs::set_tracing`, so the proptest cases can keep it
 //! enabled throughout.
 
+use chiron::obs::{self, Trace};
 use chiron_bench::sweep::par_map_workers;
 use chiron_model::{
     FunctionSpec, JitterModel, PlatformConfig, Segment, SimDuration, SyscallKind, Workflow,
 };
-use chiron_obs::Trace;
 use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler};
 use chiron_profiler::Profiler;
 use chiron_runtime::VirtualPlatform;
 use proptest::prelude::*;
 
-/// Same shapes as `parallel_eval.rs`: an entry function then a parallel
+/// Same shapes as `crates/bench/tests/parallel_eval.rs`: an entry function then a parallel
 /// stage mixing CPU-bound and IO-punctuated functions.
 fn arb_workflow() -> impl Strategy<Value = Workflow> {
     prop::collection::vec((0u8..2, 1u64..20, 1u64..4), 2..10).prop_map(|parts| {
@@ -71,13 +71,13 @@ proptest! {
             let platform = VirtualPlatform::new(
                 PlatformConfig::paper_calibrated().with_jitter(JitterModel::cluster()),
             );
-            chiron_obs::set_tracing(true);
+            obs::set_tracing(true);
             let cells: Vec<u64> = (0..13).collect();
             let cell = |i: usize, _: &u64| {
-                chiron_obs::begin_capture();
+                obs::begin_capture();
                 let seed = base.wrapping_add(i as u64);
                 platform.execute(&wf, &plan, seed).expect("valid plan");
-                chiron_obs::end_capture()
+                obs::end_capture()
             };
             let render = |traces: Vec<Trace>| Trace::concat(traces).render();
             let solo = render(par_map_workers(&cells, 1, cell));
@@ -89,7 +89,7 @@ proptest! {
                     "workers={} mode={:?}", workers, mode
                 );
             }
-            chiron_obs::set_tracing(false);
+            obs::set_tracing(false);
         }
     }
 }
