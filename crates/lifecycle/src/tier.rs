@@ -4,9 +4,8 @@
 //! `T_coldStart`. Real platforms sit on a ladder of progressively cheaper
 //! (and progressively more expensive to *hold*) start mechanisms:
 //!
-//! * **`Warm`** — a prewarmed replica handed over at zero latency (the
-//!   legacy `ReplicaConfig::prewarm_pool` semantics, and the baseline
-//!   `min_replicas` provisioned off-path at deployment time).
+//! * **`Warm`** — a replica handed over at zero latency: the baseline
+//!   `min_replicas` provisioned off-path at deployment time.
 //! * **`SnapshotRestore`** — a CRIU-style checkpoint of the whole replica
 //!   (every sandbox of the plan) restored in ~12 ms (Aetherless reports
 //!   <15 ms restores). Each held snapshot slot pays rent on a fraction of
@@ -35,8 +34,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[repr(u8)]
 pub enum StartTier {
-    /// Zero-latency handover (legacy prewarm stock / deployment-time
-    /// baseline replicas). No pool managed here — kept for accounting.
+    /// Zero-latency handover of a deployment-time baseline replica. No
+    /// pool managed here — kept for accounting.
     Warm = 0,
     /// Checkpoint/restore from a held whole-replica snapshot.
     SnapshotRestore = 1,

@@ -5,11 +5,7 @@
 //! linear head on the final hidden state predicts the end-to-end latency.
 //! Training is full BPTT with per-sample SGD and gradient clipping.
 
-// Index-based loops mirror the matrix equations directly; iterator
-// rewrites obscure the math and fight the split mutable borrows.
-#![allow(clippy::needless_range_loop)]
-
-use crate::{check_fit, FitError};
+use crate::{check_fit, clip_apply, sgd_epochs, uniform, zeroed, FitError, Standardiser};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,27 +41,35 @@ fn sigmoid(x: f64) -> f64 {
 pub struct LstmRegressor {
     input_dim: usize,
     hidden: usize,
-    /// `wx[g][j][k]`: gate g, hidden unit j, input k.
-    wx: Vec<Vec<Vec<f64>>>,
-    /// `wh[g][j][k]`: gate g, hidden unit j, previous hidden k.
-    wh: Vec<Vec<Vec<f64>>>,
-    b: Vec<Vec<f64>>,
+    /// `GATES·hidden` rows of `input_dim + hidden`, row-major: row
+    /// `g·hidden + j` (gate g, hidden unit j) holds the unit's weights on
+    /// the inputs, then on the previous hidden state.
+    w: Vec<f64>,
+    b: Vec<f64>,
     w_out: Vec<f64>,
     b_out: f64,
-    // Input/target normalisation fitted on the training set.
-    x_mean: Vec<f64>,
-    x_std: Vec<f64>,
-    y_mean: f64,
-    y_std: f64,
+    scale: Standardiser,
 }
 
-struct StepCache {
-    x: Vec<f64>,
-    h_prev: Vec<f64>,
-    c_prev: Vec<f64>,
-    gates: [Vec<f64>; GATES], // post-activation i, f, g, o
+/// One sequence's forward caches and gradients, reused across a fit.
+#[derive(Default)]
+struct Scratch {
+    /// Row t (`input_dim + hidden` wide) is step t's input: its
+    /// standardised features, then the previous hidden state. The hidden
+    /// part of the row after the last step holds the final hidden state.
+    xh: Vec<f64>,
+    /// Row t: step t's post-activation gates i, f, g, o, `hidden` each.
+    gates: Vec<f64>,
+    /// Row t: the cell state before step t (row 0 is zero).
     c: Vec<f64>,
-    h: Vec<f64>,
+    d_w: Vec<f64>,
+    d_b: Vec<f64>,
+    d_wout: Vec<f64>,
+    /// Pre-activation gate gradients of one step, laid out like `b`.
+    da: Vec<f64>,
+    dh: Vec<f64>,
+    dh_prev: Vec<f64>,
+    dc: Vec<f64>,
 }
 
 impl LstmRegressor {
@@ -75,212 +79,138 @@ impl LstmRegressor {
         check_fit(x, y, Vec::is_empty)?;
         let input_dim = x[0][0].len();
         let h = config.hidden;
+        let cols = input_dim + h;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let k = 1.0 / (h as f64).sqrt();
-        let mut init = |rows: usize, cols: usize| -> Vec<Vec<f64>> {
-            (0..rows)
-                .map(|_| (0..cols).map(|_| rng.random_range(-k..k)).collect())
-                .collect()
-        };
-        let wx: Vec<_> = (0..GATES).map(|_| init(h, input_dim)).collect();
-        let wh: Vec<_> = (0..GATES).map(|_| init(h, h)).collect();
-        let b: Vec<Vec<f64>> = (0..GATES).map(|_| vec![0.0; h]).collect();
-        let w_out: Vec<f64> = (0..h).map(|_| rng.random_range(-k..k)).collect();
-
-        // Normalisation statistics.
-        let mut x_mean = vec![0.0; input_dim];
-        let mut x_std = vec![0.0; input_dim];
-        let mut count = 0.0;
-        for seq in x {
-            for step in seq {
-                for (d, &v) in step.iter().enumerate() {
-                    x_mean[d] += v;
-                }
-                count += 1.0;
-            }
-        }
-        for m in &mut x_mean {
-            *m /= count;
-        }
-        for seq in x {
-            for step in seq {
-                for (d, &v) in step.iter().enumerate() {
-                    x_std[d] += (v - x_mean[d]).powi(2);
+        // Every input weight in gate → unit → input order, then every
+        // recurrent weight the same way, then the head.
+        let mut w = vec![0.0; GATES * h * cols];
+        for part in [0..input_dim, input_dim..cols] {
+            for row in w.chunks_exact_mut(cols) {
+                for v in &mut row[part.clone()] {
+                    *v = rng.random_range(-k..k);
                 }
             }
         }
-        for s in &mut x_std {
-            *s = (*s / count).sqrt().max(1e-9);
-        }
-        let y_mean = y.iter().sum::<f64>() / y.len() as f64;
-        let y_std = (y.iter().map(|v| (v - y_mean).powi(2)).sum::<f64>() / y.len() as f64)
-            .sqrt()
-            .max(1e-9);
+        let w_out = uniform(h, k, &mut rng);
+        let scale = Standardiser::fit(x.iter().flatten().map(Vec::as_slice), input_dim, y);
 
         let mut model = LstmRegressor {
             input_dim,
             hidden: h,
-            wx,
-            wh,
-            b,
+            w,
+            b: vec![0.0; GATES * h],
             w_out,
             b_out: 0.0,
-            x_mean,
-            x_std,
-            y_mean,
-            y_std,
+            scale,
         };
-
-        let mut order: Vec<usize> = (0..x.len()).collect();
-        for _ in 0..config.epochs {
-            // Deterministic shuffle per epoch.
-            for i in (1..order.len()).rev() {
-                let j = rng.random_range(0..=i);
-                order.swap(i, j);
-            }
-            for &s in &order {
-                model.sgd_step(&x[s], y[s], config.lr);
-            }
-        }
+        let mut scratch = Scratch::default();
+        sgd_epochs(x.len(), config.epochs, &mut rng, |s| {
+            model.sgd_step(&x[s], y[s], config.lr, &mut scratch);
+        });
         Ok(model)
     }
 
-    fn normalise(&self, step: &[f64]) -> Vec<f64> {
-        step.iter()
-            .enumerate()
-            .map(|(d, &v)| (v - self.x_mean[d]) / self.x_std[d])
-            .collect()
-    }
-
-    fn forward(&self, seq: &[Vec<f64>]) -> (Vec<StepCache>, f64) {
-        let h = self.hidden;
-        let mut hidden = vec![0.0; h];
-        let mut cell = vec![0.0; h];
-        let mut caches = Vec::with_capacity(seq.len());
-        for step in seq {
-            let x = self.normalise(step);
-            let mut gates: [Vec<f64>; GATES] = std::array::from_fn(|_| vec![0.0; h]);
-            for g in 0..GATES {
-                for j in 0..h {
-                    let mut a = self.b[g][j];
-                    for (kx, &xv) in x.iter().enumerate() {
-                        a += self.wx[g][j][kx] * xv;
-                    }
-                    for (kh, &hv) in hidden.iter().enumerate() {
-                        a += self.wh[g][j][kh] * hv;
-                    }
-                    gates[g][j] = if g == 2 { a.tanh() } else { sigmoid(a) };
+    /// Runs `seq` forward, filling `s`'s caches; returns the prediction in
+    /// standard units.
+    fn forward(&self, seq: &[Vec<f64>], s: &mut Scratch) -> f64 {
+        let (d, h) = (self.input_dim, self.hidden);
+        let cols = d + h;
+        zeroed(&mut s.xh, (seq.len() + 1) * cols);
+        zeroed(&mut s.c, (seq.len() + 1) * h);
+        s.gates.resize(seq.len() * GATES * h, 0.0);
+        for (t, step) in seq.iter().enumerate() {
+            let (xh, next) = s.xh[t * cols..].split_at_mut(cols);
+            self.scale.x(step, &mut xh[..d]);
+            let gates = &mut s.gates[t * GATES * h..(t + 1) * GATES * h];
+            for (r, (gate, w_row)) in gates.iter_mut().zip(self.w.chunks_exact(cols)).enumerate() {
+                let mut a = self.b[r];
+                for (w, v) in w_row.iter().zip(&*xh) {
+                    a += w * v;
                 }
+                *gate = if r / h == 2 { a.tanh() } else { sigmoid(a) };
             }
-            let mut c = vec![0.0; h];
-            let mut hn = vec![0.0; h];
+            let [i_g, f_g, g_g, o_g] = split_gates(gates, h);
+            let (c_prev, c) = s.c[t * h..].split_at_mut(h);
+            let h_next = &mut next[d..];
             for j in 0..h {
-                c[j] = gates[1][j] * cell[j] + gates[0][j] * gates[2][j];
-                hn[j] = gates[3][j] * c[j].tanh();
+                c[j] = f_g[j] * c_prev[j] + i_g[j] * g_g[j];
+                h_next[j] = o_g[j] * c[j].tanh();
             }
-            caches.push(StepCache {
-                x,
-                h_prev: hidden.clone(),
-                c_prev: cell.clone(),
-                gates,
-                c: c.clone(),
-                h: hn.clone(),
-            });
-            hidden = hn;
-            cell = c;
         }
-        let pred: f64 = self.b_out
-            + hidden
-                .iter()
-                .zip(&self.w_out)
-                .map(|(a, b)| a * b)
-                .sum::<f64>();
-        (caches, pred)
+        let h_last = &s.xh[seq.len() * cols + d..];
+        let head: f64 = h_last.iter().zip(&self.w_out).map(|(a, b)| a * b).sum();
+        self.b_out + head
     }
 
-    fn sgd_step(&mut self, seq: &[Vec<f64>], target: f64, lr: f64) {
-        let h = self.hidden;
-        let y = (target - self.y_mean) / self.y_std;
-        let (caches, pred) = self.forward(seq);
+    /// One BPTT step on one sequence, then a clipped SGD update.
+    fn sgd_step(&mut self, seq: &[Vec<f64>], target: f64, lr: f64, s: &mut Scratch) {
+        let (d, h) = (self.input_dim, self.hidden);
+        let cols = d + h;
+        let y = self.scale.y(target);
+        let pred = self.forward(seq, s);
         let dl = 2.0 * (pred - y);
 
-        let last_h = caches.last().map(|c| c.h.clone()).unwrap_or(vec![0.0; h]);
-        let mut d_wx = vec![vec![vec![0.0; self.input_dim]; h]; GATES];
-        let mut d_wh = vec![vec![vec![0.0; h]; h]; GATES];
-        let mut d_b = vec![vec![0.0; h]; GATES];
-        let mut d_wout = vec![0.0; h];
-        for j in 0..h {
-            d_wout[j] = dl * last_h[j];
-        }
+        let h_last = &s.xh[seq.len() * cols + d..];
+        s.d_wout.clear();
+        s.d_wout.extend(h_last.iter().map(|hv| dl * hv));
         let d_bout = dl;
-
-        let mut dh: Vec<f64> = self.w_out.iter().map(|w| dl * w).collect();
-        let mut dc = vec![0.0; h];
-        for cache in caches.iter().rev() {
-            let (i_g, f_g, g_g, o_g) = (
-                &cache.gates[0],
-                &cache.gates[1],
-                &cache.gates[2],
-                &cache.gates[3],
-            );
-            let mut da: [Vec<f64>; GATES] = std::array::from_fn(|_| vec![0.0; h]);
+        s.dh.clear();
+        s.dh.extend(self.w_out.iter().map(|w| dl * w));
+        zeroed(&mut s.dc, h);
+        zeroed(&mut s.da, GATES * h);
+        zeroed(&mut s.d_w, self.w.len());
+        zeroed(&mut s.d_b, GATES * h);
+        for t in (0..seq.len()).rev() {
+            let xh = &s.xh[t * cols..(t + 1) * cols];
+            let [i_g, f_g, g_g, o_g] = split_gates(&s.gates[t * GATES * h..], h);
+            let (c_prev, c) = s.c[t * h..].split_at(h);
+            let (dh, dc, da) = (&s.dh, &mut s.dc, &mut s.da);
             for j in 0..h {
-                let tanh_c = cache.c[j].tanh();
+                let tanh_c = c[j].tanh();
                 let do_ = dh[j] * tanh_c;
                 dc[j] += dh[j] * o_g[j] * (1.0 - tanh_c * tanh_c);
                 let di = dc[j] * g_g[j];
-                let df = dc[j] * cache.c_prev[j];
+                let df = dc[j] * c_prev[j];
                 let dg = dc[j] * i_g[j];
-                da[0][j] = di * i_g[j] * (1.0 - i_g[j]);
-                da[1][j] = df * f_g[j] * (1.0 - f_g[j]);
-                da[2][j] = dg * (1.0 - g_g[j] * g_g[j]);
-                da[3][j] = do_ * o_g[j] * (1.0 - o_g[j]);
+                da[j] = di * i_g[j] * (1.0 - i_g[j]);
+                da[h + j] = df * f_g[j] * (1.0 - f_g[j]);
+                da[2 * h + j] = dg * (1.0 - g_g[j] * g_g[j]);
+                da[3 * h + j] = do_ * o_g[j] * (1.0 - o_g[j]);
             }
-            let mut dh_prev = vec![0.0; h];
-            let mut dc_prev = vec![0.0; h];
-            for g in 0..GATES {
-                for j in 0..h {
-                    for (kx, &xv) in cache.x.iter().enumerate() {
-                        d_wx[g][j][kx] += da[g][j] * xv;
-                    }
-                    for (kh, &hv) in cache.h_prev.iter().enumerate() {
-                        d_wh[g][j][kh] += da[g][j] * hv;
-                        dh_prev[kh] += self.wh[g][j][kh] * da[g][j];
-                    }
-                    d_b[g][j] += da[g][j];
+            zeroed(&mut s.dh_prev, h);
+            let rows = s.d_w.chunks_exact_mut(cols).zip(self.w.chunks_exact(cols));
+            for ((&da, db), (dw_row, w_row)) in s.da.iter().zip(&mut s.d_b).zip(rows) {
+                for (dw, v) in dw_row.iter_mut().zip(xh) {
+                    *dw += da * v;
                 }
+                for (dh, w) in s.dh_prev.iter_mut().zip(&w_row[d..]) {
+                    *dh += w * da;
+                }
+                *db += da;
             }
-            for j in 0..h {
-                dc_prev[j] = dc[j] * f_g[j];
+            for (dc, f) in s.dc.iter_mut().zip(f_g) {
+                *dc *= f;
             }
-            dh = dh_prev;
-            dc = dc_prev;
+            std::mem::swap(&mut s.dh, &mut s.dh_prev);
         }
 
-        // Clip and apply.
-        let clip = |v: f64| v.clamp(-5.0, 5.0);
-        for g in 0..GATES {
-            for j in 0..h {
-                for kx in 0..self.input_dim {
-                    self.wx[g][j][kx] -= lr * clip(d_wx[g][j][kx]);
-                }
-                for kh in 0..h {
-                    self.wh[g][j][kh] -= lr * clip(d_wh[g][j][kh]);
-                }
-                self.b[g][j] -= lr * clip(d_b[g][j]);
-            }
-        }
-        for j in 0..h {
-            self.w_out[j] -= lr * clip(d_wout[j]);
-        }
-        self.b_out -= lr * clip(d_bout);
+        clip_apply(&mut self.w, &s.d_w, lr);
+        clip_apply(&mut self.b, &s.d_b, lr);
+        clip_apply(&mut self.w_out, &s.d_wout, lr);
+        clip_apply(std::slice::from_mut(&mut self.b_out), &[d_bout], lr);
     }
 
     /// Predicts the (denormalised) target for one sequence.
     pub fn predict(&self, seq: &[Vec<f64>]) -> f64 {
-        let (_, pred) = self.forward(seq);
-        pred * self.y_std + self.y_mean
+        let pred = self.forward(seq, &mut Scratch::default());
+        self.scale.unscale(pred)
     }
+}
+
+/// The input, forget, cell and output gates of one step's row.
+fn split_gates(gates: &[f64], h: usize) -> [&[f64]; GATES] {
+    std::array::from_fn(|g| &gates[g * h..(g + 1) * h])
 }
 
 #[cfg(test)]

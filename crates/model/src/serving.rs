@@ -30,11 +30,6 @@ pub struct ReplicaConfig {
     /// resources returned to the cluster. While kept alive, a replica
     /// serves new requests with zero start-up cost.
     pub keepalive: SimDuration,
-    /// Pre-initialised sandbox sets held in reserve: a scale-up that can
-    /// draw from the prewarm pool skips the sandbox cold start. The pool
-    /// restocks in the background (modelled as one cold start that is off
-    /// the request path).
-    pub prewarm_pool: u32,
 }
 
 impl Default for ReplicaConfig {
@@ -46,26 +41,13 @@ impl Default for ReplicaConfig {
             // 10 min matches the keepalive the paper's testbed platforms
             // (OpenFaaS-class) default to.
             keepalive: SimDuration::from_secs(600),
-            prewarm_pool: 0,
         }
     }
 }
 
 impl ReplicaConfig {
-    pub fn with_bounds(mut self, min: u32, max: u32) -> Self {
-        assert!(min >= 1 && min <= max, "need 1 <= min <= max");
-        self.min_replicas = min;
-        self.max_replicas = max;
-        self
-    }
-
     pub fn with_keepalive(mut self, keepalive: SimDuration) -> Self {
         self.keepalive = keepalive;
-        self
-    }
-
-    pub fn with_prewarm_pool(mut self, slots: u32) -> Self {
-        self.prewarm_pool = slots;
         self
     }
 }
@@ -84,18 +66,7 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = ReplicaConfig::default()
-            .with_bounds(2, 16)
-            .with_keepalive(SimDuration::from_secs(30))
-            .with_prewarm_pool(4);
-        assert_eq!((c.min_replicas, c.max_replicas), (2, 16));
+        let c = ReplicaConfig::default().with_keepalive(SimDuration::from_secs(30));
         assert_eq!(c.keepalive, SimDuration::from_secs(30));
-        assert_eq!(c.prewarm_pool, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "need 1 <= min <= max")]
-    fn zero_min_rejected() {
-        let _ = ReplicaConfig::default().with_bounds(0, 4);
     }
 }

@@ -23,11 +23,7 @@
 //! swaps instead of re-running the search.
 //!
 //! A cache has one owner and is used from one thread, so its maps sit in
-//! `RefCell`s and its counters in `Cell`s. The outcome store stays split
-//! into 16 shards for memory: growing one large map rehashes it with the
-//! old and new tables alive together, and a single map put perfbench
-//! `deploy`'s peak RSS up 35% (7.4 → 10.0 MiB, 2-vCPU host) against 16
-//! shards.
+//! `RefCell`s and its counters in `Cell`s.
 
 use crate::threadsim::{predict_threads_src, SimArena, SimOutcome, ThreadSource};
 use chiron_model::{FunctionId, Segment, SimDuration};
@@ -639,9 +635,6 @@ impl Hasher for IdentityHasher {
 }
 
 type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<IdentityHasher>>;
-type Shard = RefCell<KeyMap<SimOutcome>>;
-
-const SHARD_COUNT: usize = 16;
 
 /// Hit/miss counters snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -662,11 +655,11 @@ impl CacheStats {
     }
 }
 
-/// Sharded content-addressed store of Algorithm 1 outcomes, plus the PGP
+/// Content-addressed store of Algorithm 1 outcomes, plus the PGP
 /// partition memo. One instance serves a whole schedule (or the manager's
 /// lifetime — keys are pure content, so entries never go stale).
 pub struct PredictionCache {
-    shards: Vec<Shard>,
+    outcomes: RefCell<KeyMap<SimOutcome>>,
     partitions: RefCell<KeyMap<PartitionMemo>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
@@ -675,21 +668,15 @@ pub struct PredictionCache {
 impl PredictionCache {
     pub fn new() -> Self {
         PredictionCache {
-            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
+            outcomes: RefCell::default(),
             partitions: RefCell::default(),
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
     }
 
-    fn shard(&self, key: u64) -> &Shard {
-        // Identity-hashed maps bucket on the key's low bits; shard on the
-        // high bits so the two partitions are independent.
-        &self.shards[(key >> 60) as usize & (SHARD_COUNT - 1)]
-    }
-
     pub fn get(&self, key: u64) -> Option<SimOutcome> {
-        let out = self.shard(key).borrow().get(&key).copied();
+        let out = self.outcomes.borrow().get(&key).copied();
         match out {
             Some(_) => {
                 self.hits.set(self.hits.get() + 1);
@@ -705,7 +692,7 @@ impl PredictionCache {
 
     pub fn put(&self, key: u64, outcome: SimOutcome) {
         CACHE_INSERTS.incr();
-        self.shard(key).borrow_mut().insert(key, outcome);
+        self.outcomes.borrow_mut().insert(key, outcome);
     }
 
     /// Memoised Algorithm 1: look up `key`, else simulate `src` and store
@@ -739,15 +726,13 @@ impl PredictionCache {
         CacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
-            entries: self.shards.iter().map(|s| s.borrow().len()).sum(),
+            entries: self.outcomes.borrow().len(),
         }
     }
 
     /// Drops all entries and resets the counters.
     pub fn clear(&self) {
-        for s in &self.shards {
-            s.borrow_mut().clear();
-        }
+        self.outcomes.borrow_mut().clear();
         self.partitions.borrow_mut().clear();
         self.hits.set(0);
         self.misses.set(0);

@@ -3,7 +3,7 @@
 //! Every tick the autoscaler compares the backlog per usable replica with
 //! its target and the tick-window p99 sojourn with the latency target;
 //! either signal over budget asks for more replicas (paying the 167 ms
-//! sandbox cold start unless the prewarm pool has stock). Scale-*down* is
+//! sandbox cold start unless a lifecycle pool has stock). Scale-*down* is
 //! keepalive-driven and lives in the simulator: an idle replica is retired
 //! only after `ReplicaConfig::keepalive` of idleness.
 

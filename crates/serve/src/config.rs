@@ -101,7 +101,7 @@ pub struct ServeConfig {
     pub placement: PlacementPolicy,
     /// Request-scheduling architecture.
     pub router: RouterPolicy,
-    /// Replica bounds, keepalive, prewarm pool.
+    /// Replica bounds and keepalive.
     pub replicas: ReplicaConfig,
     /// Scale-up/-down policy.
     pub autoscaler: AutoscalerConfig,
@@ -116,8 +116,7 @@ pub struct ServeConfig {
     /// monitor (and costs nothing on the completion path).
     pub slo: Option<SloPolicy>,
     /// Tiered sandbox-start pools (snapshot/restore, zygote fork).
-    /// `None` keeps the legacy behaviour: a scalar prewarm pool of
-    /// zero-latency handovers, then flat cold boots.
+    /// `None` cold-boots every scale-up.
     pub lifecycle: Option<LifecycleConfig>,
     /// Online regime-change sensor (Page–Hinkley/CUSUM over sojourn
     /// residuals), evaluated at event time on the completion path.

@@ -10,7 +10,7 @@
 //!   centralised-vs-decentralised trade-off, operationalised);
 //! * an **autoscaler** reacting to queue depth and windowed p99 latency,
 //!   paying the paper's 167 ms sandbox cold start on every scale-up unless
-//!   a prewarm pool has stock, and retiring replicas on keepalive expiry;
+//!   a lifecycle pool has stock, and retiring replicas on keepalive expiry;
 //! * **failure recovery** — crash-stop node kills detected by missed
 //!   heartbeats, with replica write-off, in-flight re-queueing and
 //!   replacement placement, losing no accepted request;
@@ -47,7 +47,7 @@ pub use sim::{ServeError, ServeSimulation};
 mod tests {
     use super::*;
     use chiron_deploy::{planners, NodeId};
-    use chiron_model::{apps, ReplicaConfig, SimDuration, SimTime};
+    use chiron_model::{apps, SimDuration, SimTime};
 
     fn simulation(config: ServeConfig) -> ServeSimulation {
         let wf = apps::finra(12);
@@ -86,20 +86,6 @@ mod tests {
         assert!(report.scale_ups > 0, "10× step must add replicas");
         assert!(report.peak_replicas > 1);
         assert!(report.cold_starts > 0, "scale-up pays cold starts");
-    }
-
-    #[test]
-    fn prewarm_pool_avoids_cold_starts() {
-        let config = ServeConfig::paper_testbed()
-            .with_replicas(ReplicaConfig::default().with_prewarm_pool(64));
-        let sim = simulation(config);
-        let report = sim.run(&Workload::step(10.0, 10.0, 300, 3_000), 1).unwrap();
-        assert_eq!(report.lost, 0);
-        assert!(report.scale_ups > 0);
-        assert_eq!(
-            report.cold_starts, 0,
-            "prewarmed replicas skip the cold start"
-        );
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! scheduling overhead ([`chiron_deploy::scheduling_architectures`]),
 //! jittered per request by `ServeConfig::service_jitter`.
 //!
-//! Replicas spawned by the autoscaler pay the 167 ms sandbox cold start
-//! unless the prewarm pool has stock; the `min_replicas` baseline is
-//! provisioned at deployment time, off the serving path. With
-//! `ServeConfig::lifecycle` set, the scalar prewarm pool is replaced by
-//! the tiered start ladder of `chiron-lifecycle`: scale-ups acquire from
+//! Replicas spawned by the autoscaler pay the 167 ms sandbox cold start;
+//! the `min_replicas` baseline is provisioned at deployment time, off the
+//! serving path. With `ServeConfig::lifecycle` set, scale-ups climb the
+//! tiered start ladder of `chiron-lifecycle` instead: they acquire from
 //! the cheapest pooled tier (snapshot restore, zygote fork) and fall
 //! through to the cold boot, pool slot builds ride the autoscaler tick,
 //! and the pools' standing rent lands on the bill next to replica
@@ -337,8 +336,7 @@ pub(crate) struct Run<'a> {
     /// Requests spilled to peer clusters (fleet mode; zero otherwise).
     forwarded_out: u64,
     dispatch_seq: u64,
-    prewarm_stock: u32,
-    /// Tiered start pools; `None` = legacy scalar-prewarm behaviour.
+    /// Tiered start pools; `None` cold-boots every scale-up.
     pools: Option<PrewarmPools>,
     /// Scratch: slot builds scheduled by one pool tick.
     pool_actions_scratch: Vec<PoolAction>,
@@ -551,7 +549,6 @@ impl<'a> Run<'a> {
             completed: 0,
             forwarded_out: 0,
             dispatch_seq: 0,
-            prewarm_stock: sim.config.replicas.prewarm_pool,
             pools,
             pool_actions_scratch: Vec::new(),
             starts_by_tier: [0; 4],
@@ -1216,25 +1213,17 @@ impl<'a> Run<'a> {
             self.sim.config.placement,
         ) {
             Ok(placement) => {
-                // Tiered pools pick the cheapest start with stock; the
-                // legacy path keeps the scalar prewarm semantics (zero-
-                // latency handover while stock lasts, then a cold boot).
+                // Tiered pools pick the cheapest start with stock; without
+                // them every scale-up is a cold boot.
                 let (tier, latency) = match &mut self.pools {
                     Some(pools) => {
                         let tier = pools.acquire(now);
                         (tier, pools.table().startup_of(tier))
                     }
-                    None => {
-                        if self.prewarm_stock > 0 {
-                            self.prewarm_stock -= 1;
-                            (StartTier::Warm, SimDuration::ZERO)
-                        } else {
-                            (
-                                StartTier::ColdBoot,
-                                self.sim.config.platform.costs.sandbox_cold_start,
-                            )
-                        }
-                    }
+                    None => (
+                        StartTier::ColdBoot,
+                        self.sim.config.platform.costs.sandbox_cold_start,
+                    ),
                 };
                 self.push_replica(placement, now, tier, latency);
                 let id = (self.replicas.len() - 1) as u32;

@@ -17,6 +17,7 @@
 //! change updates the constants here by hand, and names the old and new
 //! values in CHANGES.md.
 
+use chiron::ml;
 use chiron::model::{
     apps, synthetic, JitterModel, PlatformConfig, SimDuration, SyntheticSpec, Workflow,
 };
@@ -353,5 +354,79 @@ fn finra5_forked_chrome_trace_digest() {
     assert_eq!(
         digest, FINRA5_CHROME_TRACE_DIGEST,
         "FINRA-5 chrome trace moved: committed {FINRA5_CHROME_TRACE_DIGEST:#018x}, now {digest:#018x}"
+    );
+}
+
+/// FNV-1a over `f64::to_bits` of every prediction of the learned Fig. 12
+/// baselines on [`learned_samples`]: the LSTM's, then the GCN's, each
+/// model fitted at its default hidden size for a few epochs. fig12 prints
+/// one decimal of a percentage, so these pin what its text cannot see: a
+/// reordered sum or a moved random draw anywhere in training.
+const LSTM_PREDICTION_DIGEST: u64 = 0x87c5_941a_760b_90dd;
+const GNN_PREDICTION_DIGEST: u64 = 0xb037_8ce2_6def_f44e;
+
+/// The real feature extractors on the Fig. 12 workflows × the planners'
+/// baselines, with the white-box predictor's latency in ms as the
+/// target.
+fn learned_samples() -> (
+    Vec<Vec<Vec<f64>>>,
+    Vec<chiron_bench::fig12::PlanGraph>,
+    Vec<f64>,
+) {
+    let predictor = Predictor::paper_calibrated();
+    let (mut seqs, mut graphs, mut targets) = (Vec::new(), Vec::new(), Vec::new());
+    for wf in &chiron_bench::fig12::workflows() {
+        let profile = Profiler::default().profile_workflow(wf);
+        for plan in [
+            planners::asf(wf),
+            planners::openfaas(wf),
+            planners::sand(wf),
+            planners::faastlane(wf),
+            planners::faastlane_plus(wf),
+            planners::faastlane_p(wf),
+        ] {
+            seqs.push(ml::stage_sequence(wf, &profile, &plan));
+            graphs.push(ml::plan_graph(wf, &profile, &plan));
+            targets.push(predictor.predict(wf, &profile, &plan).as_millis_f64());
+        }
+    }
+    (seqs, graphs, targets)
+}
+
+fn prediction_digest(predictions: impl Iterator<Item = f64>) -> u64 {
+    predictions.fold(0xcbf2_9ce4_8422_2325, |h, p| {
+        fnv1a(h, &p.to_bits().to_le_bytes())
+    })
+}
+
+#[test]
+fn learned_baseline_prediction_digests() {
+    let (seqs, graphs, targets) = learned_samples();
+    let lstm = ml::LstmRegressor::fit(
+        &seqs,
+        &targets,
+        ml::LstmConfig {
+            epochs: 4,
+            ..Default::default()
+        },
+    )
+    .expect("valid samples");
+    let gnn = ml::GnnRegressor::fit(
+        &graphs,
+        &targets,
+        ml::GnnConfig {
+            epochs: 4,
+            ..Default::default()
+        },
+    )
+    .expect("valid samples");
+    let now = (
+        prediction_digest(seqs.iter().map(|s| lstm.predict(s))),
+        prediction_digest(graphs.iter().map(|(n, a)| gnn.predict(n, a))),
+    );
+    assert_eq!(
+        now,
+        (LSTM_PREDICTION_DIGEST, GNN_PREDICTION_DIGEST),
+        "learned baseline (LSTM, GCN) prediction digests moved (left: now)"
     );
 }

@@ -10,10 +10,10 @@
 //! amplitudes, on the real FINRA plan the figure deploys.
 
 use chiron::serving::{FaultPlan, ServeConfig, ServeReport, ServeSimulation, Workload};
+use chiron::LifecycleConfig;
 use chiron::{Chiron, PgpMode};
 use chiron_bench::sweep::par_map_workers;
 use chiron_deploy::NodeId;
-use chiron_lifecycle::LifecycleConfig;
 use chiron_metrics::ArrivalProcess;
 use chiron_model::{apps, DeploymentPlan, ReplicaConfig, SimDuration, SimTime, Workflow};
 use proptest::prelude::*;
