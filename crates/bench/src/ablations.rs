@@ -14,7 +14,7 @@ use chiron_predict::{predict_threads, SimThread};
 
 /// KL refinement vs. round-robin initial partition: measured latency of
 /// the resulting plans on a workflow with heterogeneous parallel functions.
-pub fn ablation_kl(workers: usize) -> String {
+fn ablation_kl(workers: usize) -> String {
     let wf = apps::finra(50);
     let profile = profile_for(&wf);
     let sched = PgpScheduler::paper_calibrated();
@@ -71,7 +71,7 @@ pub fn ablation_kl(workers: usize) -> String {
 }
 
 /// Conservative vs. mean predictor parameters: SLO violation under jitter.
-pub fn ablation_conservative(workers: usize) -> String {
+fn ablation_conservative(workers: usize) -> String {
     let cfg = EvalConfig::jittered(150);
     let mut table = Table::new(vec![
         "workflow",
@@ -111,7 +111,7 @@ pub fn ablation_conservative(workers: usize) -> String {
 
 /// Wrap-count sweep: block amortisation vs. RPC overhead (the core m-to-n
 /// trade-off of Fig. 11).
-pub fn ablation_wrap_sweep(workers: usize) -> String {
+fn ablation_wrap_sweep(workers: usize) -> String {
     let wf = apps::finra(50);
     let profile = profile_for(&wf);
     let sched = PgpScheduler::paper_calibrated();
@@ -142,7 +142,7 @@ pub fn ablation_wrap_sweep(workers: usize) -> String {
 }
 
 /// GIL switch-interval sensitivity of the multi-thread latency model.
-pub fn ablation_gil_interval(workers: usize) -> String {
+fn ablation_gil_interval(workers: usize) -> String {
     let wf = apps::slapp();
     let profile = profile_for(&wf);
     let mut table = Table::new(vec!["interval (ms)", "predicted stage-2 latency (ms)"]);
@@ -170,7 +170,7 @@ pub fn ablation_gil_interval(workers: usize) -> String {
 }
 
 /// Cross-check of the fluid simulator against the real-thread executor.
-pub fn ablation_realtime_crosscheck() -> String {
+fn ablation_realtime_crosscheck() -> String {
     use chiron::model::RuntimeKind;
     use chiron_model::{Segment, SimTime, SyscallKind};
     use chiron_runtime::{execute_sandbox, run_realtime, RtTask, ThreadTask};
@@ -230,7 +230,7 @@ pub fn ablation_realtime_crosscheck() -> String {
 
 /// PGP scheduling time vs workflow size: the pre-optimisation reference
 /// path vs the memoised evaluator (§7's scalability discussion).
-pub fn ablation_pgp_scalability() -> String {
+fn ablation_pgp_scalability() -> String {
     use chiron::model::synthetic::{synthetic, SyntheticSpec};
     let mut table = Table::new(vec![
         "functions",
@@ -289,7 +289,7 @@ pub fn ablation_pgp_scalability() -> String {
 /// Cold-start impact per deployment model: the one-to-one model pays a
 /// cascading cold start per function sandbox (§1, \[8\]/\[38\]'s motivation),
 /// while a wrap-based deployment pays one per sandbox — few or one.
-pub fn ablation_cold_start(workers: usize) -> String {
+fn ablation_cold_start(workers: usize) -> String {
     use chiron::model::{PlatformConfig, SystemKind};
     use chiron::plan_for;
     use chiron_runtime::VirtualPlatform;

@@ -237,10 +237,12 @@ fn run_mode(mode: Fig12Mode, fast: bool, workers: usize) -> Vec<Fig12Row> {
             },
         )
         .expect("a non-empty training set, one target per sample");
-        let lstm_err = mean_err(
-            test.iter()
-                .map(|&i| rel_err(lstm.predict(&seqs[i]), targets[i])),
-        );
+        let lstm_err = mean_err(test.iter().map(|&i| {
+            let predicted = lstm
+                .predict(&seqs[i])
+                .expect("every plan has the same features");
+            rel_err(predicted, targets[i])
+        }));
 
         // GNN.
         let gx: Vec<PlanGraph> = train.iter().map(|&i| graphs[i].clone()).collect();
@@ -253,10 +255,13 @@ fn run_mode(mode: Fig12Mode, fast: bool, workers: usize) -> Vec<Fig12Row> {
             },
         )
         .expect("a non-empty training set, one target per sample");
-        let gnn_err = mean_err(
-            test.iter()
-                .map(|&i| rel_err(gnn.predict(&graphs[i].0, &graphs[i].1), targets[i])),
-        );
+        let gnn_err = mean_err(test.iter().map(|&i| {
+            let (nodes, adj) = &graphs[i];
+            let predicted = gnn
+                .predict(nodes, adj)
+                .expect("every plan has the same features");
+            rel_err(predicted, targets[i])
+        }));
 
         Fig12Row {
             workflow: wf.name.clone(),

@@ -48,7 +48,7 @@ impl RunRow {
 /// The report with custom fleet and workload sizes (tests use small
 /// ones). `multi_workers` is the worker count compared against 1 for
 /// the `reports_identical_w1_w4` gate.
-pub fn fleet_report(clusters: u32, rps: f64, duration_ms: u64, multi_workers: usize) -> Report {
+fn fleet_report(clusters: u32, rps: f64, duration_ms: u64, multi_workers: usize) -> Report {
     let wf = apps::finra(12);
     let plan = Chiron::default()
         .deploy(&wf, None, PgpMode::NativeThread)

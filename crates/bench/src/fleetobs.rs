@@ -115,7 +115,7 @@ pub fn scenario(
 /// The report with custom fleet and workload sizes (tests use small
 /// ones). `combos` beyond the (1, 1) reference are clamped to the
 /// cluster count.
-pub fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64) -> Report {
+fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64) -> Report {
     // Reports cover this run, not the process's cumulative history.
     chiron_obs::reset_observability();
     chiron_obs::set_tracing(false);

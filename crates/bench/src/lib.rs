@@ -28,7 +28,7 @@ pub use figs_eval::{fig13, fig14, fig15, fig16, fig17, fig18, fig19};
 pub use figs_motivation::{fig3, fig4, fig5, fig6, fig7, fig8, table1};
 pub use figs_serve::serve_figure;
 pub use fleet::fleet_figure;
-pub use fleetobs::{fleet_obs_figure, fleet_obs_report};
+pub use fleetobs::fleet_obs_figure;
 pub use lifecycle::lifecycle_figure;
 pub use obs::obs_eval;
 pub use perf::perf;

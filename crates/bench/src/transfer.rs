@@ -33,9 +33,12 @@ use chiron_profiler::Profiler;
 use chiron_runtime::measure_fit;
 use chiron_store::TransferModel;
 
-const SEED: u64 = 2023;
+/// The seed of every serving and fleet run.
+pub const SEED: u64 = 2023;
 /// Full-figure request count (the PR 7 observability baseline scale).
 const REQUESTS: u64 = 12_000;
+/// Full-figure length of the fleet digest sweep.
+pub const FLEET_MS: u64 = 30_000;
 
 /// The Fig. 4 ladder with the shm-ring rung: per-tier modelled latency at
 /// three payload sizes, as JSON rows.
@@ -81,6 +84,30 @@ fn plans_identical_with_shm_tier(wf: &Workflow) -> bool {
         }
     }
     true
+}
+
+/// FINRA-12's Chiron plans on the legacy RPC-payload tier and with the
+/// shm-ring tier opted in.
+fn plans(wf: &Workflow) -> (DeploymentPlan, DeploymentPlan) {
+    let chiron = Chiron::default();
+    let plan = |config: &PgpConfig| chiron.deploy_with_config(wf, config).plan().clone();
+    let performance_first = PgpConfig::performance_first();
+    (
+        plan(&performance_first),
+        plan(&performance_first.with_transfer(TransferKind::ShmRing)),
+    )
+}
+
+/// The digest sweep's fleet: two paper-testbed clusters serving FINRA-12
+/// on its shm-tier plan, offered 200 rps for `fleet_ms`; tier-1 pins the
+/// digest of its run at [`FLEET_MS`] and [`SEED`].
+pub fn fleet_scenario(fleet_ms: u64) -> (FleetSimulation, FleetWorkload) {
+    let wf = apps::finra(12);
+    let (_, shm_plan) = plans(&wf);
+    let fleet = FleetSimulation::new(wf, shm_plan, FleetConfig::paper_fleet(2))
+        .expect("fleet construction");
+    let workload = FleetWorkload::steady(200.0, SimDuration::from_millis(fleet_ms));
+    (fleet, workload)
 }
 
 /// One captured serving pass: the central-fifo cell's report plus its
@@ -131,19 +158,8 @@ pub fn transfer_report(workers: usize, requests: u64, fleet_ms: u64) -> Report {
     // the same pipeline redeployed onto the shm tier. The `interaction`
     // component of the latency attribution (transfers + IPC) is exactly
     // where the ring bites.
-    let chiron = Chiron::default();
     let wf = apps::finra(12);
-    let rpc_plan = chiron
-        .deploy_with_config(&wf, &PgpConfig::performance_first())
-        .plan()
-        .clone();
-    let shm_plan = chiron
-        .deploy_with_config(
-            &wf,
-            &PgpConfig::performance_first().with_transfer(TransferKind::ShmRing),
-        )
-        .plan()
-        .clone();
+    let (rpc_plan, shm_plan) = plans(&wf);
     chiron_obs::set_tracing(true);
     let (rpc_report, rpc_attrib) = attributed_serve(&wf, &rpc_plan, requests);
     let (shm_report, shm_attrib) = attributed_serve(&wf, &shm_plan, requests);
@@ -159,9 +175,7 @@ pub fn transfer_report(workers: usize, requests: u64, fleet_ms: u64) -> Report {
     // Layer 3b: the sharded fleet on the shm plan must stay byte-identical
     // for every (shards, workers) combination — the tier must not leak
     // shard- or worker-dependent state into the merged report.
-    let fleet = FleetSimulation::new(wf.clone(), shm_plan.clone(), FleetConfig::paper_fleet(2))
-        .expect("fleet construction");
-    let fleet_workload = FleetWorkload::steady(200.0, SimDuration::from_millis(fleet_ms));
+    let (fleet, fleet_workload) = fleet_scenario(fleet_ms);
     let digests: Vec<u64> = [(1usize, 1usize), (4, 1), (4, workers.max(2))]
         .iter()
         .map(|&(shards, w)| {
@@ -221,7 +235,7 @@ pub fn transfer_report(workers: usize, requests: u64, fleet_ms: u64) -> Report {
 /// The full figure: the 12 000-request FINRA-12 serving comparison plus a
 /// 30-second two-cluster fleet digest sweep.
 pub fn transfer_figure(workers: usize) -> Report {
-    transfer_report(workers.max(2), REQUESTS, 30_000)
+    transfer_report(workers.max(2), REQUESTS, FLEET_MS)
 }
 
 #[cfg(test)]

@@ -271,6 +271,6 @@ mod tests {
         let wf = apps::finra(5);
         let eval = evaluate_system(SystemKind::Faastlane, &wf, None, &cfg);
         assert_eq!(eval.latencies.len(), 20);
-        assert!(eval.latencies.std_ms() > 0.0);
+        assert!(eval.latencies.min() < eval.latencies.max());
     }
 }

@@ -10,7 +10,7 @@ use chiron_deploy::{generate, GeneratedWrap};
 use chiron_model::{DeploymentPlan, PlanError, PlatformConfig, SimDuration, Workflow};
 use chiron_obs::WhatIfReport;
 use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler, ScheduleOutcome};
-use chiron_predict::{CacheStats, PredictionCache, Predictor};
+use chiron_predict::{PredictionCache, Predictor};
 use chiron_profiler::{Profiler, WorkflowProfile};
 use chiron_runtime::{RequestOutcome, VirtualPlatform};
 use chiron_serve::{FaultPlan, ServeConfig, ServeError, ServeReport, ServeSimulation, Workload};
@@ -37,7 +37,7 @@ pub struct Chiron {
     scheduler: PgpScheduler,
     /// Content-addressed Algorithm 1 memo shared by every schedule this
     /// manager runs: keys are pure functions of thread content, so entries
-    /// stay valid across SLOs, modes, margins, re-profiles — and even
+    /// stay valid across SLOs, modes, margins, profiler seeds — and even
     /// across workflows that share function profiles (dynamic-workflow
     /// variants overlap heavily).
     prediction_cache: PredictionCache,
@@ -52,11 +52,6 @@ impl Chiron {
             scheduler,
             prediction_cache: PredictionCache::new(),
         }
-    }
-
-    /// Hit/miss/entry counts of the shared prediction memo.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.prediction_cache.stats()
     }
 
     pub fn platform(&self) -> &VirtualPlatform {
@@ -258,33 +253,6 @@ impl Chiron {
             Some(report.sojourns.percentile(0.99).as_millis_f64())
         };
         chiron_obs::whatif::run(&candidates, baseline_p99_ms, runner)
-    }
-
-    /// §3.4's periodic re-profiling: refreshes the profile (with a new
-    /// measurement seed) and reschedules, letting the wraps adapt to
-    /// workload changes.
-    pub fn reprofile(
-        &self,
-        workflow: &Workflow,
-        deployment: &Deployment,
-        slo: Option<SimDuration>,
-        mode: PgpMode,
-        seed: u64,
-    ) -> Deployment {
-        let profiler = self.profiler.clone().with_seed(seed);
-        let profile = profiler.profile_workflow(workflow);
-        let config = match slo {
-            Some(slo) => PgpConfig::with_slo(slo).with_mode(mode),
-            None => PgpConfig::performance_first().with_mode(mode),
-        };
-        let schedule = self.run_scheduler(workflow, &profile, &config);
-        let wraps = generate(workflow, &schedule.plan);
-        let _ = deployment; // the previous deployment is superseded
-        Deployment {
-            profile,
-            schedule,
-            wraps,
-        }
     }
 }
 
@@ -491,23 +459,13 @@ mod tests {
         let chiron = Chiron::default();
         let wf = apps::finra(20);
         chiron.deploy(&wf, None, PgpMode::NativeThread);
-        let after_first = chiron.cache_stats();
+        let after_first = chiron.prediction_cache.stats();
         assert!(after_first.hits > 0);
         assert!(after_first.entries > 0);
         // A re-deploy re-uses every entry: no new simulations.
         chiron.deploy(&wf, None, PgpMode::NativeThread);
-        let after_second = chiron.cache_stats();
+        let after_second = chiron.prediction_cache.stats();
         assert_eq!(after_first.misses, after_second.misses);
         assert!(after_second.hits > after_first.hits);
-    }
-
-    #[test]
-    fn reprofile_supersedes_deployment() {
-        let chiron = Chiron::default();
-        let wf = apps::movie_reviewing();
-        let d1 = chiron.deploy(&wf, None, PgpMode::NativeThread);
-        let d2 = chiron.reprofile(&wf, &d1, None, PgpMode::NativeThread, 42);
-        // Identical workload → an equivalent plan (profiles are noiseless).
-        assert_eq!(d1.plan().stages, d2.plan().stages);
     }
 }

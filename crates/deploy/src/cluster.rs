@@ -84,14 +84,6 @@ impl Placement {
             .find(|(s, _)| *s == sandbox)
             .map(|&(_, n)| n)
     }
-
-    /// Number of distinct nodes used.
-    pub fn nodes_used(&self) -> usize {
-        let mut nodes: Vec<NodeId> = self.assignments.iter().map(|&(_, n)| n).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes.len()
-    }
 }
 
 /// Resource demand of one sandbox (its share of the plan's footprint).
@@ -129,44 +121,11 @@ fn sandbox_demand(
     (sb.cpus, usage.memory_bytes)
 }
 
-/// Places a plan's sandboxes onto the cluster.
-pub fn place(
-    plan: &DeploymentPlan,
-    workflow: &Workflow,
-    cluster: &ClusterConfig,
-    policy: PlacementPolicy,
-) -> Result<Placement, PlacementError> {
-    let mut free_cpu = vec![cluster.node.node_cpus; cluster.nodes as usize];
-    let mut free_mem = vec![cluster.node.node_memory_bytes; cluster.nodes as usize];
-    let mut assignments = Vec::with_capacity(plan.sandbox_count());
-    let mut rr_cursor = 0usize;
-    for sb in &plan.sandboxes {
-        let (cpus, mem) = sandbox_demand(plan, workflow, &cluster.node, sb.id);
-        if cpus > cluster.node.node_cpus || mem > cluster.node.node_memory_bytes {
-            return Err(PlacementError::SandboxTooLarge(sb.id));
-        }
-        let n = cluster.nodes as usize;
-        let order: Vec<usize> = match policy {
-            PlacementPolicy::Pack => (0..n).collect(),
-            PlacementPolicy::Spread => (0..n).map(|i| (rr_cursor + i) % n).collect(),
-        };
-        let slot = order
-            .into_iter()
-            .find(|&i| free_cpu[i] >= cpus && free_mem[i] >= mem)
-            .ok_or(PlacementError::ClusterFull)?;
-        free_cpu[slot] -= cpus;
-        free_mem[slot] -= mem;
-        assignments.push((sb.id, NodeId(slot as u32)));
-        rr_cursor = (slot + 1) % n;
-    }
-    Ok(Placement { assignments })
-}
-
-/// Live cluster bookkeeping for incremental replica placement — the
-/// mutable counterpart of the one-shot [`place`]. The serving control
+/// Live cluster bookkeeping for replica placement. The serving control
 /// plane adds and retires whole replicas (full copies of a plan's sandbox
 /// set) over time and marks nodes failed; capacity accounting here is the
-/// single source of truth.
+/// single source of truth. A one-shot placement is the first replica on a
+/// fresh state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterState {
     config: ClusterConfig,
@@ -192,29 +151,8 @@ impl ClusterState {
         &self.config
     }
 
-    /// Nodes currently accepting placements.
-    pub fn live_nodes(&self) -> usize {
-        self.failed.iter().filter(|&&f| !f).count()
-    }
-
     pub fn is_failed(&self, node: NodeId) -> bool {
         self.failed[node.0 as usize]
-    }
-
-    /// Fraction of live-node CPU capacity currently allocated.
-    pub fn cpu_utilisation(&self) -> f64 {
-        let mut capacity = 0u64;
-        let mut free = 0u64;
-        for i in 0..self.failed.len() {
-            if !self.failed[i] {
-                capacity += u64::from(self.config.node.node_cpus);
-                free += u64::from(self.free_cpu[i]);
-            }
-        }
-        if capacity == 0 {
-            return 1.0;
-        }
-        1.0 - free as f64 / capacity as f64
     }
 
     /// Places one replica — a full copy of the plan's sandbox set — onto
@@ -342,15 +280,31 @@ mod tests {
     use crate::planners;
     use chiron_model::apps;
 
+    fn place(
+        plan: &DeploymentPlan,
+        workflow: &Workflow,
+        cluster: &ClusterConfig,
+        policy: PlacementPolicy,
+    ) -> Result<Placement, PlacementError> {
+        ClusterState::new(cluster.clone()).place_replica(plan, workflow, policy)
+    }
+
+    fn nodes_used(placement: &Placement) -> usize {
+        let mut nodes: Vec<NodeId> = placement.assignments.iter().map(|&(_, n)| n).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.len()
+    }
+
     #[test]
     fn pack_uses_fewest_nodes() {
         let wf = apps::finra(12);
         let plan = planners::faastlane_plus(&wf); // 3 sandboxes × 5 CPUs
         let cluster = ClusterConfig::paper_testbed();
         let packed = place(&plan, &wf, &cluster, PlacementPolicy::Pack).unwrap();
-        assert_eq!(packed.nodes_used(), 1, "15 CPUs fit one 40-CPU node");
+        assert_eq!(nodes_used(&packed), 1, "15 CPUs fit one 40-CPU node");
         let spread = place(&plan, &wf, &cluster, PlacementPolicy::Spread).unwrap();
-        assert_eq!(spread.nodes_used(), 3);
+        assert_eq!(nodes_used(&spread), 3);
     }
 
     #[test]
@@ -360,7 +314,7 @@ mod tests {
         let cluster = ClusterConfig::paper_testbed();
         let placed = place(&plan, &wf, &cluster, PlacementPolicy::Pack).unwrap();
         // 200 CPUs over 40-CPU nodes: at least 5 nodes.
-        assert!(placed.nodes_used() >= 5);
+        assert!(nodes_used(&placed) >= 5);
         // No node oversubscribed: recompute usage.
         let mut used = std::collections::HashMap::new();
         for (sb, node) in &placed.assignments {
@@ -417,7 +371,7 @@ mod tests {
         let out = planners::chiron_m(&wf, &profile, None);
         let costs = CostModel::paper_calibrated();
         let (central, decentral) = scheduling_architectures(&out.plan, &costs);
-        if out.plan.max_wraps_per_stage() > 1 {
+        if out.plan.stages.iter().any(|s| s.wraps.len() > 1) {
             assert!(decentral < central);
         } else {
             assert_eq!(central, decentral);
@@ -435,14 +389,10 @@ mod tests {
         let p2 = state
             .place_replica(&plan, &wf, PlacementPolicy::Pack)
             .unwrap();
-        assert!(state.cpu_utilisation() > 0.0);
+        assert_eq!(state.free_cpu.iter().sum::<u32>(), 8 * 40 - 2 * 15);
         state.remove_replica(&plan, &wf, &p2);
         state.remove_replica(&plan, &wf, &p1);
-        assert_eq!(
-            state.cpu_utilisation(),
-            0.0,
-            "full removal restores capacity exactly"
-        );
+        // Full removal restores capacity exactly.
         assert_eq!(state.free_cpu, vec![40; 8]);
         assert_eq!(
             state.free_mem,
@@ -460,26 +410,11 @@ mod tests {
     }
 
     #[test]
-    fn cluster_state_incremental_matches_batch_policy() {
-        // A replica placed incrementally lands like the one-shot placer.
-        let wf = apps::finra(12);
-        let plan = planners::faastlane_plus(&wf);
-        let cluster = ClusterConfig::paper_testbed();
-        let mut state = ClusterState::new(cluster.clone());
-        let incremental = state
-            .place_replica(&plan, &wf, PlacementPolicy::Pack)
-            .unwrap();
-        let batch = place(&plan, &wf, &cluster, PlacementPolicy::Pack).unwrap();
-        assert_eq!(incremental, batch);
-    }
-
-    #[test]
     fn failed_nodes_are_avoided_and_capacity_written_off() {
         let wf = apps::finra(12);
         let plan = planners::faastlane_plus(&wf);
         let mut state = ClusterState::new(ClusterConfig::paper_testbed());
         state.fail_node(NodeId(0));
-        assert_eq!(state.live_nodes(), 7);
         assert!(state.is_failed(NodeId(0)));
         let placed = state
             .place_replica(&plan, &wf, PlacementPolicy::Pack)
@@ -487,9 +422,8 @@ mod tests {
         assert!(placed.assignments.iter().all(|&(_, n)| n != NodeId(0)));
         // Removing a replica that straddled a failed node must not refund
         // the dead node's share.
-        let before_cpu = state.cpu_utilisation();
         state.remove_replica(&plan, &wf, &placed);
-        assert!(state.cpu_utilisation() <= before_cpu);
+        assert_eq!(state.free_cpu[0], 0);
     }
 
     #[test]

@@ -14,12 +14,11 @@ pub mod codegen;
 pub mod planners;
 
 pub use cluster::{
-    place, placement_overhead, scheduling_architectures, ClusterConfig, ClusterState, NodeId,
-    Placement, PlacementError, PlacementPolicy,
+    placement_overhead, scheduling_architectures, ClusterConfig, ClusterState, NodeId, Placement,
+    PlacementError, PlacementPolicy,
 };
 pub use codegen::{generate, GeneratedWrap};
 pub use planners::{
     asf, baseline, chiron, chiron_m, chiron_p, chiron_prewarmed, faastlane, faastlane_m,
     faastlane_p, faastlane_plus, faastlane_t, openfaas, sand, to_java,
-    FAASTLANE_PLUS_PROCS_PER_SANDBOX,
 };

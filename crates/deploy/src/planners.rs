@@ -25,7 +25,7 @@ use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler, PrewarmBudget, ScheduleOutcom
 use chiron_profiler::WorkflowProfile;
 
 /// Number of processes Faastlane+ fixes per sandbox (§2.2).
-pub const FAASTLANE_PLUS_PROCS_PER_SANDBOX: usize = 5;
+const FAASTLANE_PLUS_PROCS_PER_SANDBOX: usize = 5;
 
 fn single_sandbox(cpus: u32, pool_size: u32) -> Vec<SandboxPlan> {
     vec![SandboxPlan {

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 pub struct ProtectionKey(u8);
 
 impl ProtectionKey {
-    pub const MAX_KEYS: u8 = 16;
+    const MAX_KEYS: u8 = 16;
 
     pub fn new(key: u8) -> Option<Self> {
         (key < Self::MAX_KEYS).then_some(ProtectionKey(key))

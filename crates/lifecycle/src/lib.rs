@@ -34,9 +34,6 @@ pub mod pool;
 pub mod tier;
 
 pub use forecast::DemandForecast;
-pub use planner::{
-    mix_fractions, penalty_for_plan, plan_tier_mix, startup_penalty, PrewarmBudget, TierMix,
-    MIX_TIERS,
-};
+pub use planner::{mix_fractions, penalty_for_plan, plan_tier_mix, PrewarmBudget, TierMix};
 pub use pool::{LifecycleConfig, PoolAction, PoolStats, PrewarmPools};
 pub use tier::{LifecycleCosts, StartTier, TierSpec, TierTable};

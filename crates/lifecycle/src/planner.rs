@@ -12,7 +12,7 @@
 //! [`penalty_for_plan`], which folds the residual exposure into the
 //! candidate-plan objective as an amortised per-request penalty.
 
-use crate::tier::{LifecycleCosts, StartTier, TierTable};
+use crate::tier::{LifecycleCosts, TierTable};
 use chiron_metrics::plan_resources;
 use chiron_model::{CostModel, DeploymentPlan, SimDuration, Workflow};
 use serde::{Deserialize, Serialize};
@@ -25,9 +25,6 @@ pub struct PrewarmBudget {
     pub usd_per_hour: f64,
     /// Demand forecast the mix is sized against, requests/second.
     pub demand_rps: f64,
-    /// Fraction of requests that ride a fresh replica start (scale-up
-    /// churn); the amortisation weight of the startup penalty.
-    pub start_fraction: f64,
 }
 
 impl PrewarmBudget {
@@ -35,15 +32,13 @@ impl PrewarmBudget {
         PrewarmBudget {
             usd_per_hour,
             demand_rps,
-            start_fraction: 0.02,
         }
     }
-
-    pub fn with_start_fraction(mut self, start_fraction: f64) -> Self {
-        self.start_fraction = start_fraction;
-        self
-    }
 }
+
+/// Fraction of requests that ride a fresh replica start (scale-up churn):
+/// the amortisation weight of the startup penalty.
+const START_FRACTION: f64 = 0.02;
 
 /// The tier mix a budget affords for one plan.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -130,17 +125,13 @@ pub fn plan_tier_mix(table: &TierTable, budget: &PrewarmBudget, usd_per_gb_secon
     }
 }
 
-/// The amortised per-request latency cost of the mix's residual startup
-/// exposure: expected start latency weighted by the scale-up fraction.
-pub fn startup_penalty(mix: &TierMix, budget: &PrewarmBudget) -> SimDuration {
-    mix.expected_start.mul_f64(budget.start_fraction)
-}
-
-/// [`startup_penalty`] for a concrete `(plan, workflow)`: derives the
-/// plan's tier table from its resource footprint, sizes the mix the
-/// budget affords, and returns the amortised penalty the PGP objective
-/// adds to the plan's predicted latency. Deterministic, so the fast and
-/// reference schedulers stay byte-identical.
+/// The amortised per-request latency cost of a concrete `(plan,
+/// workflow)`'s residual startup exposure: derives the plan's tier table
+/// from its resource footprint, sizes the mix the budget affords, and
+/// weights the mix's expected start latency by the scale-up fraction.
+/// The PGP objective adds it to the plan's predicted latency.
+/// Deterministic, so the fast and reference schedulers stay
+/// byte-identical.
 pub fn penalty_for_plan(
     plan: &DeploymentPlan,
     workflow: &Workflow,
@@ -159,8 +150,9 @@ pub fn penalty_for_plan(
         caps.snapshot_capacity,
         caps.zygote_capacity,
     );
-    let mix = plan_tier_mix(&table, budget, usd_per_gb_second);
-    startup_penalty(&mix, budget)
+    plan_tier_mix(&table, budget, usd_per_gb_second)
+        .expected_start
+        .mul_f64(START_FRACTION)
 }
 
 /// Coverage fraction of the mix per tier, for reports: how the demand
@@ -176,13 +168,6 @@ pub fn mix_fractions(mix: &TierMix) -> [f64; 3] {
         f64::from(mix.uncovered) / total,
     ]
 }
-
-/// Re-exported tier name order used by [`mix_fractions`].
-pub const MIX_TIERS: [StartTier; 3] = [
-    StartTier::SnapshotRestore,
-    StartTier::ZygoteFork,
-    StartTier::ColdBoot,
-];
 
 #[cfg(test)]
 mod tests {
@@ -243,24 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn penalty_scales_with_start_fraction() {
-        let t = table();
-        let mix = plan_tier_mix(&t, &PrewarmBudget::new(0.0, 50.0), per_gb_second());
-        let light = startup_penalty(&mix, &PrewarmBudget::new(0.0, 50.0));
-        let heavy = startup_penalty(
-            &mix,
-            &PrewarmBudget::new(0.0, 50.0).with_start_fraction(0.2),
-        );
-        assert!(heavy > light);
-        assert!(light > SimDuration::ZERO);
-    }
-
-    #[test]
     fn fractions_sum_to_one() {
         let mix = plan_tier_mix(&table(), &PrewarmBudget::new(1e-3, 50.0), per_gb_second());
         let f = mix_fractions(&mix);
         assert!((f.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert_eq!(MIX_TIERS.len(), 3);
     }
 
     #[test]

@@ -26,10 +26,6 @@ pub struct LifecycleConfig {
     pub snapshot_capacity: u32,
     /// Most zygote fork slots the pool may hold.
     pub zygote_capacity: u32,
-    /// Snapshot slots built at deployment time (off the measured path).
-    pub initial_snapshot: u32,
-    /// Zygote slots provisioned at deployment time.
-    pub initial_zygote: u32,
     /// Most background slot builds started per autoscaler tick.
     pub restock_per_tick: u32,
     /// Multiplier on the forecast-derived snapshot target (provisioning
@@ -48,21 +44,18 @@ impl LifecycleConfig {
             costs: LifecycleCosts::paper_calibrated(),
             snapshot_capacity: 8,
             zygote_capacity: 8,
-            initial_snapshot: 2,
-            initial_zygote: 4,
             restock_per_tick: 2,
             headroom: 1.2,
             forecast_alpha: 0.3,
             evict_hysteresis: 2,
         }
     }
-
-    pub fn with_initial_stock(mut self, snapshot: u32, zygote: u32) -> Self {
-        self.initial_snapshot = snapshot;
-        self.initial_zygote = zygote;
-        self
-    }
 }
+
+/// Snapshot slots built at deployment time (off the measured path).
+const INITIAL_SNAPSHOT: u32 = 2;
+/// Zygote slots provisioned at deployment time.
+const INITIAL_ZYGOTE: u32 = 4;
 
 /// One background slot build the policy scheduled; the driver owes the
 /// pool a [`PrewarmPools::slot_ready`] call after `ready_in`.
@@ -108,8 +101,8 @@ pub struct PrewarmPools {
 
 impl PrewarmPools {
     pub fn new(cfg: LifecycleConfig, table: TierTable, now: SimTime) -> Self {
-        let snap_stock = cfg.initial_snapshot.min(table.snapshot.capacity);
-        let zyg_stock = cfg.initial_zygote.min(table.zygote.capacity);
+        let snap_stock = INITIAL_SNAPSHOT.min(table.snapshot.capacity);
+        let zyg_stock = INITIAL_ZYGOTE.min(table.zygote.capacity);
         let forecast = DemandForecast::new(cfg.forecast_alpha);
         PrewarmPools {
             cfg,
@@ -135,14 +128,6 @@ impl PrewarmPools {
 
     pub fn stats(&self) -> PoolStats {
         self.stats
-    }
-
-    pub fn snapshot_stock(&self) -> u32 {
-        self.snap_stock
-    }
-
-    pub fn zygote_stock(&self) -> u32 {
-        self.zyg_stock
     }
 
     /// Integrates `stock × Δt` up to `now`. Every mutation goes through
@@ -300,9 +285,9 @@ mod tests {
     use super::*;
     use chiron_model::CostModel;
 
-    fn pools(initial_snapshot: u32, initial_zygote: u32) -> PrewarmPools {
-        let cfg = LifecycleConfig::paper_calibrated()
-            .with_initial_stock(initial_snapshot, initial_zygote);
+    /// Pools holding `snapshot` and `zygote` slots at time zero.
+    fn pools(snapshot: u32, zygote: u32) -> PrewarmPools {
+        let cfg = LifecycleConfig::paper_calibrated();
         let table = TierTable::derive(
             &CostModel::paper_calibrated(),
             &cfg.costs,
@@ -311,7 +296,10 @@ mod tests {
             cfg.snapshot_capacity,
             cfg.zygote_capacity,
         );
-        PrewarmPools::new(cfg, table, SimTime::ZERO)
+        let mut pools = PrewarmPools::new(cfg, table, SimTime::ZERO);
+        pools.snap_stock = snapshot;
+        pools.zyg_stock = zygote;
+        pools
     }
 
     fn at(secs: u64) -> SimTime {
@@ -351,7 +339,7 @@ mod tests {
         for a in &actions {
             p.slot_ready(a.tier, at(2));
         }
-        assert_eq!(p.snapshot_stock(), 2);
+        assert_eq!(p.snap_stock, 2);
     }
 
     #[test]
@@ -360,7 +348,7 @@ mod tests {
         let mut actions = Vec::new();
         // No arrivals: forecast 0 → target 0 → evict past the hysteresis.
         p.on_tick(at(1), SimDuration::from_millis(1000), &mut actions);
-        assert_eq!(p.snapshot_stock(), 0, "surplus slots are evicted");
+        assert_eq!(p.snap_stock, 0, "surplus slots are evicted");
         assert_eq!(p.stats().evictions, 8);
     }
 
@@ -374,7 +362,7 @@ mod tests {
         p.on_tick(at(1), SimDuration::from_millis(1000), &mut actions);
         let promoted = actions.iter().filter(|a| a.promoted).count();
         assert_eq!(promoted, 2, "zygote feedstock makes promotes, not builds");
-        assert_eq!(p.zygote_stock(), 2);
+        assert_eq!(p.zyg_stock, 2);
         assert_eq!(p.stats().promotes, 2);
     }
 
@@ -398,6 +386,6 @@ mod tests {
     fn late_slots_above_capacity_are_discarded() {
         let mut p = pools(8, 8);
         p.slot_ready(StartTier::SnapshotRestore, at(1));
-        assert_eq!(p.snapshot_stock(), 8, "capacity is a hard ceiling");
+        assert_eq!(p.snap_stock, 8, "capacity is a hard ceiling");
     }
 }

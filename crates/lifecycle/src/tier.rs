@@ -78,13 +78,6 @@ impl StartTier {
             StartTier::ColdBoot => "coldboot",
         }
     }
-
-    /// Whether a start from this tier counts as an on-path cold start in
-    /// the legacy (boolean) sense. Only a full boot does; snapshot and
-    /// zygote starts are the mechanisms that *avoid* it.
-    pub fn is_cold(self) -> bool {
-        self == StartTier::ColdBoot
-    }
 }
 
 /// Calibration constants the [`CostModel`] does not carry: the tier
@@ -212,8 +205,6 @@ mod tests {
             assert_eq!(StartTier::from_code(tier.code()), tier);
         }
         assert_eq!(StartTier::from_code(200), StartTier::ColdBoot);
-        assert!(StartTier::ColdBoot.is_cold());
-        assert!(!StartTier::SnapshotRestore.is_cold());
     }
 
     #[test]

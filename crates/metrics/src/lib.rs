@@ -17,10 +17,8 @@ pub mod stats;
 pub mod throughput;
 
 pub use cost::{request_cost, CostReport};
-pub use loadgen::{
-    drive_load, drive_load_with, saturation_rps, ArrivalGen, ArrivalProcess, LoadReport,
-};
+pub use loadgen::{drive_load, saturation_rps, ArrivalGen, ArrivalProcess, LoadReport};
 pub use resources::{plan_resources, ResourceUsage};
 pub use rng::FastRng;
-pub use stats::{mean_abs_error, prediction_error, LatencySamples, StreamingHistogram};
+pub use stats::{prediction_error, LatencySamples, StreamingHistogram};
 pub use throughput::{node_throughput, Bottleneck, ThroughputReport};

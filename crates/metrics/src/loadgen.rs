@@ -43,7 +43,7 @@ pub enum ArrivalProcess {
 /// Stateful inter-arrival gap generator for one [`ArrivalProcess`].
 ///
 /// The random processes draw unit-rate exponentials `-ln(1 − u)` a block
-/// of [`UNIT_BLOCK`] at a time, in stream order, and scale one by the
+/// of `UNIT_BLOCK` at a time, in stream order, and scale one by the
 /// current rate only when its gap is used. A block's logs have no
 /// dependency on each other, so they run as one vectorised pass with
 /// no unpredictable branch; and since the rate is applied per gap,
@@ -203,7 +203,7 @@ pub fn drive_load(
 
 /// [`drive_load`] with an explicit arrival process (uniform or seeded
 /// Poisson).
-pub fn drive_load_with(
+fn drive_load_with(
     servers: u32,
     service_times: &[SimDuration],
     rps: f64,

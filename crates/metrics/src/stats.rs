@@ -55,25 +55,6 @@ impl LatencySamples {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Sample standard deviation in milliseconds.
-    pub fn std_ms(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean().as_millis_f64();
-        let var: f64 = self
-            .samples
-            .iter()
-            .map(|d| {
-                let x = d.as_millis_f64() - mean;
-                x * x
-            })
-            .sum::<f64>()
-            / (n - 1) as f64;
-        var.sqrt()
-    }
-
     /// Linear-interpolated percentile, `q` in `[0, 1]`.
     pub fn percentile(&self, q: f64) -> SimDuration {
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
@@ -92,19 +73,6 @@ impl LatencySamples {
         let lo_ns = sorted[lo].as_nanos() as f64;
         let hi_ns = sorted[hi].as_nanos() as f64;
         SimDuration::from_nanos((lo_ns + (hi_ns - lo_ns) * frac).round() as u64)
-    }
-
-    /// Empirical CDF as `(latency, cumulative fraction)` points, sorted by
-    /// latency — the exact series Fig. 15 plots.
-    pub fn cdf(&self) -> Vec<(SimDuration, f64)> {
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        sorted
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| (d, (i + 1) as f64 / n as f64))
-            .collect()
     }
 
     /// Fraction of samples strictly above the SLO (Fig. 14's metric).
@@ -379,18 +347,6 @@ pub fn prediction_error(predicted: SimDuration, actual: SimDuration) -> f64 {
     (predicted.as_millis_f64() - actual_ms) / actual_ms
 }
 
-/// Mean absolute prediction error over paired samples.
-pub fn mean_abs_error(pairs: &[(SimDuration, SimDuration)]) -> f64 {
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    pairs
-        .iter()
-        .map(|&(p, a)| prediction_error(p, a).abs())
-        .sum::<f64>()
-        / pairs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,31 +387,11 @@ mod tests {
     }
 
     #[test]
-    fn cdf_monotone() {
-        let s = samples(&[30, 10, 20]);
-        let cdf = s.cdf();
-        assert_eq!(cdf.len(), 3);
-        assert_eq!(cdf[0].0, ms(10));
-        assert!((cdf[2].1 - 1.0).abs() < 1e-12);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-    }
-
-    #[test]
     fn violations_counted_strictly() {
         let s = samples(&[10, 20, 30, 40]);
         assert_eq!(s.violation_rate(ms(40)), 0.0);
         assert_eq!(s.violation_rate(ms(25)), 0.5);
         assert_eq!(s.violation_rate(ms(5)), 1.0);
-    }
-
-    #[test]
-    fn std_dev() {
-        let s = samples(&[10, 20]);
-        assert!((s.std_ms() - 7.0710678).abs() < 1e-5);
-        assert_eq!(samples(&[10]).std_ms(), 0.0);
     }
 
     #[test]
@@ -803,8 +739,5 @@ mod tests {
     fn prediction_errors() {
         assert!((prediction_error(ms(110), ms(100)) - 0.1).abs() < 1e-12);
         assert!((prediction_error(ms(90), ms(100)) + 0.1).abs() < 1e-12);
-        let pairs = vec![(ms(110), ms(100)), (ms(80), ms(100))];
-        assert!((mean_abs_error(&pairs) - 0.15).abs() < 1e-12);
-        assert_eq!(mean_abs_error(&[]), 0.0);
     }
 }

@@ -18,14 +18,8 @@ use chiron_model::plan::ProcessSpawn;
 use chiron_model::{DeploymentPlan, FunctionId, IsolationKind, RuntimeKind, Workflow};
 use chiron_profiler::WorkflowProfile;
 
-/// Number of per-sample features produced by [`plan_features`].
-pub const PLAN_FEATURE_DIM: usize = 16;
-
-/// Number of per-node features produced by [`plan_graph`].
-pub const NODE_FEATURE_DIM: usize = 8;
-
 /// Flat feature vector describing one (workflow, plan) pair — the RFR/LSTM
-/// input representation.
+/// input representation: 16 features.
 pub fn plan_features(
     workflow: &Workflow,
     profile: &WorkflowProfile,
@@ -140,9 +134,10 @@ pub fn stage_sequence(
         .collect()
 }
 
-/// Node features + symmetric adjacency for the GNN: one node per function;
-/// edges between functions sharing a process (weight 1.0), sharing a wrap
-/// (0.6), sharing a stage (0.3), or adjacent in consecutive stages (0.2).
+/// Node features (8 per node) + symmetric adjacency for the GNN: one node
+/// per function; edges between functions sharing a process (weight 1.0),
+/// sharing a wrap (0.6), sharing a stage (0.3), or adjacent in consecutive
+/// stages (0.2).
 pub fn plan_graph(
     workflow: &Workflow,
     profile: &WorkflowProfile,
@@ -257,7 +252,7 @@ mod tests {
     fn flat_features_have_fixed_dim() {
         let (wf, profile, plan) = sample();
         let f = plan_features(&wf, &profile, &plan);
-        assert_eq!(f.len(), PLAN_FEATURE_DIM);
+        assert_eq!(f.len(), 16);
         assert_eq!(f[0], 6.0); // functions
         assert_eq!(f[3], 6.0); // processes
         assert_eq!(f[4], 5.0); // forked
@@ -278,7 +273,7 @@ mod tests {
         let (wf, profile, plan) = sample();
         let (nodes, adj) = plan_graph(&wf, &profile, &plan);
         assert_eq!(nodes.len(), 6);
-        assert_eq!(nodes[0].len(), NODE_FEATURE_DIM);
+        assert_eq!(nodes[0].len(), 8);
         for i in 0..6 {
             assert_eq!(adj[i][i], 1.0);
             for j in 0..6 {

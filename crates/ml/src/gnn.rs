@@ -7,7 +7,10 @@
 //! `Â = D^{-1/2} (A + I) D^{-1/2}` (self-loops are added by the feature
 //! extractor).
 
-use crate::{check_fit, clip_apply, sgd_epochs, uniform, zeroed, FitError, Standardiser};
+use crate::{
+    check_fit, check_widths, clip_apply, sgd_epochs, uniform, zeroed, FitError, PredictError,
+    Standardiser,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -226,11 +229,16 @@ impl GnnRegressor {
         clip_apply(std::slice::from_mut(&mut self.b_out), &[d_bout], lr);
     }
 
-    /// Predicts the (denormalised) target for one graph.
-    pub fn predict(&self, nodes: &Rows, adj: &Rows) -> f64 {
+    /// Predicts the (denormalised) target for one graph, whose node rows
+    /// must have the width the model was fitted on and whose adjacency
+    /// must be nodes × nodes.
+    pub fn predict(&self, nodes: &Rows, adj: &Rows) -> Result<f64, PredictError> {
+        check_widths(self.w1.rows, nodes.iter().map(Vec::len))?;
+        let adj_widths = std::iter::once(adj.len()).chain(adj.iter().map(Vec::len));
+        check_widths(nodes.len(), adj_widths)?;
         let x = self.normalise_nodes(nodes);
         let pred = self.forward(&x, &normalise_adjacency(adj), &mut Scratch::default());
-        self.scale.unscale(pred)
+        Ok(self.scale.unscale(pred))
     }
 }
 
@@ -272,7 +280,7 @@ mod tests {
         let model = GnnRegressor::fit(&graphs, &y, GnnConfig::default()).unwrap();
         let mut abs_err = 0.0;
         for ((nodes, adj), &target) in graphs.iter().zip(&y) {
-            abs_err += (model.predict(nodes, adj) - target).abs();
+            abs_err += (model.predict(nodes, adj).unwrap() - target).abs();
         }
         let mean_err = abs_err / y.len() as f64;
         let y_mean = y.iter().sum::<f64>() / y.len() as f64;
@@ -311,7 +319,7 @@ mod tests {
         )
         .unwrap();
         for (nodes, adj) in &graphs {
-            assert!(model.predict(nodes, adj).is_finite());
+            assert!(model.predict(nodes, adj).unwrap().is_finite());
         }
     }
 

@@ -15,7 +15,7 @@ pub mod gnn;
 pub mod lstm;
 pub mod tree;
 
-pub use features::{plan_features, plan_graph, stage_sequence, NODE_FEATURE_DIM, PLAN_FEATURE_DIM};
+pub use features::{plan_features, plan_graph, stage_sequence};
 pub use forest::{ForestConfig, RandomForest};
 pub use gnn::{GnnConfig, GnnRegressor};
 pub use lstm::{LstmConfig, LstmRegressor};
@@ -53,7 +53,9 @@ impl std::error::Error for FitError {}
 /// Why a fitted learned baseline refused to predict a sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictError {
-    /// The sample's width is not the width the model was fitted on.
+    /// A feature row (a tree or forest sample, an LSTM step, a GCN node)
+    /// is not the width the model was fitted on, or a GCN adjacency
+    /// matrix is not nodes × nodes.
     WidthMismatch { expected: usize, got: usize },
 }
 
@@ -61,13 +63,24 @@ impl std::fmt::Display for PredictError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PredictError::WidthMismatch { expected, got } => {
-                write!(f, "a sample of {got} features, fitted on {expected}")
+                write!(f, "a width of {got} where {expected} was expected")
             }
         }
     }
 }
 
 impl std::error::Error for PredictError {}
+
+/// Refuses the first of `widths` that is not `expected`.
+fn check_widths(
+    expected: usize,
+    mut widths: impl Iterator<Item = usize>,
+) -> Result<(), PredictError> {
+    match widths.find(|&got| got != expected) {
+        Some(got) => Err(PredictError::WidthMismatch { expected, got }),
+        None => Ok(()),
+    }
+}
 
 /// Checks what every `fit` needs of its data: as many targets as inputs,
 /// at least one sample, and a non-empty first sample.

@@ -5,7 +5,10 @@
 //! linear head on the final hidden state predicts the end-to-end latency.
 //! Training is full BPTT with per-sample SGD and gradient clipping.
 
-use crate::{check_fit, clip_apply, sgd_epochs, uniform, zeroed, FitError, Standardiser};
+use crate::{
+    check_fit, check_widths, clip_apply, sgd_epochs, uniform, zeroed, FitError, PredictError,
+    Standardiser,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -201,10 +204,12 @@ impl LstmRegressor {
         clip_apply(std::slice::from_mut(&mut self.b_out), &[d_bout], lr);
     }
 
-    /// Predicts the (denormalised) target for one sequence.
-    pub fn predict(&self, seq: &[Vec<f64>]) -> f64 {
+    /// Predicts the (denormalised) target for one sequence, whose steps
+    /// must have the width the model was fitted on.
+    pub fn predict(&self, seq: &[Vec<f64>]) -> Result<f64, PredictError> {
+        check_widths(self.input_dim, seq.iter().map(Vec::len))?;
         let pred = self.forward(seq, &mut Scratch::default());
-        self.scale.unscale(pred)
+        Ok(self.scale.unscale(pred))
     }
 }
 
@@ -240,7 +245,7 @@ mod tests {
         let model = LstmRegressor::fit(&x, &y, LstmConfig::default()).unwrap();
         let mut abs_err = 0.0;
         for (seq, &target) in x.iter().zip(&y) {
-            abs_err += (model.predict(seq) - target).abs();
+            abs_err += (model.predict(seq).unwrap() - target).abs();
         }
         let mean_err = abs_err / y.len() as f64;
         let y_mean = y.iter().sum::<f64>() / y.len() as f64;
@@ -271,7 +276,7 @@ mod tests {
             ..LstmConfig::default()
         };
         let model = LstmRegressor::fit(&x, &y, cfg).unwrap();
-        let pred = model.predict(&x[0]);
+        let pred = model.predict(&x[0]).unwrap();
         assert!((pred - 10.0).abs() < 1.0, "pred {pred}");
     }
 
@@ -288,7 +293,7 @@ mod tests {
         )
         .unwrap();
         for seq in &x {
-            assert!(model.predict(seq).is_finite());
+            assert!(model.predict(seq).unwrap().is_finite());
         }
     }
 }

@@ -5,7 +5,7 @@
 //! `RandomForestRegressor` with default parameters; this mirrors its core
 //! algorithm.
 
-use crate::{check_fit, FitError, PredictError};
+use crate::{check_fit, check_widths, FitError, PredictError};
 
 /// Configuration of one regression tree.
 #[derive(Debug, Clone, Copy)]
@@ -66,12 +66,7 @@ impl RegressionTree {
     /// The tree's prediction for `sample`, which must have the width the
     /// tree was fitted on.
     pub fn predict(&self, sample: &[f64]) -> Result<f64, PredictError> {
-        if sample.len() != self.n_features {
-            return Err(PredictError::WidthMismatch {
-                expected: self.n_features,
-                got: sample.len(),
-            });
-        }
+        check_widths(self.n_features, std::iter::once(sample.len()))?;
         let mut node = &self.root;
         loop {
             match node {

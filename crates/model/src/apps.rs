@@ -265,7 +265,6 @@ mod tests {
         assert_eq!(sl.stage_count(), 2);
         assert_eq!(sl.function_count(), 7);
         assert_eq!(sl.max_parallelism(), 4);
-        assert!(!sl.has_sequential_stage(), "SLApp has no sequential stage");
 
         let sv = slapp_v();
         assert_eq!(sv.stage_count(), 5);

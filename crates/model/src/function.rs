@@ -167,16 +167,6 @@ impl FunctionSpec {
         self
     }
 
-    pub fn with_runtime(mut self, runtime: LanguageRuntime) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
-    pub fn with_writes_file(mut self, path: impl Into<String>) -> Self {
-        self.writes_files.push(path.into());
-        self
-    }
-
     /// Total CPU demand across all segments.
     pub fn cpu_time(&self) -> SimDuration {
         self.segments
@@ -233,9 +223,15 @@ mod tests {
 
     #[test]
     fn file_conflicts() {
-        let a = FunctionSpec::new("a", vec![Segment::cpu_ms(1)]).with_writes_file("/tmp/x");
-        let b = FunctionSpec::new("b", vec![Segment::cpu_ms(1)]).with_writes_file("/tmp/x");
-        let c = FunctionSpec::new("c", vec![Segment::cpu_ms(1)]).with_writes_file("/tmp/y");
+        let writer = |name: &str, file: &str| FunctionSpec {
+            writes_files: vec![file.into()],
+            ..FunctionSpec::new(name, vec![Segment::cpu_ms(1)])
+        };
+        let (a, b, c) = (
+            writer("a", "/tmp/x"),
+            writer("b", "/tmp/x"),
+            writer("c", "/tmp/y"),
+        );
         assert!(a.file_conflict(&b));
         assert!(!a.file_conflict(&c));
     }

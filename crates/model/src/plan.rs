@@ -216,15 +216,6 @@ impl NodePlacement {
             _ => false,
         }
     }
-
-    /// Number of nodes the packing used.
-    pub fn node_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|&(_, n)| n as usize + 1)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// How the platform's gateway schedules function starts for one-to-one
@@ -286,11 +277,6 @@ impl SystemKind {
             SystemKind::ChironP => "Chiron-P",
             SystemKind::FaastlaneP => "Faastlane-P",
         }
-    }
-
-    /// Systems following the one-to-one deployment model.
-    pub fn is_one_to_one(self) -> bool {
-        matches!(self, SystemKind::Asf | SystemKind::OpenFaas)
     }
 }
 
@@ -401,12 +387,6 @@ impl DeploymentPlan {
         }
     }
 
-    /// The stage-level wrap count `n` of the m-to-n model, maximised over
-    /// stages (reported for Chiron-M in §6.3).
-    pub fn max_wraps_per_stage(&self) -> usize {
-        self.stages.iter().map(|s| s.wraps.len()).max().unwrap_or(0)
-    }
-
     /// Validates internal consistency against the workflow's stage sets.
     ///
     /// `stage_functions[i]` must list exactly the functions of workflow
@@ -510,7 +490,6 @@ mod tests {
         );
         plan.validate(&[vec![fid(0), fid(1), fid(2)]]).unwrap();
         assert_eq!(plan.total_cpus(), 2);
-        assert_eq!(plan.max_wraps_per_stage(), 1);
     }
 
     #[test]
@@ -669,7 +648,6 @@ mod tests {
         assert!(!p.colocated(SandboxId(0), SandboxId(1)));
         assert!(p.colocated(SandboxId(1), SandboxId(1)));
         assert!(!p.colocated(SandboxId(0), SandboxId(9)));
-        assert_eq!(p.node_count(), 2);
     }
 
     #[test]
@@ -700,7 +678,5 @@ mod tests {
     #[test]
     fn system_labels() {
         assert_eq!(SystemKind::FaastlaneT.label(), "Faastlane-T");
-        assert!(SystemKind::Asf.is_one_to_one());
-        assert!(!SystemKind::Chiron.is_one_to_one());
     }
 }

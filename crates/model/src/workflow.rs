@@ -6,7 +6,6 @@
 //! functions within a stage are mutually independent.
 
 use crate::function::{FunctionId, FunctionSpec};
-use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// One execution stage: a set of mutually parallel functions.
@@ -127,33 +126,6 @@ impl Workflow {
             .unwrap_or(0)
     }
 
-    /// Whether the workflow contains any sequential (single-function) stage.
-    ///
-    /// SLApp deliberately has none (§6, benchmark list).
-    pub fn has_sequential_stage(&self) -> bool {
-        self.stages.iter().any(|s| s.parallelism() == 1)
-    }
-
-    /// Lower bound on end-to-end latency: each stage at least as slow as its
-    /// slowest function running solo on a dedicated CPU.
-    pub fn critical_path(&self) -> SimDuration {
-        self.stages
-            .iter()
-            .map(|s| {
-                s.functions
-                    .iter()
-                    .map(|&id| self.function(id).solo_latency())
-                    .max()
-                    .unwrap_or(SimDuration::ZERO)
-            })
-            .sum()
-    }
-
-    /// Sum of every function's solo latency (single-CPU work bound).
-    pub fn total_work(&self) -> SimDuration {
-        self.functions.iter().map(|f| f.solo_latency()).sum()
-    }
-
     /// Total intermediate bytes crossing each stage boundary.
     pub fn stage_output_bytes(&self, stage: usize) -> u64 {
         self.stages[stage]
@@ -180,10 +152,6 @@ mod tests {
         let wf = Workflow::new("w", fns(4), vec![vec![0], vec![1, 2], vec![3]]).unwrap();
         assert_eq!(wf.stage_count(), 3);
         assert_eq!(wf.max_parallelism(), 2);
-        assert!(wf.has_sequential_stage());
-        // critical path: 1 + max(2,3) + 4 = 8ms
-        assert_eq!(wf.critical_path().as_millis_f64(), 8.0);
-        assert_eq!(wf.total_work().as_millis_f64(), 10.0);
     }
 
     #[test]

@@ -161,7 +161,7 @@ pub struct AttributionReport {
 /// Splits `total` into integer parts proportional to `weights`, exactly:
 /// the parts always sum to `total` (largest-remainder rounding, ties
 /// broken by position). All-zero weights put everything in the last part.
-pub fn apportion(total: u64, weights: [u64; 4]) -> [u64; 4] {
+fn apportion(total: u64, weights: [u64; 4]) -> [u64; 4] {
     let sum: u128 = weights.iter().map(|&w| u128::from(w)).sum();
     if sum == 0 {
         return [0, 0, 0, total];
@@ -508,14 +508,6 @@ impl AttributionReport {
         self.requests.iter().all(RequestAttribution::sums_exact)
     }
 
-    /// Whether the per-tier cold-start split sums exactly to the
-    /// end-to-end `cold_start` component total — the tiered counterpart
-    /// of [`AttributionReport::sums_exact`].
-    pub fn tier_split_sums_exact(&self) -> bool {
-        let total: u64 = self.cold_start_by_tier.iter().sum();
-        total == self.profiles[0].components[Component::ColdStart.index()].total_ns
-    }
-
     /// Total blame per component across all requests, heaviest first
     /// (ties broken by canonical component order).
     pub fn blame_ranking(&self) -> Vec<(Component, u64)> {
@@ -844,7 +836,6 @@ mod tests {
         // startup wait land in the snapshot slot; the sample DES profile
         // carries zero startup so in_sandbox stays empty.
         assert_eq!(report.cold_start_by_tier, [67, 0, 0, 0]);
-        assert!(report.tier_split_sums_exact());
     }
 
     #[test]

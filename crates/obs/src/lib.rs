@@ -38,7 +38,7 @@
 //!   finished trace around the first sensor fire next to the metrics.
 //! * [`whatif`] — Coz-style virtual-speedup experiments over the DES,
 //!   ranking top-blamed components by predicted p99 improvement.
-//! * [`intern`] — the string interner keeping trace events small.
+//! * [`intern`](mod@intern) — the string interner keeping trace events small.
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]

@@ -47,9 +47,10 @@ pub struct RegimeConfig {
     /// Firing threshold as a multiple of the baseline mean: the CUSUM
     /// must accumulate `lambda·μ` of excess deviation to fire.
     pub lambda: f64,
-    /// Samples frozen into the baseline mean before the test arms.
-    pub warmup: u32,
 }
+
+/// Samples frozen into a series' baseline mean before the test arms.
+const WARMUP: u32 = 200;
 
 impl Default for RegimeConfig {
     /// δ = 10 % absorbs the serving plane's ±5 % service jitter plus
@@ -60,15 +61,7 @@ impl Default for RegimeConfig {
         RegimeConfig {
             delta: 0.10,
             lambda: 8.0,
-            warmup: 200,
         }
-    }
-}
-
-impl RegimeConfig {
-    pub fn with_warmup(mut self, warmup: u32) -> Self {
-        self.warmup = warmup;
-        self
     }
 }
 
@@ -187,7 +180,7 @@ impl RegimeDetector {
             None => {
                 s.warm_sum += x;
                 s.warm_count += 1;
-                if s.warm_count >= config.warmup.max(1) {
+                if s.warm_count >= WARMUP {
                     s.baseline = Some(s.warm_sum / f64::from(s.warm_count));
                 }
                 None
@@ -310,19 +303,17 @@ mod tests {
     use super::*;
     use crate::trace::TraceEvent;
 
-    fn cfg(warmup: u32) -> RegimeConfig {
-        RegimeConfig::default().with_warmup(warmup)
-    }
+    const W: u64 = WARMUP as u64;
 
     #[test]
     fn upward_shift_fires_and_rebaselines() {
-        let mut d = RegimeDetector::new(cfg(10));
+        let mut d = RegimeDetector::new(RegimeConfig::default());
         let mut fired = Vec::new();
-        // 10 warmup samples at ~100 µs, then a sustained +60 % shift.
-        for i in 0..10u64 {
+        // Warmup samples at ~100 µs, then a sustained +60 % shift.
+        for i in 0..W {
             assert!(d.observe(i * 1_000, E2E_STAGE, 100_000).is_none());
         }
-        for i in 10..60u64 {
+        for i in W..W + 50 {
             if let Some(info) = d.observe(i * 1_000, E2E_STAGE, 160_000) {
                 fired.push(info);
             }
@@ -335,23 +326,23 @@ mod tests {
         assert_eq!(info.observed_ns, 160_000);
         // λ=8, per-sample gain = 0.6µ − 0.1µ = 0.5µ → fires on sample 17.
         assert_eq!(info.samples, 17);
-        assert_eq!(info.at_ns, 26_000);
+        assert_eq!(info.at_ns, (W + 16) * 1_000);
         assert_eq!(d.changes_fired(), 1);
         // After the firing the series re-baselines onto the new level:
         // staying there must not re-fire.
-        for i in 60..120u64 {
+        for i in W + 50..2 * W + 100 {
             assert!(d.observe(i * 1_000, E2E_STAGE, 160_000).is_none());
         }
     }
 
     #[test]
     fn downward_shift_fires_down() {
-        let mut d = RegimeDetector::new(cfg(5));
-        for i in 0..5u64 {
+        let mut d = RegimeDetector::new(RegimeConfig::default());
+        for i in 0..W {
             d.observe(i, 0, 200_000);
         }
         let mut fired = None;
-        for i in 5..80u64 {
+        for i in W..W + 75 {
             if let Some(info) = d.observe(i, 0, 100_000) {
                 fired = Some(info);
                 break;
@@ -364,12 +355,12 @@ mod tests {
 
     #[test]
     fn jitter_within_slack_never_fires() {
-        let mut d = RegimeDetector::new(cfg(20));
+        let mut d = RegimeDetector::new(RegimeConfig::default());
         // ±5 % alternation sits inside the 10 % slack forever.
-        for i in 0..20u64 {
+        for i in 0..W {
             d.observe(i, E2E_STAGE, 100_000);
         }
-        for i in 20..5_000u64 {
+        for i in W..5_000 {
             let x = if i % 2 == 0 { 95_000 } else { 105_000 };
             assert!(d.observe(i, E2E_STAGE, x).is_none(), "sample {i}");
         }
@@ -378,14 +369,14 @@ mod tests {
 
     #[test]
     fn stages_are_independent_series() {
-        let mut d = RegimeDetector::new(cfg(4));
-        for i in 0..4u64 {
+        let mut d = RegimeDetector::new(RegimeConfig::default());
+        for i in 0..W {
             d.observe(i, 0, 50_000);
             d.observe(i, 1, 500_000);
         }
         // Stage 0 shifts, stage 1 stays: only stage 0 fires.
         let mut stage0 = 0;
-        for i in 4..60u64 {
+        for i in W..W + 56 {
             if let Some(info) = d.observe(i, 0, 100_000) {
                 assert_eq!(info.stage, 0);
                 stage0 += 1;

@@ -52,7 +52,7 @@ impl SloPolicy {
     }
 
     /// The error budget: the tolerated bad-request fraction.
-    pub fn error_budget(&self) -> f64 {
+    fn error_budget(&self) -> f64 {
         (1.0 - self.objective).max(1e-9)
     }
 }
@@ -243,10 +243,6 @@ impl BurnRateMonitor {
         self.log.len()
     }
 
-    pub fn is_firing(&self) -> bool {
-        self.fired
-    }
-
     /// Closes the run and produces the report summary. An alert still
     /// firing accrues alert time up to the last observation.
     pub fn into_summary(mut self) -> SloSummary {
@@ -416,7 +412,7 @@ mod reference {
         policy: SloPolicy,
         short: Window,
         long: Window,
-        fired: bool,
+        pub fired: bool,
         total: u64,
         bad_total: u64,
         transitions: Vec<SloTransition>,
@@ -488,10 +484,6 @@ mod reference {
             Some(transition)
         }
 
-        pub fn is_firing(&self) -> bool {
-            self.fired
-        }
-
         pub fn into_summary(mut self) -> SloSummary {
             if self.fired {
                 self.time_in_alert_ns += self.last_ns - self.fired_at_ns;
@@ -555,7 +547,7 @@ mod tests {
             }
         }
         let fired_at = fired_at.expect("incident must fire");
-        assert!(m.is_firing());
+        assert!(m.fired);
         // Recovery: good requests wash the short window first.
         let mut cleared_at = None;
         for i in 20..120u64 {
@@ -585,7 +577,7 @@ mod tests {
         for i in 0..3u64 {
             assert_eq!(m.observe(i * MS, SimDuration::from_millis(500)), None);
         }
-        assert!(!m.is_firing());
+        assert!(!m.fired);
     }
 
     #[test]
@@ -618,7 +610,7 @@ mod tests {
         for i in 0..10u64 {
             m.observe(i * MS, SimDuration::from_millis(500));
         }
-        assert!(m.is_firing());
+        assert!(m.fired);
         let summary = m.into_summary();
         assert_eq!(summary.alerts_fired, 1);
         assert_eq!(summary.alerts_cleared, 0);
@@ -720,7 +712,7 @@ mod tests {
             let got = fast.observe(at_ns, sojourn);
             let want = oracle.observe(at_ns, sojourn);
             assert_eq!(got, want, "seed {seed}, observation {i}: {policy:?}");
-            assert_eq!(fast.is_firing(), oracle.is_firing(), "seed {seed}, {i}");
+            assert_eq!(fast.fired, oracle.fired, "seed {seed}, {i}");
             assert!(
                 fast.log_len() <= 2 * oracle.larger_window(),
                 "seed {seed}, observation {i}: log of {} entries for a window of {}",

@@ -18,7 +18,7 @@
 //!    every `N` — the same contract the sweep engine keeps.
 //! 3. **Cheap when enabled.** A [`TraceEvent`] is at most 32 bytes (compile-time
 //!    asserted): no strings — workflow/plan names are interned to `u32`
-//!    ids ([`crate::intern`]) — and the DES span payload carries
+//!    ids ([`crate::intern`](mod@crate::intern)) — and the DES span payload carries
 //!    window-relative `u32` durations. Capture buffers can be pre-sized
 //!    ([`begin_capture_sized`]) so a serving run's ~8 events/request
 //!    never trigger a growth memcpy, and normalisation skips the sort

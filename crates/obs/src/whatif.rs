@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 /// The virtual speedup factors applied to a component's constant, in
 /// percent (75 = keep 75% of the cost).
-pub const SPEEDUP_SCALES: [u32; 3] = [75, 50, 25];
+const SPEEDUP_SCALES: [u32; 3] = [75, 50, 25];
 
 /// One re-run: `component` scaled to `scale_pct`% of its calibrated cost.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -116,21 +116,6 @@ impl<F: FnMut(&[FunctionId]) -> f64> KlObjective for F {
     }
 }
 
-/// Runs one Kernighan–Lin pass over function sets `a` and `b`.
-///
-/// `objective` scores candidate sets (see [`KlObjective`]); the pair is
-/// scored by the worse side. On return, `a` and `b` hold the refined
-/// partition; the achieved latency improvement is returned (0.0 when no
-/// beneficial swap prefix exists).
-pub fn kernighan_lin(
-    a: &mut [FunctionId],
-    b: &mut [FunctionId],
-    mut objective: impl KlObjective,
-) -> f64 {
-    let mut scratch = KlScratch::default();
-    kernighan_lin_with_stats(a, b, &mut objective, &mut KlStats::default(), &mut scratch).0
-}
-
 /// The work vectors of a Kernighan–Lin pass. An objective's owner keeps
 /// one across passes (the scheduler's evaluator does), so a schedule's
 /// passes reuse five buffers instead of allocating them each time.
@@ -143,11 +128,15 @@ pub struct KlScratch {
     gains: Vec<f64>,
 }
 
-/// [`kernighan_lin`] with a borrowed (possibly `dyn`) objective and
-/// caller-owned work vectors, additionally accumulating search-effort
-/// counters into `stats` (identical swaps, scores and side effects). Also
-/// returns the swaps it applied to `a` and `b`, in order, as `(position
-/// in a, position in b)`.
+/// Runs one Kernighan–Lin pass over function sets `a` and `b`.
+///
+/// `objective` scores candidate sets (see [`KlObjective`]); the pair is
+/// scored by the worse side. On return, `a` and `b` hold the refined
+/// partition; the achieved latency improvement is returned (0.0 when no
+/// beneficial swap prefix exists), with the swaps it applied to `a` and
+/// `b`, in order, as `(position in a, position in b)`. The pass
+/// accumulates its search-effort counters into `stats` and works in the
+/// caller-owned `scratch`.
 pub fn kernighan_lin_with_stats<O: KlObjective + ?Sized>(
     a: &mut [FunctionId],
     b: &mut [FunctionId],
@@ -291,6 +280,16 @@ fn candidate_loop<O: KlObjective + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One pass with fresh counters and scratch; returns the gain.
+    fn kernighan_lin(
+        a: &mut [FunctionId],
+        b: &mut [FunctionId],
+        mut objective: impl KlObjective,
+    ) -> f64 {
+        let (stats, scratch) = (&mut KlStats::default(), &mut KlScratch::default());
+        kernighan_lin_with_stats(a, b, &mut objective, stats, scratch).0
+    }
 
     fn fid(v: u32) -> FunctionId {
         FunctionId(v)

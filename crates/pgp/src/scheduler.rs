@@ -23,8 +23,8 @@
 //!
 //! ## Performance
 //!
-//! Every prediction the search makes goes through a [`PgpEval`] evaluator.
-//! The default ([`CachedEval`]) memoises per-process Algorithm 1 outcomes
+//! Every prediction the search makes goes through a `PgpEval` evaluator.
+//! The default (`CachedEval`) memoises per-process Algorithm 1 outcomes
 //! in a content-addressed [`PredictionCache`] shared across KL rounds,
 //! candidate swaps, every value of `n`, the wrap-packing sweep and the
 //! CPU-trim loop, and runs those simulations allocation-free against a
@@ -1272,8 +1272,10 @@ mod tests {
     fn conflicting_runtimes_are_pinned() {
         let fns = vec![
             FunctionSpec::new("py3", vec![Segment::cpu_ms(5)]),
-            FunctionSpec::new("py2", vec![Segment::cpu_ms(5)])
-                .with_runtime(LanguageRuntime::Python2),
+            FunctionSpec {
+                runtime: LanguageRuntime::Python2,
+                ..FunctionSpec::new("py2", vec![Segment::cpu_ms(5)])
+            },
             FunctionSpec::new("py3b", vec![Segment::cpu_ms(5)]),
         ];
         let wf = Workflow::new("mixed", fns, vec![vec![0, 1, 2]]).unwrap();
@@ -1297,11 +1299,10 @@ mod tests {
 
     #[test]
     fn stage_conflicts_match_the_pairwise_rule() {
-        let spec = |name: &str, runtime, files: &[&str]| {
-            files.iter().fold(
-                FunctionSpec::new(name, vec![Segment::cpu_ms(1)]).with_runtime(runtime),
-                |f, file| f.with_writes_file(*file),
-            )
+        let spec = |name: &str, runtime, files: &[&str]| FunctionSpec {
+            runtime,
+            writes_files: files.iter().map(|f| f.to_string()).collect(),
+            ..FunctionSpec::new(name, vec![Segment::cpu_ms(1)])
         };
         let fns = vec![
             spec("a", LanguageRuntime::Python3, &[]),

@@ -121,7 +121,7 @@ pub struct SegmentCatalog {
     ranges: Vec<(u32, u32)>,
     hashes: Vec<u64>,
     /// Per function: (total CPU time, total segment span). Feed the KL
-    /// bound prune — see [`StaggeredSet::makespan_lower_bound`].
+    /// bound prune — see [`StaggeredSummary::lower_bound_with`].
     totals: Vec<(SimDuration, SimDuration)>,
     /// Per function: no segment is a block, not even a zero-length one.
     cpu_only: Vec<bool>,
@@ -167,7 +167,7 @@ impl SegmentCatalog {
     }
 
     /// FNV-1a over the function's segment contents.
-    pub fn content_hash(&self, f: FunctionId) -> u64 {
+    fn content_hash(&self, f: FunctionId) -> u64 {
         self.hashes[f.index()]
     }
 
@@ -182,7 +182,7 @@ impl SegmentCatalog {
     }
 
     /// Whether the function's profiled segments are all CPU bursts.
-    pub fn is_cpu_only(&self, f: FunctionId) -> bool {
+    fn is_cpu_only(&self, f: FunctionId) -> bool {
         self.cpu_only[f.index()]
     }
 }
@@ -226,28 +226,6 @@ impl StaggeredSet<'_> {
             key ^= splitmix64(self.catalog.content_hash(f).wrapping_add(pos));
         }
         key
-    }
-
-    /// A cheap, exact lower bound on the simulated makespan, from the
-    /// catalog's per-function totals (no simulation, no allocation):
-    ///
-    /// * the GIL serialises CPU, so the set cannot finish before
-    ///   `base + Σ cpu_total`;
-    /// * thread `i` runs its segments sequentially even alone, so it cannot
-    ///   finish before `created_at(i) + span(i)`.
-    ///
-    /// Both are true of every Algorithm 1 run, so a candidate whose bound
-    /// already meets the incumbent score is provably not an improvement —
-    /// the KL search uses this to skip whole simulations.
-    pub fn makespan_lower_bound(&self) -> SimDuration {
-        let mut cpu_sum = SimDuration::ZERO;
-        let mut tail = SimDuration::ZERO;
-        for (i, &f) in self.set.iter().enumerate() {
-            cpu_sum += self.catalog.cpu_total(f);
-            let end = self.spacing * i as u64 + self.catalog.span(f);
-            tail = tail.max(end);
-        }
-        self.base + cpu_sum.max(tail)
     }
 
     /// Algorithm 1's makespan of the set by the closed form (see
@@ -338,8 +316,18 @@ impl StaggeredSummary {
         }
     }
 
-    /// [`StaggeredSet::makespan_lower_bound`] of the summarised set with
-    /// position `pos` holding `incoming` instead.
+    /// A cheap, exact lower bound on the simulated makespan of the
+    /// summarised set with position `pos` holding `incoming` instead, from
+    /// the catalog's per-function totals (no simulation, no allocation):
+    ///
+    /// * the GIL serialises CPU, so the set cannot finish before
+    ///   `base + Σ cpu_total`;
+    /// * thread `i` runs its segments sequentially even alone, so it cannot
+    ///   finish before `created_at(i) + span(i)`.
+    ///
+    /// Both are true of every Algorithm 1 run, so a candidate whose bound
+    /// already meets the incumbent score is provably not an improvement —
+    /// the KL search uses this to skip whole simulations.
     pub fn lower_bound_with(
         &self,
         catalog: &SegmentCatalog,
@@ -400,7 +388,7 @@ struct SwapTerms {
 /// A Kernighan–Lin round over two CPU-only sets, tabulated so that its
 /// winning swap is one scan of integer maxima and compares.
 ///
-/// [`begin`](SwapScan::begin) builds one [`SwapTerms`] table per side in
+/// [`begin`](SwapScan::begin) builds one `SwapTerms` table per side in
 /// two passes over the set (no [`StaggeredSummary`] rebuild), and
 /// [`best_swap`](SwapScan::best_swap) walks the round's candidates in the
 /// pass's order. Every score stays below 2^51 ns, where integer order is
@@ -917,7 +905,7 @@ mod tests {
     }
 
     #[test]
-    fn makespan_lower_bound_never_exceeds_simulation() {
+    fn lower_bound_never_exceeds_simulation() {
         // The KL prune is only exact if the bound is a true lower bound of
         // every simulated makespan; sweep contiguous FINRA sets of several
         // sizes (mixed CPU-only rules and the blocking fetch function).
@@ -925,6 +913,7 @@ mod tests {
         let interval = SimDuration::from_millis(5);
         let spacing = SimDuration::from_micros(100);
         let mut arena = SimArena::new();
+        let mut summary = StaggeredSummary::default();
         let all: Vec<FunctionId> = (0..n as u32).map(FunctionId).collect();
         for window in [1usize, 2, 3, 5, 8] {
             for start in 0..=(n - window) {
@@ -935,8 +924,10 @@ mod tests {
                     base: SimDuration::from_micros(250 * (start % 2) as u64),
                 };
                 let out = predict_threads_src(&src, interval, &mut arena);
+                summary.rebuild(&src);
+                // Replacing position 0 with itself bounds the set as is.
                 assert!(
-                    src.makespan_lower_bound() <= out.makespan,
+                    summary.lower_bound_with(&catalog, 0, src.set[0]) <= out.makespan,
                     "bound exceeds makespan for window {window} at {start}"
                 );
             }

@@ -2,10 +2,7 @@
 //! strace logs with the §3.2 rescaling correction.
 
 use crate::trace::{strace_solo, StraceRecord};
-use chiron_model::{
-    FunctionId, FunctionSpec, JitterModel, Segment, SimDuration, SyscallKind, Workflow,
-};
-use chiron_runtime::jitter::{Jitter, JitterTables};
+use chiron_model::{FunctionId, FunctionSpec, Segment, SimDuration, SyscallKind, Workflow};
 use serde::{Deserialize, Serialize};
 
 /// One extracted block period, relative to function start (Fig. 10's
@@ -74,34 +71,22 @@ impl WorkflowProfile {
     }
 }
 
-/// The Profiler: runs each function solo (traced and untraced), averages
-/// over repetitions, and applies the strace-overhead rescaling.
+/// The Profiler: runs each function solo (traced and untraced) and
+/// applies the strace-overhead rescaling.
 #[derive(Debug, Clone)]
 pub struct Profiler {
-    /// Solo runs averaged for the untraced latency measurement.
-    pub repetitions: u32,
-    /// Measurement noise on the observed runs (a real cluster's runs vary;
-    /// `JitterModel::NONE` gives exact profiles).
-    pub noise: JitterModel,
+    /// Measurement seed. The solo runs are noiseless, so it does not
+    /// change a profile; a seeded re-profile is a content-equal profile.
     pub seed: u64,
 }
 
 impl Default for Profiler {
     fn default() -> Self {
-        Profiler {
-            repetitions: 10,
-            noise: JitterModel::NONE,
-            seed: 0x5eed,
-        }
+        Profiler { seed: 0x5eed }
     }
 }
 
 impl Profiler {
-    pub fn with_noise(mut self, noise: JitterModel) -> Self {
-        self.noise = noise;
-        self
-    }
-
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -109,19 +94,13 @@ impl Profiler {
 
     /// Profiles one function (§3.2):
     ///
-    /// 1. run untraced `repetitions` times → mean solo latency;
+    /// 1. run untraced → solo latency (noiseless, so every repetition
+    ///    reads the same);
     /// 2. run once under strace → block periods (tracer-inflated);
     /// 3. scale all block periods down by `untraced / traced` so they fit
     ///    the untraced timeline.
-    pub fn profile_function(&self, id: FunctionId, spec: &FunctionSpec) -> FunctionProfile {
-        // Solo runs are CPU and blocking segments only.
-        let tables = JitterTables::new(&JitterModel {
-            startup_rel_std: 0.0,
-            comm_rel_std: 0.0,
-            ..self.noise
-        });
-        let mut jit = Jitter::new(&tables, self.seed ^ u64::from(id.0));
-        let clean_mean = self.mean_untraced_latency(spec, &mut jit);
+    fn profile_function(&self, id: FunctionId, spec: &FunctionSpec) -> FunctionProfile {
+        let clean_mean = spec.solo_latency();
         let (log, traced_total) = strace_solo(spec);
         let scale = if traced_total.is_zero() {
             1.0
@@ -155,22 +134,6 @@ impl Profiler {
                 .map(|(i, spec)| self.profile_function(FunctionId(i as u32), spec))
                 .collect(),
         }
-    }
-
-    fn mean_untraced_latency(&self, spec: &FunctionSpec, jit: &mut Jitter) -> SimDuration {
-        let reps = self.repetitions.max(1);
-        let mut total_ns: u128 = 0;
-        for _ in 0..reps {
-            let mut run = SimDuration::ZERO;
-            for &seg in &spec.segments {
-                run += match seg {
-                    Segment::Cpu(d) => jit.cpu(d),
-                    Segment::Block { dur, .. } => jit.io(dur),
-                };
-            }
-            total_ns += run.as_nanos() as u128;
-        }
-        SimDuration::from_nanos((total_ns / u128::from(reps)) as u64)
     }
 }
 
@@ -231,27 +194,6 @@ mod tests {
         let prof = p.profile_function(FunctionId(0), &spec());
         let err = (prof.blocks[0].dur.as_millis_f64() - 20.0).abs() / 20.0;
         assert!(err < crate::trace::STRACE_OVERHEAD / 2.0, "residual {err}");
-    }
-
-    #[test]
-    fn noisy_profile_is_deterministic_per_seed() {
-        let noisy = Profiler::default().with_noise(JitterModel::cluster());
-        let a = noisy.profile_function(FunctionId(3), &spec());
-        let b = noisy.profile_function(FunctionId(3), &spec());
-        assert_eq!(a, b);
-        let other_seed = noisy
-            .clone()
-            .with_seed(99)
-            .profile_function(FunctionId(3), &spec());
-        assert_ne!(a.solo_latency, other_seed.solo_latency);
-    }
-
-    #[test]
-    fn noisy_profile_is_close_to_truth() {
-        let noisy = Profiler::default().with_noise(JitterModel::cluster());
-        let prof = noisy.profile_function(FunctionId(1), &spec());
-        let rel = (prof.solo_latency.as_millis_f64() - 35.0).abs() / 35.0;
-        assert!(rel < 0.15, "profiled latency off by {rel}");
     }
 
     #[test]

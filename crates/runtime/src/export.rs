@@ -9,7 +9,7 @@
 //! included, which the observability trace's per-function windows do not
 //! show.
 //!
-//! [`emit_des_windows`] reports each function's window and its §2.2
+//! `emit_des_windows` reports each function's window and its §2.2
 //! breakdown to the observability sink, once the outcome is complete.
 
 use crate::span::{RequestOutcome, SpanKind};

@@ -53,32 +53,6 @@ static RING_CRC_FAILURES: StaticCounter = StaticCounter::new("runtime.ring.crc_f
 static RING_FULL_REJECTS: StaticCounter = StaticCounter::new("runtime.ring.full_rejects");
 static RING_BACKOFF_YIELDS: StaticCounter = StaticCounter::new("runtime.ring.backoff_yields");
 
-/// Point-in-time totals of the ring data-plane telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingStats {
-    /// Occupancy samples recorded (one per successful push).
-    pub occupancy_samples: u64,
-    /// Frames whose published region was shorter than their own framing.
-    pub torn_frames: u64,
-    /// Frames whose payload failed CRC validation on pop.
-    pub crc_failures: u64,
-    /// Pushes rejected because the ring was full at that instant.
-    pub full_rejects: u64,
-    /// Spin budgets exhausted into a scheduler yield while waiting.
-    pub backoff_yields: u64,
-}
-
-/// Snapshot of the global ring telemetry counters.
-pub fn ring_stats() -> RingStats {
-    RingStats {
-        occupancy_samples: RING_OCCUPANCY.summary().samples,
-        torn_frames: RING_TORN_FRAMES.get(),
-        crc_failures: RING_CRC_FAILURES.get(),
-        full_rejects: RING_FULL_REJECTS.get(),
-        backoff_yields: RING_BACKOFF_YIELDS.get(),
-    }
-}
-
 /// Bytes of frame header preceding every payload: `[len u32][crc u32]`.
 pub const FRAME_HEADER_BYTES: usize = 8;
 
@@ -624,6 +598,18 @@ mod tests {
         producer.join().unwrap();
     }
 
+    /// The ring telemetry totals: occupancy samples, torn frames, CRC
+    /// failures, full rejects and backoff yields.
+    fn ring_stats() -> [u64; 5] {
+        [
+            RING_OCCUPANCY.summary().samples,
+            RING_TORN_FRAMES.get(),
+            RING_CRC_FAILURES.get(),
+            RING_FULL_REJECTS.get(),
+            RING_BACKOFF_YIELDS.get(),
+        ]
+    }
+
     #[test]
     fn telemetry_is_zero_cost_when_tracing_disabled() {
         // Phase 1: tracing off — pushes, pops, full rejections, and a CRC
@@ -653,9 +639,9 @@ mod tests {
         assert_eq!(rx.pop(), Err(RingError::Corrupt));
         chiron_obs::set_tracing(false);
         let after = ring_stats();
-        assert!(after.occupancy_samples >= before.occupancy_samples + 2);
-        assert!(after.full_rejects > before.full_rejects);
-        assert!(after.crc_failures > before.crc_failures);
+        assert!(after[0] >= before[0] + 2, "occupancy samples");
+        assert!(after[3] > before[3], "full rejects");
+        assert!(after[2] > before[2], "CRC failures");
     }
 
     #[test]

@@ -148,15 +148,9 @@ impl Router {
         popped
     }
 
-    /// Empties a dead node's queue (its requests get re-sharded).
-    pub fn drain_node(&mut self, node: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.drain_node_into(node, &mut out);
-        out
-    }
-
-    /// Like [`Router::drain_node`], but appends into a caller-owned buffer
-    /// so the failure-recovery path can reuse its scratch allocation.
+    /// Empties a dead node's queue (its requests get re-sharded), appending
+    /// into a caller-owned buffer so the failure-recovery path can reuse
+    /// its scratch allocation.
     pub fn drain_node_into(&mut self, node: usize, out: &mut Vec<u64>) {
         self.len -= self.per_node[node].len();
         out.extend(self.per_node[node].drain(..));
@@ -230,7 +224,9 @@ mod tests {
         let mut r = Router::new(RouterPolicy::PartitionedByNode, 2);
         r.push_back(Shard::Node(0), 1);
         r.push_back(Shard::Node(0), 2);
-        assert_eq!(r.drain_node(0), vec![1, 2]);
+        let mut out = vec![9];
+        r.drain_node_into(0, &mut out);
+        assert_eq!(out, vec![9, 1, 2]);
         assert_eq!(r.queued(), 0);
     }
 }

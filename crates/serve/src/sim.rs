@@ -61,10 +61,10 @@
 //!
 //! [`crate::fleet`] runs many of these simulations — one per cluster —
 //! under an epoch-barrier federation driver. In fleet mode a `Run` is
-//! advanced epoch by epoch ([`Run::advance_until`]), draws arrivals at a
+//! advanced epoch by epoch (`Run::advance_until`), draws arrivals at a
 //! per-epoch rate the federation router gossips to it, can shed its
-//! newest queued requests to peers ([`Run::spill_excess`]) and absorb
-//! theirs ([`Run::inject_forwarded`]). Trace ids get per-cluster bases so
+//! newest queued requests to peers (`Run::spill_excess`) and absorb
+//! theirs (`Run::inject_forwarded`). Trace ids get per-cluster bases so
 //! one capture holds a fleet's worth of causally-correct traces.
 
 use crate::autoscaler::Autoscaler;

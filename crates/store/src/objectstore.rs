@@ -87,10 +87,6 @@ impl ObjectStore {
         self.objects.read().contains_key(key)
     }
 
-    pub fn delete(&self, key: &str) -> bool {
-        self.objects.write().remove(key).is_some()
-    }
-
     pub fn len(&self) -> usize {
         self.objects.read().len()
     }
@@ -153,11 +149,8 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_clear() {
+    fn clear_empties_the_store() {
         let s = store();
-        s.put("a", Bytes::from_static(b"x"));
-        assert!(s.delete("a"));
-        assert!(!s.delete("a"));
         s.put("b", Bytes::from_static(b"y"));
         s.clear();
         assert!(s.is_empty());

@@ -6,9 +6,10 @@
 //! * Linux pipes between processes of one sandbox (`T_IPC`),
 //! * a lock-free shared-memory SPSC ring between wraps co-located on one
 //!   node (`chiron-runtime::rt::ring` — the sub-microsecond regime the
-//!   paper's five-decade span bottoms out in),
-//! * shared memory between threads of one process (free by assumption,
-//!   Eq. 3: "no interaction time for thread communication").
+//!   paper's five-decade span bottoms out in).
+//!
+//! Threads of one process share memory and need no model (Eq. 3: "no
+//! interaction time for thread communication").
 //!
 //! Each model is `floor + size / bandwidth`, fit to the paper's reported
 //! end points: the smallest S3 transfer takes ≈52 ms and 1 GB ≈25 s; the
@@ -60,8 +61,6 @@ pub struct TransferModel {
     pub shm_ring: LinkModel,
     /// Linux pipe between processes of one sandbox.
     pub pipe: LinkModel,
-    /// Shared memory between threads (load/store instructions).
-    pub shared_memory: LinkModel,
 }
 
 impl TransferModel {
@@ -94,17 +93,14 @@ impl TransferModel {
                 floor: SimDuration::from_millis_f64(0.05),
                 bytes_per_sec: 2.5e9,
             },
-            shared_memory: LinkModel {
-                floor: SimDuration::ZERO,
-                bytes_per_sec: 20e9,
-            },
         }
     }
 
     /// Transfer latency across a **sandbox boundary** for the configured
     /// mechanism, with no locality information: the shm-ring tier prices
-    /// as the ring (callers that know the pair is split across nodes use
-    /// [`TransferModel::wrap_to_wrap`] instead).
+    /// as the ring (a pair split across nodes falls back to RPC payload
+    /// piggy-backing, which callers that know the placement price as
+    /// [`TransferKind::RpcPayload`]).
     pub fn cross_sandbox(&self, kind: TransferKind, bytes: u64) -> SimDuration {
         match kind {
             TransferKind::RemoteS3 => self.s3.latency(bytes),
@@ -114,26 +110,9 @@ impl TransferModel {
         }
     }
 
-    /// Wrap-to-wrap payload latency under `kind` given the pair's
-    /// locality: a co-located pair under [`TransferKind::ShmRing`] rides
-    /// the ring (the doorbell floor replaces the RPC round trip — the
-    /// caller drops its `T_RPC` charge too); a split pair falls back to
-    /// RPC payload piggy-backing. Store-based kinds ignore locality.
-    pub fn wrap_to_wrap(&self, kind: TransferKind, colocated: bool, bytes: u64) -> SimDuration {
-        match kind {
-            TransferKind::ShmRing if !colocated => self.rpc_payload.latency(bytes),
-            _ => self.cross_sandbox(kind, bytes),
-        }
-    }
-
     /// Transfer latency between two processes of one sandbox.
     pub fn cross_process(&self, bytes: u64) -> SimDuration {
         self.pipe.latency(bytes)
-    }
-
-    /// Transfer latency between two threads of one process.
-    pub fn cross_thread(&self, bytes: u64) -> SimDuration {
-        self.shared_memory.latency(bytes)
     }
 }
 
@@ -182,8 +161,7 @@ mod tests {
         let rpc = m.cross_sandbox(TransferKind::RpcPayload, bytes);
         let ring = m.cross_sandbox(TransferKind::ShmRing, bytes);
         let pipe = m.cross_process(bytes);
-        let shm = m.cross_thread(bytes);
-        assert!(s3 > minio && minio > rpc && rpc > pipe && pipe > ring && ring > shm);
+        assert!(s3 > minio && minio > rpc && rpc > pipe && pipe > ring);
     }
 
     #[test]
@@ -196,31 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn wrap_to_wrap_keys_on_locality() {
-        let m = TransferModel::paper_calibrated();
-        let bytes = 1 << 20;
-        let local = m.wrap_to_wrap(TransferKind::ShmRing, true, bytes);
-        let split = m.wrap_to_wrap(TransferKind::ShmRing, false, bytes);
-        assert_eq!(local, m.shm_ring.latency(bytes));
-        assert_eq!(split, m.rpc_payload.latency(bytes));
-        // Store-based kinds ignore locality entirely.
-        for kind in [
-            TransferKind::RemoteS3,
-            TransferKind::LocalMinio,
-            TransferKind::RpcPayload,
-        ] {
-            assert_eq!(
-                m.wrap_to_wrap(kind, true, bytes),
-                m.wrap_to_wrap(kind, false, bytes)
-            );
-        }
-    }
-
-    #[test]
     fn monotone_in_size() {
         let m = TransferModel::paper_calibrated();
         assert!(m.pipe.latency(1 << 20) > m.pipe.latency(1 << 10));
-        assert_eq!(m.shared_memory.latency(0), SimDuration::ZERO);
     }
 
     #[test]

@@ -126,6 +126,38 @@ fn predicts_refuse_a_sample_of_the_wrong_width() {
 }
 
 #[test]
+fn lstm_and_gcn_predicts_refuse_rows_of_the_wrong_width() {
+    let y = [1.0, 2.0];
+    let seqs = [vec![vec![1.0, 2.0]], vec![vec![3.0, 4.0], vec![5.0, 6.0]]];
+    let lstm = lstm(&seqs, &y).unwrap();
+    // Two nodes of `width` features, fully connected with self-loops.
+    let graph = |width: usize| (vec![vec![1.0; width]; 2], vec![vec![1.0; 2]; 2]);
+    let gnn = gnn(&[graph(2), graph(2)], &y).unwrap();
+    for width in [0, 1, 3] {
+        let mismatch = Err(PredictError::WidthMismatch {
+            expected: 2,
+            got: width,
+        });
+        // A good step first: every step is checked, not just the first.
+        assert_eq!(lstm.predict(&[vec![1.0, 2.0], vec![1.0; width]]), mismatch);
+        let (nodes, adj) = graph(width);
+        assert_eq!(gnn.predict(&nodes, &adj), mismatch);
+    }
+    // An adjacency matrix that is not nodes × nodes: a row too many, or
+    // a row too short.
+    let (nodes, _) = graph(2);
+    let mismatch = |got| Err(PredictError::WidthMismatch { expected: 2, got });
+    assert_eq!(gnn.predict(&nodes, &vec![vec![1.0; 2]; 3]), mismatch(3));
+    assert_eq!(
+        gnn.predict(&nodes, &vec![vec![1.0; 2], vec![1.0]]),
+        mismatch(1)
+    );
+    assert!(lstm.predict(&seqs[1]).is_ok());
+    let (nodes, adj) = graph(2);
+    assert!(gnn.predict(&nodes, &adj).is_ok());
+}
+
+#[test]
 fn fleet_refuses_bad_locality_weights() {
     let wf = chiron::model::apps::finra(12);
     let plan = planners::faastlane_plus(&wf);

@@ -2,7 +2,7 @@
 //! must agree with an actual queueing simulation of the node, and cluster
 //! placement must scale it across the 8-node testbed.
 
-use chiron::deploy::{place, ClusterConfig, PlacementPolicy};
+use chiron::deploy::{ClusterConfig, ClusterState, Placement, PlacementPolicy};
 use chiron::metrics::{drive_load, saturation_rps};
 use chiron::model::{apps, SystemKind};
 use chiron::{evaluate_system, paper_slo, EvalConfig};
@@ -91,7 +91,8 @@ fn suite_plans_fit_the_paper_testbed() {
                 continue;
             }
             for policy in [PlacementPolicy::Pack, PlacementPolicy::Spread] {
-                let placement = place(&eval.plan, &wf, &cluster, policy)
+                let placement = ClusterState::new(cluster.clone())
+                    .place_replica(&eval.plan, &wf, policy)
                     .unwrap_or_else(|e| panic!("{sys} on {}: {e}", wf.name));
                 assert_eq!(placement.assignments.len(), eval.plan.sandbox_count());
             }
@@ -110,10 +111,17 @@ fn chiron_packs_tighter_than_one_to_one() {
     };
     let wf = apps::finra(50);
     let chiron = evaluate_system(SystemKind::Chiron, &wf, Some(paper_slo(&wf)), &cfg);
-    let chiron_placed = place(&chiron.plan, &wf, &cluster, PlacementPolicy::Pack).unwrap();
-    assert_eq!(chiron_placed.nodes_used(), 1);
+    let nodes_used = |placed: Placement| {
+        let mut nodes: Vec<_> = placed.assignments.iter().map(|&(_, n)| n).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.len()
+    };
+    let place = |plan, policy| ClusterState::new(cluster.clone()).place_replica(plan, &wf, policy);
+    let chiron_placed = place(&chiron.plan, PlacementPolicy::Pack).unwrap();
+    assert_eq!(nodes_used(chiron_placed), 1);
 
     let of = evaluate_system(SystemKind::OpenFaas, &wf, None, &cfg);
-    let of_placed = place(&of.plan, &wf, &cluster, PlacementPolicy::Spread).unwrap();
-    assert!(of_placed.nodes_used() >= 4, "51 sandboxes should spread");
+    let of_placed = place(&of.plan, PlacementPolicy::Spread).unwrap();
+    assert!(nodes_used(of_placed) >= 4, "51 sandboxes should spread");
 }

@@ -13,6 +13,9 @@
 //! * **No process state outside `chiron-obs`.** No library `static` holds
 //!   interior mutability and no `thread_local!` exists, bar an explicit
 //!   allowlist; state belongs to the value that uses it.
+//! * **No test-only public API.** Every `pub fn` and `pub const` in
+//!   `crates/*/src` is named by some non-test source, bar an explicit
+//!   allowlist of deliberate test hooks.
 
 use chiron::deploy::NodeId;
 use chiron::model::{apps, SimTime};
@@ -191,4 +194,127 @@ fn no_process_state_outside_obs() {
     assert!(offending.is_empty(), "process-wide state: {offending:?}");
     // The allowlist must not outlive what it names.
     assert_eq!(sites.len(), PROCESS_STATE_ALLOWLIST.len(), "{sites:?}");
+}
+
+/// The public items `no_test_only_public_functions` tolerates, as `(file,
+/// name)`: the reference oracles and test hooks that tier-1 tests and the
+/// README call on purpose.
+const TEST_ONLY_ALLOWLIST: [(&str, &str); 7] = [
+    ("crates/bench/src/lifecycle.rs", "serve_cells"),
+    ("crates/core/src/manager.rs", "attribution_report"),
+    ("crates/metrics/src/loadgen.rs", "saturation_rps"),
+    ("crates/model/src/function.rs", "file_conflict"),
+    ("crates/runtime/src/platform.rs", "execute_reference"),
+    ("crates/runtime/src/rt.rs", "run_realtime_wired"),
+    ("crates/runtime/src/span.rs", "check_invariants"),
+];
+
+/// The lines of `text` outside its `#[cfg(test)]` items. A gated item
+/// ends at its first `;` if it opens no brace, else where its braces
+/// balance.
+fn non_test_lines(text: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        if line.trim() != "#[cfg(test)]" {
+            out.push(line);
+            continue;
+        }
+        let (mut depth, mut opened) = (0i32, false);
+        for line in lines.by_ref() {
+            let t = line.trim();
+            if !opened && t.starts_with("#[") {
+                continue;
+            }
+            depth += line.matches('{').count() as i32 - line.matches('}').count() as i32;
+            opened |= line.contains('{');
+            if (opened && depth <= 0) || (!opened && t.ends_with(';')) {
+                break;
+            }
+        }
+    }
+    out
+}
+
+fn identifier(word: &str) -> &str {
+    let end = word
+        .find(|c: char| !c.is_alphanumeric() && c != '_')
+        .unwrap_or(word.len());
+    &word[..end]
+}
+
+/// The name a line defines with `fn NAME` or `const NAME`, if any.
+fn defined_name(line: &str) -> Option<&str> {
+    let words: Vec<&str> = line.split_whitespace().collect();
+    words.windows(2).find_map(|w| {
+        let defines = w[0] == "fn" || (w[0] == "const" && !["fn", "unsafe"].contains(&w[1]));
+        defines.then(|| identifier(w[1]))
+    })
+}
+
+/// Every `pub fn` and `pub const` outside `#[cfg(test)]` in
+/// `crates/*/src` that no non-test source (`crates/*/src`, `src/`,
+/// `examples/`, `perfbench/src`) names apart from its definition, comments
+/// and `pub use` lists, as `(file, name)`.
+fn test_only_public_items(root: &Path) -> Vec<(String, String)> {
+    let mut crate_files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let src = krate.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut crate_files);
+        }
+    }
+    let mut files = crate_files.clone();
+    for dir in ["src", "examples", "perfbench/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut defined = Vec::new();
+    let mut named = std::collections::HashSet::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source file");
+        let rel = file.strip_prefix(root).unwrap().display().to_string();
+        let mut in_use = false;
+        for line in non_test_lines(&text) {
+            let line = line.trim();
+            if crate_files.contains(file) && line.starts_with("pub ") {
+                if let Some(name) = defined_name(line).filter(|n| !n.is_empty()) {
+                    defined.push((rel.clone(), name.to_string()));
+                }
+            }
+            if line.starts_with("//") {
+                continue;
+            }
+            if line.starts_with("pub use") || in_use {
+                in_use = !line.ends_with(';');
+                continue;
+            }
+            let code = line.split("//").next().unwrap_or_default();
+            let own = defined_name(code);
+            for word in code.split(|c: char| !c.is_alphanumeric() && c != '_') {
+                if !word.is_empty() && Some(word) != own {
+                    named.insert(word.to_string());
+                }
+            }
+        }
+    }
+    defined.retain(|(_, name)| !named.contains(name));
+    defined.sort();
+    defined
+}
+
+#[test]
+fn no_test_only_public_functions() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let items = test_only_public_items(root);
+    let allowed = |(file, name): &(String, String)| {
+        TEST_ONLY_ALLOWLIST.contains(&(file.as_str(), name.as_str()))
+    };
+    let offending: Vec<_> = items.iter().filter(|i| !allowed(i)).collect();
+    assert!(
+        offending.is_empty(),
+        "{} public items only tests use: {offending:?}",
+        offending.len()
+    );
+    // The allowlist must not outlive what it names.
+    assert_eq!(items.len(), TEST_ONLY_ALLOWLIST.len(), "{items:?}");
 }

@@ -160,7 +160,7 @@ fn every_compiled_branch_matches_reference() {
         .plan()
         .clone();
     assert_eq!(ring.transfer, TransferKind::ShmRing);
-    assert!(ring.max_wraps_per_stage() > 1);
+    assert!(ring.stages.iter().any(|s| s.wraps.len() > 1));
     assert_engines_agree(&platform, &wf, &ring, &mut scratch);
 
     // Cold starts: charged on each sandbox's first use only.

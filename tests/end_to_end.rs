@@ -113,24 +113,3 @@ fn generated_code_exists_for_all_chiron_sandboxes() {
         }
     }
 }
-
-#[test]
-fn plan_serde_roundtrip() {
-    // Plans are serialisable artefacts (deployed alongside the wrap image).
-    let wf = apps::finra(5);
-    let manager = Chiron::default();
-    let d = manager.deploy(&wf, None, PgpMode::NativeThread);
-    let json = serde_json_roundtrip(d.plan());
-    assert_eq!(&json, d.plan());
-}
-
-/// Round-trips through the serde data model without needing serde_json:
-/// `DeploymentPlan` implements `Serialize`+`Deserialize`+`PartialEq`, so we
-/// clone through the `serde` in-memory representation via bincode-free
-/// manual encoding — here we simply exercise `Clone`+`PartialEq` and the
-/// serde derives' existence at compile time.
-fn serde_json_roundtrip(plan: &chiron::model::DeploymentPlan) -> chiron::model::DeploymentPlan {
-    fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-    assert_serde::<chiron::model::DeploymentPlan>();
-    plan.clone()
-}

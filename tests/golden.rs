@@ -13,7 +13,8 @@
 //! three faulted serving runs, and their sojourn percentiles pin the
 //! histograms those runs report. The trace digests pin the DES trace of
 //! the suite, the `figures obs` and `figures fleet-obs` traces at their
-//! committed sizes, and the bytes of a Chrome trace export. A deliberate
+//! committed sizes, and the bytes of a Chrome trace export; the transfer
+//! digest pins the shm-ring tier's fleet report. A deliberate
 //! change updates the constants here by hand, and names the old and new
 //! values in CHANGES.md.
 
@@ -338,6 +339,21 @@ fn fleet_obs_digests() {
     );
 }
 
+/// `BENCH_TRANSFER.json`'s `fleet_digests`: the shm-ring tier's
+/// two-cluster FINRA-12 fleet at 200 rps for 30 s, seed 2023.
+const TRANSFER_FLEET_DIGEST: u64 = 17_354_628_185_552_777_217;
+
+#[test]
+fn transfer_fleet_digest() {
+    use chiron_bench::transfer::{fleet_scenario, FLEET_MS, SEED};
+    let (fleet, workload) = fleet_scenario(FLEET_MS);
+    let digest = fleet.run(&workload, SEED).expect("fleet run").digest();
+    assert_eq!(
+        digest, TRANSFER_FLEET_DIGEST,
+        "transfer fleet digest moved: committed {TRANSFER_FLEET_DIGEST}, now {digest}"
+    );
+}
+
 /// FNV-1a over `to_chrome_trace`'s document of one unjittered FINRA-5
 /// request under Faastlane's plan: the entry function on the main
 /// process, then five forked processes in one wrap.
@@ -421,8 +437,12 @@ fn learned_baseline_prediction_digests() {
     )
     .expect("valid samples");
     let now = (
-        prediction_digest(seqs.iter().map(|s| lstm.predict(s))),
-        prediction_digest(graphs.iter().map(|(n, a)| gnn.predict(n, a))),
+        prediction_digest(seqs.iter().map(|s| lstm.predict(s).expect("fitted width"))),
+        prediction_digest(
+            graphs
+                .iter()
+                .map(|(n, a)| gnn.predict(n, a).expect("fitted width")),
+        ),
     );
     assert_eq!(
         now,

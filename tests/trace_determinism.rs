@@ -23,7 +23,7 @@ use chiron_profiler::Profiler;
 use chiron_runtime::VirtualPlatform;
 use proptest::prelude::*;
 
-/// Same shapes as `crates/bench/tests/parallel_eval.rs`: an entry function then a parallel
+/// Same shapes as `tests/parallel_eval.rs`: an entry function then a parallel
 /// stage mixing CPU-bound and IO-punctuated functions.
 fn arb_workflow() -> impl Strategy<Value = Workflow> {
     prop::collection::vec((0u8..2, 1u64..20, 1u64..4), 2..10).prop_map(|parts| {
