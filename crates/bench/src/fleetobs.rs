@@ -339,6 +339,7 @@ mod tests {
 
     #[test]
     fn fleet_obs_report_holds_its_deterministic_contracts() {
+        let _lock = crate::TRACING.lock().unwrap_or_else(|e| e.into_inner());
         let report = fleet_obs_report(4, 400.0, 8_000, 4_000);
         // Wall-clock overhead excepted: this test runs unoptimised.
         crate::report::assert_gates(&report, 7, &["fleet_tracing_overhead_le_15pct"]);

@@ -35,3 +35,8 @@ pub use perf::perf;
 pub use perf_eval::perf_eval;
 pub use report::Report;
 pub use transfer::{transfer_figure, transfer_report};
+
+/// The tracing switch and the trace counters are process-global, so the
+/// unit tests that switch tracing on or read `trace_stats` take turns.
+#[cfg(test)]
+static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());

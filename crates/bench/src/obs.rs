@@ -580,6 +580,7 @@ mod tests {
 
     #[test]
     fn obs_eval_holds_its_deterministic_contracts() {
+        let _lock = crate::TRACING.lock().unwrap_or_else(|e| e.into_inner());
         let report = obs_eval(2);
         // Wall-clock overhead excepted: this test runs unoptimised.
         crate::report::assert_gates(&report, 10, &["tracing_overhead_le_15pct"]);

@@ -244,6 +244,7 @@ mod tests {
 
     #[test]
     fn transfer_report_gates_hold() {
+        let _lock = crate::TRACING.lock().unwrap_or_else(|e| e.into_inner());
         let report = transfer_report(2, 600, 3_000);
         // The measured-fit gate is host- and build-dependent (a debug
         // build on a loaded single-core box can exceed the 50 µs pipe

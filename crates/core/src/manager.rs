@@ -171,7 +171,8 @@ impl Chiron {
         let was_tracing = chiron_obs::tracing_enabled();
         chiron_obs::set_tracing(true);
         // ~8 events per request life cycle (arrival/enqueue/dispatch/
-        // complete plus replica churn and DES spans).
+        // complete plus replica churn); the warm-service probe's DES
+        // windows add a fixed two per function.
         chiron_obs::begin_capture_sized(workload.total_requests() as usize * 8);
         let result = ServeSimulation::new(workflow.clone(), deployment.plan().clone(), config)
             .with_faults(faults)

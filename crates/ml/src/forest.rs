@@ -3,7 +3,7 @@
 //! bootstrap sampling, per-split feature subsampling, mean aggregation).
 
 use crate::tree::{RegressionTree, TreeConfig};
-use crate::{check_fit, FitError, PredictError};
+use crate::{check_fit, check_fit_widths, FitError, PredictError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -38,6 +38,7 @@ impl RandomForest {
         check_fit(x, y, Vec::is_empty)?;
         let n = x.len();
         let n_features = x[0].len();
+        check_fit_widths(n_features, x.iter().map(Vec::len))?;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut trees = Vec::with_capacity(config.n_trees);
         for _ in 0..config.n_trees {

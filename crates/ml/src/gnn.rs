@@ -8,8 +8,8 @@
 //! extractor).
 
 use crate::{
-    check_fit, check_widths, clip_apply, sgd_epochs, uniform, zeroed, FitError, PredictError,
-    Standardiser,
+    check_fit, check_fit_widths, check_widths, clip_apply, sgd_epochs, uniform, zeroed, FitError,
+    PredictError, Standardiser,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -117,6 +117,11 @@ impl GnnRegressor {
     pub fn fit(graphs: &[(Rows, Rows)], y: &[f64], config: GnnConfig) -> Result<Self, FitError> {
         check_fit(graphs, y, |(nodes, _)| nodes.is_empty())?;
         let input_dim = graphs[0].0[0].len();
+        for (nodes, adj) in graphs {
+            check_fit_widths(input_dim, nodes.iter().map(Vec::len))?;
+            let adj_widths = std::iter::once(adj.len()).chain(adj.iter().map(Vec::len));
+            check_fit_widths(nodes.len(), adj_widths)?;
+        }
         let h = config.hidden;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let k1 = (2.0 / input_dim as f64).sqrt();

@@ -34,6 +34,10 @@ pub enum FitError {
     /// The first sample, which fixes the input width, is empty: no
     /// features (tree, forest), no steps (LSTM) or no nodes (GNN).
     EmptyFirstSample,
+    /// A later feature row (a tree or forest sample, an LSTM step, a GCN
+    /// node) is not as wide as the first sample's, or a GCN adjacency
+    /// matrix is not nodes × nodes.
+    WidthMismatch { expected: usize, got: usize },
 }
 
 impl std::fmt::Display for FitError {
@@ -44,6 +48,9 @@ impl std::fmt::Display for FitError {
                 write!(f, "{inputs} inputs but {targets} targets")
             }
             FitError::EmptyFirstSample => write!(f, "the first sample is empty"),
+            FitError::WidthMismatch { expected, got } => {
+                write!(f, "a width of {got} where {expected} was expected")
+            }
         }
     }
 }
@@ -80,6 +87,13 @@ fn check_widths(
         Some(got) => Err(PredictError::WidthMismatch { expected, got }),
         None => Ok(()),
     }
+}
+
+/// [`check_widths`] for a `fit`, refusing with a [`FitError`].
+fn check_fit_widths(expected: usize, widths: impl Iterator<Item = usize>) -> Result<(), FitError> {
+    check_widths(expected, widths).map_err(|PredictError::WidthMismatch { expected, got }| {
+        FitError::WidthMismatch { expected, got }
+    })
 }
 
 /// Checks what every `fit` needs of its data: as many targets as inputs,

@@ -6,8 +6,8 @@
 //! Training is full BPTT with per-sample SGD and gradient clipping.
 
 use crate::{
-    check_fit, check_widths, clip_apply, sgd_epochs, uniform, zeroed, FitError, PredictError,
-    Standardiser,
+    check_fit, check_fit_widths, check_widths, clip_apply, sgd_epochs, uniform, zeroed, FitError,
+    PredictError, Standardiser,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,6 +81,7 @@ impl LstmRegressor {
     pub fn fit(x: &[Vec<Vec<f64>>], y: &[f64], config: LstmConfig) -> Result<Self, FitError> {
         check_fit(x, y, Vec::is_empty)?;
         let input_dim = x[0][0].len();
+        check_fit_widths(input_dim, x.iter().flatten().map(Vec::len))?;
         let h = config.hidden;
         let cols = input_dim + h;
         let mut rng = StdRng::seed_from_u64(config.seed);

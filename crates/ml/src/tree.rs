@@ -5,7 +5,7 @@
 //! `RandomForestRegressor` with default parameters; this mirrors its core
 //! algorithm.
 
-use crate::{check_fit, check_widths, FitError, PredictError};
+use crate::{check_fit, check_fit_widths, check_widths, FitError, PredictError};
 
 /// Configuration of one regression tree.
 #[derive(Debug, Clone, Copy)]
@@ -58,6 +58,7 @@ impl RegressionTree {
     ) -> Result<Self, FitError> {
         check_fit(x, y, Vec::is_empty)?;
         let n_features = x[0].len();
+        check_fit_widths(n_features, x.iter().map(Vec::len))?;
         let idx: Vec<usize> = (0..x.len()).collect();
         let root = build(x, y, &idx, 0, config, n_features, feature_pick);
         Ok(RegressionTree { root, n_features })

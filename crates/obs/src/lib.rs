@@ -5,14 +5,14 @@
 //!
 //! The crate sits below `serve`, `runtime`, `pgp` and `predict` (it
 //! depends only on `chiron-model` and `chiron-metrics`) so every layer of
-//! the stack can emit into the same sinks:
+//! the stack can record into the same sinks:
 //!
 //! * [`trace`] — a global on/off switch with per-thread capture buffers
 //!   (a standalone serving run takes its caller's buffer and banks into
 //!   it; fleet clusters bank into buffers of their own). Events carry their
 //!   sim time, and traces are normalised by a stable sort on it, so any
 //!   worker count reproduces identical bytes. Disabled, every hook is a
-//!   single relaxed atomic load.
+//!   single relaxed atomic load or a plain bool.
 //! * [`metrics`] — process-wide counters/gauges/histograms keyed by
 //!   static names, self-registering on first touch, with one snapshot
 //!   surface (JSON + human table) absorbing the stack's ad-hoc counters.
@@ -69,9 +69,9 @@ pub use regime::{
 };
 pub use slo::{BurnRateMonitor, SloPolicy, SloSummary, SloTransition};
 pub use trace::{
-    begin_capture, begin_capture_sized, emit, end_capture, recycle, reset_trace_stats,
-    restore_capture, set_tracing, take_buffer, take_capture, trace_stats, tracing_enabled, Trace,
-    TraceEvent, TraceEventKind, TraceStats,
+    begin_capture, begin_capture_sized, end_capture, recycle, reset_trace_stats, restore_capture,
+    set_tracing, take_buffer, take_capture, trace_stats, tracing_enabled, Trace, TraceEvent,
+    TraceEventKind, TraceStats,
 };
 pub use whatif::{WhatIfExperiment, WhatIfRanking, WhatIfReport};
 

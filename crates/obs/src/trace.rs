@@ -3,14 +3,14 @@
 //! Design constraints, in priority order:
 //!
 //! 1. **Zero cost when disabled.** Every instrumentation hook in the
-//!    stack compiles to `TraceEventKind` construction (trivially cheap —
-//!    a few register moves) plus one relaxed atomic load that bails out.
-//!    No thread-local is touched, no buffer exists, nothing allocates.
+//!    stack is one relaxed atomic load, or a plain bool its producer read
+//!    from it once, that bails out. No thread-local is touched, no buffer
+//!    exists, nothing allocates.
 //!    [`trace_stats`] proves it: a disabled run records zero events and
 //!    allocates zero capture buffers.
 //! 2. **Determinism.** Events are stamped with simulated time; a finished
 //!    [`Trace`] is normalised by a *stable* sort on that stamp, so ties
-//!    keep their emit order within one capture buffer and their
+//!    keep their push order within one capture buffer and their
 //!    buffer-concatenation order across buffers. One serving run is
 //!    single-threaded, so its capture is naturally ordered; a multi-cell
 //!    figure assembles per-cell traces in cell-index order. Either way
@@ -23,21 +23,25 @@
 //!    ([`begin_capture_sized`]) so a serving run's ~8 events/request
 //!    never trigger a growth memcpy, and normalisation skips the sort
 //!    entirely when events arrived in time order.
-//! 4. **No sink plumbing.** Capture buffers are thread-local and scoped
-//!    by the *caller* ([`begin_capture`]/[`end_capture`]), so emitters
-//!    never thread a sink handle through their state. The serving
-//!    simulator banks instead of emitting per event: a standalone run
-//!    takes the caller's open buffer for its lifetime ([`take_capture`],
-//!    handed back by [`restore_capture`]) and a fleet cluster banks into
-//!    a buffer of its own ([`take_buffer`]), so its stream survives
-//!    work-stealing across worker threads.
+//! 4. **No sink plumbing, no per-event emitter.** Capture buffers are
+//!    thread-local and scoped by the *caller*
+//!    ([`begin_capture`]/[`end_capture`]), and a producer pushes into a
+//!    buffer it holds: a standalone serving run takes the caller's open
+//!    buffer for its lifetime ([`take_capture`], handed back by
+//!    [`restore_capture`]) and a fleet cluster banks into a buffer of its
+//!    own ([`take_buffer`]), so its stream survives work-stealing across
+//!    worker threads. The DES records nothing while it replays: its
+//!    events are rendered from a finished outcome
+//!    (`chiron_runtime::des_windows`) by a caller that keeps it — a
+//!    traced serving run renders its warm-service probe's.
 
 use crate::intern::{resolve, StrId};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Global switch. Off by default; [`emit`] is a no-op while it is off.
+/// Global switch. Off by default; while it is off no capture opens and
+/// no producer records.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Events banked by [`end_capture`] since the last [`reset_trace_stats`].
@@ -76,7 +80,7 @@ pub fn tracing_enabled() -> bool {
 }
 
 /// What happened. Payloads are plain integers so events are `Copy` and
-/// the emit path never allocates; strings are interned ids.
+/// recording one never allocates; strings are interned ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// Identifies the run a capture belongs to: the interned workflow
@@ -129,11 +133,11 @@ pub enum TraceEventKind {
     NodeKill { node: u32 },
     /// Heartbeat monitoring detected the crash and wrote the node off.
     NodeDeath { node: u32 },
-    /// One function's DES execution window, emitted by
-    /// `CompiledPlan::replay` from the finished outcome (the reference
-    /// engine emits none). The event is stamped at the function's
-    /// dispatch; `exec_rel_ns`/`complete_rel_ns` are relative to that
-    /// stamp (saturating u32 — DES windows are millisecond-scale).
+    /// One function's DES execution window, rendered from a finished
+    /// outcome by `chiron_runtime::des_windows` (a traced serving run
+    /// renders its warm-service probe's). The event is stamped at the
+    /// function's dispatch; `exec_rel_ns`/`complete_rel_ns` are relative
+    /// to that stamp (saturating u32 — DES windows are millisecond-scale).
     DesSpan {
         function: u16,
         sandbox: u16,
@@ -142,8 +146,9 @@ pub enum TraceEventKind {
         exec_rel_ns: u32,
         complete_rel_ns: u32,
     },
-    /// Companion to [`TraceEventKind::DesSpan`]: the window's additive
-    /// component breakdown (§2.2's model), in saturating u32 nanoseconds.
+    /// Companion to [`TraceEventKind::DesSpan`], rendered right after it:
+    /// the window's additive component breakdown (§2.2's model), in
+    /// saturating u32 nanoseconds.
     /// `startup` = fork/clone/pool/isolation entry, `blocked` = GIL +
     /// fork-barrier + scheduler waits, `interaction` = transfers + IPC,
     /// `exec` = bytecode + the function's own syscalls.
@@ -197,7 +202,7 @@ pub enum TraceEventKind {
     },
 }
 
-/// One traced event. Events with equal stamps keep their emit order (the
+/// One traced event. Events with equal stamps keep their push order (the
 /// normalising sort is stable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -212,7 +217,7 @@ pub struct TraceEvent {
 const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 32);
 
 /// A finished capture, normalised to time order (stable, so simultaneous
-/// events keep their emit/concatenation order).
+/// events keep their push/concatenation order).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     pub events: Vec<TraceEvent>,
@@ -430,22 +435,6 @@ pub fn end_capture() -> Trace {
     trace
 }
 
-/// Records one event at simulation time `time_ns`. No-op unless tracing
-/// is enabled *and* this thread has an open capture buffer — threads
-/// without one (e.g. PGP search workers during a serve figure) emit into
-/// the void at the cost of the enabled check.
-#[inline]
-pub fn emit(time_ns: u64, kind: TraceEventKind) {
-    if !tracing_enabled() {
-        return;
-    }
-    CAPTURE.with(|c| {
-        if let Some(buf) = c.borrow_mut().as_mut() {
-            buf.push(TraceEvent { time_ns, kind });
-        }
-    });
-}
-
 /// Sink-side counters proving the zero-cost-when-disabled contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceStats {
@@ -475,13 +464,25 @@ mod tests {
     /// runs under this lock.
     static GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
+    /// Appends `events` to this thread's open capture, as a producer
+    /// that holds the buffer does.
+    fn push(events: &[(u64, TraceEventKind)]) {
+        let mut buf = take_capture().expect("an open capture");
+        buf.extend(
+            events
+                .iter()
+                .map(|&(time_ns, kind)| TraceEvent { time_ns, kind }),
+        );
+        restore_capture(buf);
+    }
+
     #[test]
-    fn disabled_emit_is_a_no_op() {
+    fn disabled_capture_is_a_no_op() {
         let _g = GATE.lock();
         set_tracing(false);
         reset_trace_stats();
         begin_capture(); // no-op: disabled
-        emit(5, TraceEventKind::ReplicaReady { replica: 1 });
+        assert!(take_capture().is_none());
         let trace = end_capture();
         assert!(trace.is_empty());
         assert_eq!(trace_stats(), TraceStats::default());
@@ -492,9 +493,11 @@ mod tests {
         let _g = GATE.lock();
         set_tracing(true);
         begin_capture_sized(4);
-        emit(20, TraceEventKind::ReplicaReady { replica: 0 });
-        emit(10, TraceEventKind::NodeKill { node: 3 });
-        emit(10, TraceEventKind::NodeDeath { node: 3 });
+        push(&[
+            (20, TraceEventKind::ReplicaReady { replica: 0 }),
+            (10, TraceEventKind::NodeKill { node: 3 }),
+            (10, TraceEventKind::NodeDeath { node: 3 }),
+        ]);
         let trace = end_capture();
         set_tracing(false);
         assert_eq!(trace.len(), 3);
@@ -513,31 +516,22 @@ mod tests {
         let _g = GATE.lock();
         set_tracing(true);
         begin_capture_sized(1024);
-        emit(1, TraceEventKind::ReplicaReady { replica: 1 });
-        emit(2, TraceEventKind::ReplicaRetired { replica: 1 });
+        push(&[
+            (1, TraceEventKind::ReplicaReady { replica: 1 }),
+            (2, TraceEventKind::ReplicaRetired { replica: 1 }),
+        ]);
         let first = end_capture();
         assert_eq!(first.len(), 2);
         recycle(first);
         // The next capture rides the recycled allocation; old events must
         // be gone and the capture behaves exactly like a fresh buffer.
         begin_capture();
-        emit(3, TraceEventKind::NodeKill { node: 0 });
+        push(&[(3, TraceEventKind::NodeKill { node: 0 })]);
         let second = end_capture();
         set_tracing(false);
         assert_eq!(second.len(), 1);
         assert_eq!(second.events[0].kind, TraceEventKind::NodeKill { node: 0 });
         assert!(second.events.capacity() >= 1024, "spare buffer not reused");
-    }
-
-    #[test]
-    fn emit_without_capture_goes_nowhere() {
-        let _g = GATE.lock();
-        set_tracing(true);
-        emit(1, TraceEventKind::ReplicaReady { replica: 9 });
-        begin_capture();
-        let trace = end_capture();
-        set_tracing(false);
-        assert!(trace.is_empty());
     }
 
     #[test]

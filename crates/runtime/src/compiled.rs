@@ -42,7 +42,6 @@
 //! previous replay's count, plus the slot an alone wrap holds until its
 //! end) and the stage windows.
 
-use crate::export::emit_des_windows;
 use crate::fluid::{run_alone, simulate, FluidScratch, Lane, Sandbox};
 use crate::jitter::{Jitter, JitterTables};
 use crate::platform::REQUEST_PAYLOAD_BYTES;
@@ -471,17 +470,12 @@ impl CompiledPlan {
 
         fluid.stats.flush();
         replay.last_spans = spans.len();
-        let outcome = RequestOutcome {
+        RequestOutcome {
             e2e: t.since(SimTime::ZERO),
             timelines,
             spans,
             stage_windows,
-        };
-        if chiron_obs::tracing_enabled() {
-            // `threads` is laid out stage → wrap → process → thread.
-            emit_des_windows(&outcome, self.threads.iter().map(|t| t.function));
         }
-        outcome
     }
 
     /// Replays an alone wrap in one pass (see the module doc), writing its

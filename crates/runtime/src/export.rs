@@ -9,13 +9,14 @@
 //! included, which the observability trace's per-function windows do not
 //! show.
 //!
-//! `emit_des_windows` reports each function's window and its §2.2
-//! breakdown to the observability sink, once the outcome is complete.
+//! [`des_windows`] renders each function's window and its §2.2
+//! breakdown as observability events, for a caller that keeps the
+//! outcome and wants its DES trace.
 
 use crate::span::{RequestOutcome, SpanKind};
-use chiron_model::{FunctionId, SimTime, Workflow};
+use chiron_model::{DeploymentPlan, SimTime, Workflow};
 use chiron_obs::perfetto::{Escaped, TraceWriter};
-use chiron_obs::TraceEventKind;
+use chiron_obs::{TraceEvent, TraceEventKind};
 
 /// The row the stage markers are drawn on.
 const STAGE_PID: u32 = 9999;
@@ -83,45 +84,44 @@ pub fn to_chrome_trace(workflow: &Workflow, outcome: &RequestOutcome) -> String 
     ))
 }
 
-/// Emits a [`TraceEventKind::DesSpan`] and a
-/// [`TraceEventKind::DesBreakdown`] for each function of a finished
-/// outcome, in `order`: its window, and its spans summed into §2.2's
-/// startup / block / interaction / execution terms for latency
-/// attribution. The reference engine stays uninstrumented.
-pub(crate) fn emit_des_windows(outcome: &RequestOutcome, order: impl Iterator<Item = FunctionId>) {
-    for function in order {
-        let timeline = &outcome.timelines[function.index()];
+/// Appends the DES trace of an outcome of `plan` to `out`: per function,
+/// in stage → wrap → process → function order, a
+/// [`TraceEventKind::DesSpan`] (its window, stamped at its dispatch) and a
+/// [`TraceEventKind::DesBreakdown`] (its spans summed into §2.2's startup
+/// / block / interaction / execution terms, for latency attribution).
+pub fn des_windows(outcome: &RequestOutcome, plan: &DeploymentPlan, out: &mut Vec<TraceEvent>) {
+    let processes = plan
+        .stages
+        .iter()
+        .flat_map(|s| &s.wraps)
+        .flat_map(|w| &w.processes);
+    for &id in processes.flat_map(|p| &p.functions) {
+        let timeline = &outcome.timelines[id.index()];
         let spans = timeline.spans(&outcome.spans);
-        let dispatched_ns = timeline.dispatched.as_nanos();
-        let rel = |t: SimTime| {
-            u32::try_from(t.as_nanos().saturating_sub(dispatched_ns)).unwrap_or(u32::MAX)
-        };
-        chiron_obs::emit(
-            dispatched_ns,
-            TraceEventKind::DesSpan {
-                function: function.0 as u16,
-                sandbox: timeline.sandbox.0 as u16,
-                stage: timeline.stage as u16,
-                spans: spans.len().min(u16::MAX as usize) as u16,
-                exec_rel_ns: rel(timeline.exec_start),
-                complete_rel_ns: rel(timeline.completed),
-            },
-        );
+        let time_ns = timeline.dispatched.as_nanos();
         let mut parts = [0u64; 4];
         for span in spans {
             parts[term(span.kind)] += span.duration().as_nanos();
         }
         let sat = |ns: u64| u32::try_from(ns).unwrap_or(u32::MAX);
-        chiron_obs::emit(
-            dispatched_ns,
-            TraceEventKind::DesBreakdown {
-                function: function.0 as u16,
-                stage: timeline.stage as u16,
-                startup_ns: sat(parts[0]),
-                blocked_ns: sat(parts[1]),
-                interaction_ns: sat(parts[2]),
-                exec_ns: sat(parts[3]),
-            },
-        );
+        let rel = |t: SimTime| sat(t.as_nanos().saturating_sub(time_ns));
+        let (function, stage) = (id.0 as u16, timeline.stage as u16);
+        let span = TraceEventKind::DesSpan {
+            function,
+            sandbox: timeline.sandbox.0 as u16,
+            stage,
+            spans: spans.len().min(u16::MAX as usize) as u16,
+            exec_rel_ns: rel(timeline.exec_start),
+            complete_rel_ns: rel(timeline.completed),
+        };
+        let breakdown = TraceEventKind::DesBreakdown {
+            function,
+            stage,
+            startup_ns: sat(parts[0]),
+            blocked_ns: sat(parts[1]),
+            interaction_ns: sat(parts[2]),
+            exec_ns: sat(parts[3]),
+        };
+        out.extend([span, breakdown].map(|kind| TraceEvent { time_ns, kind }));
     }
 }

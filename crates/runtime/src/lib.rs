@@ -21,7 +21,7 @@ pub mod rt;
 pub mod scratch;
 pub mod span;
 
-pub use export::to_chrome_trace;
+pub use export::{des_windows, to_chrome_trace};
 pub use fluid::{
     execute_sandbox, execute_sandbox_reference, SandboxError, ThreadResult, ThreadTask,
 };

@@ -83,7 +83,7 @@ use chiron_obs::{
     BurnRateMonitor, RegimeDetector, StaticCounter, StaticGauge, StaticHistogram, Trace,
     TraceEvent, TraceEventKind,
 };
-use chiron_runtime::VirtualPlatform;
+use chiron_runtime::{des_windows, VirtualPlatform};
 use std::collections::VecDeque;
 
 /// Highest queue depth any autoscaler tick observed.
@@ -406,6 +406,20 @@ impl<'a> Run<'a> {
         seed: u64,
         fleet: Option<(u32, f64)>,
     ) -> Result<Self, ServeError> {
+        // Warm service time: one request on the virtual platform, cold
+        // starts excluded (they are modelled at replica granularity here).
+        // It runs before the caller's capture is taken, so a probe error
+        // leaves that capture untouched. Fleet clusters always carry the
+        // override, so no fleet run probes.
+        let (service_base, probe) = match sim.service_base_override {
+            Some(base) => (base, None),
+            None => {
+                let platform =
+                    VirtualPlatform::new(sim.config.platform.clone()).with_cold_starts(false);
+                let outcome = platform.execute(&sim.workflow, &sim.plan, 0)?;
+                (outcome.e2e, Some(outcome))
+            }
+        };
         // A traced run banks every event it records, construction
         // included, into one buffer. A fleet cluster's comes from the
         // spare pool, so successive traced runs hand the largest recycled
@@ -413,10 +427,9 @@ impl<'a> Run<'a> {
         // keeping its pages warm, and the caller's thread-local capture
         // is never touched. A standalone run takes the caller's open
         // capture, and records nothing when there is none.
-        let in_fleet = fleet.is_some();
         let (mut banked, trace) = if !chiron_obs::tracing_enabled() {
             (Vec::new(), false)
-        } else if in_fleet {
+        } else if fleet.is_some() {
             (chiron_obs::take_buffer(), true)
         } else {
             match chiron_obs::take_capture() {
@@ -424,9 +437,9 @@ impl<'a> Run<'a> {
                 None => (Vec::new(), false),
             }
         };
-        // Names the capture before any other event so attribution knows
-        // which (workflow, plan) this trace belongs to.
         if trace {
+            // Names the capture before any other event so attribution
+            // knows which (workflow, plan) this trace belongs to.
             banked.push(TraceEvent {
                 time_ns: 0,
                 kind: TraceEventKind::RunContext {
@@ -434,30 +447,12 @@ impl<'a> Run<'a> {
                     plan: chiron_obs::drift::plan_key(&sim.plan),
                 },
             });
-        }
-        // Warm service time: one request on the virtual platform, cold
-        // starts excluded (they are modelled at replica granularity here).
-        // Its DES spans go through the thread-local capture, so the
-        // caller's buffer is open again for the probe, and they give
-        // attribution the service-window component profile. On a probe
-        // error the buffer stays with the caller. Fleet clusters always
-        // carry the override, so this probe never emits into a fleet run.
-        let owns_capture = trace && !in_fleet;
-        let service_base = match sim.service_base_override {
-            Some(base) => base,
-            None => {
-                if owns_capture {
-                    chiron_obs::restore_capture(std::mem::take(&mut banked));
-                }
-                let platform =
-                    VirtualPlatform::new(sim.config.platform.clone()).with_cold_starts(false);
-                let e2e = platform.execute(&sim.workflow, &sim.plan, 0)?.e2e;
-                if owns_capture {
-                    banked = chiron_obs::take_capture().unwrap_or_default();
-                }
-                e2e
+            // The probe's DES windows give attribution the service
+            // window's component profile.
+            if let Some(outcome) = &probe {
+                des_windows(outcome, &sim.plan, &mut banked);
             }
-        };
+        }
         let (central, decentral) = scheduling_architectures(&sim.plan, &sim.config.platform.costs);
         let policy_overhead = match sim.config.router {
             RouterPolicy::CentralFifo => central,

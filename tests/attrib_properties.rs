@@ -16,45 +16,12 @@ use chiron::obs::{self, Trace};
 use chiron::serving::{FaultPlan, RouterPolicy, ServeConfig, ServeSimulation, Workload};
 use chiron_bench::sweep::par_map_workers;
 use chiron_deploy::NodeId;
-use chiron_model::{FunctionSpec, Segment, SimDuration, SimTime, SyscallKind, Workflow};
-use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler};
-use chiron_profiler::Profiler;
+use chiron_model::SimTime;
+use chiron_pgp::PgpMode;
 use proptest::prelude::*;
 
-/// Same shapes as `trace_determinism.rs`: an entry function then a
-/// parallel stage mixing CPU-bound and IO-punctuated functions.
-fn arb_workflow() -> impl Strategy<Value = Workflow> {
-    prop::collection::vec((0u8..2, 1u64..20, 1u64..4), 2..8).prop_map(|parts| {
-        let fns: Vec<FunctionSpec> = parts
-            .iter()
-            .enumerate()
-            .map(|(i, &(kind, ms, lead))| {
-                let segments = if kind == 0 {
-                    vec![Segment::cpu_ms(ms)]
-                } else {
-                    vec![
-                        Segment::cpu_ms(lead),
-                        Segment::Block {
-                            kind: SyscallKind::NetIo,
-                            dur: SimDuration::from_millis(ms),
-                        },
-                        Segment::cpu_ms(1),
-                    ]
-                };
-                FunctionSpec::new(format!("f{i:02}"), segments)
-            })
-            .collect();
-        let parallel: Vec<u32> = (1..fns.len() as u32).collect();
-        Workflow::new("synthetic", fns, vec![vec![0], parallel]).unwrap()
-    })
-}
-
-fn plan_for(wf: &Workflow) -> chiron_model::DeploymentPlan {
-    let prof = Profiler::default().profile_workflow(wf);
-    let sched = PgpScheduler::paper_calibrated();
-    let config = PgpConfig::performance_first().with_mode(PgpMode::NativeThread);
-    sched.schedule(wf, &prof, &config).plan
-}
+mod common;
+use common::{arb_workflow, plan_for};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -63,11 +30,11 @@ proptest! {
     /// and the attribution render is byte-identical across worker counts.
     #[test]
     fn attribution_is_exact_and_worker_count_invariant(
-        wf in arb_workflow(),
+        wf in arb_workflow(2..8),
         seed in 0u64..1000,
     ) {
         const REQUESTS: u64 = 150;
-        let plan = plan_for(&wf);
+        let plan = plan_for(&wf, PgpMode::NativeThread);
         let workload = Workload::steady(40.0, REQUESTS);
         // A mid-run node kill so requeue/retry paths are exercised too.
         let faults =

@@ -101,6 +101,29 @@ fn fits_refuse_an_empty_first_sample() {
 }
 
 #[test]
+fn fits_refuse_a_later_row_of_another_width() {
+    let y = [1.0, 2.0];
+    for got in [1, 3] {
+        let mismatch = Some(FitError::WidthMismatch { expected: 2, got });
+        let rows = [vec![1.0, 2.0], vec![1.0; got]];
+        assert_eq!(tree(&rows, &y).err(), mismatch);
+        assert_eq!(forest(&rows, &y).err(), mismatch);
+        // The bad step follows a good one: every step is checked.
+        let seqs = [vec![rows[0].clone()], rows.to_vec()];
+        assert_eq!(lstm(&seqs, &y).err(), mismatch);
+        let graphs = rows.map(|row| (vec![row], vec![vec![1.0]]));
+        assert_eq!(gnn(&graphs, &y).err(), mismatch);
+    }
+    // A later adjacency matrix that is not nodes × nodes.
+    let ragged = (vec![vec![1.0, 2.0]; 2], vec![vec![1.0; 2], vec![1.0]]);
+    let mismatch = Some(FitError::WidthMismatch {
+        expected: 2,
+        got: 1,
+    });
+    assert_eq!(gnn(&[one_node_graph(), ragged], &y).err(), mismatch);
+}
+
+#[test]
 fn fits_accept_well_formed_data() {
     let y = [1.0, 2.0];
     assert!(tree(&[vec![1.0], vec![2.0]], &y).is_ok());

@@ -2,11 +2,12 @@
 //! implementations of one simulation. For every branch the plan compiler
 //! resolves ahead of time — the paper's eight workflows under Chiron,
 //! Faastlane and OpenFaaS, ASF's gateway waves and store transfers, MPK
-//! segment stretch, pool dispatch, shm-ring placement, cold starts, and a
-//! Chiron plan squeezed onto too few CPUs — they return identical
-//! [`RequestOutcome`]s, with one scratch reused across every case. The
-//! scratch's compiled plan is keyed by value, so alternating inputs can
-//! never replay a stale plan, and malformed inputs are typed errors.
+//! segment stretch, pool dispatch, shm-ring placement and hand-off, cold
+//! starts, and a Chiron plan squeezed onto too few CPUs — they return
+//! identical [`RequestOutcome`]s, with one scratch reused across every
+//! case. The scratch's compiled plan is keyed by value, so alternating
+//! inputs can never replay a stale plan, and malformed inputs are typed
+//! errors.
 //! Random workflows under every planner, with sandbox CPUs drawn on both
 //! sides of the alone-wrap boundary, agree as well.
 
@@ -15,8 +16,9 @@ use chiron::model::plan::{
     SchedulingKind, StagePlan, SystemKind, TransferKind, WrapPlan,
 };
 use chiron::model::{
-    apps, synthetic, FunctionId, FunctionSpec, JitterModel, PlanError, PlatformConfig, SandboxId,
-    Segment, SimDuration, Stage, SyntheticSpec, SyscallKind, Workflow, WorkflowError,
+    apps, synthetic, FunctionId, FunctionSpec, JitterModel, NodePlacement, PlanError,
+    PlatformConfig, SandboxId, Segment, SimDuration, Stage, SyntheticSpec, SyscallKind, Workflow,
+    WorkflowError,
 };
 use chiron::{Chiron, PgpConfig, PgpMode, PgpScheduler};
 use chiron_deploy::planners;
@@ -162,6 +164,21 @@ fn every_compiled_branch_matches_reference() {
     assert_eq!(ring.transfer, TransferKind::ShmRing);
     assert!(ring.stages.iter().any(|s| s.wraps.len() > 1));
     assert_engines_agree(&platform, &wf, &ring, &mut scratch);
+
+    // Shm-ring stage hand-off: consecutive stages whose primaries are
+    // different sandboxes on one node ride the ring, not an RPC.
+    let wf = apps::finra(5);
+    let mut handoff = planners::faastlane(&wf);
+    handoff.transfer = TransferKind::ShmRing;
+    let second = SandboxPlan {
+        id: SandboxId(1),
+        ..handoff.sandboxes[0]
+    };
+    handoff.sandboxes.push(second);
+    handoff.stages[1].wraps[0].sandbox = SandboxId(1);
+    let node_cpus = PlatformConfig::paper_calibrated().costs.node_cpus;
+    assert!(NodePlacement::first_fit(&handoff, node_cpus).colocated(SandboxId(0), SandboxId(1)));
+    assert_engines_agree(&platform, &wf, &handoff, &mut scratch);
 
     // Cold starts: charged on each sandbox's first use only.
     let cold = jittered().with_cold_starts(true);

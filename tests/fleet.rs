@@ -111,27 +111,30 @@ fn bad_fleet_input_is_a_typed_error() {
 /// keeps every event it was sent and receives none of the fleet's.
 #[test]
 fn traced_fleet_run_leaves_the_callers_capture_intact() {
-    use chiron::obs::{self, TraceEventKind::*};
+    use chiron::obs::{self, TraceEvent, TraceEventKind::*};
 
     let wf = apps::finra(5);
     let plan = chiron_deploy::planners::faastlane_plus(&wf);
     let sim = FleetSimulation::new(wf, plan, FleetConfig::paper_fleet(2)).unwrap();
     let workload = FleetWorkload::steady(200.0, SimDuration::from_millis(1_000));
 
+    let sent = [
+        (1, ReplicaReady { replica: 7 }),
+        (2, ReplicaRetired { replica: 7 }),
+    ];
     obs::set_tracing(true);
     obs::begin_capture();
-    obs::emit(1, ReplicaReady { replica: 7 });
+    // The caller's own events, pushed into its open capture the way a
+    // producer holding the buffer does.
+    let mut buf = obs::take_capture().expect("an open capture");
+    buf.extend(sent.map(|(time_ns, kind)| TraceEvent { time_ns, kind }));
+    obs::restore_capture(buf);
     let (report, fleet_trace) = sim.run_sharded_traced(&workload, 1, 1, 1).unwrap();
-    obs::emit(2, ReplicaRetired { replica: 7 });
     let caller = obs::end_capture();
     obs::set_tracing(false);
 
     assert!(report.completed > 0);
     assert!(!fleet_trace.is_empty(), "the fleet trace banks its events");
     let events: Vec<_> = caller.events.iter().map(|e| (e.time_ns, e.kind)).collect();
-    let sent = [
-        (1, ReplicaReady { replica: 7 }),
-        (2, ReplicaRetired { replica: 7 }),
-    ];
     assert_eq!(events, sent);
 }

@@ -20,7 +20,8 @@
 
 use chiron::ml;
 use chiron::model::{
-    apps, synthetic, JitterModel, PlatformConfig, SimDuration, SyntheticSpec, Workflow,
+    apps, synthetic, DeploymentPlan, JitterModel, PlatformConfig, SimDuration, SyntheticSpec,
+    Workflow,
 };
 use chiron::obs::{self, Trace};
 use chiron::{Chiron, PgpMode, ServeReport};
@@ -28,7 +29,7 @@ use chiron_deploy::planners;
 use chiron_pgp::{PgpConfig, PgpScheduler, ScheduleOutcome};
 use chiron_predict::{PredictionCache, Predictor};
 use chiron_profiler::Profiler;
-use chiron_runtime::{to_chrome_trace, RequestOutcome, SimScratch, VirtualPlatform};
+use chiron_runtime::{des_windows, to_chrome_trace, RequestOutcome, SimScratch, VirtualPlatform};
 use std::sync::{Mutex, OnceLock};
 
 /// FNV-1a over the little-endian bytes of each `e2e` in nanoseconds,
@@ -76,7 +77,7 @@ fn outcome_digest(mut digest: u64, outcome: &RequestOutcome) -> u64 {
     digest
 }
 
-fn chiron_plan(wf: &Workflow) -> chiron::model::DeploymentPlan {
+fn chiron_plan(wf: &Workflow) -> DeploymentPlan {
     Chiron::default()
         .deploy(wf, None, PgpMode::NativeThread)
         .plan()
@@ -84,8 +85,12 @@ fn chiron_plan(wf: &Workflow) -> chiron::model::DeploymentPlan {
 }
 
 /// Runs the suite × {Chiron, Faastlane, OpenFaaS} × `seeds` on the
-/// jittered platform and folds each outcome into the digest with `fold`.
-fn suite_digest(seeds: u64, mut fold: impl FnMut(u64, &RequestOutcome) -> u64) -> u64 {
+/// jittered platform and folds each outcome, with its plan, into the
+/// digest with `fold`.
+fn suite_digest(
+    seeds: u64,
+    mut fold: impl FnMut(u64, &DeploymentPlan, &RequestOutcome) -> u64,
+) -> u64 {
     let platform = VirtualPlatform::new(
         PlatformConfig::paper_calibrated().with_jitter(JitterModel::cluster()),
     );
@@ -101,7 +106,7 @@ fn suite_digest(seeds: u64, mut fold: impl FnMut(u64, &RequestOutcome) -> u64) -
                 let outcome = platform
                     .execute_with_scratch(wf, &plan, seed, &mut scratch)
                     .expect("suite plans execute");
-                digest = fold(digest, &outcome);
+                digest = fold(digest, &plan, &outcome);
             }
         }
     }
@@ -191,7 +196,7 @@ fn pgp_decision_digest() {
 
 #[test]
 fn evaluation_suite_e2e_digest() {
-    let digest = suite_digest(SEEDS, |h, outcome| {
+    let digest = suite_digest(SEEDS, |h, _, outcome| {
         fnv1a(h, &outcome.e2e.as_nanos().to_le_bytes())
     });
     assert_eq!(
@@ -202,7 +207,7 @@ fn evaluation_suite_e2e_digest() {
 
 #[test]
 fn evaluation_suite_outcome_digest() {
-    let digest = suite_digest(SEEDS, outcome_digest);
+    let digest = suite_digest(SEEDS, |h, _, outcome| outcome_digest(h, outcome));
     assert_eq!(
         digest, SUITE_OUTCOME_DIGEST,
         "jittered suite outcome digest moved: committed {SUITE_OUTCOME_DIGEST:#018x}, now {digest:#018x}"
@@ -277,27 +282,22 @@ fn traced<T>(run: impl FnOnce() -> T) -> T {
     out
 }
 
-/// FNV-1a over the [`Trace::render`] bytes of one capture per request of
-/// the suite × {Chiron, Faastlane, OpenFaaS} × `TRACE_SEEDS`, in the
-/// suite digests' order: each function's `DesSpan` and `DesBreakdown`.
-/// Faastlane and OpenFaaS replay mostly alone wraps, Chiron's GIL
-/// processes go through the engine.
+/// FNV-1a over the [`Trace::render`] bytes of each request's DES trace
+/// (`des_windows`, normalised as a capture is) over the suite ×
+/// {Chiron, Faastlane, OpenFaaS} × `TRACE_SEEDS`, in the suite digests'
+/// order: each function's `DesSpan` and `DesBreakdown`. Faastlane and
+/// OpenFaaS replay mostly alone wraps, Chiron's GIL processes go through
+/// the engine.
 const SUITE_DES_TRACE_DIGEST: u64 = 0x47a1_4657_b6e8_a49d;
 const TRACE_SEEDS: u64 = 4;
 
 #[test]
 fn evaluation_suite_des_trace_digest() {
-    let digest = traced(|| {
-        obs::begin_capture();
-        let digest = suite_digest(TRACE_SEEDS, |h, _| {
-            // Each capture holds one request: close it, fold it, open the
-            // next.
-            let trace = obs::end_capture();
-            obs::begin_capture();
-            fnv1a(h, trace.render().as_bytes())
-        });
-        obs::end_capture();
-        digest
+    let digest = suite_digest(TRACE_SEEDS, |h, plan, outcome| {
+        let mut trace = Trace::default();
+        des_windows(outcome, plan, &mut trace.events);
+        let trace = Trace::concat(vec![trace]);
+        fnv1a(h, trace.render().as_bytes())
     });
     assert_eq!(
         digest, SUITE_DES_TRACE_DIGEST,

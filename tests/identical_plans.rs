@@ -6,47 +6,20 @@
 //! ([`PgpScheduler::schedule_reference`]), while actually exercising the
 //! memo cache.
 
-use chiron_model::{FunctionSpec, Segment, SimDuration, SyscallKind, TransferKind, Workflow};
+use chiron_model::{SimDuration, TransferKind};
 use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler};
 use chiron_predict::PredictionCache;
 use chiron_profiler::Profiler;
 use proptest::prelude::*;
 
-/// Synthetic two-stage workflows: an entry function followed by a parallel
-/// stage of CPU-bound and IO-punctuated functions with varied durations —
-/// the shapes that drive PGP through different `n`, KL swap sequences and
-/// wrap packings.
-fn arb_workflow() -> impl Strategy<Value = Workflow> {
-    prop::collection::vec((0u8..2, 1u64..20, 1u64..4), 2..14).prop_map(|parts| {
-        let fns: Vec<FunctionSpec> = parts
-            .iter()
-            .enumerate()
-            .map(|(i, &(kind, ms, lead))| {
-                let segments = if kind == 0 {
-                    vec![Segment::cpu_ms(ms)]
-                } else {
-                    vec![
-                        Segment::cpu_ms(lead),
-                        Segment::Block {
-                            kind: SyscallKind::NetIo,
-                            dur: SimDuration::from_millis(ms),
-                        },
-                        Segment::cpu_ms(1),
-                    ]
-                };
-                FunctionSpec::new(format!("f{i:02}"), segments)
-            })
-            .collect();
-        let parallel: Vec<u32> = (1..fns.len() as u32).collect();
-        Workflow::new("synthetic", fns, vec![vec![0], parallel]).unwrap()
-    })
-}
+mod common;
+use common::arb_workflow;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn optimised_schedulers_match_reference(wf in arb_workflow(), slo_ms in 5u64..250) {
+    fn optimised_schedulers_match_reference(wf in arb_workflow(2..14), slo_ms in 5u64..250) {
         let prof = Profiler::default().profile_workflow(&wf);
         let sched = PgpScheduler::paper_calibrated();
         let mut total_hits = 0u64;
@@ -75,7 +48,7 @@ proptest! {
     /// packings — but the fast and reference searches must still
     /// agree byte for byte, and every emitted plan must carry the tier.
     #[test]
-    fn shm_tier_searches_stay_identical(wf in arb_workflow(), slo_ms in 5u64..250) {
+    fn shm_tier_searches_stay_identical(wf in arb_workflow(2..14), slo_ms in 5u64..250) {
         let prof = Profiler::default().profile_workflow(&wf);
         let sched = PgpScheduler::paper_calibrated();
         for config in [

@@ -17,50 +17,13 @@
 //! so the properties cover plan shapes no hand-written fixture pins down.
 
 use chiron_bench::sweep::par_map_workers;
-use chiron_model::{
-    FunctionSpec, JitterModel, PlatformConfig, Segment, SimDuration, SyscallKind, Workflow,
-};
-use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler};
-use chiron_profiler::Profiler;
+use chiron_model::{JitterModel, PlatformConfig};
+use chiron_pgp::PgpMode;
 use chiron_runtime::{SimScratch, VirtualPlatform};
 use proptest::prelude::*;
 
-/// Two-stage workflows — an entry function, then a parallel stage mixing
-/// CPU-bound and IO-punctuated functions — the shapes that drive both the
-/// planner's process search and the fluid engine's GIL/CFS interleaving.
-fn arb_workflow() -> impl Strategy<Value = Workflow> {
-    prop::collection::vec((0u8..2, 1u64..20, 1u64..4), 2..10).prop_map(|parts| {
-        let fns: Vec<FunctionSpec> = parts
-            .iter()
-            .enumerate()
-            .map(|(i, &(kind, ms, lead))| {
-                let segments = if kind == 0 {
-                    vec![Segment::cpu_ms(ms)]
-                } else {
-                    vec![
-                        Segment::cpu_ms(lead),
-                        Segment::Block {
-                            kind: SyscallKind::NetIo,
-                            dur: SimDuration::from_millis(ms),
-                        },
-                        Segment::cpu_ms(1),
-                    ]
-                };
-                FunctionSpec::new(format!("f{i:02}"), segments)
-            })
-            .collect();
-        let parallel: Vec<u32> = (1..fns.len() as u32).collect();
-        Workflow::new("synthetic", fns, vec![vec![0], parallel]).unwrap()
-    })
-}
-
-/// Plans the workflow the way the harness does: profile, then PGP.
-fn plan_for(wf: &Workflow, mode: PgpMode) -> chiron_model::DeploymentPlan {
-    let prof = Profiler::default().profile_workflow(wf);
-    let sched = PgpScheduler::paper_calibrated();
-    let config = PgpConfig::performance_first().with_mode(mode);
-    sched.schedule(wf, &prof, &config).plan
-}
+mod common;
+use common::{arb_workflow, plan_for};
 
 /// `fig13` at one worker and at four, run at once on two threads: each
 /// figure owns its worker count, so neither can change the other's bytes.
@@ -81,7 +44,7 @@ proptest! {
     /// formatted inside the cells, and every worker count must reproduce
     /// the single-threaded bytes exactly.
     #[test]
-    fn sweep_rows_are_worker_count_invariant(wf in arb_workflow(), base in 0u64..1000) {
+    fn sweep_rows_are_worker_count_invariant(wf in arb_workflow(2..10), base in 0u64..1000) {
         let plan = plan_for(&wf, PgpMode::NativeThread);
         let platform = VirtualPlatform::new(
             PlatformConfig::paper_calibrated().with_jitter(JitterModel::cluster()),
@@ -106,7 +69,7 @@ proptest! {
     /// One scratch arena reused across requests, fresh scratch per
     /// request, and the retained reference engine all agree exactly.
     #[test]
-    fn scratch_reuse_matches_fresh_and_reference(wf in arb_workflow()) {
+    fn scratch_reuse_matches_fresh_and_reference(wf in arb_workflow(2..10)) {
         for mode in [PgpMode::NativeThread, PgpMode::Mpk] {
             let plan = plan_for(&wf, mode);
             let platform = VirtualPlatform::new(

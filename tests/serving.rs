@@ -359,14 +359,22 @@ fn caller_events() -> [(u64, TraceEventKind); 2] {
     ]
 }
 
-/// Opens a capture, emits the first caller event, runs `serve`, emits the
-/// second, and returns the closed capture with `serve`'s result.
+/// Appends one event to this thread's open capture, as a producer that
+/// holds the buffer does.
+fn push(time_ns: u64, kind: TraceEventKind) {
+    let mut buf = obs::take_capture().expect("an open capture");
+    buf.push(TraceEvent { time_ns, kind });
+    obs::restore_capture(buf);
+}
+
+/// Opens a capture, pushes the first caller event, runs `serve`, pushes
+/// the second, and returns the closed capture with `serve`'s result.
 fn capture_around<T>(serve: impl FnOnce() -> T) -> (T, Trace) {
     let [(t0, before), (t1, after)] = caller_events();
     obs::begin_capture();
-    obs::emit(t0, before);
+    push(t0, before);
     let out = serve();
-    obs::emit(t1, after);
+    push(t1, after);
     (out, obs::end_capture())
 }
 
@@ -446,8 +454,9 @@ fn serve_trace_escapes_the_workflow_name() {
 }
 
 /// A standalone run that fails to start hands the caller's capture back:
-/// both when the DES probe rejects the plan and when the baseline
-/// replicas do not fit the cluster.
+/// untouched when the DES probe rejects the plan (the probe runs before
+/// the capture is taken), and when the baseline replicas do not fit the
+/// cluster.
 #[test]
 fn failed_standalone_run_hands_the_capture_back() {
     let _lock = TRACING.lock().unwrap_or_else(|e| e.into_inner());
@@ -472,6 +481,12 @@ fn failed_standalone_run_hands_the_capture_back() {
         matches!(placement_err, Err(ServeError::Placement(_))),
         "{placement_err:?}"
     );
+    let untouched: Vec<_> = plan_trace
+        .events
+        .iter()
+        .map(|e| (e.time_ns, e.kind))
+        .collect();
+    assert_eq!(untouched, caller_events());
     for trace in [plan_trace, placement_trace] {
         let events: Vec<_> = trace.events.iter().map(|e| (e.time_ns, e.kind)).collect();
         assert_eq!(events.first(), Some(&caller_events()[0]));
