@@ -198,21 +198,6 @@ pub fn deployed() -> (Chiron, Workflow, Deployment) {
     (chiron, wf, deployment)
 }
 
-/// The committed `BENCH_EVAL.json`'s serve-figure parallel wall clock, if
-/// the file is present — the cross-PR reference point for the (purely
-/// informational) instrumented-but-disabled overhead comparison.
-fn committed_serve_parallel_ms() -> Option<f64> {
-    serve_parallel_ms(&std::fs::read_to_string("BENCH_EVAL.json").ok()?)
-}
-
-/// The `serve` row's `parallel_ms` in a `BENCH_EVAL.json` document; each
-/// figure row is one line of the file.
-fn serve_parallel_ms(text: &str) -> Option<f64> {
-    let line = text.lines().find(|l| l.contains("\"figure\": \"serve\""))?;
-    let tail = line.split("\"parallel_ms\": ").nth(1)?;
-    tail.split([',', '}']).next()?.trim().parse().ok()
-}
-
 fn audit_json(schedule: &ScheduleOutcome) -> Obj {
     let audit = &schedule.audit;
     let kl = &audit.kl;
@@ -517,10 +502,6 @@ pub fn obs_eval(workers: usize) -> Report {
         .field("serve_disabled_ms", disabled_ms)
         .field("serve_enabled_ms", enabled_ms)
         .field("tracing_overhead_fraction", overhead)
-        .field(
-            "bench_eval_serve_parallel_ms",
-            committed_serve_parallel_ms(),
-        )
         .field("pgp_audit", audit_json(&deployment.schedule))
         .field("drift", drift.iter().map(drift_json).collect::<Vec<_>>())
         .field("metrics", Json::Raw(snapshot.to_json()));
@@ -608,29 +589,5 @@ mod tests {
         assert!(counters.contains("\"blame_ms\""));
         assert!(report.text.contains("Predictor drift"));
         assert!(report.text.contains("SLO burn-rate alerts"));
-    }
-
-    #[test]
-    fn committed_serve_parallel_ms_reads_a_perf_eval_report() {
-        use crate::perf_eval::{eval_report, FigureRow};
-        let row = |name, parallel_ms| FigureRow {
-            name,
-            sequential_ms: 31.4,
-            parallel_ms,
-            rows_identical: true,
-        };
-        let rows = [
-            row("fig12", 1814.651),
-            row("serve", 15.865),
-            row("ablations", 18.2),
-        ];
-        let stats = chiron_runtime::AllocStats {
-            buffer_allocs: 1,
-            buffer_reuses: 3,
-            events: 9,
-        };
-        let text = eval_report(2, &rows, stats, true).render();
-        assert_eq!(serve_parallel_ms(&text), Some(15.865));
-        assert_eq!(serve_parallel_ms("{}"), None);
     }
 }

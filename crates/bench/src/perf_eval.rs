@@ -68,11 +68,11 @@ fn add_stats(total: &mut AllocStats, pass: AllocStats) {
 
 /// One figure's timings, as measured by [`figure_entry`].
 #[derive(Debug, Clone)]
-pub(crate) struct FigureRow {
-    pub(crate) name: &'static str,
-    pub(crate) sequential_ms: f64,
-    pub(crate) parallel_ms: f64,
-    pub(crate) rows_identical: bool,
+struct FigureRow {
+    name: &'static str,
+    sequential_ms: f64,
+    parallel_ms: f64,
+    rows_identical: bool,
 }
 
 fn figure_entry(name: &'static str, workers: usize, f: FigureFn) -> (FigureRow, AllocStats) {
@@ -96,12 +96,7 @@ fn figure_entry(name: &'static str, workers: usize, f: FigureFn) -> (FigureRow, 
 }
 
 /// Assembles `BENCH_EVAL.json` from the measured rows.
-pub(crate) fn eval_report(
-    workers: usize,
-    rows: &[FigureRow],
-    stats: AllocStats,
-    plans_ok: bool,
-) -> Report {
+fn eval_report(workers: usize, rows: &[FigureRow], stats: AllocStats, plans_ok: bool) -> Report {
     let mut report = Report::new("BENCH_EVAL.json");
     report.gate("rows_identical", rows.iter().all(|r| r.rows_identical));
     report.gate("plans_identical", plans_ok);

@@ -250,29 +250,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shapes_match_the_paper() {
-        let sn = social_network();
-        assert_eq!(sn.stage_count(), 4);
-        assert_eq!(sn.function_count(), 10);
-        assert_eq!(sn.max_parallelism(), 5);
-
-        let mr = movie_reviewing();
-        assert_eq!(mr.stage_count(), 4);
-        assert_eq!(mr.function_count(), 9);
-        assert_eq!(mr.max_parallelism(), 4);
-
-        let sl = slapp();
-        assert_eq!(sl.stage_count(), 2);
-        assert_eq!(sl.function_count(), 7);
-        assert_eq!(sl.max_parallelism(), 4);
-
-        let sv = slapp_v();
-        assert_eq!(sv.stage_count(), 5);
-        assert_eq!(sv.function_count(), 10);
-        assert_eq!(sv.max_parallelism(), 5);
-    }
-
-    #[test]
     fn finra_shape() {
         for n in [5usize, 50, 100, 200] {
             let wf = finra(n);
@@ -280,33 +257,6 @@ mod tests {
             assert_eq!(wf.function_count(), n + 1);
             assert_eq!(wf.max_parallelism(), n);
         }
-    }
-
-    #[test]
-    fn finra_rules_are_millisecond_scale_and_heterogeneous() {
-        let wf = finra(50);
-        let mut sub_ms = 0;
-        for id in &wf.stages[1].functions {
-            let exec = wf.function(*id).solo_latency().as_millis_f64();
-            assert!((0.4..12.5).contains(&exec), "rule exec {exec}ms");
-            if exec < 1.0 {
-                sub_ms += 1;
-            }
-        }
-        // Observation 2 needs sub-millisecond rules to exist.
-        assert!(sub_ms >= 10, "{sub_ms} sub-ms rules");
-    }
-
-    #[test]
-    fn slapp_reference_latencies_similar() {
-        let fns = slapp_reference_functions();
-        let lats: Vec<f64> = fns
-            .iter()
-            .map(|f| f.solo_latency().as_millis_f64())
-            .collect();
-        let max = lats.iter().cloned().fold(f64::MIN, f64::max);
-        let min = lats.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(max - min <= 2.0, "Fig. 7 needs similar latencies: {lats:?}");
     }
 
     #[test]
@@ -318,32 +268,5 @@ mod tests {
         // disk/net functions spend most of their time blocked.
         assert!(fns[2].block_time() > fns[2].cpu_time());
         assert!(fns[3].block_time() > fns[3].cpu_time());
-    }
-
-    #[test]
-    fn suite_contains_eight_workflows() {
-        let suite = evaluation_suite();
-        assert_eq!(suite.len(), 8);
-        let names: Vec<&str> = suite.iter().map(|w| w.name.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "SocialNetwork",
-                "MovieReviewing",
-                "SLApp",
-                "SLApp-V",
-                "FINRA-5",
-                "FINRA-50",
-                "FINRA-100",
-                "FINRA-200"
-            ]
-        );
-    }
-
-    #[test]
-    fn all_workflows_validate() {
-        for wf in evaluation_suite() {
-            wf.validate().unwrap();
-        }
     }
 }

@@ -128,98 +128,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deterministic_per_seed() {
-        let spec = SyntheticSpec::default();
-        assert_eq!(synthetic(spec), synthetic(spec));
-        let other = SyntheticSpec { seed: 8, ..spec };
-        assert_ne!(synthetic(spec), synthetic(other));
-    }
-
-    #[test]
-    fn respects_shape_bounds() {
-        for seed in 0..20 {
-            let spec = SyntheticSpec {
-                seed,
-                stages: 6,
-                max_parallelism: 10,
-                ..Default::default()
-            };
-            let wf = synthetic(spec);
-            wf.validate().unwrap();
-            assert_eq!(wf.stage_count(), 6);
-            assert!(wf.max_parallelism() <= 10);
-            assert_eq!(wf.stages[0].parallelism(), 1, "sequential entry");
-            assert_eq!(wf.stages[5].parallelism(), 1, "sequential exit");
-        }
-    }
-
-    #[test]
-    fn io_fraction_zero_is_pure_cpu() {
-        let spec = SyntheticSpec {
-            io_fraction: 0.0,
-            ..Default::default()
-        };
-        let wf = synthetic(spec);
-        for f in &wf.functions {
-            assert!(f.block_time().is_zero(), "{} has I/O", f.name);
-        }
-    }
-
-    #[test]
-    fn io_fraction_one_is_all_io() {
-        let spec = SyntheticSpec {
-            io_fraction: 1.0,
-            seed: 3,
-            ..Default::default()
-        };
-        let wf = synthetic(spec);
-        for f in &wf.functions {
-            assert!(!f.block_time().is_zero(), "{} lacks I/O", f.name);
-        }
-    }
-
-    #[test]
-    fn profile_classes_share_behaviour() {
-        let spec = SyntheticSpec {
-            stages: 6,
-            max_parallelism: 12,
-            profile_classes: 3,
-            ..Default::default()
-        };
-        let wf = synthetic(spec);
-        // Position i of every stage carries profile i % 3: collect the
-        // distinct (segments, class) pairs and check the bound holds.
-        let mut distinct: Vec<(&Vec<Segment>, WorkloadClass)> = Vec::new();
-        for f in &wf.functions {
-            if !distinct
-                .iter()
-                .any(|(s, c)| **s == f.segments && *c == f.class)
-            {
-                distinct.push((&f.segments, f.class));
-            }
-        }
-        assert!(
-            distinct.len() <= 3,
-            "expected at most 3 profiles, found {}",
-            distinct.len()
-        );
-        // Output sizes stay per-function even when behaviour is shared.
-        let wide = wf.stages.iter().map(|s| s.parallelism()).max().unwrap();
-        assert!(wide > 3, "need a stage wider than the class count");
-    }
-
-    #[test]
-    fn zero_classes_keeps_historic_output() {
-        // `profile_classes: 0` must not perturb the rng draw sequence.
-        let old = synthetic(SyntheticSpec::default());
-        let explicit = synthetic(SyntheticSpec {
-            profile_classes: 0,
-            ..Default::default()
-        });
-        assert_eq!(old, explicit);
-    }
-
-    #[test]
     fn single_stage_workflow() {
         let spec = SyntheticSpec {
             stages: 1,

@@ -307,28 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn balances_heavy_and_light() {
-        // A holds both heavy functions; KL should split them.
-        let weights = [10.0, 10.0, 1.0, 1.0];
-        let mut a = vec![fid(0), fid(1)];
-        let mut b = vec![fid(2), fid(3)];
-        let gain = kernighan_lin(&mut a, &mut b, weight(&weights));
-        assert!(gain > 0.0);
-        assert_eq!(pair_score(&weights, &a, &b), 11.0, "a={a:?} b={b:?}");
-    }
-
-    #[test]
-    fn no_gain_on_homogeneous_sets() {
-        let weights = [1.0; 6];
-        let mut a = vec![fid(0), fid(1), fid(2)];
-        let mut b = vec![fid(3), fid(4), fid(5)];
-        let before = (a.clone(), b.clone());
-        let gain = kernighan_lin(&mut a, &mut b, weight(&weights));
-        assert_eq!(gain, 0.0);
-        assert_eq!((a, b), before, "no swap should be applied");
-    }
-
-    #[test]
     fn empty_set_is_noop() {
         let mut a: Vec<FunctionId> = vec![];
         let mut b = vec![fid(0)];

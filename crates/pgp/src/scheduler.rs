@@ -1130,174 +1130,6 @@ mod tests {
     }
 
     #[test]
-    fn finra5_prefers_threads() {
-        // Sub-millisecond-heavy FINRA-5 is best served by thread execution
-        // (Observation 3): PGP should choose few processes.
-        let wf = apps::finra(5);
-        let out = PgpScheduler::paper_calibrated().schedule(
-            &wf,
-            &profile(&wf),
-            &PgpConfig::performance_first(),
-        );
-        assert!(out.processes <= 2, "chose {} processes", out.processes);
-        assert!(out.met_slo);
-        let stage_sets: Vec<Vec<FunctionId>> =
-            wf.stages.iter().map(|s| s.functions.clone()).collect();
-        out.plan.validate(&stage_sets).unwrap();
-    }
-
-    #[test]
-    fn slapp_prefers_processes() {
-        // 36ms CPU-heavy functions serialised by the GIL: PGP must split
-        // them across processes.
-        let wf = apps::slapp();
-        let out = PgpScheduler::paper_calibrated().schedule(
-            &wf,
-            &profile(&wf),
-            &PgpConfig::performance_first(),
-        );
-        assert!(out.processes >= 2, "chose {} processes", out.processes);
-    }
-
-    #[test]
-    fn slo_mode_meets_slo_with_fewer_cpus() {
-        let wf = apps::finra(50);
-        let prof = profile(&wf);
-        let sched = PgpScheduler::paper_calibrated();
-        let fast = sched.schedule(&wf, &prof, &PgpConfig::performance_first());
-        // A relaxed SLO: 40% above the performance-first prediction.
-        let slo = fast.predicted.mul_f64(1.4);
-        let eff = sched.schedule(&wf, &prof, &PgpConfig::with_slo(slo));
-        assert!(eff.met_slo);
-        assert!(eff.predicted <= slo);
-        assert!(
-            eff.plan.total_cpus() <= fast.plan.total_cpus(),
-            "SLO mode must not use more CPUs: {} vs {}",
-            eff.plan.total_cpus(),
-            fast.plan.total_cpus()
-        );
-    }
-
-    #[test]
-    fn prewarm_budget_penalises_and_stays_deterministic() {
-        let wf = apps::finra(50);
-        let prof = profile(&wf);
-        let sched = PgpScheduler::paper_calibrated();
-
-        let base = sched.schedule(&wf, &prof, &PgpConfig::performance_first());
-        assert_eq!(base.startup_penalty, SimDuration::ZERO);
-
-        // A thin budget leaves most of the demand window exposed to the
-        // cold boot, so the chosen plan carries a positive penalty.
-        let budget = PrewarmBudget::new(1e-4, 50.0);
-        let cfg = PgpConfig::performance_first().with_prewarm(budget);
-        let tiered = sched.schedule(&wf, &prof, &cfg);
-        assert!(tiered.startup_penalty > SimDuration::ZERO);
-        let stage_sets: Vec<Vec<FunctionId>> =
-            wf.stages.iter().map(|s| s.functions.clone()).collect();
-        tiered.plan.validate(&stage_sets).unwrap();
-
-        // The penalty is deterministic: the memoised search and the
-        // pre-optimisation oracle agree byte for byte under a budget too.
-        let reference = sched.schedule_reference(&wf, &prof, &cfg);
-        assert_eq!(tiered.plan, reference.plan);
-        assert_eq!(tiered.predicted, reference.predicted);
-        assert_eq!(tiered.startup_penalty, reference.startup_penalty);
-    }
-
-    #[test]
-    fn unsatisfiable_slo_reports_best_effort() {
-        let wf = apps::slapp();
-        let out = PgpScheduler::paper_calibrated().schedule(
-            &wf,
-            &profile(&wf),
-            &PgpConfig::with_slo(SimDuration::from_millis(1)),
-        );
-        assert!(!out.met_slo);
-        assert!(out.predicted > SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn plans_validate_for_all_benchmarks() {
-        let sched = PgpScheduler::paper_calibrated();
-        for wf in [
-            apps::social_network(),
-            apps::movie_reviewing(),
-            apps::slapp_v(),
-        ] {
-            let out = sched.schedule(&wf, &profile(&wf), &PgpConfig::performance_first());
-            let stage_sets: Vec<Vec<FunctionId>> =
-                wf.stages.iter().map(|s| s.functions.clone()).collect();
-            out.plan.validate(&stage_sets).unwrap();
-        }
-    }
-
-    #[test]
-    fn mpk_mode_forks_parallel_functions() {
-        let wf = apps::finra(5);
-        let out = PgpScheduler::paper_calibrated().schedule(
-            &wf,
-            &profile(&wf),
-            &PgpConfig::performance_first().with_mode(PgpMode::Mpk),
-        );
-        assert_eq!(out.plan.isolation, IsolationKind::Mpk);
-        // Parallel stage: single-function processes only. (Single-process
-        // wraps legitimately become thread execution under MPK.)
-        for wrap in &out.plan.stages[1].wraps {
-            for proc in &wrap.processes {
-                assert_eq!(proc.functions.len(), 1);
-            }
-        }
-    }
-
-    #[test]
-    fn pool_mode_uses_single_wrap_and_shared_cpus() {
-        let wf = apps::finra(50);
-        let out = PgpScheduler::paper_calibrated().schedule(
-            &wf,
-            &profile(&wf),
-            &PgpConfig::performance_first().with_mode(PgpMode::Pool),
-        );
-        assert_eq!(out.plan.sandbox_count(), 1);
-        assert_eq!(out.plan.sandboxes[0].pool_size, 50);
-        for stage in &out.plan.stages {
-            assert_eq!(stage.wraps.len(), 1);
-        }
-        let stage_sets: Vec<Vec<FunctionId>> =
-            wf.stages.iter().map(|s| s.functions.clone()).collect();
-        out.plan.validate(&stage_sets).unwrap();
-    }
-
-    #[test]
-    fn conflicting_runtimes_are_pinned() {
-        let fns = vec![
-            FunctionSpec::new("py3", vec![Segment::cpu_ms(5)]),
-            FunctionSpec {
-                runtime: LanguageRuntime::Python2,
-                ..FunctionSpec::new("py2", vec![Segment::cpu_ms(5)])
-            },
-            FunctionSpec::new("py3b", vec![Segment::cpu_ms(5)]),
-        ];
-        let wf = Workflow::new("mixed", fns, vec![vec![0, 1, 2]]).unwrap();
-        let prof = Profiler::default().profile_workflow(&wf);
-        let out =
-            PgpScheduler::paper_calibrated().schedule(&wf, &prof, &PgpConfig::performance_first());
-        // The Python 2 function must sit alone in its wrap.
-        let wrap_of = |f: u32| {
-            out.plan.stages[0]
-                .wraps
-                .iter()
-                .position(|w| w.functions().any(|x| x == FunctionId(f)))
-                .unwrap()
-        };
-        let w1 = wrap_of(1);
-        assert_eq!(out.plan.stages[0].wraps[w1].function_count(), 1);
-        let stage_sets: Vec<Vec<FunctionId>> =
-            wf.stages.iter().map(|s| s.functions.clone()).collect();
-        out.plan.validate(&stage_sets).unwrap();
-    }
-
-    #[test]
     fn stage_conflicts_match_the_pairwise_rule() {
         let spec = |name: &str, runtime, files: &[&str]| FunctionSpec {
             runtime,
@@ -1337,28 +1169,6 @@ mod tests {
                 assert_eq!(conflicts.pinned(f), pairwise(&sets, f), "{f:?} in {sets:?}");
             }
         }
-    }
-
-    #[test]
-    fn shared_cache_is_exercised_and_harmless() {
-        // One cache across repeated schedules: hit rate climbs, outputs
-        // stay identical to cold-cache runs.
-        let wf = apps::finra(20);
-        let prof = profile(&wf);
-        let sched = PgpScheduler::paper_calibrated();
-        let config = PgpConfig::performance_first();
-        let cold = sched.schedule(&wf, &prof, &config);
-        let cache = PredictionCache::new();
-        let first = sched.schedule_with_cache(&wf, &prof, &config, &cache);
-        let after_first = cache.stats();
-        assert!(after_first.hits > 0, "memoisation must be exercised");
-        let second = sched.schedule_with_cache(&wf, &prof, &config, &cache);
-        let after_second = cache.stats();
-        assert_eq!(cold.plan, first.plan);
-        assert_eq!(first.plan, second.plan);
-        // The second run re-uses the first run's entries: no new misses.
-        assert_eq!(after_first.misses, after_second.misses);
-        assert_eq!(after_first.entries, after_second.entries);
     }
 
     #[test]

@@ -409,198 +409,3 @@ impl Default for Predictor {
         Predictor::paper_calibrated()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use chiron_model::plan::*;
-    use chiron_model::{apps, IsolationKind, RuntimeKind, SandboxId, SandboxPlan};
-    use chiron_profiler::Profiler;
-    use chiron_runtime::VirtualPlatform;
-
-    fn faastlane_plan(wf: &Workflow, cpus: u32) -> DeploymentPlan {
-        // Sequential stages as orchestrator threads, parallel stages as
-        // forked processes, one sandbox.
-        let stages = wf
-            .stages
-            .iter()
-            .map(|s| StagePlan {
-                wraps: vec![WrapPlan {
-                    sandbox: SandboxId(0),
-                    processes: if s.functions.len() == 1 {
-                        vec![ProcessPlan::main_reuse(s.functions.clone())]
-                    } else {
-                        s.functions
-                            .iter()
-                            .map(|&f| ProcessPlan::forked(vec![f]))
-                            .collect()
-                    },
-                }],
-            })
-            .collect();
-        DeploymentPlan {
-            system: SystemKind::Faastlane,
-            workflow: wf.name.clone(),
-            runtime: RuntimeKind::PseudoParallel,
-            isolation: IsolationKind::None,
-            transfer: TransferKind::RpcPayload,
-            scheduling: SchedulingKind::PreDeployed,
-            sandboxes: vec![SandboxPlan {
-                id: SandboxId(0),
-                cpus,
-                pool_size: 0,
-            }],
-            stages,
-        }
-    }
-
-    fn thread_plan(wf: &Workflow, cpus: u32) -> DeploymentPlan {
-        let mut plan = faastlane_plan(wf, cpus);
-        plan.system = SystemKind::FaastlaneT;
-        for (si, s) in wf.stages.iter().enumerate() {
-            plan.stages[si].wraps[0].processes = vec![ProcessPlan::main_reuse(s.functions.clone())];
-        }
-        plan
-    }
-
-    /// Prediction error against the noiseless ground-truth platform must be
-    /// small for the deployment shapes PGP explores.
-    #[test]
-    fn tracks_ground_truth_for_process_plans() {
-        let wf = apps::finra(5);
-        let profile = Profiler::default().profile_workflow(&wf);
-        let plan = faastlane_plan(&wf, 5);
-        let predicted = Predictor::paper_calibrated().predict(&wf, &profile, &plan);
-        let truth = VirtualPlatform::new(PlatformConfig::paper_calibrated())
-            .execute(&wf, &plan, 0)
-            .unwrap()
-            .e2e;
-        let err = (predicted.as_millis_f64() - truth.as_millis_f64()).abs() / truth.as_millis_f64();
-        assert!(err < 0.10, "pred {predicted} truth {truth} err {err}");
-    }
-
-    #[test]
-    fn tracks_ground_truth_for_thread_plans() {
-        for wf in [apps::finra(5), apps::slapp(), apps::social_network()] {
-            let profile = Profiler::default().profile_workflow(&wf);
-            let plan = thread_plan(&wf, 2);
-            let predicted = Predictor::paper_calibrated().predict(&wf, &profile, &plan);
-            let truth = VirtualPlatform::new(PlatformConfig::paper_calibrated())
-                .execute(&wf, &plan, 0)
-                .unwrap()
-                .e2e;
-            let err =
-                (predicted.as_millis_f64() - truth.as_millis_f64()).abs() / truth.as_millis_f64();
-            assert!(err < 0.15, "{}: pred {predicted} truth {truth}", wf.name);
-        }
-    }
-
-    /// FINRA split across two wraps (two 2-cpu sandboxes, first-fit packs
-    /// both onto one node) so the shm-ring tier's co-location pricing is
-    /// actually exercised.
-    fn two_wrap_plan(wf: &Workflow, transfer: TransferKind) -> DeploymentPlan {
-        let mut plan = faastlane_plan(wf, 2);
-        plan.transfer = transfer;
-        plan.sandboxes.push(SandboxPlan {
-            id: SandboxId(1),
-            cpus: 2,
-            pool_size: 0,
-        });
-        for stage in &mut plan.stages {
-            let procs = std::mem::take(&mut stage.wraps[0].processes);
-            if procs.len() < 2 {
-                stage.wraps[0].processes = procs;
-                continue;
-            }
-            let mid = procs.len() / 2;
-            let (a, b) = procs.split_at(mid);
-            stage.wraps[0].processes = a.to_vec();
-            stage.wraps.push(WrapPlan {
-                sandbox: SandboxId(1),
-                processes: b.to_vec(),
-            });
-        }
-        plan
-    }
-
-    #[test]
-    fn tracks_ground_truth_for_shm_ring_plans() {
-        let wf = apps::finra(5);
-        let profile = Profiler::default().profile_workflow(&wf);
-        let pred = Predictor::paper_calibrated();
-        let platform = VirtualPlatform::new(PlatformConfig::paper_calibrated());
-        for transfer in [TransferKind::RpcPayload, TransferKind::ShmRing] {
-            let plan = two_wrap_plan(&wf, transfer);
-            let predicted = pred.predict(&wf, &profile, &plan);
-            let truth = platform.execute(&wf, &plan, 0).unwrap().e2e;
-            let err =
-                (predicted.as_millis_f64() - truth.as_millis_f64()).abs() / truth.as_millis_f64();
-            assert!(
-                err < 0.15,
-                "{transfer:?}: pred {predicted} truth {truth} err {err}"
-            );
-        }
-        // And the predictor agrees with the DES on the direction: the ring
-        // plan is strictly faster than its RPC twin.
-        let ring = pred.predict(&wf, &profile, &two_wrap_plan(&wf, TransferKind::ShmRing));
-        let rpc = pred.predict(&wf, &profile, &two_wrap_plan(&wf, TransferKind::RpcPayload));
-        assert!(ring < rpc, "ring {ring} vs rpc {rpc}");
-    }
-
-    #[test]
-    fn conservative_predicts_higher() {
-        let wf = apps::finra(50);
-        let profile = Profiler::default().profile_workflow(&wf);
-        let plan = faastlane_plan(&wf, 8);
-        let base = Predictor::paper_calibrated();
-        let p = base.predict(&wf, &profile, &plan);
-        let c = base.conservative(1.25).predict(&wf, &profile, &plan);
-        assert!(c > p, "conservative {c} vs {p}");
-    }
-
-    #[test]
-    fn thread_wrap_beats_process_wrap_for_short_functions() {
-        // Observation 3 at FINRA-5: thread execution wins for
-        // sub-millisecond functions despite the GIL.
-        let wf = apps::finra(5);
-        let profile = Profiler::default().profile_workflow(&wf);
-        let pred = Predictor::paper_calibrated();
-        let t = pred.predict(&wf, &profile, &thread_plan(&wf, 5));
-        let p = pred.predict(&wf, &profile, &faastlane_plan(&wf, 5));
-        assert!(t < p, "threads {t} vs processes {p}");
-    }
-
-    #[test]
-    fn process_wrap_wins_for_cpu_heavy_parallelism() {
-        // SLApp's stages are ~36ms CPU-heavy: pseudo-parallel threads
-        // serialise them, so processes win despite fork overhead.
-        let wf = apps::slapp();
-        let profile = Profiler::default().profile_workflow(&wf);
-        let pred = Predictor::paper_calibrated();
-        let t = pred.predict(&wf, &profile, &thread_plan(&wf, 4));
-        let p = pred.predict(&wf, &profile, &faastlane_plan(&wf, 4));
-        assert!(p < t, "processes {p} vs threads {t}");
-    }
-
-    #[test]
-    fn fewer_cpus_predictably_slower_for_processes() {
-        let wf = apps::slapp();
-        let profile = Profiler::default().profile_workflow(&wf);
-        let pred = Predictor::paper_calibrated();
-        let wide = pred.predict(&wf, &profile, &faastlane_plan(&wf, 4));
-        let narrow = pred.predict(&wf, &profile, &faastlane_plan(&wf, 1));
-        assert!(narrow > wide);
-    }
-
-    #[test]
-    fn mpk_plan_predicts_slower_than_bare_threads() {
-        let wf = apps::slapp();
-        let profile = Profiler::default().profile_workflow(&wf);
-        let pred = Predictor::paper_calibrated();
-        let mut plan = thread_plan(&wf, 4);
-        let bare = pred.predict(&wf, &profile, &plan);
-        plan.isolation = IsolationKind::Mpk;
-        let mpk = pred.predict(&wf, &profile, &plan);
-        assert!(mpk > bare);
-    }
-}

@@ -600,433 +600,3 @@ struct WrapRun<'a, 't> {
     /// The outcome's span buffer; each function's spans are appended.
     spans: &'a mut Vec<Span>,
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use chiron_model::plan::*;
-    use chiron_model::{apps, FunctionSpec, IsolationKind, RuntimeKind, SandboxId, SandboxPlan};
-
-    fn platform() -> VirtualPlatform {
-        VirtualPlatform::new(PlatformConfig::paper_calibrated())
-    }
-
-    /// A trivial single-stage, single-function workflow + plan.
-    fn solo() -> (Workflow, DeploymentPlan) {
-        let wf = Workflow::new(
-            "solo",
-            vec![FunctionSpec::new("f", vec![Segment::cpu_ms(10)])],
-            vec![vec![0]],
-        )
-        .unwrap();
-        let plan = DeploymentPlan {
-            system: SystemKind::Chiron,
-            workflow: "solo".into(),
-            runtime: RuntimeKind::PseudoParallel,
-            isolation: IsolationKind::None,
-            transfer: TransferKind::RpcPayload,
-            scheduling: SchedulingKind::PreDeployed,
-            sandboxes: vec![SandboxPlan {
-                id: SandboxId(0),
-                cpus: 1,
-                pool_size: 0,
-            }],
-            stages: vec![StagePlan {
-                wraps: vec![WrapPlan {
-                    sandbox: SandboxId(0),
-                    processes: vec![ProcessPlan::main_reuse(vec![FunctionId(0)])],
-                }],
-            }],
-        };
-        (wf, plan)
-    }
-
-    #[test]
-    fn solo_function_runs_at_cost() {
-        let (wf, plan) = solo();
-        let outcome = platform().execute(&wf, &plan, 0).unwrap();
-        assert_eq!(outcome.e2e.as_millis_f64(), 10.0);
-        let t = outcome.timeline(FunctionId(0));
-        t.check_invariants(&outcome.spans).unwrap();
-        assert_eq!(t.startup_overhead(), SimDuration::ZERO);
-    }
-
-    /// FINRA-5 deployed Faastlane-style: fetch as orchestrator thread, five
-    /// forked rule processes in one sandbox.
-    fn finra5_faastlane() -> (Workflow, DeploymentPlan) {
-        let wf = apps::finra(5);
-        let plan = DeploymentPlan {
-            system: SystemKind::Faastlane,
-            workflow: wf.name.clone(),
-            runtime: RuntimeKind::PseudoParallel,
-            isolation: IsolationKind::None,
-            transfer: TransferKind::RpcPayload,
-            scheduling: SchedulingKind::PreDeployed,
-            sandboxes: vec![SandboxPlan {
-                id: SandboxId(0),
-                cpus: 5,
-                pool_size: 0,
-            }],
-            stages: vec![
-                StagePlan {
-                    wraps: vec![WrapPlan {
-                        sandbox: SandboxId(0),
-                        processes: vec![ProcessPlan::main_reuse(vec![FunctionId(0)])],
-                    }],
-                },
-                StagePlan {
-                    wraps: vec![WrapPlan {
-                        sandbox: SandboxId(0),
-                        processes: (1..=5)
-                            .map(|i| ProcessPlan::forked(vec![FunctionId(i)]))
-                            .collect(),
-                    }],
-                },
-            ],
-        };
-        (wf, plan)
-    }
-
-    #[test]
-    fn fork_block_semantics_follow_eq4() {
-        let (wf, plan) = finra5_faastlane();
-        let outcome = platform().execute(&wf, &plan, 0).unwrap();
-        let costs = CostModelRef::get();
-        // Process j (0-based) begins executing at stage2_start +
-        // j·T_Block + T_Startup.
-        let stage2_start = outcome.stage_windows[1].0;
-        for j in 0..5u32 {
-            let t = outcome.timeline(FunctionId(1 + j));
-            t.check_invariants(&outcome.spans).unwrap();
-            let expected =
-                stage2_start + costs.process_block * u64::from(j) + costs.process_startup;
-            assert_eq!(
-                t.exec_start, expected,
-                "process {j} exec_start {:?} vs {:?}",
-                t.exec_start, expected
-            );
-        }
-        // Interaction: 4 × (T_IPC + tiny pipe payload) ≈ the paper's 4.3ms.
-        let ipc = outcome.total(SpanKind::Ipc).as_millis_f64();
-        assert!((3.5..5.5).contains(&ipc), "IPC drain: {ipc}ms");
-    }
-
-    /// Convenience accessor for the calibrated cost constants in tests.
-    struct CostModelRef;
-    impl CostModelRef {
-        fn get() -> chiron_model::CostModel {
-            chiron_model::CostModel::paper_calibrated()
-        }
-    }
-
-    #[test]
-    fn thread_mode_skips_fork_overheads() {
-        let wf = apps::finra(5);
-        // Faastlane-T: all five rules as threads of one process.
-        let plan = DeploymentPlan {
-            system: SystemKind::FaastlaneT,
-            workflow: wf.name.clone(),
-            runtime: RuntimeKind::PseudoParallel,
-            isolation: IsolationKind::None,
-            transfer: TransferKind::RpcPayload,
-            scheduling: SchedulingKind::PreDeployed,
-            sandboxes: vec![SandboxPlan {
-                id: SandboxId(0),
-                cpus: 5,
-                pool_size: 0,
-            }],
-            stages: vec![
-                StagePlan {
-                    wraps: vec![WrapPlan {
-                        sandbox: SandboxId(0),
-                        processes: vec![ProcessPlan::main_reuse(vec![FunctionId(0)])],
-                    }],
-                },
-                StagePlan {
-                    wraps: vec![WrapPlan {
-                        sandbox: SandboxId(0),
-                        processes: vec![ProcessPlan::main_reuse((1..=5).map(FunctionId).collect())],
-                    }],
-                },
-            ],
-        };
-        let thread_outcome = platform().execute(&wf, &plan, 0).unwrap();
-        let (_, fork_plan) = finra5_faastlane();
-        let fork_outcome = platform().execute(&wf, &fork_plan, 0).unwrap();
-        // FINRA-5's rules are sub-millisecond: thread execution wins even
-        // though the GIL serialises them (Observation 3 / Fig. 6 at n=5).
-        assert!(
-            thread_outcome.e2e < fork_outcome.e2e,
-            "threads {} vs processes {}",
-            thread_outcome.e2e,
-            fork_outcome.e2e
-        );
-        // And the fork plan pays measurable block time.
-        assert!(fork_outcome.total(SpanKind::BlockWait) > SimDuration::ZERO);
-        assert_eq!(thread_outcome.total(SpanKind::BlockWait), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn one_to_one_pays_store_and_scheduling() {
-        let wf = apps::finra(5);
-        // OpenFaaS-style: every function in its own sandbox, MinIO data.
-        let sandboxes: Vec<SandboxPlan> = (0..6)
-            .map(|i| SandboxPlan {
-                id: SandboxId(i),
-                cpus: 1,
-                pool_size: 0,
-            })
-            .collect();
-        let plan = DeploymentPlan {
-            system: SystemKind::OpenFaas,
-            workflow: wf.name.clone(),
-            runtime: RuntimeKind::PseudoParallel,
-            isolation: IsolationKind::None,
-            transfer: TransferKind::LocalMinio,
-            scheduling: SchedulingKind::OpenFaasGateway,
-            sandboxes,
-            stages: vec![
-                StagePlan {
-                    wraps: vec![WrapPlan {
-                        sandbox: SandboxId(0),
-                        processes: vec![ProcessPlan::main_reuse(vec![FunctionId(0)])],
-                    }],
-                },
-                StagePlan {
-                    wraps: (1..=5)
-                        .map(|i| WrapPlan {
-                            sandbox: SandboxId(i),
-                            processes: vec![ProcessPlan::main_reuse(vec![FunctionId(i)])],
-                        })
-                        .collect(),
-                },
-            ],
-        };
-        let outcome = platform().execute(&wf, &plan, 0).unwrap();
-        // Stage-2 functions each read their input from MinIO (≥10ms).
-        assert!(outcome.total(SpanKind::TransferIn) >= SimDuration::from_millis(50));
-        // Stage-1 output was written to the store.
-        assert!(outcome.total(SpanKind::TransferOut) >= SimDuration::from_millis(10));
-        // Scheduling spans exist for gateway-dispatched functions.
-        assert!(outcome.total(SpanKind::Scheduled) > SimDuration::ZERO);
-        for t in &outcome.timelines {
-            t.check_invariants(&outcome.spans).unwrap();
-        }
-    }
-
-    #[test]
-    fn cold_start_charged_once_per_sandbox() {
-        let (wf, plan) = solo();
-        let cold = platform()
-            .with_cold_starts(true)
-            .execute(&wf, &plan, 0)
-            .unwrap();
-        let warm = platform().execute(&wf, &plan, 0).unwrap();
-        let delta = cold.e2e.as_millis_f64() - warm.e2e.as_millis_f64();
-        assert!((delta - 167.0).abs() < 0.5, "cold start delta {delta}");
-    }
-
-    #[test]
-    fn mpk_isolation_slows_thread_execution() {
-        let (wf, mut plan) = solo();
-        plan.isolation = IsolationKind::Mpk;
-        let mpk = platform().execute(&wf, &plan, 0).unwrap();
-        plan.isolation = IsolationKind::None;
-        let bare = platform().execute(&wf, &plan, 0).unwrap();
-        let ratio = mpk.e2e.as_millis_f64() / bare.e2e.as_millis_f64();
-        // 10ms pure CPU → 35.2% slower plus 0.2ms domain entry.
-        assert!((1.33..1.42).contains(&ratio), "MPK ratio {ratio}");
-    }
-
-    #[test]
-    fn multi_wrap_stage_staggers_invocations() {
-        let wf = apps::finra(4);
-        // Two wraps of two forked rule processes each.
-        let plan = DeploymentPlan {
-            system: SystemKind::Chiron,
-            workflow: wf.name.clone(),
-            runtime: RuntimeKind::PseudoParallel,
-            isolation: IsolationKind::None,
-            transfer: TransferKind::RpcPayload,
-            scheduling: SchedulingKind::PreDeployed,
-            sandboxes: vec![
-                SandboxPlan {
-                    id: SandboxId(0),
-                    cpus: 2,
-                    pool_size: 0,
-                },
-                SandboxPlan {
-                    id: SandboxId(1),
-                    cpus: 2,
-                    pool_size: 0,
-                },
-            ],
-            stages: vec![
-                StagePlan {
-                    wraps: vec![WrapPlan {
-                        sandbox: SandboxId(0),
-                        processes: vec![ProcessPlan::main_reuse(vec![FunctionId(0)])],
-                    }],
-                },
-                StagePlan {
-                    wraps: vec![
-                        WrapPlan {
-                            sandbox: SandboxId(0),
-                            processes: vec![
-                                ProcessPlan::forked(vec![FunctionId(1)]),
-                                ProcessPlan::forked(vec![FunctionId(2)]),
-                            ],
-                        },
-                        WrapPlan {
-                            sandbox: SandboxId(1),
-                            processes: vec![
-                                ProcessPlan::forked(vec![FunctionId(3)]),
-                                ProcessPlan::forked(vec![FunctionId(4)]),
-                            ],
-                        },
-                    ],
-                },
-            ],
-        };
-        let outcome = platform().execute(&wf, &plan, 0).unwrap();
-        let stage2 = outcome.stage_windows[1].0;
-        let local = outcome.timeline(FunctionId(1));
-        let remote = outcome.timeline(FunctionId(3));
-        // The remote wrap starts T_INV + T_RPC + payload later.
-        assert_eq!(local.spans(&outcome.spans)[0].start, stage2);
-        assert!(remote.exec_start > local.exec_start);
-        // The remote wrap's functions carry a Scheduled span.
-        assert!(remote.total(&outcome.spans, SpanKind::Scheduled) > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn pool_dispatch_is_cheap_and_parallel() {
-        let wf = apps::finra(5);
-        let plan = DeploymentPlan {
-            system: SystemKind::ChironP,
-            workflow: wf.name.clone(),
-            runtime: RuntimeKind::PseudoParallel,
-            isolation: IsolationKind::None,
-            transfer: TransferKind::RpcPayload,
-            scheduling: SchedulingKind::PreDeployed,
-            sandboxes: vec![SandboxPlan {
-                id: SandboxId(0),
-                cpus: 5,
-                pool_size: 6,
-            }],
-            stages: vec![
-                StagePlan {
-                    wraps: vec![WrapPlan {
-                        sandbox: SandboxId(0),
-                        processes: vec![ProcessPlan::pooled(vec![FunctionId(0)])],
-                    }],
-                },
-                StagePlan {
-                    wraps: vec![WrapPlan {
-                        sandbox: SandboxId(0),
-                        processes: (1..=5)
-                            .map(|i| ProcessPlan::pooled(vec![FunctionId(i)]))
-                            .collect(),
-                    }],
-                },
-            ],
-        };
-        let pooled = platform().execute(&wf, &plan, 0).unwrap();
-        let (_, forked) = finra5_faastlane();
-        let forked = platform().execute(&wf, &forked, 0).unwrap();
-        assert!(
-            pooled.e2e < forked.e2e,
-            "pool should beat per-request forks"
-        );
-        assert_eq!(pooled.total(SpanKind::BlockWait), SimDuration::ZERO);
-        // Pool workers are separate processes: rules run truly in parallel,
-        // so the last rule finishes ≈ when the first does.
-        let ends: Vec<f64> = (1..=5)
-            .map(|i| pooled.timeline(FunctionId(i)).completed.as_millis_f64())
-            .collect();
-        let spread = ends.iter().cloned().fold(f64::MIN, f64::max)
-            - ends.iter().cloned().fold(f64::MAX, f64::min);
-        // The rules' own execution times differ by up to 11.5ms; a fork
-        // ladder would add ~14ms of stagger on top of that.
-        assert!(spread < 12.5, "pool spread {spread}ms");
-    }
-
-    /// The multi-wrap FINRA-4 plan (two sandboxes of 2 cpus — first-fit
-    /// packs both onto one 40-cpu node) under a configurable transfer kind.
-    fn finra4_two_wraps(transfer: TransferKind) -> (Workflow, DeploymentPlan) {
-        let wf = apps::finra(4);
-        let plan = DeploymentPlan {
-            system: SystemKind::Chiron,
-            workflow: wf.name.clone(),
-            runtime: RuntimeKind::PseudoParallel,
-            isolation: IsolationKind::None,
-            transfer,
-            scheduling: SchedulingKind::PreDeployed,
-            sandboxes: vec![
-                SandboxPlan {
-                    id: SandboxId(0),
-                    cpus: 2,
-                    pool_size: 0,
-                },
-                SandboxPlan {
-                    id: SandboxId(1),
-                    cpus: 2,
-                    pool_size: 0,
-                },
-            ],
-            stages: vec![
-                StagePlan {
-                    wraps: vec![WrapPlan {
-                        sandbox: SandboxId(0),
-                        processes: vec![ProcessPlan::main_reuse(vec![FunctionId(0)])],
-                    }],
-                },
-                StagePlan {
-                    wraps: vec![
-                        WrapPlan {
-                            sandbox: SandboxId(0),
-                            processes: vec![
-                                ProcessPlan::forked(vec![FunctionId(1)]),
-                                ProcessPlan::forked(vec![FunctionId(2)]),
-                            ],
-                        },
-                        WrapPlan {
-                            sandbox: SandboxId(1),
-                            processes: vec![
-                                ProcessPlan::forked(vec![FunctionId(3)]),
-                                ProcessPlan::forked(vec![FunctionId(4)]),
-                            ],
-                        },
-                    ],
-                },
-            ],
-        };
-        (wf, plan)
-    }
-
-    #[test]
-    fn shm_ring_beats_rpc_payload_when_colocated() {
-        let p = platform();
-        let (wf, rpc_plan) = finra4_two_wraps(TransferKind::RpcPayload);
-        let (_, ring_plan) = finra4_two_wraps(TransferKind::ShmRing);
-        let rpc = p.execute(&wf, &rpc_plan, 0).unwrap();
-        let ring = p.execute(&wf, &ring_plan, 0).unwrap();
-        // Both 2-cpu sandboxes pack onto one 40-cpu node, so the remote
-        // wrap's invocation payload, result return, and the IPC drains all
-        // ride the ring — the saving is the dropped RPC round trips plus
-        // the pipe-vs-ring bandwidth gap.
-        assert!(ring.e2e < rpc.e2e, "ring {} vs rpc {}", ring.e2e, rpc.e2e);
-        // The drain still appears, but priced at ring cost (< 1µs for the
-        // tiny rule outputs vs ≥1ms of T_IPC each).
-        assert!(ring.total(SpanKind::Ipc) < SimDuration::from_micros(10));
-        // Two wraps × one drained process each at T_IPC ≈ 1ms.
-        assert!(rpc.total(SpanKind::Ipc) >= SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn rejects_invalid_plan() {
-        let (wf, mut plan) = solo();
-        plan.stages.clear();
-        assert!(platform().execute(&wf, &plan, 0).is_err());
-    }
-}

@@ -31,27 +31,10 @@
 //! the `shm_ring` tier in `chiron-store::transfer`.
 
 use super::Backoff;
-use chiron_model::SimDuration;
-use chiron_obs::{StaticCounter, StaticHistogram};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-// Data-plane telemetry, registered with `chiron-obs` so `figures -- obs`
-// and the fleet flight recorder see ring health next to the simulator's
-// own metrics. Every record is gated on `chiron_obs::tracing_enabled()`
-// (one Relaxed atomic load), so the sub-microsecond push/pop paths pay
-// nothing when observability is off.
-//
-// Occupancy is measured in *bytes* but `StaticHistogram` is
-// duration-typed; we store bytes as nanoseconds (1 B ↔ 1 ns), which the
-// metric name makes explicit.
-static RING_OCCUPANCY: StaticHistogram = StaticHistogram::new("runtime.ring.occupancy_bytes_as_ns");
-static RING_TORN_FRAMES: StaticCounter = StaticCounter::new("runtime.ring.torn_frames");
-static RING_CRC_FAILURES: StaticCounter = StaticCounter::new("runtime.ring.crc_failures");
-static RING_FULL_REJECTS: StaticCounter = StaticCounter::new("runtime.ring.full_rejects");
-static RING_BACKOFF_YIELDS: StaticCounter = StaticCounter::new("runtime.ring.backoff_yields");
 
 /// Bytes of frame header preceding every payload: `[len u32][crc u32]`.
 pub const FRAME_HEADER_BYTES: usize = 8;
@@ -133,14 +116,6 @@ pub fn crc32_pair(a: &[u8], b: &[u8]) -> u32 {
 /// never false-share.
 #[repr(align(64))]
 struct CachePadded<T>(T);
-
-/// [`Backoff::snooze`] that counts every scheduler yield into the ring
-/// telemetry.
-fn snooze(backoff: &mut Backoff) {
-    if backoff.snooze() && chiron_obs::tracing_enabled() {
-        RING_BACKOFF_YIELDS.incr();
-    }
-}
 
 struct Shared {
     buf: Box<[UnsafeCell<u8>]>,
@@ -257,9 +232,6 @@ impl Producer {
         if self.shared.capacity() - self.tail.wrapping_sub(self.cached_head) < frame {
             self.cached_head = self.shared.head.0.load(Ordering::Acquire);
             if self.shared.capacity() - self.tail.wrapping_sub(self.cached_head) < frame {
-                if chiron_obs::tracing_enabled() {
-                    RING_FULL_REJECTS.incr();
-                }
                 return Err(RingError::Full);
             }
         }
@@ -276,12 +248,6 @@ impl Producer {
         self.tail = self.tail.wrapping_add(frame);
         // Publish: the consumer's Acquire load of `tail` sees the bytes.
         self.shared.tail.0.store(self.tail, Ordering::Release);
-        if chiron_obs::tracing_enabled() {
-            // Against the cached head, so the sample never adds an extra
-            // Acquire to the fast path; a stale head only over-reports.
-            let occupied = self.tail.wrapping_sub(self.cached_head) as u64;
-            RING_OCCUPANCY.record(SimDuration::from_nanos(occupied));
-        }
         Ok(())
     }
 
@@ -291,7 +257,9 @@ impl Producer {
         let mut backoff = Backoff::new();
         loop {
             match self.try_push(payload) {
-                Err(RingError::Full) => snooze(&mut backoff),
+                Err(RingError::Full) => {
+                    backoff.snooze();
+                }
                 other => return other,
             }
         }
@@ -344,9 +312,6 @@ impl Consumer {
         // The producer publishes whole frames, so a readable region
         // shorter than its own framing is corruption, not emptiness.
         if readable < FRAME_HEADER_BYTES {
-            if chiron_obs::tracing_enabled() {
-                RING_TORN_FRAMES.incr();
-            }
             return Err(RingError::Corrupt);
         }
         // SAFETY: `[head, head + readable)` was published by the
@@ -362,9 +327,6 @@ impl Consumer {
             )
         };
         if FRAME_HEADER_BYTES + len > readable {
-            if chiron_obs::tracing_enabled() {
-                RING_TORN_FRAMES.incr();
-            }
             return Err(RingError::Corrupt);
         }
         // SAFETY: same published region, offset past the header.
@@ -373,9 +335,6 @@ impl Consumer {
                 .slices(self.head.wrapping_add(FRAME_HEADER_BYTES), len)
         };
         if crc32_pair(a, b) != crc {
-            if chiron_obs::tracing_enabled() {
-                RING_CRC_FAILURES.incr();
-            }
             return Err(RingError::Corrupt);
         }
         let out = read(a, b);
@@ -402,7 +361,7 @@ impl Consumer {
     ) -> Result<R, RingError> {
         let mut backoff = Backoff::new();
         while self.is_empty() {
-            snooze(&mut backoff);
+            backoff.snooze();
         }
         match self.pop_with(read)? {
             Some(r) => Ok(r),
@@ -596,52 +555,6 @@ mod tests {
             }
         }
         producer.join().unwrap();
-    }
-
-    /// The ring telemetry totals: occupancy samples, torn frames, CRC
-    /// failures, full rejects and backoff yields.
-    fn ring_stats() -> [u64; 5] {
-        [
-            RING_OCCUPANCY.summary().samples,
-            RING_TORN_FRAMES.get(),
-            RING_CRC_FAILURES.get(),
-            RING_FULL_REJECTS.get(),
-            RING_BACKOFF_YIELDS.get(),
-        ]
-    }
-
-    #[test]
-    fn telemetry_is_zero_cost_when_tracing_disabled() {
-        // Phase 1: tracing off — pushes, pops, full rejections, and a CRC
-        // failure must leave every instrument untouched.
-        let before = ring_stats();
-        let (mut tx, mut rx) = ring(64);
-        tx.try_push(&[1u8; 20]).unwrap();
-        tx.try_push(&[2u8; 20]).unwrap();
-        assert_eq!(tx.try_push(&[3u8; 20]), Err(RingError::Full));
-        rx.pop().unwrap().unwrap();
-        unsafe {
-            *tx.shared.buf[(20 + FRAME_HEADER_BYTES * 2 + 2) & tx.shared.mask].get() ^= 0xFF;
-        }
-        assert_eq!(rx.pop(), Err(RingError::Corrupt));
-        assert_eq!(ring_stats(), before, "disabled tracing must record nothing");
-
-        // Phase 2: tracing on — the same traffic shows up in the stats.
-        chiron_obs::set_tracing(true);
-        let (mut tx, mut rx) = ring(64);
-        tx.try_push(&[1u8; 20]).unwrap();
-        tx.try_push(&[2u8; 20]).unwrap();
-        assert_eq!(tx.try_push(&[3u8; 20]), Err(RingError::Full));
-        rx.pop().unwrap().unwrap();
-        unsafe {
-            *tx.shared.buf[(20 + FRAME_HEADER_BYTES * 2 + 2) & tx.shared.mask].get() ^= 0xFF;
-        }
-        assert_eq!(rx.pop(), Err(RingError::Corrupt));
-        chiron_obs::set_tracing(false);
-        let after = ring_stats();
-        assert!(after[0] >= before[0] + 2, "occupancy samples");
-        assert!(after[3] > before[3], "full rejects");
-        assert!(after[2] > before[2], "CRC failures");
     }
 
     #[test]

@@ -16,12 +16,16 @@
 //! * **No test-only public API.** Every `pub fn` and `pub const` in
 //!   `crates/*/src` is named by some non-test source, bar an explicit
 //!   allowlist of deliberate test hooks.
+//! * **No unlisted unit tests.** The `#[test]` functions under
+//!   `crates/*/src` are exactly those `tests/unit_tests.txt` keeps, each
+//!   with its reason; everything else tier-1 checks itself.
 
 use chiron::deploy::NodeId;
 use chiron::model::{apps, SimTime};
 use chiron::{Chiron, FaultPlan, PgpMode, ServeConfig, Workload};
 use chiron_runtime::rt::ring::crc32_pair;
 use chiron_runtime::{crc32, ring, RingError};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 #[test]
@@ -118,13 +122,8 @@ fn ring_delivers_wrapped_frames_intact() {
 }
 
 /// The process state `no_process_state_outside_obs` tolerates, as
-/// `(file, static)`: the DES's per-thread default scratch arena, and the
-/// `#[cfg(test)]` lock the bench crate's tracing unit tests take turns on
-/// (it exists only in that crate's unit-test build).
-const PROCESS_STATE_ALLOWLIST: [(&str, &str); 2] = [
-    ("crates/runtime/src/platform.rs", "SCRATCH"),
-    ("crates/bench/src/lib.rs", "TRACING"),
-];
+/// `(file, static)`: the DES's per-thread default scratch arena.
+const PROCESS_STATE_ALLOWLIST: [(&str, &str); 1] = [("crates/runtime/src/platform.rs", "SCRATCH")];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source tree") {
@@ -137,25 +136,35 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Every `static` in `crates/*/src` (bar `crates/obs`) whose type names an
-/// atomic, lock, lazy or cell type, and every `thread_local!` static, as
-/// `(file, name)`. The `Static*` metric sites pass by type.
-fn process_state_sites(root: &Path) -> Vec<(String, String)> {
-    const STATEFUL: [&str; 6] = ["Mutex", "RwLock", "OnceLock", "LazyLock", "Cell", "RefCell"];
+/// Every `.rs` file under `crates/*/src`.
+fn crate_sources(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
-        let krate = krate.expect("directory entry").path();
-        if krate.file_name().is_some_and(|n| n != "obs") && krate.join("src").is_dir() {
-            rust_files(&krate.join("src"), &mut files);
+        let src = krate.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
         }
     }
+    files
+}
+
+/// Every `static` outside `#[cfg(test)]` in `crates/*/src` (bar
+/// `crates/obs`) whose type names an atomic, lock, lazy or cell type, and
+/// every `thread_local!` static, as `(file, name)`. The `Static*` metric
+/// sites pass by type.
+fn process_state_sites(root: &Path) -> Vec<(String, String)> {
+    const STATEFUL: [&str; 6] = ["Mutex", "RwLock", "OnceLock", "LazyLock", "Cell", "RefCell"];
+    let obs = root.join("crates/obs");
     let mut sites = Vec::new();
-    for file in files {
+    for file in crate_sources(root)
+        .into_iter()
+        .filter(|f| !f.starts_with(&obs))
+    {
         let rel = file.strip_prefix(root).unwrap().display().to_string();
         let text = std::fs::read_to_string(&file).expect("readable source file");
         // Brace depth inside a `thread_local!` block, if in one.
         let mut thread_local: Option<i32> = None;
-        for line in text.lines().map(str::trim) {
+        for line in non_test_lines(&text).into_iter().map(str::trim) {
             if line.starts_with("//") {
                 continue;
             }
@@ -262,13 +271,7 @@ fn defined_name(line: &str) -> Option<&str> {
 /// `examples/`, `perfbench/src`) names apart from its definition, comments
 /// and `pub use` lists, as `(file, name)`.
 fn test_only_public_items(root: &Path) -> Vec<(String, String)> {
-    let mut crate_files = Vec::new();
-    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
-        let src = krate.expect("directory entry").path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut crate_files);
-        }
-    }
+    let crate_files = crate_sources(root);
     let mut files = crate_files.clone();
     for dir in ["src", "examples", "perfbench/src"] {
         rust_files(&root.join(dir), &mut files);
@@ -322,4 +325,45 @@ fn no_test_only_public_functions() {
     );
     // The allowlist must not outlive what it names.
     assert_eq!(items.len(), TEST_ONLY_ALLOWLIST.len(), "{items:?}");
+}
+
+/// Every `#[test]` function under `crates/*/src`, as `file::name`.
+fn unit_tests(root: &Path) -> BTreeSet<String> {
+    let mut tests = BTreeSet::new();
+    for file in crate_sources(root) {
+        let rel = file.strip_prefix(root).unwrap().display().to_string();
+        let text = std::fs::read_to_string(&file).expect("readable source file");
+        let mut marked = false;
+        for line in text.lines().map(str::trim) {
+            if line == "#[test]" {
+                marked = true;
+            } else if let Some(name) = defined_name(line).filter(|_| marked) {
+                tests.insert(format!("{rel}::{name}"));
+                marked = false;
+            }
+        }
+    }
+    tests
+}
+
+#[test]
+fn unit_tests_are_the_kept_list() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let list = std::fs::read_to_string(root.join("tests/unit_tests.txt")).expect("the kept list");
+    let kept: BTreeSet<String> = list
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let (test, reason) = l.split_once(" — ").expect("`file::test — reason`");
+            assert!(!reason.trim().is_empty(), "no reason for {test}");
+            test.trim().to_string()
+        })
+        .collect();
+    let found = unit_tests(root);
+    let unlisted: Vec<_> = found.difference(&kept).collect();
+    let missing: Vec<_> = kept.difference(&found).collect();
+    assert!(
+        unlisted.is_empty() && missing.is_empty(),
+        "unit tests not on tests/unit_tests.txt: {unlisted:?}; listed but gone: {missing:?}"
+    );
 }

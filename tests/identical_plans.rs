@@ -4,10 +4,15 @@
 //! optimisation: for every workflow, execution mode and SLO setting it
 //! must emit plans byte-identical to the pre-optimisation reference
 //! ([`PgpScheduler::schedule_reference`]), while actually exercising the
-//! memo cache.
+//! memo cache. Two plain tests cover inputs the random workflows never
+//! draw: a prewarm budget (its penalty, and the two searches agreeing
+//! under it) and a function whose language runtime conflicts with its
+//! stage's (§3.4 pins it into a wrap of its own).
 
-use chiron_model::{SimDuration, TransferKind};
-use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler};
+use chiron_model::{
+    apps, FunctionId, FunctionSpec, LanguageRuntime, Segment, SimDuration, TransferKind, Workflow,
+};
+use chiron_pgp::{PgpConfig, PgpMode, PgpScheduler, PrewarmBudget};
 use chiron_predict::PredictionCache;
 use chiron_profiler::Profiler;
 use proptest::prelude::*;
@@ -66,4 +71,55 @@ proptest! {
             prop_assert_eq!(fast.plan.transfer, TransferKind::ShmRing);
         }
     }
+}
+
+/// A prewarm budget prices the residual cold starts into the objective:
+/// without one the penalty is zero, a thin one leaves a positive penalty
+/// on a valid plan, and the memoised search and the reference agree on
+/// plan, prediction and penalty.
+#[test]
+fn prewarm_budget_penalises_and_stays_identical() {
+    let wf = apps::finra(50);
+    let prof = Profiler::default().profile_workflow(&wf);
+    let sched = PgpScheduler::paper_calibrated();
+    let base = sched.schedule(&wf, &prof, &PgpConfig::performance_first());
+    assert_eq!(base.startup_penalty, SimDuration::ZERO);
+
+    let cfg = PgpConfig::performance_first().with_prewarm(PrewarmBudget::new(1e-4, 50.0));
+    let tiered = sched.schedule(&wf, &prof, &cfg);
+    assert!(tiered.startup_penalty > SimDuration::ZERO);
+    tiered.plan.validate(&stage_sets(&wf)).unwrap();
+    let reference = sched.schedule_reference(&wf, &prof, &cfg);
+    assert_eq!(tiered.plan, reference.plan);
+    assert_eq!(tiered.predicted, reference.predicted);
+    assert_eq!(tiered.startup_penalty, reference.startup_penalty);
+}
+
+/// §3.4: a function whose language runtime conflicts with its stage's
+/// sits alone in its own wrap.
+#[test]
+fn conflicting_runtimes_are_pinned() {
+    let fns = vec![
+        FunctionSpec::new("py3", vec![Segment::cpu_ms(5)]),
+        FunctionSpec {
+            runtime: LanguageRuntime::Python2,
+            ..FunctionSpec::new("py2", vec![Segment::cpu_ms(5)])
+        },
+        FunctionSpec::new("py3b", vec![Segment::cpu_ms(5)]),
+    ];
+    let wf = Workflow::new("mixed", fns, vec![vec![0, 1, 2]]).unwrap();
+    let prof = Profiler::default().profile_workflow(&wf);
+    let out =
+        PgpScheduler::paper_calibrated().schedule(&wf, &prof, &PgpConfig::performance_first());
+    let wraps = &out.plan.stages[0].wraps;
+    let py2 = wraps
+        .iter()
+        .find(|w| w.functions().any(|f| f == FunctionId(1)))
+        .unwrap();
+    assert_eq!(py2.function_count(), 1);
+    out.plan.validate(&stage_sets(&wf)).unwrap();
+}
+
+fn stage_sets(wf: &Workflow) -> Vec<Vec<FunctionId>> {
+    wf.stages.iter().map(|s| s.functions.clone()).collect()
 }

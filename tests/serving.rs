@@ -164,6 +164,132 @@ fn p99_recovers_after_ten_x_traffic_step() {
     );
 }
 
+/// FINRA-12 under Faastlane+ on the paper testbed, served directly.
+fn simulation(config: ServeConfig) -> ServeSimulation {
+    let wf = apps::finra(12);
+    let plan = chiron::deploy::planners::faastlane_plus(&wf);
+    ServeSimulation::new(wf, plan, config)
+}
+
+/// Under a 10× step, tiered prewarm pools start replicas from snapshots
+/// and zygotes in place of cold boots and bill the pools' rent, and a
+/// run's replica-seconds split exactly into busy and idle time, with a
+/// keep-alive tail after the last request.
+#[test]
+fn tiered_step_bills_rent_and_splits_replica_seconds() {
+    let workload = Workload::step(10.0, 10.0, 300, 3_000);
+    let legacy = simulation(ServeConfig::paper_testbed())
+        .run(&workload, 1)
+        .unwrap();
+    let tiered_config =
+        || ServeConfig::paper_testbed().with_lifecycle(chiron::LifecycleConfig::paper_calibrated());
+    let tiered = simulation(tiered_config()).run(&workload, 1).unwrap();
+
+    assert_eq!(tiered.lost, 0);
+    assert!(tiered.scale_ups > 0);
+    let tier_starts = tiered.starts_by_tier[1] + tiered.starts_by_tier[2];
+    assert!(
+        tier_starts > 0,
+        "starts_by_tier={:?}",
+        tiered.starts_by_tier
+    );
+    assert!(
+        tiered.starts_by_tier[3] < legacy.starts_by_tier[3],
+        "tiered {:?} vs legacy {:?}",
+        tiered.starts_by_tier,
+        legacy.starts_by_tier
+    );
+    assert_eq!(legacy.starts_by_tier[1], 0);
+    assert_eq!(legacy.starts_by_tier[2], 0);
+    assert!(tiered.pool_gb_seconds > 0.0);
+    assert!(tiered.pool_rent_usd > 0.0);
+    assert!(tiered.total_cost_usd() > tiered.cost_usd);
+    assert_eq!(legacy.pool_gb_seconds, 0.0);
+    let fractions = tiered.tier_start_fractions();
+    assert!((fractions.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    let again = simulation(tiered_config()).run(&workload, 1).unwrap();
+    assert_eq!(tiered.digest(), again.digest());
+    assert_eq!(tiered.records, again.records);
+    assert_eq!(tiered.pool_gb_seconds, again.pool_gb_seconds);
+
+    let report = legacy;
+    assert!(report.scale_ups > 0 && report.cold_starts > 0);
+    assert!(report.busy_replica_seconds > 0.0);
+    assert!(report.idle_replica_seconds > 0.0);
+    let split = report.busy_replica_seconds + report.idle_replica_seconds;
+    assert!(
+        (split - report.replica_seconds).abs() < 1e-6 * report.replica_seconds,
+        "busy {} + idle {} != total {}",
+        report.busy_replica_seconds,
+        report.idle_replica_seconds,
+        report.replica_seconds
+    );
+    assert!(report.keepalive_tail_seconds > 0.0);
+    assert!(report.replica_seconds > report.busy_replica_seconds);
+    assert!(report.cost_usd > 0.0);
+}
+
+/// Burn-rate alerts stay quiet on a healthy run without perturbing it,
+/// and fire after a four-node kill, with less compliance.
+#[test]
+fn slo_burn_rate_alerts_fire_on_incident_and_stay_quiet_otherwise() {
+    let workload = Workload::steady(25.0, 2_000);
+    let healthy = simulation(ServeConfig::paper_testbed())
+        .run(&workload, 3)
+        .unwrap();
+    let policy = chiron::SloPolicy::multi_window(healthy.sojourns.max().mul_f64(1.2));
+
+    let quiet = simulation(ServeConfig::paper_testbed().with_slo(policy))
+        .run(&workload, 3)
+        .unwrap();
+    let quiet_slo = quiet.slo.as_ref().expect("slo configured");
+    assert_eq!(quiet_slo.alerts_fired, 0, "{}", quiet_slo.render_timeline());
+    assert_eq!(
+        quiet.digest(),
+        healthy.digest(),
+        "monitoring must not perturb the sim"
+    );
+
+    let mut faults = FaultPlan::none();
+    for node in 0..4 {
+        faults = faults.kill_at(SimTime::from_millis_f64(5_000.0), NodeId(node));
+    }
+    let faulted = simulation(ServeConfig::paper_testbed().with_slo(policy))
+        .with_faults(faults)
+        .run(&workload, 3)
+        .unwrap();
+    let slo = faulted.slo.expect("slo configured");
+    assert!(slo.alerts_fired >= 1, "{}", slo.render_timeline());
+    let first = slo.first_alert_ns.expect("fired");
+    assert!(
+        first > 5_000_000_000,
+        "alert must follow the kill, got {first}"
+    );
+    assert!(slo.time_in_alert_ns > 0);
+    assert!(slo.compliance < quiet_slo.compliance);
+    assert_eq!(slo.render_timeline(), slo.clone().render_timeline());
+}
+
+/// Per-node queues skip the central FIFO's routing overhead: at light
+/// load the partitioned router's median sojourn is no worse.
+#[test]
+fn partitioned_router_beats_central_overhead() {
+    let wl = Workload::steady(10.0, 500);
+    let central = simulation(ServeConfig::paper_testbed())
+        .run(&wl, 5)
+        .unwrap();
+    let partitioned =
+        simulation(ServeConfig::paper_testbed().with_router(RouterPolicy::PartitionedByNode))
+            .run(&wl, 5)
+            .unwrap();
+    assert!(
+        partitioned.sojourns.percentile(0.5) <= central.sojourns.percentile(0.5),
+        "partitioned {} vs central {}",
+        partitioned.sojourns.percentile(0.5),
+        central.sojourns.percentile(0.5)
+    );
+}
+
 /// Killing a node mid-run completes every accepted request: in-flight work
 /// is re-queued by failure detection, never dropped. Without a fault, a
 /// steady 500 rps run completes every request too.
