@@ -9,7 +9,8 @@
 //! inputs can never replay a stale plan, and malformed inputs are typed
 //! errors.
 //! Random workflows under every planner, with sandbox CPUs drawn on both
-//! sides of the alone-wrap boundary, agree as well.
+//! sides of the alone-wrap boundary, agree as well. The predictor PGP
+//! searches with tracks the DES on shm-ring plans.
 
 use chiron::model::plan::{
     DeploymentPlan, IsolationKind, ProcessPlan, ProcessSpawn, RuntimeKind, SandboxPlan,
@@ -22,6 +23,7 @@ use chiron::model::{
 };
 use chiron::{Chiron, PgpConfig, PgpMode, PgpScheduler};
 use chiron_deploy::planners;
+use chiron_predict::Predictor;
 use chiron_profiler::Profiler;
 use chiron_runtime::{RequestOutcome, SimScratch, SpanKind, VirtualPlatform};
 use proptest::prelude::*;
@@ -185,6 +187,41 @@ fn every_compiled_branch_matches_reference() {
     let chiron = chiron_plan(&wf);
     assert_engines_agree(&cold, &wf, &chiron, &mut scratch);
     assert_engines_agree(&cold, &wf, &planners::openfaas(&wf), &mut scratch);
+}
+
+/// The predictor PGP searches with tracks the DES on shm-ring plans:
+/// Faastlane's FINRA-5 plan split over two 2-CPU sandboxes on one node,
+/// the five forked rules halved between them. The platform is noiseless
+/// and both price from one cost model, so they agree within 2% (a ring
+/// hand-off, drain or return priced at the RPC or pipe cost moves the
+/// prediction further), and the ring plan beats its RPC twin.
+#[test]
+fn shm_ring_predictions_track_the_des() {
+    let wf = apps::finra(5);
+    let profile = Profiler::default().profile_workflow(&wf);
+    let config = PlatformConfig::paper_calibrated();
+    let platform = VirtualPlatform::new(config.clone());
+    let [rpc, ring] = [TransferKind::RpcPayload, TransferKind::ShmRing].map(|transfer| {
+        let mut plan = planners::faastlane(&wf);
+        plan.transfer = transfer;
+        plan.sandboxes[0].cpus = 2;
+        let second = SandboxPlan {
+            id: SandboxId(1),
+            ..plan.sandboxes[0]
+        };
+        plan.sandboxes.push(second);
+        let processes = plan.stages[1].wraps[0].processes.split_off(2);
+        let sandbox = SandboxId(1);
+        plan.stages[1].wraps.push(WrapPlan { sandbox, processes });
+        let placement = NodePlacement::first_fit(&plan, config.costs.node_cpus);
+        assert!(placement.colocated(SandboxId(0), sandbox));
+        let predicted = Predictor::paper_calibrated().predict(&wf, &profile, &plan);
+        let truth = platform.execute(&wf, &plan, 0).unwrap().e2e;
+        let err = (predicted.as_millis_f64() - truth.as_millis_f64()).abs() / truth.as_millis_f64();
+        assert!(err < 0.02, "{transfer:?}: {predicted} vs {truth}");
+        predicted
+    });
+    assert!(ring < rpc, "ring {ring} vs rpc {rpc}");
 }
 
 /// A plan whose second stage names a function the workflow lacks.

@@ -96,27 +96,34 @@ fn prewarm_budget_penalises_and_stays_identical() {
 }
 
 /// §3.4: a function whose language runtime conflicts with its stage's
-/// sits alone in its own wrap.
+/// sits alone in its own wrap, in a sandbox no other wrap of the stage
+/// uses, even when the stage holds two such functions.
 #[test]
 fn conflicting_runtimes_are_pinned() {
+    let py2 = |name| FunctionSpec {
+        runtime: LanguageRuntime::Python2,
+        ..FunctionSpec::new(name, vec![Segment::cpu_ms(5)])
+    };
     let fns = vec![
         FunctionSpec::new("py3", vec![Segment::cpu_ms(5)]),
-        FunctionSpec {
-            runtime: LanguageRuntime::Python2,
-            ..FunctionSpec::new("py2", vec![Segment::cpu_ms(5)])
-        },
+        py2("py2"),
         FunctionSpec::new("py3b", vec![Segment::cpu_ms(5)]),
+        py2("py2b"),
     ];
-    let wf = Workflow::new("mixed", fns, vec![vec![0, 1, 2]]).unwrap();
+    let wf = Workflow::new("mixed", fns, vec![vec![0, 1, 2, 3]]).unwrap();
     let prof = Profiler::default().profile_workflow(&wf);
     let out =
         PgpScheduler::paper_calibrated().schedule(&wf, &prof, &PgpConfig::performance_first());
     let wraps = &out.plan.stages[0].wraps;
-    let py2 = wraps
-        .iter()
-        .find(|w| w.functions().any(|f| f == FunctionId(1)))
-        .unwrap();
-    assert_eq!(py2.function_count(), 1);
+    for pinned in [FunctionId(1), FunctionId(3)] {
+        let wrap = wraps
+            .iter()
+            .find(|w| w.functions().any(|f| f == pinned))
+            .unwrap();
+        assert_eq!(wrap.function_count(), 1);
+        let sharing = wraps.iter().filter(|w| w.sandbox == wrap.sandbox).count();
+        assert_eq!(sharing, 1, "{pinned:?} shares its sandbox: {wraps:?}");
+    }
     out.plan.validate(&stage_sets(&wf)).unwrap();
 }
 

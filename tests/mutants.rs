@@ -227,6 +227,16 @@ fn run_tests(dir: &Path, binaries: &[(String, PathBuf)]) -> BTreeSet<String> {
     failed
 }
 
+/// The tree's temporary copy and its target directory, removed however
+/// the run ends: a failed build or baseline panics past the last line.
+struct TempTree(PathBuf);
+
+impl Drop for TempTree {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
 #[ignore = "builds and tests the tree once per catalog entry; see the module doc"]
 fn catalog_mutants_are_killed() {
@@ -238,12 +248,13 @@ fn catalog_mutants_are_killed() {
         entries.retain(|m| only.contains(m.id.as_str()));
         assert_eq!(entries.len(), only.len(), "MUTANTS names an unknown id");
     }
-    let dir = std::env::temp_dir().join(format!("chiron-mutants-{}", std::process::id()));
-    copy_tree(root, &dir);
+    let tree =
+        TempTree(std::env::temp_dir().join(format!("chiron-mutants-{}", std::process::id())));
+    let dir = tree.0.as_path();
+    copy_tree(root, dir);
 
-    let binaries =
-        build(&cargo, &dir).unwrap_or_else(|log| panic!("unmutated build fails:\n{log}"));
-    let baseline = run_tests(&dir, &binaries);
+    let binaries = build(&cargo, dir).unwrap_or_else(|log| panic!("unmutated build fails:\n{log}"));
+    let baseline = run_tests(dir, &binaries);
     assert!(baseline.is_empty(), "unmutated tier-1 fails: {baseline:?}");
 
     let mut problems = Vec::new();
@@ -259,7 +270,7 @@ fn catalog_mutants_are_killed() {
             }
         };
         std::fs::write(&path, mutated).expect("write the mutant");
-        let verdict = build(&cargo, &dir).map(|binaries| run_tests(&dir, &binaries));
+        let verdict = build(&cargo, dir).map(|binaries| run_tests(dir, &binaries));
         std::fs::write(&path, original).expect("restore the file");
         let failed = match verdict {
             Ok(failed) => failed,
@@ -293,6 +304,5 @@ fn catalog_mutants_are_killed() {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
     assert!(problems.is_empty(), "{}", problems.join("\n"));
 }
