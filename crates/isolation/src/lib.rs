@@ -1,15 +1,12 @@
 //! # chiron-isolation
 //!
-//! Thread memory-isolation substrate for the Chiron reproduction (§4):
-//! calibrated cost models for Intel MPK and WebAssembly SFI (Table 1), and
-//! a functional software model of MPK protection-key arenas used by the
-//! `-M` system variants.
+//! Thread memory-isolation costs for the Chiron reproduction (§4):
+//! calibrated cost models for Intel MPK and WebAssembly SFI (Table 1).
+//! The `-M` system variants are priced from [`IsolationCosts`].
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
 pub mod costs;
-pub mod mpk;
 
 pub use costs::IsolationCosts;
-pub use mpk::{Access, ArenaHandle, MpkDomain, MpkViolation, ProtectionKey, ThreadId};

@@ -1,15 +1,12 @@
 //! # chiron-store
 //!
-//! Intermediate-data substrate for the Chiron reproduction: calibrated
-//! latency models for every data path (S3, MinIO, RPC payload, pipe,
-//! shared memory — Fig. 4) and a functional in-memory object store used by
-//! the one-to-one deployment models.
+//! Intermediate-data costs for the Chiron reproduction: calibrated latency
+//! models for every data path (S3, MinIO, RPC payload, pipe, shared memory
+//! — Fig. 4). The DES prices each transfer from these models.
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod objectstore;
 pub mod transfer;
 
-pub use objectstore::{ObjectStore, StoreError, StoreStats};
 pub use transfer::{LinkModel, TransferModel};

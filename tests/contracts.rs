@@ -16,6 +16,11 @@
 //! * **No test-only public API.** Every `pub fn` and `pub const` in
 //!   `crates/*/src` is named by some non-test source, bar an explicit
 //!   allowlist of deliberate test hooks.
+//! * **No unused dependencies.** Every `[dependencies]` and
+//!   `[dev-dependencies]` entry of a `crates/*/Cargo.toml` is named in
+//!   that crate's `src/`, bar the
+//!   entries annotated as kept only for perfbench's committed lockfile,
+//!   which must be named nowhere there.
 //! * **No unlisted unit tests.** The `#[test]` functions under
 //!   `crates/*/src` are exactly those `tests/unit_tests.txt` keeps, each
 //!   with its reason; everything else tier-1 checks itself.
@@ -366,4 +371,68 @@ fn unit_tests_are_the_kept_list() {
         unlisted.is_empty() && missing.is_empty(),
         "unit tests not on tests/unit_tests.txt: {unlisted:?}; listed but gone: {missing:?}"
     );
+}
+
+/// The comment that marks the `[dependencies]` entry under it as unused,
+/// kept only because `cargo build --locked` of perfbench needs its
+/// committed lockfile to match the crates' dependency sets.
+const UNUSED_DEPENDENCY: &str =
+    "# Unused; stays until perfbench/Cargo.lock is next refreshed, which --locked needs.";
+
+/// The manifest tables the dependency ledger reads. perfbench's lockfile
+/// holds no dev-dependency of the crates, so none needs an annotation.
+const DEPENDENCY_TABLES: [&str; 2] = ["[dependencies]", "[dev-dependencies]"];
+
+/// Whether a non-comment line of `text` names the crate `name` as a path
+/// root (`name::`) or in a `use name` item.
+fn names_crate(text: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut lines = text.lines().map(str::trim).filter(|l| !l.starts_with("//"));
+    lines.any(|line| {
+        line.match_indices(name).any(|(at, _)| {
+            let (before, after) = (&line[..at], &line[at + name.len()..]);
+            !before.ends_with(ident)
+                && (after.starts_with("::")
+                    || (before.ends_with("use ") && !after.starts_with(ident)))
+        })
+    })
+}
+
+#[test]
+fn unused_dependencies_are_the_annotated_ones() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut problems = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let dir = krate.expect("directory entry").path();
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("a crate manifest");
+        let mut files = Vec::new();
+        rust_files(&dir.join("src"), &mut files);
+        let sources: Vec<String> = files
+            .iter()
+            .map(|f| std::fs::read_to_string(f).expect("readable source file"))
+            .collect();
+        let (mut section, mut annotated) = ("", false);
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            } else if DEPENDENCY_TABLES.contains(&section)
+                && !line.is_empty()
+                && !line.starts_with('#')
+            {
+                let dep = line.split([' ', '=', '.']).next().unwrap_or_default();
+                let name = dep.replace('-', "_");
+                let used = sources.iter().any(|text| names_crate(text, &name));
+                let krate = dir.strip_prefix(root).unwrap().display();
+                if used && annotated {
+                    problems.push(format!(
+                        "{krate}: `{dep}` is annotated unused but src/ names it"
+                    ));
+                } else if !used && !annotated {
+                    problems.push(format!("{krate}: src/ never names `{dep}`"));
+                }
+            }
+            annotated = line == UNUSED_DEPENDENCY;
+        }
+    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
 }
