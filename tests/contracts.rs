@@ -398,19 +398,42 @@ fn names_crate(text: &str, name: &str) -> bool {
     })
 }
 
+/// The text of every `.rs` file under `dirs`.
+fn source_texts(dirs: &[PathBuf]) -> Vec<String> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        rust_files(dir, &mut files);
+    }
+    files
+        .iter()
+        .map(|f| std::fs::read_to_string(f).expect("readable source file"))
+        .collect()
+}
+
 #[test]
 fn unused_dependencies_are_the_annotated_ones() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut problems = Vec::new();
+    // (package directory, sources its [dependencies] serve, sources its
+    // [dev-dependencies] serve). A crate's unit tests sit in its src/;
+    // the root package's library is src/, and its tests/ and examples/
+    // build against its dev-dependencies.
+    let mut packages = Vec::new();
     for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
         let dir = krate.expect("directory entry").path();
-        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("a crate manifest");
-        let mut files = Vec::new();
-        rust_files(&dir.join("src"), &mut files);
-        let sources: Vec<String> = files
-            .iter()
-            .map(|f| std::fs::read_to_string(f).expect("readable source file"))
-            .collect();
+        let src = source_texts(&[dir.join("src")]);
+        packages.push((dir, src.clone(), src));
+    }
+    let dirs = ["src", "tests", "examples"].map(|d| root.join(d));
+    packages.push((
+        root.to_path_buf(),
+        source_texts(&dirs[..1]),
+        source_texts(&dirs),
+    ));
+    let mut problems = Vec::new();
+    for (dir, lib, dev) in &packages {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("a manifest");
+        let package = dir.strip_prefix(root).unwrap().join("Cargo.toml");
+        let package = package.display();
         let (mut section, mut annotated) = ("", false);
         for line in manifest.lines().map(str::trim) {
             if line.starts_with('[') {
@@ -421,14 +444,18 @@ fn unused_dependencies_are_the_annotated_ones() {
             {
                 let dep = line.split([' ', '=', '.']).next().unwrap_or_default();
                 let name = dep.replace('-', "_");
+                let sources = if section == DEPENDENCY_TABLES[0] {
+                    lib
+                } else {
+                    dev
+                };
                 let used = sources.iter().any(|text| names_crate(text, &name));
-                let krate = dir.strip_prefix(root).unwrap().display();
                 if used && annotated {
                     problems.push(format!(
-                        "{krate}: `{dep}` is annotated unused but src/ names it"
+                        "{package}: `{dep}` is annotated unused but its sources name it"
                     ));
                 } else if !used && !annotated {
-                    problems.push(format!("{krate}: src/ never names `{dep}`"));
+                    problems.push(format!("{package}: its sources never name `{dep}`"));
                 }
             }
             annotated = line == UNUSED_DEPENDENCY;

@@ -54,7 +54,7 @@ fn shard_workers_reproduce_the_single_thread_bytes() {
     let reference = sim.run(&workload, 3).unwrap();
     // Pinned: a change to the federation driver that reorders any
     // cross-cluster action changes these bytes, whatever the policy.
-    assert_eq!(reference.digest(), 16_779_017_829_103_650_960);
+    assert_eq!(reference.digest(), 11_729_388_581_768_178_323);
     assert!(reference.forwarded > 0, "the hot cluster must spill");
     // Now a counter rather than a scan of the request log, and outside
     // the digest, so pinned on its own.

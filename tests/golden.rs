@@ -219,9 +219,9 @@ fn evaluation_suite_outcome_digest() {
 /// `BENCH_LIFECYCLE.json` records them. Between them the cells requeue
 /// requests and start replicas from every tier, cold boots included.
 const LIFECYCLE_CELL_DIGESTS: [(&str, u64); 3] = [
-    ("coldboot-only", 0x40ce_4cea_1d59_8ed2),
-    ("tiered", 0xe630_e422_242b_840b),
-    ("tiered-diurnal", 0x6d11_1746_3aaf_40c2),
+    ("coldboot-only", 0x2072_63aa_e566_c7c7),
+    ("tiered", 0xfa5a_d302_8946_45b3),
+    ("tiered-diurnal", 0xec06_62c0_c7da_c0ac),
 ];
 
 /// The three `figures lifecycle` cells, run once and shared by the
@@ -240,6 +240,56 @@ fn lifecycle_cell_digests() {
         .collect();
     let committed: Vec<String> = LIFECYCLE_CELL_DIGESTS.into_iter().map(hex).collect();
     assert_eq!(now, committed, "lifecycle cell digests moved (left: now)");
+}
+
+/// The same cells' request logs under the byte-at-a-time FNV-1a record
+/// digest that `ServeReport::digest` computed before it took one step per
+/// word: per record `arrival_ns`, each optional time as a 0 tag or a 1 tag
+/// and the time, `replica`, and `phase << 32 | tier << 24 | forwarded <<
+/// 17 | cold_start << 16 | requeues`; then `accepted` and `completed`,
+/// each word as its 8 little-endian bytes. These are the cells' digests
+/// as pinned before the word digest, so they show its re-baseline moved
+/// no record.
+const LIFECYCLE_CELL_FNV1A_DIGESTS: [(&str, u64); 3] = [
+    ("coldboot-only", 0x40ce_4cea_1d59_8ed2),
+    ("tiered", 0xe630_e422_242b_840b),
+    ("tiered-diurnal", 0x6d11_1746_3aaf_40c2),
+];
+
+fn bytewise_record_digest(report: &ServeReport) -> u64 {
+    let mut words = Vec::new();
+    for r in &report.records {
+        words.push(r.arrival_ns);
+        for time in [r.dispatched_ns(), r.completed_ns()] {
+            match time {
+                Some(ns) => words.extend([1, ns]),
+                None => words.push(0),
+            }
+        }
+        words.push(u64::from(r.replica));
+        words.push(
+            u64::from(r.phase) << 32
+                | u64::from(r.tier) << 24
+                | u64::from(r.forwarded()) << 17
+                | u64::from(r.cold_start()) << 16
+                | u64::from(r.requeues),
+        );
+    }
+    words.extend([report.accepted, report.completed]);
+    words
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, w| fnv1a(h, &w.to_le_bytes()))
+}
+
+#[test]
+fn lifecycle_cell_records_hold_their_bytewise_digests() {
+    let hex = |(name, digest): (&str, u64)| format!("{name} {digest:016x}");
+    let now: Vec<String> = lifecycle_cells()
+        .iter()
+        .map(|(name, report)| hex((name, bytewise_record_digest(report))))
+        .collect();
+    let committed: Vec<String> = LIFECYCLE_CELL_FNV1A_DIGESTS.into_iter().map(hex).collect();
+    assert_eq!(now, committed, "lifecycle cell records moved (left: now)");
 }
 
 /// Each lifecycle cell's sojourn p50, p99 and max in ns, as
@@ -323,7 +373,7 @@ fn obs_trace_digest() {
 /// `BENCH_FLEETOBS.json`'s trace and report digests of the `figures
 /// fleet-obs` reference run (one shard, one worker) at its committed
 /// size.
-const FLEET_OBS_DIGESTS: (u64, u64) = (0x2e03_c7b1_c8d1_c87e, 1_228_697_949_111_127_765);
+const FLEET_OBS_DIGESTS: (u64, u64) = (0x2e03_c7b1_c8d1_c87e, 8_788_462_176_310_849_526);
 
 #[test]
 fn fleet_obs_digests() {
@@ -341,7 +391,7 @@ fn fleet_obs_digests() {
 
 /// `BENCH_TRANSFER.json`'s `fleet_digests`: the shm-ring tier's
 /// two-cluster FINRA-12 fleet at 200 rps for 30 s, seed 2023.
-const TRANSFER_FLEET_DIGEST: u64 = 17_354_628_185_552_777_217;
+const TRANSFER_FLEET_DIGEST: u64 = 5_868_067_341_350_489_189;
 
 #[test]
 fn transfer_fleet_digest() {

@@ -6,14 +6,14 @@ use chiron::serving::{
     EventKind, EventQueue, FaultPlan, RequestRecord, RouterPolicy, ServeConfig, ServeError,
     ServeSimulation, Workload,
 };
-use chiron::{Chiron, PgpMode};
+use chiron::{Chiron, FleetReport, PgpMode, ServeReport};
 use chiron_deploy::NodeId;
 use chiron_metrics::{ArrivalProcess, FastRng};
 use chiron_model::{apps, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 fn deployed() -> (Chiron, chiron_model::Workflow, chiron::Deployment) {
     let chiron = Chiron::default();
@@ -137,6 +137,142 @@ fn request_record_is_40_bytes_with_optional_times() {
         assert_eq!(r, fresh, "{what} set then cleared");
         assert_eq!(digest(r), digest(fresh), "{what} set then cleared");
     }
+}
+
+/// A report holding `records`, each of them counted as accepted and
+/// completed, so only the records tell two such reports apart, on the
+/// other fields of one small seeded run.
+fn report_of(records: Vec<RequestRecord>) -> ServeReport {
+    static BASE: OnceLock<ServeReport> = OnceLock::new();
+    let base = BASE.get_or_init(|| {
+        let (chiron, wf, deployment) = deployed();
+        let config = ServeConfig::paper_testbed();
+        chiron
+            .serve(&wf, &deployment, config, &Workload::steady(10.0, 20), 3)
+            .unwrap()
+    });
+    let mut report = base.clone();
+    report.accepted = records.len() as u64;
+    report.completed = records.len() as u64;
+    report.records = records;
+    report
+}
+
+/// A request dispatched on arrival and completed at `completed`.
+fn served(arrival: u64, completed: u64, phase: u16) -> RequestRecord {
+    let mut r = RequestRecord::new(arrival, phase);
+    r.set_dispatched_ns(arrival);
+    r.set_completed_ns(completed);
+    r
+}
+
+/// `ServeReport::digest` as its documentation states it: FxHash's step
+/// from the FNV-1a offset basis, one step per word.
+fn fx_digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+/// The five documented words of one record, read through its accessors.
+fn record_words(r: &RequestRecord) -> [u64; 5] {
+    let flags = u64::from(r.dispatched_ns().is_some())
+        | u64::from(r.completed_ns().is_some()) << 1
+        | u64::from(r.cold_start()) << 2
+        | u64::from(r.forwarded()) << 3;
+    [
+        r.arrival_ns,
+        r.dispatched_ns().unwrap_or(0),
+        r.completed_ns().unwrap_or(0),
+        u64::from(r.replica),
+        u64::from(r.phase) << 32 | u64::from(r.tier) << 24 | flags << 16 | u64::from(r.requeues),
+    ]
+}
+
+/// The record digest and the fleet's digest-of-digests are the documented
+/// word step over the documented words: committed digests pin their exact
+/// values. Every field takes values from 0 to its full width.
+#[test]
+fn digest_is_the_word_step_over_the_documented_words() {
+    let mut rng = FastRng::seed_from_u64(9);
+    let wide = |rng: &mut FastRng| {
+        let shift = (rng.next_u64() % 65) as u32;
+        rng.next_u64().checked_shr(shift).unwrap_or(0)
+    };
+    let mut records = Vec::new();
+    for i in 0..200u64 {
+        let mut r = RequestRecord::new(wide(&mut rng), wide(&mut rng) as u16);
+        if i % 3 != 0 {
+            r.set_dispatched_ns(wide(&mut rng));
+        }
+        if i % 5 != 0 {
+            r.set_completed_ns(wide(&mut rng));
+        }
+        r.replica = wide(&mut rng) as u32;
+        r.set_cold_start(i % 7 == 0);
+        r.tier = wide(&mut rng) as u8;
+        r.requeues = wide(&mut rng) as u16;
+        r.set_forwarded(i % 11 == 0);
+        records.push(r);
+    }
+    let split = records.split_off(120);
+    let (a, b) = (report_of(records), report_of(split));
+    for rep in [&a, &b] {
+        let words = rep.records.iter().flat_map(record_words);
+        let expected = fx_digest(words.chain([rep.accepted, rep.completed]));
+        assert_eq!(rep.digest(), expected);
+    }
+    let fleet = FleetReport::merge(&[a.clone(), b.clone()]);
+    let expected = fx_digest([
+        0,
+        a.digest(),
+        1,
+        b.digest(),
+        fleet.accepted,
+        fleet.completed,
+        fleet.forwarded,
+        fleet.lost,
+    ]);
+    assert_eq!(fleet.digest(), expected);
+}
+
+#[test]
+fn digest_is_order_and_content_sensitive() {
+    let a = report_of(vec![served(1, 10, 0), served(2, 20, 0)]);
+    let b = report_of(vec![served(1, 10, 0), served(2, 20, 0)]);
+    assert_eq!(a.digest(), b.digest());
+    let c = report_of(vec![served(2, 20, 0), served(1, 10, 0)]);
+    assert_ne!(a.digest(), c.digest());
+    let d = report_of(vec![served(1, 10, 0), served(2, 21, 0)]);
+    assert_ne!(a.digest(), d.digest());
+    // The serving tier is part of the observable outcome.
+    let mut tiered = served(1, 10, 0);
+    tiered.tier = 2;
+    let e = report_of(vec![tiered, served(2, 20, 0)]);
+    assert_ne!(a.digest(), e.digest());
+}
+
+#[test]
+fn completion_at_t0_is_not_misclassified() {
+    // A 0 sentinel alone could not tell "completed at t=0" from "in
+    // flight"; the presence flag can, and the two digest differently.
+    let r = served(0, 0, 0);
+    assert!(r.is_completed());
+    assert_eq!(r.sojourn(), chiron_model::SimDuration::ZERO);
+    let completed = report_of(vec![r]).digest();
+    let r = RequestRecord::new(0, 0);
+    assert!(!r.is_completed());
+    let in_flight = report_of(vec![r]).digest();
+    assert_ne!(completed, in_flight);
+}
+
+#[test]
+fn digest_sees_forwarded_flag() {
+    let plain = report_of(vec![served(1, 10, 0)]).digest();
+    let mut r = RequestRecord::new(1, 0);
+    r.set_forwarded(true);
+    let spilled = report_of(vec![r]).digest();
+    assert_ne!(plain, spilled);
 }
 
 /// After a 10× traffic step the autoscaler returns tail latency to its
