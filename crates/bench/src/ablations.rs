@@ -208,6 +208,7 @@ fn ablation_realtime_crosscheck() -> String {
                 segments: s.clone(),
             })
             .collect::<Vec<_>>(),
+        &[],
         RuntimeKind::PseudoParallel,
         SimDuration::from_millis(5),
     );

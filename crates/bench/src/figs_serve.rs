@@ -9,14 +9,9 @@
 //! architectures.
 
 use crate::common::{ms, pct, Table};
+use crate::scenario::{self, ARRIVALS, SEED};
 use crate::sweep::par_map_workers;
-use chiron::serving::{FaultPlan, RouterPolicy, ServeConfig, ServeSimulation, Workload};
-use chiron::{Chiron, PgpMode};
-use chiron_deploy::NodeId;
-use chiron_metrics::ArrivalProcess;
-use chiron_model::{apps, SimTime};
-
-const SEED: u64 = 2023;
+use chiron::serving::{RouterPolicy, ServeConfig, ServeSimulation, Workload};
 
 fn row_for(
     scenario: &str,
@@ -43,14 +38,10 @@ fn row_for(
 
 /// The serving-plane comparison (no paper figure; §7 made operational).
 pub fn serve_figure(workers: usize) -> String {
-    let chiron = Chiron::default();
-    let wf = apps::finra(12);
-    let deployment = chiron.deploy(&wf, None, PgpMode::NativeThread);
+    let (_, wf, deployment) = scenario::deployed();
 
-    let steady = Workload::steady(50.0, 20_000).with_arrivals(ArrivalProcess::Poisson { seed: 7 });
-    let step = Workload::step(10.0, 10.0, 2_000, 18_000)
-        .with_arrivals(ArrivalProcess::Poisson { seed: 7 });
-    let kill_at = SimTime::from_millis_f64(60_000.0);
+    let steady = scenario::steady(20_000);
+    let step = Workload::step(10.0, 10.0, 2_000, 18_000).with_arrivals(ARRIVALS);
 
     let mut table = Table::new(vec![
         "scenario",
@@ -76,7 +67,7 @@ pub fn serve_figure(workers: usize) -> String {
             0 => row_for("steady 50 rps", router, &sim, &steady),
             1 => row_for("step 10 -> 100 rps", router, &sim, &step),
             _ => {
-                let faulty = sim.with_faults(FaultPlan::none().kill_at(kill_at, NodeId(0)));
+                let faulty = sim.with_faults(scenario::node_kills(1));
                 row_for("steady + node kill", router, &faulty, &steady)
             }
         }

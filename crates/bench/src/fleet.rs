@@ -16,8 +16,8 @@
 //! informational: wall-clock depends on the host, the contracts do not.
 
 use crate::report::{Obj, Report};
-use chiron::model::apps;
-use chiron::{Chiron, FleetConfig, FleetSimulation, FleetWorkload, PgpMode};
+use crate::scenario::{self, SEED};
+use chiron::{FleetConfig, FleetSimulation, FleetWorkload};
 use chiron_model::SimDuration;
 use std::time::Instant;
 
@@ -49,11 +49,8 @@ impl RunRow {
 /// ones). `multi_workers` is the worker count compared against 1 for
 /// the `reports_identical_w1_w4` gate.
 fn fleet_report(clusters: u32, rps: f64, duration_ms: u64, multi_workers: usize) -> Report {
-    let wf = apps::finra(12);
-    let plan = Chiron::default()
-        .deploy(&wf, None, PgpMode::NativeThread)
-        .plan()
-        .clone();
+    let (_, wf, deployment) = scenario::deployed();
+    let plan = deployment.schedule.plan;
     let config = FleetConfig::paper_fleet(clusters);
     let nodes = clusters * config.cluster.cluster.nodes;
     let sim = FleetSimulation::new(wf.clone(), plan.clone(), config).expect("fleet construction");
@@ -66,7 +63,7 @@ fn fleet_report(clusters: u32, rps: f64, duration_ms: u64, multi_workers: usize)
     for (shards, workers) in combos {
         let t0 = Instant::now();
         let report = sim
-            .run_sharded(&workload, 2023, shards, workers)
+            .run_sharded(&workload, SEED, shards, workers)
             .expect("fleet run");
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         runs.push(RunRow {

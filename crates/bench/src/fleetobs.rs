@@ -12,8 +12,9 @@
 //! * **disabled vs enabled, interleaved** — each timing round runs a
 //!   tracing-off and a tracing-on pass back to back; the disabled pass
 //!   must stay at exactly zero events and buffers
-//!   (`disabled_zero_cost`), and the enabled overhead fraction is gated
-//!   at ≤ 0.15 (`fleet_tracing_overhead_le_15pct`).
+//!   (`disabled_zero_cost`), and the median of the per-round overhead
+//!   ratios ([`crate::timing`]) is gated at ≤ 0.15
+//!   (`fleet_tracing_overhead_le_15pct`).
 //! * **across (shards, workers)** — the merged fleet trace and the
 //!   merged report must be byte-identical for every execution policy
 //!   (`fleet_traces_identical`): each cluster records its events into
@@ -32,16 +33,15 @@
 //! named contract is a gate: `figures` exits non-zero if one fails.
 
 use crate::report::{hex, Json, Obj, Report};
+use crate::scenario::{self, ARRIVALS, SEED};
+use crate::timing::{self, OVERHEAD_CEILING, TIMING_ROUNDS};
 use chiron::serving::{FaultPlan, ServeConfig};
-use chiron::{Chiron, FleetConfig, FleetPhase, FleetSimulation, FleetWorkload, PgpMode};
+use chiron::{FleetConfig, FleetPhase, FleetSimulation, FleetWorkload};
 use chiron_deploy::NodeId;
-use chiron_metrics::ArrivalProcess;
-use chiron_model::{apps, SimDuration, SimTime};
-use chiron_obs::{Component, RegimeConfig, SloPolicy, Trace, TraceStats};
+use chiron_model::{SimDuration, SimTime};
+use chiron_obs::{Component, RegimeConfig, Trace};
 use std::time::Instant;
 
-/// The seed every pass serves the fleet from.
-pub const SEED: u64 = 2023;
 /// The figure's size, as `(clusters, rps, phase1_ms, phase2_ms)`: 16
 /// clusters / 128 nodes at 2 400 req/s fleet-wide, a 12 s calibrated
 /// phase then a 6 s ×1.6 shifted phase.
@@ -51,23 +51,10 @@ pub const FIGURE_SIZE: (u32, f64, u64, u64) = (16, 2_400.0, 12_000, 6_000);
 const SHIFT_MULT: f64 = 1.6;
 /// The sensor must fire within this long of the phase boundary.
 const DETECT_WINDOW_NS: u64 = 5_000_000_000;
-/// Interleaved timing rounds (per-mode minimum reported); unoptimised
-/// builds use fewer — their wall clock is not asserted anywhere.
-const TIMING_ROUNDS: usize = if cfg!(debug_assertions) { 2 } else { 24 };
-/// Enabled-tracing overhead ceiling (`fleet_tracing_overhead_le_15pct`).
-const OVERHEAD_CEILING: f64 = 0.15;
 /// Flight-recorder window size (events preceding the incident).
 const INCIDENT_WINDOW: usize = 64;
-
-/// Per-mode minimum wall clock over the timing rounds. Scheduler
-/// contention on a shared host only ever *adds* time, so the minimum of
-/// interleaved rounds is the estimator of each mode's uncontended cost —
-/// a median still moves by tens of percent when a noisy neighbour spans
-/// several rounds, and the overhead gate is a ratio of two such
-/// estimates.
-fn floor_ms(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::INFINITY, f64::min)
-}
+/// The fleet SLO's objective.
+const SLO_OBJECTIVE: f64 = 0.99;
 
 /// The faulted, skewed fleet every pass of a report runs, at a size (see
 /// [`FIGURE_SIZE`]), and its workload; tier-1 pins the figure-size traced
@@ -81,17 +68,14 @@ pub fn scenario(
     phase1_ms: u64,
     phase2_ms: u64,
 ) -> (FleetSimulation, FleetWorkload) {
-    let wf = apps::finra(12);
-    let plan = Chiron::default()
-        .deploy(&wf, None, PgpMode::NativeThread)
-        .plan()
-        .clone();
+    let (_, wf, deployment) = scenario::deployed();
+    let plan = deployment.schedule.plan;
     let mut locality = vec![1.0; clusters as usize];
     locality[0] = 6.0;
     let config = FleetConfig::paper_fleet(clusters)
         .with_cluster(
             ServeConfig::paper_testbed()
-                .with_slo(SloPolicy::multi_window(SimDuration::from_millis(1_200)))
+                .with_slo(scenario::slo_policy(SLO_OBJECTIVE))
                 .with_regime(RegimeConfig::default()),
         )
         .with_locality(locality)
@@ -107,7 +91,7 @@ pub fn scenario(
     };
     let workload = FleetWorkload {
         phases: vec![phase(phase1_ms, 1.0), phase(phase2_ms, SHIFT_MULT)],
-        arrivals: ArrivalProcess::Poisson { seed: 7 },
+        arrivals: ARRIVALS,
     };
     (sim, workload)
 }
@@ -133,21 +117,16 @@ fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64) -> 
     chiron_obs::recycle(warm_trace);
     chiron_obs::set_tracing(false);
 
-    let mut disabled_times = Vec::with_capacity(TIMING_ROUNDS);
-    let mut enabled_times = Vec::with_capacity(TIMING_ROUNDS);
-    let mut disabled_zero_cost = true;
     let mut disabled_digest = 0u64;
     let mut reference: Option<(chiron::FleetReport, Trace)> = None;
-    for _ in 0..TIMING_ROUNDS {
-        chiron_obs::reset_trace_stats();
-        chiron_obs::set_tracing(false);
-        let t0 = Instant::now();
-        let report = sim.run(&workload, SEED).expect("disabled run");
-        disabled_times.push(t0.elapsed().as_secs_f64() * 1e3);
-        disabled_zero_cost &= chiron_obs::trace_stats() == TraceStats::default();
-        disabled_digest = report.digest();
-
-        chiron_obs::set_tracing(true);
+    let rounds = timing::interleave(|traced| {
+        if !traced {
+            let t0 = Instant::now();
+            let report = sim.run(&workload, SEED).expect("disabled run");
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            disabled_digest = report.digest();
+            return ms;
+        }
         // The superseded reference goes back to the spare pool *before*
         // the timed pass: its buffer is the pool's largest, and the next
         // run's merged trace wants those warm pages.
@@ -158,18 +137,17 @@ fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64) -> 
         let (report, parts) = sim
             .run_sharded_parts(&workload, SEED, 1, 1)
             .expect("enabled run");
-        enabled_times.push(t0.elapsed().as_secs_f64() * 1e3);
-        chiron_obs::set_tracing(false);
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
         // Banking events is the serving-path cost the gate measures;
         // stitching the cluster parts into one fleet trace is
         // analysis-plane work (like the attribution below), done here
         // off the clock.
         reference = Some((report, Trace::chain(parts)));
-    }
+        ms
+    });
     let (ref_report, ref_trace) = reference.expect("timed rounds ran");
-    let disabled_ms = floor_ms(&disabled_times);
-    let enabled_ms = floor_ms(&enabled_times);
-    let overhead = (enabled_ms - disabled_ms) / disabled_ms;
+    let (disabled_ms, enabled_ms) = rounds.medians();
+    let overhead = rounds.overhead();
 
     // Execution-policy identity passes (untimed): grouping the clusters
     // into shards and spreading them over workers must reproduce the
@@ -242,7 +220,7 @@ fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64) -> 
     let mut report = Report::new("BENCH_FLEETOBS.json");
     report.gate("fleet_traces_identical", fleet_traces_identical);
     report.gate("reports_identical_traced", reports_identical_traced);
-    report.gate("disabled_zero_cost", disabled_zero_cost);
+    report.gate("disabled_zero_cost", rounds.zero_cost);
     report.gate("forwarding_blame_exact", forwarding_blame_exact);
     report.gate("regime_detected", regime_detected);
     report.gate("incident_captured", !incident.is_empty());
@@ -294,7 +272,7 @@ fn fleet_obs_report(clusters: u32, rps: f64, phase1_ms: u64, phase2_ms: u64) -> 
             "regime: {} changes, first up {} after the shift\n",
             "fleet SLO: {} alerts, compliance {:.5}\n",
             "fleet wall clock: disabled {:.1} ms, enabled {:.1} ms ",
-            "(overhead {:+.1}%, min of {} interleaved rounds, ceiling {:.0}%)\n",
+            "(overhead {:+.1}%, median of {} interleaved round ratios, ceiling {:.0}%)\n",
         ),
         clusters,
         nodes,

@@ -19,7 +19,9 @@ pub mod obs;
 pub mod perf;
 pub mod perf_eval;
 pub mod report;
+pub mod scenario;
 pub mod sweep;
+pub mod timing;
 pub mod transfer;
 
 pub use ablations::ablations;

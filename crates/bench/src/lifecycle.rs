@@ -38,25 +38,18 @@
 //! budgets buying the expected start latency down.
 
 use crate::report::{hex, usd, Json, Obj, Report};
+use crate::scenario::{self, KILLED_NODES, REQUESTS, RPS, SEED, SLO_OBJECTIVE};
 use crate::sweep;
 use chiron::eval::profile_for;
-use chiron::serving::{FaultPlan, ServeConfig, ServeReport, ServeSimulation, Workload};
-use chiron::{Chiron, PgpMode};
-use chiron_deploy::{chiron_prewarmed, NodeId};
+use chiron::serving::{ServeConfig, ServeReport, ServeSimulation, Workload};
+use chiron_deploy::chiron_prewarmed;
 use chiron_lifecycle::{
     mix_fractions, plan_tier_mix, LifecycleConfig, LifecycleCosts, PrewarmBudget, StartTier,
     TierTable,
 };
 use chiron_metrics::{plan_resources, ArrivalProcess};
-use chiron_model::{
-    apps, BillingModel, CostModel, DeploymentPlan, ReplicaConfig, SimDuration, SimTime, Workflow,
-};
-use chiron_obs::SloPolicy;
+use chiron_model::{BillingModel, CostModel, DeploymentPlan, ReplicaConfig, SimDuration, Workflow};
 
-const SEED: u64 = 2023;
-const REQUESTS: u64 = 12_000;
-const RPS: f64 = 50.0;
-const KILLED_NODES: u32 = 3;
 /// Cold-boot cell keepalive: short enough that the 240 s run's cost is
 /// set by scale-up churn, not by the 600 s default drain tail — but long
 /// enough that the autoscaler is not forced to cold-boot replicas back
@@ -73,26 +66,6 @@ const DIURNAL_PERIOD_MS: u64 = 60_000;
 const DIURNAL_AMPLITUDE_PCT: u8 = 60;
 /// The prewarm-budget ablation axis, USD/hour of standing rent.
 const BUDGETS_USD_PER_HOUR: [f64; 4] = [0.0, 1e-4, 1e-3, 1e-2];
-
-fn slo_policy() -> SloPolicy {
-    SloPolicy {
-        target: SimDuration::from_millis(1_200),
-        objective: 0.999,
-        short_window: SimDuration::from_secs(5),
-        long_window: SimDuration::from_secs(60),
-        burn_threshold: 2.0,
-        min_samples: 20,
-    }
-}
-
-fn faults() -> FaultPlan {
-    let kill_at = SimTime::from_millis_f64(60_000.0);
-    let mut plan = FaultPlan::none();
-    for node in 0..KILLED_NODES {
-        plan = plan.kill_at(kill_at, NodeId(node));
-    }
-    plan
-}
 
 /// One serving cell of the figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,16 +94,16 @@ const CELLS: [Cell; 3] = [
 ];
 
 fn workload(diurnal: bool) -> Workload {
-    let arrivals = if diurnal {
-        ArrivalProcess::Diurnal {
+    let steady = scenario::steady(REQUESTS);
+    if diurnal {
+        steady.with_arrivals(ArrivalProcess::Diurnal {
             period_ms: DIURNAL_PERIOD_MS,
             amplitude_pct: DIURNAL_AMPLITUDE_PCT,
             seed: 7,
-        }
+        })
     } else {
-        ArrivalProcess::Poisson { seed: 7 }
-    };
-    Workload::steady(RPS, REQUESTS).with_arrivals(arrivals)
+        steady
+    }
 }
 
 fn cell_config(cell: Cell) -> ServeConfig {
@@ -140,7 +113,7 @@ fn cell_config(cell: Cell) -> ServeConfig {
         KEEPALIVE_COLD_SECS
     };
     let config = ServeConfig::paper_testbed()
-        .with_slo(slo_policy())
+        .with_slo(scenario::slo_policy(SLO_OBJECTIVE))
         .with_replicas(ReplicaConfig::default().with_keepalive(SimDuration::from_secs(keepalive)));
     if cell.tiered {
         config.with_lifecycle(LifecycleConfig::paper_calibrated())
@@ -160,10 +133,8 @@ pub fn serve_cells(workers: usize) -> Vec<(&'static str, ServeReport)> {
 
 /// The served workflow, and the plan Chiron deploys it with.
 fn served() -> (Workflow, DeploymentPlan) {
-    let wf = apps::finra(12);
-    let deployment = Chiron::default().deploy(&wf, None, PgpMode::NativeThread);
-    let plan = deployment.plan().clone();
-    (wf, plan)
+    let (_, wf, deployment) = scenario::deployed();
+    (wf, deployment.schedule.plan)
 }
 
 /// Runs every cell from the same deterministic seed. Cells are seeded by
@@ -171,8 +142,8 @@ fn served() -> (Workflow, DeploymentPlan) {
 /// — never on the worker count that ran them.
 fn run_cells(wf: &Workflow, plan: &DeploymentPlan, workers: usize) -> Vec<ServeReport> {
     sweep::par_map_workers(&CELLS, workers, |_, &cell| {
-        let sim =
-            ServeSimulation::new(wf.clone(), plan.clone(), cell_config(cell)).with_faults(faults());
+        let sim = ServeSimulation::new(wf.clone(), plan.clone(), cell_config(cell))
+            .with_faults(scenario::node_kills(KILLED_NODES));
         sim.run(&workload(cell.diurnal), SEED).expect("serving run")
     })
 }

@@ -9,14 +9,12 @@
 //! executed several ways:
 //!
 //! * **disabled vs enabled, interleaved** — each timing round runs a
-//!   tracing-off pass and a tracing-on pass back to back and the median
-//!   wall clock per mode is reported (the `perf_eval` interleaving
-//!   cancels machine drift; the median cancels outliers in both
-//!   directions, which a minimum does not).
-//!   The disabled sink must stay at exactly zero events and buffers
-//!   (`disabled_zero_cost`), tracing must leave every cell's report
-//!   unchanged (`reports_identical_enabled_disabled`), and the enabled
-//!   overhead fraction is gated at ≤ 0.15 (`tracing_overhead_le_15pct`).
+//!   tracing-off pass and a tracing-on pass back to back, and the
+//!   overhead is the median of the per-round ratios
+//!   ([`crate::timing`]). The disabled sink must stay at exactly zero
+//!   events and buffers (`disabled_zero_cost`), tracing must leave every
+//!   cell's report unchanged (`reports_identical_enabled_disabled`), and
+//!   the overhead is gated at ≤ 0.15 (`tracing_overhead_le_15pct`).
 //! * **enabled, workers 1 vs 4** — the assembled traces, the per-request
 //!   latency attributions derived from them, the SLO burn-rate alert
 //!   timelines and the what-if candidates must all be byte-identical
@@ -41,89 +39,25 @@
 //! one fails.
 
 use crate::report::{hex, Json, Obj, Report};
+use crate::scenario::{self, KILLED_NODES, KILL_AT, REQUESTS, SEED, SLO_OBJECTIVE};
 use crate::sweep;
-use chiron::serving::{
-    FaultPlan, RouterPolicy, ServeConfig, ServeReport, ServeSimulation, Workload,
-};
-use chiron::{Chiron, Deployment, PgpMode};
-use chiron_deploy::NodeId;
-use chiron_metrics::ArrivalProcess;
-use chiron_model::{
-    apps, DeploymentPlan, JitterModel, PlatformConfig, SimDuration, SimTime, Workflow,
-};
-use chiron_obs::{AttributionReport, DriftEntry, DriftMonitor, SloPolicy, Trace, TraceStats};
+use crate::timing::{self, OVERHEAD_CEILING, TIMING_ROUNDS};
+use chiron::serving::{RouterPolicy, ServeConfig, ServeReport, ServeSimulation};
+use chiron_model::{DeploymentPlan, JitterModel, PlatformConfig, Workflow};
+use chiron_obs::{AttributionReport, DriftEntry, DriftMonitor, Trace};
 use chiron_pgp::ScheduleOutcome;
 use chiron_runtime::VirtualPlatform;
 use std::time::Instant;
 
-const SEED: u64 = 2023;
-/// ≥ 10k requests so the exported trace covers a full-scale faulted run.
-const REQUESTS: u64 = 12_000;
 /// Jittered requests feeding the drift monitor's residual series.
 const DRIFT_SAMPLES: u64 = 200;
-/// Nodes killed at t = 60 s. One kill only strands ~3 in-flight requests
-/// (replicas are spread thin across 8 nodes); three make an incident the
-/// burn-rate monitor cannot mistake for noise.
-const KILLED_NODES: u32 = 3;
-/// Interleaved timing rounds (per-mode median reported). The serving
-/// passes are short (~tens of ms), so single-shot timings are
-/// scheduler-noise dominated; the per-mode median over many alternating
-/// rounds shrugs off outliers in both directions. Unoptimised builds
-/// (the unit test) use fewer rounds — their wall clock is not asserted
-/// anywhere.
-const TIMING_ROUNDS: usize = if cfg!(debug_assertions) { 2 } else { 24 };
-/// Back-to-back serving figures per timed sample. One figure is only
-/// ~25 ms optimised — small enough that a couple of milliseconds of
-/// scheduler jitter reads as a double-digit overhead percentage; three in
-/// a row stretch the timed region past the noise floor so the
-/// min-of-rounds ratio converges. Unoptimised builds keep one.
+/// Back-to-back serving figures per timed sample. One figure is only a
+/// few milliseconds optimised — small enough that scheduler jitter reads
+/// as a double-digit overhead percentage; three in a row stretch the
+/// timed region past the noise floor. Unoptimised builds keep one.
 const TIMING_PASSES: usize = if cfg!(debug_assertions) { 1 } else { 3 };
-/// Enabled-tracing overhead ceiling (`tracing_overhead_le_15pct`).
-const OVERHEAD_CEILING: f64 = 0.15;
 /// Components fed to the what-if profiler.
 const WHATIF_TOP_N: usize = 5;
-
-/// Median wall clock over the timing rounds. Minima looked attractive
-/// but are fragile for a *ratio*: one turbo-burst outlier on the
-/// disabled side (observed ~10 % below the usual floor) inflates the
-/// overhead fraction past the ceiling even when the typical gap is 8 %.
-/// The median ignores lucky and contended outliers on both sides.
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let mid = xs.len() / 2;
-    if xs.len().is_multiple_of(2) {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    } else {
-        xs[mid]
-    }
-}
-
-/// The serving SLO every cell runs under: requests over 1.2 s are bad
-/// (comfortably above the healthy tail, including the Poisson bursts), at
-/// a 99.9 % objective with the classic 5 s / 60 s burn-rate window pair.
-fn slo_policy() -> SloPolicy {
-    SloPolicy {
-        target: SimDuration::from_millis(1_200),
-        objective: 0.999,
-        short_window: SimDuration::from_secs(5),
-        long_window: SimDuration::from_secs(60),
-        burn_threshold: 2.0,
-        min_samples: 20,
-    }
-}
-
-fn faults() -> FaultPlan {
-    let kill_at = SimTime::from_millis_f64(60_000.0);
-    let mut plan = FaultPlan::none();
-    for node in 0..KILLED_NODES {
-        plan = plan.kill_at(kill_at, NodeId(node));
-    }
-    plan
-}
-
-fn workload() -> Workload {
-    Workload::steady(50.0, REQUESTS).with_arrivals(ArrivalProcess::Poisson { seed: 7 })
-}
 
 /// One full serving figure — both router cells from the same seed — with
 /// each cell's capture returned in cell-index order.
@@ -150,7 +84,7 @@ pub struct ServePass {
 /// kept is immaterial — the extra reps only lengthen the timed region).
 /// The figure runs at its committed size; tier-1 pins its trace digest.
 pub fn serve_pass(wf: &Workflow, plan: &DeploymentPlan, workers: usize, reps: usize) -> ServePass {
-    let workload = workload();
+    let workload = scenario::steady(REQUESTS);
     let cells = RouterPolicy::ALL;
     let t0 = Instant::now();
     let results: Vec<(Trace, ServeReport)> =
@@ -169,9 +103,9 @@ pub fn serve_pass(wf: &Workflow, plan: &DeploymentPlan, workers: usize, reps: us
                 chiron_obs::begin_capture_sized(REQUESTS as usize * 10);
                 let config = ServeConfig::paper_testbed()
                     .with_router(router)
-                    .with_slo(slo_policy());
-                let sim =
-                    ServeSimulation::new(wf.clone(), plan.clone(), config).with_faults(faults());
+                    .with_slo(scenario::slo_policy(SLO_OBJECTIVE));
+                let sim = ServeSimulation::new(wf.clone(), plan.clone(), config)
+                    .with_faults(scenario::node_kills(KILLED_NODES));
                 let report = sim.run(&workload, SEED).expect("serving run");
                 out = Some((chiron_obs::end_capture(), report));
             }
@@ -188,14 +122,6 @@ pub fn serve_pass(wf: &Workflow, plan: &DeploymentPlan, workers: usize, reps: us
         reports,
         ms,
     }
-}
-
-/// The served workflow, FINRA-12, and Chiron's deployment of it.
-pub fn deployed() -> (Chiron, Workflow, Deployment) {
-    let chiron = Chiron::default();
-    let wf = apps::finra(12);
-    let deployment = chiron.deploy(&wf, None, PgpMode::NativeThread);
-    (chiron, wf, deployment)
 }
 
 fn audit_json(schedule: &ScheduleOutcome) -> Obj {
@@ -292,19 +218,9 @@ pub fn obs_eval(workers: usize) -> Report {
     chiron_obs::reset_trace_stats();
     chiron_obs::set_tracing(false);
 
-    let (chiron, wf, deployment) = deployed();
+    let (chiron, wf, deployment) = scenario::deployed();
     let plan = deployment.plan().clone();
 
-    // Interleaved timing (the perf_eval idiom): each round runs the
-    // disabled and the enabled pass back to back, so slow machine drift
-    // hits both modes equally; the per-mode median over the rounds then
-    // drops scheduler and allocator noise. The disabled pass must also
-    // be provably free — zero events seen, zero capture buffers opened.
-    let mut disabled: Option<ServePass> = None;
-    let mut enabled: Option<ServePass> = None;
-    let mut disabled_times = Vec::with_capacity(TIMING_ROUNDS);
-    let mut enabled_times = Vec::with_capacity(TIMING_ROUNDS);
-    let mut disabled_zero_cost = true;
     // One discarded warmup pass per mode: the first figures after a cold
     // start (or a CI build) run with cold caches and a ramping frequency
     // governor, which would skew the first rounds of both series.
@@ -312,27 +228,20 @@ pub fn obs_eval(workers: usize) -> Report {
     chiron_obs::set_tracing(true);
     serve_pass(&wf, &plan, 1, 1);
     chiron_obs::set_tracing(false);
-    for _ in 0..TIMING_ROUNDS {
-        chiron_obs::reset_trace_stats();
-        chiron_obs::set_tracing(false);
-        let d = serve_pass(&wf, &plan, 1, TIMING_PASSES);
-        disabled_zero_cost &=
-            chiron_obs::trace_stats() == TraceStats::default() && d.render.is_empty();
-        disabled_times.push(d.ms);
-        disabled = Some(d);
-        chiron_obs::set_tracing(true);
-        let e = serve_pass(&wf, &plan, 1, TIMING_PASSES);
-        chiron_obs::set_tracing(false);
-        enabled_times.push(e.ms);
-        enabled = Some(e);
-    }
-    let disabled = disabled.expect("timed rounds ran");
+    // Each sample is a whole figure of `TIMING_PASSES` reps; the last
+    // pass of each mode is kept.
+    let mut last: [Option<ServePass>; 2] = [None, None];
+    let rounds = timing::interleave(|traced| {
+        let pass = serve_pass(&wf, &plan, 1, TIMING_PASSES);
+        let ms = pass.ms;
+        last[usize::from(traced)] = Some(pass);
+        ms
+    });
     // The timed enabled pass ran the cells on one worker; it doubles as
     // the workers-1 side of the invariance check.
-    let w1 = enabled.expect("timed rounds ran");
-    let disabled_ms = median(&mut disabled_times);
-    let enabled_ms = median(&mut enabled_times);
-    let overhead = (enabled_ms - disabled_ms) / disabled_ms;
+    let [disabled, w1] = last.map(|pass| pass.expect("timed rounds ran"));
+    let (disabled_ms, enabled_ms) = rounds.medians();
+    let overhead = rounds.overhead();
 
     // Workers-4 identity pass (untimed): any worker count must assemble
     // the same bytes, and tracing must leave the simulation untouched.
@@ -372,7 +281,7 @@ pub fn obs_eval(workers: usize) -> Report {
         .filter_map(|r| r.slo.as_ref())
         .map(|s| s.alerts_fired)
         .sum();
-    let kill_ns = 60_000_000_000u64;
+    let kill_ns = KILL_AT.as_nanos();
     let slo_alert_follows_kill = slo_central
         .first_alert_ns
         .is_some_and(|at| (kill_ns..kill_ns + 20_000_000_000).contains(&at));
@@ -396,9 +305,9 @@ pub fn obs_eval(workers: usize) -> Report {
     let whatif = chiron.whatif_report(
         &wf,
         &deployment,
-        ServeConfig::paper_testbed().with_slo(slo_policy()),
-        faults(),
-        &workload(),
+        ServeConfig::paper_testbed().with_slo(scenario::slo_policy(SLO_OBJECTIVE)),
+        scenario::node_kills(KILLED_NODES),
+        &scenario::steady(REQUESTS),
         SEED,
         &w4.reports[0],
         central,
@@ -436,7 +345,7 @@ pub fn obs_eval(workers: usize) -> Report {
 
     let mut report = Report::new("BENCH_OBS.json");
     report.gate("trace_identical_w1_w4", trace_identical);
-    report.gate("disabled_zero_cost", disabled_zero_cost);
+    report.gate("disabled_zero_cost", rounds.zero_cost);
     report.gate("attrib_sums_exact", attrib_sums_exact);
     report.gate("attrib_identical_w1_w4", attrib_identical);
     report.gate("slo_alerts_identical_w1_w4", slo_identical);
@@ -511,7 +420,7 @@ pub fn obs_eval(workers: usize) -> Report {
             "Observability — FINRA-12 serving run ({} requests, {} nodes killed at t=60 s)\n",
             "trace events: {}   digest: {:016x}\n",
             "serve wall clock: disabled {:.1} ms, enabled {:.1} ms ",
-            "(overhead {:+.1}%, median of {} interleaved rounds × {} figures, ceiling {:.0}%)\n\n",
+            "(overhead {:+.1}%, median of {} interleaved round ratios × {} figures, ceiling {:.0}%)\n\n",
             "Latency attribution (central-fifo cell)\n{}\n",
             "SLO burn-rate alerts (central-fifo cell)\n{}\n",
             "{}\n",

@@ -23,20 +23,18 @@
 //! All four are gates: `figures` exits non-zero if one fails.
 
 use crate::report::{Obj, Report};
-use chiron::serving::{ServeConfig, ServeReport, ServeSimulation, Workload};
-use chiron::{Chiron, FleetConfig, FleetSimulation, FleetWorkload, PgpConfig, PgpScheduler};
-use chiron_metrics::ArrivalProcess;
-use chiron_model::{apps, DeploymentPlan, SimDuration, TransferKind, Workflow};
-use chiron_obs::{attribute, AttributionReport, Component, Trace};
+use crate::scenario::{self, REQUESTS, SEED};
+use chiron::serving::{FaultPlan, ServeConfig, ServeReport};
+use chiron::{
+    Chiron, Deployment, FleetConfig, FleetSimulation, FleetWorkload, PgpConfig, PgpScheduler,
+};
+use chiron_model::{apps, SimDuration, TransferKind, Workflow};
+use chiron_obs::{AttributionReport, Component};
 use chiron_predict::PredictionCache;
 use chiron_profiler::Profiler;
 use chiron_runtime::measure_fit;
 use chiron_store::TransferModel;
 
-/// The seed of every serving and fleet run.
-pub const SEED: u64 = 2023;
-/// Full-figure request count (the PR 7 observability baseline scale).
-const REQUESTS: u64 = 12_000;
 /// Full-figure length of the fleet digest sweep.
 pub const FLEET_MS: u64 = 30_000;
 
@@ -86,45 +84,25 @@ fn plans_identical_with_shm_tier(wf: &Workflow) -> bool {
     true
 }
 
-/// FINRA-12's Chiron plans on the legacy RPC-payload tier and with the
-/// shm-ring tier opted in.
-fn plans(wf: &Workflow) -> (DeploymentPlan, DeploymentPlan) {
-    let chiron = Chiron::default();
-    let plan = |config: &PgpConfig| chiron.deploy_with_config(wf, config).plan().clone();
-    let performance_first = PgpConfig::performance_first();
-    (
-        plan(&performance_first),
-        plan(&performance_first.with_transfer(TransferKind::ShmRing)),
-    )
+/// FINRA-12 as Chiron deploys it on the legacy RPC-payload tier (the
+/// shared scenario's deployment) and again with the shm-ring tier opted
+/// in, with the manager that deployed both.
+fn deployments() -> (Chiron, Workflow, Deployment, Deployment) {
+    let (chiron, wf, rpc) = scenario::deployed();
+    let config = PgpConfig::performance_first().with_transfer(TransferKind::ShmRing);
+    let shm = chiron.deploy_with_config(&wf, &config);
+    (chiron, wf, rpc, shm)
 }
 
 /// The digest sweep's fleet: two paper-testbed clusters serving FINRA-12
 /// on its shm-tier plan, offered 200 rps for `fleet_ms`; tier-1 pins the
 /// digest of its run at [`FLEET_MS`] and [`SEED`].
 pub fn fleet_scenario(fleet_ms: u64) -> (FleetSimulation, FleetWorkload) {
-    let wf = apps::finra(12);
-    let (_, shm_plan) = plans(&wf);
-    let fleet = FleetSimulation::new(wf, shm_plan, FleetConfig::paper_fleet(2))
+    let (_, wf, _, shm) = deployments();
+    let fleet = FleetSimulation::new(wf, shm.schedule.plan, FleetConfig::paper_fleet(2))
         .expect("fleet construction");
     let workload = FleetWorkload::steady(200.0, SimDuration::from_millis(fleet_ms));
     (fleet, workload)
-}
-
-/// One captured serving pass: the central-fifo cell's report plus its
-/// latency attribution.
-fn attributed_serve(
-    wf: &Workflow,
-    plan: &DeploymentPlan,
-    requests: u64,
-) -> (ServeReport, AttributionReport) {
-    let workload =
-        Workload::steady(50.0, requests).with_arrivals(ArrivalProcess::Poisson { seed: 7 });
-    chiron_obs::begin_capture_sized(requests as usize * 10);
-    let sim = ServeSimulation::new(wf.clone(), plan.clone(), ServeConfig::paper_testbed());
-    let report = sim.run(&workload, SEED).expect("serving run");
-    let trace: Trace = chiron_obs::end_capture();
-    let attrib = attribute(&trace);
-    (report, attrib)
 }
 
 fn interaction_ns(attrib: &AttributionReport) -> u64 {
@@ -158,12 +136,16 @@ pub fn transfer_report(workers: usize, requests: u64, fleet_ms: u64) -> Report {
     // the same pipeline redeployed onto the shm tier. The `interaction`
     // component of the latency attribution (transfers + IPC) is exactly
     // where the ring bites.
-    let wf = apps::finra(12);
-    let (rpc_plan, shm_plan) = plans(&wf);
-    chiron_obs::set_tracing(true);
-    let (rpc_report, rpc_attrib) = attributed_serve(&wf, &rpc_plan, requests);
-    let (shm_report, shm_attrib) = attributed_serve(&wf, &shm_plan, requests);
-    chiron_obs::set_tracing(false);
+    let (chiron, wf, rpc, shm) = deployments();
+    let workload = scenario::steady(requests);
+    let attributed = |deployment: &Deployment| {
+        let config = ServeConfig::paper_testbed();
+        chiron
+            .attribution_report(&wf, deployment, config, FaultPlan::none(), &workload, SEED)
+            .expect("serving run")
+    };
+    let (rpc_report, rpc_attrib) = attributed(&rpc);
+    let (shm_report, shm_attrib) = attributed(&shm);
     let rpc_interaction = interaction_ns(&rpc_attrib);
     let shm_interaction = interaction_ns(&shm_attrib);
     let blame_reduction = if rpc_interaction > 0 {

@@ -58,16 +58,6 @@ impl Chiron {
         &self.platform
     }
 
-    fn run_scheduler(
-        &self,
-        workflow: &Workflow,
-        profile: &WorkflowProfile,
-        config: &PgpConfig,
-    ) -> ScheduleOutcome {
-        self.scheduler
-            .schedule_with_cache(workflow, profile, config, &self.prediction_cache)
-    }
-
     /// Steps ➋–➎: profile, schedule, generate.
     pub fn deploy(
         &self,
@@ -75,18 +65,11 @@ impl Chiron {
         slo: Option<SimDuration>,
         mode: PgpMode,
     ) -> Deployment {
-        let profile = self.profiler.profile_workflow(workflow);
         let config = match slo {
-            Some(slo) => PgpConfig::with_slo(slo).with_mode(mode),
-            None => PgpConfig::performance_first().with_mode(mode),
+            Some(slo) => PgpConfig::with_slo(slo),
+            None => PgpConfig::performance_first(),
         };
-        let schedule = self.run_scheduler(workflow, &profile, &config);
-        let wraps = generate(workflow, &schedule.plan);
-        Deployment {
-            profile,
-            schedule,
-            wraps,
-        }
+        self.deploy_with_config(workflow, &config.with_mode(mode))
     }
 
     /// Steps ➋–➎ with a caller-supplied PGP configuration — the hook for
@@ -95,7 +78,9 @@ impl Chiron {
     /// wrap-generation pipeline as [`Chiron::deploy`].
     pub fn deploy_with_config(&self, workflow: &Workflow, config: &PgpConfig) -> Deployment {
         let profile = self.profiler.profile_workflow(workflow);
-        let schedule = self.run_scheduler(workflow, &profile, config);
+        let schedule =
+            self.scheduler
+                .schedule_with_cache(workflow, &profile, config, &self.prediction_cache);
         let wraps = generate(workflow, &schedule.plan);
         Deployment {
             profile,

@@ -11,14 +11,13 @@
 
 use chiron_metrics::plan_resources;
 use chiron_model::{CostModel, DeploymentPlan, SandboxId, SimDuration, Workflow};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a worker node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// A homogeneous cluster of worker nodes (Table 2's testbed shape).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     pub nodes: u32,
     /// Per-node capacity (CPU count / DRAM come from the cost model).
@@ -41,7 +40,7 @@ impl ClusterConfig {
 }
 
 /// How sandboxes are assigned to nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// First-fit onto the fewest nodes (locality: cheap wrap-to-wrap RPC).
     Pack,
@@ -50,7 +49,7 @@ pub enum PlacementPolicy {
 }
 
 /// A placement of one deployment's sandboxes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     pub assignments: Vec<(SandboxId, NodeId)>,
 }

@@ -15,10 +15,9 @@
 //! table's per-workload percentages.
 
 use chiron_model::{FunctionSpec, IsolationKind, Segment, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// The cost profile of one isolation mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IsolationCosts {
     /// One-time cost of entering the isolation domain when a thread starts
     /// (module instantiation for SFI, `wrpkru` setup for MPK).

@@ -7,10 +7,8 @@
 //! deterministic, and reactive enough to re-provision pools within a few
 //! ticks of a demand swing (a fault-recovery wave, a diurnal ramp).
 
-use serde::{Deserialize, Serialize};
-
 /// EWMA of the observed arrival rate (requests/second).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemandForecast {
     /// Smoothing weight of the newest sample, in `(0, 1]`.
     alpha: f64,

@@ -15,11 +15,10 @@
 use crate::tier::{LifecycleCosts, TierTable};
 use chiron_metrics::plan_resources;
 use chiron_model::{CostModel, DeploymentPlan, SimDuration, Workflow};
-use serde::{Deserialize, Serialize};
 
 /// Planner input: what the deployment may spend on standing prewarm
 /// capacity, and the demand it should be provisioned for.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrewarmBudget {
     /// Rent ceiling for held tier slots, USD per hour.
     pub usd_per_hour: f64,
@@ -41,7 +40,7 @@ impl PrewarmBudget {
 const START_FRACTION: f64 = 0.02;
 
 /// The tier mix a budget affords for one plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierMix {
     pub snapshot_slots: u32,
     pub zygote_slots: u32,

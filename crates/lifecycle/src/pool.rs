@@ -16,10 +16,9 @@
 use crate::forecast::DemandForecast;
 use crate::tier::{LifecycleCosts, StartTier, TierTable};
 use chiron_model::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the tiered lifecycle, carried by `ServeConfig`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleConfig {
     pub costs: LifecycleCosts,
     /// Most snapshot slots the pool may hold.
@@ -69,7 +68,7 @@ pub struct PoolAction {
 }
 
 /// Lifetime counters of one pool run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Replica starts served, indexed by [`StartTier::code`].
     pub hits: [u64; StartTier::COUNT],

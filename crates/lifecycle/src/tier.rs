@@ -26,12 +26,11 @@
 //! profiler — shares.
 
 use chiron_model::{CostModel, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// How a replica's sandboxes came up. The discriminant doubles as the
 /// trace encoding (`ReplicaSpawn::tier`) and as an index into per-tier
 /// count arrays, so the order is part of the observable contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum StartTier {
     /// Zero-latency handover of a deployment-time baseline replica. No
@@ -82,7 +81,7 @@ impl StartTier {
 
 /// Calibration constants the [`CostModel`] does not carry: the tier
 /// mechanics themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifecycleCosts {
     /// Whole-replica checkpoint restore latency (Aetherless: <15 ms).
     pub snapshot_restore: SimDuration,
@@ -108,7 +107,7 @@ impl LifecycleCosts {
 }
 
 /// One pooled tier's operating characteristics for a concrete plan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierSpec {
     /// On-path latency from acquisition to schedulable.
     pub startup: SimDuration,
@@ -124,7 +123,7 @@ pub struct TierSpec {
 }
 
 /// The full tier cost table for one `(plan, workflow)` deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierTable {
     pub snapshot: TierSpec,
     pub zygote: TierSpec,

@@ -7,10 +7,9 @@
 
 use crate::resources::ResourceUsage;
 use chiron_model::{BillingModel, SimDuration, SystemKind};
-use serde::{Deserialize, Serialize};
 
 /// Dollar cost of serving requests with one deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostReport {
     pub usd_per_request: f64,
     pub usd_per_million: f64,

@@ -12,12 +12,11 @@ use crate::math::fast_ln;
 use crate::rng::FastRng;
 use crate::stats::LatencySamples;
 use chiron_model::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// How request arrivals are spaced in open-loop load generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalProcess {
     /// Deterministic spacing of exactly `1/rps` between arrivals.
     Uniform,
@@ -173,7 +172,7 @@ impl ArrivalGen {
 }
 
 /// Outcome of driving one arrival rate through the node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadReport {
     pub offered_rps: f64,
     pub completed: u64,

@@ -10,10 +10,9 @@
 
 use chiron_model::plan::ProcessSpawn;
 use chiron_model::{CostModel, DeploymentPlan, Workflow};
-use serde::{Deserialize, Serialize};
 
 /// Resource footprint of one deployed workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceUsage {
     /// Peak resident memory across all sandboxes, in bytes.
     pub memory_bytes: u64,

@@ -1,11 +1,10 @@
 //! Latency statistics: summaries, percentiles, CDFs, SLO accounting.
 
 use chiron_model::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A batch of latency observations (e.g. one per request, or one per
 /// function as in Fig. 15's CDF).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencySamples {
     samples: Vec<SimDuration>,
 }
@@ -109,7 +108,7 @@ impl FromIterator<SimDuration> for LatencySamples {
 /// `u32` index over a window of page numbers, grown at either end as
 /// samples and merges arrive, locates each page; equality compares
 /// logical contents, whatever window each side happened to grow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamingHistogram {
     /// `index[i]` is the slot in `pages` of page `lo + i`, or `NO_PAGE`;
     /// every page outside the window is absent.

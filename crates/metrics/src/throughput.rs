@@ -12,10 +12,9 @@
 
 use crate::resources::ResourceUsage;
 use chiron_model::{CostModel, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Throughput analysis of one deployment on one worker node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputReport {
     /// Concurrent deployment instances the node can host (fractional when
     /// one instance already oversubscribes a resource).
@@ -26,7 +25,7 @@ pub struct ThroughputReport {
     pub rps: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     Memory,
     Cpu,

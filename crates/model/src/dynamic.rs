@@ -11,10 +11,9 @@
 
 use crate::function::{FunctionId, FunctionSpec};
 use crate::workflow::{Workflow, WorkflowError};
-use serde::{Deserialize, Serialize};
 
 /// Decides which branch of a switch stage a request takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BranchSelector {
     /// Branch 1 when the upstream stage's total output exceeds the
     /// threshold, else branch 0 (Video-FFmpeg: large uploads are split).
@@ -38,7 +37,7 @@ impl BranchSelector {
 }
 
 /// One stage of a dynamic workflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DynStage {
     /// An ordinary stage of parallel functions.
     Static(Vec<FunctionId>),
@@ -51,7 +50,7 @@ pub enum DynStage {
 }
 
 /// A workflow whose shape is only fixed at request time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicWorkflow {
     pub name: String,
     pub functions: Vec<FunctionSpec>,

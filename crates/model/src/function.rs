@@ -6,11 +6,10 @@
 //! of blocking syscalls, with everything in between treated as CPU time.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a function within its workflow's function table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FunctionId(pub u32);
 
 impl FunctionId {
@@ -31,7 +30,7 @@ impl fmt::Display for FunctionId {
 /// strace log) and to workload typing (disk-I/O vs network-I/O intensive
 /// functions in SLApp), not to the GIL simulation itself: all of them drop
 /// the GIL for their duration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyscallKind {
     /// `read`/`write` on a regular file (disk I/O).
     DiskIo,
@@ -53,7 +52,7 @@ impl SyscallKind {
 }
 
 /// One phase of a function's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Segment {
     /// Executes bytecode while holding the interpreter lock (if any).
     Cpu(SimDuration),
@@ -90,7 +89,7 @@ impl Segment {
 }
 
 /// Coarse workload class, used by SLApp and for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     CpuIntensive,
     DiskIoIntensive,
@@ -102,7 +101,7 @@ pub enum WorkloadClass {
 ///
 /// Functions with conflicting runtimes can never share a sandbox (§3.4), so
 /// PGP must pin them into singleton wraps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LanguageRuntime {
     Python3,
     Python2,
@@ -123,7 +122,7 @@ impl LanguageRuntime {
 }
 
 /// Static specification of one serverless function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionSpec {
     pub name: String,
     /// Ground-truth execution behaviour (what strace would observe).

@@ -16,13 +16,12 @@
 
 use crate::function::FunctionId;
 use crate::workflow::WorkflowError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a sandbox within a plan. Multiple stage-level wraps may
 /// map onto the same sandbox (the sandbox is reused across stages, as in
 /// every many-to-one system).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SandboxId(pub u32);
 
 impl SandboxId {
@@ -38,7 +37,7 @@ impl fmt::Display for SandboxId {
 }
 
 /// How a process obtains its execution context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessSpawn {
     /// `fork()` a fresh process per request: pays `T_Startup` plus the
     /// cumulative `T_Block` of the forks queued before it (Eq. 4).
@@ -56,7 +55,7 @@ pub enum ProcessSpawn {
 ///
 /// `functions[0]` runs on the process's main thread; any further functions
 /// are cloned as additional threads (Fig. 9's `Thread(f1, req)`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessPlan {
     pub functions: Vec<FunctionId>,
     pub spawn: ProcessSpawn,
@@ -87,7 +86,7 @@ impl ProcessPlan {
 
 /// A wrap instantiated for one stage: the processes it runs and the sandbox
 /// it occupies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WrapPlan {
     pub sandbox: SandboxId,
     pub processes: Vec<ProcessPlan>,
@@ -108,7 +107,7 @@ impl WrapPlan {
 /// One stage's partition into wraps. `wraps[0]` is the stage's primary wrap:
 /// it receives the stage input and invokes the others over the network
 /// (Eq. 2's `wrap_1`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StagePlan {
     pub wraps: Vec<WrapPlan>,
 }
@@ -120,7 +119,7 @@ impl StagePlan {
 }
 
 /// Thread-parallelism semantics of the language runtime inside sandboxes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuntimeKind {
     /// CPython/Node.js-style: a GIL permits one running thread per process.
     PseudoParallel,
@@ -129,7 +128,7 @@ pub enum RuntimeKind {
 }
 
 /// Memory-isolation mechanism applied to thread execution (§4, Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IsolationKind {
     /// Bare threads; no intra-process isolation.
     None,
@@ -142,7 +141,7 @@ pub enum IsolationKind {
 }
 
 /// How intermediate data crosses a sandbox boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransferKind {
     /// Third-party object storage as in AWS (write + read per edge).
     RemoteS3,
@@ -159,8 +158,8 @@ pub enum TransferKind {
 
 /// Deterministic sandbox→node assignment derived from a plan.
 ///
-/// The plan itself carries no node field (its serde form, digests and every
-/// committed report stay unperturbed); instead, any component that needs
+/// The plan itself carries no node field (its digests and every committed
+/// report stay unperturbed); instead, any component that needs
 /// locality — the DES, the predictor, the PGP objective — recomputes the
 /// same first-fit packing from the same inputs, so fast/reference/parallel
 /// paths agree byte for byte.
@@ -220,7 +219,7 @@ impl NodePlacement {
 
 /// How the platform's gateway schedules function starts for one-to-one
 /// systems (Fig. 3). Pre-deployed wraps skip the gateway entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulingKind {
     /// AWS Step Functions: a fixed per-function scheduling delay with a cap
     /// on how many functions can be launched concurrently.
@@ -235,7 +234,7 @@ pub enum SchedulingKind {
 }
 
 /// The serverless systems evaluated in the paper (§6, Fig. 13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// AWS Step Functions: one-to-one, S3 transfer, heavy scheduling.
     Asf,
@@ -287,7 +286,7 @@ impl fmt::Display for SystemKind {
 }
 
 /// Static description of one sandbox in a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SandboxPlan {
     pub id: SandboxId,
     /// Whole CPUs allocated via cgroups (the paper's allocation unit, §6).
@@ -297,7 +296,7 @@ pub struct SandboxPlan {
 }
 
 /// A complete deployment of one workflow onto the platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentPlan {
     pub system: SystemKind,
     pub workflow: String,

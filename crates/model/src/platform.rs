@@ -8,10 +8,9 @@
 //! resulting from mispredictions."
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Costs of starting, communicating and executing on the platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Cold start of a fresh sandbox (167 ms for a Python container, §1).
     pub sandbox_cold_start: SimDuration,
@@ -103,7 +102,7 @@ impl Default for CostModel {
 
 /// Gateway scheduling-overhead parameters for the one-to-one systems
 /// (Fig. 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulingModel {
     /// ASF: per-function scheduling latency (150 ms).
     pub asf_per_function: SimDuration,
@@ -156,7 +155,7 @@ impl Default for SchedulingModel {
 
 /// Billing rates (§6.3, Google Cloud Functions pricing \[7\] plus ASF state
 /// transitions \[54\]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BillingModel {
     /// Dollars per GB-second of allocated memory.
     pub usd_per_gb_second: f64,
@@ -185,7 +184,7 @@ impl Default for BillingModel {
 /// Random perturbation applied by the virtual platform so that ground truth
 /// diverges from the Predictor's constant-parameter model, as a real
 /// cluster's does. All spreads are relative standard deviations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterModel {
     /// Spread on fork startup / block / clone costs (lognormal-ish).
     pub startup_rel_std: f64,
@@ -225,7 +224,7 @@ impl JitterModel {
 }
 
 /// Everything the virtual platform needs besides the deployment plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformConfig {
     pub costs: CostModel,
     pub scheduling: SchedulingModel,

@@ -6,10 +6,9 @@
 //! substrate, and the serving simulator agree on the vocabulary.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one replica of a deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReplicaId(pub u32);
 
 impl std::fmt::Display for ReplicaId {
@@ -19,7 +18,7 @@ impl std::fmt::Display for ReplicaId {
 }
 
 /// Replica-count bounds and warm-capacity policy for one deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaConfig {
     /// Floor the autoscaler never goes below.
     pub min_replicas: u32,

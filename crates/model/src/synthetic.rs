@@ -11,10 +11,9 @@ use crate::function::{FunctionSpec, Segment, SyscallKind, WorkloadClass};
 use crate::workflow::Workflow;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Shape and behaviour parameters of a synthetic workflow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticSpec {
     pub seed: u64,
     pub stages: usize,

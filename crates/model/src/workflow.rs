@@ -6,10 +6,9 @@
 //! functions within a stage are mutually independent.
 
 use crate::function::{FunctionId, FunctionSpec};
-use serde::{Deserialize, Serialize};
 
 /// One execution stage: a set of mutually parallel functions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stage {
     pub functions: Vec<FunctionId>,
 }
@@ -22,7 +21,7 @@ impl Stage {
 
 /// A complete workflow definition as submitted by the user (step ➊ in
 /// Fig. 9), together with the latency SLO used by PGP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workflow {
     pub name: String,
     pub functions: Vec<FunctionSpec>,

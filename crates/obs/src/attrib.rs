@@ -598,12 +598,7 @@ impl AttributionReport {
 
     /// FNV-1a over [`AttributionReport::render`] bytes.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.render().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        crate::fnv1a(self.render().as_bytes())
     }
 
     /// Folded-stack flame output (`stack;frames count`, one line per

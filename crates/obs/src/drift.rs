@@ -53,12 +53,7 @@ impl DriftSeries {
 /// Structural FNV-1a key of a deployment plan (its `Debug` rendering
 /// covers system/runtime/isolation/transfer and the whole stage tree).
 pub fn plan_key(plan: &DeploymentPlan) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{plan:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    crate::fnv1a(format!("{plan:?}").as_bytes())
 }
 
 /// Residual series per `(workflow, plan, stage)`, owned by the caller

@@ -87,6 +87,14 @@ pub fn reset_observability() {
     reset_trace_stats();
 }
 
+/// 64-bit FNV-1a over `bytes`: the plan key and the trace and
+/// attribution digests.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

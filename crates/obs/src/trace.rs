@@ -323,12 +323,7 @@ impl Trace {
 
     /// FNV-1a over [`Trace::render`] bytes.
     pub fn digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.render().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        crate::fnv1a(self.render().as_bytes())
     }
 }
 

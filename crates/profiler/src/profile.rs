@@ -3,11 +3,10 @@
 
 use crate::trace::{strace_solo, StraceRecord};
 use chiron_model::{FunctionId, FunctionSpec, Segment, SimDuration, SyscallKind, Workflow};
-use serde::{Deserialize, Serialize};
 
 /// One extracted block period, relative to function start (Fig. 10's
 /// "block period" lines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockPeriod {
     pub start: SimDuration,
     pub dur: SimDuration,
@@ -15,7 +14,7 @@ pub struct BlockPeriod {
 }
 
 /// What the Profiler learned about one function from its solo runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionProfile {
     pub function: FunctionId,
     pub name: String,
@@ -59,7 +58,7 @@ impl FunctionProfile {
 }
 
 /// Profiles of every function in a workflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowProfile {
     pub workflow: String,
     pub functions: Vec<FunctionProfile>,

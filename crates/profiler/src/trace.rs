@@ -8,10 +8,9 @@
 //! downstream.
 
 use chiron_model::{FunctionSpec, Segment, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// One line of the strace log: `<ts> <syscall>() = ... <<dur>>`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StraceRecord {
     /// Offset from function start at which the syscall was entered.
     pub start: SimDuration,

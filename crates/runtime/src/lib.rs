@@ -27,6 +27,6 @@ pub use fluid::{
 };
 pub use platform::VirtualPlatform;
 pub use rt::ring::{crc32, measure_fit, ring, Consumer, Producer, RingError, RingFit};
-pub use rt::{run_realtime, run_realtime_wired, Backoff, RtEdge, RtResult, RtTask};
+pub use rt::{run_realtime, Backoff, RtEdge, RtResult, RtTask};
 pub use scratch::{alloc_stats, reset_alloc_stats, AllocStats, SimScratch};
 pub use span::{FunctionTimeline, RequestOutcome, Span, SpanKind};

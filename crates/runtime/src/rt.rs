@@ -144,63 +144,30 @@ fn run_segments(segments: &[Segment], gil: &Gil, runtime: RuntimeKind, quantum: 
     }
 }
 
-/// Executes `tasks` on real OS threads.
-///
-/// Under [`RuntimeKind::PseudoParallel`], tasks of the same `process` share
-/// an emulated GIL: CPU bursts run with the lock held and yield it every
-/// `switch_interval`; blocking segments sleep with the lock released. Under
-/// [`RuntimeKind::TrueParallel`] every thread runs freely.
-pub fn run_realtime(
-    tasks: &[RtTask],
-    runtime: RuntimeKind,
-    switch_interval: SimDuration,
-) -> Vec<RtResult> {
-    if tasks.is_empty() {
-        return Vec::new();
-    }
-    let n_procs = tasks.iter().map(|t| t.process).max().unwrap_or(0) + 1;
-    let gils: Vec<Arc<Gil>> = (0..n_procs).map(|_| Arc::new(Gil::default())).collect();
-    let quantum = to_std(switch_interval);
-    let batch_start = Instant::now();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let gil = gils[task.process].clone();
-            let segments = task.segments.clone();
-            handles.push(scope.spawn(move || {
-                let started = batch_start.elapsed();
-                run_segments(&segments, &gil, runtime, quantum);
-                RtResult {
-                    started,
-                    finished: batch_start.elapsed(),
-                }
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rt worker panicked"))
-            .collect()
-    })
-}
-
 /// Deterministic payload byte `j` of edge `ei` — lets the consumer verify
 /// content end to end on top of the ring's own CRC.
 fn edge_byte(ei: usize, j: usize) -> u8 {
     (ei as u8).wrapping_mul(31).wrapping_add(j as u8)
 }
 
-/// [`run_realtime`] with real wrap-to-wrap data-plane wiring: every edge
-/// gets its own lock-free SPSC ring ([`ring`]), sized to hold its frame
-/// with room to spare. A task first drains each inbound ring (spinning
-/// until the producer's frame lands, CRC- and content-validated), then
-/// runs its segments, then pushes its outbound payloads — so downstream
-/// tasks genuinely wait on the shared-memory handoff, the behaviour the
+/// Executes `tasks` on real OS threads.
+///
+/// Under [`RuntimeKind::PseudoParallel`], tasks of the same `process` share
+/// an emulated GIL: CPU bursts run with the lock held and yield it every
+/// `switch_interval`; blocking segments sleep with the lock released. Under
+/// [`RuntimeKind::TrueParallel`] every thread runs freely.
+///
+/// Each of `edges` is real wrap-to-wrap data-plane wiring: its own
+/// lock-free SPSC ring ([`ring`]), sized to hold its frame with room to
+/// spare. A task first drains each inbound ring (spinning until the
+/// producer's frame lands, CRC- and content-validated), then runs its
+/// segments, then pushes its outbound payloads — so downstream tasks
+/// genuinely wait on the shared-memory handoff, the behaviour the
 /// simulator's `shm_ring` tier models.
 ///
 /// Panics if an edge names an out-of-range task, is a self-loop, or if a
 /// ring delivers corrupt or mismatched bytes.
-pub fn run_realtime_wired(
+pub fn run_realtime(
     tasks: &[RtTask],
     edges: &[RtEdge],
     runtime: RuntimeKind,
@@ -306,7 +273,7 @@ mod tests {
     fn overlapped_makespan(tasks: &[RtTask], runtime: RuntimeKind) -> Duration {
         let mut best = Duration::MAX;
         for _ in 0..3 {
-            best = best.min(makespan(&run_realtime(tasks, runtime, SWITCH)));
+            best = best.min(makespan(&run_realtime(tasks, &[], runtime, SWITCH)));
             if best < OVERLAP_BOUND {
                 break;
             }
@@ -332,7 +299,7 @@ mod tests {
                 segments: vec![cpu(30)],
             },
         ];
-        let results = run_realtime(&tasks, RuntimeKind::PseudoParallel, SWITCH);
+        let results = run_realtime(&tasks, &[], RuntimeKind::PseudoParallel, SWITCH);
         let total = makespan(&results);
         // 60ms of CPU serialised by the GIL: demand clearly more wall time
         // than parallel execution would take.
@@ -397,8 +364,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(run_realtime(&[], RuntimeKind::PseudoParallel, SWITCH).is_empty());
-        assert!(run_realtime_wired(&[], &[], RuntimeKind::PseudoParallel, SWITCH).is_empty());
+        assert!(run_realtime(&[], &[], RuntimeKind::PseudoParallel, SWITCH).is_empty());
     }
 
     #[test]
@@ -424,7 +390,7 @@ mod tests {
                 bytes: 64 << 10,
             },
         ];
-        let results = run_realtime_wired(&tasks, &edges, RuntimeKind::TrueParallel, SWITCH);
+        let results = run_realtime(&tasks, &edges, RuntimeKind::TrueParallel, SWITCH);
         let total = makespan(&results);
         assert!(total >= Duration::from_millis(28), "makespan {total:?}");
         // Each hop's consumer cannot finish before its producer.
@@ -454,27 +420,8 @@ mod tests {
                 bytes: 100 << 10,
             },
         ];
-        let results = run_realtime_wired(&tasks, &edges, RuntimeKind::PseudoParallel, SWITCH);
+        let results = run_realtime(&tasks, &edges, RuntimeKind::PseudoParallel, SWITCH);
         assert_eq!(results.len(), 3);
-    }
-
-    #[test]
-    fn wired_without_edges_matches_plain_behaviour() {
-        let tasks = vec![
-            RtTask {
-                process: 0,
-                segments: vec![cpu(5)],
-            },
-            RtTask {
-                process: 1,
-                segments: vec![io(5)],
-            },
-        ];
-        let results = run_realtime_wired(&tasks, &[], RuntimeKind::PseudoParallel, SWITCH);
-        assert_eq!(results.len(), 2);
-        for r in &results {
-            assert!(r.latency() >= Duration::from_millis(4), "latency {r:?}");
-        }
     }
 
     #[test]

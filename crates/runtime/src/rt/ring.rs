@@ -376,7 +376,7 @@ impl Consumer {
 
 /// A measured `floor + bytes/bandwidth` fit of the real ring, in the same
 /// shape as `chiron-store`'s `LinkModel`.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RingFit {
     /// One-way small-frame latency (half a cross-thread round trip), ns.
     pub floor_ns: f64,

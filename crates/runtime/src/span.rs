@@ -11,11 +11,10 @@
 //! each thread's run ending with its IPC and store-write spans.
 
 use chiron_model::{FunctionId, SandboxId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// The kind of activity a span covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Waiting in the platform gateway's scheduling queue (Fig. 3).
     Scheduled,
@@ -38,7 +37,7 @@ pub enum SpanKind {
 }
 
 /// A half-open interval `[start, end)` of one activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     pub kind: SpanKind,
     pub start: SimTime,
@@ -52,7 +51,7 @@ impl Span {
 }
 
 /// Everything that happened to one function during one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionTimeline {
     pub function: FunctionId,
     pub sandbox: SandboxId,
@@ -125,7 +124,7 @@ impl FunctionTimeline {
 }
 
 /// Outcome of executing one workflow request on the virtual platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestOutcome {
     /// End-to-end latency of the request.
     pub e2e: SimDuration,

@@ -9,9 +9,8 @@
 
 use chiron_metrics::StreamingHistogram;
 use chiron_model::SimDuration;
-use serde::{Deserialize, Serialize};
 
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalerConfig {
     /// Evaluation period.
     pub tick: SimDuration,

@@ -6,13 +6,12 @@ use chiron_lifecycle::LifecycleConfig;
 use chiron_metrics::ArrivalProcess;
 use chiron_model::{PlatformConfig, ReplicaConfig, SimDuration};
 use chiron_obs::{RegimeConfig, SloPolicy};
-use serde::{Deserialize, Serialize};
 
 use crate::autoscaler::AutoscalerConfig;
 
 /// Request-scheduling architecture (§7's centralised-vs-decentralised
 /// discussion, made operational).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterPolicy {
     /// One cluster-wide FIFO behind a central gateway: every remote-wrap
     /// invocation detours through the scheduler (pays the centralised
@@ -37,7 +36,7 @@ impl RouterPolicy {
 }
 
 /// One constant-rate segment of the offered load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficPhase {
     /// Mean arrival rate during this phase.
     pub rps: f64,
@@ -47,7 +46,7 @@ pub struct TrafficPhase {
 
 /// The open-loop request stream: phases played back to back, with gaps
 /// drawn from the arrival process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     pub phases: Vec<TrafficPhase>,
     pub arrivals: ArrivalProcess,
@@ -91,7 +90,7 @@ impl Workload {
 }
 
 /// Full serving-plane configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Node count, per-node capacity, cross-node hop cost.
     pub cluster: ClusterConfig,

@@ -2,10 +2,9 @@
 
 use chiron_deploy::NodeId;
 use chiron_model::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Scripted failures for one serving run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// `(time, node)` crash-stop kills; each node dies at most once.
     pub node_kills: Vec<(SimTime, NodeId)>,

@@ -3,7 +3,6 @@
 use chiron_metrics::StreamingHistogram;
 use chiron_model::SimDuration;
 use chiron_obs::SloSummary;
-use serde::{Deserialize, Serialize};
 
 /// One completed (or still-unfinished) request's life cycle, in
 /// simulation nanoseconds, in 40 bytes.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// set, whether the request paid a cold start, and whether it was
 /// forwarded. The simulation writes a record through
 /// [`RequestRecord::new`] and the setters; readers use the accessors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestRecord {
     pub arrival_ns: u64,
     /// See [`RequestRecord::dispatched_ns`]; 0 while unset.
@@ -134,7 +133,7 @@ impl RequestRecord {
 /// Carries the phase's full streaming histogram next to the derived
 /// scalars, so per-cluster phase summaries merge *exactly* (bucket counts
 /// add) instead of approximating percentiles from pre-reduced numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSummary {
     pub offered_rps: f64,
     pub completed: u64,
@@ -194,7 +193,7 @@ impl PhaseSummary {
 }
 
 /// Everything a serving run produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Requests admitted (open loop: every arrival is admitted).
     pub accepted: u64,
@@ -383,7 +382,7 @@ impl ServeReport {
 /// keeping a request log, so a ten-million-request run holds only the
 /// records from each cluster's oldest unfinished request onward, and
 /// merging costs histogram-merge time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     pub clusters: u32,
     /// Locally-admitted arrivals summed over clusters, spillover

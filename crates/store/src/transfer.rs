@@ -18,10 +18,9 @@
 //! records the `measure_fit` result next to these constants).
 
 use chiron_model::{SimDuration, TransferKind};
-use serde::{Deserialize, Serialize};
 
 /// A `floor + bytes/bandwidth` latency model for one data path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Fixed per-transfer latency (connection setup, request routing,
     /// metadata, data copies).
@@ -46,7 +45,7 @@ impl LinkModel {
 }
 
 /// Transfer models for all data paths on the platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferModel {
     /// AWS S3 through Lambda: write + read of the object.
     pub s3: LinkModel,

@@ -46,6 +46,7 @@ fn run_case(label: &str, workload: &[Vec<Segment>], runtime: RuntimeKind) {
                 segments: segments.clone(),
             })
             .collect::<Vec<_>>(),
+        &[],
         runtime,
         interval,
     );

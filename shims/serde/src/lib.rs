@@ -1,11 +1,10 @@
 //! Marker-trait stand-in for `serde`.
 //!
-//! The workspace derives `Serialize`/`Deserialize` on its plan/profile
-//! types so they remain serialisable artefacts once the real serde is
-//! available, but never serialises anything at runtime. This shim keeps
-//! those derives compiling offline: the traits are blanket-implemented and
-//! the derive macros (re-exported from the sibling `serde_derive` shim)
-//! expand to nothing.
+//! No workspace type derives `Serialize` or `Deserialize`, and nothing is
+//! serialised. The crates' `serde` entries stay only because
+//! `perfbench/Cargo.lock` lists them and CI builds perfbench `--locked`.
+//! The traits are blanket-implemented and the derive macros (re-exported
+//! from the sibling `serde_derive` shim) expand to nothing.
 
 #![allow(clippy::all)]
 

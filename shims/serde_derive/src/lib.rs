@@ -1,7 +1,6 @@
-//! No-op stand-ins for serde's derive macros. The workspace uses
-//! `#[derive(Serialize, Deserialize)]` purely as a compile-time marker (the
-//! shimmed traits are blanket-implemented), so the derives expand to
-//! nothing.
+//! No-op stand-ins for serde's derive macros: they expand to nothing (the
+//! shimmed traits are blanket-implemented). No workspace type derives
+//! them.
 
 #![allow(clippy::all)]
 

@@ -361,7 +361,7 @@ const OBS_TRACE_DIGEST: u64 = 0x7808_38c9_91cf_12b1;
 
 #[test]
 fn obs_trace_digest() {
-    let (_, wf, deployment) = chiron_bench::obs::deployed();
+    let (_, wf, deployment) = chiron_bench::scenario::deployed();
     let pass = traced(|| chiron_bench::obs::serve_pass(&wf, deployment.plan(), 2, 1));
     let digest = Trace::concat(pass.traces).digest();
     assert_eq!(
@@ -377,7 +377,8 @@ const FLEET_OBS_DIGESTS: (u64, u64) = (0x2e03_c7b1_c8d1_c87e, 8_788_462_176_310_
 
 #[test]
 fn fleet_obs_digests() {
-    use chiron_bench::fleetobs::{scenario, FIGURE_SIZE, SEED};
+    use chiron_bench::fleetobs::{scenario, FIGURE_SIZE};
+    use chiron_bench::scenario::SEED;
     let (clusters, rps, phase1_ms, phase2_ms) = FIGURE_SIZE;
     let (sim, workload) = scenario(clusters, rps, phase1_ms, phase2_ms);
     let (report, trace) =
@@ -395,7 +396,8 @@ const TRANSFER_FLEET_DIGEST: u64 = 5_868_067_341_350_489_189;
 
 #[test]
 fn transfer_fleet_digest() {
-    use chiron_bench::transfer::{fleet_scenario, FLEET_MS, SEED};
+    use chiron_bench::scenario::SEED;
+    use chiron_bench::transfer::{fleet_scenario, FLEET_MS};
     let (fleet, workload) = fleet_scenario(FLEET_MS);
     let digest = fleet.run(&workload, SEED).expect("fleet run").digest();
     assert_eq!(
